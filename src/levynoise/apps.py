@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import integrate as it
-from .integrands import Integrand, SignPow
+from .integrands import Integrand, SignPow, gl_rule
 from .measure import LevyMeasure, Shell
 from .prm import PointConfiguration, Window
 
@@ -40,30 +40,24 @@ def psi_shell_rule(measure: LevyMeasure, shell: Shell, u, n_per_side: int = 48):
     return vals @ w
 
 
+def space_time_integral(X: Integrand, window: Window, t: float, phi,
+                        n_time: int, n_space: int):
+    """Integral over [0,t] x box of phi(X(s, x)); `phi` maps the array of
+    X values on the tensor rule to the integrand values."""
+    breaks = np.unique(np.array([0.0, t] + [v for v in X.time_breakpoints()
+                                            if 0.0 < v < t]))
+    s, ws = it.interval_rule(breaks, n_time)
+    xpts, wx = it.box_rule(window.box, n_space)
+    return np.einsum("ij,i,j->", phi(it.space_time_grid(X, s, xpts)), ws, wx)
+
+
 def psi_space_time_integral(h: Integrand, window: Window, measure: LevyMeasure,
                             t: float, n_time: int = 24, n_space: int = 16,
                             n_jump: int = 48) -> complex:
     """Integral over [0,t] x box of the compensated exponent of h(s, x)."""
-    breaks = np.unique(np.array([0.0, t] + [v for v in h.time_breakpoints()
-                                            if 0.0 < v < t]))
-    s, ws = it.interval_rule(breaks, n_time)
-    xpts, wx = it.box_rule(window.box, n_space)
-    hgrid = np.zeros((len(s), len(xpts)))
-    for term in h.terms:
-        tv = np.asarray(term.time(s), dtype=float) + np.zeros(len(s))
-        sv = np.asarray(term.space_value(xpts), dtype=float) + np.zeros(len(xpts))
-        hgrid += np.multiply.outer(tv, sv)
-    psi = psi_shell_rule(measure, window.shell, hgrid, n_jump)
-    return complex(np.einsum("ij,i,j->", psi, ws, wx))
-
-
-def _gl(n):
-    if n not in _gl._store:
-        _gl._store[n] = np.polynomial.legendre.leggauss(n)
-    return _gl._store[n]
-
-
-_gl._store = {}
+    return complex(space_time_integral(
+        h, window, t, lambda g: psi_shell_rule(measure, window.shell, g, n_jump),
+        n_time, n_space))
 
 
 def cumulative_on_grid(breaks, n_per_interval, values):
@@ -74,7 +68,7 @@ def cumulative_on_grid(breaks, n_per_interval, values):
     Legendre polynomial and integrated exactly; returns the cumulative at
     every node and at every break.
     """
-    tt, _ = _gl(n_per_interval)
+    tt, _ = gl_rule(n_per_interval)
     n_int = len(breaks) - 1
     vals = np.asarray(values).reshape(n_int, n_per_interval)
     cum_nodes = np.empty_like(vals)
@@ -109,32 +103,16 @@ class MomentBoundRow:
     isometry_se: float
 
 
-def _space_time_grid(X: Integrand, window: Window, t: float, n: int):
-    breaks = np.unique(np.array([0.0, t] + [v for v in X.time_breakpoints()
-                                            if 0.0 < v < t]))
-    s, ws = it.interval_rule(breaks, n)
-    xpts, wx = it.box_rule(window.box, n)
-    grid = np.zeros((len(s), len(xpts)))
-    for term in X.terms:
-        tv = np.asarray(term.time(s), dtype=float) + np.zeros(len(s))
-        sv = np.asarray(term.space_value(xpts), dtype=float) + np.zeros(len(xpts))
-        grid += np.multiply.outer(tv, sv)
-    return grid, ws, wx
-
-
 def space_time_norm_sq(X: Integrand, window: Window, t: float, n: int = 32) -> float:
     """Integral of X^2 over [0,t] x box."""
-    grid, ws, wx = _space_time_grid(X, window, t, n)
-    return float(np.einsum("ij,i,j->", grid * grid, ws, wx))
+    return float(space_time_integral(X, window, t, lambda g: g * g, n, n))
 
 
 def lp_bracket(X: Integrand, window: Window, t: float, p: float,
                n: int = 32) -> float:
     """(integral of X^2)^{p/2} + integral of |X|^p over [0,t] x box."""
-    grid, ws, wx = _space_time_grid(X, window, t, n)
-    sq = float(np.einsum("ij,i,j->", grid * grid, ws, wx))
-    pp = float(np.einsum("ij,i,j->", np.abs(grid) ** p, ws, wx))
-    return sq ** (p / 2.0) + pp
+    pp = float(space_time_integral(X, window, t, lambda g: np.abs(g) ** p, n, n))
+    return space_time_norm_sq(X, window, t, n) ** (p / 2.0) + pp
 
 
 def noise_path(X: Integrand, config: PointConfiguration,
@@ -209,11 +187,7 @@ def representation_residual(h: Integrand, config: PointConfiguration,
     xpts, wx = it.box_rule(w.box, n_space)
     znod, zw = measure.nu_nodes(w.shell, n_jump)
 
-    hgrid = np.zeros((len(s), len(xpts)))
-    for term in h.terms:
-        tv = np.asarray(term.time(s), dtype=float) + np.zeros(len(s))
-        sv = np.asarray(term.space_value(xpts), dtype=float) + np.zeros(len(xpts))
-        hgrid += np.multiply.outer(tv, sv)
+    hgrid = it.space_time_grid(h, s, xpts)
     # cumulative Psi integral along the same grid
     psi_nodes = psi_shell_rule(measure, w.shell, hgrid, n_jump) @ wx
     psi_cum_nodes, psi_cum_breaks = cumulative_on_grid(breaks, n_time, psi_nodes)

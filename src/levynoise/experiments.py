@@ -9,6 +9,7 @@ acceptance tests call the same entry points.
 from __future__ import annotations
 
 import io
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -59,18 +60,17 @@ class Config:
 
 
 def parse_config(raw: dict) -> Config:
-    def need(key, typ, path=""):
+    def need(key):
         if key not in raw:
-            raise ConfigError(f"{path or key}: missing")
+            raise ConfigError(f"{key}: missing")
         return raw[key]
 
-    name = need("experiment", str)
+    name = need("experiment")
     if name not in REGISTRY:
         raise ConfigError(f"experiment: unknown name {name!r}; "
                           f"choose from {sorted(REGISTRY)}")
     try:
-        wraw = need("window", dict)
-        window = Window.from_json(wraw)
+        window = Window.from_json(need("window"))
     except ConfigError:
         raise
     except Exception as exc:
@@ -188,6 +188,17 @@ def _mc_row(name, est: McEstimate, target, k_sigma, atol=0.0) -> VerdictRow:
 def _tol_row(name, value, tol) -> VerdictRow:
     z = value / tol if tol > 0 else (0.0 if value == 0 else math.inf)
     return VerdictRow(name, value, tol, 0.0, z, value <= tol)
+
+
+def _bound_row(name, estimate, bound, se, k_sigma) -> VerdictRow:
+    z = (estimate - bound) / se if se > 0 else 0.0
+    return VerdictRow(name, estimate, bound, se, z, estimate <= bound + k_sigma * se)
+
+
+def _worst(values) -> float:
+    """The largest value, 0.0 for none; NaN if any value is NaN, so that a
+    NaN residual fails its verdict."""
+    return float(np.max(values)) if len(values) else 0.0
 
 
 def _csv(header, rows) -> str:
@@ -362,46 +373,61 @@ def _fns_from_params(cfg: Config):
 
 ITO_CSV_HEADER = ("cell", "replicate", "t", "lhs", "term1", "term2", "term3",
                   "term4", "rhs", "residual")
+ITO_CSV_PATHS = 25  # paths per cell whose terms go to the residual table
+
+
+def _ito_matrix(cfg: Config, table: str, tag: int, default_tol: float, fns,
+                x_key: str, x_default: list[str], evaluate) -> ExperimentResult:
+    """Check one form of the Ito formula path by path on every (f, G, X)
+    cell, f outermost, X innermost.
+
+    `evaluate(cell_index, fn, G, X, config, want_terms)` returns (lhs, rhs,
+    terms), where terms are the four right-side pieces of the CSV row and
+    may be None when not wanted.  Each cell gets a verdict on its largest
+    |lhs - rhs| and puts its first paths in the residual table.
+    """
+    w, m = cfg.window, cfg.measure()
+    paths = int(cfg.params.get("paths", 1000))
+    tol = float(cfg.params.get("residual_tol", default_tol))
+    Gs = _matrix_from_params(cfg, "g_names", ["G0", "G1", "G2"])
+    Xs = _matrix_from_params(cfg, x_key, x_default)
+    res = ExperimentResult(cfg.experiment, cfg.seed, paths)
+    rows = []
+    for idx, (fn, (gname, G), (xname, X)) in enumerate(itertools.product(fns, Gs, Xs)):
+        label = f"{fn.name}|{gname}|{xname}"
+        seed0 = _seed_for(cfg, tag + idx)
+        resid = []
+        for k in range(paths):
+            c = simulate(w, m, replicate_seed(seed0, k))
+            want_terms = k < ITO_CSV_PATHS
+            lhs, rhs, terms = evaluate(idx, fn, G, X, c, want_terms)
+            resid.append(abs(lhs - rhs))
+            if want_terms:
+                rows.append((label, k, w.horizon, lhs, *terms, rhs, lhs - rhs))
+        res.verdicts.append(_tol_row(f"max_residual[{label}]", _worst(resid), tol))
+    res.tables[table] = _csv(ITO_CSV_HEADER, rows)
+    return res
 
 
 def run_ito_lemma(cfg: Config) -> ExperimentResult:
     """Pathwise identity for the formula without compensation over the cell
     matrix; reports the max residual per cell."""
-    w, m = cfg.window, cfg.measure()
-    T = w.horizon
-    paths = int(cfg.params.get("paths", 1000))
-    tol = float(cfg.params.get("residual_tol", 1e-8))
-    fns = _fns_from_params(cfg)
-    Gs = _matrix_from_params(cfg, "g_names", ["G0", "G1", "G2"])
-    Ks = _matrix_from_params(cfg, "k_names", ["K1", "K2", "K3"])
-    res = ExperimentResult(cfg.experiment, cfg.seed, paths)
-    rows = []
-    cell_idx = 0
-    for fn in fns:
-        for gname, G in Gs:
-            for kname, K in Ks:
-                label = f"{fn.name}|{gname}|{kname}"
-                worst = 0.0
-                seed0 = _seed_for(cfg, 300 + cell_idx)
-                for k in range(paths):
-                    c = simulate(w, m, replicate_seed(seed0, k))
-                    path = it.build_path(G, K, None, c, m, split=0.0)
-                    lhs = ito.ito_lhs(fn, path, T)
-                    rhs = ito.ito_rhs_raw(fn, G, K, c, m, T)
-                    resid = abs(lhs - rhs)
-                    worst = max(worst, resid)
-                    if k < 25:
-                        mask = c.t <= T
-                        yl = path.eval_left(c.t[mask])
-                        kv = np.asarray(K(c.t[mask], c.x[mask], c.z[mask]),
-                                        dtype=float)
-                        jump_term = float(np.sum(fn.f(yl + kv) - fn.f(yl)))
-                        rows.append((label, k, T, lhs, rhs - jump_term,
-                                     jump_term, 0.0, 0.0, rhs, lhs - rhs))
-                res.verdicts.append(_tol_row(f"max_residual[{label}]", worst, tol))
-                cell_idx += 1
-    res.tables["ito_lemma_residuals.csv"] = _csv(ITO_CSV_HEADER, rows)
-    return res
+    m, T = cfg.measure(), cfg.window.horizon
+
+    def evaluate(_idx, fn, G, K, c, want_terms):
+        path = it.build_path(G, K, None, c, m, split=0.0)
+        lhs = ito.ito_lhs(fn, path, T)
+        rhs = ito.ito_rhs_raw(fn, G, K, c, m, T)
+        if not want_terms:
+            return lhs, rhs, None
+        mask = c.t <= T
+        yl = path.eval_left(c.t[mask])
+        kv = np.asarray(K(c.t[mask], c.x[mask], c.z[mask]), dtype=float)
+        jump_term = float(np.sum(fn.f(yl + kv) - fn.f(yl)))
+        return lhs, rhs, (rhs - jump_term, jump_term, 0.0, 0.0)
+
+    return _ito_matrix(cfg, "ito_lemma_residuals.csv", 300, 1e-8,
+                       _fns_from_params(cfg), "k_names", ["K1", "K2", "K3"], evaluate)
 
 
 def run_ito1(cfg: Config) -> ExperimentResult:
@@ -410,97 +436,70 @@ def run_ito1(cfg: Config) -> ExperimentResult:
     form on shared cases."""
     w, m = cfg.window, cfg.measure()
     T = w.horizon
-    paths = int(cfg.params.get("paths", 1000))
-    tol = float(cfg.params.get("residual_tol", 1e-6))
     agree_tol = float(cfg.params.get("agreement_tol", 1e-10))
     agree_paths = int(cfg.params.get("agreement_paths", 100))
     fns = _fns_from_params(cfg)
-    Gs = _matrix_from_params(cfg, "g_names", ["G0", "G1", "G2"])
-    Ks = _matrix_from_params(cfg, "k_names", ["K1", "K2", "K3"])
     H = cfg.integrand(cfg.params.get("h_name", "H"))
-    res = ExperimentResult(cfg.experiment, cfg.seed, paths)
-    rows = []
-    cell_idx = 0
     mart_samples = []
-    for fn in fns:
-        for gname, G in Gs:
-            for kname, K in Ks:
-                label = f"{fn.name}|{gname}|{kname}"
-                worst = 0.0
-                seed0 = _seed_for(cfg, 400 + cell_idx)
-                for k in range(paths):
-                    c = simulate(w, m, replicate_seed(seed0, k))
-                    path = it.build_path(G, K, H, c, m, split=1.0)
-                    lhs = ito.ito_lhs(fn, path, T)
-                    r = ito.ito_rhs_big_small(fn, G, K, H, c, m, T)
-                    resid = abs(lhs - r.total)
-                    worst = max(worst, resid)
-                    if cell_idx == 0:
-                        mart_samples.append(r.compensated_term)
-                    if k < 25:
-                        rows.append((label, k, T, lhs, r.g_term, r.big_jump_term,
-                                     r.compensated_term, r.nu_term, r.total,
-                                     lhs - r.total))
-                res.verdicts.append(_tol_row(f"max_residual[{label}]", worst, tol))
-                cell_idx += 1
+
+    def evaluate(idx, fn, G, K, c, _want_terms):
+        path = it.build_path(G, K, H, c, m, split=1.0)
+        r = ito.ito_rhs_big_small(fn, G, K, H, c, m, T)
+        if idx == 0:
+            mart_samples.append(r.compensated_term)
+        return (ito.ito_lhs(fn, path, T), r.total,
+                (r.g_term, r.big_jump_term, r.compensated_term, r.nu_term))
+
+    res = _ito_matrix(cfg, "ito1_residuals.csv", 400, 1e-6, fns,
+                      "k_names", ["K1", "K2", "K3"], evaluate)
     mart = np.asarray(mart_samples)
     est = McEstimate(float(mart.mean()),
                      float(mart.std(ddof=1) / math.sqrt(len(mart))),
                      len(mart), cfg.seed)
     res.verdicts.append(_mc_row("compensated_term_mean", est, 0.0, cfg.k_sigma))
     # shared-case agreement: K = H on the big-jump side
+    Gs = _matrix_from_params(cfg, "g_names", ["G0", "G1", "G2"])
     for i, fn in enumerate(fns):
         G = Gs[min(1, len(Gs) - 1)][1]
         g2 = ito.equivalent_time_drift(G, H, w, m, split=1.0)
-        worst = 0.0
+        gaps = []
         seed0 = _seed_for(cfg, 450 + i)
         for k in range(agree_paths):
             c = simulate(w, m, replicate_seed(seed0, k))
             r1 = ito.ito_rhs_big_small(fn, G, H, H, c, m, T)
             r2 = ito.ito_rhs_all_compensated(fn, g2, H, c, m, T)
-            worst = max(worst, abs(r1.total - r2.total))
-        res.verdicts.append(_tol_row(f"form_agreement[{fn.name}]", worst, agree_tol))
-    res.tables["ito1_residuals.csv"] = _csv(ITO_CSV_HEADER, rows)
+            gaps.append(abs(r1.total - r2.total))
+        res.verdicts.append(_tol_row(f"form_agreement[{fn.name}]", _worst(gaps), agree_tol))
     return res
 
 
 def run_ito2(cfg: Config) -> ExperimentResult:
     """Pathwise identity for the all-compensated formula over its matrix."""
-    w, m = cfg.window, cfg.measure()
-    T = w.horizon
-    paths = int(cfg.params.get("paths", 1000))
-    tol = float(cfg.params.get("residual_tol", 1e-6))
+    m, T = cfg.measure(), cfg.window.horizon
     fns = [ito.smooth_fn_from_json(s) for s in cfg.params.get("functions", [
         {"kind": "poly", "coeffs": [0.0, 0.0, 1.0]},
         {"kind": "abs_pow", "power": 2.0},
         {"kind": "exp", "scale": 0.4},
     ])]
-    Gs = _matrix_from_params(cfg, "g_names", ["G0", "G1", "G2"])
-    Hs = _matrix_from_params(cfg, "h_names", ["H1", "H2", "H3"])
-    res = ExperimentResult(cfg.experiment, cfg.seed, paths)
-    rows = []
-    cell_idx = 0
-    for fn in fns:
-        for gname, G in Gs:
-            for hname, H in Hs:
-                label = f"{fn.name}|{gname}|{hname}"
-                worst = 0.0
-                seed0 = _seed_for(cfg, 500 + cell_idx)
-                for k in range(paths):
-                    c = simulate(w, m, replicate_seed(seed0, k))
-                    path = it.build_path(G, None, H, c, m, split=math.inf)
-                    lhs = ito.ito_lhs(fn, path, T)
-                    r = ito.ito_rhs_all_compensated(fn, G, H, c, m, T)
-                    resid = abs(lhs - r.total)
-                    worst = max(worst, resid)
-                    if k < 25:
-                        rows.append((label, k, T, lhs, r.g_term, 0.0,
-                                     r.compensated_term, r.nu_term, r.total,
-                                     lhs - r.total))
-                res.verdicts.append(_tol_row(f"max_residual[{label}]", worst, tol))
-                cell_idx += 1
-    res.tables["ito2_residuals.csv"] = _csv(ITO_CSV_HEADER, rows)
-    return res
+
+    def evaluate(_idx, fn, G, H, c, _want_terms):
+        path = it.build_path(G, None, H, c, m, split=math.inf)
+        r = ito.ito_rhs_all_compensated(fn, G, H, c, m, T)
+        return (ito.ito_lhs(fn, path, T), r.total,
+                (r.g_term, 0.0, r.compensated_term, r.nu_term))
+
+    return _ito_matrix(cfg, "ito2_residuals.csv", 500, 1e-6, fns,
+                       "h_names", ["H1", "H2", "H3"], evaluate)
+
+
+def _ladder_rows(prefix: str, report: il.DiagnosticReport, k_sigma: float):
+    """The two verdicts per ladder level: mean squared sup-norm difference
+    and exceedance frequency, each against its bound."""
+    for row in report.rows:
+        yield _bound_row(f"{prefix}sup2_bound[n={row.level}]", row.empirical_sup2,
+                         row.bound, row.sup2_se, k_sigma)
+        yield _bound_row(f"{prefix}exceed_bound[n={row.level}]", row.exceed_freq,
+                         row.bound_freq, row.exceed_se, k_sigma)
 
 
 def run_interlace(cfg: Config) -> ExperimentResult:
@@ -516,23 +515,13 @@ def run_interlace(cfg: Config) -> ExperimentResult:
     ladder = il.eps_sequence(H, w.box, T, m, n_max=n_max,
                              small_hi=float(cfg.params.get("small_hi", 1.0)))
     if cfg.params.get("worked_example", False):
-        worst = max(abs(lv.threshold - 8.0 ** -lv.n / 2.0) / (8.0 ** -lv.n / 2.0)
-                    for lv in ladder.levels)
+        worst = _worst([abs(lv.threshold - 8.0 ** -lv.n / 2.0) / (8.0 ** -lv.n / 2.0)
+                        for lv in ladder.levels])
         res.verdicts.append(_tol_row("threshold_closed_form_rel_err", worst, 1e-8))
     problem = il.LadderProblem(H=H, measure=m, T=T, box=w.box,
                                small_hi=float(cfg.params.get("small_hi", 1.0)))
     rep = il.interlacing_diagnostic(ladder, problem, reps, _seed_for(cfg, 600))
-    for row in rep.rows:
-        res.verdicts.append(VerdictRow(
-            f"sup2_bound[n={row.level}]", row.empirical_sup2, row.bound,
-            row.sup2_se, (row.empirical_sup2 - row.bound) / row.sup2_se
-            if row.sup2_se > 0 else 0.0,
-            row.empirical_sup2 <= row.bound + cfg.k_sigma * row.sup2_se))
-        res.verdicts.append(VerdictRow(
-            f"exceed_bound[n={row.level}]", row.exceed_freq, row.bound_freq,
-            row.exceed_se, (row.exceed_freq - row.bound_freq) / row.exceed_se
-            if row.exceed_se > 0 else 0.0,
-            row.exceed_freq <= row.bound_freq + cfg.k_sigma * row.exceed_se))
+    res.verdicts.extend(_ladder_rows("", rep, cfg.k_sigma))
     res.tables["eps_ladder.csv"] = rep.to_csv()
 
     if cfg.params.get("spatial", True):
@@ -548,19 +537,7 @@ def run_interlace(cfg: Config) -> ExperimentResult:
                                     shell=w.shell, dim=w.dim)
         srep = il.interlacing_diagnostic(sladder, sproblem, s_reps,
                                          _seed_for(cfg, 601))
-        for row in srep.rows:
-            res.verdicts.append(VerdictRow(
-                f"spatial_sup2_bound[n={row.level}]", row.empirical_sup2,
-                row.bound, row.sup2_se,
-                (row.empirical_sup2 - row.bound) / row.sup2_se
-                if row.sup2_se > 0 else 0.0,
-                row.empirical_sup2 <= row.bound + cfg.k_sigma * row.sup2_se))
-            res.verdicts.append(VerdictRow(
-                f"spatial_exceed_bound[n={row.level}]", row.exceed_freq,
-                row.bound_freq, row.exceed_se,
-                (row.exceed_freq - row.bound_freq) / row.exceed_se
-                if row.exceed_se > 0 else 0.0,
-                row.exceed_freq <= row.bound_freq + cfg.k_sigma * row.exceed_se))
+        res.verdicts.extend(_ladder_rows("spatial_", srep, cfg.k_sigma))
         res.tables["spatial_ladder.csv"] = srep.to_csv()
     return res
 
@@ -576,7 +553,7 @@ def run_kunita(cfg: Config) -> ExperimentResult:
     xnames = cfg.params.get("x_names", ["X1", "X2", "X3"])
     res = ExperimentResult(cfg.experiment, cfg.seed, reps)
     rows = []
-    worst_guard = 0.0
+    guard_ratios = []
     idx = 0
     for mk, m in cfg.measures.items():
         for xn in xnames:
@@ -587,8 +564,7 @@ def run_kunita(cfg: Config) -> ExperimentResult:
                 rows.append((mk, xn, p, cell.lhs_mean, cell.lhs_se,
                              cell.bracket, cell.ratio, cell.moment_scale))
                 if cell.bracket > 0:
-                    worst_guard = max(worst_guard,
-                                      cell.ratio / (guard * cell.moment_scale))
+                    guard_ratios.append(cell.ratio / (guard * cell.moment_scale))
                 if p == 2.0:
                     v_shell = m.shell_moment(w.shell, 2.0)
                     target = v_shell * apps.space_time_norm_sq(X, w, T)
@@ -598,7 +574,7 @@ def run_kunita(cfg: Config) -> ExperimentResult:
                         f"p2_isometry[{mk}/{xn}]", est, target, cfg.k_sigma))
                 idx += 1
     res.verdicts.append(_tol_row("ratio_guard(max ratio / (10 max(v^p/2, m_p)))",
-                                 worst_guard, 1.0))
+                                 _worst(guard_ratios), 1.0))
     res.tables["kunita_sweep.csv"] = _csv(
         ("measure", "integrand", "p", "lhs_mean", "lhs_se", "bracket",
          "ratio", "moment_scale"), rows)
@@ -641,15 +617,14 @@ def run_martingale(cfg: Config) -> ExperimentResult:
 
     rep_paths = int(cfg.params.get("representation_paths", 100))
     rep_tol = float(cfg.params.get("representation_tol", 1e-6))
-    worst = 0.0
-    worst_mod = 0.0
+    resid, gaps = [], []
     seed0 = _seed_for(cfg, 801)
     for k in range(rep_paths):
         c = simulate(w, m, replicate_seed(seed0, k))
-        worst = max(worst, apps.representation_residual(h, c, m, T))
-        worst_mod = max(worst_mod, apps.modulus_gap(h, c, m, T, psi_int))
-    res.verdicts.append(_tol_row("representation_residual_max", worst, rep_tol))
-    res.verdicts.append(_tol_row("modulus_identity_max_gap", worst_mod, 1e-10))
+        resid.append(apps.representation_residual(h, c, m, T))
+        gaps.append(apps.modulus_gap(h, c, m, T, psi_int))
+    res.verdicts.append(_tol_row("representation_residual_max", _worst(resid), rep_tol))
+    res.verdicts.append(_tol_row("modulus_identity_max_gap", _worst(gaps), 1e-10))
     res.tables["martingale_charfn.csv"] = _csv(
         ("u", "empirical", "exact", "error", "tolerance"), rows)
     return res
@@ -672,10 +647,8 @@ def run_chaos(cfg: Config) -> ExperimentResult:
         c = simulate(w, m, _rng_seed(rng))
         i1 = it.int_Nhat(slot_c, c, m, T)
         i2 = apps.multiple_integral(f2, c, m, T, validate=False)
-        prod = it.int_Nhat(slot_a, c, m, T) * it.int_Nhat(slot_b, c, m, T)
         expansion = apps.second_chaos_expansion_residual(slot_a, c, m, T)
-        return np.array([i1, i2 * i2, i1 * i2, expansion * expansion,
-                         abs(i2 - prod)])
+        return np.array([i1, i2 * i2, i1 * i2, expansion * expansion])
 
     est = run_replicates(one, n, _seed_for(cfg, 900), cfg.workers)
     res = ExperimentResult(cfg.experiment, cfg.seed, n)
@@ -692,14 +665,14 @@ def run_chaos(cfg: Config) -> ExperimentResult:
                                 cfg.k_sigma, atol=1e-16))
     prod_tol = float(cfg.params.get("product_tol", 1e-9))
     # the mean of |I2 - product| over replicates, plus its spread, bounds the max
-    worst = 0.0
+    gaps = []
     seed0 = _seed_for(cfg, 901)
     for k in range(min(n, int(cfg.params.get("product_check_paths", 300)))):
         c = simulate(w, m, replicate_seed(seed0, k))
         i2 = apps.multiple_integral(f2, c, m, T, validate=False)
         prod = it.int_Nhat(slot_a, c, m, T) * it.int_Nhat(slot_b, c, m, T)
-        worst = max(worst, abs(i2 - prod))
-    res.verdicts.append(_tol_row("product_identity_max_gap", worst, prod_tol))
+        gaps.append(abs(i2 - prod))
+    res.verdicts.append(_tol_row("product_identity_max_gap", _worst(gaps), prod_tol))
     res.tables["chaos.csv"] = _csv(
         ("statistic", "estimate", "se", "target"),
         [("first_order_mean", float(est.mean[0]), float(est.se[0]), 0.0),

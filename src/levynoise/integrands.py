@@ -9,6 +9,7 @@ antiderivatives where they exist; Gauss-Legendre is the fallback.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -16,17 +17,14 @@ import numpy as np
 from scipy import integrate as _si
 
 
-def _gl(n):
-    if n not in _gl._store:
-        _gl._store[n] = np.polynomial.legendre.leggauss(n)
-    return _gl._store[n]
-
-
-_gl._store = {}
+@functools.lru_cache(maxsize=None)
+def gl_rule(n):
+    """The n-point Gauss-Legendre nodes and weights on [-1, 1], cached."""
+    return np.polynomial.legendre.leggauss(n)
 
 
 def gauss_legendre(fn, a, b, n=64):
-    t, w = _gl(n)
+    t, w = gl_rule(n)
     x = 0.5 * (b - a) * t + 0.5 * (b + a)
     return 0.5 * (b - a) * float(np.sum(w * fn(x)))
 
@@ -503,10 +501,6 @@ def as_integrand(x) -> Integrand:
 
 def from_time(node: Node) -> Integrand:
     return Integrand((Term(time=node),))
-
-
-def from_space(*axis_nodes: Node) -> Integrand:
-    return Integrand((Term(space=tuple(axis_nodes)),))
 
 
 def from_jump(node: Node) -> Integrand:

@@ -8,7 +8,6 @@ pathwise identity can be demanded to quadrature precision.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -26,8 +25,8 @@ from .integrands import (
     Product,
     SignPow,
     Term,
+    gl_rule,
     product_node,
-    space_axes,
 )
 from .measure import InfiniteMassError, InfiniteMomentError, LevyMeasure, Shell
 from .prm import PointConfiguration, Window
@@ -41,28 +40,31 @@ class InfiniteCompensatorError(ValueError):
 # factor integrals
 
 
-def nu_factor(measure: LevyMeasure, node: Node, shell: Shell) -> float:
-    """Integral of a jump node against nu over a shell.
+def nu_factor(measure: LevyMeasure, node: Node, shell: Shell,
+              absolute: bool = False) -> float:
+    """Integral of a jump node, or of its absolute value, against nu over a
+    shell.
 
     Closed forms for constants, (signed) powers, polynomials, and indicator
-    clips; generic adaptive quadrature otherwise.
+    clips; generic adaptive quadrature otherwise.  With `absolute` the
+    closed forms are kept for the sign-definite nodes only.
     """
     try:
-        return _nu_factor(measure, node, shell)
+        return _nu_factor(measure, node, shell, absolute)
     except (InfiniteMassError, InfiniteMomentError) as exc:
         raise InfiniteCompensatorError(str(exc)) from exc
 
 
-def _nu_factor(measure, node, shell):
+def _nu_factor(measure, node, shell, absolute):
     if isinstance(node, Const):
         if node.value == 0.0:
             return 0.0
-        return node.value * measure.shell_mass(shell)
+        return (abs(node.value) if absolute else node.value) * measure.shell_mass(shell)
     if isinstance(node, SignPow):
-        return measure.shell_moment(shell, node.power, signed=True)
+        return measure.shell_moment(shell, node.power, signed=not absolute)
     if isinstance(node, AbsPow):
         return measure.shell_moment(shell, node.power)
-    if isinstance(node, Poly):
+    if isinstance(node, Poly) and not absolute:
         total = 0.0
         for k, c in enumerate(node.coeffs):
             if c == 0.0:
@@ -77,11 +79,12 @@ def _nu_factor(measure, node, shell):
         return measure.shell_mass(sub) if sub else 0.0
     if isinstance(node, Indicator):
         return _one_sided_mass(measure, shell, node.lo, node.hi)
+    scale = 1.0
     if isinstance(node, Product):
-        scale, sub, core = 1.0, shell, []
+        sub, core = shell, []
         for f in node.factors:
             if isinstance(f, Const):
-                scale *= f.value
+                scale *= abs(f.value) if absolute else f.value
             elif isinstance(f, AbsIndicator):
                 sub = sub.clip(f.lo, f.hi) if sub else None
             else:
@@ -91,10 +94,11 @@ def _nu_factor(measure, node, shell):
         if not core:
             return scale * measure.shell_mass(sub)
         if len(core) == 1:
-            return scale * _nu_factor(measure, core[0], sub)
-        rest = product_node(*core)
-        return scale * measure.nu_integral(lambda z: float(rest(z)), sub)
-    return measure.nu_integral(lambda z: float(node(z)), shell)
+            return scale * _nu_factor(measure, core[0], sub, absolute)
+        node, shell = product_node(*core), sub
+    if absolute:
+        return scale * measure.nu_integral(lambda z: abs(float(node(z))), shell)
+    return scale * measure.nu_integral(lambda z: float(node(z)), shell)
 
 
 def _one_sided_mass(measure, shell, lo, hi):
@@ -146,6 +150,31 @@ def _space_const(term: Term) -> float:
     return val
 
 
+def _time_pieces(G: Integrand) -> list:
+    """The (coefficient, time node) pairs of a time-only integrand."""
+    return [(_jump_const(term) * _space_const(term), term.time) for term in G.terms]
+
+
+def drift_function(pieces) -> Callable[[np.ndarray], np.ndarray]:
+    """t -> sum over the (coefficient, time node) pairs of the coefficient
+    times the integral of the node over [0, t]."""
+    pieces = tuple((c, node) for c, node in pieces if c != 0.0)
+
+    def drift(ts):
+        ts = np.asarray(ts, dtype=float)
+        out = np.zeros(ts.shape)
+        for coef, node in pieces:
+            F = node.antiderivative(ts)
+            if F is None:
+                vals = np.array([node.integral(0.0, float(v)) for v in np.atleast_1d(ts)])
+                out = out + coef * vals.reshape(ts.shape)
+            else:
+                out = out + coef * (F - node.antiderivative(np.zeros(())))
+        return out
+
+    return drift
+
+
 # ---------------------------------------------------------------------------
 # the four integral operations
 
@@ -153,29 +182,15 @@ def _space_const(term: Term) -> float:
 def int_time(G: Integrand, t: float, n: int = 64) -> float:
     """Integral of a time-only integrand over [0, t]."""
     total = 0.0
-    for term in G.terms:
-        scale = _jump_const(term) * _space_const(term)
+    for scale, node in _time_pieces(G):
         if scale != 0.0:
-            total += scale * term.time.integral(0.0, t, n)
+            total += scale * node.integral(0.0, t, n)
     return total
 
 
 def time_cumulative(G: Integrand, ts) -> np.ndarray:
     """Vectorized t -> integral over [0, t] for a time-only integrand."""
-    ts = np.asarray(ts, dtype=float)
-    out = np.zeros(ts.shape)
-    for term in G.terms:
-        scale = _jump_const(term) * _space_const(term)
-        if scale == 0.0:
-            continue
-        F = term.time.antiderivative(ts)
-        if F is None:
-            vals = np.array([term.time.integral(0.0, float(t)) for t in np.atleast_1d(ts)])
-            out = out + scale * vals.reshape(ts.shape)
-        else:
-            F0 = term.time.antiderivative(np.zeros(()))
-            out = out + scale * (F - F0)
-    return out
+    return drift_function(_time_pieces(G))(ts)
 
 
 def int_N(K: Integrand, config: PointConfiguration, t: float) -> float:
@@ -274,10 +289,6 @@ class CadlagPath:
         out = self._csum[idx] + self.drift(t)
         return float(out) if np.ndim(t) == 0 else out
 
-    def jump_total(self, t) -> float:
-        idx = int(np.searchsorted(self.times, t, side="right"))
-        return float(self._csum[idx])
-
     def sup_abs(self, t: float, scan: int = 0) -> float:
         """sup over [0, t] of |path|.
 
@@ -334,30 +345,23 @@ def build_path(G: Integrand, K: Integrand, H: Integrand,
         times, sizes = np.empty(0), np.empty(0)
 
     # continuous part: time integral of G minus the small-jump compensator
-    pieces = []  # (coefficient, time node)
-    if G is not None:
-        for term in G.terms:
-            pieces.append((_jump_const(term) * _space_const(term), term.time))
+    pieces = _time_pieces(G) if G is not None else []
     small = w.shell.clip(0.0, split)
     if H is not None and small is not None:
         for term in H.terms:
             c = nu_factor(measure, term.jump, small) * space_factor(term, w.box)
-            if c != 0.0:
-                pieces.append((-c, term.time))
+            pieces.append((-c, term.time))
+    return jump_path(times, sizes, pieces, w)
 
-    def drift(ts, _pieces=tuple(pieces)):
-        ts = np.asarray(ts, dtype=float)
-        out = np.zeros(ts.shape)
-        for coef, node in _pieces:
-            F = node.antiderivative(ts)
-            if F is None:
-                vals = np.array([node.integral(0.0, float(v)) for v in np.atleast_1d(ts)])
-                out = out + coef * vals.reshape(ts.shape)
-            else:
-                out = out + coef * (F - node.antiderivative(np.zeros(())))
-        return out
 
-    return CadlagPath(times, sizes, drift, w)
+def jump_path(times, jumps, pieces, window: Window) -> CadlagPath:
+    """The path with the given jumps, in any time order, plus the drift of
+    the (coefficient, time node) pairs."""
+    times, jumps = np.asarray(times, dtype=float), np.asarray(jumps, dtype=float)
+    if np.any(times[1:] < times[:-1]):
+        order = np.argsort(times, kind="stable")
+        times, jumps = times[order], jumps[order]
+    return CadlagPath(times, jumps, drift_function(pieces), window)
 
 
 def project_time(H: Integrand, window: Window, measure: LevyMeasure,
@@ -376,22 +380,13 @@ def project_time(H: Integrand, window: Window, measure: LevyMeasure,
 # quadrature rules shared by the pathwise evaluators
 
 
-def _gl(n):
-    if n not in _gl._store:
-        _gl._store[n] = np.polynomial.legendre.leggauss(n)
-    return _gl._store[n]
-
-
-_gl._store = {}
-
-
 def interval_rule(breaks, n_per_interval: int):
     """Concatenated Gauss-Legendre nodes/weights over consecutive intervals.
 
     Returns (s, w); nodes are strictly interior so cadlag left/right values
     agree at them.
     """
-    t, w = _gl(n_per_interval)
+    t, w = gl_rule(n_per_interval)
     ss, ws = [], []
     for a, b in zip(breaks[:-1], breaks[1:]):
         if b <= a:
@@ -405,7 +400,7 @@ def interval_rule(breaks, n_per_interval: int):
 
 def box_rule(box, n_per_axis: int):
     """Tensor Gauss-Legendre rule over a box: points (m, d), weights (m,)."""
-    t, w = _gl(n_per_axis)
+    t, w = gl_rule(n_per_axis)
     axes, wts = [], []
     for lo, hi in box:
         axes.append(0.5 * (hi - lo) * t + 0.5 * (hi + lo))
@@ -417,6 +412,25 @@ def box_rule(box, n_per_axis: int):
     for g in wgrid:
         ww = ww * g.ravel()
     return pts, ww
+
+
+def _values(fn, pts) -> np.ndarray:
+    """fn at the points as a float array of len(pts); constants broadcast."""
+    return np.asarray(fn(pts), dtype=float) + np.zeros(len(pts))
+
+
+def space_time_grid(X: Integrand, s, xpts, z=None) -> np.ndarray:
+    """X on the tensor grid of times s and space points xpts, and of jump
+    sizes z when given: the sum over its terms of the outer product of the
+    time, space (and jump) factor values."""
+    shape = (len(s), len(xpts)) + ((len(z),) if z is not None else ())
+    grid = np.zeros(shape)
+    for term in X.terms:
+        g = np.multiply.outer(_values(term.time, s), _values(term.space_value, xpts))
+        if z is not None:
+            g = np.multiply.outer(g, _values(term.jump, z))
+        grid += g
+    return grid
 
 
 def path_breaks(config: PointConfiguration, t: float, extra=()) -> np.ndarray:

@@ -18,7 +18,7 @@ import numpy as np
 from scipy import integrate as _si
 
 from . import integrate as it
-from .integrands import Const, Integrand, Node, Product
+from .integrands import Const, Integrand, Node
 from .measure import LevyMeasure, Shell
 from .prm import Window, replicate_seed, restrict, simulate
 
@@ -176,36 +176,6 @@ def _abs_time_integral(term, T: float) -> float:
     return _abs_node_integral(term.time, 0.0, T)
 
 
-def _nu_abs(measure, node, shell):
-    """Integral of |node(z)| against nu; exact for sign-definite nodes."""
-    from .integrands import AbsIndicator, AbsPow, SignPow
-
-    if isinstance(node, SignPow):
-        return measure.shell_moment(shell, node.power)
-    if isinstance(node, (AbsPow, AbsIndicator)) or node.kind in ("exp_abs",):
-        return it.nu_factor(measure, node, shell)
-    if isinstance(node, Const):
-        return abs(node.value) * (measure.shell_mass(shell) if node.value else 0.0)
-    if isinstance(node, Product):
-        scale, sub, core = 1.0, shell, []
-        for f in node.factors:
-            if isinstance(f, Const):
-                scale *= abs(f.value)
-            elif isinstance(f, AbsIndicator):
-                sub = sub.clip(f.lo, f.hi) if sub else None
-            else:
-                core.append(f)
-        if sub is None or scale == 0.0:
-            return 0.0
-        if not core:
-            return scale * measure.shell_mass(sub)
-        if len(core) == 1:
-            return scale * _nu_abs(measure, core[0], sub)
-        rest = Product(tuple(core))
-        return scale * measure.nu_integral(lambda z: abs(float(rest(z))), sub)
-    return measure.nu_integral(lambda z: abs(float(node(z))), shell)
-
-
 def a_sequence(H: Integrand, K: Integrand | None, T: float,
                measure: LevyMeasure, n_max: int = 6, *,
                kind: str = "spatial-I", shell: Shell, dim: int = 1,
@@ -232,7 +202,7 @@ def a_sequence(H: Integrand, K: Integrand | None, T: float,
     k_parts = []
     if kind == "spatial-I" and K is not None and big is not None:
         for term in K.terms:
-            nu = _nu_abs(measure, term.jump, big)
+            nu = it.nu_factor(measure, term.jump, big, absolute=True)
             k_parts.append((term, _abs_time_integral(term, T) * nu))
 
     def I(a):
@@ -408,6 +378,7 @@ def _spatial_diagnostic(ladder, problem, replicates, master_seed):
     small = shell.clip(0.0, problem.small_hi) if ladder.kind == "spatial-I" else shell
     split = problem.small_hi if ladder.kind == "spatial-I" else math.inf
     scan = problem.scan if problem.scan else (1000 if _needs_scan(H) else 0)
+    h_nu = [it.nu_factor(m, term.jump, small) if small else 0.0 for term in H.terms]
 
     n_levels = len(a) - 1
     sup2 = np.zeros((replicates, n_levels))
@@ -423,30 +394,22 @@ def _spatial_diagnostic(ladder, problem, replicates, master_seed):
             pts_t = config.t[mask]
             pts_x = config.x[mask]
             pts_z = config.z[mask]
-            ring_space = [_space_ring(term, lo_a, hi_a, d) for term in H.terms]
             # compensated H-part over the box ring
-            drift_pieces = []
-            for term, ring_int in zip(H.terms, ring_space):
-                if small is None:
-                    continue
-                nu = it.nu_factor(m, term.jump, small)
-                if nu != 0.0:
-                    drift_pieces.append((-nu * ring_int, term.time))
+            drift_pieces = [(-nu * _space_ring(term, lo_a, hi_a, d), term.time)
+                            for term, nu in zip(H.terms, h_nu) if nu != 0.0]
             small_mask = np.abs(pts_z) <= split
             h_jumps = np.asarray(H(pts_t[small_mask], pts_x[small_mask],
                                    pts_z[small_mask]), dtype=float) \
                 if small_mask.any() else np.empty(0)
-            h_path = _piece_path(pts_t[small_mask], h_jumps, drift_pieces, deep)
+            h_path = it.jump_path(pts_t[small_mask], h_jumps, drift_pieces, deep)
             s_h = h_path.sup_abs(T, scan=scan)
             sup2[k, j] = s_h * s_h
             if ladder.kind == "spatial-I" and K is not None:
                 k_mask = ~small_mask
                 k_jumps = np.asarray(K(pts_t[k_mask], pts_x[k_mask], pts_z[k_mask]),
                                      dtype=float) if k_mask.any() else np.empty(0)
-                order = np.argsort(np.concatenate([pts_t[small_mask], pts_t[k_mask]]))
-                all_t = np.concatenate([pts_t[small_mask], pts_t[k_mask]])[order]
-                all_j = np.concatenate([h_jumps, k_jumps])[order]
-                full = _piece_path(all_t, all_j, drift_pieces, deep)
+                full = it.jump_path(np.concatenate([pts_t[small_mask], pts_t[k_mask]]),
+                                    np.concatenate([h_jumps, k_jumps]), drift_pieces, deep)
                 exceed[k, j] = full.sup_abs(T, scan=scan) > 2.0 ** -(j + 1)
             else:
                 exceed[k, j] = s_h > 2.0 ** -(j + 1)
@@ -466,25 +429,6 @@ def _space_ring(term, lo_a, hi_a, dim):
         outer *= node.integral(-hi_a, hi_a)
         inner *= node.integral(-lo_a, lo_a)
     return outer - inner
-
-
-def _piece_path(times, jumps, drift_pieces, window):
-    order = np.argsort(times)
-    times, jumps = times[order], jumps[order]
-
-    def drift(ts, _pieces=tuple(drift_pieces)):
-        ts = np.asarray(ts, dtype=float)
-        out = np.zeros(ts.shape)
-        for coef, node in _pieces:
-            F = node.antiderivative(ts)
-            if F is None:
-                vals = np.array([node.integral(0.0, float(v)) for v in np.atleast_1d(ts)])
-                out = out + coef * vals.reshape(ts.shape)
-            else:
-                out = out + coef * (F - node.antiderivative(np.zeros(())))
-        return out
-
-    return it.CadlagPath(times, jumps, drift, window)
 
 
 def _assemble(ladder, sup2, exceed, replicates, master_seed, exceed_bound):

@@ -194,14 +194,11 @@ def _tensor_pieces(fn, H, path, config, measure, t, region, n_time, n_space,
     znod, zw = measure.nu_nodes(region, n_jump)
     if len(znod) == 0:
         return 0.0, 0.0, s, w, y
-    hgrid = np.zeros((len(s), len(xpts), len(znod)))
+    hgrid = it.space_time_grid(H, s, xpts, znod)
     dfy = fn.df(y)
     D = 0.0
     for term in H.terms:
         tv = np.asarray(term.time(s), dtype=float) + np.zeros(len(s))
-        sv = np.asarray(term.space_value(xpts), dtype=float) + np.zeros(len(xpts))
-        jv = np.asarray(term.jump(znod), dtype=float) + np.zeros(len(znod))
-        hgrid += np.einsum("i,j,k->ijk", tv, sv, jv)
         D += (float(np.sum(w * dfy * tv))
               * it.space_factor(term, config.window.box)
               * it.nu_factor(measure, term.jump, region))
@@ -254,24 +251,12 @@ def ito_rhs_all_compensated(fn: SmoothFn, G: Integrand | None, H: Integrand,
                             t: float, *, n_time: int = 8, n_space: int = 8,
                             n_jump: int = 32, use_left: bool = False) -> ThreeTermResult:
     """Right side of the formula with every jump compensated (the whole
-    working shell standing in for the punctured line)."""
-    path = it.build_path(G, None, H, config, measure, split=math.inf)
-    extra = list(G.time_breakpoints()) if G is not None else []
-    extra += H.time_breakpoints()
-    A, D, s, ws, y = _tensor_pieces(fn, H, path, config, measure, t,
-                                    config.window.shell, n_time, n_space,
-                                    n_jump, extra, use_left)
-    g_term = 0.0
-    if G is not None and len(s):
-        g_term = float(np.sum(ws * fn.df(y) * _time_only_value(G, s)))
-    jumps = 0.0
-    mask = config.t <= t
-    if mask.any():
-        tt, xx, zz = config.t[mask], config.x[mask], config.z[mask]
-        yl = path.eval_left(tt)
-        hv = np.asarray(H(tt, xx, zz), dtype=float)
-        jumps = float(np.sum(fn.f(yl + hv) - fn.f(yl)))
-    return ThreeTermResult(g_term, jumps - A, A - D)
+    working shell standing in for the punctured line): the split form with
+    no big jumps."""
+    r = ito_rhs_big_small(fn, G, None, H, config, measure, t, split=math.inf,
+                          n_time=n_time, n_space=n_space, n_jump=n_jump,
+                          use_left=use_left)
+    return ThreeTermResult(r.g_term, r.compensated_term, r.nu_term)
 
 
 def equivalent_time_drift(G: Integrand | None, H: Integrand, window,

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate as _si
 
+from .integrands import gl_rule
+
 # Default tolerances for the adaptive quadratures; callers may override.
 QUAD_ABS_TOL = 1e-13
 QUAD_REL_TOL = 1e-11
@@ -121,13 +123,6 @@ class LevyMeasure:
         """v = integral of z^2 nu(dz) over the full punctured line."""
         return self.shell_moment(FULL, 2.0)
 
-    def validate_window_shell(self, shell: Shell) -> float:
-        """Mass of the shell, demanding it be finite and positive."""
-        mass = self.shell_mass(shell)
-        if not (0.0 < mass < math.inf):
-            raise ValueError(f"shell {shell} has mass {mass}; need finite positive")
-        return mass
-
 
 @dataclass(frozen=True)
 class DiscreteAtoms(LevyMeasure):
@@ -179,16 +174,6 @@ class DiscreteAtoms(LevyMeasure):
         z = np.array([a for a, _ in hit])
         w = np.array([b for _, b in hit])
         return z, w
-
-
-def _gl_cache(n):
-    # leggauss is deterministic; cache the raw nodes.
-    if n not in _gl_cache._store:
-        _gl_cache._store[n] = np.polynomial.legendre.leggauss(n)
-    return _gl_cache._store[n]
-
-
-_gl_cache._store = {}
 
 
 class _SymmetricDensity(LevyMeasure):
@@ -265,7 +250,7 @@ class _SymmetricDensity(LevyMeasure):
         alpha = self.alpha
         # substitute y = z^(-alpha); the pure power-law factor becomes flat
         y_lo, y_hi = b ** (-alpha), a ** (-alpha)
-        t, w = _gl_cache(n_per_side)
+        t, w = gl_rule(n_per_side)
         y = 0.5 * (y_hi - y_lo) * t + 0.5 * (y_hi + y_lo)
         z = y ** (-1.0 / alpha)
         wz = 0.5 * (y_hi - y_lo) * w * (self.c / alpha) * self._taper(z)
@@ -430,12 +415,3 @@ def measure_from_json(spec: dict) -> LevyMeasure:
         return TemperedStable(float(spec["alpha"]), float(spec["c"]), float(spec["theta"]))
     raise ValueError(f"unknown measure family: {fam!r}")
 
-
-def measure_to_json(m: LevyMeasure) -> dict:
-    if isinstance(m, DiscreteAtoms):
-        return {"family": "discrete", "atoms": [[z, w] for z, w in m.atoms]}
-    if isinstance(m, TruncatedStable):
-        return {"family": "truncated_stable", "alpha": m.alpha, "c": m.c, "r": m.r}
-    if isinstance(m, TemperedStable):
-        return {"family": "tempered_stable", "alpha": m.alpha, "c": m.c, "theta": m.theta}
-    raise TypeError(f"cannot serialize {type(m).__name__}")

@@ -1,7 +1,9 @@
 import json
+import math
 
 import pytest
 
+from levynoise import apps, ito
 from levynoise.cli import bundled_config_text, main
 from levynoise.experiments import (
     REGISTRY,
@@ -128,3 +130,40 @@ class TestDeterminism:
                                    "seed", "verdicts"]
         for v in summary["verdicts"]:
             assert sorted(v) == ["estimate", "name", "pass", "se", "target", "z"]
+
+
+class TestFailClosed:
+    """A NaN residual on any path fails its verdict and the run."""
+
+    @staticmethod
+    def small_config(name, replicates, **params):
+        raw = json.loads(bundled_config_text(name))
+        raw["replicates"] = replicates
+        raw["params"].update(params)
+        return parse_config(raw)
+
+    def test_nan_ito_residual_fails(self, monkeypatch):
+        real, calls = ito.ito_lhs, []
+
+        def lhs_nan_on_second_path(*args):
+            calls.append(None)
+            return math.nan if len(calls) == 2 else real(*args)
+
+        monkeypatch.setattr(ito, "ito_lhs", lhs_nan_on_second_path)
+        cfg = self.small_config(
+            "ito-lemma", 10, paths=3, g_names=["G1"], k_names=["K1"],
+            functions=[{"kind": "poly", "coeffs": [0.0, 0.0, 1.0]}])
+        result = run_experiment(cfg)
+        row, = result.verdicts
+        assert row.name.startswith("max_residual[") and math.isnan(row.estimate)
+        assert not row.passed and not result.passed
+
+    def test_nan_representation_residual_fails(self, monkeypatch):
+        monkeypatch.setattr(apps, "representation_residual",
+                            lambda *args, **kwargs: math.nan)
+        cfg = self.small_config("martingale", 50, representation_paths=3)
+        result = run_experiment(cfg)
+        row = next(v for v in result.verdicts
+                   if v.name == "representation_residual_max")
+        assert math.isnan(row.estimate)
+        assert not row.passed and not result.passed

@@ -92,6 +92,27 @@ class TestCompensator:
         assert got_atoms == pytest.approx(1.0 + 0.4, rel=1e-14)  # atoms 0.6, 1.7
 
 
+class TestNuFactorAbsolute:
+    NODES = {
+        "sign_pow": ig.SignPow(1.0),
+        "sign_pow_3": ig.SignPow(3.0),
+        "abs_pow": ig.AbsPow(1.5),
+        "neg_const": ig.Const(-0.7),
+        "product_abs_indicator": ig.Product((ig.Const(-2.0), ig.SignPow(1.0),
+                                             ig.AbsIndicator(0.5, 1.5))),
+    }
+
+    @pytest.mark.parametrize("m", [ATOMS, TSTABLE, TEMPERED],
+                             ids=["atoms", "tstable", "tempered"])
+    @pytest.mark.parametrize("name", sorted(NODES))
+    def test_matches_abs_oracle(self, m, name):
+        node = self.NODES[name]
+        got = it.nu_factor(m, node, WIN.shell, absolute=True)
+        oracle = m.nu_integral(lambda z: abs(float(node(z))), WIN.shell)
+        assert got == pytest.approx(oracle, rel=1e-9, abs=1e-13)
+        assert got >= abs(it.nu_factor(m, node, WIN.shell)) - 1e-12
+
+
 class TestIntN:
     def test_empty_configuration(self):
         c = simulate(Window(1.0, ((-0.5, 0.5),), Shell(3.0, 9.0)), ATOMS, 0)
@@ -185,6 +206,33 @@ class TestBuildPath:
         oracle = np.max(np.abs(path.eval(grid)))
         assert path.sup_abs(1.0) >= oracle - 1e-9
         assert path.sup_abs(1.0) == pytest.approx(oracle, abs=1e-4)
+
+    def test_drift_without_antiderivative_integrates_node(self):
+        node = ig.Product((ig.Cos(2.0), ig.Exp(-0.5)))
+        assert node.antiderivative(np.zeros(())) is None
+        ts = np.array([0.0, 0.2, 0.55, 1.0])
+        got = it.drift_function([(1.5, node)])(ts)
+        assert np.array_equal(got, [1.5 * node.integral(0.0, float(t)) for t in ts])
+        G = ig.from_time(node) * 1.5
+        assert np.array_equal(it.time_cumulative(ig.from_time(node), ts),
+                              [node.integral(0.0, float(t)) for t in ts])
+        path = it.build_path(G, None, None, simulate(WIN, ATOMS, 35), ATOMS)
+        assert path.drift(0.55) == pytest.approx(G.terms[0].time.integral(0.0, 0.55),
+                                                 rel=1e-14)
+
+    def test_unsorted_jumps_equal_sorted(self):
+        rng = np.random.default_rng(36)
+        times, jumps = rng.uniform(size=30), rng.normal(size=30)
+        pieces = [(-0.3, ig.Cos(1.0)), (0.8, ig.Const(1.0))]
+        order = np.argsort(times)
+        shuffled = it.jump_path(times, jumps, pieces, WIN)
+        ordered = it.jump_path(times[order], jumps[order], pieces, WIN)
+        assert np.array_equal(shuffled.times, ordered.times)
+        assert np.array_equal(shuffled.jumps, ordered.jumps)
+        grid = np.linspace(0.0, 1.0, 101)
+        assert np.array_equal(shuffled.eval(grid), ordered.eval(grid))
+        assert shuffled.sup_abs(1.0, scan=50) == ordered.sup_abs(1.0, scan=50)
+        assert shuffled.eval(1.0) == pytest.approx(jumps.sum() + shuffled.drift(1.0))
 
     def test_sup_abs_scan_refines_nonmonotone_drift(self):
         # drift cos-shaped with no jumps: max at interior point
