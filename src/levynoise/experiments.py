@@ -65,6 +65,12 @@ def parse_config(raw: dict) -> Config:
             raise ConfigError(f"{key}: missing")
         return raw[key]
 
+    def number(key, default, kinds, what):
+        val = raw.get(key, default)
+        if isinstance(val, bool) or not isinstance(val, kinds):
+            raise ConfigError(f"{key}: must be {what}, got {val!r}")
+        return val
+
     name = need("experiment")
     if name not in REGISTRY:
         raise ConfigError(f"experiment: unknown name {name!r}; "
@@ -97,10 +103,10 @@ def parse_config(raw: dict) -> Config:
 
     cfg = Config(
         experiment=name,
-        seed=int(raw.get("seed", 0)),
-        replicates=int(raw.get("replicates", 10000)),
-        workers=int(raw.get("workers", 1)),
-        k_sigma=float(raw.get("k_sigma", 4.0)),
+        seed=number("seed", 0, int, "an integer"),
+        replicates=number("replicates", 10000, int, "an integer"),
+        workers=number("workers", 1, int, "an integer"),
+        k_sigma=float(number("k_sigma", 4.0, (int, float), "a number")),
         window=window,
         measures=measures,
         integrands=integrands,
@@ -116,6 +122,8 @@ def validate_config(cfg: Config) -> None:
         raise ConfigError("replicates: need at least 2")
     if cfg.workers < 1:
         raise ConfigError("workers: need at least 1")
+    if not 0.0 < cfg.k_sigma < math.inf:
+        raise ConfigError(f"k_sigma: need a finite value > 0, got {cfg.k_sigma}")
     for key, m in cfg.measures.items():
         try:
             mass = m.shell_mass(cfg.window.shell)
@@ -417,7 +425,7 @@ def run_ito_lemma(cfg: Config) -> ExperimentResult:
     def evaluate(_idx, fn, G, K, c, want_terms):
         path = it.build_path(G, K, None, c, m, split=0.0)
         lhs = ito.ito_lhs(fn, path, T)
-        rhs = ito.ito_rhs_raw(fn, G, K, c, m, T)
+        rhs = ito.ito_rhs_raw(fn, G, K, c, m, T, path=path)
         if not want_terms:
             return lhs, rhs, None
         mask = c.t <= T
@@ -444,7 +452,7 @@ def run_ito1(cfg: Config) -> ExperimentResult:
 
     def evaluate(idx, fn, G, K, c, _want_terms):
         path = it.build_path(G, K, H, c, m, split=1.0)
-        r = ito.ito_rhs_big_small(fn, G, K, H, c, m, T)
+        r = ito.ito_rhs_big_small(fn, G, K, H, c, m, T, path=path)
         if idx == 0:
             mart_samples.append(r.compensated_term)
         return (ito.ito_lhs(fn, path, T), r.total,
@@ -484,7 +492,7 @@ def run_ito2(cfg: Config) -> ExperimentResult:
 
     def evaluate(_idx, fn, G, H, c, _want_terms):
         path = it.build_path(G, None, H, c, m, split=math.inf)
-        r = ito.ito_rhs_all_compensated(fn, G, H, c, m, T)
+        r = ito.ito_rhs_all_compensated(fn, G, H, c, m, T, path=path)
         return (ito.ito_lhs(fn, path, T), r.total,
                 (r.g_term, 0.0, r.compensated_term, r.nu_term))
 

@@ -296,13 +296,14 @@ class CadlagPath:
         jump time; exact when the drift is monotone between jumps.  `scan`
         adds a uniform grid plus a local refinement for wiggly drifts.
         """
-        mask = self.times <= t
-        cand = [0.0, abs(self.eval(t))]
-        if mask.any():
-            ts = self.times[mask]
-            cand.append(float(np.max(np.abs(self.eval(ts)))))
-            cand.append(float(np.max(np.abs(self.eval_left(ts)))))
-        best = max(cand)
+        k = int(np.searchsorted(self.times, t, side="right"))
+        ts = self.times[:k]
+        if np.all(ts[1:] > ts[:-1]):  # untied: jump i takes _csum[i] to _csum[i+1]
+            d = self.drift(ts)
+            sides = (self._csum[1:k + 1] + d, self._csum[:k] + d)
+        else:
+            sides = (self.eval(ts), self.eval_left(ts))
+        best = max(0.0, abs(self.eval(t)), *(float(np.max(np.abs(v), initial=0.0)) for v in sides))
         if scan > 1:
             grid = np.linspace(0.0, t, scan)
             vals = np.abs(self.eval(grid))

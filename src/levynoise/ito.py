@@ -131,10 +131,11 @@ def _grid(path, config, t, n_time, extra):
 
 def ito_rhs_raw(fn: SmoothFn, G: Integrand | None, K: Integrand,
                 config: PointConfiguration, measure: LevyMeasure, t: float,
-                n_time: int = 16) -> float:
+                n_time: int = 16, *, path: it.CadlagPath | None = None) -> float:
     """Right side of the no-small-jumps formula: drift term plus the raw
-    jump sum of f-increments; needs only one derivative of f."""
-    path = it.build_path(G, K, None, config, measure, split=0.0)
+    jump sum of f-increments (needs only f'); `path`: the built path, if any."""
+    if path is None:
+        path = it.build_path(G, K, None, config, measure, split=0.0)
     total = 0.0
     if G is not None:
         extra = G.time_breakpoints()
@@ -212,10 +213,12 @@ def ito_rhs_big_small(fn: SmoothFn, G: Integrand | None, K: Integrand | None,
                       H: Integrand | None, config: PointConfiguration,
                       measure: LevyMeasure, t: float, *, split: float = 1.0,
                       n_time: int = 8, n_space: int = 8, n_jump: int = 32,
-                      use_left: bool = False) -> FourTermResult:
+                      use_left: bool = False,
+                      path: it.CadlagPath | None = None) -> FourTermResult:
     """Right side of the four-term formula: raw big jumps, compensated small
-    jumps, and the second-order nu correction."""
-    path = it.build_path(G, K, H, config, measure, split=split)
+    jumps, and the second-order nu correction; `path`: the built path, if any."""
+    if path is None:
+        path = it.build_path(G, K, H, config, measure, split=split)
     w = config.window
     small = w.shell.clip(0.0, split)
     extra = list(G.time_breakpoints()) if G is not None else []
@@ -249,13 +252,14 @@ def ito_rhs_big_small(fn: SmoothFn, G: Integrand | None, K: Integrand | None,
 def ito_rhs_all_compensated(fn: SmoothFn, G: Integrand | None, H: Integrand,
                             config: PointConfiguration, measure: LevyMeasure,
                             t: float, *, n_time: int = 8, n_space: int = 8,
-                            n_jump: int = 32, use_left: bool = False) -> ThreeTermResult:
+                            n_jump: int = 32, use_left: bool = False,
+                            path: it.CadlagPath | None = None) -> ThreeTermResult:
     """Right side of the formula with every jump compensated (the whole
     working shell standing in for the punctured line): the split form with
-    no big jumps."""
+    no big jumps; `path`: the built path (split=inf), if any."""
     r = ito_rhs_big_small(fn, G, None, H, config, measure, t, split=math.inf,
                           n_time=n_time, n_space=n_space, n_jump=n_jump,
-                          use_left=use_left)
+                          use_left=use_left, path=path)
     return ThreeTermResult(r.g_term, r.compensated_term, r.nu_term)
 
 

@@ -2,7 +2,8 @@
 
 Simulation follows the classical compound-Poisson representation: the point
 count is Poisson with intensity T |B| nu(shell), arrival times are sorted
-uniforms, and the (x, z) marks are i.i.d. with the normalized product law.
+uniforms (on t alone; a tie, of probability zero, falls back to a lexsort on
+(t, x, z)), and the (x, z) marks are i.i.d. with the normalized product law.
 Restriction keeps the same underlying realization, which is what makes the
 interlacing ladders couplings rather than independent resimulations.
 """
@@ -94,10 +95,13 @@ class PointConfiguration:
 
 
 def _sort_points(t, x, z):
-    # primary key t; ties (probability zero) broken by (x, z) lexicographic
-    keys = (z,) + tuple(x[:, k] for k in reversed(range(x.shape[1]))) + (t,)
-    order = np.lexsort(keys)
-    return t[order], x[order], z[order]
+    # sort on t; a tie (probability zero) falls back to lexsort on (t, x, z)
+    order = np.argsort(t)
+    ts = t[order]
+    if np.any(ts[1:] == ts[:-1]):
+        order = np.lexsort((z, *x.T[::-1], t))
+        ts = t[order]
+    return ts, x[order], z[order]
 
 
 def simulate(window: Window, measure: LevyMeasure, seed: int) -> PointConfiguration:
@@ -125,10 +129,13 @@ def restrict(config: PointConfiguration, sub: Window) -> PointConfiguration:
     """Keep exactly the points inside `sub`; a coupling, not a resimulation."""
     if not config.window.contains(sub):
         raise ValueError(f"{sub} is not contained in the source window")
-    keep = config.t <= sub.horizon
-    for k, (lo, hi) in enumerate(sub.box):
-        keep &= (config.x[:, k] >= lo) & (config.x[:, k] <= hi)
-    keep &= np.asarray(sub.shell.contains(config.z))
+    # every point lies inside config.window: test only the bounds sub narrows
+    keep = sub.shell.contains(config.z)
+    if sub.horizon < config.window.horizon:
+        keep &= config.t <= sub.horizon
+    for k, (bounds, (lo, hi)) in enumerate(zip(config.window.box, sub.box)):
+        if bounds != (lo, hi):
+            keep &= (config.x[:, k] >= lo) & (config.x[:, k] <= hi)
     return PointConfiguration(config.t[keep].copy(), config.x[keep].copy(),
                               config.z[keep].copy(), sub, config.seed)
 
@@ -175,6 +182,11 @@ def parse_csv(text: str) -> PointConfiguration:
     t = np.array([float(r[0]) for r in rows])
     x = np.array([[float(r[1 + k]) for k in range(d)] for r in rows]).reshape(n, d)
     z = np.array([float(r[1 + d]) for r in rows])
+    lo, hi = np.array(window.box).T
+    inside = np.all((x >= lo) & (x <= hi), axis=1) & window.shell.contains(z)
+    inside &= (t >= 0.0) & (t <= window.horizon)
+    if not (inside.all() and np.all(t[1:] >= t[:-1])):
+        raise ValueError("points must lie inside the header's window, in time order")
     return PointConfiguration(t, x, z, window, int(header["seed"]))
 
 

@@ -59,6 +59,26 @@ class TestParseConfig:
             parse_config(raw)
 
 
+    @pytest.mark.parametrize("key, value", [
+        ("seed", "abc"), ("seed", 1.5), ("seed", True), ("replicates", "x"),
+        ("replicates", 200.0), ("workers", "2"), ("workers", None),
+        ("k_sigma", -1), ("k_sigma", 0), ("k_sigma", math.inf), ("k_sigma", math.nan),
+        ("k_sigma", "4"), ("k_sigma", False)])
+    def test_bad_top_level_field(self, tmp_path, key, value):
+        raw = small_simulate_config()
+        raw[key] = value
+        with pytest.raises(ConfigError, match=f"^{key}: "):
+            parse_config(raw)
+        path = write_config(tmp_path, raw)
+        assert main(["validate", path]) == 2
+        assert main(["run", path, "--output-dir", str(tmp_path / "out")]) == 2
+
+    def test_integral_k_sigma_accepted(self):
+        raw = small_simulate_config()
+        raw["k_sigma"] = 3
+        assert parse_config(raw).k_sigma == 3.0
+
+
 class TestCliCommands:
     def test_list_experiments(self, capsys):
         assert main(["list-experiments"]) == 0

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate as si
 
 from levynoise import integrands as ig
@@ -233,6 +234,24 @@ class TestBuildPath:
         assert np.array_equal(shuffled.eval(grid), ordered.eval(grid))
         assert shuffled.sup_abs(1.0, scan=50) == ordered.sup_abs(1.0, scan=50)
         assert shuffled.eval(1.0) == pytest.approx(jumps.sum() + shuffled.drift(1.0))
+
+    @given(st.lists(st.floats(0.0, 1.0) | st.sampled_from([0.25, 0.5]), max_size=25),
+           st.floats(-3.0, 3.0), st.integers(0, 2 ** 32 - 1), st.floats(0.0, 1.2),
+           st.sampled_from([0, 40]))
+    @settings(max_examples=80, deadline=None)
+    def test_sup_abs_matches_candidate_oracle(self, times, slope, seed, t, scan):
+        # t before, between, at and after the jump times; ties from the sampled
+        # times.  The drift is linear, so the sup lies on a candidate and the
+        # scan can add nothing.
+        times = np.array(times)
+        jumps = np.random.default_rng(seed).normal(size=len(times))
+        path = it.jump_path(times, jumps, [(slope, ig.Const(1.0))], WIN)
+        for u in [t, *times[:3]]:
+            ts = path.times[path.times <= u]
+            cand = [0.0, abs(path.eval(u))]
+            if len(ts):
+                cand += [np.max(np.abs(path.eval(ts))), np.max(np.abs(path.eval_left(ts)))]
+            assert path.sup_abs(u, scan=scan) == max(cand)
 
     def test_sup_abs_scan_refines_nonmonotone_drift(self):
         # drift cos-shaped with no jumps: max at interior point

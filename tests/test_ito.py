@@ -54,6 +54,21 @@ class TestLhs:
         assert ito.ito_lhs(ito.poly_fn(0.0, 0.0, 1.0), path, 1.0) == pytest.approx(1.0)
 
 
+class TestPrebuiltPath:
+    def test_prebuilt_path_gives_same_right_side(self):
+        c = simulate(WIN, TSTABLE, 7)
+        fn = ito.exp_fn(0.4)
+        raw = it.build_path(G_EXP, K_MIX, None, c, TSTABLE, split=0.0)
+        assert (ito.ito_rhs_raw(fn, G_EXP, K_MIX, c, TSTABLE, 1.0, path=raw)
+                == ito.ito_rhs_raw(fn, G_EXP, K_MIX, c, TSTABLE, 1.0))
+        split = it.build_path(G_EXP, K_MIX, H_MIX, c, TSTABLE, split=1.0)
+        assert (ito.ito_rhs_big_small(fn, G_EXP, K_MIX, H_MIX, c, TSTABLE, 1.0, path=split)
+                == ito.ito_rhs_big_small(fn, G_EXP, K_MIX, H_MIX, c, TSTABLE, 1.0))
+        comp = it.build_path(G_EXP, None, H_MIX, c, TSTABLE, split=math.inf)
+        assert (ito.ito_rhs_all_compensated(fn, G_EXP, H_MIX, c, TSTABLE, 1.0, path=comp)
+                == ito.ito_rhs_all_compensated(fn, G_EXP, H_MIX, c, TSTABLE, 1.0))
+
+
 class TestRawJumpFormula:
     def test_identity_telescopes(self):
         for seed in range(10):

@@ -96,7 +96,63 @@ class TestSimulate:
         assert stats.kstest(ys, "uniform", args=(0.0, 2.0)).pvalue > 1e-3
 
 
+class TestSortPoints:
+    @given(st.integers(0, 60), st.integers(1, 3), st.integers(0, 2 ** 32 - 1),
+           st.sampled_from([None, 2, 7]))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_lexsort_oracle(self, n, d, seed, grid):
+        rng = np.random.default_rng(seed)
+        t, x, z = rng.uniform(size=n), rng.uniform(size=(n, d)), rng.uniform(size=n)
+        if grid is not None:
+            # coarse values force ties in t, and ties in x behind them
+            t, x = np.round(t * grid) / grid, np.round(x * grid) / grid
+        order = np.lexsort((z, *x.T[::-1], t))
+        ts, xs, zs = prm._sort_points(t, x, z)
+        assert np.array_equal(ts, t[order])
+        assert np.array_equal(xs, x[order])
+        assert np.array_equal(zs, z[order])
+
+
+WIN2 = prm.Window(1.0, ((-0.5, 0.5), (0.0, 2.0)), Shell(0.1, 1.0))
+
+
+def restrict_oracle(c, sub):
+    keep = (c.t <= sub.horizon) & sub.shell.contains(c.z)
+    for k, (lo, hi) in enumerate(sub.box):
+        keep &= (c.x[:, k] >= lo) & (c.x[:, k] <= hi)
+    return prm.PointConfiguration(c.t[keep], c.x[keep], c.z[keep], sub, c.seed)
+
+
+def narrowed(cut, which):
+    """WIN2 with one bound pulled in by the fraction `cut`, or none."""
+    box, shell, horizon = list(WIN2.box), WIN2.shell, WIN2.horizon
+    if which == "shell":
+        shell = Shell(0.1 + 0.9 * cut, 1.0)
+    elif which == "horizon":
+        horizon = cut
+    elif which == "box-lo":
+        box[0] = (-0.5 + cut, 0.5)
+    elif which == "box-hi":
+        box[1] = (0.0, 2.0 * cut)
+    return prm.Window(horizon, tuple(box), shell)
+
+
 class TestRestrict:
+    @given(st.integers(0, 2 ** 32 - 1), st.floats(0.05, 0.95),
+           st.sampled_from(["none", "shell", "horizon", "box-lo", "box-hi"]))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_full_mask_oracle(self, seed, cut, which):
+        c = prm.simulate(WIN2, TSTABLE, seed)
+        sub = narrowed(cut, which)
+        assert prm.restrict(c, sub) == restrict_oracle(c, sub)
+
+    def test_points_on_the_window_bounds_kept(self):
+        c = prm.PointConfiguration(np.array([0.0, 1.0]), np.array([[-0.5, 2.0], [0.5, 0.0]]),
+                                   np.array([1.0, -1.0]), WIN2, 0)
+        assert prm.restrict(c, WIN2) == c
+        sub = narrowed(0.5, "horizon")
+        assert prm.restrict(c, sub) == restrict_oracle(c, sub)
+
     def test_identity(self):
         c = prm.simulate(WIN, ATOMS, 9)
         assert prm.restrict(c, WIN) == c
@@ -145,6 +201,17 @@ class TestCsv:
         prm.save_csv(c, path)
         back = prm.load_csv(path)
         assert back == c
+
+    def test_rejects_point_outside_window_or_out_of_order(self):
+        c = prm.simulate(WIN, ATOMS, 78)
+        assert len(c) >= 2
+        head, columns, *rows = prm.dump_csv(c).splitlines()
+        t, _, z = rows[-1].split(",")
+        outside = rows[:-1] + [f"{t},0.75,{z}"]
+        swapped = [rows[1], rows[0]] + rows[2:]
+        for bad in (outside, swapped):
+            with pytest.raises(ValueError, match="window, in time order"):
+                prm.parse_csv("\n".join([head, columns] + bad))
 
     def test_golden_format(self):
         w = prm.Window(1.0, ((0.0, 1.0),), Shell(0.5, math.inf))
