@@ -21,7 +21,7 @@ from .integrate import (
     l_integral,
     z_of_set,
 )
-from .mc import McEstimate, run_replicates, verdict
+from .mc import McEstimate, map_replicates, run_replicates, verdict
 
 __all__ = [
     "FULL",
@@ -45,6 +45,7 @@ __all__ = [
     "l_integral",
     "z_of_set",
     "McEstimate",
+    "map_replicates",
     "run_replicates",
     "verdict",
 ]

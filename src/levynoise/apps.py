@@ -16,6 +16,7 @@ import numpy as np
 
 from . import integrate as it
 from .integrands import Integrand, SignPow, gl_rule
+from .mc import map_replicates
 from .measure import LevyMeasure, Shell
 from .prm import PointConfiguration, Window
 
@@ -126,27 +127,26 @@ def noise_path(X: Integrand, config: PointConfiguration,
 
 def moment_bound_cell(X: Integrand, measure: LevyMeasure, p: float, t: float,
                       window: Window, replicates: int, master_seed: int,
-                      scan: int = 0) -> MomentBoundRow:
+                      scan: int = 0, workers: int = 1) -> MomentBoundRow:
     """Monte Carlo estimate of the maximal p-th moment against its bracket.
 
     The universal constant in the inequality is not explicit, so the report
     carries the observed ratio rather than asserting one.
     """
-    from .prm import replicate_seed, simulate
-
     if p < 2.0:
         raise ValueError("the maximal inequality needs p >= 2")
     m_p = measure.shell_moment(window.shell, p)
     if not math.isfinite(m_p):
         raise ValueError(f"p-th jump moment diverges at p={p}")
     v_shell = measure.shell_moment(window.shell, 2.0)
-    sups = np.empty(replicates)
-    terms = np.empty(replicates)
-    for k in range(replicates):
-        config = simulate(window, measure, replicate_seed(master_seed, k))
+
+    def one(_k, config):
         path = noise_path(X, config, measure)
-        sups[k] = path.sup_abs(t, scan=scan) ** p
-        terms[k] = path.eval(t) ** 2
+        return path.sup_abs(t, scan=scan) ** p, path.eval(t) ** 2
+
+    draws = map_replicates(one, window, measure, replicates, master_seed, workers)
+    sups = np.array([s for s, _ in draws])
+    terms = np.array([e for _, e in draws])
     bracket = lp_bracket(X, window, t, p)
     lhs = float(sups.mean())
     lhs_se = float(sups.std(ddof=1) / math.sqrt(replicates))
@@ -202,10 +202,7 @@ def representation_residual(h: Integrand, config: PointConfiguration,
         idx = np.searchsorted(breaks, tj)
         psi_at_j = psi_cum_breaks[idx]
         m_left = np.exp(1j * path.eval_left(tj) - psi_at_j)
-        hj = np.zeros(len(tj))
-        for term in h.terms:
-            hj += (np.asarray(term.time(tj), dtype=float)
-                   * np.asarray(term.space_value(xj), dtype=float))
+        hj = np.asarray(h(tj, xj, zj), dtype=float)
         jump_sum = complex(np.sum((np.exp(1j * hj * zj) - 1.0) * m_left))
 
     phase = np.exp(1j * np.multiply.outer(hgrid, znod)) - 1.0  # (S, P, Z)

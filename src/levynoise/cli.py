@@ -35,7 +35,11 @@ def _apply_overrides(raw: dict, args) -> dict:
     if args.workers is not None:
         raw["workers"] = args.workers
     elif "workers" not in raw and os.environ.get(WORKERS_ENV):
-        raw["workers"] = int(os.environ[WORKERS_ENV])
+        try:
+            raw["workers"] = int(os.environ[WORKERS_ENV])
+        except ValueError:
+            raise ConfigError(f"{WORKERS_ENV}: must be an integer, "
+                              f"got {os.environ[WORKERS_ENV]!r}") from None
     if args.output_dir is not None:
         raw["output_dir"] = args.output_dir
     return raw
@@ -57,9 +61,8 @@ def cmd_run(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    raw = _apply_overrides(raw, args)
     try:
-        cfg = parse_config(raw)
+        cfg = parse_config(_apply_overrides(raw, args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

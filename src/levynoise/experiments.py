@@ -1,9 +1,9 @@
 """Named experiment suites binding simulation, analytics, and verdicts.
 
 Each experiment consumes a validated Config, runs its Monte Carlo or
-pathwise checks with counter-based seeding, and returns verdict rows plus
-plot-ready CSV tables.  The CLI is a thin shell around this module; the
-acceptance tests call the same entry points.
+pathwise checks over the replicates of `mc.map_replicates`, and returns
+verdict rows plus plot-ready CSV tables.  The CLI is a thin shell around
+this module; the acceptance tests call the same entry points.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from . import integrate as it
 from . import interlace as il
 from . import ito
 from .integrands import Integrand, integrand_from_json
-from .mc import McEstimate, run_replicates, verdict
+from .mc import McEstimate, map_replicates, run_replicates, verdict
 from .measure import LevyMeasure, measure_from_json
 from .prm import Window, dump_csv, replicate_seed, simulate
 
@@ -229,10 +229,6 @@ def _seed_for(cfg: Config, tag: int) -> int:
     return replicate_seed(cfg.seed, 10_000 + tag)
 
 
-def _rng_seed(rng) -> int:
-    return int(rng.integers(2 ** 63))
-
-
 # ---------------------------------------------------------------------------
 # experiments
 
@@ -243,27 +239,23 @@ def run_simulate(cfg: Config) -> ExperimentResult:
     w, m = cfg.window, cfg.measure()
     n = cfg.replicates
     lam = w.horizon * w.box_volume * m.shell_mass(w.shell)
-    counts = np.empty(n)
-    first = np.empty(n)
-    second = np.empty(n)
-    xs = [[] for _ in range(w.dim)]
     keep_x = min(n, int(cfg.params.get("spatial_sample", 300)))
-    for k in range(n):
-        c = simulate(w, m, replicate_seed(_seed_for(cfg, 0), k))
-        counts[k] = len(c)
-        half = w.horizon / 2.0
-        first[k] = int(np.sum(c.t <= half))
-        second[k] = len(c) - first[k]
-        if k < keep_x:
-            for ax in range(w.dim):
-                xs[ax].append(c.x[:, ax])
+    half = w.horizon / 2.0
+
+    def one(k, c):
+        return len(c), int(np.sum(c.t <= half)), c.x if k < keep_x else None
+
+    draws = map_replicates(one, w, m, n, _seed_for(cfg, 0), cfg.workers)
+    counts = np.array([d[0] for d in draws], dtype=float)
+    first = np.array([d[1] for d in draws], dtype=float)
+    second = counts - first
     res = ExperimentResult(cfg.experiment, cfg.seed, n)
     se = counts.std(ddof=1) / math.sqrt(n)
     est = McEstimate(float(counts.mean()), float(se), n, cfg.seed)
     res.verdicts.append(_mc_row("count_mean", est, lam, cfg.k_sigma))
     level = float(cfg.params.get("test_level", 1e-3))
     for ax in range(w.dim):
-        sample = np.concatenate(xs[ax])
+        sample = np.concatenate([x[:, ax] for _, _, x in draws[:keep_x]])
         lo, hi = w.box[ax]
         p = float(_stats.kstest(sample, "uniform", args=(lo, hi - lo)).pvalue)
         res.verdicts.append(VerdictRow(f"spatial_uniform_ks_axis{ax + 1}", p,
@@ -299,13 +291,12 @@ def run_isometry(cfg: Config) -> ExperimentResult:
         comp = it.compensator(H, w, m, T)
         comp2 = it.compensator(H.squared(), w, m, T)
 
-        def one(rng, m=m, H=H, comp=comp):
-            c = simulate(w, m, _rng_seed(rng))
+        def one(_k, c, H=H, comp=comp):
             raw = it.int_N(H, c, T)
             nhat = raw - comp
             return np.array([nhat, nhat * nhat, raw])
 
-        est = run_replicates(one, cfg.replicates, _seed_for(cfg, 100 + i),
+        est = run_replicates(one, w, m, cfg.replicates, _seed_for(cfg, 100 + i),
                              cfg.workers)
         label = f"{cell['measure']}/{cell['integrand']}"
         parts = [
@@ -344,12 +335,10 @@ def run_charfn(cfg: Config) -> ExperimentResult:
         np.exp(vol * (1j * u * a + m.psi_shell(w.shell, u) + 1j * u * big_m1))
         for u in us])
 
-    def one(rng):
-        c = simulate(w, m, _rng_seed(rng))
-        zval = it.z_of_set(a, box, interval, c, m)
-        return np.exp(1j * us * zval)
+    def one(_k, c):
+        return np.exp(1j * us * it.z_of_set(a, box, interval, c, m))
 
-    est = run_replicates(one, n, _seed_for(cfg, 200), cfg.workers)
+    est = run_replicates(one, w, m, n, _seed_for(cfg, 200), cfg.workers)
     res = ExperimentResult(cfg.experiment, cfg.seed, n)
     tol = 4.0 / math.sqrt(n)
     rows = []
@@ -389,10 +378,11 @@ def _ito_matrix(cfg: Config, table: str, tag: int, default_tol: float, fns,
     """Check one form of the Ito formula path by path on every (f, G, X)
     cell, f outermost, X innermost.
 
-    `evaluate(cell_index, fn, G, X, config, want_terms)` returns (lhs, rhs,
-    terms), where terms are the four right-side pieces of the CSV row and
-    may be None when not wanted.  Each cell gets a verdict on its largest
-    |lhs - rhs| and puts its first paths in the residual table.
+    `evaluate(fn, G, X, config, want_terms)` returns one path's row (lhs,
+    rhs, terms), where terms are the four right-side pieces of the CSV row
+    and may be None when not wanted.  Each cell gets a verdict on its
+    largest |lhs - rhs| and puts its first paths in the residual table.
+    Returns the result and every cell's rows, in path order.
     """
     w, m = cfg.window, cfg.measure()
     paths = int(cfg.params.get("paths", 1000))
@@ -401,20 +391,19 @@ def _ito_matrix(cfg: Config, table: str, tag: int, default_tol: float, fns,
     Xs = _matrix_from_params(cfg, x_key, x_default)
     res = ExperimentResult(cfg.experiment, cfg.seed, paths)
     rows = []
+    cells = []
     for idx, (fn, (gname, G), (xname, X)) in enumerate(itertools.product(fns, Gs, Xs)):
         label = f"{fn.name}|{gname}|{xname}"
-        seed0 = _seed_for(cfg, tag + idx)
-        resid = []
-        for k in range(paths):
-            c = simulate(w, m, replicate_seed(seed0, k))
-            want_terms = k < ITO_CSV_PATHS
-            lhs, rhs, terms = evaluate(idx, fn, G, X, c, want_terms)
-            resid.append(abs(lhs - rhs))
-            if want_terms:
-                rows.append((label, k, w.horizon, lhs, *terms, rhs, lhs - rhs))
+        cell = map_replicates(
+            lambda k, c: evaluate(fn, G, X, c, k < ITO_CSV_PATHS),
+            w, m, paths, _seed_for(cfg, tag + idx), cfg.workers)
+        resid = [abs(lhs - rhs) for lhs, rhs, _ in cell]
         res.verdicts.append(_tol_row(f"max_residual[{label}]", _worst(resid), tol))
+        rows.extend((label, k, w.horizon, lhs, *terms, rhs, lhs - rhs)
+                    for k, (lhs, rhs, terms) in enumerate(cell[:ITO_CSV_PATHS]))
+        cells.append(cell)
     res.tables[table] = _csv(ITO_CSV_HEADER, rows)
-    return res
+    return res, cells
 
 
 def run_ito_lemma(cfg: Config) -> ExperimentResult:
@@ -422,7 +411,7 @@ def run_ito_lemma(cfg: Config) -> ExperimentResult:
     matrix; reports the max residual per cell."""
     m, T = cfg.measure(), cfg.window.horizon
 
-    def evaluate(_idx, fn, G, K, c, want_terms):
+    def evaluate(fn, G, K, c, want_terms):
         path = it.build_path(G, K, None, c, m, split=0.0)
         lhs = ito.ito_lhs(fn, path, T)
         rhs = ito.ito_rhs_raw(fn, G, K, c, m, T, path=path)
@@ -435,7 +424,7 @@ def run_ito_lemma(cfg: Config) -> ExperimentResult:
         return lhs, rhs, (rhs - jump_term, jump_term, 0.0, 0.0)
 
     return _ito_matrix(cfg, "ito_lemma_residuals.csv", 300, 1e-8,
-                       _fns_from_params(cfg), "k_names", ["K1", "K2", "K3"], evaluate)
+                       _fns_from_params(cfg), "k_names", ["K1", "K2", "K3"], evaluate)[0]
 
 
 def run_ito1(cfg: Config) -> ExperimentResult:
@@ -448,19 +437,17 @@ def run_ito1(cfg: Config) -> ExperimentResult:
     agree_paths = int(cfg.params.get("agreement_paths", 100))
     fns = _fns_from_params(cfg)
     H = cfg.integrand(cfg.params.get("h_name", "H"))
-    mart_samples = []
 
-    def evaluate(idx, fn, G, K, c, _want_terms):
+    def evaluate(fn, G, K, c, _want_terms):
         path = it.build_path(G, K, H, c, m, split=1.0)
         r = ito.ito_rhs_big_small(fn, G, K, H, c, m, T, path=path)
-        if idx == 0:
-            mart_samples.append(r.compensated_term)
         return (ito.ito_lhs(fn, path, T), r.total,
                 (r.g_term, r.big_jump_term, r.compensated_term, r.nu_term))
 
-    res = _ito_matrix(cfg, "ito1_residuals.csv", 400, 1e-6, fns,
-                      "k_names", ["K1", "K2", "K3"], evaluate)
-    mart = np.asarray(mart_samples)
+    res, cells = _ito_matrix(cfg, "ito1_residuals.csv", 400, 1e-6, fns,
+                             "k_names", ["K1", "K2", "K3"], evaluate)
+    # the compensated term of the first cell is a martingale at T
+    mart = np.asarray([terms[2] for _, _, terms in cells[0]])
     est = McEstimate(float(mart.mean()),
                      float(mart.std(ddof=1) / math.sqrt(len(mart))),
                      len(mart), cfg.seed)
@@ -470,13 +457,14 @@ def run_ito1(cfg: Config) -> ExperimentResult:
     for i, fn in enumerate(fns):
         G = Gs[min(1, len(Gs) - 1)][1]
         g2 = ito.equivalent_time_drift(G, H, w, m, split=1.0)
-        gaps = []
-        seed0 = _seed_for(cfg, 450 + i)
-        for k in range(agree_paths):
-            c = simulate(w, m, replicate_seed(seed0, k))
+
+        def gap(_k, c, fn=fn, G=G, g2=g2):
             r1 = ito.ito_rhs_big_small(fn, G, H, H, c, m, T)
             r2 = ito.ito_rhs_all_compensated(fn, g2, H, c, m, T)
-            gaps.append(abs(r1.total - r2.total))
+            return abs(r1.total - r2.total)
+
+        gaps = map_replicates(gap, w, m, agree_paths, _seed_for(cfg, 450 + i),
+                              cfg.workers)
         res.verdicts.append(_tol_row(f"form_agreement[{fn.name}]", _worst(gaps), agree_tol))
     return res
 
@@ -490,14 +478,14 @@ def run_ito2(cfg: Config) -> ExperimentResult:
         {"kind": "exp", "scale": 0.4},
     ])]
 
-    def evaluate(_idx, fn, G, H, c, _want_terms):
+    def evaluate(fn, G, H, c, _want_terms):
         path = it.build_path(G, None, H, c, m, split=math.inf)
         r = ito.ito_rhs_all_compensated(fn, G, H, c, m, T, path=path)
         return (ito.ito_lhs(fn, path, T), r.total,
                 (r.g_term, 0.0, r.compensated_term, r.nu_term))
 
     return _ito_matrix(cfg, "ito2_residuals.csv", 500, 1e-6, fns,
-                       "h_names", ["H1", "H2", "H3"], evaluate)
+                       "h_names", ["H1", "H2", "H3"], evaluate)[0]
 
 
 def _ladder_rows(prefix: str, report: il.DiagnosticReport, k_sigma: float):
@@ -528,7 +516,8 @@ def run_interlace(cfg: Config) -> ExperimentResult:
         res.verdicts.append(_tol_row("threshold_closed_form_rel_err", worst, 1e-8))
     problem = il.LadderProblem(H=H, measure=m, T=T, box=w.box,
                                small_hi=float(cfg.params.get("small_hi", 1.0)))
-    rep = il.interlacing_diagnostic(ladder, problem, reps, _seed_for(cfg, 600))
+    rep = il.interlacing_diagnostic(ladder, problem, reps, _seed_for(cfg, 600),
+                                    cfg.workers)
     res.verdicts.extend(_ladder_rows("", rep, cfg.k_sigma))
     res.tables["eps_ladder.csv"] = rep.to_csv()
 
@@ -544,7 +533,7 @@ def run_interlace(cfg: Config) -> ExperimentResult:
         sproblem = il.LadderProblem(H=Hs, K=Ks, measure=sm, T=T,
                                     shell=w.shell, dim=w.dim)
         srep = il.interlacing_diagnostic(sladder, sproblem, s_reps,
-                                         _seed_for(cfg, 601))
+                                         _seed_for(cfg, 601), cfg.workers)
         res.verdicts.extend(_ladder_rows("spatial_", srep, cfg.k_sigma))
         res.tables["spatial_ladder.csv"] = srep.to_csv()
     return res
@@ -568,7 +557,8 @@ def run_kunita(cfg: Config) -> ExperimentResult:
             X = cfg.integrand(xn)
             for p in ps:
                 cell = apps.moment_bound_cell(X, m, p, T, w, reps,
-                                              _seed_for(cfg, 700 + idx))
+                                              _seed_for(cfg, 700 + idx),
+                                              workers=cfg.workers)
                 rows.append((mk, xn, p, cell.lhs_mean, cell.lhs_se,
                              cell.bracket, cell.ratio, cell.moment_scale))
                 if cell.bracket > 0:
@@ -600,15 +590,14 @@ def run_martingale(cfg: Config) -> ExperimentResult:
     psi_int = apps.psi_space_time_integral(h, w, m, T)
     psi_scaled = [apps.psi_space_time_integral(h * u, w, m, T) for u in us]
 
-    def one(rng):
-        c = simulate(w, m, _rng_seed(rng))
+    def one(_k, c):
         L = it.l_integral(h, c, m, T)
         out = np.empty(1 + len(us), dtype=complex)
         out[0] = np.exp(1j * L - psi_int)
         out[1:] = np.exp(1j * np.asarray(us) * L)
         return out
 
-    est = run_replicates(one, n, _seed_for(cfg, 800), cfg.workers)
+    est = run_replicates(one, w, m, n, _seed_for(cfg, 800), cfg.workers)
     res = ExperimentResult(cfg.experiment, cfg.seed, n)
     m_est = McEstimate(complex(est.mean[0]), complex(est.se[0]), n, cfg.seed)
     res.verdicts.append(_mc_row("martingale_mean", m_est, 1.0 + 0.0j, cfg.k_sigma))
@@ -625,14 +614,14 @@ def run_martingale(cfg: Config) -> ExperimentResult:
 
     rep_paths = int(cfg.params.get("representation_paths", 100))
     rep_tol = float(cfg.params.get("representation_tol", 1e-6))
-    resid, gaps = [], []
-    seed0 = _seed_for(cfg, 801)
-    for k in range(rep_paths):
-        c = simulate(w, m, replicate_seed(seed0, k))
-        resid.append(apps.representation_residual(h, c, m, T))
-        gaps.append(apps.modulus_gap(h, c, m, T, psi_int))
-    res.verdicts.append(_tol_row("representation_residual_max", _worst(resid), rep_tol))
-    res.verdicts.append(_tol_row("modulus_identity_max_gap", _worst(gaps), 1e-10))
+    paths = map_replicates(
+        lambda _k, c: (apps.representation_residual(h, c, m, T),
+                       apps.modulus_gap(h, c, m, T, psi_int)),
+        w, m, rep_paths, _seed_for(cfg, 801), cfg.workers)
+    res.verdicts.append(_tol_row("representation_residual_max",
+                                 _worst([r for r, _ in paths]), rep_tol))
+    res.verdicts.append(_tol_row("modulus_identity_max_gap",
+                                 _worst([g for _, g in paths]), 1e-10))
     res.tables["martingale_charfn.csv"] = _csv(
         ("u", "empirical", "exact", "error", "tolerance"), rows)
     return res
@@ -651,14 +640,13 @@ def run_chaos(cfg: Config) -> ExperimentResult:
     apps.check_disjoint(f2, w, m, T)
     norm2 = apps.chaos_norm_sq(f2, w, m, T)
 
-    def one(rng):
-        c = simulate(w, m, _rng_seed(rng))
+    def one(_k, c):
         i1 = it.int_Nhat(slot_c, c, m, T)
         i2 = apps.multiple_integral(f2, c, m, T, validate=False)
         expansion = apps.second_chaos_expansion_residual(slot_a, c, m, T)
         return np.array([i1, i2 * i2, i1 * i2, expansion * expansion])
 
-    est = run_replicates(one, n, _seed_for(cfg, 900), cfg.workers)
+    est = run_replicates(one, w, m, n, _seed_for(cfg, 900), cfg.workers)
     res = ExperimentResult(cfg.experiment, cfg.seed, n)
 
     def sub(i):
@@ -673,13 +661,13 @@ def run_chaos(cfg: Config) -> ExperimentResult:
                                 cfg.k_sigma, atol=1e-16))
     prod_tol = float(cfg.params.get("product_tol", 1e-9))
     # the mean of |I2 - product| over replicates, plus its spread, bounds the max
-    gaps = []
-    seed0 = _seed_for(cfg, 901)
-    for k in range(min(n, int(cfg.params.get("product_check_paths", 300)))):
-        c = simulate(w, m, replicate_seed(seed0, k))
+    def product_gap(_k, c):
         i2 = apps.multiple_integral(f2, c, m, T, validate=False)
-        prod = it.int_Nhat(slot_a, c, m, T) * it.int_Nhat(slot_b, c, m, T)
-        gaps.append(abs(i2 - prod))
+        return abs(i2 - it.int_Nhat(slot_a, c, m, T) * it.int_Nhat(slot_b, c, m, T))
+
+    gaps = map_replicates(product_gap, w, m,
+                          min(n, int(cfg.params.get("product_check_paths", 300))),
+                          _seed_for(cfg, 901), cfg.workers)
     res.verdicts.append(_tol_row("product_identity_max_gap", _worst(gaps), prod_tol))
     res.tables["chaos.csv"] = _csv(
         ("statistic", "estimate", "se", "target"),

@@ -423,13 +423,16 @@ def _values(fn, pts) -> np.ndarray:
 def space_time_grid(X: Integrand, s, xpts, z=None) -> np.ndarray:
     """X on the tensor grid of times s and space points xpts, and of jump
     sizes z when given: the sum over its terms of the outer product of the
-    time, space (and jump) factor values."""
+    time, space (and jump) factor values.  Without z every jump factor must
+    be constant, and scales its term."""
     shape = (len(s), len(xpts)) + ((len(z),) if z is not None else ())
     grid = np.zeros(shape)
     for term in X.terms:
         g = np.multiply.outer(_values(term.time, s), _values(term.space_value, xpts))
         if z is not None:
             g = np.multiply.outer(g, _values(term.jump, z))
+        else:
+            g = g * _jump_const(term)
         grid += g
     return grid
 

@@ -19,8 +19,9 @@ from scipy import integrate as _si
 
 from . import integrate as it
 from .integrands import Const, Integrand, Node
+from .mc import map_replicates
 from .measure import LevyMeasure, Shell
-from .prm import Window, replicate_seed, restrict, simulate
+from .prm import Window, restrict
 
 GEOMETRIC_BASE = 8.0  # targets are BASE^-n, kept literal from the construction
 
@@ -331,19 +332,23 @@ def _needs_scan(H: Integrand) -> bool:
 
 
 def interlacing_diagnostic(ladder: Ladder, problem: LadderProblem,
-                           replicates: int, master_seed: int) -> DiagnosticReport:
+                           replicates: int, master_seed: int,
+                           workers: int = 1) -> DiagnosticReport:
     """Empirical sup-norm differences between consecutive ladder levels
     against the Doob and Chebyshev bounds, on coupled realizations."""
     if ladder.violation:
         raise ValueError(f"cannot run diagnostics: {ladder.violation}")
     if len(ladder.levels) < 2:
         raise ValueError("need at least two ladder levels")
-    if ladder.kind == "small-jump":
-        return _small_jump_diagnostic(ladder, problem, replicates, master_seed)
-    return _spatial_diagnostic(ladder, problem, replicates, master_seed)
+    replicate = _small_jump_replicate if ladder.kind == "small-jump" else _spatial_replicate
+    deep, one = replicate(ladder, problem)
+    rows = map_replicates(one, deep, problem.measure, replicates, master_seed, workers)
+    return _assemble(ladder, np.array([s for s, _ in rows]),
+                     np.array([e for _, e in rows]), replicates, master_seed)
 
 
-def _small_jump_diagnostic(ladder, problem, replicates, master_seed):
+def _small_jump_replicate(ladder, problem):
+    """The deep window and the replicate's (sup2, exceed) rows, by ring."""
     H, m, T = problem.H, problem.measure, problem.T
     box = tuple(problem.box)
     eps = ladder.thresholds
@@ -351,10 +356,10 @@ def _small_jump_diagnostic(ladder, problem, replicates, master_seed):
     scan = problem.scan if problem.scan else (1000 if _needs_scan(H) else 0)
 
     n_levels = len(eps) - 1
-    sup2 = np.zeros((replicates, n_levels))
-    exceed = np.zeros((replicates, n_levels), dtype=bool)
-    for k in range(replicates):
-        config = simulate(deep, m, replicate_seed(master_seed, k))
+
+    def one(_k, config):
+        sup2 = np.zeros(n_levels)
+        exceed = np.zeros(n_levels, dtype=bool)
         for j in range(n_levels):
             lo, hi = eps[j + 1], eps[j]
             if not lo < hi:
@@ -362,13 +367,15 @@ def _small_jump_diagnostic(ladder, problem, replicates, master_seed):
             ring = restrict(config, Window(T, box, Shell(lo, hi)))
             path = it.build_path(None, None, H, ring, m, split=math.inf)
             s = path.sup_abs(T, scan=scan)
-            sup2[k, j] = s * s
-            exceed[k, j] = s > 2.0 ** -(j + 1)
-    return _assemble(ladder, sup2, exceed, replicates, master_seed,
-                     exceed_bound=lambda n: 2.0 ** (-n + 2))
+            sup2[j] = s * s
+            exceed[j] = s > 2.0 ** -(j + 1)
+        return sup2, exceed
+
+    return deep, one
 
 
-def _spatial_diagnostic(ladder, problem, replicates, master_seed):
+def _spatial_replicate(ladder, problem):
+    """The deep window and the replicate's (sup2, exceed) rows, by box ring."""
     H, K, m, T = problem.H, problem.K, problem.measure, problem.T
     shell = problem.shell
     d = problem.dim
@@ -381,10 +388,10 @@ def _spatial_diagnostic(ladder, problem, replicates, master_seed):
     h_nu = [it.nu_factor(m, term.jump, small) if small else 0.0 for term in H.terms]
 
     n_levels = len(a) - 1
-    sup2 = np.zeros((replicates, n_levels))
-    exceed = np.zeros((replicates, n_levels), dtype=bool)
-    for k in range(replicates):
-        config = simulate(deep, m, replicate_seed(master_seed, k))
+
+    def one(_k, config):
+        sup2 = np.zeros(n_levels)
+        exceed = np.zeros(n_levels, dtype=bool)
         inside = np.max(np.abs(config.x), axis=1) if len(config) else np.empty(0)
         for j in range(n_levels):
             lo_a, hi_a = a[j], a[j + 1]
@@ -403,22 +410,19 @@ def _spatial_diagnostic(ladder, problem, replicates, master_seed):
                 if small_mask.any() else np.empty(0)
             h_path = it.jump_path(pts_t[small_mask], h_jumps, drift_pieces, deep)
             s_h = h_path.sup_abs(T, scan=scan)
-            sup2[k, j] = s_h * s_h
+            sup2[j] = s_h * s_h
             if ladder.kind == "spatial-I" and K is not None:
                 k_mask = ~small_mask
                 k_jumps = np.asarray(K(pts_t[k_mask], pts_x[k_mask], pts_z[k_mask]),
                                      dtype=float) if k_mask.any() else np.empty(0)
                 full = it.jump_path(np.concatenate([pts_t[small_mask], pts_t[k_mask]]),
                                     np.concatenate([h_jumps, k_jumps]), drift_pieces, deep)
-                exceed[k, j] = full.sup_abs(T, scan=scan) > 2.0 ** -(j + 1)
+                exceed[j] = full.sup_abs(T, scan=scan) > 2.0 ** -(j + 1)
             else:
-                exceed[k, j] = s_h > 2.0 ** -(j + 1)
+                exceed[j] = s_h > 2.0 ** -(j + 1)
+        return sup2, exceed
 
-    if ladder.kind == "spatial-I":
-        bound = lambda n: 2.0 ** (-n + 4) + 2.0 ** (-2 * n + 1)
-    else:
-        bound = lambda n: 2.0 ** (-n + 2)
-    return _assemble(ladder, sup2, exceed, replicates, master_seed, exceed_bound=bound)
+    return deep, one
 
 
 def _space_ring(term, lo_a, hi_a, dim):
@@ -431,7 +435,11 @@ def _space_ring(term, lo_a, hi_a, dim):
     return outer - inner
 
 
-def _assemble(ladder, sup2, exceed, replicates, master_seed, exceed_bound):
+def _assemble(ladder, sup2, exceed, replicates, master_seed):
+    if ladder.kind == "spatial-I":
+        exceed_bound = lambda n: 2.0 ** (-n + 4) + 2.0 ** (-2 * n + 1)
+    else:
+        exceed_bound = lambda n: 2.0 ** (-n + 2)
     rows = []
     for j in range(sup2.shape[1]):
         n = ladder.levels[j].n

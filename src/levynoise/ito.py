@@ -133,21 +133,10 @@ def ito_rhs_raw(fn: SmoothFn, G: Integrand | None, K: Integrand,
                 config: PointConfiguration, measure: LevyMeasure, t: float,
                 n_time: int = 16, *, path: it.CadlagPath | None = None) -> float:
     """Right side of the no-small-jumps formula: drift term plus the raw
-    jump sum of f-increments (needs only f'); `path`: the built path, if any."""
-    if path is None:
-        path = it.build_path(G, K, None, config, measure, split=0.0)
-    total = 0.0
-    if G is not None:
-        extra = G.time_breakpoints()
-        s, w, y = _grid(path, config, t, n_time, extra)
-        if len(s):
-            total += float(np.sum(w * fn.df(y) * _time_only_value(G, s)))
-    mask = config.t <= t
-    if mask.any():
-        yl = path.eval_left(config.t[mask])
-        kv = np.asarray(K(config.t[mask], config.x[mask], config.z[mask]), dtype=float)
-        total += float(np.sum(fn.f(yl + kv) - fn.f(yl)))
-    return total
+    jump sum of f-increments (needs only f'), i.e. the split form with every
+    jump big; `path`: the built path (split=0), if any."""
+    return ito_rhs_big_small(fn, G, K, None, config, measure, t, split=0.0,
+                             n_time=n_time, path=path).total
 
 
 @dataclass(frozen=True)

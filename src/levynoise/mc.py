@@ -1,4 +1,6 @@
-"""Replicate fan-out with deterministic seeding and z-score verdicts."""
+"""The replicate loop: independent realizations of the Poisson random
+measure with deterministic seeding, their Monte Carlo fold, and z-score
+verdicts."""
 
 from __future__ import annotations
 
@@ -8,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .prm import replicate_seed
+from .prm import replicate_seed, simulate
 
 
 @dataclass(frozen=True)
@@ -26,30 +28,36 @@ class McEstimate:
     master_seed: int
 
 
-def run_replicates(experiment, n: int, master_seed: int, workers: int = 1) -> McEstimate:
-    """Run `experiment(rng)` n times with counter-based per-replicate seeds.
+def map_replicates(experiment, window, measure, n: int, master_seed: int,
+                   workers: int = 1) -> list:
+    """[experiment(k, config_k) for k in range(n)], where config_k is
+    simulate(window, measure, replicate_seed(master_seed, k)).
 
-    The estimate depends only on (experiment, n, master_seed): results are
-    buffered by replicate index and folded in canonical order, so worker
-    count and scheduling never matter.
+    The only place a replicate's configuration is drawn.  Outputs come back
+    in replicate order and no configuration outlives its replicate, so the
+    result never depends on the worker count or scheduling.
     """
-    if n < 2:
-        raise ValueError("need at least 2 replicates for a standard error")
 
     def one(k):
-        rng = np.random.default_rng(replicate_seed(master_seed, k))
         try:
-            return experiment(rng)
+            return experiment(k, simulate(window, measure, replicate_seed(master_seed, k)))
         except Exception as exc:
             raise RuntimeError(f"experiment failed at replicate {k}: {exc}") from exc
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, range(n)))
-    else:
-        results = [one(k) for k in range(n)]
+            return list(pool.map(one, range(n)))
+    return [one(k) for k in range(n)]
 
-    values = np.asarray(results)
+
+def run_replicates(experiment, window, measure, n: int, master_seed: int,
+                   workers: int = 1) -> McEstimate:
+    """Mean and standard error of `experiment(k, config_k)` over the n
+    replicates of `map_replicates`, folded in replicate order."""
+    if n < 2:
+        raise ValueError("need at least 2 replicates for a standard error")
+    values = np.asarray(map_replicates(experiment, window, measure, n, master_seed,
+                                       workers))
     mean = values.mean(axis=0)
     if np.iscomplexobj(values):
         se = (values.real.std(axis=0, ddof=1) / math.sqrt(n)

@@ -194,6 +194,6 @@ class TestCriterion9:
                f"{len(names)} experiments at one seed")
 
     def test_worker_count_invariance(self):
-        for name in ("isometry", "chaos", "martingale"):
+        for name in ("isometry", "chaos", "martingale", "ito1", "kunita", "interlace"):
             assert reduced_summary(name, workers=1) == reduced_summary(name, workers=8), name
         report("9b", True, "worker count 1 vs 8 yields identical summaries")

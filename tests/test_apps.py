@@ -131,6 +131,39 @@ class TestRepresentation:
             assert apps.representation_residual(X_SMOOTH, c, m, 1.0) <= 1e-6
 
 
+
+class TestConstantJumpFactor:
+    """A constant jump factor c scales X(s, x) in every space-time quantity
+    exactly as the same c in the time factor does."""
+
+    X2 = ig.term(time=ig.Cos(1.0), jump=ig.Const(2.0))
+    X2_TIME = ig.term(time=ig.Cos(1.0)) * 2.0
+
+    def test_norm_and_psi_integral(self):
+        assert apps.space_time_norm_sq(self.X2, WIN, 1.0) == pytest.approx(
+            apps.space_time_norm_sq(self.X2_TIME, WIN, 1.0), rel=1e-14)
+        assert apps.psi_space_time_integral(self.X2, WIN, ATOMS, 1.0) == pytest.approx(
+            apps.psi_space_time_integral(self.X2_TIME, WIN, ATOMS, 1.0), rel=1e-14)
+
+    def test_representation_residual(self):
+        for seed in range(10):
+            c = simulate(WIN, ATOMS, replicate_seed(804, seed))
+            assert apps.representation_residual(self.X2, c, ATOMS, 1.0) <= 1e-6
+
+    def test_p2_isometry_target(self):
+        row = apps.moment_bound_cell(self.X2, ATOMS, 2.0, 1.0, WIN,
+                                     replicates=2000, master_seed=8)
+        target = ATOMS.shell_moment(WIN.shell, 2.0) \
+            * apps.space_time_norm_sq(self.X2, WIN, 1.0)
+        assert abs(row.isometry_mean - target) <= 4 * row.isometry_se
+
+    def test_jump_dependent_factor_rejected(self):
+        s, _ = it.interval_rule(np.array([0.0, 1.0]), 4)
+        xpts, _ = it.box_rule(WIN.box, 4)
+        with pytest.raises(ValueError, match="non-constant jump factor"):
+            it.space_time_grid(ig.term(jump=ig.SignPow(1.0)), s, xpts)
+
+
 def box_slot(t0, t1, x0, x1, zlo, zhi):
     return ig.term(time=ig.Indicator(t0, t1), space=ig.Indicator(x0, x1),
                    jump=ig.AbsIndicator(zlo, zhi))

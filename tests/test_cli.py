@@ -73,6 +73,15 @@ class TestParseConfig:
         assert main(["validate", path]) == 2
         assert main(["run", path, "--output-dir", str(tmp_path / "out")]) == 2
 
+    @pytest.mark.parametrize("value", ["abc", "2.5"])
+    def test_bad_workers_environment(self, tmp_path, monkeypatch, capsys, value):
+        monkeypatch.setenv("LEVYNOISE_WORKERS", value)
+        path = write_config(tmp_path, small_simulate_config())
+        out_dir = tmp_path / "out"
+        assert main(["run", path, "--output-dir", str(out_dir)]) == 2
+        assert "LEVYNOISE_WORKERS" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_integral_k_sigma_accepted(self):
         raw = small_simulate_config()
         raw["k_sigma"] = 3

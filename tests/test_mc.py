@@ -1,61 +1,98 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
 
-from levynoise.mc import McEstimate, run_replicates, verdict
-from levynoise.prm import replicate_seed
+from levynoise.mc import McEstimate, map_replicates, run_replicates, verdict
+from levynoise.measure import DiscreteAtoms, Shell
+from levynoise.prm import Window, replicate_seed, simulate
+
+ATOMS = DiscreteAtoms(((0.6, 1.0), (-1.1, 0.7), (1.7, 0.4)))
+WIN = Window(1.0, ((-0.5, 0.5),), Shell(0.3, 2.0))
+LAM = WIN.horizon * WIN.box_volume * ATOMS.shell_mass(WIN.shell)  # 2.1 points
+
+
+def replicates(exp, n, master_seed, workers=1):
+    return run_replicates(exp, WIN, ATOMS, n, master_seed, workers)
+
+
+class TestMapReplicates:
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_matches_simulate_oracle(self, workers):
+        def exp(k, c):
+            return k, c.seed, c.t.copy(), c.x.copy(), c.z.copy()
+
+        got = map_replicates(exp, WIN, ATOMS, 60, 31, workers)
+        assert len(got) == 60
+        for k, out in enumerate(got):
+            want = exp(k, simulate(WIN, ATOMS, replicate_seed(31, k)))
+            assert out[:2] == want[:2]
+            for a, b in zip(out[2:], want[2:]):
+                assert np.array_equal(a, b)
+
+    def test_no_configuration_outlives_its_replicate(self):
+        refs = []
+
+        def exp(k, c):
+            # the previous replicate's configuration is gone before this one
+            assert all(r() is None for r in refs)
+            refs.append(weakref.ref(c))
+            return len(c)
+
+        map_replicates(exp, WIN, ATOMS, 20, 5)
+        assert len(refs) == 20 and all(r() is None for r in refs)
 
 
 class TestRunReplicates:
     def test_constant_experiment(self):
-        est = run_replicates(lambda rng: 3.25, 50, master_seed=1)
+        est = replicates(lambda k, c: 3.25, 50, master_seed=1)
         assert est.mean == 3.25
         assert est.se == 0.0
         assert est.n == 50
 
     def test_worker_count_irrelevant(self):
-        exp = lambda rng: float(rng.standard_normal() + 0.1 * rng.uniform())
-        a = run_replicates(exp, 400, master_seed=9, workers=1)
-        b = run_replicates(exp, 400, master_seed=9, workers=8)
+        exp = lambda k, c: float(np.sum(c.z) + 0.1 * np.sum(c.t))
+        a = replicates(exp, 400, master_seed=9, workers=1)
+        b = replicates(exp, 400, master_seed=9, workers=8)
         assert a == b
 
     def test_se_scales_like_sqrt_n(self):
-        exp = lambda rng: float(rng.standard_normal())
-        small = run_replicates(exp, 10 ** 3, master_seed=4)
-        large = run_replicates(exp, 10 ** 4, master_seed=5)
+        exp = lambda k, c: float(np.sum(c.z))
+        small = replicates(exp, 10 ** 3, master_seed=4)
+        large = replicates(exp, 10 ** 4, master_seed=5)
         ratio = small.se / large.se
         assert abs(ratio - math.sqrt(10)) / math.sqrt(10) < 0.2
 
     def test_vector_experiment(self):
-        est = run_replicates(lambda rng: np.array([rng.uniform(), 2.0]), 100, 3)
+        est = replicates(lambda k, c: np.array([np.sum(c.t), 2.0]), 100, 3)
         assert est.mean.shape == (2,)
+        assert est.se[0] > 0.0
         assert est.se[1] == 0.0
 
     def test_complex_experiment(self):
-        est = run_replicates(lambda rng: complex(rng.uniform(), rng.uniform()), 100, 3)
+        est = replicates(lambda k, c: complex(np.sum(c.t), np.sum(c.z)), 100, 3)
         assert isinstance(est.mean, complex)
         assert est.se.real > 0 and est.se.imag > 0
 
     def test_failure_reports_replicate(self):
-        def exp(rng):
-            v = rng.uniform()
-            if v > 0.9:
+        def exp(k, c):
+            if len(c) > 4:
                 raise ValueError("boom")
-            return v
+            return float(len(c))
 
         with pytest.raises(RuntimeError, match=r"replicate \d+"):
-            run_replicates(exp, 200, master_seed=12)
+            replicates(exp, 200, master_seed=12)
 
     def test_needs_two(self):
         with pytest.raises(ValueError):
-            run_replicates(lambda rng: 1.0, 1, 0)
+            replicates(lambda k, c: 1.0, 1, 0)
 
     def test_chunked_merge_matches(self):
         # accumulating in any grouping agrees with the canonical fold
-        exp = lambda rng: float(rng.standard_normal())
-        est = run_replicates(exp, 1000, master_seed=77)
-        vals = np.array([exp(np.random.default_rng(replicate_seed(77, k)))
+        exp = lambda k, c: float(np.sum(c.z) + 0.1 * np.sum(c.t))
+        est = replicates(exp, 1000, master_seed=77)
+        vals = np.array([exp(k, simulate(WIN, ATOMS, replicate_seed(77, k)))
                          for k in range(1000)])
         chunks = np.array_split(vals, 7)
         n = sum(len(c) for c in chunks)
@@ -100,8 +137,8 @@ class TestVerdict:
         # a 4-sigma rule should essentially never fail a centered experiment
         fails = 0
         for trial in range(200):
-            est = run_replicates(lambda rng: float(rng.standard_normal()), 250,
-                                 master_seed=1000 + trial)
+            # the point count minus its exact mean
+            est = replicates(lambda k, c: len(c) - LAM, 250, master_seed=1000 + trial)
             if not verdict(est, 0.0).passed:
                 fails += 1
         assert fails <= 4  # 2% of 200
