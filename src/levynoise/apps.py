@@ -16,7 +16,7 @@ import numpy as np
 
 from . import integrate as it
 from .integrands import Integrand, SignPow, gl_rule
-from .mc import map_replicates
+from .mc import estimate, map_replicates
 from .measure import LevyMeasure, Shell
 from .prm import PointConfiguration, Window
 
@@ -127,7 +127,7 @@ def noise_path(X: Integrand, config: PointConfiguration,
 
 def moment_bound_cell(X: Integrand, measure: LevyMeasure, p: float, t: float,
                       window: Window, replicates: int, master_seed: int,
-                      scan: int = 0, workers: int = 1) -> MomentBoundRow:
+                      workers: int = 1) -> MomentBoundRow:
     """Monte Carlo estimate of the maximal p-th moment against its bracket.
 
     The universal constant in the inequality is not explicit, so the report
@@ -142,19 +142,15 @@ def moment_bound_cell(X: Integrand, measure: LevyMeasure, p: float, t: float,
 
     def one(_k, config):
         path = noise_path(X, config, measure)
-        return path.sup_abs(t, scan=scan) ** p, path.eval(t) ** 2
+        return path.sup_abs(t) ** p, path.eval(t) ** 2
 
     draws = map_replicates(one, window, measure, replicates, master_seed, workers)
-    sups = np.array([s for s, _ in draws])
-    terms = np.array([e for _, e in draws])
+    lhs = estimate([s for s, _ in draws], master_seed)
+    terminal = estimate([e for _, e in draws], master_seed)
     bracket = lp_bracket(X, window, t, p)
-    lhs = float(sups.mean())
-    lhs_se = float(sups.std(ddof=1) / math.sqrt(replicates))
-    ratio = lhs / bracket if bracket > 0 else math.nan
-    return MomentBoundRow(p, lhs, lhs_se, bracket, ratio,
-                          max(v_shell ** (p / 2.0), m_p),
-                          float(terms.mean()),
-                          float(terms.std(ddof=1) / math.sqrt(replicates)))
+    ratio = lhs.mean / bracket if bracket > 0 else math.nan
+    return MomentBoundRow(p, lhs.mean, lhs.se, bracket, ratio,
+                          max(v_shell ** (p / 2.0), m_p), terminal.mean, terminal.se)
 
 
 # ---------------------------------------------------------------------------

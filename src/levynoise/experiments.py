@@ -8,6 +8,7 @@ this module; the acceptance tests call the same entry points.
 
 from __future__ import annotations
 
+import functools
 import io
 import itertools
 import math
@@ -21,7 +22,7 @@ from . import integrate as it
 from . import interlace as il
 from . import ito
 from .integrands import Integrand, integrand_from_json
-from .mc import McEstimate, map_replicates, run_replicates, verdict
+from .mc import McEstimate, estimate, map_replicates, run_replicates, verdict
 from .measure import LevyMeasure, measure_from_json
 from .prm import Window, dump_csv, replicate_seed, simulate
 
@@ -250,9 +251,8 @@ def run_simulate(cfg: Config) -> ExperimentResult:
     first = np.array([d[1] for d in draws], dtype=float)
     second = counts - first
     res = ExperimentResult(cfg.experiment, cfg.seed, n)
-    se = counts.std(ddof=1) / math.sqrt(n)
-    est = McEstimate(float(counts.mean()), float(se), n, cfg.seed)
-    res.verdicts.append(_mc_row("count_mean", est, lam, cfg.k_sigma))
+    res.verdicts.append(_mc_row("count_mean", estimate(counts, cfg.seed), lam,
+                                cfg.k_sigma))
     level = float(cfg.params.get("test_level", 1e-3))
     for ax in range(w.dim):
         sample = np.concatenate([x[:, ax] for _, _, x in draws[:keep_x]])
@@ -340,18 +340,26 @@ def run_charfn(cfg: Config) -> ExperimentResult:
 
     est = run_replicates(one, w, m, n, _seed_for(cfg, 200), cfg.workers)
     res = ExperimentResult(cfg.experiment, cfg.seed, n)
-    tol = 4.0 / math.sqrt(n)
-    rows = []
-    for i, u in enumerate(us):
-        emp = complex(est.mean[i])
-        err = abs(emp - targets[i])
-        res.verdicts.append(VerdictRow(f"charfn[u={u:g}]", emp,
-                                       complex(targets[i]), 1.0 / math.sqrt(n),
-                                       err * math.sqrt(n), err <= tol))
-        rows.append((u, emp, complex(targets[i]), err, tol))
-    res.tables["charfn.csv"] = _csv(("u", "empirical", "exact", "error", "tolerance"),
-                                    rows)
+    res.tables["charfn.csv"] = _charfn_rows(
+        res, "charfn", us, [complex(v) for v in est.mean],
+        [complex(v) for v in targets], n, cfg.k_sigma)
     return res
+
+
+def _charfn_rows(res: ExperimentResult, name: str, us, emps, targets, n: int,
+                 k_sigma: float) -> str:
+    """One verdict per frequency u: the empirical characteristic function
+    within k_sigma / sqrt(n) of the exact one (1 / sqrt(n) bounds the
+    standard error of each component); returns the CSV table."""
+    tol = k_sigma / math.sqrt(n)
+    rows = []
+    for u, emp, target in zip(us, emps, targets):
+        err = abs(emp - target)
+        res.verdicts.append(VerdictRow(f"{name}[u={u:g}]", emp, target,
+                                       1.0 / math.sqrt(n), err * math.sqrt(n),
+                                       err <= tol))
+        rows.append((u, emp, target, err, tol))
+    return _csv(("u", "empirical", "exact", "error", "tolerance"), rows)
 
 
 def _matrix_from_params(cfg: Config, key: str, default: list[str]) -> list:
@@ -359,13 +367,15 @@ def _matrix_from_params(cfg: Config, key: str, default: list[str]) -> list:
     return [(nm, cfg.integrand(nm)) for nm in names]
 
 
-def _fns_from_params(cfg: Config):
-    specs = cfg.params.get("functions", [
-        {"kind": "poly", "coeffs": [0.0, 0.0, 1.0]},
-        {"kind": "exp", "scale": 0.4},
-        {"kind": "cos", "scale": 1.0},
-    ])
-    return [ito.smooth_fn_from_json(s) for s in specs]
+ITO_FNS = [
+    {"kind": "poly", "coeffs": [0.0, 0.0, 1.0]},
+    {"kind": "exp", "scale": 0.4},
+    {"kind": "cos", "scale": 1.0},
+]
+
+
+def _fns_from_params(cfg: Config, default: list[dict] = ITO_FNS):
+    return [ito.smooth_fn_from_json(s) for s in cfg.params.get("functions", default)]
 
 
 ITO_CSV_HEADER = ("cell", "replicate", "t", "lhs", "term1", "term2", "term3",
@@ -374,17 +384,20 @@ ITO_CSV_PATHS = 25  # paths per cell whose terms go to the residual table
 
 
 def _ito_matrix(cfg: Config, table: str, tag: int, default_tol: float, fns,
-                x_key: str, x_default: list[str], evaluate) -> ExperimentResult:
+                x_key: str, x_default: list[str], slot: str, split: float, rhs,
+                **fixed) -> ExperimentResult:
     """Check one form of the Ito formula path by path on every (f, G, X)
     cell, f outermost, X innermost.
 
-    `evaluate(fn, G, X, config, want_terms)` returns one path's row (lhs,
-    rhs, terms), where terms are the four right-side pieces of the CSV row
-    and may be None when not wanted.  Each cell gets a verdict on its
-    largest |lhs - rhs| and puts its first paths in the residual table.
-    Returns the result and every cell's rows, in path order.
+    X fills the `slot` ("K" or "H") of the process, next to the `fixed`
+    integrands.  Each path is built once at `split`, and `rhs` is the form's
+    right side, called on it with the cell's K and H as keywords.  Each cell
+    gets a verdict on its largest |lhs - rhs| and puts its first paths in
+    the residual table.  Returns the result and every cell's (lhs,
+    FourTermResult) rows, in path order.
     """
     w, m = cfg.window, cfg.measure()
+    T = w.horizon
     paths = int(cfg.params.get("paths", 1000))
     tol = float(cfg.params.get("residual_tol", default_tol))
     Gs = _matrix_from_params(cfg, "g_names", ["G0", "G1", "G2"])
@@ -394,13 +407,19 @@ def _ito_matrix(cfg: Config, table: str, tag: int, default_tol: float, fns,
     cells = []
     for idx, (fn, (gname, G), (xname, X)) in enumerate(itertools.product(fns, Gs, Xs)):
         label = f"{fn.name}|{gname}|{xname}"
-        cell = map_replicates(
-            lambda k, c: evaluate(fn, G, X, c, k < ITO_CSV_PATHS),
-            w, m, paths, _seed_for(cfg, tag + idx), cfg.workers)
-        resid = [abs(lhs - rhs) for lhs, rhs, _ in cell]
+        slots = {**fixed, slot: X}
+
+        def one(_k, c):
+            path = it.build_path(G, slots.get("K"), slots.get("H"), c, m, split=split)
+            return ito.ito_lhs(fn, path, T), rhs(fn, G, config=c, measure=m, t=T,
+                                                 path=path, **slots)
+
+        cell = map_replicates(one, w, m, paths, _seed_for(cfg, tag + idx), cfg.workers)
+        resid = [abs(lhs - r.total) for lhs, r in cell]
         res.verdicts.append(_tol_row(f"max_residual[{label}]", _worst(resid), tol))
-        rows.extend((label, k, w.horizon, lhs, *terms, rhs, lhs - rhs)
-                    for k, (lhs, rhs, terms) in enumerate(cell[:ITO_CSV_PATHS]))
+        rows.extend((label, k, T, lhs, r.g_term, r.big_jump_term, r.compensated_term,
+                     r.nu_term, r.total, lhs - r.total)
+                    for k, (lhs, r) in enumerate(cell[:ITO_CSV_PATHS]))
         cells.append(cell)
     res.tables[table] = _csv(ITO_CSV_HEADER, rows)
     return res, cells
@@ -409,22 +428,8 @@ def _ito_matrix(cfg: Config, table: str, tag: int, default_tol: float, fns,
 def run_ito_lemma(cfg: Config) -> ExperimentResult:
     """Pathwise identity for the formula without compensation over the cell
     matrix; reports the max residual per cell."""
-    m, T = cfg.measure(), cfg.window.horizon
-
-    def evaluate(fn, G, K, c, want_terms):
-        path = it.build_path(G, K, None, c, m, split=0.0)
-        lhs = ito.ito_lhs(fn, path, T)
-        rhs = ito.ito_rhs_raw(fn, G, K, c, m, T, path=path)
-        if not want_terms:
-            return lhs, rhs, None
-        mask = c.t <= T
-        yl = path.eval_left(c.t[mask])
-        kv = np.asarray(K(c.t[mask], c.x[mask], c.z[mask]), dtype=float)
-        jump_term = float(np.sum(fn.f(yl + kv) - fn.f(yl)))
-        return lhs, rhs, (rhs - jump_term, jump_term, 0.0, 0.0)
-
-    return _ito_matrix(cfg, "ito_lemma_residuals.csv", 300, 1e-8,
-                       _fns_from_params(cfg), "k_names", ["K1", "K2", "K3"], evaluate)[0]
+    return _ito_matrix(cfg, "ito_lemma_residuals.csv", 300, 1e-8, _fns_from_params(cfg),
+                       "k_names", ["K1", "K2", "K3"], "K", 0.0, ito.ito_rhs_raw)[0]
 
 
 def run_ito1(cfg: Config) -> ExperimentResult:
@@ -437,29 +442,22 @@ def run_ito1(cfg: Config) -> ExperimentResult:
     agree_paths = int(cfg.params.get("agreement_paths", 100))
     fns = _fns_from_params(cfg)
     H = cfg.integrand(cfg.params.get("h_name", "H"))
-
-    def evaluate(fn, G, K, c, _want_terms):
-        path = it.build_path(G, K, H, c, m, split=1.0)
-        r = ito.ito_rhs_big_small(fn, G, K, H, c, m, T, path=path)
-        return (ito.ito_lhs(fn, path, T), r.total,
-                (r.g_term, r.big_jump_term, r.compensated_term, r.nu_term))
-
+    split = 1.0
     res, cells = _ito_matrix(cfg, "ito1_residuals.csv", 400, 1e-6, fns,
-                             "k_names", ["K1", "K2", "K3"], evaluate)
+                             "k_names", ["K1", "K2", "K3"], "K", split,
+                             functools.partial(ito.ito_rhs_big_small, split=split), H=H)
     # the compensated term of the first cell is a martingale at T
-    mart = np.asarray([terms[2] for _, _, terms in cells[0]])
-    est = McEstimate(float(mart.mean()),
-                     float(mart.std(ddof=1) / math.sqrt(len(mart))),
-                     len(mart), cfg.seed)
-    res.verdicts.append(_mc_row("compensated_term_mean", est, 0.0, cfg.k_sigma))
+    mart = np.asarray([r.compensated_term for _, r in cells[0]])
+    res.verdicts.append(_mc_row("compensated_term_mean", estimate(mart, cfg.seed), 0.0,
+                                cfg.k_sigma))
     # shared-case agreement: K = H on the big-jump side
     Gs = _matrix_from_params(cfg, "g_names", ["G0", "G1", "G2"])
     for i, fn in enumerate(fns):
         G = Gs[min(1, len(Gs) - 1)][1]
-        g2 = ito.equivalent_time_drift(G, H, w, m, split=1.0)
+        g2 = ito.equivalent_time_drift(G, H, w, m, split=split)
 
         def gap(_k, c, fn=fn, G=G, g2=g2):
-            r1 = ito.ito_rhs_big_small(fn, G, H, H, c, m, T)
+            r1 = ito.ito_rhs_big_small(fn, G, H, H, c, m, T, split=split)
             r2 = ito.ito_rhs_all_compensated(fn, g2, H, c, m, T)
             return abs(r1.total - r2.total)
 
@@ -471,21 +469,13 @@ def run_ito1(cfg: Config) -> ExperimentResult:
 
 def run_ito2(cfg: Config) -> ExperimentResult:
     """Pathwise identity for the all-compensated formula over its matrix."""
-    m, T = cfg.measure(), cfg.window.horizon
-    fns = [ito.smooth_fn_from_json(s) for s in cfg.params.get("functions", [
+    fns = _fns_from_params(cfg, [
         {"kind": "poly", "coeffs": [0.0, 0.0, 1.0]},
         {"kind": "abs_pow", "power": 2.0},
         {"kind": "exp", "scale": 0.4},
-    ])]
-
-    def evaluate(fn, G, H, c, _want_terms):
-        path = it.build_path(G, None, H, c, m, split=math.inf)
-        r = ito.ito_rhs_all_compensated(fn, G, H, c, m, T, path=path)
-        return (ito.ito_lhs(fn, path, T), r.total,
-                (r.g_term, 0.0, r.compensated_term, r.nu_term))
-
-    return _ito_matrix(cfg, "ito2_residuals.csv", 500, 1e-6, fns,
-                       "h_names", ["H1", "H2", "H3"], evaluate)[0]
+    ])
+    return _ito_matrix(cfg, "ito2_residuals.csv", 500, 1e-6, fns, "h_names",
+                       ["H1", "H2", "H3"], "H", math.inf, ito.ito_rhs_all_compensated)[0]
 
 
 def _ladder_rows(prefix: str, report: il.DiagnosticReport, k_sigma: float):
@@ -601,16 +591,8 @@ def run_martingale(cfg: Config) -> ExperimentResult:
     res = ExperimentResult(cfg.experiment, cfg.seed, n)
     m_est = McEstimate(complex(est.mean[0]), complex(est.se[0]), n, cfg.seed)
     res.verdicts.append(_mc_row("martingale_mean", m_est, 1.0 + 0.0j, cfg.k_sigma))
-    tol = 4.0 / math.sqrt(n)
-    rows = []
-    for i, u in enumerate(us):
-        emp = complex(est.mean[1 + i])
-        target = complex(np.exp(psi_scaled[i]))
-        err = abs(emp - target)
-        res.verdicts.append(VerdictRow(f"charfn_noise[u={u:g}]", emp, target,
-                                       1.0 / math.sqrt(n), err * math.sqrt(n),
-                                       err <= tol))
-        rows.append((u, emp, target, err, tol))
+    table = _charfn_rows(res, "charfn_noise", us, [complex(v) for v in est.mean[1:]],
+                         [complex(np.exp(p)) for p in psi_scaled], n, cfg.k_sigma)
 
     rep_paths = int(cfg.params.get("representation_paths", 100))
     rep_tol = float(cfg.params.get("representation_tol", 1e-6))
@@ -622,8 +604,7 @@ def run_martingale(cfg: Config) -> ExperimentResult:
                                  _worst([r for r, _ in paths]), rep_tol))
     res.verdicts.append(_tol_row("modulus_identity_max_gap",
                                  _worst([g for _, g in paths]), 1e-10))
-    res.tables["martingale_charfn.csv"] = _csv(
-        ("u", "empirical", "exact", "error", "tolerance"), rows)
+    res.tables["martingale_charfn.csv"] = table
     return res
 
 

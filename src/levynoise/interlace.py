@@ -19,7 +19,7 @@ from scipy import integrate as _si
 
 from . import integrate as it
 from .integrands import Const, Integrand, Node
-from .mc import map_replicates
+from .mc import estimate, map_replicates
 from .measure import LevyMeasure, Shell
 from .prm import Window, restrict
 
@@ -46,28 +46,18 @@ class Ladder:
         return [lv.threshold for lv in self.levels]
 
 
-def _bisect_sup(fn, lo, hi, target, rel_tol):
-    """sup{u in [lo, hi] : fn(u) <= target} for nondecreasing fn with
-    fn(lo) <= target < fn(hi)."""
-    while hi - lo > rel_tol * max(hi, 1e-300):
-        mid = 0.5 * (lo + hi)
-        if fn(mid) <= target:
-            lo = mid
+def _bisect(ok, good, bad, rel_tol):
+    """Bisect between `good`, where `ok` holds, and `bad`, where it fails,
+    for a predicate that changes once on the nonnegative segment between
+    them; returns the last good point once the bracket is within rel_tol of
+    its larger end."""
+    while abs(bad - good) > rel_tol * max(good, bad, 1e-300):
+        mid = 0.5 * (good + bad)
+        if ok(mid):
+            good = mid
         else:
-            hi = mid
-    return lo
-
-
-def _bisect_inf(fn, lo, hi, target, rel_tol):
-    """inf{u in [lo, hi] : fn(u) <= target} for nonincreasing fn with
-    fn(lo) > target >= fn(hi)."""
-    while hi - lo > rel_tol * max(hi, 1e-300):
-        mid = 0.5 * (lo + hi)
-        if fn(mid) <= target:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+            bad = mid
+    return good
 
 
 def eps_sequence(H: Integrand, box, T: float, measure: LevyMeasure,
@@ -93,8 +83,7 @@ def eps_sequence(H: Integrand, box, T: float, measure: LevyMeasure,
         return Ladder("small-jump", (LadderLevel(1, small_hi, 0.0),),
                       truncated=True, truncation_point=small_hi)
     # activity floor: the largest eps with I(eps) = 0 (0 when I > 0 throughout)
-    floor = _bisect_sup(lambda e: 0.0 if I(e) == 0.0 else 1.0, 0.0, small_hi,
-                        0.5, rel_tol)
+    floor = _bisect(lambda e: I(e) == 0.0, 0.0, small_hi, rel_tol)
     floor_tol = max(1e-8 * small_hi, 1e-6 * floor)
 
     levels = []
@@ -105,7 +94,7 @@ def eps_sequence(H: Integrand, box, T: float, measure: LevyMeasure,
         if top <= target:
             eps = small_hi
         else:
-            eps = _bisect_sup(I, 0.0, small_hi, target, rel_tol)
+            eps = _bisect(lambda e: I(e) <= target, 0.0, small_hi, rel_tol)
         if floor > 1e-12 * small_hi and eps <= floor + floor_tol:
             levels.append(LadderLevel(n, floor, 0.0))
             truncated = True
@@ -233,8 +222,7 @@ def a_sequence(H: Integrand, K: Integrand | None, T: float,
     hi_probe = 1.0
     while hi_probe <= 2.0 ** 24:
         if I(hi_probe) == 0.0:
-            floor = _bisect_inf(lambda a: 0.0 if I(a) == 0.0 else 1.0, 0.0,
-                                hi_probe, 0.5, rel_tol)
+            floor = _bisect(lambda a: I(a) == 0.0, hi_probe, 0.0, rel_tol)
             break
         hi_probe *= 2.0
     floor_tol = 1e-6 * floor if floor else 0.0
@@ -257,7 +245,7 @@ def a_sequence(H: Integrand, K: Integrand | None, T: float,
                 if hi > 2.0 ** 60:
                     return Ladder(kind, tuple(levels),
                                   violation="assumption violated: residual does not vanish")
-            a_n = _bisect_inf(I, 0.0, hi, target, rel_tol)
+            a_n = _bisect(lambda a: I(a) <= target, hi, 0.0, rel_tol)
             val = I(a_n)
         if floor is not None and a_n >= floor - floor_tol:
             levels.append(LadderLevel(n, floor, 0.0))
@@ -284,7 +272,6 @@ class LadderProblem:
     shell: Shell | None = None  # working shell for spatial kinds
     small_hi: float = 1.0
     dim: int = 1
-    scan: int = 0  # drift extremum grid; 0 is exact for monotone drifts
 
 
 @dataclass
@@ -327,8 +314,10 @@ class DiagnosticReport:
                 "levels": [vars(r) for r in self.rows]}
 
 
-def _needs_scan(H: Integrand) -> bool:
-    return not all(isinstance(t.time, Const) for t in H.terms)
+def _scan(H: Integrand) -> int:
+    """The drift extremum grid of `CadlagPath.sup_abs`: none for constant
+    time factors, whose drift is linear between jumps, else 1000 points."""
+    return 0 if all(isinstance(t.time, Const) for t in H.terms) else 1000
 
 
 def interlacing_diagnostic(ladder: Ladder, problem: LadderProblem,
@@ -353,7 +342,7 @@ def _small_jump_replicate(ladder, problem):
     box = tuple(problem.box)
     eps = ladder.thresholds
     deep = Window(T, box, Shell(eps[-1], problem.small_hi))
-    scan = problem.scan if problem.scan else (1000 if _needs_scan(H) else 0)
+    scan = _scan(H)
 
     n_levels = len(eps) - 1
 
@@ -384,7 +373,7 @@ def _spatial_replicate(ladder, problem):
     deep = Window(T, big_box, shell)
     small = shell.clip(0.0, problem.small_hi) if ladder.kind == "spatial-I" else shell
     split = problem.small_hi if ladder.kind == "spatial-I" else math.inf
-    scan = problem.scan if problem.scan else (1000 if _needs_scan(H) else 0)
+    scan = _scan(H)
     h_nu = [it.nu_factor(m, term.jump, small) if small else 0.0 for term in H.terms]
 
     n_levels = len(a) - 1
@@ -443,8 +432,8 @@ def _assemble(ladder, sup2, exceed, replicates, master_seed):
     rows = []
     for j in range(sup2.shape[1]):
         n = ladder.levels[j].n
-        mean = float(sup2[:, j].mean())
-        se = float(sup2[:, j].std(ddof=1) / math.sqrt(replicates))
+        sup2_j = estimate(sup2[:, j], master_seed)
+        mean, se = sup2_j.mean, sup2_j.se
         freq = float(exceed[:, j].mean())
         fse = math.sqrt(max(freq * (1 - freq), 1.0 / replicates) / replicates)
         bound = 4.0 * GEOMETRIC_BASE ** -n

@@ -123,22 +123,6 @@ def _time_only_value(G: Integrand, s: np.ndarray) -> np.ndarray:
     return np.asarray(G(s, 0.0, 0.0), dtype=float) + np.zeros_like(s)
 
 
-def _grid(path, config, t, n_time, extra):
-    breaks = it.path_breaks(config, t, extra)
-    s, w = it.interval_rule(breaks, n_time)
-    return s, w, path.eval(s)
-
-
-def ito_rhs_raw(fn: SmoothFn, G: Integrand | None, K: Integrand,
-                config: PointConfiguration, measure: LevyMeasure, t: float,
-                n_time: int = 16, *, path: it.CadlagPath | None = None) -> float:
-    """Right side of the no-small-jumps formula: drift term plus the raw
-    jump sum of f-increments (needs only f'), i.e. the split form with every
-    jump big; `path`: the built path (split=0), if any."""
-    return ito_rhs_big_small(fn, G, K, None, config, measure, t, split=0.0,
-                             n_time=n_time, path=path).total
-
-
 @dataclass(frozen=True)
 class FourTermResult:
     """The four pieces of the big/small-split formula and their sum."""
@@ -153,56 +137,20 @@ class FourTermResult:
         return self.g_term + self.big_jump_term + self.compensated_term + self.nu_term
 
 
-@dataclass(frozen=True)
-class ThreeTermResult:
-    """The pieces of the all-compensated formula and their sum."""
-
-    g_term: float
-    compensated_term: float
-    nu_term: float
-
-    @property
-    def total(self) -> float:
-        return self.g_term + self.compensated_term + self.nu_term
-
-
-def _tensor_pieces(fn, H, path, config, measure, t, region, n_time, n_space,
-                   n_jump, extra, use_left):
-    """Shared tensor machinery for the nu-side integrals.
-
-    Returns (A, D, s_nodes, s_weights, y) where
-      A = tensor integral of f(Y(s) + H) - f(Y(s)) over [0,t] x box x region,
-      D = factored integral of H f'(Y(s)) over the same region,
-    both on the same time nodes so their difference is consistent.
-    """
-    s, w, y = _grid(path, config, t, n_time, extra)
-    if use_left:
-        y = path.eval_left(s)
-    if len(s) == 0 or region is None:
-        return 0.0, 0.0, s, w, y
-    xpts, xw = it.box_rule(config.window.box, n_space)
-    znod, zw = measure.nu_nodes(region, n_jump)
-    if len(znod) == 0:
-        return 0.0, 0.0, s, w, y
-    hgrid = it.space_time_grid(H, s, xpts, znod)
-    dfy = fn.df(y)
-    D = 0.0
-    for term in H.terms:
-        tv = np.asarray(term.time(s), dtype=float) + np.zeros(len(s))
-        D += (float(np.sum(w * dfy * tv))
-              * it.space_factor(term, config.window.box)
-              * it.nu_factor(measure, term.jump, region))
-    fy = fn.f(y)[:, None, None]
-    A = float(np.einsum("ijk,i,j,k->", fn.f(y[:, None, None] + hgrid) - fy,
-                        w, xw, zw))
-    return A, D, s, w, y
+def ito_rhs_raw(fn: SmoothFn, G: Integrand | None, K: Integrand,
+                config: PointConfiguration, measure: LevyMeasure, t: float,
+                n_time: int = 16, *, path: it.CadlagPath | None = None) -> FourTermResult:
+    """Right side of the no-small-jumps formula: drift term plus the raw
+    jump sum of f-increments (needs only f'), i.e. the split form with every
+    jump big; `path`: the built path (split=0), if any."""
+    return ito_rhs_big_small(fn, G, K, None, config, measure, t, split=0.0,
+                             n_time=n_time, path=path)
 
 
 def ito_rhs_big_small(fn: SmoothFn, G: Integrand | None, K: Integrand | None,
                       H: Integrand | None, config: PointConfiguration,
                       measure: LevyMeasure, t: float, *, split: float = 1.0,
                       n_time: int = 8, n_space: int = 8, n_jump: int = 32,
-                      use_left: bool = False,
                       path: it.CadlagPath | None = None) -> FourTermResult:
     """Right side of the four-term formula: raw big jumps, compensated small
     jumps, and the second-order nu correction; `path`: the built path, if any."""
@@ -213,9 +161,28 @@ def ito_rhs_big_small(fn: SmoothFn, G: Integrand | None, K: Integrand | None,
     extra = list(G.time_breakpoints()) if G is not None else []
     if H is not None:
         extra += H.time_breakpoints()
-    A, D, s, ws, y = _tensor_pieces(fn, H, path, config, measure, t, small,
-                                    n_time, n_space, n_jump, extra, use_left) \
-        if H is not None else (0.0, 0.0, *_grid(path, config, t, n_time, extra))
+    breaks = it.path_breaks(config, t, extra)
+    s, ws = it.interval_rule(breaks, n_time)
+    y = path.eval(s)
+
+    # the nu-side integrals over [0,t] x box x small, on one tensor rule so
+    # that their difference is consistent:
+    #   A = integral of f(Y(s) + H) - f(Y(s)),  D = integral of H f'(Y(s))
+    A = D = 0.0
+    if H is not None and len(s) and small is not None:
+        xpts, xw = it.box_rule(w.box, n_space)
+        znod, zw = measure.nu_nodes(small, n_jump)
+        if len(znod):
+            hgrid = it.space_time_grid(H, s, xpts, znod)
+            dfy = fn.df(y)
+            for term in H.terms:
+                tv = np.asarray(term.time(s), dtype=float) + np.zeros(len(s))
+                D += (float(np.sum(ws * dfy * tv))
+                      * it.space_factor(term, w.box)
+                      * it.nu_factor(measure, term.jump, small))
+            fy = fn.f(y)[:, None, None]
+            A = float(np.einsum("ijk,i,j,k->", fn.f(y[:, None, None] + hgrid) - fy,
+                                ws, xw, zw))
 
     g_term = 0.0
     if G is not None and len(s):
@@ -241,15 +208,15 @@ def ito_rhs_big_small(fn: SmoothFn, G: Integrand | None, K: Integrand | None,
 def ito_rhs_all_compensated(fn: SmoothFn, G: Integrand | None, H: Integrand,
                             config: PointConfiguration, measure: LevyMeasure,
                             t: float, *, n_time: int = 8, n_space: int = 8,
-                            n_jump: int = 32, use_left: bool = False,
-                            path: it.CadlagPath | None = None) -> ThreeTermResult:
+                            n_jump: int = 32,
+                            path: it.CadlagPath | None = None) -> FourTermResult:
     """Right side of the formula with every jump compensated (the whole
     working shell standing in for the punctured line): the split form with
-    no big jumps; `path`: the built path (split=inf), if any."""
-    r = ito_rhs_big_small(fn, G, None, H, config, measure, t, split=math.inf,
-                          n_time=n_time, n_space=n_space, n_jump=n_jump,
-                          use_left=use_left, path=path)
-    return ThreeTermResult(r.g_term, r.compensated_term, r.nu_term)
+    no big jumps, so its big-jump term is 0; `path`: the built path
+    (split=inf), if any."""
+    return ito_rhs_big_small(fn, G, None, H, config, measure, t, split=math.inf,
+                             n_time=n_time, n_space=n_space, n_jump=n_jump,
+                             path=path)
 
 
 def equivalent_time_drift(G: Integrand | None, H: Integrand, window,

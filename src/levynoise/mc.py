@@ -56,8 +56,15 @@ def run_replicates(experiment, window, measure, n: int, master_seed: int,
     replicates of `map_replicates`, folded in replicate order."""
     if n < 2:
         raise ValueError("need at least 2 replicates for a standard error")
-    values = np.asarray(map_replicates(experiment, window, measure, n, master_seed,
-                                       workers))
+    return estimate(map_replicates(experiment, window, measure, n, master_seed, workers),
+                    master_seed)
+
+
+def estimate(values, master_seed: int) -> McEstimate:
+    """Mean and ddof-1 standard error of the replicate values along their
+    first axis: floats for 1-D values, arrays otherwise."""
+    values = np.asarray(values)
+    n = len(values)
     mean = values.mean(axis=0)
     if np.iscomplexobj(values):
         se = (values.real.std(axis=0, ddof=1) / math.sqrt(n)

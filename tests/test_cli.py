@@ -196,3 +196,31 @@ class TestFailClosed:
                    if v.name == "representation_residual_max")
         assert math.isnan(row.estimate)
         assert not row.passed and not result.passed
+
+
+class TestCharfnTolerance:
+    """The characteristic-function verdicts use k_sigma / sqrt(n)."""
+
+    @staticmethod
+    def verdicts(name, k_sigma, **params):
+        raw = json.loads(bundled_config_text(name))
+        raw["replicates"] = 200
+        raw["k_sigma"] = k_sigma
+        raw["params"].update(params)
+        return run_experiment(parse_config(raw)).verdicts
+
+    @pytest.mark.parametrize("name, prefix, params", [
+        ("charfn", "charfn[", {}),
+        ("martingale", "charfn_noise[", {"representation_paths": 2}),
+    ])
+    def test_tiny_k_sigma_fails_every_frequency(self, name, prefix, params):
+        rows = [v for v in self.verdicts(name, 1e-6, **params)
+                if v.name.startswith(prefix)]
+        assert rows and not any(v.passed for v in rows)
+
+    def test_default_tolerance_column(self):
+        raw = json.loads(bundled_config_text("charfn"))
+        raw["replicates"] = 200
+        result = run_experiment(parse_config(raw))
+        for line in result.tables["charfn.csv"].splitlines()[1:]:
+            assert float(line.split(",")[-1]) == 4.0 / math.sqrt(200)

@@ -16,6 +16,20 @@ BOX = ((-0.5, 0.5),)
 H_Z = ig.jump_identity()  # H(s, x, z) = z
 
 
+class TestBisect:
+    @pytest.mark.parametrize("root", [1e-7, 0.3, 0.7309, 0.999])
+    def test_increasing_predicate(self, root):
+        # ok below the root: the good side is [0, root], approached from below
+        got = il._bisect(lambda u: u <= root, 0.0, 1.0, 1e-10)
+        assert got <= root and root - got <= 1e-10
+
+    @pytest.mark.parametrize("root", [1e-7, 0.3, 0.7309, 0.999])
+    def test_decreasing_predicate(self, root):
+        # ok above the root: the good side is [root, 1], approached from above
+        got = il._bisect(lambda u: u >= root, 1.0, 0.0, 1e-10)
+        assert got >= root and got - root <= 1e-10 * got
+
+
 class TestEpsSequence:
     def test_worked_closed_form(self):
         # I(eps) = 2 eps for this family, so eps_n = 8^-n / 2 exactly

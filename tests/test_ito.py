@@ -1,7 +1,9 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy import integrate as si
 
 from levynoise import integrands as ig
@@ -69,13 +71,40 @@ class TestPrebuiltPath:
                 == ito.ito_rhs_all_compensated(fn, G_EXP, H_MIX, c, TSTABLE, 1.0))
 
 
+class TestOneSplitForm:
+    """The raw and all-compensated right sides are the split form at split 0
+    and at split inf, field by field."""
+
+    @pytest.mark.parametrize("fn", FNS, ids=lambda f: f.name)
+    @pytest.mark.parametrize("m", [ATOMS, TSTABLE], ids=["atoms", "tstable"])
+    def test_raw_is_split_zero(self, fn, m):
+        for seed in range(5):
+            c = simulate(WIN, m, replicate_seed(904, seed))
+            raw = ito.ito_rhs_raw(fn, G_EXP, K_MIX, c, m, 1.0)
+            split = ito.ito_rhs_big_small(fn, G_EXP, K_MIX, None, c, m, 1.0,
+                                          split=0.0, n_time=16)
+            assert dataclasses.astuple(raw) == dataclasses.astuple(split)
+            assert raw.compensated_term == 0.0 and raw.nu_term == 0.0
+
+    @pytest.mark.parametrize("fn", FNS, ids=lambda f: f.name)
+    @pytest.mark.parametrize("m", [ATOMS, TSTABLE], ids=["atoms", "tstable"])
+    def test_all_compensated_is_split_inf(self, fn, m):
+        for seed in range(5):
+            c = simulate(WIN, m, replicate_seed(905, seed))
+            comp = ito.ito_rhs_all_compensated(fn, G_EXP, H_MIX, c, m, 1.0)
+            split = ito.ito_rhs_big_small(fn, G_EXP, None, H_MIX, c, m, 1.0,
+                                          split=math.inf)
+            assert dataclasses.astuple(comp) == dataclasses.astuple(split)
+            assert comp.big_jump_term == 0.0
+
+
 class TestRawJumpFormula:
     def test_identity_telescopes(self):
         for seed in range(10):
             c = simulate(WIN, ATOMS, seed)
             path = it.build_path(G_CONST, K_MIX, None, c, ATOMS, split=0.0)
             lhs = ito.ito_lhs(ito.IDENTITY, path, 1.0)
-            rhs = ito.ito_rhs_raw(ito.IDENTITY, G_CONST, K_MIX, c, ATOMS, 1.0)
+            rhs = ito.ito_rhs_raw(ito.IDENTITY, G_CONST, K_MIX, c, ATOMS, 1.0).total
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_square_pure_jump_exact(self):
@@ -84,14 +113,14 @@ class TestRawJumpFormula:
             c = simulate(WIN, TSTABLE, seed)
             path = it.build_path(None, K_Z, None, c, TSTABLE, split=0.0)
             lhs = ito.ito_lhs(fn, path, 1.0)
-            rhs = ito.ito_rhs_raw(fn, None, K_Z, c, TSTABLE, 1.0)
+            rhs = ito.ito_rhs_raw(fn, None, K_Z, c, TSTABLE, 1.0).total
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_exp_with_drift_vs_adaptive_oracle(self):
         fn = ito.exp_fn(1.0)
         c = simulate(WIN, ATOMS, 42)
         path = it.build_path(G_CONST, K_Z, None, c, ATOMS, split=0.0)
-        rhs = ito.ito_rhs_raw(fn, G_CONST, K_Z, c, ATOMS, 1.0)
+        rhs = ito.ito_rhs_raw(fn, G_CONST, K_Z, c, ATOMS, 1.0).total
         # oracle: adaptive quadrature of f'(Y(s)) G(s) between jumps,
         # intervals shrunk a hair so no node lands on a jump time
         total = 0.0
@@ -114,7 +143,7 @@ class TestRawJumpFormula:
             c = simulate(WIN, m, replicate_seed(900, seed))
             path = it.build_path(G_EXP, K_MIX, None, c, m, split=0.0)
             lhs = ito.ito_lhs(fn, path, 1.0)
-            rhs = ito.ito_rhs_raw(fn, G_EXP, K_MIX, c, m, 1.0)
+            rhs = ito.ito_rhs_raw(fn, G_EXP, K_MIX, c, m, 1.0).total
             assert abs(lhs - rhs) <= 1e-8
 
 
@@ -137,7 +166,7 @@ class TestFourTermFormula:
             c = simulate(win, m, seed)
             res = ito.ito_rhs_big_small(fn, G_CONST, K_Z, None, c, m, 1.0)
             assert res.compensated_term == 0.0 and res.nu_term == 0.0
-            raw = ito.ito_rhs_raw(fn, G_CONST, K_Z, c, m, 1.0)
+            raw = ito.ito_rhs_raw(fn, G_CONST, K_Z, c, m, 1.0).total
             assert res.total == pytest.approx(raw, abs=1e-10)
 
     @pytest.mark.parametrize("fn", FNS, ids=lambda f: f.name)
@@ -150,13 +179,18 @@ class TestFourTermFormula:
             res = ito.ito_rhs_big_small(fn, G_EXP, K_MIX, H_MIX, c, m, 1.0)
             assert abs(lhs - res.total) <= 1e-6
 
-    def test_left_vs_right_nu_convention(self):
-        c = simulate(WIN, TSTABLE, 5)
-        fn = ito.exp_fn(0.5)
-        a = ito.ito_rhs_big_small(fn, G_EXP, K_Z, H_MIX, c, TSTABLE, 1.0, use_left=False)
-        b = ito.ito_rhs_big_small(fn, G_EXP, K_Z, H_MIX, c, TSTABLE, 1.0, use_left=True)
-        assert abs(a.nu_term - b.nu_term) <= 1e-12
-        assert abs(a.total - b.total) <= 1e-12
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([ATOMS, TSTABLE]),
+           st.sampled_from([1, 3, 8, 16]))
+    @settings(max_examples=40, deadline=None)
+    def test_quadrature_nodes_see_no_jump(self, seed, m, n_time):
+        # the nu-side integrals read Y(s) at interior Gauss-Legendre nodes
+        # between jump times, where the left limit is the value itself
+        c = simulate(WIN, m, seed)
+        assume(len(c) > 0)
+        path = it.build_path(G_EXP, K_MIX, H_MIX, c, m, split=1.0)
+        s, _ = it.interval_rule(it.path_breaks(c, 1.0, H_MIX.time_breakpoints()), n_time)
+        assert len(s) >= n_time
+        np.testing.assert_array_equal(path.eval_left(s), path.eval(s))
 
 
 class TestAllCompensatedFormula:

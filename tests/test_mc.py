@@ -4,7 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
-from levynoise.mc import McEstimate, map_replicates, run_replicates, verdict
+from levynoise.mc import McEstimate, estimate, map_replicates, run_replicates, verdict
 from levynoise.measure import DiscreteAtoms, Shell
 from levynoise.prm import Window, replicate_seed, simulate
 
@@ -101,6 +101,21 @@ class TestRunReplicates:
         se = math.sqrt(ssq / (n - 1)) / math.sqrt(n)
         assert abs(mean - est.mean) <= 1e-14
         assert abs(se - est.se) <= 1e-14
+
+
+class TestEstimate:
+    def test_is_the_fold_of_run_replicates(self):
+        exp = lambda k, c: float(np.sum(c.z) + 0.1 * np.sum(c.t))
+        vals = [exp(k, simulate(WIN, ATOMS, replicate_seed(31, k))) for k in range(300)]
+        assert estimate(vals, 31) == replicates(exp, 300, master_seed=31)
+
+    def test_one_dimensional_floats(self):
+        vals = np.array([[1.0, 2.0], [3.0, 5.0], [4.0, 11.0]])
+        est = estimate(vals[:, 1], 7)
+        assert type(est.mean) is float and type(est.se) is float
+        assert est.mean == float(vals[:, 1].mean())
+        assert est.se == float(vals[:, 1].std(ddof=1) / math.sqrt(3))
+        assert (est.n, est.master_seed) == (3, 7)
 
 
 class TestVerdict:
