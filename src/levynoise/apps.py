@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import integrate as it
-from .integrands import Integrand, SignPow, gl_rule
+from .integrands import Integrand, SignPow, gl_rule, spectral_integration_matrix
 from .mc import estimate, map_replicates
 from .measure import LevyMeasure, Shell
 from .prm import PointConfiguration, Window
@@ -66,23 +66,15 @@ def cumulative_on_grid(breaks, n_per_interval, values):
     interval_rule nodes.
 
     Per interval the sampled values are interpolated by the degree n-1
-    Legendre polynomial and integrated exactly; returns the cumulative at
-    every node and at every break.
+    Legendre polynomial and integrated exactly, by the spectral integration
+    matrix; returns the cumulative at every node and at every break.
     """
-    tt, _ = gl_rule(n_per_interval)
-    n_int = len(breaks) - 1
-    vals = np.asarray(values).reshape(n_int, n_per_interval)
-    cum_nodes = np.empty_like(vals)
-    cum_breaks = np.zeros(len(breaks), dtype=vals.dtype)
-    total = vals.dtype.type(0)
-    for i in range(n_int):
-        a, b = breaks[i], breaks[i + 1]
-        scale = 0.5 * (b - a)
-        coef = np.polynomial.legendre.legfit(tt, vals[i], n_per_interval - 1)
-        icoef = np.polynomial.legendre.legint(coef, lbnd=-1.0)
-        cum_nodes[i] = total + scale * np.polynomial.legendre.legval(tt, icoef)
-        total = total + scale * np.polynomial.legendre.legval(1.0, icoef)
-        cum_breaks[i + 1] = total
+    _, w = gl_rule(n_per_interval)
+    S = spectral_integration_matrix(n_per_interval)
+    scale = 0.5 * np.diff(breaks)
+    vals = np.asarray(values).reshape(len(scale), n_per_interval)
+    cum_breaks = np.concatenate([[0.0], np.cumsum((vals @ w) * scale)])
+    cum_nodes = cum_breaks[:-1, None] + (vals @ S.T) * scale[:, None]
     return cum_nodes.ravel(), cum_breaks
 
 
@@ -308,7 +300,7 @@ def _iterated(slots, config: PointConfiguration, measure: LevyMeasure,
     P_nodes = csum[node_jumps] - C_nodes
     C_breaks = it.time_cumulative(projs[0], breaks)
     # value just before jump j: jumps strictly earlier, compensator up to t_j
-    P_left = csum[:len(tj)] - C_breaks[jump_break_idx] if len(tj) else np.empty(0)
+    P_left = csum[:len(tj)] - C_breaks[jump_break_idx]
     P_end = csum[-1] - C_breaks[-1]
 
     for k in range(1, len(slots)):
@@ -316,13 +308,10 @@ def _iterated(slots, config: PointConfiguration, measure: LevyMeasure,
         q = P_nodes * ck_nodes
         D_nodes, D_breaks = cumulative_on_grid(breaks, n_time, q)
         gk = _slot_values(slots[k], config, mask)
-        inc = np.concatenate([[0.0], np.cumsum(P_left * gk)]) if len(tj) \
-            else np.zeros(1)
+        inc = np.concatenate([[0.0], np.cumsum(P_left * gk)])
         P_nodes = inc[node_jumps] - D_nodes
-        new_left = inc[np.arange(len(tj))] - D_breaks[jump_break_idx] \
-            if len(tj) else np.empty(0)
+        P_left = inc[:len(tj)] - D_breaks[jump_break_idx]
         P_end = inc[-1] - D_breaks[-1]
-        P_left = new_left
     return float(P_end)
 
 

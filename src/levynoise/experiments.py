@@ -8,6 +8,7 @@ this module; the acceptance tests call the same entry points.
 
 from __future__ import annotations
 
+import csv
 import functools
 import io
 import itertools
@@ -211,10 +212,11 @@ def _worst(values) -> float:
 
 
 def _csv(header, rows) -> str:
+    """The table as CSV; fields that hold commas (Ito cell labels) are quoted."""
     buf = io.StringIO()
-    buf.write(",".join(header) + "\n")
-    for row in rows:
-        buf.write(",".join(_fmt(v) for v in row) + "\n")
+    out = csv.writer(buf, lineterminator="\n")
+    out.writerow(header)
+    out.writerows([_fmt(v) for v in row] for row in rows)
     return buf.getvalue()
 
 
@@ -629,17 +631,14 @@ def run_chaos(cfg: Config) -> ExperimentResult:
 
     est = run_replicates(one, w, m, n, _seed_for(cfg, 900), cfg.workers)
     res = ExperimentResult(cfg.experiment, cfg.seed, n)
-
-    def sub(i):
-        return McEstimate(float(est.mean[i]), float(est.se[i]), n, cfg.seed)
-
-    res.verdicts.append(_mc_row("first_order_mean", sub(0), 0.0, cfg.k_sigma))
-    res.verdicts.append(_mc_row("second_order_isometry", sub(1), 2.0 * norm2,
-                                cfg.k_sigma))
-    res.verdicts.append(_mc_row("cross_order_orthogonality", sub(2), 0.0,
-                                cfg.k_sigma))
-    res.verdicts.append(_mc_row("expansion_l2_residual", sub(3), 0.0,
-                                cfg.k_sigma, atol=1e-16))
+    # (statistic, target, atol), in the order of the columns of `one`
+    stats = (("first_order_mean", 0.0, 0.0), ("second_order_isometry", 2.0 * norm2, 0.0),
+             ("cross_order_orthogonality", 0.0, 0.0), ("expansion_l2_residual", 0.0, 1e-16))
+    rows = [(name, float(est.mean[i]), float(est.se[i]), target)
+            for i, (name, target, _) in enumerate(stats)]
+    for (name, mean, se, target), (_, _, atol) in zip(rows, stats):
+        res.verdicts.append(_mc_row(name, McEstimate(mean, se, n, cfg.seed), target,
+                                    cfg.k_sigma, atol))
     prod_tol = float(cfg.params.get("product_tol", 1e-9))
     # the mean of |I2 - product| over replicates, plus its spread, bounds the max
     def product_gap(_k, c):
@@ -650,12 +649,7 @@ def run_chaos(cfg: Config) -> ExperimentResult:
                           min(n, int(cfg.params.get("product_check_paths", 300))),
                           _seed_for(cfg, 901), cfg.workers)
     res.verdicts.append(_tol_row("product_identity_max_gap", _worst(gaps), prod_tol))
-    res.tables["chaos.csv"] = _csv(
-        ("statistic", "estimate", "se", "target"),
-        [("first_order_mean", float(est.mean[0]), float(est.se[0]), 0.0),
-         ("second_order_isometry", float(est.mean[1]), float(est.se[1]), 2.0 * norm2),
-         ("cross_order_orthogonality", float(est.mean[2]), float(est.se[2]), 0.0),
-         ("expansion_l2_residual", float(est.mean[3]), float(est.se[3]), 0.0)])
+    res.tables["chaos.csv"] = _csv(("statistic", "estimate", "se", "target"), rows)
     return res
 
 

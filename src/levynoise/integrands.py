@@ -20,7 +20,23 @@ from scipy import integrate as _si
 @functools.lru_cache(maxsize=None)
 def gl_rule(n):
     """The n-point Gauss-Legendre nodes and weights on [-1, 1], cached."""
-    return np.polynomial.legendre.leggauss(n)
+    t, w = np.polynomial.legendre.leggauss(n)
+    t.flags.writeable = w.flags.writeable = False
+    return t, w
+
+
+@functools.lru_cache(maxsize=None)
+def spectral_integration_matrix(n):
+    """The n x n matrix S, cached and read-only, with S @ v the integral from
+    -1 to each Gauss-Legendre node of the degree n-1 interpolant of the
+    values v at the nodes (Greengard, SINUM 1991)."""
+    leg = np.polynomial.legendre
+    t, _ = gl_rule(n)
+    int_basis = leg.legval(t, leg.legint(np.eye(n), lbnd=-1.0))  # (k, i): P_k over [-1, t_i]
+    # S = int_basis.T times the inverse of the Legendre Vandermonde matrix
+    S = np.linalg.solve(leg.legvander(t, n - 1).T, int_basis).T
+    S.flags.writeable = False
+    return S
 
 
 def gauss_legendre(fn, a, b, n=64):

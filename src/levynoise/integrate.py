@@ -8,6 +8,7 @@ pathwise identity can be demanded to quadrature precision.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -365,10 +366,11 @@ def jump_path(times, jumps, pieces, window: Window) -> CadlagPath:
     return CadlagPath(times, jumps, drift_function(pieces), window)
 
 
+@functools.lru_cache(maxsize=64)
 def project_time(H: Integrand, window: Window, measure: LevyMeasure,
                  shell: Shell | None = None) -> Integrand:
     """Collapse the space and jump factors of H by integration, leaving a
-    time-only integrand s -> integral of H(s, x, z) over box x shell."""
+    time-only integrand s -> integral of H(s, x, z) over box x shell; cached."""
     shell = shell if shell is not None else window.shell
     terms = []
     for term in H.terms:
@@ -388,30 +390,30 @@ def interval_rule(breaks, n_per_interval: int):
     agree at them.
     """
     t, w = gl_rule(n_per_interval)
-    ss, ws = [], []
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        if b <= a:
-            continue
-        ss.append(0.5 * (b - a) * t + 0.5 * (b + a))
-        ws.append(0.5 * (b - a) * w)
-    if not ss:
-        return np.empty(0), np.empty(0)
-    return np.concatenate(ss), np.concatenate(ws)
+    breaks = np.asarray(breaks, dtype=float)
+    keep = ~(breaks[1:] <= breaks[:-1])  # drops empty intervals, keeps NaN ones
+    a, b = breaks[:-1][keep], breaks[1:][keep]
+    half = 0.5 * (b - a)
+    s = half[:, None] * t + (0.5 * (b + a))[:, None]
+    return s.ravel(), (half[:, None] * w).ravel()
 
 
 def box_rule(box, n_per_axis: int):
-    """Tensor Gauss-Legendre rule over a box: points (m, d), weights (m,)."""
+    """Tensor Gauss-Legendre rule over a box: points (m, d), weights (m,);
+    cached per box and node count, so the arrays are read-only."""
+    return _box_rule(tuple((float(lo), float(hi)) for lo, hi in box), n_per_axis)
+
+
+@functools.lru_cache(maxsize=64)
+def _box_rule(box, n_per_axis):
     t, w = gl_rule(n_per_axis)
-    axes, wts = [], []
-    for lo, hi in box:
-        axes.append(0.5 * (hi - lo) * t + 0.5 * (hi + lo))
-        wts.append(0.5 * (hi - lo) * w)
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    wgrid = np.meshgrid(*wts, indexing="ij")
+    half = [0.5 * (hi - lo) for lo, hi in box]
+    axes = [h * t + 0.5 * (hi + lo) for h, (lo, hi) in zip(half, box)]
+    pts = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
     ww = np.ones(pts.shape[0])
-    for g in wgrid:
+    for g in np.meshgrid(*[h * w for h in half], indexing="ij"):
         ww = ww * g.ravel()
+    pts.flags.writeable = ww.flags.writeable = False
     return pts, ww
 
 
@@ -443,5 +445,4 @@ def path_breaks(config: PointConfiguration, t: float, extra=()) -> np.ndarray:
     pts = [0.0, float(t)]
     pts.extend(float(v) for v in config.t[config.t <= t])
     pts.extend(float(v) for v in extra if 0.0 < v < t)
-    out = np.unique(np.array(pts))
-    return out
+    return np.unique(np.array(pts))

@@ -1,12 +1,16 @@
 import cmath
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from levynoise import apps
 from levynoise import integrands as ig
 from levynoise import integrate as it
+from levynoise.cli import bundled_config_text
+from levynoise.experiments import parse_config, run_experiment
 from levynoise.measure import DiscreteAtoms, Shell, TruncatedStable
 from levynoise.prm import Window, replicate_seed, simulate
 
@@ -262,3 +266,99 @@ class TestChaosMoments:
         cross = i1 * i2
         se3 = cross.std(ddof=1) / math.sqrt(n)
         assert abs(cross.mean()) <= 4 * se3
+
+
+def cumulative_reference(breaks, n_per_interval, values):
+    """Oracle for cumulative_on_grid: per interval, a least-squares Legendre
+    fit of the values, integrated and evaluated at the nodes and the end."""
+    tt, _ = ig.gl_rule(n_per_interval)
+    n_int = len(breaks) - 1
+    vals = np.asarray(values).reshape(n_int, n_per_interval)
+    cum_nodes = np.empty_like(vals)
+    cum_breaks = np.zeros(len(breaks), dtype=vals.dtype)
+    total = vals.dtype.type(0)
+    for i in range(n_int):
+        a, b = breaks[i], breaks[i + 1]
+        scale = 0.5 * (b - a)
+        coef = np.polynomial.legendre.legfit(tt, vals[i], n_per_interval - 1)
+        icoef = np.polynomial.legendre.legint(coef, lbnd=-1.0)
+        cum_nodes[i] = total + scale * np.polynomial.legendre.legval(tt, icoef)
+        total = total + scale * np.polynomial.legendre.legval(1.0, icoef)
+        cum_breaks[i + 1] = total
+    return cum_nodes.ravel(), cum_breaks
+
+
+WIDTHS = st.lists(st.floats(1e-3, 2.0), min_size=1, max_size=20)
+
+
+class TestSpectralCumulative:
+    @given(st.integers(2, 24), st.floats(-5.0, 5.0), WIDTHS,
+           st.integers(0, 2 ** 32 - 1), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_legfit_reference(self, n, start, widths, seed, is_complex):
+        breaks = start + np.concatenate([[0.0], np.cumsum(widths)])
+        rng = np.random.default_rng(seed)
+        vals = rng.normal(size=len(widths) * n)
+        if is_complex:
+            vals = vals + 1j * rng.normal(size=vals.shape)
+        got = apps.cumulative_on_grid(breaks, n, vals)
+        want = cumulative_reference(breaks, n, vals)
+        # relative to the rule's integral of |values|, which bounds every
+        # cumulative up to the interpolant's Lebesgue constant
+        _, w = ig.gl_rule(n)
+        scale = float(np.sum(0.5 * np.diff(breaks) * (np.abs(vals).reshape(-1, n) @ w)))
+        for g, r in zip(got, want):
+            assert g.dtype == r.dtype and g.shape == r.shape
+            assert np.max(np.abs(g - r)) <= 1e-13 * scale
+
+    @given(st.integers(2, 24), WIDTHS, st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_polynomials_integrate_exactly(self, n, widths, seed):
+        breaks = np.concatenate([[0.0], np.cumsum(widths)])
+        coef = np.random.default_rng(seed).normal(size=n)  # degree n - 1
+        p = np.polynomial.Legendre(coef, domain=[0.0, breaks[-1]])
+        P = p.integ(lbnd=0.0)
+        s, _ = it.interval_rule(breaks, n)
+        at_nodes, at_breaks = apps.cumulative_on_grid(breaks, n, p(s))
+        tol = 1e-13 * np.sum(np.abs(coef)) * breaks[-1]
+        assert np.max(np.abs(at_nodes - P(s))) <= tol
+        assert np.max(np.abs(at_breaks - P(breaks))) <= tol
+
+    def test_matrix_cached_read_only(self):
+        S = ig.spectral_integration_matrix(8)
+        assert ig.spectral_integration_matrix(8) is S
+        with pytest.raises(ValueError):
+            S[0, 0] = 1.0
+
+
+class TestSpectralMovesRoundingOnly:
+    """The bundled chaos and martingale experiments, whose multiple integrals
+    and representation residuals go through cumulative_on_grid, give the same
+    verdicts and the same estimates to rounding with the legfit reference in
+    its place."""
+
+    @pytest.mark.parametrize("name,sizes,params", [
+        ("chaos", {"replicates": 40}, {}),
+        ("martingale", {"replicates": 200}, {"representation_paths": 5}),
+    ], ids=["chaos", "martingale"])
+    def test_verdicts_and_estimates_agree(self, name, sizes, params, monkeypatch):
+        def verdicts():
+            raw = json.loads(bundled_config_text(name))
+            raw.update(sizes)
+            raw["params"].update(params)
+            return run_experiment(parse_config(raw)).verdicts
+
+        calls = []
+
+        def reference(*args):
+            calls.append(1)
+            return cumulative_reference(*args)
+
+        spectral = verdicts()
+        monkeypatch.setattr(apps, "cumulative_on_grid", reference)
+        legfit = verdicts()
+        assert calls
+        assert [v.name for v in spectral] == [v.name for v in legfit]
+        for a, b in zip(spectral, legfit):
+            assert a.passed == b.passed, a.name
+            assert abs(a.estimate - b.estimate) <= 1e-12 * max(1.0, abs(b.estimate)), a.name

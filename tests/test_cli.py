@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -8,6 +10,7 @@ from levynoise.cli import bundled_config_text, main
 from levynoise.experiments import (
     REGISTRY,
     ConfigError,
+    _csv,
     parse_config,
     run_experiment,
 )
@@ -224,3 +227,19 @@ class TestCharfnTolerance:
         result = run_experiment(parse_config(raw))
         for line in result.tables["charfn.csv"].splitlines()[1:]:
             assert float(line.split(",")[-1]) == 4.0 / math.sqrt(200)
+
+
+class TestCsvTables:
+    def test_comma_labels_read_back(self):
+        raw = json.loads(bundled_config_text("ito-lemma"))
+        raw["params"]["paths"] = 2
+        tables = run_experiment(parse_config(raw)).tables
+        label = "poly(0.0, 0.0, 1.0)|G1|K1"
+        tables["label.csv"] = _csv(("cell", "value"), [(label, 0.5)])
+        for name, text in tables.items():
+            rows = list(csv.reader(io.StringIO(text)))
+            assert all(len(row) == len(rows[0]) for row in rows), name
+        cells = [row[0] for row in csv.reader(io.StringIO(tables["ito_lemma_residuals.csv"]))]
+        assert any("," in cell for cell in cells)
+        assert list(csv.reader(io.StringIO(tables["label.csv"]))) == \
+            [["cell", "value"], [label, "0.5"]]

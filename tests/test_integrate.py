@@ -336,6 +336,12 @@ class TestLIntegral:
 
 
 class TestProjectTime:
+    def test_cached_per_problem(self):
+        proj = it.project_time(H_GEN, WIN, TSTABLE)
+        # equal problems, not only the same objects, share the entry
+        assert it.project_time(H_GEN, Window.from_json(WIN.to_json()), TSTABLE) is proj
+        assert it.project_time(H_GEN, WIN, TSTABLE, WIN.shell) == proj
+
     def test_collapses_to_time_only(self):
         proj = it.project_time(H_GEN, WIN, TSTABLE)
         assert proj.is_time_only()
@@ -346,3 +352,63 @@ class TestProjectTime:
         want, _ = si.quad(nu_slice, -0.5, 0.5, epsabs=1e-12)
         got = proj(s, 0.0, 0.0)
         assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+
+def interval_rule_loop(breaks, n_per_interval):
+    """The per-interval loop that interval_rule's broadcast replaced."""
+    t, w = ig.gl_rule(n_per_interval)
+    ss, ws = [], []
+    for a, b in zip(breaks[:-1], breaks[1:]):
+        if b <= a:
+            continue
+        ss.append(0.5 * (b - a) * t + 0.5 * (b + a))
+        ws.append(0.5 * (b - a) * w)
+    if not ss:
+        return np.empty(0), np.empty(0)
+    return np.concatenate(ss), np.concatenate(ws)
+
+
+def box_rule_loop(box, n_per_axis):
+    """The uncached tensor rule, axis by axis."""
+    t, w = ig.gl_rule(n_per_axis)
+    axes, wts = [], []
+    for lo, hi in box:
+        axes.append(0.5 * (hi - lo) * t + 0.5 * (hi + lo))
+        wts.append(0.5 * (hi - lo) * w)
+    grids = np.meshgrid(*axes, indexing="ij")
+    pts = np.stack([g.ravel() for g in grids], axis=-1)
+    wgrid = np.meshgrid(*wts, indexing="ij")
+    ww = np.ones(pts.shape[0])
+    for g in wgrid:
+        ww = ww * g.ravel()
+    return pts, ww
+
+
+class TestQuadratureRules:
+    @given(st.lists(st.floats(-3.0, 3.0) | st.sampled_from([0.0, 0.5]), max_size=12),
+           st.booleans(), st.integers(1, 24))
+    @settings(max_examples=100, deadline=None)
+    def test_interval_rule_matches_loop_bitwise(self, pts, ordered, n):
+        # sorted lists with repeats give zero-length intervals, unsorted
+        # ones decreasing pairs; both are skipped
+        breaks = np.array(sorted(pts) if ordered else pts, dtype=float)
+        for got, want in zip(it.interval_rule(breaks, n), interval_rule_loop(breaks, n)):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("box", [((-0.5, 0.5),), ((0.0, 1.0), (-2.0, 0.5)),
+                                     ((0.0, 1.0), (-1.0, 1.0), (0.25, 0.75))])
+    def test_box_rule_matches_loop_bitwise(self, box):
+        for got, want in zip(it.box_rule(box, 6), box_rule_loop(box, 6)):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_box_rule_cached_read_only(self):
+        pts, w = it.box_rule(WIN.box, 8)
+        again = it.box_rule([list(axis) for axis in WIN.box], 8)
+        assert again[0] is pts and again[1] is w
+        with pytest.raises(ValueError):
+            pts[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            w[0] = 1.0
+        assert float(np.sum(w)) == pytest.approx(WIN.box_volume, rel=1e-14)
