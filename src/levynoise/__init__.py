@@ -10,7 +10,7 @@ from .measure import (
     TemperedStable,
     TruncatedStable,
 )
-from .prm import PointConfiguration, Window, restrict, simulate
+from .prm import PointBatch, PointConfiguration, Window, restrict, simulate, simulate_batch
 from .integrate import (
     CadlagPath,
     build_path,
@@ -32,10 +32,12 @@ __all__ = [
     "Shell",
     "TemperedStable",
     "TruncatedStable",
+    "PointBatch",
     "PointConfiguration",
     "Window",
     "restrict",
     "simulate",
+    "simulate_batch",
     "CadlagPath",
     "build_path",
     "compensator",

@@ -1,8 +1,9 @@
 """Named experiment suites binding simulation, analytics, and verdicts.
 
-Each experiment consumes a validated Config, runs its Monte Carlo or
-pathwise checks over the replicates of `mc.map_replicates`, and returns
-verdict rows plus plot-ready CSV tables.  The CLI is a thin shell around
+Each experiment consumes a validated Config, runs its Monte Carlo checks
+over the replicate batches of `mc.run_replicates` and its pathwise checks
+over the replicates of `mc.map_replicates`, and returns verdict rows plus
+plot-ready CSV tables.  The CLI is a thin shell around
 this module; the acceptance tests call the same entry points.
 """
 
@@ -23,9 +24,9 @@ from . import integrate as it
 from . import interlace as il
 from . import ito
 from .integrands import Integrand, integrand_from_json
-from .mc import McEstimate, estimate, map_replicates, run_replicates, verdict
+from .mc import McEstimate, batches, estimate, map_replicates, run_replicates, verdict
 from .measure import LevyMeasure, measure_from_json
-from .prm import Window, dump_csv, replicate_seed, simulate
+from .prm import Window, dump_csv, intensity, replicate_seed, simulate
 
 
 class ConfigError(ValueError):
@@ -236,30 +237,34 @@ def _seed_for(cfg: Config, tag: int) -> int:
 # experiments
 
 
+def _point_counts(window, measure, n, master_seed, keep_x):
+    """The point count and the first-half count of each of the n replicates,
+    and the locations of the points of the first keep_x."""
+    half = window.horizon / 2.0
+    counts, first, xs = [], [], []
+    for k0, b in batches(window, measure, n, master_seed):
+        counts.append(b.counts)
+        first.append(np.bincount(b.segment[b.t <= half], minlength=len(b)))
+        xs.append(b.x[:b.offsets[min(max(keep_x - k0, 0), len(b))]])
+    return np.concatenate(counts), np.concatenate(first), np.concatenate(xs)
+
+
 def run_simulate(cfg: Config) -> ExperimentResult:
     """Point-process sanity: count mean, spatial uniformity, half-interval
     independence; writes one configuration as CSV."""
     w, m = cfg.window, cfg.measure()
     n = cfg.replicates
-    lam = w.horizon * w.box_volume * m.shell_mass(w.shell)
     keep_x = min(n, int(cfg.params.get("spatial_sample", 300)))
-    half = w.horizon / 2.0
-
-    def one(k, c):
-        return len(c), int(np.sum(c.t <= half)), c.x if k < keep_x else None
-
-    draws = map_replicates(one, w, m, n, _seed_for(cfg, 0), cfg.workers)
-    counts = np.array([d[0] for d in draws], dtype=float)
-    first = np.array([d[1] for d in draws], dtype=float)
+    counts, first, xs = _point_counts(w, m, n, _seed_for(cfg, 0), keep_x)
+    counts, first = counts.astype(float), first.astype(float)
     second = counts - first
     res = ExperimentResult(cfg.experiment, cfg.seed, n)
-    res.verdicts.append(_mc_row("count_mean", estimate(counts, cfg.seed), lam,
-                                cfg.k_sigma))
+    res.verdicts.append(_mc_row("count_mean", estimate(counts, cfg.seed),
+                                intensity(w, m), cfg.k_sigma))
     level = float(cfg.params.get("test_level", 1e-3))
     for ax in range(w.dim):
-        sample = np.concatenate([x[:, ax] for _, _, x in draws[:keep_x]])
         lo, hi = w.box[ax]
-        p = float(_stats.kstest(sample, "uniform", args=(lo, hi - lo)).pvalue)
+        p = float(_stats.kstest(xs[:, ax], "uniform", args=(lo, hi - lo)).pvalue)
         res.verdicts.append(VerdictRow(f"spatial_uniform_ks_axis{ax + 1}", p,
                                        level, 0.0, 0.0, p > level))
     cap = 6
@@ -293,13 +298,12 @@ def run_isometry(cfg: Config) -> ExperimentResult:
         comp = it.compensator(H, w, m, T)
         comp2 = it.compensator(H.squared(), w, m, T)
 
-        def one(_k, c, H=H, comp=comp):
-            raw = it.int_N(H, c, T)
+        def stat(batch, H=H, comp=comp):
+            raw = it.int_N(H, batch, T)
             nhat = raw - comp
-            return np.array([nhat, nhat * nhat, raw])
+            return np.stack([nhat, nhat * nhat, raw], axis=1)
 
-        est = run_replicates(one, w, m, cfg.replicates, _seed_for(cfg, 100 + i),
-                             cfg.workers)
+        est = run_replicates(stat, w, m, cfg.replicates, _seed_for(cfg, 100 + i))
         label = f"{cell['measure']}/{cell['integrand']}"
         parts = [
             (f"centered_mean[{label}]", 0, 0.0),
@@ -337,10 +341,10 @@ def run_charfn(cfg: Config) -> ExperimentResult:
         np.exp(vol * (1j * u * a + m.psi_shell(w.shell, u) + 1j * u * big_m1))
         for u in us])
 
-    def one(_k, c):
-        return np.exp(1j * us * it.z_of_set(a, box, interval, c, m))
+    def stat(batch):
+        return np.exp(1j * us * it.z_of_set(a, box, interval, batch, m)[:, None])
 
-    est = run_replicates(one, w, m, n, _seed_for(cfg, 200), cfg.workers)
+    est = run_replicates(stat, w, m, n, _seed_for(cfg, 200))
     res = ExperimentResult(cfg.experiment, cfg.seed, n)
     res.tables["charfn.csv"] = _charfn_rows(
         res, "charfn", us, [complex(v) for v in est.mean],
@@ -582,14 +586,12 @@ def run_martingale(cfg: Config) -> ExperimentResult:
     psi_int = apps.psi_space_time_integral(h, w, m, T)
     psi_scaled = [apps.psi_space_time_integral(h * u, w, m, T) for u in us]
 
-    def one(_k, c):
-        L = it.l_integral(h, c, m, T)
-        out = np.empty(1 + len(us), dtype=complex)
-        out[0] = np.exp(1j * L - psi_int)
-        out[1:] = np.exp(1j * np.asarray(us) * L)
-        return out
+    def stat(batch):
+        L = it.l_integral(h, batch, m, T)[:, None]
+        return np.concatenate([np.exp(1j * L - psi_int),
+                               np.exp(1j * np.asarray(us) * L)], axis=1)
 
-    est = run_replicates(one, w, m, n, _seed_for(cfg, 800), cfg.workers)
+    est = run_replicates(stat, w, m, n, _seed_for(cfg, 800))
     res = ExperimentResult(cfg.experiment, cfg.seed, n)
     m_est = McEstimate(complex(est.mean[0]), complex(est.se[0]), n, cfg.seed)
     res.verdicts.append(_mc_row("martingale_mean", m_est, 1.0 + 0.0j, cfg.k_sigma))
@@ -629,7 +631,8 @@ def run_chaos(cfg: Config) -> ExperimentResult:
         expansion = apps.second_chaos_expansion_residual(slot_a, c, m, T)
         return np.array([i1, i2 * i2, i1 * i2, expansion * expansion])
 
-    est = run_replicates(one, w, m, n, _seed_for(cfg, 900), cfg.workers)
+    est = run_replicates(lambda b: [one(k, b.config(k)) for k in range(len(b))],
+                         w, m, n, _seed_for(cfg, 900))
     res = ExperimentResult(cfg.experiment, cfg.seed, n)
     # (statistic, target, atol), in the order of the columns of `one`
     stats = (("first_order_mean", 0.0, 0.0), ("second_order_isometry", 2.0 * norm2, 0.0),

@@ -30,7 +30,7 @@ from .integrands import (
     product_node,
 )
 from .measure import InfiniteMassError, InfiniteMomentError, LevyMeasure, Shell
-from .prm import PointConfiguration, Window
+from .prm import PointBatch, PointConfiguration, Window
 
 
 class InfiniteCompensatorError(ValueError):
@@ -194,8 +194,12 @@ def time_cumulative(G: Integrand, ts) -> np.ndarray:
     return drift_function(_time_pieces(G))(ts)
 
 
-def int_N(K: Integrand, config: PointConfiguration, t: float) -> float:
-    """Finite jump sum of K over the points with t_i <= t."""
+def int_N(K: Integrand, config: PointConfiguration | PointBatch, t: float):
+    """Finite jump sum of K over the points with t_i <= t; on a batch, the
+    array of per-replicate sums."""
+    if isinstance(config, PointBatch):
+        mask = config.t <= t
+        return _segment_sum(config, mask, K(config.t[mask], config.x[mask], config.z[mask]))
     if len(config) == 0:
         return 0.0
     mask = config.t <= t
@@ -203,6 +207,13 @@ def int_N(K: Integrand, config: PointConfiguration, t: float) -> float:
         return 0.0
     return float(np.sum(np.asarray(
         K(config.t[mask], config.x[mask], config.z[mask]), dtype=float)))
+
+
+def _segment_sum(batch: PointBatch, mask, values) -> np.ndarray:
+    """Per-replicate sums of the values at the masked points, each added in
+    time order."""
+    values = np.broadcast_to(np.asarray(values, dtype=float), (np.count_nonzero(mask),))
+    return np.bincount(batch.segment[mask], weights=values, minlength=len(batch))
 
 
 def compensator(H: Integrand, window: Window, measure: LevyMeasure, t: float) -> float:
@@ -216,14 +227,14 @@ def compensator(H: Integrand, window: Window, measure: LevyMeasure, t: float) ->
     return total
 
 
-def int_Nhat(H: Integrand, config: PointConfiguration, measure: LevyMeasure,
-             t: float) -> float:
+def int_Nhat(H: Integrand, config: PointConfiguration | PointBatch,
+             measure: LevyMeasure, t: float):
     """Compensated integral: jump sum minus compensator on the same window."""
     return int_N(H, config, t) - compensator(H, config.window, measure, t)
 
 
-def l_integral(X: Integrand, config: PointConfiguration, measure: LevyMeasure,
-               t: float) -> float:
+def l_integral(X: Integrand, config: PointConfiguration | PointBatch,
+               measure: LevyMeasure, t: float):
     """Integral of X(s, x) against the finite-variance noise: the compensated
     integral of X(s, x) z."""
     if not X.is_space_time_only():
@@ -231,9 +242,10 @@ def l_integral(X: Integrand, config: PointConfiguration, measure: LevyMeasure,
     return int_Nhat(X.with_jump(SignPow(1.0)), config, measure, t)
 
 
-def z_of_set(a: float, box, interval, config: PointConfiguration,
-             measure: LevyMeasure) -> float:
-    """The noise charge of a space-time set (interval x box).
+def z_of_set(a: float, box, interval, config: PointConfiguration | PointBatch,
+             measure: LevyMeasure):
+    """The noise charge of a space-time set (interval x box); on a batch,
+    the array of per-replicate charges.
 
     Uses the standard form with drift term i*u*a in the exponent; big jumps
     enter raw, small jumps compensated.
@@ -251,10 +263,15 @@ def z_of_set(a: float, box, interval, config: PointConfiguration,
     for lo, hi in box:
         vol *= hi - lo
     total = a * vol
-    if len(config):
-        keep = (config.t > t1) & (config.t <= t2)
-        for k, (lo, hi) in enumerate(box):
-            keep &= (config.x[:, k] >= lo) & (config.x[:, k] <= hi)
+    keep = (config.t > t1) & (config.t <= t2)
+    for k, (lo, hi) in enumerate(box):
+        keep &= (config.x[:, k] >= lo) & (config.x[:, k] <= hi)
+    if isinstance(config, PointBatch):
+        big = np.abs(config.z) > 1.0
+        total = np.full(len(config), total)
+        for part in (keep & big, keep & ~big):
+            total += _segment_sum(config, part, config.z[part])
+    elif len(config):
         z = config.z[keep]
         total += float(np.sum(z[np.abs(z) > 1.0]))
         total += float(np.sum(z[np.abs(z) <= 1.0]))

@@ -1,6 +1,6 @@
 """The replicate loop: independent realizations of the Poisson random
-measure with deterministic seeding, their Monte Carlo fold, and z-score
-verdicts."""
+measure with deterministic seeding, drawn one at a time or in batches,
+their Monte Carlo fold, and z-score verdicts."""
 
 from __future__ import annotations
 
@@ -10,7 +10,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .prm import replicate_seed, simulate
+from .prm import intensity, replicate_seed, simulate, simulate_batch
+
+# Expected Poisson points per batch of `batches`; a block holds at least one
+# replicate, so the budget bounds memory, never the result.
+BLOCK_POINTS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -33,9 +37,10 @@ def map_replicates(experiment, window, measure, n: int, master_seed: int,
     """[experiment(k, config_k) for k in range(n)], where config_k is
     simulate(window, measure, replicate_seed(master_seed, k)).
 
-    The only place a replicate's configuration is drawn.  Outputs come back
-    in replicate order and no configuration outlives its replicate, so the
-    result never depends on the worker count or scheduling.
+    For per-path work; `batches` draws the same configurations in blocks.
+    Outputs come back in replicate order and no configuration outlives its
+    replicate, so the result never depends on the worker count or
+    scheduling.
     """
 
     def one(k):
@@ -50,14 +55,33 @@ def map_replicates(experiment, window, measure, n: int, master_seed: int,
     return [one(k) for k in range(n)]
 
 
-def run_replicates(experiment, window, measure, n: int, master_seed: int,
-                   workers: int = 1) -> McEstimate:
-    """Mean and standard error of `experiment(k, config_k)` over the n
-    replicates of `map_replicates`, folded in replicate order."""
+def batches(window, measure, n: int, master_seed: int):
+    """The replicates of `map_replicates` as consecutive PointBatch blocks:
+    yields (k0, batch) with batch.config(j) the configuration of replicate
+    k0 + j.  A block holds as many replicates as fit BLOCK_POINTS expected
+    points, and at least one."""
+    lam = intensity(window, measure)
+    size = max(1, int(BLOCK_POINTS // lam) if lam > 0 else n)
+    for k0 in range(0, n, size):
+        seeds = [replicate_seed(master_seed, k) for k in range(k0, min(n, k0 + size))]
+        yield k0, simulate_batch(window, measure, seeds)
+
+
+def run_replicates(statistic, window, measure, n: int, master_seed: int) -> McEstimate:
+    """Mean and standard error of the rows `statistic(batch)` returns, one
+    per replicate of the batch, over the n replicates of `batches`, folded
+    in replicate order.  Neither the block budget nor the scheduling
+    changes the result."""
     if n < 2:
         raise ValueError("need at least 2 replicates for a standard error")
-    return estimate(map_replicates(experiment, window, measure, n, master_seed, workers),
-                    master_seed)
+    rows = []
+    for k0, batch in batches(window, measure, n, master_seed):
+        try:
+            rows.append(np.asarray(statistic(batch)))
+        except Exception as exc:
+            raise RuntimeError(f"statistic failed on replicate {k0} to "
+                               f"{k0 + len(batch) - 1}: {exc}") from exc
+    return estimate(np.concatenate(rows), master_seed)
 
 
 def estimate(values, master_seed: int) -> McEstimate:

@@ -10,6 +10,7 @@ the measure for tensor integration.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -353,15 +354,7 @@ class TemperedStable(_SymmetricDensity):
         return a + 60.0 / self.theta
 
     def shell_mass(self, shell):
-        a, b = self._bounds(shell)
-        if b <= a:
-            return 0.0
-        if a == 0.0:
-            raise InfiniteMassError(
-                f"tempered stable density has infinite mass near 0 (alpha={self.alpha}); "
-                "use a shell with lo > 0")
-        hi = b if b < math.inf else self._tail_cut(a)
-        return 2.0 * _quad(self._density_abs, a, hi)
+        return _tempered_shell_mass(self, shell)
 
     def shell_moment(self, shell, p, signed=False):
         if signed:
@@ -402,6 +395,21 @@ class TemperedStable(_SymmetricDensity):
         if scalar:
             return float(out[0])
         return out.reshape(size)
+
+
+@functools.lru_cache(maxsize=64)
+def _tempered_shell_mass(measure: TemperedStable, shell: Shell) -> float:
+    """The shell mass of a tempered stable measure, an adaptive quadrature;
+    cached per (measure, shell)."""
+    a, b = measure._bounds(shell)
+    if b <= a:
+        return 0.0
+    if a == 0.0:
+        raise InfiniteMassError(
+            f"tempered stable density has infinite mass near 0 (alpha={measure.alpha}); "
+            "use a shell with lo > 0")
+    hi = b if b < math.inf else measure._tail_cut(a)
+    return 2.0 * _quad(measure._density_abs, a, hi)
 
 
 def measure_from_json(spec: dict) -> LevyMeasure:

@@ -104,25 +104,88 @@ def _sort_points(t, x, z):
     return ts, x[order], z[order]
 
 
-def simulate(window: Window, measure: LevyMeasure, seed: int) -> PointConfiguration:
-    """Draw one configuration; deterministic given (window, measure, seed)."""
+def intensity(window: Window, measure: LevyMeasure) -> float:
+    """Expected point count T |B| nu(shell) of one configuration."""
     mass = measure.shell_mass(window.shell)
     if not mass < math.inf:
         raise ValueError("shell intensity is infinite; truncate the shell away from 0")
-    lam = window.horizon * window.box_volume * mass
+    return window.horizon * window.box_volume * mass
+
+
+def _draw(window: Window, measure: LevyMeasure, lam: float, seed: int):
+    """The unsorted points (t, x, z) of one seed: the one place a seed
+    becomes points."""
     rng = np.random.default_rng(int(seed) % 2 ** 64)
     n = int(rng.poisson(lam)) if lam > 0 else 0
     d = window.dim
     if n == 0:
-        return PointConfiguration(np.empty(0), np.empty((0, d)), np.empty(0),
-                                  window, int(seed))
+        return np.empty(0), np.empty((0, d)), np.empty(0)
     t = rng.uniform(0.0, window.horizon, size=n)
     x = np.empty((n, d))
     for k, (lo, hi) in enumerate(window.box):
         x[:, k] = rng.uniform(lo, hi, size=n)
     z = np.asarray(measure.sample_shell(window.shell, rng, size=n), dtype=float)
-    t, x, z = _sort_points(t, x, z)
-    return PointConfiguration(t, x, z, window, int(seed))
+    return t, x, z
+
+
+def simulate(window: Window, measure: LevyMeasure, seed: int) -> PointConfiguration:
+    """Draw one configuration; deterministic given (window, measure, seed)."""
+    t, x, z = _draw(window, measure, intensity(window, measure), seed)
+    return PointConfiguration(*_sort_points(t, x, z), window, int(seed))
+
+
+@dataclass(frozen=True, eq=False)
+class PointBatch:
+    """Replicates drawn one seed each, concatenated in replicate order.
+
+    Replicate k holds rows offsets[k]:offsets[k + 1] of (t, x, z), sorted
+    as `simulate` sorts them; `segment` is the replicate index of each row.
+    """
+
+    t: np.ndarray        # (m,)
+    x: np.ndarray        # (m, d)
+    z: np.ndarray        # (m,)
+    offsets: np.ndarray  # (n + 1,)
+    window: Window
+    seeds: tuple[int, ...]
+
+    def __post_init__(self):
+        counts = np.diff(self.offsets)
+        object.__setattr__(self, "segment", np.repeat(np.arange(len(counts)), counts))
+        for arr in (self.t, self.x, self.z, self.offsets, self.segment):
+            arr.setflags(write=False)
+
+    def __len__(self):
+        return len(self.seeds)
+
+    @property
+    def counts(self) -> np.ndarray:
+        return np.diff(self.offsets)
+
+    def config(self, k: int) -> PointConfiguration:
+        """Replicate k as read-only views; equals simulate(window, measure, seeds[k])."""
+        a, b = self.offsets[k], self.offsets[k + 1]
+        return PointConfiguration(self.t[a:b], self.x[a:b], self.z[a:b],
+                                  self.window, self.seeds[k])
+
+
+def simulate_batch(window: Window, measure: LevyMeasure, seeds) -> PointBatch:
+    """One configuration per seed, each drawn exactly as `simulate` draws it,
+    with the shell mass computed once."""
+    lam = intensity(window, measure)
+    seeds = tuple(int(s) for s in seeds)
+    draws = [_draw(window, measure, lam, s) for s in seeds]
+    offsets = np.cumsum([0] + [len(d[0]) for d in draws])
+    empty = (np.empty(0), np.empty((0, window.dim)), np.empty(0))
+    t, x, z = (np.concatenate(parts) for parts in zip(empty, *draws))
+    seg = np.repeat(np.arange(len(seeds)), np.diff(offsets))
+    order = np.lexsort((t, seg))
+    t, x, z = t[order], x[order], z[order]
+    # a replicate with tied times takes simulate's (t, x, z) order instead
+    for k in np.unique(seg[1:][(t[1:] == t[:-1]) & (seg[1:] == seg[:-1])]):
+        a, b = offsets[k], offsets[k + 1]
+        t[a:b], x[a:b], z[a:b] = _sort_points(*draws[k])
+    return PointBatch(t, x, z, offsets, window, seeds)
 
 
 def restrict(config: PointConfiguration, sub: Window) -> PointConfiguration:

@@ -1,17 +1,26 @@
 """Acceptance criteria, one test per criterion, each printing a PASS line.
 
 Criteria run the bundled experiment configs at their stated scales and
-tolerances; nothing here is calibrated after the fact.
+tolerances; nothing here is calibrated after the fact.  At the end, the
+batched Monte Carlo experiments are checked against per-configuration
+references at the reduced sizes of criterion 9.
 """
 
 import functools
 import json
+import math
 import time
 
+import numpy as np
 import pytest
 
+from levynoise import experiments, mc
+from levynoise import integrate as it
+from levynoise.apps import psi_space_time_integral
 from levynoise.cli import bundled_config_text
-from levynoise.experiments import parse_config, run_experiment
+from levynoise.experiments import _seed_for, parse_config, run_experiment
+from levynoise.mc import McEstimate, estimate, map_replicates, verdict
+from levynoise.prm import PointBatch
 
 RUNTIMES = {}
 
@@ -170,7 +179,7 @@ REDUCED = {
 }
 
 
-def reduced_summary(name, workers=1):
+def reduced_config(name, workers=1):
     raw = json.loads(bundled_config_text(name))
     for key, val in REDUCED[name].items():
         if key == "params":
@@ -178,7 +187,11 @@ def reduced_summary(name, workers=1):
         else:
             raw[key] = val
     raw["workers"] = workers
-    result = run_experiment(parse_config(raw))
+    return parse_config(raw)
+
+
+def reduced_summary(name, workers=1):
+    result = run_experiment(reduced_config(name, workers))
     return json.dumps(result.summary(), sort_keys=True, indent=2)
 
 
@@ -197,3 +210,134 @@ class TestCriterion9:
         for name in ("isometry", "chaos", "martingale", "ito1", "kunita", "interlace"):
             assert reduced_summary(name, workers=1) == reduced_summary(name, workers=8), name
         report("9b", True, "worker count 1 vs 8 yields identical summaries")
+
+
+# ---------------------------------------------------------------------------
+# per-configuration references of the batched Monte Carlo experiments: each
+# replicate evaluated on its own configuration, folded by `estimate`
+
+
+def isometry_reference(cfg):
+    """{verdict name: McEstimate} over every (measure, integrand) cell."""
+    w, T = cfg.window, cfg.window.horizon
+    out = {}
+    cells = [(mk, hk) for mk in cfg.measures for hk in cfg.integrands]
+    for i, (mk, hk) in enumerate(cells):
+        m, H = cfg.measure(mk), cfg.integrand(hk)
+        comp = it.compensator(H, w, m, T)
+
+        def one(_k, c, H=H, comp=comp):
+            raw = it.int_N(H, c, T)
+            nhat = raw - comp
+            return np.array([nhat, nhat * nhat, raw])
+
+        seed = _seed_for(cfg, 100 + i)
+        est = estimate(map_replicates(one, w, m, cfg.replicates, seed), seed)
+        for idx, stat in enumerate(("centered_mean", "second_moment", "raw_mean")):
+            out[f"{stat}[{mk}/{hk}]"] = McEstimate(float(est.mean[idx]), float(est.se[idx]),
+                                                  est.n, seed)
+    return out
+
+
+def charfn_reference(cfg):
+    w, m = cfg.window, cfg.measure()
+    us = np.asarray(cfg.params.get("u_values", [-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]))
+    a = float(cfg.params.get("a", 0.4))
+
+    def one(_k, c):
+        return np.exp(1j * us * it.z_of_set(a, w.box, (0.0, w.horizon), c, m))
+
+    seed = _seed_for(cfg, 200)
+    est = estimate(map_replicates(one, w, m, cfg.replicates, seed), seed)
+    return {f"charfn[u={u:g}]": complex(v) for u, v in zip(us, est.mean)}
+
+
+def martingale_reference(cfg):
+    w, m, T = cfg.window, cfg.measure(), cfg.window.horizon
+    h = cfg.integrand("h")
+    us = [float(u) for u in cfg.params["u_values"]]
+    psi_int = psi_space_time_integral(h, w, m, T)
+
+    def one(_k, c):
+        L = it.l_integral(h, c, m, T)
+        out = np.empty(1 + len(us), dtype=complex)
+        out[0] = np.exp(1j * L - psi_int)
+        out[1:] = np.exp(1j * np.asarray(us) * L)
+        return out
+
+    seed = _seed_for(cfg, 800)
+    est = estimate(map_replicates(one, w, m, cfg.replicates, seed), seed)
+    out = {f"charfn_noise[u={u:g}]": complex(v) for u, v in zip(us, est.mean[1:])}
+    out["martingale_mean"] = McEstimate(complex(est.mean[0]), complex(est.se[0]),
+                                        cfg.replicates, cfg.seed)
+    return out
+
+
+def point_counts_reference(window, measure, n, master_seed, keep_x):
+    half = window.horizon / 2.0
+
+    def one(k, c):
+        return len(c), int(np.sum(c.t <= half)), c.x if k < keep_x else None
+
+    draws = map_replicates(one, window, measure, n, master_seed)
+    return (np.array([d[0] for d in draws]), np.array([d[1] for d in draws]),
+            np.concatenate([x for _, _, x in draws[:keep_x]]))
+
+
+def per_config_run_replicates(statistic, window, measure, n, master_seed):
+    """run_replicates with the statistic applied to each configuration alone."""
+    def one(_k, c):
+        return statistic(PointBatch(c.t, c.x, c.z, np.array([0, len(c)]),
+                                    c.window, (c.seed,)))[0]
+
+    return estimate(map_replicates(one, window, measure, n, master_seed), master_seed)
+
+
+class TestBatchMovesRoundingOnly:
+    """The batched Monte Carlo experiments against per-configuration
+    references at the reduced sizes.  Sums over replicates of 8 or more
+    points add in another order, so isometry, charfn and martingale may move
+    by rounding, never in a verdict; simulate and chaos move not at all."""
+
+    @pytest.mark.parametrize("name,reference", [
+        ("isometry", isometry_reference), ("charfn", charfn_reference),
+        ("martingale", martingale_reference)], ids=["isometry", "charfn", "martingale"])
+    def test_verdicts_kept_estimates_within_rounding(self, name, reference):
+        cfg = reduced_config(name)
+        rows = {v.name: v for v in run_experiment(cfg).verdicts}
+        refs = reference(cfg)
+        assert refs.keys() <= rows.keys()
+        for vname, ref in refs.items():
+            row = rows[vname]
+            if isinstance(ref, McEstimate):
+                passed = verdict(ref, row.target, cfg.k_sigma).passed
+                pairs = ((row.estimate, ref.mean), (row.se, ref.se))
+            else:  # a charfn row: the empirical value within k / sqrt(n)
+                passed = abs(ref - row.target) <= cfg.k_sigma / math.sqrt(cfg.replicates)
+                pairs = ((row.estimate, ref),)
+            assert row.passed == passed, vname
+            for got, want in pairs:
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), vname
+
+    @pytest.mark.parametrize("budget,spatial_sample", [(None, None), (40, 137)],
+                             ids=["reduced", "blocks"])
+    def test_simulate_summary_bytes_unchanged(self, budget, spatial_sample, monkeypatch):
+        # "blocks" keeps the locations of 137 replicates, across blocks of
+        # 40 expected points
+        if budget is not None:
+            monkeypatch.setattr(mc, "BLOCK_POINTS", budget)
+        cfg = reduced_config("simulate")
+        if spatial_sample is not None:
+            cfg.params["spatial_sample"] = spatial_sample
+
+        def summary():
+            return json.dumps(run_experiment(cfg).summary(), sort_keys=True, indent=2)
+
+        batched = summary()
+        monkeypatch.setattr(experiments, "_point_counts", point_counts_reference)
+        assert summary() == batched
+
+    def test_chaos_summary_bytes_unchanged(self, monkeypatch):
+        batched = reduced_summary("chaos")
+        monkeypatch.setattr(experiments, "run_replicates", per_config_run_replicates)
+        assert reduced_summary("chaos") == batched

@@ -335,6 +335,52 @@ class TestLIntegral:
         assert abs(sq.mean() - target) <= 4 * se
 
 
+WIN3 = Window(3.0, ((-0.5, 0.5), (0.0, 1.0)), Shell(0.3, 2.0))
+
+
+class TestBatch:
+    """The jump sums on a PointBatch are the per-configuration values: equal
+    for replicates of under 8 points, which add in the same order, and
+    within 1e-12 relative otherwise."""
+
+    @staticmethod
+    def assert_per_config(got, want, counts):
+        assert got.shape == (len(want),)
+        for g, w, n in zip(got, want, counts):
+            if n < 8:
+                assert g == w
+            else:
+                assert abs(g - w) <= 1e-12 * max(1.0, abs(w))
+
+    @pytest.mark.parametrize("m", [ATOMS, TSTABLE, TEMPERED],
+                             ids=["atoms", "tstable", "tempered"])
+    def test_matches_per_config(self, m):
+        batch = prm.simulate_batch(WIN3, m, [replicate_seed(600, k) for k in range(150)])
+        configs = [batch.config(k) for k in range(len(batch))]
+        counts = batch.counts
+        assert counts.min() < 8 <= counts.max()
+        X = ig.term(time=ig.Exp(-0.5), space=ig.Poly((1.0, 0.4)))
+        box, interval = ((-0.2, 0.4), (0.1, 0.8)), (0.5, 2.5)
+        for t in (2.0, WIN3.horizon):  # t = 2 leaves points past t
+            self.assert_per_config(it.int_N(H_GEN, batch, t),
+                                   [it.int_N(H_GEN, c, t) for c in configs], counts)
+            self.assert_per_config(it.int_Nhat(H_GEN, batch, m, t),
+                                   [it.int_Nhat(H_GEN, c, m, t) for c in configs], counts)
+            self.assert_per_config(it.l_integral(X, batch, m, t),
+                                   [it.l_integral(X, c, m, t) for c in configs], counts)
+        for b, iv in ((WIN3.box, (0.0, WIN3.horizon)), (box, interval)):
+            self.assert_per_config(it.z_of_set(0.4, b, iv, batch, m),
+                                   [it.z_of_set(0.4, b, iv, c, m) for c in configs], counts)
+
+    def test_empty_replicates(self):
+        w = Window(1.0, ((-0.5, 0.5),), Shell(3.0, 9.0))
+        batch = prm.simulate_batch(w, ATOMS, range(4))
+        assert np.array_equal(it.int_N(H_GEN, batch, 1.0), np.zeros(4))
+        got = it.z_of_set(1.0, w.box, (0.0, 1.0), batch, ATOMS)
+        assert np.array_equal(got, [it.z_of_set(1.0, w.box, (0.0, 1.0), batch.config(k), ATOMS)
+                                    for k in range(4)])
+
+
 class TestProjectTime:
     def test_cached_per_problem(self):
         proj = it.project_time(H_GEN, WIN, TSTABLE)

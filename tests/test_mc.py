@@ -4,6 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
+from levynoise import mc
 from levynoise.mc import McEstimate, estimate, map_replicates, run_replicates, verdict
 from levynoise.measure import DiscreteAtoms, Shell
 from levynoise.prm import Window, replicate_seed, simulate
@@ -13,8 +14,11 @@ WIN = Window(1.0, ((-0.5, 0.5),), Shell(0.3, 2.0))
 LAM = WIN.horizon * WIN.box_volume * ATOMS.shell_mass(WIN.shell)  # 2.1 points
 
 
-def replicates(exp, n, master_seed, workers=1):
-    return run_replicates(exp, WIN, ATOMS, n, master_seed, workers)
+def replicates(exp, n, master_seed):
+    """run_replicates of exp(k, config) on each configuration of a batch
+    (k counts within the batch)."""
+    return run_replicates(lambda b: [exp(k, b.config(k)) for k in range(len(b))],
+                          WIN, ATOMS, n, master_seed)
 
 
 class TestMapReplicates:
@@ -51,10 +55,17 @@ class TestRunReplicates:
         assert est.se == 0.0
         assert est.n == 50
 
-    def test_worker_count_irrelevant(self):
+    @pytest.mark.parametrize("budget,size", [(1, 1), (7, 3)])
+    def test_block_budget_irrelevant(self, budget, size, monkeypatch):
+        # budgets of one point and of seven points (3 replicates of 2.1
+        # expected points) against the default, which holds all 400 at once
         exp = lambda k, c: float(np.sum(c.z) + 0.1 * np.sum(c.t))
-        a = replicates(exp, 400, master_seed=9, workers=1)
-        b = replicates(exp, 400, master_seed=9, workers=8)
+        assert [len(b) for _, b in mc.batches(WIN, ATOMS, 400, 9)] == [400]
+        a = replicates(exp, 400, master_seed=9)
+        monkeypatch.setattr(mc, "BLOCK_POINTS", budget)
+        sizes = [len(b) for _, b in mc.batches(WIN, ATOMS, 400, 9)]
+        assert sum(sizes) == 400 and set(sizes[:-1]) == {size}
+        b = replicates(exp, 400, master_seed=9)
         assert a == b
 
     def test_se_scales_like_sqrt_n(self):

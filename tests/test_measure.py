@@ -95,6 +95,17 @@ class TestShellMass:
             with pytest.raises(InfiniteMassError):
                 m.shell_mass(Shell(0.0, 1.0))
 
+    def test_tempered_cached_per_shell(self):
+        from levynoise import measure
+
+        shell = Shell(0.37, 2.9)
+        first = TEMPERED.shell_mass(shell)
+        before = measure._tempered_shell_mass.cache_info()
+        again = TemperedStable(alpha=0.5, c=1.0, theta=2.0).shell_mass(shell)
+        after = measure._tempered_shell_mass.cache_info()
+        assert again == first == pytest.approx(quad_mass_oracle(TEMPERED, shell), rel=1e-11)
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
     @given(st.floats(0.01, 0.9), st.floats(0.0, 1.0), st.floats(0.0, 2.0))
     @settings(max_examples=40, deadline=None)
     def test_shell_additivity(self, lo, fmid, fhi):

@@ -1,11 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from levynoise.measure import DiscreteAtoms, Shell, TruncatedStable
+from levynoise.measure import DiscreteAtoms, Shell, TemperedStable, TruncatedStable
 from levynoise import prm
 
 ATOMS = DiscreteAtoms(((1.0, 0.5), (-2.0, 0.25), (0.3, 1.25)))
@@ -114,6 +115,57 @@ class TestSortPoints:
 
 
 WIN2 = prm.Window(1.0, ((-0.5, 0.5), (0.0, 2.0)), Shell(0.1, 1.0))
+MEASURES = {"atoms": ATOMS, "tstable": TSTABLE,
+            "tempered": TemperedStable(alpha=0.5, c=0.8, theta=1.5)}
+
+
+def tied_draw(grid):
+    """prm._draw with t and x rounded to a coarse grid: forces tied times,
+    and ties in x behind them."""
+    draw = prm._draw
+
+    def draw_tied(window, measure, lam, seed):
+        t, x, z = draw(window, measure, lam, seed)
+        return np.round(t * grid) / grid, np.round(x * grid) / grid, z
+
+    return draw_tied
+
+
+class TestSimulateBatch:
+    @given(st.sampled_from(sorted(MEASURES)), st.lists(st.integers(0, 2 ** 64 - 1), max_size=25),
+           st.sampled_from([0.01, 0.2, 1.0]), st.sampled_from([None, 3]))
+    @settings(max_examples=80, deadline=None)
+    def test_config_is_simulate(self, name, seeds, horizon, grid):
+        # horizon 0.01 leaves most replicates empty; the grid forces ties
+        w = prm.Window(horizon, WIN2.box, WIN2.shell)
+        m = MEASURES[name]
+        with mock.patch.object(prm, "_draw", tied_draw(grid) if grid else prm._draw):
+            batch = prm.simulate_batch(w, m, seeds)
+            want = [prm.simulate(w, m, s) for s in seeds]
+        assert len(batch) == len(seeds)
+        assert batch.seeds == tuple(seeds)
+        assert np.array_equal(batch.counts, [len(c) for c in want])
+        assert np.array_equal(batch.segment, np.repeat(np.arange(len(seeds)), batch.counts))
+        for k, c in enumerate(want):
+            assert batch.config(k) == c
+
+    def test_configs_are_read_only_views(self):
+        batch = prm.simulate_batch(WIN2, ATOMS, [prm.replicate_seed(8, k) for k in range(6)])
+        assert len(batch.t) > 0
+        for k in range(len(batch)):
+            c = batch.config(k)
+            for arr, whole in ((c.t, batch.t), (c.x, batch.x), (c.z, batch.z)):
+                assert not arr.flags.writeable
+                assert arr.size == 0 or np.shares_memory(arr, whole)
+        with pytest.raises(ValueError):
+            batch.t[0] = 0.0
+
+    def test_shell_mass_once_per_batch(self):
+        m = MEASURES["tempered"]
+        with mock.patch.object(TemperedStable, "shell_mass", autospec=True,
+                               side_effect=TemperedStable.shell_mass) as spy:
+            prm.simulate_batch(WIN2, m, range(50))
+        assert spy.call_count == 1
 
 
 def restrict_oracle(c, sub):
