@@ -118,8 +118,7 @@ def noise_path(X: Integrand, config: PointConfiguration,
 
 
 def moment_bound_cell(X: Integrand, measure: LevyMeasure, p: float, t: float,
-                      window: Window, replicates: int, master_seed: int,
-                      workers: int = 1) -> MomentBoundRow:
+                      window: Window, replicates: int, master_seed: int) -> MomentBoundRow:
     """Monte Carlo estimate of the maximal p-th moment against its bracket.
 
     The universal constant in the inequality is not explicit, so the report
@@ -136,7 +135,7 @@ def moment_bound_cell(X: Integrand, measure: LevyMeasure, p: float, t: float,
         path = noise_path(X, config, measure)
         return path.sup_abs(t) ** p, path.eval(t) ** 2
 
-    draws = map_replicates(one, window, measure, replicates, master_seed, workers)
+    draws = map_replicates(one, window, measure, replicates, master_seed)
     lhs = estimate([s for s, _ in draws], master_seed)
     terminal = estimate([e for _, e in draws], master_seed)
     bracket = lp_bracket(X, window, t, p)

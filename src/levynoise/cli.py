@@ -23,7 +23,11 @@ def bundled_config_text(name: str) -> str:
 
 def load_config_file(path: str) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config: the top level must be a JSON object, "
+                          f"got {type(raw).__name__}")
+    return raw
 
 
 def _apply_overrides(raw: dict, args) -> dict:
@@ -57,13 +61,8 @@ def write_artifacts(result, out_dir: str) -> Path:
 
 def cmd_run(args) -> int:
     try:
-        raw = load_config_file(args.config)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        cfg = parse_config(_apply_overrides(raw, args))
-    except ConfigError as exc:
+        cfg = parse_config(_apply_overrides(load_config_file(args.config), args))
+    except (OSError, json.JSONDecodeError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     result = run_experiment(cfg)
@@ -79,8 +78,7 @@ def cmd_run(args) -> int:
 
 def cmd_validate(args) -> int:
     try:
-        raw = load_config_file(args.config)
-        parse_config(raw)
+        parse_config(load_config_file(args.config))
     except (OSError, json.JSONDecodeError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -39,7 +39,7 @@ class Config:
     experiment: str
     seed: int
     replicates: int
-    workers: int
+    workers: int  # validated only: replicates run in one thread
     k_sigma: float
     window: Window
     measures: dict[str, LevyMeasure]
@@ -68,13 +68,14 @@ def parse_config(raw: dict) -> Config:
             raise ConfigError(f"{key}: missing")
         return raw[key]
 
-    def number(key, default, kinds, what):
+    def typed(key, default, kinds, what):
         val = raw.get(key, default)
         if isinstance(val, bool) or not isinstance(val, kinds):
             raise ConfigError(f"{key}: must be {what}, got {val!r}")
         return val
 
-    name = need("experiment")
+    need("experiment")
+    name = typed("experiment", None, str, "a string")
     if name not in REGISTRY:
         raise ConfigError(f"experiment: unknown name {name!r}; "
                           f"choose from {sorted(REGISTRY)}")
@@ -86,7 +87,7 @@ def parse_config(raw: dict) -> Config:
         raise ConfigError(f"window: {exc}") from exc
 
     measures = {}
-    mraw = raw.get("measures")
+    mraw = typed("measures", None, (dict, type(None)), "an object")
     if mraw is None and "measure" in raw:
         mraw = {"default": raw["measure"]}
     if not mraw:
@@ -98,7 +99,7 @@ def parse_config(raw: dict) -> Config:
             raise ConfigError(f"measures.{key}: {exc}") from exc
 
     integrands = {}
-    for key, spec in raw.get("integrands", {}).items():
+    for key, spec in typed("integrands", {}, dict, "an object").items():
         try:
             integrands[key] = integrand_from_json(spec)
         except Exception as exc:
@@ -106,15 +107,15 @@ def parse_config(raw: dict) -> Config:
 
     cfg = Config(
         experiment=name,
-        seed=number("seed", 0, int, "an integer"),
-        replicates=number("replicates", 10000, int, "an integer"),
-        workers=number("workers", 1, int, "an integer"),
-        k_sigma=float(number("k_sigma", 4.0, (int, float), "a number")),
+        seed=typed("seed", 0, int, "an integer"),
+        replicates=typed("replicates", 10000, int, "an integer"),
+        workers=typed("workers", 1, int, "an integer"),
+        k_sigma=float(typed("k_sigma", 4.0, (int, float), "a number")),
         window=window,
         measures=measures,
         integrands=integrands,
-        params=dict(raw.get("params", {})),
-        output_dir=raw.get("output_dir"),
+        params=dict(typed("params", {}, dict, "an object")),
+        output_dir=typed("output_dir", None, (str, type(None)), "a string"),
     )
     validate_config(cfg)
     return cfg
@@ -420,7 +421,7 @@ def _ito_matrix(cfg: Config, table: str, tag: int, default_tol: float, fns,
             return ito.ito_lhs(fn, path, T), rhs(fn, G, config=c, measure=m, t=T,
                                                  path=path, **slots)
 
-        cell = map_replicates(one, w, m, paths, _seed_for(cfg, tag + idx), cfg.workers)
+        cell = map_replicates(one, w, m, paths, _seed_for(cfg, tag + idx))
         resid = [abs(lhs - r.total) for lhs, r in cell]
         res.verdicts.append(_tol_row(f"max_residual[{label}]", _worst(resid), tol))
         rows.extend((label, k, T, lhs, r.g_term, r.big_jump_term, r.compensated_term,
@@ -467,8 +468,7 @@ def run_ito1(cfg: Config) -> ExperimentResult:
             r2 = ito.ito_rhs_all_compensated(fn, g2, H, c, m, T)
             return abs(r1.total - r2.total)
 
-        gaps = map_replicates(gap, w, m, agree_paths, _seed_for(cfg, 450 + i),
-                              cfg.workers)
+        gaps = map_replicates(gap, w, m, agree_paths, _seed_for(cfg, 450 + i))
         res.verdicts.append(_tol_row(f"form_agreement[{fn.name}]", _worst(gaps), agree_tol))
     return res
 
@@ -512,8 +512,7 @@ def run_interlace(cfg: Config) -> ExperimentResult:
         res.verdicts.append(_tol_row("threshold_closed_form_rel_err", worst, 1e-8))
     problem = il.LadderProblem(H=H, measure=m, T=T, box=w.box,
                                small_hi=float(cfg.params.get("small_hi", 1.0)))
-    rep = il.interlacing_diagnostic(ladder, problem, reps, _seed_for(cfg, 600),
-                                    cfg.workers)
+    rep = il.interlacing_diagnostic(ladder, problem, reps, _seed_for(cfg, 600))
     res.verdicts.extend(_ladder_rows("", rep, cfg.k_sigma))
     res.tables["eps_ladder.csv"] = rep.to_csv()
 
@@ -528,8 +527,7 @@ def run_interlace(cfg: Config) -> ExperimentResult:
                                 shell=w.shell, dim=w.dim)
         sproblem = il.LadderProblem(H=Hs, K=Ks, measure=sm, T=T,
                                     shell=w.shell, dim=w.dim)
-        srep = il.interlacing_diagnostic(sladder, sproblem, s_reps,
-                                         _seed_for(cfg, 601), cfg.workers)
+        srep = il.interlacing_diagnostic(sladder, sproblem, s_reps, _seed_for(cfg, 601))
         res.verdicts.extend(_ladder_rows("spatial_", srep, cfg.k_sigma))
         res.tables["spatial_ladder.csv"] = srep.to_csv()
     return res
@@ -553,8 +551,7 @@ def run_kunita(cfg: Config) -> ExperimentResult:
             X = cfg.integrand(xn)
             for p in ps:
                 cell = apps.moment_bound_cell(X, m, p, T, w, reps,
-                                              _seed_for(cfg, 700 + idx),
-                                              workers=cfg.workers)
+                                              _seed_for(cfg, 700 + idx))
                 rows.append((mk, xn, p, cell.lhs_mean, cell.lhs_se,
                              cell.bracket, cell.ratio, cell.moment_scale))
                 if cell.bracket > 0:
@@ -603,7 +600,7 @@ def run_martingale(cfg: Config) -> ExperimentResult:
     paths = map_replicates(
         lambda _k, c: (apps.representation_residual(h, c, m, T),
                        apps.modulus_gap(h, c, m, T, psi_int)),
-        w, m, rep_paths, _seed_for(cfg, 801), cfg.workers)
+        w, m, rep_paths, _seed_for(cfg, 801))
     res.verdicts.append(_tol_row("representation_residual_max",
                                  _worst([r for r, _ in paths]), rep_tol))
     res.verdicts.append(_tol_row("modulus_identity_max_gap",
@@ -650,7 +647,7 @@ def run_chaos(cfg: Config) -> ExperimentResult:
 
     gaps = map_replicates(product_gap, w, m,
                           min(n, int(cfg.params.get("product_check_paths", 300))),
-                          _seed_for(cfg, 901), cfg.workers)
+                          _seed_for(cfg, 901))
     res.verdicts.append(_tol_row("product_identity_max_gap", _worst(gaps), prod_tol))
     res.tables["chaos.csv"] = _csv(("statistic", "estimate", "se", "target"), rows)
     return res

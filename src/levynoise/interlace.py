@@ -321,8 +321,7 @@ def _scan(H: Integrand) -> int:
 
 
 def interlacing_diagnostic(ladder: Ladder, problem: LadderProblem,
-                           replicates: int, master_seed: int,
-                           workers: int = 1) -> DiagnosticReport:
+                           replicates: int, master_seed: int) -> DiagnosticReport:
     """Empirical sup-norm differences between consecutive ladder levels
     against the Doob and Chebyshev bounds, on coupled realizations."""
     if ladder.violation:
@@ -331,7 +330,7 @@ def interlacing_diagnostic(ladder: Ladder, problem: LadderProblem,
         raise ValueError("need at least two ladder levels")
     replicate = _small_jump_replicate if ladder.kind == "small-jump" else _spatial_replicate
     deep, one = replicate(ladder, problem)
-    rows = map_replicates(one, deep, problem.measure, replicates, master_seed, workers)
+    rows = map_replicates(one, deep, problem.measure, replicates, master_seed)
     return _assemble(ladder, np.array([s for s, _ in rows]),
                      np.array([e for _, e in rows]), replicates, master_seed)
 
@@ -377,6 +376,14 @@ def _spatial_replicate(ladder, problem):
     h_nu = [it.nu_factor(m, term.jump, small) if small else 0.0 for term in H.terms]
 
     n_levels = len(a) - 1
+    # compensated H-part over each box ring K_hi \ K_lo
+    ring_drift = []
+    for lo_a, hi_a in zip(a[:-1], a[1:]):
+        outer = tuple((-hi_a, hi_a) for _ in range(d))
+        inner = tuple((-lo_a, lo_a) for _ in range(d))
+        ring_drift.append([(-nu * (it.space_factor(term, outer)
+                                   - it.space_factor(term, inner)), term.time)
+                           for term, nu in zip(H.terms, h_nu) if nu != 0.0])
 
     def one(_k, config):
         sup2 = np.zeros(n_levels)
@@ -390,14 +397,11 @@ def _spatial_replicate(ladder, problem):
             pts_t = config.t[mask]
             pts_x = config.x[mask]
             pts_z = config.z[mask]
-            # compensated H-part over the box ring
-            drift_pieces = [(-nu * _space_ring(term, lo_a, hi_a, d), term.time)
-                            for term, nu in zip(H.terms, h_nu) if nu != 0.0]
             small_mask = np.abs(pts_z) <= split
             h_jumps = np.asarray(H(pts_t[small_mask], pts_x[small_mask],
                                    pts_z[small_mask]), dtype=float) \
                 if small_mask.any() else np.empty(0)
-            h_path = it.jump_path(pts_t[small_mask], h_jumps, drift_pieces, deep)
+            h_path = it.jump_path(pts_t[small_mask], h_jumps, ring_drift[j], deep)
             s_h = h_path.sup_abs(T, scan=scan)
             sup2[j] = s_h * s_h
             if ladder.kind == "spatial-I" and K is not None:
@@ -405,23 +409,13 @@ def _spatial_replicate(ladder, problem):
                 k_jumps = np.asarray(K(pts_t[k_mask], pts_x[k_mask], pts_z[k_mask]),
                                      dtype=float) if k_mask.any() else np.empty(0)
                 full = it.jump_path(np.concatenate([pts_t[small_mask], pts_t[k_mask]]),
-                                    np.concatenate([h_jumps, k_jumps]), drift_pieces, deep)
+                                    np.concatenate([h_jumps, k_jumps]), ring_drift[j], deep)
                 exceed[j] = full.sup_abs(T, scan=scan) > 2.0 ** -(j + 1)
             else:
                 exceed[j] = s_h > 2.0 ** -(j + 1)
         return sup2, exceed
 
     return deep, one
-
-
-def _space_ring(term, lo_a, hi_a, dim):
-    """Space integral of a term over the box ring K_hi \\ K_lo."""
-    outer, inner = 1.0, 1.0
-    for k in range(dim):
-        node = term.space[k] if k < len(term.space) else Const(1.0)
-        outer *= node.integral(-hi_a, hi_a)
-        inner *= node.integral(-lo_a, lo_a)
-    return outer - inner
 
 
 def _assemble(ladder, sup2, exceed, replicates, master_seed):

@@ -5,7 +5,6 @@ their Monte Carlo fold, and z-score verdicts."""
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,27 +31,21 @@ class McEstimate:
     master_seed: int
 
 
-def map_replicates(experiment, window, measure, n: int, master_seed: int,
-                   workers: int = 1) -> list:
+def map_replicates(experiment, window, measure, n: int, master_seed: int) -> list:
     """[experiment(k, config_k) for k in range(n)], where config_k is
     simulate(window, measure, replicate_seed(master_seed, k)).
 
     For per-path work; `batches` draws the same configurations in blocks.
-    Outputs come back in replicate order and no configuration outlives its
-    replicate, so the result never depends on the worker count or
-    scheduling.
+    Replicates run one after another in one thread, and no configuration
+    outlives its replicate.
     """
-
-    def one(k):
+    out = []
+    for k in range(n):
         try:
-            return experiment(k, simulate(window, measure, replicate_seed(master_seed, k)))
+            out.append(experiment(k, simulate(window, measure, replicate_seed(master_seed, k))))
         except Exception as exc:
             raise RuntimeError(f"experiment failed at replicate {k}: {exc}") from exc
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one, range(n)))
-    return [one(k) for k in range(n)]
+    return out
 
 
 def batches(window, measure, n: int, master_seed: int):
@@ -70,8 +63,7 @@ def batches(window, measure, n: int, master_seed: int):
 def run_replicates(statistic, window, measure, n: int, master_seed: int) -> McEstimate:
     """Mean and standard error of the rows `statistic(batch)` returns, one
     per replicate of the batch, over the n replicates of `batches`, folded
-    in replicate order.  Neither the block budget nor the scheduling
-    changes the result."""
+    in replicate order.  The block budget does not change the result."""
     if n < 2:
         raise ValueError("need at least 2 replicates for a standard error")
     rows = []

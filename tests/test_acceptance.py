@@ -6,7 +6,9 @@ batched Monte Carlo experiments are checked against per-configuration
 references at the reduced sizes of criterion 9.
 """
 
+import csv
 import functools
+import io
 import json
 import math
 import time
@@ -190,9 +192,18 @@ def reduced_config(name, workers=1):
     return parse_config(raw)
 
 
-def reduced_summary(name, workers=1):
-    result = run_experiment(reduced_config(name, workers))
+def summary_text(result):
     return json.dumps(result.summary(), sort_keys=True, indent=2)
+
+
+def reduced_summary(name, workers=1):
+    return summary_text(run_experiment(reduced_config(name, workers)))
+
+
+@functools.lru_cache(maxsize=None)
+def reduced_result(name):
+    """One reduced-size run per experiment, shared by the tests that read it."""
+    return run_experiment(reduced_config(name))
 
 
 class TestCriterion9:
@@ -201,7 +212,7 @@ class TestCriterion9:
         # every experiment at reduced scale to stay inside the time budget
         names = sorted(REDUCED)
         for name in names:
-            assert reduced_summary(name) == reduced_summary(name), name
+            assert summary_text(reduced_result(name)) == reduced_summary(name), name
         report("9a", True,
                f"summaries byte-identical across repeat runs for all "
                f"{len(names)} experiments at one seed")
@@ -210,6 +221,19 @@ class TestCriterion9:
         for name in ("isometry", "chaos", "martingale", "ito1", "kunita", "interlace"):
             assert reduced_summary(name, workers=1) == reduced_summary(name, workers=8), name
         report("9b", True, "worker count 1 vs 8 yields identical summaries")
+
+
+class TestCsvTables:
+    def test_every_table_reads_back_rectangular(self):
+        for name in sorted(REDUCED):
+            tables = reduced_result(name).tables
+            assert tables, name
+            for fname, text in tables.items():
+                # the point file's `# {...}` provenance line is a comment
+                body = "".join(ln for ln in io.StringIO(text) if not ln.startswith("#"))
+                rows = list(csv.reader(io.StringIO(body)))
+                assert len(rows) > 1, (name, fname)
+                assert all(len(row) == len(rows[0]) for row in rows), (name, fname)
 
 
 # ---------------------------------------------------------------------------

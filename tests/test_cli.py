@@ -66,7 +66,8 @@ class TestParseConfig:
         ("seed", "abc"), ("seed", 1.5), ("seed", True), ("replicates", "x"),
         ("replicates", 200.0), ("workers", "2"), ("workers", None),
         ("k_sigma", -1), ("k_sigma", 0), ("k_sigma", math.inf), ("k_sigma", math.nan),
-        ("k_sigma", "4"), ("k_sigma", False)])
+        ("k_sigma", "4"), ("k_sigma", False), ("experiment", ["simulate"]),
+        ("measures", "x"), ("integrands", [1]), ("params", [1]), ("params", "x")])
     def test_bad_top_level_field(self, tmp_path, key, value):
         raw = small_simulate_config()
         raw[key] = value
@@ -75,6 +76,27 @@ class TestParseConfig:
         path = write_config(tmp_path, raw)
         assert main(["validate", path]) == 2
         assert main(["run", path, "--output-dir", str(tmp_path / "out")]) == 2
+
+    def test_bad_output_dir(self, tmp_path, monkeypatch, capsys):
+        raw = small_simulate_config()
+        raw["output_dir"] = 5
+        with pytest.raises(ConfigError, match="^output_dir: "):
+            parse_config(raw)
+        path = write_config(tmp_path, raw)
+        monkeypatch.chdir(tmp_path)
+        assert main(["validate", path]) == 2
+        assert main(["run", path]) == 2
+        assert "output_dir" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    @pytest.mark.parametrize("text", ["[1]", '"x"', "5", "null"])
+    def test_top_level_not_an_object(self, tmp_path, capsys, text):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        assert main(["validate", str(path)]) == 2
+        assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 2
+        assert "JSON object" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("value", ["abc", "2.5"])
     def test_bad_workers_environment(self, tmp_path, monkeypatch, capsys, value):

@@ -22,12 +22,11 @@ def replicates(exp, n, master_seed):
 
 
 class TestMapReplicates:
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_matches_simulate_oracle(self, workers):
+    def test_matches_simulate_oracle(self):
         def exp(k, c):
             return k, c.seed, c.t.copy(), c.x.copy(), c.z.copy()
 
-        got = map_replicates(exp, WIN, ATOMS, 60, 31, workers)
+        got = map_replicates(exp, WIN, ATOMS, 60, 31)
         assert len(got) == 60
         for k, out in enumerate(got):
             want = exp(k, simulate(WIN, ATOMS, replicate_seed(31, k)))
