@@ -1,10 +1,10 @@
 """Named experiment suites binding simulation, analytics, and verdicts.
 
-Each experiment consumes a validated Config, runs its Monte Carlo checks
-over the replicate batches of `mc.run_replicates` and its pathwise checks
-over the replicates of `mc.map_replicates`, and returns verdict rows plus
-plot-ready CSV tables.  The CLI is a thin shell around
-this module; the acceptance tests call the same entry points.
+Each experiment consumes a validated Config, runs its Monte Carlo and Ito
+checks over the replicate batches of `mc.batches` and its other pathwise
+checks over the replicates of `mc.map_replicates`, and returns verdict rows
+plus plot-ready CSV tables.  The CLI is a thin shell around this module;
+the acceptance tests call the same entry points.
 """
 
 from __future__ import annotations
@@ -124,6 +124,10 @@ def parse_config(raw: dict) -> Config:
 def validate_config(cfg: Config) -> None:
     if cfg.replicates < 2:
         raise ConfigError("replicates: need at least 2")
+    for key in ("paths", "agreement_paths", "representation_paths", "product_check_paths"):
+        val = cfg.params.get(key, 1)
+        if isinstance(val, bool) or not isinstance(val, int) or val < 1:
+            raise ConfigError(f"params.{key}: must be an integer >= 1, got {val!r}")
     if cfg.workers < 1:
         raise ConfigError("workers: need at least 1")
     if not 0.0 < cfg.k_sigma < math.inf:
@@ -208,9 +212,9 @@ def _bound_row(name, estimate, bound, se, k_sigma) -> VerdictRow:
 
 
 def _worst(values) -> float:
-    """The largest value, 0.0 for none; NaN if any value is NaN, so that a
-    NaN residual fails its verdict."""
-    return float(np.max(values)) if len(values) else 0.0
+    """The largest value; NaN for none or if any value is NaN, so that a
+    verdict on no value or on a NaN residual fails."""
+    return float(np.max(values)) if len(values) else math.nan
 
 
 def _csv(header, rows) -> str:
@@ -390,6 +394,13 @@ ITO_CSV_HEADER = ("cell", "replicate", "t", "lhs", "term1", "term2", "term3",
 ITO_CSV_PATHS = 25  # paths per cell whose terms go to the residual table
 
 
+def _per_path(evaluate, window, measure, n: int, master_seed: int) -> list:
+    """Each array of evaluate(batch), one value per replicate of the batch,
+    concatenated over the blocks of `batches`: one value per path."""
+    blocks = [evaluate(b) for _, b in batches(window, measure, n, master_seed)]
+    return [np.concatenate(col) for col in zip(*blocks)]
+
+
 def _ito_matrix(cfg: Config, table: str, tag: int, default_tol: float, fns,
                 x_key: str, x_default: list[str], slot: str, split: float, rhs,
                 **fixed) -> ExperimentResult:
@@ -397,11 +408,11 @@ def _ito_matrix(cfg: Config, table: str, tag: int, default_tol: float, fns,
     cell, f outermost, X innermost.
 
     X fills the `slot` ("K" or "H") of the process, next to the `fixed`
-    integrands.  Each path is built once at `split`, and `rhs` is the form's
-    right side, called on it with the cell's K and H as keywords.  Each cell
-    gets a verdict on its largest |lhs - rhs| and puts its first paths in
-    the residual table.  Returns the result and every cell's (lhs,
-    FourTermResult) rows, in path order.
+    integrands.  The paths of each block of `batches` are built at once at
+    `split`, and `rhs` is the form's right side, called once per block on
+    them with the cell's K and H as keywords.  Each cell gets a verdict on
+    its largest |lhs - rhs| and puts its first paths in the residual table.
+    Returns the result and every cell's FourTermResult, one value per path.
     """
     w, m = cfg.window, cfg.measure()
     T = w.horizon
@@ -416,18 +427,20 @@ def _ito_matrix(cfg: Config, table: str, tag: int, default_tol: float, fns,
         label = f"{fn.name}|{gname}|{xname}"
         slots = {**fixed, slot: X}
 
-        def one(_k, c):
-            path = it.build_path(G, slots.get("K"), slots.get("H"), c, m, split=split)
-            return ito.ito_lhs(fn, path, T), rhs(fn, G, config=c, measure=m, t=T,
-                                                 path=path, **slots)
+        def evaluate(batch, fn=fn, G=G, slots=slots):
+            path = it.build_path(G, slots.get("K"), slots.get("H"), batch, m, split=split)
+            r = rhs(fn, G, config=batch, measure=m, t=T, path=path, **slots)
+            return (ito.ito_lhs(fn, path, T), r.g_term, r.big_jump_term,
+                    r.compensated_term, r.nu_term)
 
-        cell = map_replicates(one, w, m, paths, _seed_for(cfg, tag + idx))
-        resid = [abs(lhs - r.total) for lhs, r in cell]
-        res.verdicts.append(_tol_row(f"max_residual[{label}]", _worst(resid), tol))
-        rows.extend((label, k, T, lhs, r.g_term, r.big_jump_term, r.compensated_term,
-                     r.nu_term, r.total, lhs - r.total)
-                    for k, (lhs, r) in enumerate(cell[:ITO_CSV_PATHS]))
-        cells.append(cell)
+        lhs, *terms = _per_path(evaluate, w, m, paths, _seed_for(cfg, tag + idx))
+        r = ito.FourTermResult(*terms)
+        res.verdicts.append(_tol_row(f"max_residual[{label}]",
+                                     _worst(np.abs(lhs - r.total)), tol))
+        rows.extend((label, k, T, lhs[k], r.g_term[k], r.big_jump_term[k],
+                     r.compensated_term[k], r.nu_term[k], r.total[k], lhs[k] - r.total[k])
+                    for k in range(min(paths, ITO_CSV_PATHS)))
+        cells.append(r)
     res.tables[table] = _csv(ITO_CSV_HEADER, rows)
     return res, cells
 
@@ -454,7 +467,7 @@ def run_ito1(cfg: Config) -> ExperimentResult:
                              "k_names", ["K1", "K2", "K3"], "K", split,
                              functools.partial(ito.ito_rhs_big_small, split=split), H=H)
     # the compensated term of the first cell is a martingale at T
-    mart = np.asarray([r.compensated_term for _, r in cells[0]])
+    mart = cells[0].compensated_term
     res.verdicts.append(_mc_row("compensated_term_mean", estimate(mart, cfg.seed), 0.0,
                                 cfg.k_sigma))
     # shared-case agreement: K = H on the big-jump side
@@ -463,12 +476,12 @@ def run_ito1(cfg: Config) -> ExperimentResult:
         G = Gs[min(1, len(Gs) - 1)][1]
         g2 = ito.equivalent_time_drift(G, H, w, m, split=split)
 
-        def gap(_k, c, fn=fn, G=G, g2=g2):
-            r1 = ito.ito_rhs_big_small(fn, G, H, H, c, m, T, split=split)
-            r2 = ito.ito_rhs_all_compensated(fn, g2, H, c, m, T)
-            return abs(r1.total - r2.total)
+        def gap(batch, fn=fn, G=G, g2=g2):
+            r1 = ito.ito_rhs_big_small(fn, G, H, H, batch, m, T, split=split)
+            r2 = ito.ito_rhs_all_compensated(fn, g2, H, batch, m, T)
+            return (np.abs(r1.total - r2.total),)
 
-        gaps = map_replicates(gap, w, m, agree_paths, _seed_for(cfg, 450 + i))
+        gaps, = _per_path(gap, w, m, agree_paths, _seed_for(cfg, 450 + i))
         res.verdicts.append(_tol_row(f"form_agreement[{fn.name}]", _worst(gaps), agree_tol))
     return res
 

@@ -342,17 +342,43 @@ class CadlagPath:
         return best
 
 
+@dataclass(frozen=True)
+class PathBatch:
+    """Paths with one shared drift and their own jumps: row k of `times`
+    holds path k's jump times in order, padded with inf, and row k of
+    `csum` its running jump sums from 0, each as CadlagPath sums its own."""
+
+    times: np.ndarray  # (n, J)
+    csum: np.ndarray   # (n, J + 1)
+    drift: Callable[[np.ndarray], np.ndarray]
+
+    @staticmethod
+    def of(path: CadlagPath) -> "PathBatch":
+        return PathBatch(path.times[None], path._csum[None], path.drift)
+
+    def eval(self, s, seg=None, left: bool = False) -> np.ndarray:
+        """Path seg[i] at time s[i], or its left limit there with `left`;
+        without seg, every path at the one time s."""
+        if seg is None:
+            seg, s = np.arange(len(self.times)), np.full(len(self.times), float(s))
+        idx = np.zeros(len(s), dtype=np.intp)
+        for col in self.times.T:  # counts the jumps at or before s, as searchsorted
+            idx += (col[seg] < s) if left else (col[seg] <= s)
+        return self.csum[seg, idx] + self.drift(s)
+
+
 def build_path(G: Integrand, K: Integrand, H: Integrand,
-               config: PointConfiguration, measure: LevyMeasure,
-               split: float = 1.0) -> CadlagPath:
+               config: PointConfiguration | PointBatch, measure: LevyMeasure,
+               split: float = 1.0) -> CadlagPath | PathBatch:
     """Realize the integral process: drift + big jumps via K + compensated
-    small jumps via H, the split at |z| = `split`.
+    small jumps via H, the split at |z| = `split`; a CadlagPath, or on a
+    batch the PathBatch of its replicates.
 
     split=0 sends every jump through K (no compensation); split=inf sends
     every jump through H with the compensator over the whole shell.
     """
     w = config.window
-    if len(config):
+    if len(config.t):
         big = np.abs(config.z) > split
         sizes = np.where(
             big,
@@ -370,7 +396,14 @@ def build_path(G: Integrand, K: Integrand, H: Integrand,
         for term in H.terms:
             c = nu_factor(measure, term.jump, small) * space_factor(term, w.box)
             pieces.append((-c, term.time))
-    return jump_path(times, sizes, pieces, w)
+    if not isinstance(config, PointBatch):
+        return jump_path(times, sizes, pieces, w)
+    n, col = len(config), np.arange(len(times)) - config.offsets[config.segment]
+    padded = np.full((n, int(config.counts.max(initial=0))), np.inf)
+    jumps = np.zeros(padded.shape)
+    padded[config.segment, col], jumps[config.segment, col] = times, sizes
+    csum = np.concatenate([np.zeros((n, 1)), np.cumsum(jumps, axis=1)], axis=1)
+    return PathBatch(padded, csum, drift_function(pieces))
 
 
 def jump_path(times, jumps, pieces, window: Window) -> CadlagPath:
@@ -434,26 +467,35 @@ def _box_rule(box, n_per_axis):
     return pts, ww
 
 
-def _values(fn, pts) -> np.ndarray:
+def node_values(fn, pts) -> np.ndarray:
     """fn at the points as a float array of len(pts); constants broadcast."""
     return np.asarray(fn(pts), dtype=float) + np.zeros(len(pts))
 
 
-def space_time_grid(X: Integrand, s, xpts, z=None) -> np.ndarray:
-    """X on the tensor grid of times s and space points xpts, and of jump
-    sizes z when given: the sum over its terms of the outer product of the
-    time, space (and jump) factor values.  Without z every jump factor must
-    be constant, and scales its term."""
-    shape = (len(s), len(xpts)) + ((len(z),) if z is not None else ())
-    grid = np.zeros(shape)
+def space_time_grid(X: Integrand, s, xpts) -> np.ndarray:
+    """X on the grid of times s and space points xpts: the sum over its
+    terms of the outer product of the time and space factor values, each
+    scaled by its jump factor, which must be constant."""
+    grid = np.zeros((len(s), len(xpts)))
     for term in X.terms:
-        g = np.multiply.outer(_values(term.time, s), _values(term.space_value, xpts))
-        if z is not None:
-            g = np.multiply.outer(g, _values(term.jump, z))
-        else:
-            g = g * _jump_const(term)
-        grid += g
+        grid += (np.multiply.outer(node_values(term.time, s), node_values(term.space_value, xpts))
+                 * _jump_const(term))
     return grid
+
+
+def batch_rule(batch: PointBatch, t: float, extra, n_per_interval: int):
+    """interval_rule over the path_breaks of every replicate at once: the
+    nodes s, weights w and the replicate index of each node."""
+    fixed = [0.0, float(t)] + [float(v) for v in extra if 0.0 < v < t]
+    mask = batch.t <= t
+    pts = np.concatenate([np.tile(fixed, len(batch)), batch.t[mask]])
+    seg = np.concatenate([np.repeat(np.arange(len(batch)), len(fixed)), batch.segment[mask]])
+    order = np.lexsort((pts, seg))
+    pts, seg = pts[order], seg[order]
+    # each replicate's breaks run from 0 up to t > 0, so interval_rule drops
+    # the empty intervals of repeated breaks and each step from t back to 0
+    s, w = interval_rule(pts, n_per_interval)
+    return s, w, np.repeat(seg[:-1][~(pts[1:] <= pts[:-1])], n_per_interval)
 
 
 def path_breaks(config: PointConfiguration, t: float, extra=()) -> np.ndarray:

@@ -18,9 +18,10 @@ from typing import Callable
 import numpy as np
 
 from . import integrate as it
+from . import mc
 from .integrands import Integrand
 from .measure import LevyMeasure
-from .prm import PointConfiguration
+from .prm import PointBatch, PointConfiguration
 
 
 # ---------------------------------------------------------------------------
@@ -71,19 +72,10 @@ def abs_pow_fn(p: float) -> SmoothFn:
     """|x|^p; twice continuously differentiable only for p >= 2."""
     if p < 2.0:
         raise ValueError(f"abs_pow needs p >= 2 for a continuous second derivative, got {p}")
-
-    def f(x):
-        return np.abs(np.asarray(x, dtype=float)) ** p
-
-    def df(x):
-        x = np.asarray(x, dtype=float)
-        return p * np.sign(x) * np.abs(x) ** (p - 1.0)
-
-    def d2f(x):
-        x = np.asarray(x, dtype=float)
-        return p * (p - 1.0) * np.abs(x) ** (p - 2.0)
-
-    return SmoothFn(f"abs_pow({p})", f, df, d2f)
+    return SmoothFn(f"abs_pow({p})",
+                    lambda x: np.abs(np.asarray(x, dtype=float)) ** p,
+                    lambda x: p * np.sign(x) * np.abs(np.asarray(x, dtype=float)) ** (p - 1.0),
+                    lambda x: p * (p - 1.0) * np.abs(np.asarray(x, dtype=float)) ** (p - 2.0))
 
 
 IDENTITY = poly_fn(0.0, 1.0)
@@ -115,12 +107,10 @@ def derivative_gap(fn: SmoothFn, xs, h: float = 1e-6) -> float:
 # left and right sides
 
 
-def ito_lhs(fn: SmoothFn, path: it.CadlagPath, t: float) -> float:
-    return float(fn.f(path.eval(t)) - fn.f(path.eval(0.0)))
-
-
-def _time_only_value(G: Integrand, s: np.ndarray) -> np.ndarray:
-    return np.asarray(G(s, 0.0, 0.0), dtype=float) + np.zeros_like(s)
+def ito_lhs(fn: SmoothFn, path, t: float):
+    """f(Y(t)) - f(Y(0)): a float on a CadlagPath, one per path on a PathBatch."""
+    lhs = fn.f(path.eval(t)) - fn.f(path.eval(0.0))
+    return float(lhs) if isinstance(path, it.CadlagPath) else lhs
 
 
 @dataclass(frozen=True)
@@ -138,8 +128,8 @@ class FourTermResult:
 
 
 def ito_rhs_raw(fn: SmoothFn, G: Integrand | None, K: Integrand,
-                config: PointConfiguration, measure: LevyMeasure, t: float,
-                n_time: int = 16, *, path: it.CadlagPath | None = None) -> FourTermResult:
+                config: PointConfiguration | PointBatch, measure: LevyMeasure,
+                t: float, n_time: int = 16, *, path=None) -> FourTermResult:
     """Right side of the no-small-jumps formula: drift term plus the raw
     jump sum of f-increments (needs only f'), i.e. the split form with every
     jump big; `path`: the built path (split=0), if any."""
@@ -148,68 +138,85 @@ def ito_rhs_raw(fn: SmoothFn, G: Integrand | None, K: Integrand,
 
 
 def ito_rhs_big_small(fn: SmoothFn, G: Integrand | None, K: Integrand | None,
-                      H: Integrand | None, config: PointConfiguration,
+                      H: Integrand | None, config: PointConfiguration | PointBatch,
                       measure: LevyMeasure, t: float, *, split: float = 1.0,
                       n_time: int = 8, n_space: int = 8, n_jump: int = 32,
-                      path: it.CadlagPath | None = None) -> FourTermResult:
+                      path=None) -> FourTermResult:
     """Right side of the four-term formula: raw big jumps, compensated small
-    jumps, and the second-order nu correction; `path`: the built path, if any."""
+    jumps, and the second-order nu correction; `path`: the built path, if any.
+
+    On a PointBatch each term holds one value per replicate; a configuration
+    is a batch of one and gets floats."""
+    single = isinstance(config, PointConfiguration)
+    batch = PointBatch.of(config) if single else config
     if path is None:
-        path = it.build_path(G, K, H, config, measure, split=split)
-    w = config.window
+        path = it.build_path(G, K, H, batch, measure, split=split)
+    elif isinstance(path, it.CadlagPath):
+        path = it.PathBatch.of(path)
+    w, n = batch.window, len(batch)
     small = w.shell.clip(0.0, split)
-    extra = list(G.time_breakpoints()) if G is not None else []
-    if H is not None:
-        extra += H.time_breakpoints()
-    breaks = it.path_breaks(config, t, extra)
-    s, ws = it.interval_rule(breaks, n_time)
-    y = path.eval(s)
+    extra = [v for X in (G, H) if X is not None for v in X.time_breakpoints()]
+    s, ws, seg = it.batch_rule(batch, t, extra, n_time)
+    y = path.eval(s, seg)
+    dfy = fn.df(y)
+
+    def per_path(values, where=seg):
+        return np.bincount(where, weights=values, minlength=n)
 
     # the nu-side integrals over [0,t] x box x small, on one tensor rule so
     # that their difference is consistent:
     #   A = integral of f(Y(s) + H) - f(Y(s)),  D = integral of H f'(Y(s))
-    A = D = 0.0
-    if H is not None and len(s) and small is not None:
-        xpts, xw = it.box_rule(w.box, n_space)
+    A = D = np.zeros(n)
+    if H is not None and small is not None:
+        # one box node integrates an H constant in x exactly
+        xpts, xw = it.box_rule(w.box, n_space if any(tm.space for tm in H.terms) else 1)
         znod, zw = measure.nu_nodes(small, n_jump)
         if len(znod):
-            hgrid = it.space_time_grid(H, s, xpts, znod)
-            dfy = fn.df(y)
-            for term in H.terms:
-                tv = np.asarray(term.time(s), dtype=float) + np.zeros(len(s))
-                D += (float(np.sum(ws * dfy * tv))
-                      * it.space_factor(term, w.box)
-                      * it.nu_factor(measure, term.jump, small))
-            fy = fn.f(y)[:, None, None]
-            A = float(np.einsum("ijk,i,j,k->", fn.f(y[:, None, None] + hgrid) - fy,
-                                ws, xw, zw))
+            factors = [(it.node_values(term.time, s), it.node_values(term.space_value, xpts),
+                        it.node_values(term.jump, znod)) for term in H.terms]
+            for term, (tv, _, _) in zip(H.terms, factors):
+                D = D + (per_path(ws * dfy * tv) * it.space_factor(term, w.box)
+                         * it.nu_factor(measure, term.jump, small))
+            A = per_path(ws * _nu_tensor(fn, y, factors, xw, zw))
 
-    g_term = 0.0
-    if G is not None and len(s):
-        g_term = float(np.sum(ws * fn.df(y) * _time_only_value(G, s)))
+    g_term = np.zeros(n) if G is None else per_path(
+        ws * dfy * it.node_values(lambda u: G(u, 0.0, 0.0), s))
+    mask = batch.t <= t
+    tt, xx, zz, sg = batch.t[mask], batch.x[mask], batch.z[mask], batch.segment[mask]
+    yl = path.eval(tt, sg, left=True)
 
-    big_jump_term = 0.0
-    compensated_jumps = 0.0
-    mask = config.t <= t
-    if mask.any():
-        tt, xx, zz = config.t[mask], config.x[mask], config.z[mask]
-        yl = path.eval_left(tt)
-        big = np.abs(zz) > split
-        if big.any() and K is not None:
-            kv = np.asarray(K(tt[big], xx[big], zz[big]), dtype=float)
-            big_jump_term = float(np.sum(fn.f(yl[big] + kv) - fn.f(yl[big])))
-        if (~big).any() and H is not None:
-            hv = np.asarray(H(tt[~big], xx[~big], zz[~big]), dtype=float)
-            compensated_jumps = float(np.sum(fn.f(yl[~big] + hv) - fn.f(yl[~big])))
+    def jump_sum(part, X):  # per path, the sum of f(Y(t-) + X) - f(Y(t-))
+        if X is None:
+            return np.zeros(n)
+        xv = np.asarray(X(tt[part], xx[part], zz[part]), dtype=float)
+        return per_path(fn.f(yl[part] + xv) - fn.f(yl[part]), sg[part])
 
-    return FourTermResult(g_term, big_jump_term, compensated_jumps - A, A - D)
+    big = np.abs(zz) > split
+    terms = (g_term, jump_sum(big, K), jump_sum(~big, H) - A, A - D)
+    return FourTermResult(*(float(v[0]) for v in terms) if single else terms)
+
+
+def _nu_tensor(fn: SmoothFn, y, factors, xw, zw) -> np.ndarray:
+    """Per time node i, the sum over box and jump nodes j, k of (f(y_i +
+    H_ijk) - f(y_i)) xw_j zw_k, with H_ijk the sum of the terms' (time,
+    space, jump) factor products; in blocks of mc.TENSOR_BLOCK elements."""
+    fy, out = fn.f(y), np.empty(len(y))
+    step = max(1, mc.TENSOR_BLOCK // (len(xw) * len(zw)))
+    for a in range(0, len(y), step):
+        b = slice(a, a + step)
+        yh = y[b, None, None]
+        for tv, sv, jv in factors:
+            yh = yh + np.multiply.outer(np.multiply.outer(tv[b], sv), jv)
+        diff = fn.f(yh)
+        diff -= fy[b, None, None]
+        out[b] = np.einsum("ijk,j,k->i", diff, xw, zw)
+    return out
 
 
 def ito_rhs_all_compensated(fn: SmoothFn, G: Integrand | None, H: Integrand,
-                            config: PointConfiguration, measure: LevyMeasure,
+                            config: PointConfiguration | PointBatch, measure: LevyMeasure,
                             t: float, *, n_time: int = 8, n_space: int = 8,
-                            n_jump: int = 32,
-                            path: it.CadlagPath | None = None) -> FourTermResult:
+                            n_jump: int = 32, path=None) -> FourTermResult:
     """Right side of the formula with every jump compensated (the whole
     working shell standing in for the punctured line): the split form with
     no big jumps, so its big-jump term is 0; `path`: the built path

@@ -14,6 +14,9 @@ from .prm import intensity, replicate_seed, simulate, simulate_batch
 # Expected Poisson points per batch of `batches`; a block holds at least one
 # replicate, so the budget bounds memory, never the result.
 BLOCK_POINTS = 1 << 15
+# Elements per block of the Ito evaluators' nu tensor (time x box x jump
+# nodes); a block holds at least one time node, and never moves a result.
+TENSOR_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)

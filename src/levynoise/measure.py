@@ -196,14 +196,12 @@ class _SymmetricDensity(LevyMeasure):
 
     def _bounds(self, shell):
         """Intersection of |z| in (shell.lo, shell.hi] with the support."""
-        a, b = shell.lo, min(shell.hi, self.support_hi)
-        return a, b
+        return shell.lo, min(shell.hi, self.support_hi)
 
     def density(self, z):
         z = np.asarray(z, dtype=float)
         a = np.abs(z)
-        out = np.where((a > 0) & (a <= self.support_hi), self._density_abs(np.maximum(a, 1e-300)), 0.0)
-        return out
+        return np.where((a > 0) & (a <= self.support_hi), self._density_abs(np.maximum(a, 1e-300)), 0.0)
 
     def nu_integral(self, fn, shell):
         a, b = self._bounds(shell)
@@ -211,11 +209,9 @@ class _SymmetricDensity(LevyMeasure):
             return 0.0
         if a == 0.0:
             raise InfiniteMassError("generic nu-integral needs a shell bounded away from 0")
-        pos = _quad(lambda t: fn(t) * self._density_abs(t), a, b) if b < math.inf else _quad(
-            lambda t: fn(t) * self._density_abs(t), a, self._tail_cut(a))
-        neg = _quad(lambda t: fn(-t) * self._density_abs(t), a, b) if b < math.inf else _quad(
-            lambda t: fn(-t) * self._density_abs(t), a, self._tail_cut(a))
-        return pos + neg
+        hi = b if b < math.inf else self._tail_cut(a)
+        pos = _quad(lambda t: fn(t) * self._density_abs(t), a, hi)
+        return pos + _quad(lambda t: fn(-t) * self._density_abs(t), a, hi)
 
     def _tail_cut(self, a):
         return math.inf  # overridden where the support is unbounded
@@ -227,12 +223,8 @@ class _SymmetricDensity(LevyMeasure):
         u = np.atleast_1d(u)
         out = np.empty(u.shape, dtype=complex)
         for i, ui in enumerate(u):
-            if b <= a or ui == 0.0:
-                out[i] = 0.0
-                continue
             # symmetric measure: the odd (sine) part cancels exactly
-            val = 2.0 * self._psi_quad(ui, a, b)
-            out[i] = complex(val, 0.0)
+            out[i] = 0.0 if b <= a or ui == 0.0 else complex(2.0 * self._psi_quad(ui, a, b), 0.0)
         return complex(out[0]) if scalar else out
 
     def _psi_quad(self, u, a, b):
@@ -255,9 +247,7 @@ class _SymmetricDensity(LevyMeasure):
         y = 0.5 * (y_hi - y_lo) * t + 0.5 * (y_hi + y_lo)
         z = y ** (-1.0 / alpha)
         wz = 0.5 * (y_hi - y_lo) * w * (self.c / alpha) * self._taper(z)
-        zs = np.concatenate([-z, z])
-        ws = np.concatenate([wz, wz])
-        return zs, ws
+        return np.concatenate([-z, z]), np.concatenate([wz, wz])
 
     def _taper(self, z):
         """Residual density factor after pulling out c |z|^(-alpha-1)."""
@@ -390,11 +380,8 @@ class TemperedStable(_SymmetricDensity):
             take = min(len(good), n - filled)
             out[filled:filled + take] = good[:take]
             filled += take
-        sign = np.where(rng.uniform(size=n) < 0.5, -1.0, 1.0)
-        out = sign * out
-        if scalar:
-            return float(out[0])
-        return out.reshape(size)
+        out = np.where(rng.uniform(size=n) < 0.5, -1.0, 1.0) * out
+        return float(out[0]) if scalar else out.reshape(size)
 
 
 @functools.lru_cache(maxsize=64)

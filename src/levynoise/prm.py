@@ -162,6 +162,12 @@ class PointBatch:
     def counts(self) -> np.ndarray:
         return np.diff(self.offsets)
 
+    @staticmethod
+    def of(config: PointConfiguration) -> "PointBatch":
+        """The batch of one configuration."""
+        return PointBatch(config.t, config.x, config.z, np.array([0, len(config)]),
+                          config.window, (config.seed,))
+
     def config(self, k: int) -> PointConfiguration:
         """Replicate k as read-only views; equals simulate(window, measure, seeds[k])."""
         a, b = self.offsets[k], self.offsets[k + 1]

@@ -2,13 +2,14 @@
 
 Criteria run the bundled experiment configs at their stated scales and
 tolerances; nothing here is calibrated after the fact.  At the end, the
-batched Monte Carlo experiments are checked against per-configuration
-references at the reduced sizes of criterion 9.
+batched Monte Carlo experiments and Ito matrices are checked against
+per-configuration references at the reduced sizes of criterion 9.
 """
 
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import time
@@ -16,7 +17,7 @@ import time
 import numpy as np
 import pytest
 
-from levynoise import experiments, mc
+from levynoise import experiments, ito, mc
 from levynoise import integrate as it
 from levynoise.apps import psi_space_time_integral
 from levynoise.cli import bundled_config_text
@@ -365,3 +366,153 @@ class TestBatchMovesRoundingOnly:
         batched = reduced_summary("chaos")
         monkeypatch.setattr(experiments, "run_replicates", per_config_run_replicates)
         assert reduced_summary("chaos") == batched
+
+
+# ---------------------------------------------------------------------------
+# the per-path Ito right side that the batched evaluators replaced
+
+
+def ito_rhs_per_path(fn, G, K, H, c, measure, t, *, split=1.0, n_time=8,
+                     n_space=8, n_jump=32):
+    """The four-term right side on one configuration, path by path."""
+    path = it.build_path(G, K, H, c, measure, split=split)
+    w = c.window
+    small = w.shell.clip(0.0, split)
+    extra = list(G.time_breakpoints()) if G is not None else []
+    if H is not None:
+        extra += H.time_breakpoints()
+    s, ws = it.interval_rule(it.path_breaks(c, t, extra), n_time)
+    y = path.eval(s)
+    A = D = 0.0
+    if H is not None and len(s) and small is not None:
+        xpts, xw = it.box_rule(w.box, n_space)
+        znod, zw = measure.nu_nodes(small, n_jump)
+        if len(znod):
+            hgrid = np.zeros((len(s), len(xpts), len(znod)))
+            for term in H.terms:
+                tv = it.node_values(term.time, s)
+                hgrid += np.multiply.outer(np.multiply.outer(
+                    tv, it.node_values(term.space_value, xpts)), it.node_values(term.jump, znod))
+                D += (float(np.sum(ws * fn.df(y) * tv)) * it.space_factor(term, w.box)
+                      * it.nu_factor(measure, term.jump, small))
+            A = float(np.einsum("ijk,i,j,k->", fn.f(y[:, None, None] + hgrid)
+                                - fn.f(y)[:, None, None], ws, xw, zw))
+    g_term = 0.0
+    if G is not None and len(s):
+        g_term = float(np.sum(ws * fn.df(y) * it.node_values(lambda u: G(u, 0.0, 0.0), s)))
+    big_jump_term = compensated_jumps = 0.0
+    mask = c.t <= t
+    if mask.any():
+        tt, xx, zz = c.t[mask], c.x[mask], c.z[mask]
+        yl = path.eval_left(tt)
+        big = np.abs(zz) > split
+        if big.any() and K is not None:
+            kv = np.asarray(K(tt[big], xx[big], zz[big]), dtype=float)
+            big_jump_term = float(np.sum(fn.f(yl[big] + kv) - fn.f(yl[big])))
+        if (~big).any() and H is not None:
+            hv = np.asarray(H(tt[~big], xx[~big], zz[~big]), dtype=float)
+            compensated_jumps = float(np.sum(fn.f(yl[~big] + hv) - fn.f(yl[~big])))
+    return (ito.ito_lhs(fn, path, t),
+            ito.FourTermResult(g_term, big_jump_term, compensated_jumps - A, A - D))
+
+
+# experiment -> (seed tag, matrix key, default X names, X slot, split, n_time,
+# fixed slots, residual tolerance)
+ITO_FORMS = {
+    "ito-lemma": (300, "k_names", ["K1", "K2", "K3"], "K", 0.0, 16, (), 1e-8),
+    "ito1": (400, "k_names", ["K1", "K2", "K3"], "K", 1.0, 8, ("H",), 1e-6),
+    "ito2": (500, "h_names", ["H1", "H2", "H3"], "H", math.inf, 8, (), 1e-6),
+}
+
+
+def ito_reference(name, cfg):
+    """{cell label: [(lhs, FourTermResult) per path]} by the per-path right
+    side over `map_replicates`, and ito1's form-agreement gaps per f."""
+    tag, key, names, slot, split, n_time, fixed, _ = ITO_FORMS[name]
+    w, m, T = cfg.window, cfg.measure(), cfg.window.horizon
+    fns = experiments._fns_from_params(cfg)
+    Gs = experiments._matrix_from_params(cfg, "g_names", ["G0", "G1", "G2"])
+    Xs = experiments._matrix_from_params(cfg, key, names)
+    slots = {k: cfg.integrand(cfg.params.get("h_name", "H")) for k in fixed}
+    cells = {}
+    for idx, (fn, (gname, G), (xname, X)) in enumerate(itertools.product(fns, Gs, Xs)):
+        s = {**slots, slot: X}
+        cells[f"{fn.name}|{gname}|{xname}"] = map_replicates(
+            lambda _k, c: ito_rhs_per_path(fn, G, s.get("K"), s.get("H"), c, m, T,
+                                           split=split, n_time=n_time),
+            w, m, cfg.params["paths"], _seed_for(cfg, tag + idx))
+    gaps = {}
+    if name == "ito1":
+        H, G = slots["H"], Gs[1][1]
+        for i, fn in enumerate(fns):
+            g2 = ito.equivalent_time_drift(G, H, w, m, split=1.0)
+            gaps[fn.name] = map_replicates(
+                lambda _k, c: abs(ito_rhs_per_path(fn, G, H, H, c, m, T)[1].total
+                                  - ito_rhs_per_path(fn, g2, None, H, c, m, T,
+                                                     split=math.inf)[1].total),
+                w, m, cfg.params["agreement_paths"], _seed_for(cfg, 450 + i))
+    return cells, gaps
+
+
+def close(got, want):
+    return abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+class TestBatchedItoMovesRoundingOnly:
+    """The Ito matrices, evaluated one block of paths at a time, against the
+    per-path right side at the reduced sizes: the same verdicts, and every
+    left side and right-side term within rounding."""
+
+    @pytest.mark.parametrize("name", sorted(ITO_FORMS))
+    def test_verdicts_kept_terms_within_rounding(self, name):
+        cfg = reduced_config(name)
+        tag, _, _, slot, split, n_time, fixed, default_tol = ITO_FORMS[name]
+        w, m, T = cfg.window, cfg.measure(), cfg.window.horizon
+        cells, gaps = ito_reference(name, cfg)
+        rows = {v.name: v for v in reduced_result(name).verdicts}
+        tol = cfg.params.get("residual_tol", default_tol)
+        fns = {fn.name: fn for fn in experiments._fns_from_params(cfg)}
+        for idx, (label, ref) in enumerate(cells.items()):
+            resid = max(abs(lhs - r.total) for lhs, r in ref)
+            row = rows[f"max_residual[{label}]"]
+            assert row.passed == (resid <= tol) and close(row.estimate, resid), label
+            fname, gname, xname = label.split("|")
+            s = {k: cfg.integrand(cfg.params.get("h_name", "H")) for k in fixed}
+            s[slot] = cfg.integrand(xname)
+            G = cfg.integrand(gname)
+            k = 0
+            for _, batch in mc.batches(w, m, cfg.params["paths"], _seed_for(cfg, tag + idx)):
+                path = it.build_path(G, s.get("K"), s.get("H"), batch, m, split=split)
+                lhs = ito.ito_lhs(fns[fname], path, T)
+                got = ito.ito_rhs_big_small(fns[fname], G, s.get("K"), s.get("H"), batch, m,
+                                            T, split=split, n_time=n_time, path=path)
+                for j in range(len(batch)):
+                    want_lhs, want = ref[k + j]
+                    assert close(lhs[j], want_lhs), (label, k + j)
+                    for field in ("g_term", "big_jump_term", "compensated_term", "nu_term"):
+                        assert close(getattr(got, field)[j], getattr(want, field)), (label, field)
+                k += len(batch)
+            assert k == len(ref)
+        if name == "ito1":
+            mart = estimate([r.compensated_term for _, r in next(iter(cells.values()))], cfg.seed)
+            row = rows["compensated_term_mean"]
+            assert row.passed == verdict(mart, 0.0, cfg.k_sigma).passed
+            assert close(row.estimate, mart.mean) and close(row.se, mart.se)
+            for fname, ref in gaps.items():
+                row = rows[f"form_agreement[{fname}]"]
+                assert row.passed == (max(ref) <= cfg.params["agreement_tol"])
+                assert close(row.estimate, max(ref)), fname
+
+    @pytest.mark.parametrize("block_points,tensor_block", [(1, None), (7, None), (None, 1)])
+    def test_block_budgets_move_nothing(self, block_points, tensor_block, monkeypatch):
+        # blocks of one path or of a few, and a nu tensor built one time node
+        # at a time, give the bytes of the default budgets
+        if block_points is not None:
+            monkeypatch.setattr(mc, "BLOCK_POINTS", block_points)
+        if tensor_block is not None:
+            monkeypatch.setattr(mc, "TENSOR_BLOCK", tensor_block)
+        for name in sorted(ITO_FORMS):
+            result = run_experiment(reduced_config(name))
+            default = reduced_result(name)
+            assert summary_text(result) == summary_text(default), name
+            assert result.tables == default.tables, name

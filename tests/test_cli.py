@@ -3,6 +3,7 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 from levynoise import apps, ito
@@ -11,6 +12,8 @@ from levynoise.experiments import (
     REGISTRY,
     ConfigError,
     _csv,
+    _tol_row,
+    _worst,
     parse_config,
     run_experiment,
 )
@@ -72,6 +75,21 @@ class TestParseConfig:
         raw = small_simulate_config()
         raw[key] = value
         with pytest.raises(ConfigError, match=f"^{key}: "):
+            parse_config(raw)
+        path = write_config(tmp_path, raw)
+        assert main(["validate", path]) == 2
+        assert main(["run", path, "--output-dir", str(tmp_path / "out")]) == 2
+
+    @pytest.mark.parametrize("name, key, value", [
+        ("ito-lemma", "paths", 0), ("ito-lemma", "paths", "x"), ("ito-lemma", "paths", 2.7),
+        ("ito-lemma", "paths", True), ("ito1", "agreement_paths", 0),
+        ("martingale", "representation_paths", -1), ("chaos", "product_check_paths", 0)])
+    def test_bad_path_count(self, tmp_path, name, key, value):
+        # a path count below 1 would check nothing and pass; one that is not
+        # an integer would be truncated or raise mid-run
+        raw = json.loads(bundled_config_text(name))
+        raw["params"][key] = value
+        with pytest.raises(ConfigError, match=rf"^params\.{key}: "):
             parse_config(raw)
         path = write_config(tmp_path, raw)
         assert main(["validate", path]) == 2
@@ -197,11 +215,16 @@ class TestFailClosed:
         return parse_config(raw)
 
     def test_nan_ito_residual_fails(self, monkeypatch):
-        real, calls = ito.ito_lhs, []
+        # ito_lhs runs once per block of paths: count paths, not calls
+        real, done = ito.ito_lhs, []
 
         def lhs_nan_on_second_path(*args):
-            calls.append(None)
-            return math.nan if len(calls) == 2 else real(*args)
+            lhs = np.array(real(*args), dtype=float)
+            before = sum(done)
+            done.append(len(lhs))
+            if before <= 1 < before + len(lhs):
+                lhs[1 - before] = math.nan
+            return lhs
 
         monkeypatch.setattr(ito, "ito_lhs", lhs_nan_on_second_path)
         cfg = self.small_config(
@@ -211,6 +234,10 @@ class TestFailClosed:
         row, = result.verdicts
         assert row.name.startswith("max_residual[") and math.isnan(row.estimate)
         assert not row.passed and not result.passed
+
+    def test_worst_of_no_value_fails(self):
+        assert math.isnan(_worst([]))
+        assert not _tol_row("max_residual[none]", _worst([]), 1.0).passed
 
     def test_nan_representation_residual_fails(self, monkeypatch):
         monkeypatch.setattr(apps, "representation_residual",

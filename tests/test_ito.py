@@ -8,7 +8,7 @@ from scipy import integrate as si
 
 from levynoise import integrands as ig
 from levynoise import integrate as it
-from levynoise import ito
+from levynoise import ito, prm
 from levynoise.measure import DiscreteAtoms, Shell, TruncatedStable
 from levynoise.prm import Window, replicate_seed, simulate
 
@@ -221,3 +221,50 @@ class TestAllCompensatedFormula:
             lhs = ito.ito_lhs(fn, path, 1.0)
             res = ito.ito_rhs_all_compensated(fn, G_EXP, H_MIX, c, TSTABLE, 1.0)
             assert abs(lhs - res.total) <= 1e-6
+
+
+# points on a coarse grid: tied times, jumps at t = 1 and at the indicator
+# breaks of G_STEP, both sides of the split at |z| = 1
+POINT = st.tuples(st.sampled_from([0.1, 0.25, 0.5, 0.5, 0.75, 1.0]),
+                  st.sampled_from([-0.4, 0.0, 0.3]),
+                  st.sampled_from([-1.9, -1.2, -0.5, 0.4, 0.8, 1.5]))
+G_STEP = ig.from_time(ig.Indicator(0.25, 0.75)) + G_EXP
+H_FLAT = ig.term(time=ig.Indicator(0.1, 0.5), jump=ig.SignPow(1.0)) * 0.7
+
+
+def point_batch(replicates):
+    """The replicates, each a list of (t, x, z), as a PointBatch in time order."""
+    rows = sorted(((k, p) for k, pts in enumerate(replicates) for p in pts),
+                  key=lambda r: (r[0], r[1][0]))
+    t, x, z = (np.array([p[i] for _, p in rows], dtype=float) for i in range(3))
+    offsets = np.cumsum([0] + [len(pts) for pts in replicates])
+    return prm.PointBatch(t, x.reshape(-1, 1), z, offsets, WIN,
+                          tuple(range(len(replicates))))
+
+
+class TestBatchEqualsBatchOfOne:
+    """On a batch every right side and the left side hold, per replicate,
+    exactly the floats of that replicate's configuration alone."""
+
+    @given(st.lists(st.lists(POINT, max_size=5), min_size=1, max_size=5),
+           st.sampled_from([ATOMS, TSTABLE]), st.sampled_from(FNS))
+    @settings(max_examples=40, deadline=None)
+    def test_every_form(self, replicates, m, fn):
+        batch = point_batch(replicates)
+        forms = [
+            (0.0, G_STEP, K_MIX, None, lambda c, p: ito.ito_rhs_raw(fn, G_STEP, K_MIX, c, m, 1.0, path=p)),
+            (1.0, G_STEP, K_MIX, H_MIX, lambda c, p: ito.ito_rhs_big_small(
+                fn, G_STEP, K_MIX, H_MIX, c, m, 1.0, path=p)),
+            (math.inf, None, None, H_FLAT, lambda c, p: ito.ito_rhs_all_compensated(
+                fn, None, H_FLAT, c, m, 1.0, path=p)),
+        ]
+        for split, G, K, H, rhs in forms:
+            path = it.build_path(G, K, H, batch, m, split=split)
+            lhs, got = ito.ito_lhs(fn, path, 1.0), dataclasses.astuple(rhs(batch, path))
+            assert all(v.shape == (len(batch),) for v in (lhs, *got))
+            for k in range(len(batch)):
+                c = batch.config(k)
+                one = it.build_path(G, K, H, c, m, split=split)
+                assert lhs[k] == ito.ito_lhs(fn, one, 1.0)
+                assert tuple(v[k] for v in got) == dataclasses.astuple(rhs(c, None))
+                assert tuple(v[k] for v in got) == dataclasses.astuple(rhs(c, one))
