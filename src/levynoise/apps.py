@@ -18,7 +18,7 @@ from . import integrate as it
 from .integrands import Integrand, SignPow, gl_rule, spectral_integration_matrix
 from .mc import estimate, map_replicates
 from .measure import LevyMeasure, Shell
-from .prm import PointConfiguration, Window
+from .prm import PointBatch, PointConfiguration, Window
 
 
 # ---------------------------------------------------------------------------
@@ -67,14 +67,26 @@ def cumulative_on_grid(breaks, n_per_interval, values):
 
     Per interval the sampled values are interpolated by the degree n-1
     Legendre polynomial and integrated exactly, by the spectral integration
-    matrix; returns the cumulative at every node and at every break.
+    matrix; returns the cumulative at every node and at every break.  The
+    breaks may hold several paths one after another: the cumulative starts
+    from 0 again where the breaks step back, the values of that step unread.
+    Paths of one length share one stack of the matrix products each would
+    get alone, so a path's floats do not depend on the others.
     """
     _, w = gl_rule(n_per_interval)
     S = spectral_integration_matrix(n_per_interval)
-    scale = 0.5 * np.diff(breaks)
+    breaks = np.asarray(breaks, dtype=float)
+    scale = 0.5 * (breaks[1:] - breaks[:-1])
     vals = np.asarray(values).reshape(len(scale), n_per_interval)
-    cum_breaks = np.concatenate([[0.0], np.cumsum((vals @ w) * scale)])
-    cum_nodes = cum_breaks[:-1, None] + (vals @ S.T) * scale[:, None]
+    first = np.flatnonzero(np.append(True, breaks[1:] < breaks[:-1]))
+    size = np.append(first[1:], len(breaks)) - first - 1  # intervals per path
+    cum_breaks = np.zeros(len(breaks), dtype=np.result_type(vals, w))
+    cum_nodes = np.zeros(vals.shape, dtype=cum_breaks.dtype)
+    for k in np.unique(size[size > 0]):
+        iv = first[size == k][:, None] + np.arange(k)  # (paths, k) intervals
+        v, h = vals[iv], scale[iv]
+        cum_breaks[iv + 1] = np.cumsum((v @ w) * h, axis=1)
+        cum_nodes[iv] = cum_breaks[iv][..., None] + (v @ S.T) * h[..., None]
     return cum_nodes.ravel(), cum_breaks
 
 
@@ -268,84 +280,103 @@ def check_disjoint(f: ChaosFunction, window: Window, measure: LevyMeasure,
                     "diagonal handling is out of scope")
 
 
-def _slot_values(g: Integrand, config, mask):
-    if not mask.any():
-        return np.empty(0)
-    return np.asarray(g(config.t[mask], config.x[mask], config.z[mask]),
-                      dtype=float)
+def _jumps_before(s, sseg, tj, jseg, start):
+    """searchsorted(tj, s, side="left") within each replicate: nodes s and
+    jump times tj of replicates sseg and jseg, the replicate's first jump at
+    start[jseg]."""
+    order = np.lexsort((np.arange(len(s) + len(tj)) >= len(s),
+                        np.concatenate([s, tj]), np.concatenate([sseg, jseg])))
+    node = order < len(s)
+    out = np.empty(len(s), dtype=np.intp)
+    out[order[node]] = np.cumsum(~node)[node]
+    return out - start[sseg]
 
 
-def _iterated(slots, config: PointConfiguration, measure: LevyMeasure,
-              T: float, n_time: int = 8) -> float:
+def _iterated(slots, batch: PointBatch, measure: LevyMeasure, T: float,
+              n_time: int = 8) -> np.ndarray:
     """Iterated compensated integral over the ordered time simplex for one
-    ordered tuple of slot functions."""
-    w = config.window
-    extra = []
-    for g in slots:
-        extra.extend(g.time_breakpoints())
-    breaks = it.path_breaks(config, T, extra)
-    s, ws = it.interval_rule(breaks, n_time)
-    mask = config.t <= T
-    tj = config.t[mask]
-    node_jumps = np.searchsorted(tj, s, side="left")    # jumps strictly before node
-    jump_break_idx = np.searchsorted(breaks, tj)        # each jump time is a break
+    ordered tuple of slot functions, one value per replicate of the batch,
+    each the floats of its configuration alone."""
+    n = len(batch)
+    breaks, bseg, jump_break = it.batch_breaks(
+        batch, T, [v for g in slots for v in g.time_breakpoints()])
+    s, _ = it.interval_rule(breaks, n_time)
+    inner = ~(breaks[1:] <= breaks[:-1])  # the rest step back from T to 0
+    sseg = np.repeat(bseg[:-1][inner], n_time)
+    first = np.searchsorted(bseg, np.arange(n))                   # each replicate's 0
+    last = np.searchsorted(bseg, np.arange(n), side="right") - 1  # and its T
+    mask = batch.t <= T
+    tj, xj, zj, jseg = batch.t[mask], batch.x[mask], batch.z[mask], batch.segment[mask]
+    counts = np.bincount(jseg, minlength=n)
+    start = np.cumsum(counts) - counts
+    col = np.arange(len(tj)) - start[jseg]
+    node_jumps = _jumps_before(s, sseg, tj, jseg, start)
+    projs = [it.project_time(g, batch.window, measure) for g in slots]
 
-    projs = [it.project_time(g, w, measure) for g in slots]
+    def running(g, weight=1.0):  # per replicate, 0 and the partial sums of weight * g
+        rows = np.zeros((n, counts.max(initial=0)))
+        rows[jseg, col] = weight * np.asarray(g(tj, xj, zj), dtype=float)
+        return np.concatenate([np.zeros((n, 1)), np.cumsum(rows, axis=1)], axis=1)
 
     # level 1
-    g_vals = _slot_values(slots[0], config, mask)
-    csum = np.concatenate([[0.0], np.cumsum(g_vals)])
-    C_nodes = it.time_cumulative(projs[0], s)
-    P_nodes = csum[node_jumps] - C_nodes
+    csum = running(slots[0])
     C_breaks = it.time_cumulative(projs[0], breaks)
-    # value just before jump j: jumps strictly earlier, compensator up to t_j
-    P_left = csum[:len(tj)] - C_breaks[jump_break_idx]
-    P_end = csum[-1] - C_breaks[-1]
+    P_nodes = csum[sseg, node_jumps] - it.time_cumulative(projs[0], s)
+    # value just before each jump: jumps strictly earlier, compensator up to it
+    P_left = csum[jseg, col] - C_breaks[jump_break]
+    P_end = csum[np.arange(n), counts] - C_breaks[last]
 
     for k in range(1, len(slots)):
         ck_nodes = np.asarray(projs[k](s, 0.0, 0.0), dtype=float) + np.zeros(len(s))
-        q = P_nodes * ck_nodes
-        D_nodes, D_breaks = cumulative_on_grid(breaks, n_time, q)
-        gk = _slot_values(slots[k], config, mask)
-        inc = np.concatenate([[0.0], np.cumsum(P_left * gk)])
-        P_nodes = inc[node_jumps] - D_nodes
-        P_left = inc[:len(tj)] - D_breaks[jump_break_idx]
-        P_end = inc[-1] - D_breaks[-1]
-    return float(P_end)
+        q = np.zeros((len(inner), n_time))
+        q[inner] = (P_nodes * ck_nodes).reshape(-1, n_time)
+        D_nodes, D_breaks = cumulative_on_grid(breaks, n_time, q.ravel())
+        # taken from each replicate's 0 (where cumulative_on_grid starts
+        # again), so a cumulative that runs on across paths serves as well
+        D0 = D_breaks[first]
+        D_nodes = D_nodes.reshape(-1, n_time)[inner].ravel() - D0[sseg]
+        D_breaks = D_breaks - D0[bseg]
+        inc = running(slots[k], P_left)
+        P_nodes = inc[sseg, node_jumps] - D_nodes
+        P_left = inc[jseg, col] - D_breaks[jump_break]
+        P_end = inc[np.arange(n), counts] - D_breaks[last]
+    return P_end
 
 
-def multiple_integral(f: ChaosFunction, config: PointConfiguration,
+def multiple_integral(f: ChaosFunction, config: PointConfiguration | PointBatch,
                       measure: LevyMeasure, T: float | None = None,
-                      n_time: int = 8, validate: bool = True) -> float:
+                      n_time: int = 8, validate: bool = True):
     """The order-n multiple integral of a disjoint-support chaos function,
-    computed as the permutation sum of iterated simplex integrals."""
+    computed as the permutation sum of iterated simplex integrals: a float
+    on a configuration, one value per replicate on a batch."""
     import itertools
 
-    T = T if T is not None else config.window.horizon
+    batch = PointBatch.of(config) if isinstance(config, PointConfiguration) else config
+    T = T if T is not None else batch.window.horizon
     if validate:
-        check_disjoint(f, config.window, measure, T)
-    total = 0.0
+        check_disjoint(f, batch.window, measure, T)
+    total = np.zeros(len(batch))
     for perm in itertools.permutations(f.factors):
-        total += _iterated(perm, config, measure, T, n_time)
-    return total
+        total = total + _iterated(perm, batch, measure, T, n_time)
+    return float(total[0]) if batch is not config else total
 
 
 def second_chaos_expansion_residual(set_indicator: Integrand,
-                                    config: PointConfiguration,
+                                    config: PointConfiguration | PointBatch,
                                     measure: LevyMeasure,
-                                    T: float | None = None) -> float:
+                                    T: float | None = None):
     """Residual of the explicit two-term expansion of the squared centered
-    count of a space-time-jump box.
+    count of a space-time-jump box: a float on a configuration, one value
+    per replicate on a batch.
 
     The expansion F = E F + I1 + I2 with slot functions equal to the box
     indicator holds path by path, so the residual is numerical dust.
     """
-    T = T if T is not None else config.window.horizon
-    w = config.window
-    mu = it.compensator(set_indicator, w, measure, T)
-    nhat = it.int_Nhat(set_indicator, config, measure, T)
-    F = nhat * nhat
-    i1 = nhat
+    batch = PointBatch.of(config) if isinstance(config, PointConfiguration) else config
+    T = T if T is not None else batch.window.horizon
+    mu = it.compensator(set_indicator, batch.window, measure, T)
+    nhat = it.int_Nhat(set_indicator, batch, measure, T)
     i2 = multiple_integral(ChaosFunction((set_indicator, set_indicator)),
-                           config, measure, T, validate=False)
-    return F - mu - i1 - i2
+                           batch, measure, T, validate=False)
+    resid = nhat * nhat - mu - nhat - i2
+    return float(resid[0]) if batch is not config else resid

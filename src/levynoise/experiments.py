@@ -1,10 +1,10 @@
 """Named experiment suites binding simulation, analytics, and verdicts.
 
-Each experiment consumes a validated Config, runs its Monte Carlo and Ito
-checks over the replicate batches of `mc.batches` and its other pathwise
-checks over the replicates of `mc.map_replicates`, and returns verdict rows
-plus plot-ready CSV tables.  The CLI is a thin shell around this module;
-the acceptance tests call the same entry points.
+Each experiment consumes a validated Config, runs its Monte Carlo, Ito and
+chaos-moment checks over the replicate batches of `mc.batches` and its other
+pathwise checks over the replicates of `mc.map_replicates`, and returns
+verdict rows plus plot-ready CSV tables.  The CLI is a thin shell around
+this module; the acceptance tests call the same entry points.
 """
 
 from __future__ import annotations
@@ -121,6 +121,68 @@ def parse_config(raw: dict) -> Config:
     return cfg
 
 
+# The params that name integrands, per experiment, with their defaults; a
+# `*_names` param names a list of them.
+_G_NAMES = ["G0", "G1", "G2"]
+_K_NAMES = ["K1", "K2", "K3"]
+NAME_PARAMS = {
+    "chaos": {"slot_a": "A", "slot_b": "B", "slot_c": "C"},
+    "interlace": {"h_name": "H", "spatial_h_name": "HS", "spatial_k_name": "KS"},
+    "ito-lemma": {"g_names": _G_NAMES, "k_names": _K_NAMES},
+    "ito1": {"h_name": "H", "g_names": _G_NAMES, "k_names": _K_NAMES},
+    "ito2": {"g_names": _G_NAMES, "h_names": ["H1", "H2", "H3"]},
+    "kunita": {"x_names": ["X1", "X2", "X3"]},
+    "martingale": {"h_name": "h"},
+}
+
+
+def _check_params(cfg: Config) -> None:
+    """Every name param the experiment reads, given or defaulted, names a
+    defined integrand or measure, as does each of isometry's `cells`, and
+    every `*_tol` param is a finite number > 0."""
+    spatial = cfg.experiment == "interlace" and cfg.params.get("spatial", True)
+    for key, default in NAME_PARAMS.get(cfg.experiment, {}).items():
+        if key.startswith("spatial_") and not spatial:
+            continue  # interlace without its spatial ladder
+        val = cfg.params.get(key, default)
+        many = key.endswith("_names")
+        if many and not (isinstance(val, list) and val):
+            raise ConfigError(f"params.{key}: must be a non-empty list of integrand names, "
+                              f"got {val!r}")
+        for name in val if many else [val]:
+            if not isinstance(name, str) or name not in cfg.integrands:
+                raise ConfigError(f"params.{key}: {name!r} names no integrand; "
+                                  f"defined: {sorted(cfg.integrands)}")
+    name = cfg.params.get("spatial_measure")
+    if spatial and name is not None and (not isinstance(name, str) or name not in cfg.measures):
+        raise ConfigError(f"params.spatial_measure: {name!r} names no measure; "
+                          f"defined: {sorted(cfg.measures)}")
+    cells = cfg.params.get("cells") if cfg.experiment == "isometry" else None
+    if cells and not isinstance(cells, list):
+        raise ConfigError(f"params.cells: must be a list of {{measure, integrand}} pairs, "
+                          f"got {cells!r}")
+    for cell in cells or []:
+        if not (isinstance(cell, dict) and all(
+                isinstance(cell.get(key), str) and cell[key] in names
+                for key, names in (("measure", cfg.measures), ("integrand", cfg.integrands)))):
+            raise ConfigError(f"params.cells: {cell!r} is not a {{measure, integrand}} pair "
+                              f"of defined names; measures: {sorted(cfg.measures)}, "
+                              f"integrands: {sorted(cfg.integrands)}")
+    for key, val in cfg.params.items():
+        if key.endswith("_tol") and (isinstance(val, bool) or not isinstance(val, (int, float))
+                                     or not 0.0 < val < math.inf):
+            raise ConfigError(f"params.{key}: must be a finite number > 0, got {val!r}")
+
+
+def _named(cfg: Config, key: str):
+    """The integrand params.<key> names, or its default; for a `*_names`
+    param, the list of (name, integrand) pairs."""
+    val = cfg.params.get(key, NAME_PARAMS[cfg.experiment][key])
+    if key.endswith("_names"):
+        return [(nm, cfg.integrand(nm)) for nm in val]
+    return cfg.integrand(val)
+
+
 def validate_config(cfg: Config) -> None:
     if cfg.replicates < 2:
         raise ConfigError("replicates: need at least 2")
@@ -143,6 +205,7 @@ def validate_config(cfg: Config) -> None:
             m.shell_moment(cfg.window.shell, 2.0)
         except Exception as exc:
             raise ConfigError(f"measures.{key}: second moment: {exc}") from exc
+    _check_params(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -373,11 +436,6 @@ def _charfn_rows(res: ExperimentResult, name: str, us, emps, targets, n: int,
     return _csv(("u", "empirical", "exact", "error", "tolerance"), rows)
 
 
-def _matrix_from_params(cfg: Config, key: str, default: list[str]) -> list:
-    names = cfg.params.get(key, default)
-    return [(nm, cfg.integrand(nm)) for nm in names]
-
-
 ITO_FNS = [
     {"kind": "poly", "coeffs": [0.0, 0.0, 1.0]},
     {"kind": "exp", "scale": 0.4},
@@ -402,7 +460,7 @@ def _per_path(evaluate, window, measure, n: int, master_seed: int) -> list:
 
 
 def _ito_matrix(cfg: Config, table: str, tag: int, default_tol: float, fns,
-                x_key: str, x_default: list[str], slot: str, split: float, rhs,
+                x_key: str, slot: str, split: float, rhs,
                 **fixed) -> ExperimentResult:
     """Check one form of the Ito formula path by path on every (f, G, X)
     cell, f outermost, X innermost.
@@ -418,8 +476,8 @@ def _ito_matrix(cfg: Config, table: str, tag: int, default_tol: float, fns,
     T = w.horizon
     paths = int(cfg.params.get("paths", 1000))
     tol = float(cfg.params.get("residual_tol", default_tol))
-    Gs = _matrix_from_params(cfg, "g_names", ["G0", "G1", "G2"])
-    Xs = _matrix_from_params(cfg, x_key, x_default)
+    Gs = _named(cfg, "g_names")
+    Xs = _named(cfg, x_key)
     res = ExperimentResult(cfg.experiment, cfg.seed, paths)
     rows = []
     cells = []
@@ -449,7 +507,7 @@ def run_ito_lemma(cfg: Config) -> ExperimentResult:
     """Pathwise identity for the formula without compensation over the cell
     matrix; reports the max residual per cell."""
     return _ito_matrix(cfg, "ito_lemma_residuals.csv", 300, 1e-8, _fns_from_params(cfg),
-                       "k_names", ["K1", "K2", "K3"], "K", 0.0, ito.ito_rhs_raw)[0]
+                       "k_names", "K", 0.0, ito.ito_rhs_raw)[0]
 
 
 def run_ito1(cfg: Config) -> ExperimentResult:
@@ -461,17 +519,17 @@ def run_ito1(cfg: Config) -> ExperimentResult:
     agree_tol = float(cfg.params.get("agreement_tol", 1e-10))
     agree_paths = int(cfg.params.get("agreement_paths", 100))
     fns = _fns_from_params(cfg)
-    H = cfg.integrand(cfg.params.get("h_name", "H"))
+    H = _named(cfg, "h_name")
     split = 1.0
     res, cells = _ito_matrix(cfg, "ito1_residuals.csv", 400, 1e-6, fns,
-                             "k_names", ["K1", "K2", "K3"], "K", split,
+                             "k_names", "K", split,
                              functools.partial(ito.ito_rhs_big_small, split=split), H=H)
     # the compensated term of the first cell is a martingale at T
     mart = cells[0].compensated_term
     res.verdicts.append(_mc_row("compensated_term_mean", estimate(mart, cfg.seed), 0.0,
                                 cfg.k_sigma))
     # shared-case agreement: K = H on the big-jump side
-    Gs = _matrix_from_params(cfg, "g_names", ["G0", "G1", "G2"])
+    Gs = _named(cfg, "g_names")
     for i, fn in enumerate(fns):
         G = Gs[min(1, len(Gs) - 1)][1]
         g2 = ito.equivalent_time_drift(G, H, w, m, split=split)
@@ -493,8 +551,8 @@ def run_ito2(cfg: Config) -> ExperimentResult:
         {"kind": "abs_pow", "power": 2.0},
         {"kind": "exp", "scale": 0.4},
     ])
-    return _ito_matrix(cfg, "ito2_residuals.csv", 500, 1e-6, fns, "h_names",
-                       ["H1", "H2", "H3"], "H", math.inf, ito.ito_rhs_all_compensated)[0]
+    return _ito_matrix(cfg, "ito2_residuals.csv", 500, 1e-6, fns, "h_names", "H",
+                       math.inf, ito.ito_rhs_all_compensated)[0]
 
 
 def _ladder_rows(prefix: str, report: il.DiagnosticReport, k_sigma: float):
@@ -514,7 +572,7 @@ def run_interlace(cfg: Config) -> ExperimentResult:
     T = w.horizon
     n_max = int(cfg.params.get("n_max", 6))
     reps = int(cfg.params.get("diag_replicates", 64))
-    H = cfg.integrand(cfg.params.get("h_name", "H"))
+    H = _named(cfg, "h_name")
     res = ExperimentResult(cfg.experiment, cfg.seed, reps)
 
     ladder = il.eps_sequence(H, w.box, T, m, n_max=n_max,
@@ -530,8 +588,7 @@ def run_interlace(cfg: Config) -> ExperimentResult:
     res.tables["eps_ladder.csv"] = rep.to_csv()
 
     if cfg.params.get("spatial", True):
-        Hs = cfg.integrand(cfg.params.get("spatial_h_name", "HS"))
-        Ks = cfg.integrand(cfg.params.get("spatial_k_name", "KS"))
+        Hs, Ks = _named(cfg, "spatial_h_name"), _named(cfg, "spatial_k_name")
         sm = cfg.measure(cfg.params.get("spatial_measure")) \
             if cfg.params.get("spatial_measure") else m
         s_nmax = int(cfg.params.get("spatial_n_max", 4))
@@ -554,14 +611,12 @@ def run_kunita(cfg: Config) -> ExperimentResult:
     ps = [float(p) for p in cfg.params.get("ps", [2.0, 3.0, 4.0])]
     reps = int(cfg.params.get("cell_replicates", cfg.replicates))
     guard = float(cfg.params.get("ratio_guard_factor", 10.0))
-    xnames = cfg.params.get("x_names", ["X1", "X2", "X3"])
     res = ExperimentResult(cfg.experiment, cfg.seed, reps)
     rows = []
     guard_ratios = []
     idx = 0
     for mk, m in cfg.measures.items():
-        for xn in xnames:
-            X = cfg.integrand(xn)
+        for xn, X in _named(cfg, "x_names"):
             for p in ps:
                 cell = apps.moment_bound_cell(X, m, p, T, w, reps,
                                               _seed_for(cfg, 700 + idx))
@@ -590,7 +645,7 @@ def run_martingale(cfg: Config) -> ExperimentResult:
     and the characteristic functional at several frequencies."""
     w, m = cfg.window, cfg.measure()
     T = w.horizon
-    h = cfg.integrand(cfg.params.get("h_name", "h"))
+    h = _named(cfg, "h_name")
     us = [float(u) for u in cfg.params.get("u_values", [-1.0, -0.5, 0.5, 1.0, 2.0])]
     n = cfg.replicates
     psi_int = apps.psi_space_time_integral(h, w, m, T)
@@ -627,24 +682,21 @@ def run_chaos(cfg: Config) -> ExperimentResult:
     identity for disjoint supports, and the explicit second-order expansion."""
     w, m = cfg.window, cfg.measure()
     T = w.horizon
-    slot_a = cfg.integrand(cfg.params.get("slot_a", "A"))
-    slot_b = cfg.integrand(cfg.params.get("slot_b", "B"))
-    slot_c = cfg.integrand(cfg.params.get("slot_c", "C"))
+    slot_a, slot_b, slot_c = (_named(cfg, key) for key in ("slot_a", "slot_b", "slot_c"))
     n = cfg.replicates
     f2 = apps.ChaosFunction((slot_a, slot_b))
     apps.check_disjoint(f2, w, m, T)
     norm2 = apps.chaos_norm_sq(f2, w, m, T)
 
-    def one(_k, c):
-        i1 = it.int_Nhat(slot_c, c, m, T)
-        i2 = apps.multiple_integral(f2, c, m, T, validate=False)
-        expansion = apps.second_chaos_expansion_residual(slot_a, c, m, T)
-        return np.array([i1, i2 * i2, i1 * i2, expansion * expansion])
+    def stat(batch):
+        i1 = it.int_Nhat(slot_c, batch, m, T)
+        i2 = apps.multiple_integral(f2, batch, m, T, validate=False)
+        expansion = apps.second_chaos_expansion_residual(slot_a, batch, m, T)
+        return np.stack([i1, i2 * i2, i1 * i2, expansion * expansion], axis=1)
 
-    est = run_replicates(lambda b: [one(k, b.config(k)) for k in range(len(b))],
-                         w, m, n, _seed_for(cfg, 900))
+    est = run_replicates(stat, w, m, n, _seed_for(cfg, 900))
     res = ExperimentResult(cfg.experiment, cfg.seed, n)
-    # (statistic, target, atol), in the order of the columns of `one`
+    # (statistic, target, atol), in the order of the columns of `stat`
     stats = (("first_order_mean", 0.0, 0.0), ("second_order_isometry", 2.0 * norm2, 0.0),
              ("cross_order_orthogonality", 0.0, 0.0), ("expansion_l2_residual", 0.0, 1e-16))
     rows = [(name, float(est.mean[i]), float(est.se[i]), target)

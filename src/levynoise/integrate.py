@@ -483,19 +483,30 @@ def space_time_grid(X: Integrand, s, xpts) -> np.ndarray:
     return grid
 
 
-def batch_rule(batch: PointBatch, t: float, extra, n_per_interval: int):
-    """interval_rule over the path_breaks of every replicate at once: the
-    nodes s, weights w and the replicate index of each node."""
+def batch_breaks(batch: PointBatch, t: float, extra):
+    """The path_breaks of every replicate, one replicate after another: the
+    breaks, the replicate of each, and for each point at or before t, in
+    batch order, the index of the break at its time."""
     fixed = [0.0, float(t)] + [float(v) for v in extra if 0.0 < v < t]
     mask = batch.t <= t
     pts = np.concatenate([np.tile(fixed, len(batch)), batch.t[mask]])
     seg = np.concatenate([np.repeat(np.arange(len(batch)), len(fixed)), batch.segment[mask]])
-    order = np.lexsort((pts, seg))
+    order = np.lexsort((pts, seg))  # stable: the points keep their batch order
     pts, seg = pts[order], seg[order]
+    new = np.ones(len(pts), dtype=bool)
+    new[1:] = (pts[1:] != pts[:-1]) | (seg[1:] != seg[:-1])
+    run = np.cumsum(new) - 1
+    return pts[new], seg[new], run[order >= len(batch) * len(fixed)]
+
+
+def batch_rule(batch: PointBatch, t: float, extra, n_per_interval: int):
+    """interval_rule over the path_breaks of every replicate at once: the
+    nodes s, weights w and the replicate index of each node."""
+    breaks, seg, _ = batch_breaks(batch, t, extra)
     # each replicate's breaks run from 0 up to t > 0, so interval_rule drops
-    # the empty intervals of repeated breaks and each step from t back to 0
-    s, w = interval_rule(pts, n_per_interval)
-    return s, w, np.repeat(seg[:-1][~(pts[1:] <= pts[:-1])], n_per_interval)
+    # each step from t back to 0
+    s, w = interval_rule(breaks, n_per_interval)
+    return s, w, np.repeat(seg[:-1][~(breaks[1:] <= breaks[:-1])], n_per_interval)
 
 
 def path_breaks(config: PointConfiguration, t: float, extra=()) -> np.ndarray:

@@ -205,8 +205,7 @@ def restrict(config: PointConfiguration, sub: Window) -> PointConfiguration:
     for k, (bounds, (lo, hi)) in enumerate(zip(config.window.box, sub.box)):
         if bounds != (lo, hi):
             keep &= (config.x[:, k] >= lo) & (config.x[:, k] <= hi)
-    return PointConfiguration(config.t[keep].copy(), config.x[keep].copy(),
-                              config.z[keep].copy(), sub, config.seed)
+    return PointConfiguration(config.t[keep], config.x[keep], config.z[keep], sub, config.seed)
 
 
 def replicate_seed(master_seed: int, k: int) -> int:

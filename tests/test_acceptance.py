@@ -416,23 +416,23 @@ def ito_rhs_per_path(fn, G, K, H, c, measure, t, *, split=1.0, n_time=8,
             ito.FourTermResult(g_term, big_jump_term, compensated_jumps - A, A - D))
 
 
-# experiment -> (seed tag, matrix key, default X names, X slot, split, n_time,
-# fixed slots, residual tolerance)
+# experiment -> (seed tag, matrix key, X slot, split, n_time, fixed slots,
+# residual tolerance)
 ITO_FORMS = {
-    "ito-lemma": (300, "k_names", ["K1", "K2", "K3"], "K", 0.0, 16, (), 1e-8),
-    "ito1": (400, "k_names", ["K1", "K2", "K3"], "K", 1.0, 8, ("H",), 1e-6),
-    "ito2": (500, "h_names", ["H1", "H2", "H3"], "H", math.inf, 8, (), 1e-6),
+    "ito-lemma": (300, "k_names", "K", 0.0, 16, (), 1e-8),
+    "ito1": (400, "k_names", "K", 1.0, 8, ("H",), 1e-6),
+    "ito2": (500, "h_names", "H", math.inf, 8, (), 1e-6),
 }
 
 
 def ito_reference(name, cfg):
     """{cell label: [(lhs, FourTermResult) per path]} by the per-path right
     side over `map_replicates`, and ito1's form-agreement gaps per f."""
-    tag, key, names, slot, split, n_time, fixed, _ = ITO_FORMS[name]
+    tag, key, slot, split, n_time, fixed, _ = ITO_FORMS[name]
     w, m, T = cfg.window, cfg.measure(), cfg.window.horizon
     fns = experiments._fns_from_params(cfg)
-    Gs = experiments._matrix_from_params(cfg, "g_names", ["G0", "G1", "G2"])
-    Xs = experiments._matrix_from_params(cfg, key, names)
+    Gs = experiments._named(cfg, "g_names")
+    Xs = experiments._named(cfg, key)
     slots = {k: cfg.integrand(cfg.params.get("h_name", "H")) for k in fixed}
     cells = {}
     for idx, (fn, (gname, G), (xname, X)) in enumerate(itertools.product(fns, Gs, Xs)):
@@ -466,7 +466,7 @@ class TestBatchedItoMovesRoundingOnly:
     @pytest.mark.parametrize("name", sorted(ITO_FORMS))
     def test_verdicts_kept_terms_within_rounding(self, name):
         cfg = reduced_config(name)
-        tag, _, _, slot, split, n_time, fixed, default_tol = ITO_FORMS[name]
+        tag, _, slot, split, n_time, fixed, default_tol = ITO_FORMS[name]
         w, m, T = cfg.window, cfg.measure(), cfg.window.horizon
         cells, gaps = ito_reference(name, cfg)
         rows = {v.name: v for v in reduced_result(name).verdicts}
@@ -506,12 +506,13 @@ class TestBatchedItoMovesRoundingOnly:
     @pytest.mark.parametrize("block_points,tensor_block", [(1, None), (7, None), (None, 1)])
     def test_block_budgets_move_nothing(self, block_points, tensor_block, monkeypatch):
         # blocks of one path or of a few, and a nu tensor built one time node
-        # at a time, give the bytes of the default budgets
+        # at a time, give the bytes of the default budgets; chaos, whose
+        # multiple integrals also run once per block, with them
         if block_points is not None:
             monkeypatch.setattr(mc, "BLOCK_POINTS", block_points)
         if tensor_block is not None:
             monkeypatch.setattr(mc, "TENSOR_BLOCK", tensor_block)
-        for name in sorted(ITO_FORMS):
+        for name in sorted(ITO_FORMS) + ["chaos"]:
             result = run_experiment(reduced_config(name))
             default = reduced_result(name)
             assert summary_text(result) == summary_text(default), name

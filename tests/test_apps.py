@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import json
 import math
 
@@ -12,7 +13,7 @@ from levynoise import integrate as it
 from levynoise.cli import bundled_config_text
 from levynoise.experiments import parse_config, run_experiment
 from levynoise.measure import DiscreteAtoms, Shell, TruncatedStable
-from levynoise.prm import Window, replicate_seed, simulate
+from levynoise.prm import PointBatch, Window, replicate_seed, simulate, simulate_batch
 
 ATOMS = DiscreteAtoms(((0.6, 1.0), (-1.1, 0.7), (1.7, 0.4)))
 TSTABLE = TruncatedStable(alpha=1.0, c=1.0, r=1.5)
@@ -268,6 +269,116 @@ class TestChaosMoments:
         assert abs(cross.mean()) <= 4 * se3
 
 
+# ---------------------------------------------------------------------------
+# the per-path multiple integral that the batched one replaced
+
+
+def one_path_cumulative(breaks, n_per_interval, values):
+    """cumulative_on_grid as it was for one path: one product per rule."""
+    _, w = ig.gl_rule(n_per_interval)
+    S = ig.spectral_integration_matrix(n_per_interval)
+    scale = 0.5 * np.diff(breaks)
+    vals = np.asarray(values).reshape(len(scale), n_per_interval)
+    cum_breaks = np.concatenate([[0.0], np.cumsum((vals @ w) * scale)])
+    return (cum_breaks[:-1, None] + (vals @ S.T) * scale[:, None]).ravel(), cum_breaks
+
+
+def per_path_iterated(slots, config, measure, T, n_time=8):
+    """The iterated simplex integral of one configuration, path by path."""
+    extra = [v for g in slots for v in g.time_breakpoints()]
+    breaks = it.path_breaks(config, T, extra)
+    s, _ = it.interval_rule(breaks, n_time)
+    mask = config.t <= T
+    tj = config.t[mask]
+    node_jumps = np.searchsorted(tj, s, side="left")
+    jump_break_idx = np.searchsorted(breaks, tj)
+    projs = [it.project_time(g, config.window, measure) for g in slots]
+
+    def values(g):
+        return (np.asarray(g(tj, config.x[mask], config.z[mask]), dtype=float)
+                if mask.any() else np.empty(0))
+
+    csum = np.concatenate([[0.0], np.cumsum(values(slots[0]))])
+    C_breaks = it.time_cumulative(projs[0], breaks)
+    P_nodes = csum[node_jumps] - it.time_cumulative(projs[0], s)
+    P_left = csum[:len(tj)] - C_breaks[jump_break_idx]
+    P_end = csum[-1] - C_breaks[-1]
+    for k in range(1, len(slots)):
+        ck = np.asarray(projs[k](s, 0.0, 0.0), dtype=float) + np.zeros(len(s))
+        D_nodes, D_breaks = one_path_cumulative(breaks, n_time, P_nodes * ck)
+        inc = np.concatenate([[0.0], np.cumsum(P_left * values(slots[k]))])
+        P_nodes = inc[node_jumps] - D_nodes
+        P_left = inc[:len(tj)] - D_breaks[jump_break_idx]
+        P_end = inc[-1] - D_breaks[-1]
+    return float(P_end)
+
+
+def per_path_multiple_integral(f, config, measure, T):
+    total = 0.0
+    for perm in itertools.permutations(f.factors):
+        total += per_path_iterated(perm, config, measure, T)
+    return total
+
+
+def per_path_expansion_residual(A, config, measure, T):
+    nhat = it.int_Nhat(A, config, measure, T)
+    i2 = per_path_multiple_integral(apps.ChaosFunction((A, A)), config, measure, T)
+    return nhat * nhat - it.compensator(A, config.window, measure, T) - nhat - i2
+
+
+SMOOTH_A = ig.term(time=ig.Exp(-0.5), space=ig.Poly((1.0, 0.4)), jump=ig.AbsIndicator(0.3, 1.0))
+SMOOTH_B = ig.term(time=ig.Poly((0.2, 1.0)), jump=ig.AbsIndicator(1.0, 2.0)) * 1.3
+# replicates of up to 5 points on a coarse grid: tied times, times on the
+# slot breakpoint 0.5 and at 0 and 1, and jumps on the slot boundary |z| = 1
+POINT = st.tuples(st.integers(0, 8).map(lambda k: k / 8.0),
+                  st.sampled_from([-0.375, -0.125, 0.0, 0.125, 0.375]),
+                  st.sampled_from([0.6, -1.1, 1.7, 0.4, -0.9, 1.0, -1.0]))
+BATCH = st.lists(st.lists(POINT, max_size=5).map(sorted), min_size=1, max_size=5)
+
+
+def point_batch(replicates):
+    pts = [p for rep in replicates for p in rep]
+    t, x, z = (np.array([p[i] for p in pts], dtype=float) for i in range(3))
+    offsets = np.cumsum([0] + [len(rep) for rep in replicates])
+    return PointBatch(t, x.reshape(-1, 1), z, offsets, WIN, tuple(range(len(replicates))))
+
+
+class TestBatchedChaos:
+    @given(BATCH, st.sampled_from([1.0, 0.75, 0.5, 0.3]))
+    @settings(max_examples=150, deadline=None)
+    def test_batch_equals_each_configuration_alone(self, replicates, T):
+        batch = point_batch(replicates)
+        fs = [apps.ChaosFunction((SLOT_A,)), apps.ChaosFunction((SMOOTH_B,)),
+              apps.ChaosFunction((SLOT_A, SLOT_B)), apps.ChaosFunction((SMOOTH_A, SMOOTH_B))]
+        for f in fs:
+            got = apps.multiple_integral(f, batch, ATOMS, T, validate=False)
+            assert got.shape == (len(batch),)
+            for k in range(len(batch)):
+                c = batch.config(k)
+                alone = apps.multiple_integral(f, c, ATOMS, T, validate=False)
+                assert isinstance(alone, float)
+                assert got[k] == alone == per_path_multiple_integral(f, c, ATOMS, T)
+        got = apps.second_chaos_expansion_residual(SLOT_A, batch, ATOMS, T)
+        for k in range(len(batch)):
+            c = batch.config(k)
+            alone = apps.second_chaos_expansion_residual(SLOT_A, c, ATOMS, T)
+            assert got[k] == alone == per_path_expansion_residual(SLOT_A, c, ATOMS, T)
+
+    def test_simulated_blocks_match_per_path_code(self):
+        # the bundled chaos measure and slots, in blocks of 40 replicates
+        win = Window(1.0, ((-0.5, 0.5),), Shell(0.3, 3.0))
+        m = DiscreteAtoms(((0.6, 1.0), (-1.1, 0.7), (2.5, 0.8)))
+        f2, f3 = apps.ChaosFunction((SLOT_A, SLOT_B)), apps.ChaosFunction((SLOT_A, SLOT_B, SLOT_C))
+        batch = simulate_batch(win, m, [replicate_seed(808, k) for k in range(40)])
+        for f in (f2, f3):
+            got = apps.multiple_integral(f, batch, m)
+            want = [per_path_multiple_integral(f, batch.config(k), m, 1.0) for k in range(40)]
+            assert got.tolist() == want
+        got = apps.second_chaos_expansion_residual(SLOT_A, batch, m)
+        assert got.tolist() == [per_path_expansion_residual(SLOT_A, batch.config(k), m, 1.0)
+                                for k in range(40)]
+
+
 def cumulative_reference(breaks, n_per_interval, values):
     """Oracle for cumulative_on_grid: per interval, a least-squares Legendre
     fit of the values, integrated and evaluated at the nodes and the end."""
@@ -323,6 +434,31 @@ class TestSpectralCumulative:
         tol = 1e-13 * np.sum(np.abs(coef)) * breaks[-1]
         assert np.max(np.abs(at_nodes - P(s))) <= tol
         assert np.max(np.abs(at_breaks - P(breaks))) <= tol
+
+    @given(st.integers(2, 16), st.lists(WIDTHS, min_size=1, max_size=6),
+           st.integers(0, 2 ** 32 - 1), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_paths_in_one_call_match_each_alone(self, n, paths, seed, is_complex):
+        # each path's breaks run up from 0, so the breaks step back between
+        # paths; the values of those steps are not read
+        rng = np.random.default_rng(seed)
+        vals = [rng.normal(size=len(widths) * n) for widths in paths]
+        if is_complex:
+            vals = [v + 1j * rng.normal(size=v.shape) for v in vals]
+        breaks = [np.concatenate([[0.0], np.cumsum(widths)]) for widths in paths]
+        step = [rng.normal(size=n)] * (len(paths) - 1)
+        joined = [v for pair in itertools.zip_longest(vals, step) for v in pair if v is not None]
+        nodes, at_breaks = apps.cumulative_on_grid(np.concatenate(breaks), n,
+                                                   np.concatenate(joined))
+        a = 0
+        for b, v in zip(breaks, vals):
+            alone = apps.cumulative_on_grid(b, n, v)
+            want = one_path_cumulative(b, n, v)
+            got = (nodes[a * n:(a + len(b) - 1) * n], at_breaks[a:a + len(b)])
+            for g, x, y in zip(got, alone, want):
+                assert g.dtype == x.dtype == y.dtype
+                assert g.tobytes() == x.tobytes() == y.tobytes()
+            a += len(b)
 
     def test_matrix_cached_read_only(self):
         S = ig.spectral_integration_matrix(8)

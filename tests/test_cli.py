@@ -95,6 +95,48 @@ class TestParseConfig:
         assert main(["validate", path]) == 2
         assert main(["run", path, "--output-dir", str(tmp_path / "out")]) == 2
 
+    @pytest.mark.parametrize("name, key, value", [
+        ("chaos", "slot_a", "Z"), ("chaos", "slot_c", 3), ("chaos", "product_tol", "abc"),
+        ("chaos", "product_tol", -1), ("chaos", "product_tol", 0),
+        ("chaos", "product_tol", True), ("chaos", "product_tol", math.inf),
+        ("interlace", "h_name", "nope"), ("interlace", "spatial_k_name", "nope"),
+        ("interlace", "spatial_measure", "nope"), ("kunita", "x_names", ["X1", "Y"]),
+        ("kunita", "x_names", []), ("kunita", "x_names", "X1"), ("ito1", "h_name", "Q"),
+        ("ito1", "agreement_tol", math.nan), ("ito2", "h_names", ["H1", 2]),
+        ("ito-lemma", "g_names", ["G9"]), ("ito-lemma", "residual_tol", -1e-8),
+        ("martingale", "h_name", "H"), ("martingale", "representation_tol", "1e-6"),
+        ("isometry", "cells", [{"measure": "atoms", "integrand": "Z"}]),
+        ("isometry", "cells", [{"measure": "nope", "integrand": "Hz"}]),
+        ("isometry", "cells", [{"measure": "atoms"}]), ("isometry", "cells", 5),
+        ("isometry", "cells", [["atoms", "Hz"]])])
+    def test_bad_name_or_tolerance_param(self, tmp_path, capsys, name, key, value):
+        # an undefined integrand or measure, or a tolerance that is not a
+        # finite number > 0, would raise or fail a verdict mid-run
+        raw = json.loads(bundled_config_text(name))
+        raw["params"][key] = value
+        with pytest.raises(ConfigError, match=rf"^params\.{key}: "):
+            parse_config(raw)
+        path = write_config(tmp_path, raw)
+        assert main(["validate", path]) == 2
+        assert main(["run", path, "--output-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"params.{key}: " in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_defaulted_names_resolved(self):
+        raw = json.loads(bundled_config_text("chaos"))
+        del raw["integrands"]["C"]
+        with pytest.raises(ConfigError, match=r"^params\.slot_c: 'C' names no integrand"):
+            parse_config(raw)
+        # without the spatial ladder, interlace reads no spatial names
+        raw = json.loads(bundled_config_text("interlace"))
+        del raw["integrands"]["HS"], raw["integrands"]["KS"]
+        with pytest.raises(ConfigError, match=r"^params\.spatial_h_name: "):
+            parse_config(raw)
+        raw["params"]["spatial"] = False
+        raw["params"]["spatial_measure"] = "nope"
+        parse_config(raw)
+
     def test_bad_output_dir(self, tmp_path, monkeypatch, capsys):
         raw = small_simulate_config()
         raw["output_dir"] = 5
