@@ -5,14 +5,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from importlib import resources
 from pathlib import Path
 
 from .experiments import REGISTRY, ConfigError, parse_config, run_experiment
-
-WORKERS_ENV = "LEVYNOISE_WORKERS"
 
 
 def bundled_config_text(name: str) -> str:
@@ -36,14 +33,6 @@ def _apply_overrides(raw: dict, args) -> dict:
         raw["seed"] = args.seed
     if args.replicates is not None:
         raw["replicates"] = args.replicates
-    if args.workers is not None:
-        raw["workers"] = args.workers
-    elif "workers" not in raw and os.environ.get(WORKERS_ENV):
-        try:
-            raw["workers"] = int(os.environ[WORKERS_ENV])
-        except ValueError:
-            raise ConfigError(f"{WORKERS_ENV}: must be an integer, "
-                              f"got {os.environ[WORKERS_ENV]!r}") from None
     if args.output_dir is not None:
         raw["output_dir"] = args.output_dir
     return raw
@@ -102,7 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("config")
     run.add_argument("--seed", type=int)
     run.add_argument("--replicates", type=int)
-    run.add_argument("--workers", type=int)
     run.add_argument("--output-dir")
     run.set_defaults(fn=cmd_run)
 

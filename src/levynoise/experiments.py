@@ -14,7 +14,7 @@ import functools
 import io
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy import stats as _stats
@@ -62,7 +62,16 @@ class Config:
             raise ConfigError(f"integrands.{name}: not defined") from None
 
 
+# `measure` is shorthand for a `measures` of one entry
+TOP_LEVEL_FIELDS = frozenset(f.name for f in fields(Config)) | {"measure"}
+
+
 def parse_config(raw: dict) -> Config:
+    unknown = sorted(set(raw) - TOP_LEVEL_FIELDS)
+    if unknown:
+        raise ConfigError(f"{unknown[0]}: unknown field; "
+                          f"choose from {sorted(TOP_LEVEL_FIELDS)}")
+
     def need(key):
         if key not in raw:
             raise ConfigError(f"{key}: missing")

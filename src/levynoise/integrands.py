@@ -72,9 +72,6 @@ class Node:
             return val
         return gauss_legendre(self, a, b, n)
 
-    def to_json(self):
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class Const(Node):
@@ -86,9 +83,6 @@ class Const(Node):
 
     def antiderivative(self, u):
         return self.value * np.asarray(u, dtype=float)
-
-    def to_json(self):
-        return {"kind": "const", "value": self.value}
 
 
 ONE_NODE = Const(1.0)
@@ -108,9 +102,6 @@ class Poly(Node):
         ac = [0.0] + [c / (k + 1) for k, c in enumerate(self.coeffs)]
         return np.polynomial.polynomial.polyval(np.asarray(u, dtype=float), ac)
 
-    def to_json(self):
-        return {"kind": "poly", "coeffs": list(self.coeffs)}
-
 
 @dataclass(frozen=True)
 class Exp(Node):
@@ -124,9 +115,6 @@ class Exp(Node):
 
     def antiderivative(self, u):
         return (np.exp(self.rate * np.asarray(u, dtype=float)) - 1.0) / self.rate
-
-    def to_json(self):
-        return {"kind": "exp", "rate": self.rate}
 
 
 @dataclass(frozen=True)
@@ -143,9 +131,6 @@ class ExpAbs(Node):
         u = np.asarray(u, dtype=float)
         return np.sign(u) * (np.exp(self.rate * np.abs(u)) - 1.0) / self.rate
 
-    def to_json(self):
-        return {"kind": "exp_abs", "rate": self.rate}
-
 
 @dataclass(frozen=True)
 class Cos(Node):
@@ -158,9 +143,6 @@ class Cos(Node):
     def antiderivative(self, u):
         return np.sin(self.freq * np.asarray(u, dtype=float)) / self.freq
 
-    def to_json(self):
-        return {"kind": "cos", "freq": self.freq}
-
 
 @dataclass(frozen=True)
 class Sin(Node):
@@ -172,9 +154,6 @@ class Sin(Node):
 
     def antiderivative(self, u):
         return (1.0 - np.cos(self.freq * np.asarray(u, dtype=float))) / self.freq
-
-    def to_json(self):
-        return {"kind": "sin", "freq": self.freq}
 
 
 @dataclass(frozen=True)
@@ -194,9 +173,6 @@ class Indicator(Node):
         u = np.asarray(u, dtype=float)
         return np.clip(u, self.lo, self.hi) - np.clip(0.0, self.lo, self.hi)
 
-    def to_json(self):
-        return {"kind": "indicator", "lo": self.lo, "hi": self.hi}
-
 
 @dataclass(frozen=True)
 class AbsIndicator(Node):
@@ -215,9 +191,6 @@ class AbsIndicator(Node):
         u = np.asarray(u, dtype=float)
         return np.sign(u) * np.maximum(0.0, np.minimum(np.abs(u), self.hi) - self.lo)
 
-    def to_json(self):
-        return {"kind": "abs_indicator", "lo": self.lo, "hi": self.hi}
-
 
 @dataclass(frozen=True)
 class AbsPow(Node):
@@ -232,9 +205,6 @@ class AbsPow(Node):
     def antiderivative(self, u):
         u = np.asarray(u, dtype=float)
         return np.sign(u) * np.abs(u) ** (self.power + 1.0) / (self.power + 1.0)
-
-    def to_json(self):
-        return {"kind": "abs_pow", "power": self.power}
 
 
 @dataclass(frozen=True)
@@ -251,9 +221,6 @@ class SignPow(Node):
     def antiderivative(self, u):
         u = np.asarray(u, dtype=float)
         return np.abs(u) ** (self.power + 1.0) / (self.power + 1.0)
-
-    def to_json(self):
-        return {"kind": "sign_pow", "power": self.power}
 
 
 @dataclass(frozen=True)
@@ -303,9 +270,6 @@ class Product(Node):
             val, _ = _si.quad(lambda u: float(prod(u)), a, b, limit=200)
             return scale * val
         return scale * gauss_legendre(Product(tuple(core)), a, b, n)
-
-    def to_json(self):
-        return {"kind": "product", "factors": [f.to_json() for f in self.factors]}
 
 
 def _fuse(a: Node, b: Node) -> Node | None:
@@ -482,10 +446,6 @@ class Integrand:
         return Integrand(tuple(
             Term(t.time, t.space, product_node(t.jump, node)) for t in self.terms))
 
-    def restrict_jump_abs(self, lo: float, hi: float) -> "Integrand":
-        """Multiply by the indicator of {lo < |z| <= hi}."""
-        return self.with_jump(AbsIndicator(lo, hi))
-
     def is_time_only(self) -> bool:
         return all(not t.space and isinstance(t.jump, Const) for t in self.terms)
 
@@ -515,32 +475,11 @@ def as_integrand(x) -> Integrand:
     raise TypeError(f"cannot interpret {x!r} as an integrand")
 
 
-def from_time(node: Node) -> Integrand:
-    return Integrand((Term(time=node),))
-
-
-def from_jump(node: Node) -> Integrand:
-    return Integrand((Term(jump=node),))
-
-
-def jump_identity() -> Integrand:
-    """The integrand H(s, x, z) = z."""
-    return from_jump(SignPow(1.0))
-
-
 def term(time: Node = ONE_NODE, space: tuple[Node, ...] | Node = (),
          jump: Node = ONE_NODE) -> Integrand:
     if isinstance(space, Node):
         space = (space,)
     return Integrand((Term(time, tuple(space), jump),))
-
-
-def integrand_to_json(h: Integrand) -> dict:
-    return {"terms": [
-        {"time": t.time.to_json(),
-         "space": [n.to_json() for n in t.space],
-         "jump": t.jump.to_json()}
-        for t in h.terms]}
 
 
 def integrand_from_json(d: dict) -> Integrand:

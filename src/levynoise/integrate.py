@@ -197,16 +197,11 @@ def time_cumulative(G: Integrand, ts) -> np.ndarray:
 def int_N(K: Integrand, config: PointConfiguration | PointBatch, t: float):
     """Finite jump sum of K over the points with t_i <= t; on a batch, the
     array of per-replicate sums."""
-    if isinstance(config, PointBatch):
-        mask = config.t <= t
-        return _segment_sum(config, mask, K(config.t[mask], config.x[mask], config.z[mask]))
-    if len(config) == 0:
-        return 0.0
-    mask = config.t <= t
-    if not mask.any():
-        return 0.0
-    return float(np.sum(np.asarray(
-        K(config.t[mask], config.x[mask], config.z[mask]), dtype=float)))
+    batch = config if isinstance(config, PointBatch) else PointBatch.of(config)
+    mask = batch.t <= t
+    values = K(batch.t[mask], batch.x[mask], batch.z[mask]) if mask.any() else 0.0
+    sums = _segment_sum(batch, mask, values)
+    return sums if batch is config else float(sums[0])
 
 
 def _segment_sum(batch: PointBatch, mask, values) -> np.ndarray:
@@ -263,22 +258,18 @@ def z_of_set(a: float, box, interval, config: PointConfiguration | PointBatch,
     for lo, hi in box:
         vol *= hi - lo
     total = a * vol
-    keep = (config.t > t1) & (config.t <= t2)
+    batch = config if isinstance(config, PointBatch) else PointBatch.of(config)
+    keep = (batch.t > t1) & (batch.t <= t2)
     for k, (lo, hi) in enumerate(box):
-        keep &= (config.x[:, k] >= lo) & (config.x[:, k] <= hi)
-    if isinstance(config, PointBatch):
-        big = np.abs(config.z) > 1.0
-        total = np.full(len(config), total)
-        for part in (keep & big, keep & ~big):
-            total += _segment_sum(config, part, config.z[part])
-    elif len(config):
-        z = config.z[keep]
-        total += float(np.sum(z[np.abs(z) > 1.0]))
-        total += float(np.sum(z[np.abs(z) <= 1.0]))
+        keep &= (batch.x[:, k] >= lo) & (batch.x[:, k] <= hi)
+    big = np.abs(batch.z) > 1.0
+    total = np.full(len(batch), total)
+    for part in (keep & big, keep & ~big):
+        total += _segment_sum(batch, part, batch.z[part])
     small = w.shell.clip(0.0, 1.0)
     if small:
         total -= vol * measure.shell_moment(small, 1.0, signed=True)
-    return total
+    return total if batch is config else float(total[0])
 
 
 # ---------------------------------------------------------------------------

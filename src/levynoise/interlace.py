@@ -285,7 +285,6 @@ class DiagnosticRow:
     exceed_freq: float
     exceed_se: float
     bound_freq: float
-    flagged: bool
 
 
 @dataclass
@@ -295,10 +294,6 @@ class DiagnosticReport:
     replicates: int
     master_seed: int
 
-    @property
-    def flagged(self) -> bool:
-        return any(r.flagged for r in self.rows)
-
     def to_csv(self) -> str:
         buf = io.StringIO()
         buf.write("level,threshold,I,empirical_sup2,bound,exceed_freq,bound_freq\n")
@@ -307,11 +302,6 @@ class DiagnosticReport:
                       f"{r.empirical_sup2:.17g},{r.bound:.17g},"
                       f"{r.exceed_freq:.17g},{r.bound_freq:.17g}\n")
         return buf.getvalue()
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "replicates": self.replicates,
-                "master_seed": self.master_seed,
-                "levels": [vars(r) for r in self.rows]}
 
 
 def _scan(H: Integrand) -> int:
@@ -432,8 +422,7 @@ def _assemble(ladder, sup2, exceed, replicates, master_seed):
         fse = math.sqrt(max(freq * (1 - freq), 1.0 / replicates) / replicates)
         bound = 4.0 * GEOMETRIC_BASE ** -n
         bfreq = exceed_bound(n)
-        flagged = (mean > bound + 4 * se) or (freq > bfreq + 4 * fse)
         rows.append(DiagnosticRow(n, ladder.levels[j].threshold,
                                   ladder.levels[j].i_value, mean, se, bound,
-                                  freq, fse, min(bfreq, 1.0), flagged))
+                                  freq, fse, min(bfreq, 1.0)))
     return DiagnosticReport(ladder.kind, rows, replicates, master_seed)

@@ -95,10 +95,6 @@ class LevyMeasure:
         """
         raise NotImplementedError
 
-    def psi(self, u: float) -> complex:
-        """Compensated exponent: integral of (e^{iuz} - 1 - iuz) nu(dz)."""
-        return self.psi_shell(FULL, u)
-
     def psi_shell(self, shell: Shell, u) -> complex:
         """Shell-truncated compensated exponent; `u` may be an array."""
         raise NotImplementedError
@@ -116,13 +112,6 @@ class LevyMeasure:
         phi d nu over the shell.  Exact for atoms; Gauss-Legendre after a
         power-law substitution for the density families."""
         raise NotImplementedError
-
-    # -- derived ----------------------------------------------------------
-
-    @property
-    def variance(self) -> float:
-        """v = integral of z^2 nu(dz) over the full punctured line."""
-        return self.shell_moment(FULL, 2.0)
 
 
 @dataclass(frozen=True)
@@ -197,11 +186,6 @@ class _SymmetricDensity(LevyMeasure):
     def _bounds(self, shell):
         """Intersection of |z| in (shell.lo, shell.hi] with the support."""
         return shell.lo, min(shell.hi, self.support_hi)
-
-    def density(self, z):
-        z = np.asarray(z, dtype=float)
-        a = np.abs(z)
-        return np.where((a > 0) & (a <= self.support_hi), self._density_abs(np.maximum(a, 1e-300)), 0.0)
 
     def nu_integral(self, fn, shell):
         a, b = self._bounds(shell)

@@ -233,11 +233,6 @@ def dump_csv(config: PointConfiguration) -> str:
     return buf.getvalue()
 
 
-def save_csv(config: PointConfiguration, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(dump_csv(config))
-
-
 def parse_csv(text: str) -> PointConfiguration:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("#"):
@@ -256,8 +251,3 @@ def parse_csv(text: str) -> PointConfiguration:
     if not (inside.all() and np.all(t[1:] >= t[:-1])):
         raise ValueError("points must lie inside the header's window, in time order")
     return PointConfiguration(t, x, z, window, int(header["seed"]))
-
-
-def load_csv(path) -> PointConfiguration:
-    with open(path) as fh:
-        return parse_csv(fh.read())

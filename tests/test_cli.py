@@ -70,7 +70,8 @@ class TestParseConfig:
         ("replicates", 200.0), ("workers", "2"), ("workers", None),
         ("k_sigma", -1), ("k_sigma", 0), ("k_sigma", math.inf), ("k_sigma", math.nan),
         ("k_sigma", "4"), ("k_sigma", False), ("experiment", ["simulate"]),
-        ("measures", "x"), ("integrands", [1]), ("params", [1]), ("params", "x")])
+        ("measures", "x"), ("integrands", [1]), ("params", [1]), ("params", "x"),
+        ("replicate", 100), ("measurs", {}), ("description", "x")])
     def test_bad_top_level_field(self, tmp_path, key, value):
         raw = small_simulate_config()
         raw[key] = value
@@ -158,13 +159,14 @@ class TestParseConfig:
         assert "JSON object" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("value", ["abc", "2.5"])
-    def test_bad_workers_environment(self, tmp_path, monkeypatch, capsys, value):
-        monkeypatch.setenv("LEVYNOISE_WORKERS", value)
+    def test_workers_flag_is_a_usage_error(self, tmp_path, capsys):
+        # `workers` is a config field only; the run flag is gone
         path = write_config(tmp_path, small_simulate_config())
         out_dir = tmp_path / "out"
-        assert main(["run", path, "--output-dir", str(out_dir)]) == 2
-        assert "LEVYNOISE_WORKERS" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["run", path, "--workers", "2", "--output-dir", str(out_dir)])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_integral_k_sigma_accepted(self):

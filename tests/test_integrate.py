@@ -39,12 +39,12 @@ def brute_compensator(H, window, measure, t):
 
 class TestIntTime:
     def test_trivial(self):
-        assert it.int_time(ig.from_time(ig.Const(0.0)), 2.0) == 0.0
-        assert it.int_time(ig.from_time(ig.Const(3.0)), 2.0) == pytest.approx(6.0)
-        assert it.int_time(ig.from_time(ig.Poly((0.0, 1.0))), 2.0) == pytest.approx(2.0)
+        assert it.int_time(ig.term(time=ig.Const(0.0)), 2.0) == 0.0
+        assert it.int_time(ig.term(time=ig.Const(3.0)), 2.0) == pytest.approx(6.0)
+        assert it.int_time(ig.term(time=ig.Poly((0.0, 1.0))), 2.0) == pytest.approx(2.0)
 
     def test_exponential_vs_oracle(self):
-        got = it.int_time(ig.from_time(ig.Exp(-1.0)), 1.0)
+        got = it.int_time(ig.term(time=ig.Exp(-1.0)), 1.0)
         oracle, _ = si.quad(lambda s: math.exp(-s), 0.0, 1.0, epsabs=1e-14)
         assert got == pytest.approx(oracle, abs=1e-12)
         assert got == pytest.approx(1.0 - math.exp(-1.0), abs=1e-13)
@@ -62,7 +62,7 @@ class TestCompensator:
             assert got == pytest.approx(0.7 * 1.0 * m.shell_mass(WIN.shell), rel=1e-14)
 
     def test_linear_jump_factorizes(self):
-        H = ig.jump_identity()
+        H = ig.term(jump=ig.SignPow(1.0))
         got = it.compensator(H, WIN, ATOMS, 1.0)
         assert got == pytest.approx(ATOMS.shell_moment(WIN.shell, 1.0, signed=True),
                                     rel=1e-14)
@@ -75,7 +75,7 @@ class TestCompensator:
         assert got == pytest.approx(brute_compensator(H_GEN, WIN, m, 1.0), rel=1e-10)
 
     def test_cos_jump_routes_through_quadrature(self):
-        H = ig.from_jump(ig.Cos(3.0))
+        H = ig.term(jump=ig.Cos(3.0))
         got = it.compensator(H, WIN, TSTABLE, 1.0)
         assert got == pytest.approx(brute_compensator(H, WIN, TSTABLE, 1.0), rel=1e-9)
 
@@ -85,7 +85,7 @@ class TestCompensator:
             it.compensator(ig.ONE, w, TSTABLE, 1.0)
 
     def test_one_sided_indicator(self):
-        H = ig.from_jump(ig.Indicator(0.5, 2.0))
+        H = ig.term(jump=ig.Indicator(0.5, 2.0))
         got = it.compensator(H, WIN, TSTABLE, 1.0)
         # positive side of {0.5 < z <= 1}: half the symmetric shell mass
         assert got == pytest.approx(0.5 * TSTABLE.shell_mass(Shell(0.5, 1.0)), rel=1e-12)
@@ -164,7 +164,7 @@ class TestIntNhat:
 class TestBuildPath:
     def test_pure_step_function(self):
         c = simulate(WIN, ATOMS, 31)
-        K = ig.jump_identity()
+        K = ig.term(jump=ig.SignPow(1.0))
         path = it.build_path(None, K, None, c, ATOMS, split=0.0)
         partial = np.cumsum(c.z)
         for i, t in enumerate(c.t):
@@ -173,13 +173,13 @@ class TestBuildPath:
 
     def test_left_limits_chain(self):
         c = simulate(WIN, TSTABLE, 32)
-        path = it.build_path(None, ig.jump_identity(), None, c, TSTABLE, split=0.0)
+        path = it.build_path(None, ig.term(jump=ig.SignPow(1.0)), None, c, TSTABLE, split=0.0)
         for i in range(1, len(c)):
             assert path.eval_left(c.t[i]) == pytest.approx(path.eval(c.t[i - 1]), rel=1e-13)
 
     @pytest.mark.parametrize("m", [ATOMS, TSTABLE], ids=["atoms", "tstable"])
     def test_consistency_identity(self, m):
-        G = ig.from_time(ig.Cos(1.0)) * 0.7
+        G = ig.term(time=ig.Cos(1.0)) * 0.7
         K = ig.term(time=ig.Poly((1.0, 0.3)), jump=ig.SignPow(1.0))
         H = H_GEN
         for seed in range(20):
@@ -187,20 +187,20 @@ class TestBuildPath:
             path = it.build_path(G, K, H, c, m, split=1.0)
             lhs = path.eval(1.0)
             rhs = (it.int_time(G, 1.0)
-                   + it.int_N(K.restrict_jump_abs(1.0, math.inf), c, 1.0)
-                   + it.int_Nhat(H.restrict_jump_abs(0.0, 1.0), c, m, 1.0))
+                   + it.int_N(K.with_jump(ig.AbsIndicator(1.0, math.inf)), c, 1.0)
+                   + it.int_Nhat(H.with_jump(ig.AbsIndicator(0.0, 1.0)), c, m, 1.0))
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_jump_reconstruction(self):
         c = simulate(WIN, ATOMS, 33)
-        path = it.build_path(ig.from_time(ig.Const(0.5)), ig.jump_identity(),
+        path = it.build_path(ig.term(time=ig.Const(0.5)), ig.term(jump=ig.SignPow(1.0)),
                              H_GEN, c, ATOMS, split=1.0)
         assert float(np.sum(path.jumps)) == pytest.approx(
             path.eval(1.0) - path.drift(np.asarray(1.0)), abs=1e-12)
 
     def test_sup_abs_linear_drift_exact(self):
         c = simulate(WIN, ATOMS, 34)
-        path = it.build_path(ig.from_time(ig.Const(-0.4)), ig.jump_identity(),
+        path = it.build_path(ig.term(time=ig.Const(-0.4)), ig.term(jump=ig.SignPow(1.0)),
                              None, c, ATOMS, split=0.0)
         # brute force on a very fine grid as oracle
         grid = np.linspace(0.0, 1.0, 200001)
@@ -214,8 +214,8 @@ class TestBuildPath:
         ts = np.array([0.0, 0.2, 0.55, 1.0])
         got = it.drift_function([(1.5, node)])(ts)
         assert np.array_equal(got, [1.5 * node.integral(0.0, float(t)) for t in ts])
-        G = ig.from_time(node) * 1.5
-        assert np.array_equal(it.time_cumulative(ig.from_time(node), ts),
+        G = ig.term(time=node) * 1.5
+        assert np.array_equal(it.time_cumulative(ig.term(time=node), ts),
                               [node.integral(0.0, float(t)) for t in ts])
         path = it.build_path(G, None, None, simulate(WIN, ATOMS, 35), ATOMS)
         assert path.drift(0.55) == pytest.approx(G.terms[0].time.integral(0.0, 0.55),
@@ -316,7 +316,7 @@ class TestLIntegral:
     def test_rejects_jump_dependence(self):
         c = simulate(WIN, ATOMS, 67)
         with pytest.raises(ValueError):
-            it.l_integral(ig.jump_identity(), c, ATOMS, 1.0)
+            it.l_integral(ig.term(jump=ig.SignPow(1.0)), c, ATOMS, 1.0)
 
     @pytest.mark.parametrize("m", [ATOMS, TSTABLE], ids=["atoms", "tstable"])
     def test_isometry(self, m):
@@ -379,6 +379,79 @@ class TestBatch:
         got = it.z_of_set(1.0, w.box, (0.0, 1.0), batch, ATOMS)
         assert np.array_equal(got, [it.z_of_set(1.0, w.box, (0.0, 1.0), batch.config(k), ATOMS)
                                     for k in range(4)])
+
+
+def int_N_loop(K, config, t):
+    """The per-configuration jump sum that the batch of one replaced, with
+    the values it adds."""
+    mask = config.t <= t
+    v = np.asarray(K(config.t[mask], config.x[mask], config.z[mask]), dtype=float)
+    return float(np.sum(v)), v
+
+
+def z_of_set_loop(a, box, interval, config, measure):
+    """The per-configuration charge that the batch of one replaced, with the
+    values it adds."""
+    t1, t2 = interval
+    vol = t2 - t1
+    for lo, hi in box:
+        vol *= hi - lo
+    keep = (config.t > t1) & (config.t <= t2)
+    for k, (lo, hi) in enumerate(box):
+        keep &= (config.x[:, k] >= lo) & (config.x[:, k] <= hi)
+    z = config.z[keep]
+    total = a * vol
+    total += float(np.sum(z[np.abs(z) > 1.0]))
+    total += float(np.sum(z[np.abs(z) <= 1.0]))
+    small = config.window.shell.clip(0.0, 1.0)
+    drift = vol * measure.shell_moment(small, 1.0, signed=True) if small else 0.0
+    return total - drift, np.concatenate([[a * vol, drift], z])
+
+
+@st.composite
+def configurations(draw):
+    """0 to 12 points of WIN in time order, with ties and jumps at |z| = 1."""
+    n = draw(st.integers(0, 12))
+    pts = st.tuples(st.floats(0.0, 1.0) | st.sampled_from([0.25, 0.5, 1.0]),
+                    st.floats(-0.5, 0.5),
+                    st.floats(-2.0, 2.0).filter(lambda v: abs(v) > 0.3)
+                    | st.sampled_from([1.0, -1.0, 2.0]))
+    rows = sorted(draw(st.lists(pts, min_size=n, max_size=n)), key=lambda r: r[0])
+    t, x, z = (np.array(col, dtype=float) for col in zip(*rows)) if rows else \
+        (np.empty(0), np.empty(0), np.empty(0))
+    return prm.PointConfiguration(t, x.reshape(n, 1), z, WIN, 0)
+
+
+class TestBatchOfOne:
+    """A configuration runs through the batch code as the batch of one: equal
+    to the per-configuration code when under 8 points are summed, since both
+    then add in order, else within 4 n eps sum|v| over the n values v added,
+    since np.sum adds in pairs from 8 terms up."""
+
+    @staticmethod
+    def assert_close(got, want, points, values):
+        assert type(got) is float
+        if points < 8:
+            assert got == want
+        else:
+            eps = np.finfo(float).eps
+            assert abs(got - want) <= 4 * len(values) * eps * np.sum(np.abs(values))
+
+    @given(configurations(), st.floats(0.0, 1.0) | st.sampled_from([0.25, 0.5, 1.0]),
+           st.sampled_from([ATOMS, TSTABLE]))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_per_configuration_code(self, c, t, m):
+        X = ig.term(time=ig.Exp(-0.5), space=ig.Poly((1.0, 0.4)))
+        want, v = int_N_loop(H_GEN, c, t)
+        self.assert_close(it.int_N(H_GEN, c, t), want, len(v), v)
+        for H in (H_GEN, X.with_jump(ig.SignPow(1.0))):
+            want, v = int_N_loop(H, c, t)
+            comp = it.compensator(H, WIN, m, t)
+            self.assert_close(it.int_Nhat(H, c, m, t), want - comp, len(v), np.append(v, comp))
+        self.assert_close(it.l_integral(X, c, m, t), want - comp, len(v), np.append(v, comp))
+        for box, interval in ((WIN.box, (0.0, 1.0)), (((-0.2, 0.4),), (0.1, 0.8))):
+            want, v = z_of_set_loop(0.4, box, interval, c, m)
+            self.assert_close(it.z_of_set(0.4, box, interval, c, m), want, len(v) - 2, v)
 
 
 class TestProjectTime:

@@ -16,9 +16,9 @@ ATOMS = DiscreteAtoms(((0.6, 1.0), (-1.1, 0.7), (1.7, 0.4)))
 TSTABLE = TruncatedStable(alpha=1.0, c=1.0, r=1.5)
 WIN = Window(1.0, ((-0.5, 0.5),), Shell(0.3, 2.0))
 
-G_CONST = ig.from_time(ig.Const(0.5))
-G_EXP = ig.from_time(ig.Exp(-1.0))
-K_Z = ig.jump_identity()
+G_CONST = ig.term(time=ig.Const(0.5))
+G_EXP = ig.term(time=ig.Exp(-1.0))
+K_Z = ig.term(jump=ig.SignPow(1.0))
 K_MIX = ig.term(time=ig.Poly((1.0, 0.3)), space=ig.Poly((1.0, 0.5)), jump=ig.SignPow(1.0))
 H_MIX = ig.term(time=ig.Cos(1.0), space=ig.Poly((1.0, 0.4)), jump=ig.SignPow(1.0)) * 0.6
 
@@ -228,7 +228,7 @@ class TestAllCompensatedFormula:
 POINT = st.tuples(st.sampled_from([0.1, 0.25, 0.5, 0.5, 0.75, 1.0]),
                   st.sampled_from([-0.4, 0.0, 0.3]),
                   st.sampled_from([-1.9, -1.2, -0.5, 0.4, 0.8, 1.5]))
-G_STEP = ig.from_time(ig.Indicator(0.25, 0.75)) + G_EXP
+G_STEP = ig.term(time=ig.Indicator(0.25, 0.75)) + G_EXP
 H_FLAT = ig.term(time=ig.Indicator(0.1, 0.5), jump=ig.SignPow(1.0)) * 0.7
 
 

@@ -156,7 +156,7 @@ class TestShellMoment:
     def test_variance_monotone_limit(self):
         # moment(shell, 2) increases to v as the shell fills out
         for m in ALL:
-            v = m.variance
+            v = m.shell_moment(FULL, 2.0)
             prev = -1.0
             for lo in (0.5, 0.1, 0.01, 1e-4):
                 cur = m.shell_moment(Shell(lo, math.inf), 2.0)
@@ -228,29 +228,29 @@ class TestSampler:
 class TestPsi:
     def test_u_zero(self):
         for m in ALL:
-            assert m.psi(0.0) == 0.0
+            assert m.psi_shell(FULL, 0.0) == 0.0
 
     def test_atoms_definition(self):
         u = 1.0
         expected = 0.5 * (cmath.exp(1j) - 1 - 1j) + 0.25 * (cmath.exp(-2j) - 1 + 2j)
-        assert ATOMS.psi(u) == pytest.approx(expected, rel=1e-14)
+        assert ATOMS.psi_shell(FULL, u) == pytest.approx(expected, rel=1e-14)
 
     def test_symmetric_real_and_taylor(self):
         for m in (TSTABLE, TEMPERED):
-            v = m.variance
+            v = m.shell_moment(FULL, 2.0)
             for u in (0.3, 1.7):
-                val = m.psi(u)
+                val = m.psi_shell(FULL, u)
                 assert val.imag == 0.0
                 assert val.real <= 0.0
             # small-u Taylor: psi(u) = -u^2 v / 2 + o(u^2)
             u = 1e-3
-            assert m.psi(u).real == pytest.approx(-u * u * v / 2, rel=1e-4)
+            assert m.psi_shell(FULL, u).real == pytest.approx(-u * u * v / 2, rel=1e-4)
 
     @given(st.floats(-4.0, 4.0))
     @settings(max_examples=25, deadline=None)
     def test_conjugate_symmetry(self, u):
         for m in ALL:
-            a, b = m.psi(u), m.psi(-u)
+            a, b = m.psi_shell(FULL, u), m.psi_shell(FULL, -u)
             assert a == pytest.approx(b.conjugate(), rel=1e-10, abs=1e-12)
             assert a.real <= 1e-12
 
