@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy import stats as _stats
 
 from . import apps
 from . import integrate as it
@@ -145,10 +144,30 @@ NAME_PARAMS = {
 }
 
 
+def _finite(val) -> bool:
+    return not isinstance(val, bool) and isinstance(val, (int, float)) and math.isfinite(val)
+
+
+def _finite_list(val) -> bool:
+    return isinstance(val, list) and bool(val) and all(map(_finite, val))
+
+
+# The other params an experiment reads as numbers, when given: what each
+# must be, and the test of it.
+VALUE_PARAMS = {
+    "simulate": {"test_level": ("a number in (0, 1)", lambda v: _finite(v) and 0.0 < v < 1.0)},
+    "kunita": {"ps": ("a non-empty list of finite numbers >= 2",
+                      lambda v: _finite_list(v) and min(v) >= 2.0)},
+    "charfn": {"u_values": ("a non-empty list of finite numbers", _finite_list)},
+    "martingale": {"u_values": ("a non-empty list of finite numbers", _finite_list)},
+}
+
+
 def _check_params(cfg: Config) -> None:
     """Every name param the experiment reads, given or defaulted, names a
-    defined integrand or measure, as does each of isometry's `cells`, and
-    every `*_tol` param is a finite number > 0."""
+    defined integrand or measure, as does each of isometry's `cells`; every
+    `*_tol` param is a finite number > 0, and every given VALUE_PARAMS
+    param passes its test."""
     spatial = cfg.experiment == "interlace" and cfg.params.get("spatial", True)
     for key, default in NAME_PARAMS.get(cfg.experiment, {}).items():
         if key.startswith("spatial_") and not spatial:
@@ -178,9 +197,11 @@ def _check_params(cfg: Config) -> None:
                               f"of defined names; measures: {sorted(cfg.measures)}, "
                               f"integrands: {sorted(cfg.integrands)}")
     for key, val in cfg.params.items():
-        if key.endswith("_tol") and (isinstance(val, bool) or not isinstance(val, (int, float))
-                                     or not 0.0 < val < math.inf):
+        if key.endswith("_tol") and not (_finite(val) and val > 0.0):
             raise ConfigError(f"params.{key}: must be a finite number > 0, got {val!r}")
+    for key, (what, ok) in VALUE_PARAMS.get(cfg.experiment, {}).items():
+        if key in cfg.params and not ok(cfg.params[key]):
+            raise ConfigError(f"params.{key}: must be {what}, got {cfg.params[key]!r}")
 
 
 def _named(cfg: Config, key: str):
@@ -195,7 +216,8 @@ def _named(cfg: Config, key: str):
 def validate_config(cfg: Config) -> None:
     if cfg.replicates < 2:
         raise ConfigError("replicates: need at least 2")
-    for key in ("paths", "agreement_paths", "representation_paths", "product_check_paths"):
+    for key in ("paths", "agreement_paths", "representation_paths", "product_check_paths",
+                "spatial_sample"):
         val = cfg.params.get(key, 1)
         if isinstance(val, bool) or not isinstance(val, int) or val < 1:
             raise ConfigError(f"params.{key}: must be an integer >= 1, got {val!r}")
@@ -329,6 +351,8 @@ def _point_counts(window, measure, n, master_seed, keep_x):
 def run_simulate(cfg: Config) -> ExperimentResult:
     """Point-process sanity: count mean, spatial uniformity, half-interval
     independence; writes one configuration as CSV."""
+    from scipy import stats
+
     w, m = cfg.window, cfg.measure()
     n = cfg.replicates
     keep_x = min(n, int(cfg.params.get("spatial_sample", 300)))
@@ -341,7 +365,7 @@ def run_simulate(cfg: Config) -> ExperimentResult:
     level = float(cfg.params.get("test_level", 1e-3))
     for ax in range(w.dim):
         lo, hi = w.box[ax]
-        p = float(_stats.kstest(xs[:, ax], "uniform", args=(lo, hi - lo)).pvalue)
+        p = float(stats.kstest(xs[:, ax], "uniform", args=(lo, hi - lo)).pvalue)
         res.verdicts.append(VerdictRow(f"spatial_uniform_ks_axis{ax + 1}", p,
                                        level, 0.0, 0.0, p > level))
     cap = 6
@@ -351,7 +375,7 @@ def run_simulate(cfg: Config) -> ExperimentResult:
         table[a, b] += 1
     table = table[table.sum(axis=1) > 0][:, table.sum(axis=0) > 0]
     if table.shape[0] > 1 and table.shape[1] > 1:
-        p = float(_stats.chi2_contingency(table).pvalue)
+        p = float(stats.chi2_contingency(table).pvalue)
         res.verdicts.append(VerdictRow("halves_independent_chi2", p, level,
                                        0.0, 0.0, p > level))
     res.tables["points.csv"] = dump_csv(simulate(w, m, _seed_for(cfg, 1)))

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate as _si
 
 
 @functools.lru_cache(maxsize=None)
@@ -68,7 +67,9 @@ class Node:
         if F is not None and np.all(np.isfinite(F)):
             return float(F[1] - F[0])
         if math.isinf(a) or math.isinf(b):
-            val, _ = _si.quad(lambda u: float(self(u)), a, b, limit=200)
+            from scipy.integrate import quad
+
+            val, _ = quad(lambda u: float(self(u)), a, b, limit=200)
             return val
         return gauss_legendre(self, a, b, n)
 
@@ -266,8 +267,10 @@ class Product(Node):
         if len(core) == 1:
             return scale * core[0].integral(a, b, n)
         if math.isinf(a) or math.isinf(b):
+            from scipy.integrate import quad
+
             prod = Product(tuple(core))
-            val, _ = _si.quad(lambda u: float(prod(u)), a, b, limit=200)
+            val, _ = quad(lambda u: float(prod(u)), a, b, limit=200)
             return scale * val
         return scale * gauss_legendre(Product(tuple(core)), a, b, n)
 

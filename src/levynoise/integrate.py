@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import optimize as _sopt
 
 from .integrands import (
     AbsIndicator,
@@ -325,7 +324,9 @@ class CadlagPath:
             if len(inner):
                 hi = float(inner[0])
             if hi > lo:
-                res = _sopt.minimize_scalar(
+                from scipy import optimize
+
+                res = optimize.minimize_scalar(
                     lambda s: -abs(self.eval(min(s, t))),
                     bounds=(lo, hi), method="bounded",
                     options={"xatol": 1e-12})

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate as _si
 
 from . import integrate as it
 from .integrands import Const, Integrand, Node
@@ -111,7 +110,9 @@ def _abs_node_integral(node: Node, a: float, b: float) -> float:
         return abs(node.value) * max(b - a, 0.0)
     if node.kind in ("exp", "exp_abs", "abs_pow", "indicator", "abs_indicator"):
         return node.integral(a, b)
-    val, _ = _si.quad(lambda u: abs(float(node(u))), a, b, limit=300)
+    from scipy.integrate import quad
+
+    val, _ = quad(lambda u: abs(float(node(u))), a, b, limit=300)
     return val
 
 
@@ -128,11 +129,13 @@ def _full_line_integral(node: Node, use_abs: bool):
             F = node.antiderivative(np.array([-math.inf, math.inf]))
         if F is not None and np.all(np.isfinite(F)):
             return float(F[1] - F[0])
+    from scipy.integrate import quad
+
     fn = (lambda u: abs(float(node(u)))) if use_abs else (lambda u: float(node(u)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            val, err = _si.quad(fn, -math.inf, math.inf, limit=300)
+            val, err = quad(fn, -math.inf, math.inf, limit=300)
         except Exception:
             return None
     if not math.isfinite(val) or err > 1e-6 * (1.0 + abs(val)):

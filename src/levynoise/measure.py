@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate as _si
 
 from .integrands import gl_rule
 
@@ -61,6 +60,8 @@ FULL = Shell(0.0, math.inf)
 def _quad(fn, a, b, *, abs_tol=QUAD_ABS_TOL, rel_tol=QUAD_REL_TOL):
     """Adaptive quadrature split at 1 so the 0+ singularity and the tail
     never share a panel."""
+    from scipy.integrate import quad
+
     pieces = []
     if a < 1.0 < b:
         pieces = [(a, 1.0), (1.0, b)]
@@ -68,7 +69,7 @@ def _quad(fn, a, b, *, abs_tol=QUAD_ABS_TOL, rel_tol=QUAD_REL_TOL):
         pieces = [(a, b)]
     total = 0.0
     for lo, hi in pieces:
-        val, _ = _si.quad(fn, lo, hi, epsabs=abs_tol, epsrel=rel_tol, limit=200)
+        val, _ = quad(fn, lo, hi, epsabs=abs_tol, epsrel=rel_tol, limit=200)
         total += val
     return total
 

@@ -27,6 +27,21 @@ def write_config(tmp_path, raw, name="config.json"):
     return str(path)
 
 
+def assert_bad_param(tmp_path, capsys, name, key, value):
+    """params.<key> = value in the bundled config: a ConfigError naming it,
+    exit 2 from validate and run, no traceback and no output written."""
+    raw = json.loads(bundled_config_text(name))
+    raw["params"][key] = value
+    with pytest.raises(ConfigError, match=rf"^params\.{key}: "):
+        parse_config(raw)
+    path = write_config(tmp_path, raw)
+    assert main(["validate", path]) == 2
+    assert main(["run", path, "--output-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"params.{key}: " in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def small_simulate_config():
     raw = json.loads(bundled_config_text("simulate"))
     raw["replicates"] = 200
@@ -113,16 +128,22 @@ class TestParseConfig:
     def test_bad_name_or_tolerance_param(self, tmp_path, capsys, name, key, value):
         # an undefined integrand or measure, or a tolerance that is not a
         # finite number > 0, would raise or fail a verdict mid-run
-        raw = json.loads(bundled_config_text(name))
-        raw["params"][key] = value
-        with pytest.raises(ConfigError, match=rf"^params\.{key}: "):
-            parse_config(raw)
-        path = write_config(tmp_path, raw)
-        assert main(["validate", path]) == 2
-        assert main(["run", path, "--output-dir", str(tmp_path / "out")]) == 2
-        err = capsys.readouterr().err
-        assert f"params.{key}: " in err and "Traceback" not in err
-        assert not (tmp_path / "out").exists()
+        assert_bad_param(tmp_path, capsys, name, key, value)
+
+    @pytest.mark.parametrize("name, key, value", [
+        ("simulate", "spatial_sample", "x"), ("simulate", "spatial_sample", 0),
+        ("simulate", "spatial_sample", 2.5), ("simulate", "spatial_sample", True),
+        ("simulate", "test_level", 2.0), ("simulate", "test_level", 0),
+        ("simulate", "test_level", 1), ("simulate", "test_level", math.nan),
+        ("simulate", "test_level", "0.01"), ("kunita", "ps", [1.0]), ("kunita", "ps", []),
+        ("kunita", "ps", 2.0), ("kunita", "ps", [2.0, math.inf]), ("kunita", "ps", ["3"]),
+        ("charfn", "u_values", "ab"), ("charfn", "u_values", []),
+        ("charfn", "u_values", [1.0, math.nan]), ("martingale", "u_values", "ab"),
+        ("martingale", "u_values", [1.0, None]), ("martingale", "u_values", [True])])
+    def test_bad_value_param(self, tmp_path, capsys, name, key, value):
+        # each of these passed validate and then raised, or ran a verdict
+        # that means nothing, mid-run
+        assert_bad_param(tmp_path, capsys, name, key, value)
 
     def test_defaulted_names_resolved(self):
         raw = json.loads(bundled_config_text("chaos"))

@@ -260,6 +260,19 @@ class TestBuildPath:
         got = path.sup_abs(1.0, scan=64)
         assert got == pytest.approx(1.0, abs=1e-8)
 
+    def test_sup_abs_scan_matches_dense_grid_with_jumps(self):
+        # |sin(20 s) + jumps| peaks at 1.4 inside the last inter-jump
+        # interval, where no candidate of the exact part lies: only the scan's
+        # bounded refinement finds it.  The oracle is a 2e6-point grid plus
+        # both sides of every jump, off by at most 400 h^2 / 8 ~ 1e-11.
+        times, jumps = np.array([0.2, 0.6]), np.array([0.3, -0.7])
+        path = it.CadlagPath(times, jumps, lambda ts: np.sin(20.0 * np.asarray(ts)), WIN)
+        grid = np.linspace(0.0, 1.0, 2_000_001)
+        oracle = max(np.max(np.abs(path.eval(grid))), np.max(np.abs(path.eval_left(times))))
+        assert oracle == pytest.approx(1.4, abs=1e-10)
+        assert path.sup_abs(1.0) < oracle - 0.1
+        assert path.sup_abs(1.0, scan=200) == pytest.approx(oracle, abs=1e-9)
+
 
 class TestZofSet:
     def test_empty_config_drift_only(self):
