@@ -43,22 +43,11 @@ class Config:
     window: Window
     measures: dict[str, LevyMeasure]
     integrands: dict[str, Integrand]
-    params: dict
+    params: dict  # the experiment's PARAMS, resolved by parse_config
     output_dir: str | None = None
 
-    def measure(self, name: str | None = None) -> LevyMeasure:
-        if name is None:
-            return next(iter(self.measures.values()))
-        try:
-            return self.measures[name]
-        except KeyError:
-            raise ConfigError(f"measures.{name}: not defined") from None
-
-    def integrand(self, name: str) -> Integrand:
-        try:
-            return self.integrands[name]
-        except KeyError:
-            raise ConfigError(f"integrands.{name}: not defined") from None
+    def measure(self) -> LevyMeasure:
+        return next(iter(self.measures.values()))
 
 
 # `measure` is shorthand for a `measures` of one entry
@@ -126,101 +115,155 @@ def parse_config(raw: dict) -> Config:
         output_dir=typed("output_dir", None, (str, type(None)), "a string"),
     )
     validate_config(cfg)
+    cfg.params = _resolve_params(cfg)
     return cfg
-
-
-# The params that name integrands, per experiment, with their defaults; a
-# `*_names` param names a list of them.
-_G_NAMES = ["G0", "G1", "G2"]
-_K_NAMES = ["K1", "K2", "K3"]
-NAME_PARAMS = {
-    "chaos": {"slot_a": "A", "slot_b": "B", "slot_c": "C"},
-    "interlace": {"h_name": "H", "spatial_h_name": "HS", "spatial_k_name": "KS"},
-    "ito-lemma": {"g_names": _G_NAMES, "k_names": _K_NAMES},
-    "ito1": {"h_name": "H", "g_names": _G_NAMES, "k_names": _K_NAMES},
-    "ito2": {"g_names": _G_NAMES, "h_names": ["H1", "H2", "H3"]},
-    "kunita": {"x_names": ["X1", "X2", "X3"]},
-    "martingale": {"h_name": "h"},
-}
 
 
 def _finite(val) -> bool:
     return not isinstance(val, bool) and isinstance(val, (int, float)) and math.isfinite(val)
 
 
-def _finite_list(val) -> bool:
-    return isinstance(val, list) and bool(val) and all(map(_finite, val))
+def _list(val, item=lambda _: True) -> bool:
+    return isinstance(val, list) and bool(val) and all(map(item, val))
 
 
-# The other params an experiment reads as numbers, when given: what each
-# must be, and the test of it.
-VALUE_PARAMS = {
-    "simulate": {"test_level": ("a number in (0, 1)", lambda v: _finite(v) and 0.0 < v < 1.0)},
-    "kunita": {"ps": ("a non-empty list of finite numbers >= 2",
-                      lambda v: _finite_list(v) and min(v) >= 2.0)},
-    "charfn": {"u_values": ("a non-empty list of finite numbers", _finite_list)},
-    "martingale": {"u_values": ("a non-empty list of finite numbers", _finite_list)},
+def _pair(val) -> bool:
+    return (isinstance(val, (list, tuple)) and len(val) == 2 and all(map(_finite, val))
+            and val[0] < val[1])
+
+
+def _kind(what: str, ok, convert=lambda val: val):
+    """A kind of param: takes a given or defaulted value and the config, and
+    returns the value converted, or raises ValueError("must be <what>, ...")."""
+    def kind(val, cfg):
+        if not ok(val):
+            raise ValueError(f"must be {what}, got {val!r}")
+        return convert(val)
+    return kind
+
+
+_PATHS = _kind("an integer >= 1", lambda v: type(v) is int and v >= 1)
+_REPLICATES = _kind("an integer >= 2", lambda v: type(v) is int and v >= 2)  # an se needs 2
+_REAL = _kind("a finite number", _finite, float)
+_POSITIVE = _kind("a finite number > 0", lambda v: _finite(v) and v > 0.0, float)
+_LEVEL = _kind("a number in (0, 1)", lambda v: _finite(v) and 0.0 < v < 1.0, float)
+_FLAG = _kind("true or false", lambda v: isinstance(v, bool))
+_REALS = _kind("a non-empty list of finite numbers", lambda v: _list(v, _finite),
+               lambda v: list(map(float, v)))
+_PS = _kind("a non-empty list of finite numbers >= 2",
+            lambda v: _list(v, _finite) and min(v) >= 2.0, lambda v: list(map(float, v)))
+_INTERVAL = _kind("a pair [lo, hi] of finite numbers with lo < hi", _pair,
+                  lambda v: tuple(map(float, v)))
+
+
+def _box(val, cfg):
+    if not (isinstance(val, (list, tuple)) and len(val) == cfg.window.dim
+            and all(map(_pair, val))):
+        raise ValueError(f"must be {cfg.window.dim} pair(s) [lo, hi] of finite numbers "
+                         f"with lo < hi, got {val!r}")
+    return tuple(tuple(map(float, pair)) for pair in val)
+
+
+def _integrand(val, cfg) -> Integrand:
+    if not isinstance(val, str) or val not in cfg.integrands:
+        raise ValueError(f"{val!r} names no integrand; defined: {sorted(cfg.integrands)}")
+    return cfg.integrands[val]
+
+
+def _integrands(val, cfg) -> list[tuple[str, Integrand]]:
+    if not _list(val):
+        raise ValueError(f"must be a non-empty list of integrand names, got {val!r}")
+    return [(name, _integrand(name, cfg)) for name in val]
+
+
+def _measure(val, cfg) -> LevyMeasure:
+    if not isinstance(val, str) or val not in cfg.measures:
+        raise ValueError(f"{val!r} names no measure; defined: {sorted(cfg.measures)}")
+    return cfg.measures[val]
+
+
+def _cells(val, cfg) -> list[tuple[str, LevyMeasure, str, Integrand]]:
+    if not _list(val, lambda cell: isinstance(cell, dict)):
+        raise ValueError(f"must be a non-empty list of {{measure, integrand}} pairs, got {val!r}")
+    return [(c.get("measure"), _measure(c.get("measure"), cfg),
+             c.get("integrand"), _integrand(c.get("integrand"), cfg)) for c in val]
+
+
+def _smooth_fns(val, cfg) -> list[ito.SmoothFn]:
+    msg = f"must be a non-empty list of smooth functions, got {val!r}"
+    if not _list(val, lambda spec: isinstance(spec, dict)):
+        raise ValueError(msg)
+    try:
+        return [ito.smooth_fn_from_json(spec) for spec in val]
+    except (LookupError, TypeError, ValueError) as exc:
+        raise ValueError(f"{msg}: {exc}") from None
+
+
+ITO_FNS = [{"kind": "poly", "coeffs": [0.0, 0.0, 1.0]}, {"kind": "exp", "scale": 0.4},
+           {"kind": "cos", "scale": 1.0}]
+_ITO = {"functions": (_smooth_fns, ITO_FNS), "paths": (_PATHS, 1000),
+        "g_names": (_integrands, ["G0", "G1", "G2"])}
+_K_NAMES = (_integrands, ["K1", "K2", "K3"])
+
+# Every param of every experiment, {key: (kind, default)}; a callable
+# default is a function of the config.  `parse_config` resolves each one,
+# given or defaulted, into `Config.params`.
+PARAMS = {
+    "simulate": {"spatial_sample": (_PATHS, 300), "test_level": (_LEVEL, 1e-3)},
+    "isometry": {"cells": (_cells, lambda cfg: [{"measure": mk, "integrand": hk}
+                                                for mk in cfg.measures for hk in cfg.integrands])},
+    "charfn": {"a": (_REAL, 0.4), "u_values": (_REALS, [-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]),
+               "box": (_box, lambda cfg: cfg.window.box),
+               "interval": (_INTERVAL, lambda cfg: (0.0, cfg.window.horizon))},
+    "ito-lemma": {**_ITO, "residual_tol": (_POSITIVE, 1e-8), "k_names": _K_NAMES},
+    "ito1": {**_ITO, "residual_tol": (_POSITIVE, 1e-6), "k_names": _K_NAMES,
+             "h_name": (_integrand, "H"), "agreement_tol": (_POSITIVE, 1e-10),
+             "agreement_paths": (_PATHS, 100)},
+    "ito2": {**_ITO, "functions": (_smooth_fns, [{"kind": "poly", "coeffs": [0.0, 0.0, 1.0]},
+                                                 {"kind": "abs_pow", "power": 2.0},
+                                                 {"kind": "exp", "scale": 0.4}]),
+             "residual_tol": (_POSITIVE, 1e-6), "h_names": (_integrands, ["H1", "H2", "H3"])},
+    # the spatial_* params are resolved only when `spatial` is true
+    "interlace": {"n_max": (_PATHS, 6), "diag_replicates": (_REPLICATES, 64),
+                  "h_name": (_integrand, "H"), "small_hi": (_POSITIVE, 1.0),
+                  "worked_example": (_FLAG, False), "spatial": (_FLAG, True),
+                  "spatial_h_name": (_integrand, "HS"), "spatial_k_name": (_integrand, "KS"),
+                  "spatial_measure": (_measure, lambda cfg: next(iter(cfg.measures))),
+                  "spatial_n_max": (_PATHS, 4), "spatial_replicates": (_REPLICATES, 48)},
+    "kunita": {"ps": (_PS, [2.0, 3.0, 4.0]), "ratio_guard_factor": (_POSITIVE, 10.0),
+               "cell_replicates": (_REPLICATES, lambda cfg: cfg.replicates),
+               "x_names": (_integrands, ["X1", "X2", "X3"])},
+    "martingale": {"h_name": (_integrand, "h"), "u_values": (_REALS, [-1.0, -0.5, 0.5, 1.0, 2.0]),
+                   "representation_paths": (_PATHS, 100), "representation_tol": (_POSITIVE, 1e-6)},
+    "chaos": {"slot_a": (_integrand, "A"), "slot_b": (_integrand, "B"),
+              "slot_c": (_integrand, "C"), "product_tol": (_POSITIVE, 1e-9),
+              "product_check_paths": (_PATHS, 300)},
 }
 
 
-def _check_params(cfg: Config) -> None:
-    """Every name param the experiment reads, given or defaulted, names a
-    defined integrand or measure, as does each of isometry's `cells`; every
-    `*_tol` param is a finite number > 0, and every given VALUE_PARAMS
-    param passes its test."""
-    spatial = cfg.experiment == "interlace" and cfg.params.get("spatial", True)
-    for key, default in NAME_PARAMS.get(cfg.experiment, {}).items():
-        if key.startswith("spatial_") and not spatial:
+def _resolve_params(cfg: Config) -> dict:
+    """The experiment's PARAMS, each given or defaulted, checked and
+    converted; an undeclared key is a ConfigError naming it."""
+    table = PARAMS[cfg.experiment]
+    unknown = sorted(set(cfg.params) - set(table))
+    if unknown:
+        raise ConfigError(f"params.{unknown[0]}: unknown param; choose from {sorted(table)}")
+    out = {}
+    for key, (kind, default) in table.items():
+        if cfg.experiment == "interlace" and key.startswith("spatial_") and not out["spatial"]:
             continue  # interlace without its spatial ladder
-        val = cfg.params.get(key, default)
-        many = key.endswith("_names")
-        if many and not (isinstance(val, list) and val):
-            raise ConfigError(f"params.{key}: must be a non-empty list of integrand names, "
-                              f"got {val!r}")
-        for name in val if many else [val]:
-            if not isinstance(name, str) or name not in cfg.integrands:
-                raise ConfigError(f"params.{key}: {name!r} names no integrand; "
-                                  f"defined: {sorted(cfg.integrands)}")
-    name = cfg.params.get("spatial_measure")
-    if spatial and name is not None and (not isinstance(name, str) or name not in cfg.measures):
-        raise ConfigError(f"params.spatial_measure: {name!r} names no measure; "
-                          f"defined: {sorted(cfg.measures)}")
-    cells = cfg.params.get("cells") if cfg.experiment == "isometry" else None
-    if cells and not isinstance(cells, list):
-        raise ConfigError(f"params.cells: must be a list of {{measure, integrand}} pairs, "
-                          f"got {cells!r}")
-    for cell in cells or []:
-        if not (isinstance(cell, dict) and all(
-                isinstance(cell.get(key), str) and cell[key] in names
-                for key, names in (("measure", cfg.measures), ("integrand", cfg.integrands)))):
-            raise ConfigError(f"params.cells: {cell!r} is not a {{measure, integrand}} pair "
-                              f"of defined names; measures: {sorted(cfg.measures)}, "
-                              f"integrands: {sorted(cfg.integrands)}")
-    for key, val in cfg.params.items():
-        if key.endswith("_tol") and not (_finite(val) and val > 0.0):
-            raise ConfigError(f"params.{key}: must be a finite number > 0, got {val!r}")
-    for key, (what, ok) in VALUE_PARAMS.get(cfg.experiment, {}).items():
-        if key in cfg.params and not ok(cfg.params[key]):
-            raise ConfigError(f"params.{key}: must be {what}, got {cfg.params[key]!r}")
-
-
-def _named(cfg: Config, key: str):
-    """The integrand params.<key> names, or its default; for a `*_names`
-    param, the list of (name, integrand) pairs."""
-    val = cfg.params.get(key, NAME_PARAMS[cfg.experiment][key])
-    if key.endswith("_names"):
-        return [(nm, cfg.integrand(nm)) for nm in val]
-    return cfg.integrand(val)
+        val = cfg.params[key] if key in cfg.params else (
+            default(cfg) if callable(default) else default)
+        try:
+            out[key] = kind(val, cfg)
+        except ValueError as exc:
+            raise ConfigError(f"params.{key}: {exc}") from None
+    return out
 
 
 def validate_config(cfg: Config) -> None:
     if cfg.replicates < 2:
         raise ConfigError("replicates: need at least 2")
-    for key in ("paths", "agreement_paths", "representation_paths", "product_check_paths",
-                "spatial_sample"):
-        val = cfg.params.get(key, 1)
-        if isinstance(val, bool) or not isinstance(val, int) or val < 1:
-            raise ConfigError(f"params.{key}: must be an integer >= 1, got {val!r}")
     if cfg.workers < 1:
         raise ConfigError("workers: need at least 1")
     if not 0.0 < cfg.k_sigma < math.inf:
@@ -236,7 +279,6 @@ def validate_config(cfg: Config) -> None:
             m.shell_moment(cfg.window.shell, 2.0)
         except Exception as exc:
             raise ConfigError(f"measures.{key}: second moment: {exc}") from exc
-    _check_params(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -355,14 +397,14 @@ def run_simulate(cfg: Config) -> ExperimentResult:
 
     w, m = cfg.window, cfg.measure()
     n = cfg.replicates
-    keep_x = min(n, int(cfg.params.get("spatial_sample", 300)))
+    keep_x = min(n, cfg.params["spatial_sample"])
     counts, first, xs = _point_counts(w, m, n, _seed_for(cfg, 0), keep_x)
     counts, first = counts.astype(float), first.astype(float)
     second = counts - first
     res = ExperimentResult(cfg.experiment, cfg.seed, n)
     res.verdicts.append(_mc_row("count_mean", estimate(counts, cfg.seed),
                                 intensity(w, m), cfg.k_sigma))
-    level = float(cfg.params.get("test_level", 1e-3))
+    level = cfg.params["test_level"]
     for ax in range(w.dim):
         lo, hi = w.box[ax]
         p = float(stats.kstest(xs[:, ax], "uniform", args=(lo, hi - lo)).pvalue)
@@ -387,15 +429,9 @@ def run_isometry(cfg: Config) -> ExperimentResult:
     the raw-integral mean identity, per (measure, integrand) cell."""
     w = cfg.window
     T = w.horizon
-    cells = cfg.params.get("cells")
-    if not cells:
-        cells = [{"measure": mk, "integrand": hk}
-                 for mk in cfg.measures for hk in cfg.integrands]
     res = ExperimentResult(cfg.experiment, cfg.seed, cfg.replicates)
     rows = []
-    for i, cell in enumerate(cells):
-        m = cfg.measure(cell["measure"])
-        H = cfg.integrand(cell["integrand"])
+    for i, (mk, m, hk, H) in enumerate(cfg.params["cells"]):
         comp = it.compensator(H, w, m, T)
         comp2 = it.compensator(H.squared(), w, m, T)
 
@@ -405,7 +441,7 @@ def run_isometry(cfg: Config) -> ExperimentResult:
             return np.stack([nhat, nhat * nhat, raw], axis=1)
 
         est = run_replicates(stat, w, m, cfg.replicates, _seed_for(cfg, 100 + i))
-        label = f"{cell['measure']}/{cell['integrand']}"
+        label = f"{mk}/{hk}"
         parts = [
             (f"centered_mean[{label}]", 0, 0.0),
             (f"second_moment[{label}]", 1, comp2),
@@ -415,7 +451,7 @@ def run_isometry(cfg: Config) -> ExperimentResult:
             sub = McEstimate(float(est.mean[idx]), float(est.se[idx]),
                              est.n, est.master_seed)
             res.verdicts.append(_mc_row(name, sub, target, cfg.k_sigma))
-            rows.append((cell["measure"], cell["integrand"], name.split("[")[0],
+            rows.append((mk, hk, name.split("[")[0],
                          float(sub.mean), float(sub.se), float(target),
                          res.verdicts[-1].z))
     res.tables["isometry.csv"] = _csv(
@@ -427,11 +463,8 @@ def run_charfn(cfg: Config) -> ExperimentResult:
     """Empirical characteristic function of the noise charge of a set
     against the shell-exact exponent."""
     w, m = cfg.window, cfg.measure()
-    a = float(cfg.params.get("a", 0.4))
-    us = np.asarray(cfg.params.get("u_values", [-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]),
-                    dtype=float)
-    box = tuple(tuple(b) for b in cfg.params.get("box", w.box))
-    interval = tuple(cfg.params.get("interval", (0.0, w.horizon)))
+    a, box, interval = cfg.params["a"], cfg.params["box"], cfg.params["interval"]
+    us = np.asarray(cfg.params["u_values"])
     n = cfg.replicates
     vol = (interval[1] - interval[0])
     for lo, hi in box:
@@ -469,17 +502,6 @@ def _charfn_rows(res: ExperimentResult, name: str, us, emps, targets, n: int,
     return _csv(("u", "empirical", "exact", "error", "tolerance"), rows)
 
 
-ITO_FNS = [
-    {"kind": "poly", "coeffs": [0.0, 0.0, 1.0]},
-    {"kind": "exp", "scale": 0.4},
-    {"kind": "cos", "scale": 1.0},
-]
-
-
-def _fns_from_params(cfg: Config, default: list[dict] = ITO_FNS):
-    return [ito.smooth_fn_from_json(s) for s in cfg.params.get("functions", default)]
-
-
 ITO_CSV_HEADER = ("cell", "replicate", "t", "lhs", "term1", "term2", "term3",
                   "term4", "rhs", "residual")
 ITO_CSV_PATHS = 25  # paths per cell whose terms go to the residual table
@@ -492,9 +514,8 @@ def _per_path(evaluate, window, measure, n: int, master_seed: int) -> list:
     return [np.concatenate(col) for col in zip(*blocks)]
 
 
-def _ito_matrix(cfg: Config, table: str, tag: int, default_tol: float, fns,
-                x_key: str, slot: str, split: float, rhs,
-                **fixed) -> ExperimentResult:
+def _ito_matrix(cfg: Config, table: str, tag: int, x_key: str, slot: str, split: float,
+                rhs, **fixed) -> ExperimentResult:
     """Check one form of the Ito formula path by path on every (f, G, X)
     cell, f outermost, X innermost.
 
@@ -507,14 +528,12 @@ def _ito_matrix(cfg: Config, table: str, tag: int, default_tol: float, fns,
     """
     w, m = cfg.window, cfg.measure()
     T = w.horizon
-    paths = int(cfg.params.get("paths", 1000))
-    tol = float(cfg.params.get("residual_tol", default_tol))
-    Gs = _named(cfg, "g_names")
-    Xs = _named(cfg, x_key)
+    paths, tol = cfg.params["paths"], cfg.params["residual_tol"]
     res = ExperimentResult(cfg.experiment, cfg.seed, paths)
     rows = []
     cells = []
-    for idx, (fn, (gname, G), (xname, X)) in enumerate(itertools.product(fns, Gs, Xs)):
+    for idx, (fn, (gname, G), (xname, X)) in enumerate(itertools.product(
+            cfg.params["functions"], cfg.params["g_names"], cfg.params[x_key])):
         label = f"{fn.name}|{gname}|{xname}"
         slots = {**fixed, slot: X}
 
@@ -539,8 +558,8 @@ def _ito_matrix(cfg: Config, table: str, tag: int, default_tol: float, fns,
 def run_ito_lemma(cfg: Config) -> ExperimentResult:
     """Pathwise identity for the formula without compensation over the cell
     matrix; reports the max residual per cell."""
-    return _ito_matrix(cfg, "ito_lemma_residuals.csv", 300, 1e-8, _fns_from_params(cfg),
-                       "k_names", "K", 0.0, ito.ito_rhs_raw)[0]
+    return _ito_matrix(cfg, "ito_lemma_residuals.csv", 300, "k_names", "K", 0.0,
+                       ito.ito_rhs_raw)[0]
 
 
 def run_ito1(cfg: Config) -> ExperimentResult:
@@ -549,21 +568,17 @@ def run_ito1(cfg: Config) -> ExperimentResult:
     form on shared cases."""
     w, m = cfg.window, cfg.measure()
     T = w.horizon
-    agree_tol = float(cfg.params.get("agreement_tol", 1e-10))
-    agree_paths = int(cfg.params.get("agreement_paths", 100))
-    fns = _fns_from_params(cfg)
-    H = _named(cfg, "h_name")
+    H = cfg.params["h_name"]
     split = 1.0
-    res, cells = _ito_matrix(cfg, "ito1_residuals.csv", 400, 1e-6, fns,
-                             "k_names", "K", split,
+    res, cells = _ito_matrix(cfg, "ito1_residuals.csv", 400, "k_names", "K", split,
                              functools.partial(ito.ito_rhs_big_small, split=split), H=H)
     # the compensated term of the first cell is a martingale at T
     mart = cells[0].compensated_term
     res.verdicts.append(_mc_row("compensated_term_mean", estimate(mart, cfg.seed), 0.0,
                                 cfg.k_sigma))
     # shared-case agreement: K = H on the big-jump side
-    Gs = _named(cfg, "g_names")
-    for i, fn in enumerate(fns):
+    Gs = cfg.params["g_names"]
+    for i, fn in enumerate(cfg.params["functions"]):
         G = Gs[min(1, len(Gs) - 1)][1]
         g2 = ito.equivalent_time_drift(G, H, w, m, split=split)
 
@@ -572,20 +587,16 @@ def run_ito1(cfg: Config) -> ExperimentResult:
             r2 = ito.ito_rhs_all_compensated(fn, g2, H, batch, m, T)
             return (np.abs(r1.total - r2.total),)
 
-        gaps, = _per_path(gap, w, m, agree_paths, _seed_for(cfg, 450 + i))
-        res.verdicts.append(_tol_row(f"form_agreement[{fn.name}]", _worst(gaps), agree_tol))
+        gaps, = _per_path(gap, w, m, cfg.params["agreement_paths"], _seed_for(cfg, 450 + i))
+        res.verdicts.append(_tol_row(f"form_agreement[{fn.name}]", _worst(gaps),
+                                     cfg.params["agreement_tol"]))
     return res
 
 
 def run_ito2(cfg: Config) -> ExperimentResult:
     """Pathwise identity for the all-compensated formula over its matrix."""
-    fns = _fns_from_params(cfg, [
-        {"kind": "poly", "coeffs": [0.0, 0.0, 1.0]},
-        {"kind": "abs_pow", "power": 2.0},
-        {"kind": "exp", "scale": 0.4},
-    ])
-    return _ito_matrix(cfg, "ito2_residuals.csv", 500, 1e-6, fns, "h_names", "H",
-                       math.inf, ito.ito_rhs_all_compensated)[0]
+    return _ito_matrix(cfg, "ito2_residuals.csv", 500, "h_names", "H", math.inf,
+                       ito.ito_rhs_all_compensated)[0]
 
 
 def _ladder_rows(prefix: str, report: il.DiagnosticReport, k_sigma: float):
@@ -603,34 +614,29 @@ def run_interlace(cfg: Config) -> ExperimentResult:
     geometric bounds."""
     w, m = cfg.window, cfg.measure()
     T = w.horizon
-    n_max = int(cfg.params.get("n_max", 6))
-    reps = int(cfg.params.get("diag_replicates", 64))
-    H = _named(cfg, "h_name")
+    H, small_hi = cfg.params["h_name"], cfg.params["small_hi"]
+    reps = cfg.params["diag_replicates"]
     res = ExperimentResult(cfg.experiment, cfg.seed, reps)
 
-    ladder = il.eps_sequence(H, w.box, T, m, n_max=n_max,
-                             small_hi=float(cfg.params.get("small_hi", 1.0)))
-    if cfg.params.get("worked_example", False):
+    ladder = il.eps_sequence(H, w.box, T, m, n_max=cfg.params["n_max"], small_hi=small_hi)
+    if cfg.params["worked_example"]:
         worst = _worst([abs(lv.threshold - 8.0 ** -lv.n / 2.0) / (8.0 ** -lv.n / 2.0)
                         for lv in ladder.levels])
         res.verdicts.append(_tol_row("threshold_closed_form_rel_err", worst, 1e-8))
-    problem = il.LadderProblem(H=H, measure=m, T=T, box=w.box,
-                               small_hi=float(cfg.params.get("small_hi", 1.0)))
+    problem = il.LadderProblem(H=H, measure=m, T=T, box=w.box, small_hi=small_hi)
     rep = il.interlacing_diagnostic(ladder, problem, reps, _seed_for(cfg, 600))
     res.verdicts.extend(_ladder_rows("", rep, cfg.k_sigma))
     res.tables["eps_ladder.csv"] = rep.to_csv()
 
-    if cfg.params.get("spatial", True):
-        Hs, Ks = _named(cfg, "spatial_h_name"), _named(cfg, "spatial_k_name")
-        sm = cfg.measure(cfg.params.get("spatial_measure")) \
-            if cfg.params.get("spatial_measure") else m
-        s_nmax = int(cfg.params.get("spatial_n_max", 4))
-        s_reps = int(cfg.params.get("spatial_replicates", 48))
-        sladder = il.a_sequence(Hs, Ks, T, sm, n_max=s_nmax, kind="spatial-I",
-                                shell=w.shell, dim=w.dim)
+    if cfg.params["spatial"]:
+        Hs, Ks = cfg.params["spatial_h_name"], cfg.params["spatial_k_name"]
+        sm = cfg.params["spatial_measure"]
+        sladder = il.a_sequence(Hs, Ks, T, sm, n_max=cfg.params["spatial_n_max"],
+                                kind="spatial-I", shell=w.shell, dim=w.dim)
         sproblem = il.LadderProblem(H=Hs, K=Ks, measure=sm, T=T,
                                     shell=w.shell, dim=w.dim)
-        srep = il.interlacing_diagnostic(sladder, sproblem, s_reps, _seed_for(cfg, 601))
+        srep = il.interlacing_diagnostic(sladder, sproblem, cfg.params["spatial_replicates"],
+                                         _seed_for(cfg, 601))
         res.verdicts.extend(_ladder_rows("spatial_", srep, cfg.k_sigma))
         res.tables["spatial_ladder.csv"] = srep.to_csv()
     return res
@@ -641,16 +647,14 @@ def run_kunita(cfg: Config) -> ExperimentResult:
     frozen regression guard on the observed ratios."""
     w = cfg.window
     T = w.horizon
-    ps = [float(p) for p in cfg.params.get("ps", [2.0, 3.0, 4.0])]
-    reps = int(cfg.params.get("cell_replicates", cfg.replicates))
-    guard = float(cfg.params.get("ratio_guard_factor", 10.0))
+    reps, guard = cfg.params["cell_replicates"], cfg.params["ratio_guard_factor"]
     res = ExperimentResult(cfg.experiment, cfg.seed, reps)
     rows = []
     guard_ratios = []
     idx = 0
     for mk, m in cfg.measures.items():
-        for xn, X in _named(cfg, "x_names"):
-            for p in ps:
+        for xn, X in cfg.params["x_names"]:
+            for p in cfg.params["ps"]:
                 cell = apps.moment_bound_cell(X, m, p, T, w, reps,
                                               _seed_for(cfg, 700 + idx))
                 rows.append((mk, xn, p, cell.lhs_mean, cell.lhs_se,
@@ -665,7 +669,7 @@ def run_kunita(cfg: Config) -> ExperimentResult:
                     res.verdicts.append(_mc_row(
                         f"p2_isometry[{mk}/{xn}]", est, target, cfg.k_sigma))
                 idx += 1
-    res.verdicts.append(_tol_row("ratio_guard(max ratio / (10 max(v^p/2, m_p)))",
+    res.verdicts.append(_tol_row(f"ratio_guard(max ratio / ({guard:g} max(v^p/2, m_p)))",
                                  _worst(guard_ratios), 1.0))
     res.tables["kunita_sweep.csv"] = _csv(
         ("measure", "integrand", "p", "lhs_mean", "lhs_se", "bracket",
@@ -678,8 +682,7 @@ def run_martingale(cfg: Config) -> ExperimentResult:
     and the characteristic functional at several frequencies."""
     w, m = cfg.window, cfg.measure()
     T = w.horizon
-    h = _named(cfg, "h_name")
-    us = [float(u) for u in cfg.params.get("u_values", [-1.0, -0.5, 0.5, 1.0, 2.0])]
+    h, us = cfg.params["h_name"], cfg.params["u_values"]
     n = cfg.replicates
     psi_int = apps.psi_space_time_integral(h, w, m, T)
     psi_scaled = [apps.psi_space_time_integral(h * u, w, m, T) for u in us]
@@ -696,14 +699,12 @@ def run_martingale(cfg: Config) -> ExperimentResult:
     table = _charfn_rows(res, "charfn_noise", us, [complex(v) for v in est.mean[1:]],
                          [complex(np.exp(p)) for p in psi_scaled], n, cfg.k_sigma)
 
-    rep_paths = int(cfg.params.get("representation_paths", 100))
-    rep_tol = float(cfg.params.get("representation_tol", 1e-6))
     paths = map_replicates(
         lambda _k, c: (apps.representation_residual(h, c, m, T),
                        apps.modulus_gap(h, c, m, T, psi_int)),
-        w, m, rep_paths, _seed_for(cfg, 801))
+        w, m, cfg.params["representation_paths"], _seed_for(cfg, 801))
     res.verdicts.append(_tol_row("representation_residual_max",
-                                 _worst([r for r, _ in paths]), rep_tol))
+                                 _worst([r for r, _ in paths]), cfg.params["representation_tol"]))
     res.verdicts.append(_tol_row("modulus_identity_max_gap",
                                  _worst([g for _, g in paths]), 1e-10))
     res.tables["martingale_charfn.csv"] = table
@@ -715,7 +716,7 @@ def run_chaos(cfg: Config) -> ExperimentResult:
     identity for disjoint supports, and the explicit second-order expansion."""
     w, m = cfg.window, cfg.measure()
     T = w.horizon
-    slot_a, slot_b, slot_c = (_named(cfg, key) for key in ("slot_a", "slot_b", "slot_c"))
+    slot_a, slot_b, slot_c = (cfg.params[key] for key in ("slot_a", "slot_b", "slot_c"))
     n = cfg.replicates
     f2 = apps.ChaosFunction((slot_a, slot_b))
     apps.check_disjoint(f2, w, m, T)
@@ -737,16 +738,15 @@ def run_chaos(cfg: Config) -> ExperimentResult:
     for (name, mean, se, target), (_, _, atol) in zip(rows, stats):
         res.verdicts.append(_mc_row(name, McEstimate(mean, se, n, cfg.seed), target,
                                     cfg.k_sigma, atol))
-    prod_tol = float(cfg.params.get("product_tol", 1e-9))
     # the mean of |I2 - product| over replicates, plus its spread, bounds the max
     def product_gap(_k, c):
         i2 = apps.multiple_integral(f2, c, m, T, validate=False)
         return abs(i2 - it.int_Nhat(slot_a, c, m, T) * it.int_Nhat(slot_b, c, m, T))
 
     gaps = map_replicates(product_gap, w, m,
-                          min(n, int(cfg.params.get("product_check_paths", 300))),
-                          _seed_for(cfg, 901))
-    res.verdicts.append(_tol_row("product_identity_max_gap", _worst(gaps), prod_tol))
+                          min(n, cfg.params["product_check_paths"]), _seed_for(cfg, 901))
+    res.verdicts.append(_tol_row("product_identity_max_gap", _worst(gaps),
+                                 cfg.params["product_tol"]))
     res.tables["chaos.csv"] = _csv(("statistic", "estimate", "se", "target"), rows)
     return res
 

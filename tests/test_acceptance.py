@@ -248,7 +248,7 @@ def isometry_reference(cfg):
     out = {}
     cells = [(mk, hk) for mk in cfg.measures for hk in cfg.integrands]
     for i, (mk, hk) in enumerate(cells):
-        m, H = cfg.measure(mk), cfg.integrand(hk)
+        m, H = cfg.measures[mk], cfg.integrands[hk]
         comp = it.compensator(H, w, m, T)
 
         def one(_k, c, H=H, comp=comp):
@@ -266,8 +266,8 @@ def isometry_reference(cfg):
 
 def charfn_reference(cfg):
     w, m = cfg.window, cfg.measure()
-    us = np.asarray(cfg.params.get("u_values", [-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]))
-    a = float(cfg.params.get("a", 0.4))
+    us = np.asarray(cfg.params["u_values"])
+    a = cfg.params["a"]
 
     def one(_k, c):
         return np.exp(1j * us * it.z_of_set(a, w.box, (0.0, w.horizon), c, m))
@@ -279,8 +279,8 @@ def charfn_reference(cfg):
 
 def martingale_reference(cfg):
     w, m, T = cfg.window, cfg.measure(), cfg.window.horizon
-    h = cfg.integrand("h")
-    us = [float(u) for u in cfg.params["u_values"]]
+    h = cfg.params["h_name"]
+    us = cfg.params["u_values"]
     psi_int = psi_space_time_integral(h, w, m, T)
 
     def one(_k, c):
@@ -416,24 +416,23 @@ def ito_rhs_per_path(fn, G, K, H, c, measure, t, *, split=1.0, n_time=8,
             ito.FourTermResult(g_term, big_jump_term, compensated_jumps - A, A - D))
 
 
-# experiment -> (seed tag, matrix key, X slot, split, n_time, fixed slots,
-# residual tolerance)
+# experiment -> (seed tag, matrix key, X slot, split, n_time, fixed slots)
 ITO_FORMS = {
-    "ito-lemma": (300, "k_names", "K", 0.0, 16, (), 1e-8),
-    "ito1": (400, "k_names", "K", 1.0, 8, ("H",), 1e-6),
-    "ito2": (500, "h_names", "H", math.inf, 8, (), 1e-6),
+    "ito-lemma": (300, "k_names", "K", 0.0, 16, ()),
+    "ito1": (400, "k_names", "K", 1.0, 8, ("H",)),
+    "ito2": (500, "h_names", "H", math.inf, 8, ()),
 }
 
 
 def ito_reference(name, cfg):
     """{cell label: [(lhs, FourTermResult) per path]} by the per-path right
     side over `map_replicates`, and ito1's form-agreement gaps per f."""
-    tag, key, slot, split, n_time, fixed, _ = ITO_FORMS[name]
+    tag, key, slot, split, n_time, fixed = ITO_FORMS[name]
     w, m, T = cfg.window, cfg.measure(), cfg.window.horizon
-    fns = experiments._fns_from_params(cfg)
-    Gs = experiments._named(cfg, "g_names")
-    Xs = experiments._named(cfg, key)
-    slots = {k: cfg.integrand(cfg.params.get("h_name", "H")) for k in fixed}
+    fns = cfg.params["functions"]
+    Gs = cfg.params["g_names"]
+    Xs = cfg.params[key]
+    slots = {k: cfg.params["h_name"] for k in fixed}
     cells = {}
     for idx, (fn, (gname, G), (xname, X)) in enumerate(itertools.product(fns, Gs, Xs)):
         s = {**slots, slot: X}
@@ -466,20 +465,20 @@ class TestBatchedItoMovesRoundingOnly:
     @pytest.mark.parametrize("name", sorted(ITO_FORMS))
     def test_verdicts_kept_terms_within_rounding(self, name):
         cfg = reduced_config(name)
-        tag, _, slot, split, n_time, fixed, default_tol = ITO_FORMS[name]
+        tag, _, slot, split, n_time, fixed = ITO_FORMS[name]
         w, m, T = cfg.window, cfg.measure(), cfg.window.horizon
         cells, gaps = ito_reference(name, cfg)
         rows = {v.name: v for v in reduced_result(name).verdicts}
-        tol = cfg.params.get("residual_tol", default_tol)
-        fns = {fn.name: fn for fn in experiments._fns_from_params(cfg)}
+        tol = cfg.params["residual_tol"]
+        fns = {fn.name: fn for fn in cfg.params["functions"]}
         for idx, (label, ref) in enumerate(cells.items()):
             resid = max(abs(lhs - r.total) for lhs, r in ref)
             row = rows[f"max_residual[{label}]"]
             assert row.passed == (resid <= tol) and close(row.estimate, resid), label
             fname, gname, xname = label.split("|")
-            s = {k: cfg.integrand(cfg.params.get("h_name", "H")) for k in fixed}
-            s[slot] = cfg.integrand(xname)
-            G = cfg.integrand(gname)
+            s = {k: cfg.params["h_name"] for k in fixed}
+            s[slot] = cfg.integrands[xname]
+            G = cfg.integrands[gname]
             k = 0
             for _, batch in mc.batches(w, m, cfg.params["paths"], _seed_for(cfg, tag + idx)):
                 path = it.build_path(G, s.get("K"), s.get("H"), batch, m, split=split)

@@ -9,6 +9,7 @@ import pytest
 from levynoise import apps, ito
 from levynoise.cli import bundled_config_text, main
 from levynoise.experiments import (
+    PARAMS,
     REGISTRY,
     ConfigError,
     _csv,
@@ -51,8 +52,12 @@ def small_simulate_config():
 class TestParseConfig:
     def test_bundled_configs_all_valid(self):
         for name in EXPERIMENTS:
-            cfg = parse_config(json.loads(bundled_config_text(name)))
+            raw = json.loads(bundled_config_text(name))
+            assert set(raw["params"]) <= set(PARAMS[name]), name
+            cfg = parse_config(raw)
             assert cfg.experiment == name
+            # every declared param resolved, given or defaulted
+            assert set(cfg.params) == set(PARAMS[name]), name
 
     def test_unknown_experiment(self):
         raw = small_simulate_config()
@@ -139,10 +144,19 @@ class TestParseConfig:
         ("kunita", "ps", 2.0), ("kunita", "ps", [2.0, math.inf]), ("kunita", "ps", ["3"]),
         ("charfn", "u_values", "ab"), ("charfn", "u_values", []),
         ("charfn", "u_values", [1.0, math.nan]), ("martingale", "u_values", "ab"),
-        ("martingale", "u_values", [1.0, None]), ("martingale", "u_values", [True])])
+        ("martingale", "u_values", [1.0, None]), ("martingale", "u_values", [True]),
+        ("charfn", "a", "x"), ("charfn", "box", "ab"), ("charfn", "box", [[0.5, -0.5]]),
+        ("charfn", "interval", [1.0]), ("charfn", "u_value", [1.0]),
+        ("ito2", "functions", [{"kind": "nope"}]), ("ito-lemma", "functions", "x"),
+        ("interlace", "n_max", "x"), ("interlace", "n_max", 6.0), ("interlace", "small_hi", "x"),
+        ("interlace", "diag_replicates", 0), ("interlace", "diag_replicates", 1),
+        ("interlace", "spatial_replicates", 1), ("interlace", "spatial_n_max", -1),
+        ("kunita", "cell_replicate", 100), ("kunita", "cell_replicates", "x"),
+        ("kunita", "cell_replicates", 1), ("kunita", "ratio_guard_factor", "x"),
+        ("isometry", "paths", 5), ("chaos", "product_check_path", 300)])
     def test_bad_value_param(self, tmp_path, capsys, name, key, value):
-        # each of these passed validate and then raised, or ran a verdict
-        # that means nothing, mid-run
+        # each of these passed validate and then raised, ran a verdict that
+        # means nothing, or was ignored (a misspelled or undeclared key)
         assert_bad_param(tmp_path, capsys, name, key, value)
 
     def test_defaulted_names_resolved(self):
@@ -194,6 +208,15 @@ class TestParseConfig:
         raw = small_simulate_config()
         raw["k_sigma"] = 3
         assert parse_config(raw).k_sigma == 3.0
+
+
+class TestKunitaGuard:
+    def test_label_shows_factor(self):
+        raw = json.loads(bundled_config_text("kunita"))
+        raw["params"].update(cell_replicates=2, ratio_guard_factor=5.0)
+        guard, = [v.name for v in run_experiment(parse_config(raw)).verdicts
+                  if v.name.startswith("ratio_guard(")]
+        assert "(5 max(" in guard
 
 
 class TestCliCommands:
