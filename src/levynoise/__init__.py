@@ -22,32 +22,3 @@ from .integrate import (
     z_of_set,
 )
 from .mc import McEstimate, map_replicates, run_replicates, verdict
-
-__all__ = [
-    "FULL",
-    "DiscreteAtoms",
-    "InfiniteMassError",
-    "InfiniteMomentError",
-    "LevyMeasure",
-    "Shell",
-    "TemperedStable",
-    "TruncatedStable",
-    "PointBatch",
-    "PointConfiguration",
-    "Window",
-    "restrict",
-    "simulate",
-    "simulate_batch",
-    "CadlagPath",
-    "build_path",
-    "compensator",
-    "int_N",
-    "int_Nhat",
-    "int_time",
-    "l_integral",
-    "z_of_set",
-    "McEstimate",
-    "map_replicates",
-    "run_replicates",
-    "verdict",
-]

@@ -127,9 +127,9 @@ def _list(val, item=lambda _: True) -> bool:
     return isinstance(val, list) and bool(val) and all(map(item, val))
 
 
-def _pair(val) -> bool:
+def _pair(val, lo=-math.inf, hi=math.inf) -> bool:
     return (isinstance(val, (list, tuple)) and len(val) == 2 and all(map(_finite, val))
-            and val[0] < val[1])
+            and lo <= val[0] < val[1] <= hi)
 
 
 def _kind(what: str, ok, convert=lambda val: val):
@@ -152,15 +152,20 @@ _REALS = _kind("a non-empty list of finite numbers", lambda v: _list(v, _finite)
                lambda v: list(map(float, v)))
 _PS = _kind("a non-empty list of finite numbers >= 2",
             lambda v: _list(v, _finite) and min(v) >= 2.0, lambda v: list(map(float, v)))
-_INTERVAL = _kind("a pair [lo, hi] of finite numbers with lo < hi", _pair,
-                  lambda v: tuple(map(float, v)))
+
+
+def _interval(val, cfg):
+    if not _pair(val, 0.0, cfg.window.horizon):
+        raise ValueError(f"must be a pair [lo, hi] of finite numbers with "
+                         f"0 <= lo < hi <= {cfg.window.horizon:g}, got {val!r}")
+    return tuple(map(float, val))
 
 
 def _box(val, cfg):
     if not (isinstance(val, (list, tuple)) and len(val) == cfg.window.dim
-            and all(map(_pair, val))):
+            and all(map(_pair, val, *zip(*cfg.window.box)))):
         raise ValueError(f"must be {cfg.window.dim} pair(s) [lo, hi] of finite numbers "
-                         f"with lo < hi, got {val!r}")
+                         f"with lo < hi inside the window box {cfg.window.box}, got {val!r}")
     return tuple(tuple(map(float, pair)) for pair in val)
 
 
@@ -214,7 +219,7 @@ PARAMS = {
                                                 for mk in cfg.measures for hk in cfg.integrands])},
     "charfn": {"a": (_REAL, 0.4), "u_values": (_REALS, [-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]),
                "box": (_box, lambda cfg: cfg.window.box),
-               "interval": (_INTERVAL, lambda cfg: (0.0, cfg.window.horizon))},
+               "interval": (_interval, lambda cfg: (0.0, cfg.window.horizon))},
     "ito-lemma": {**_ITO, "residual_tol": (_POSITIVE, 1e-8), "k_names": _K_NAMES},
     "ito1": {**_ITO, "residual_tol": (_POSITIVE, 1e-6), "k_names": _K_NAMES,
              "h_name": (_integrand, "H"), "agreement_tol": (_POSITIVE, 1e-10),

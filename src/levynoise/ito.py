@@ -11,6 +11,7 @@ machine precision.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -196,17 +197,26 @@ def ito_rhs_big_small(fn: SmoothFn, G: Integrand | None, K: Integrand | None,
     return FourTermResult(*(float(v[0]) for v in terms) if single else terms)
 
 
+@functools.lru_cache(maxsize=1)
+def _tensor_scratch(size: int) -> np.ndarray:
+    """Two blocks of `size` floats kept for the process, each written before it
+    is read: freed after every call, they let malloc trim and refault the heap."""
+    return np.empty((2, size))
+
+
 def _nu_tensor(fn: SmoothFn, y, factors, xw, zw) -> np.ndarray:
     """Per time node i, the sum over box and jump nodes j, k of (f(y_i +
     H_ijk) - f(y_i)) xw_j zw_k, with H_ijk the sum of the terms' (time,
-    space, jump) factor products; in blocks of mc.TENSOR_BLOCK elements."""
-    fy, out = fn.f(y), np.empty(len(y))
-    step = max(1, mc.TENSOR_BLOCK // (len(xw) * len(zw)))
+    space, jump) factor products; in blocks of mc.TENSOR_BLOCK elements,
+    summed in place in the scratch blocks."""
+    fy, out, n = fn.f(y), np.empty(len(y)), len(xw) * len(zw)
+    step, scratch = max(1, mc.TENSOR_BLOCK // n), _tensor_scratch(max(mc.TENSOR_BLOCK, n))
     for a in range(0, len(y), step):
         b = slice(a, a + step)
-        yh = y[b, None, None]
+        yh, prod = (v[:len(y[b]) * n].reshape(-1, len(xw), len(zw)) for v in scratch)
+        yh[...] = y[b, None, None]
         for tv, sv, jv in factors:
-            yh = yh + np.multiply.outer(np.multiply.outer(tv[b], sv), jv)
+            np.add(yh, np.multiply.outer(np.multiply.outer(tv[b], sv), jv, out=prod), out=yh)
         diff = fn.f(yh)
         diff -= fy[b, None, None]
         out[b] = np.einsum("ijk,j,k->i", diff, xw, zw)

@@ -153,7 +153,9 @@ class TestParseConfig:
         ("interlace", "spatial_replicates", 1), ("interlace", "spatial_n_max", -1),
         ("kunita", "cell_replicate", 100), ("kunita", "cell_replicates", "x"),
         ("kunita", "cell_replicates", 1), ("kunita", "ratio_guard_factor", "x"),
-        ("isometry", "paths", 5), ("chaos", "product_check_path", 300)])
+        ("isometry", "paths", 5), ("chaos", "product_check_path", 300),
+        ("charfn", "box", [[-3.0, 3.0]]), ("charfn", "box", [[0.0, 0.6]]),
+        ("charfn", "interval", [0.5, 2.0]), ("charfn", "interval", [-0.5, 0.5])])
     def test_bad_value_param(self, tmp_path, capsys, name, key, value):
         # each of these passed validate and then raised, ran a verdict that
         # means nothing, or was ignored (a misspelled or undeclared key)

@@ -268,3 +268,33 @@ class TestBatchEqualsBatchOfOne:
                 assert lhs[k] == ito.ito_lhs(fn, one, 1.0)
                 assert tuple(v[k] for v in got) == dataclasses.astuple(rhs(c, None))
                 assert tuple(v[k] for v in got) == dataclasses.astuple(rhs(c, one))
+
+
+def nu_tensor_reference(fn, y, factors, xw, zw):
+    """The per-block allocating form of ito._nu_tensor: a fresh yh per
+    factor and per block."""
+    from levynoise import mc
+
+    fy, out = fn.f(y), np.empty(len(y))
+    step = max(1, mc.TENSOR_BLOCK // (len(xw) * len(zw)))
+    for a in range(0, len(y), step):
+        b = slice(a, a + step)
+        yh = y[b, None, None]
+        for tv, sv, jv in factors:
+            yh = yh + np.multiply.outer(np.multiply.outer(tv[b], sv), jv)
+        diff = fn.f(yh)
+        diff -= fy[b, None, None]
+        out[b] = np.einsum("ijk,j,k->i", diff, xw, zw)
+    return out
+
+
+def test_nu_tensor_scratch_matches_reference():
+    # successive calls of other shapes reuse the process's scratch blocks
+    rng = np.random.default_rng(11)
+    fn = ito.exp_fn(0.4)
+    for n_y, n_x, n_z, n_terms in ((700, 8, 64, 2), (37, 1, 48, 1), (300, 3, 5, 3)):
+        y, xw, zw = rng.normal(size=n_y), rng.uniform(size=n_x), rng.uniform(size=n_z)
+        factors = [(rng.normal(size=n_y), rng.normal(size=n_x), rng.normal(size=n_z))
+                   for _ in range(n_terms)]
+        np.testing.assert_array_equal(ito._nu_tensor(fn, y, factors, xw, zw),
+                                      nu_tensor_reference(fn, y, factors, xw, zw))

@@ -1,5 +1,7 @@
 import cmath
 import math
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -100,9 +102,9 @@ class TestShellMass:
 
         shell = Shell(0.37, 2.9)
         first = TEMPERED.shell_mass(shell)
-        before = measure._tempered_shell_mass.cache_info()
+        before = measure._density_rule.cache_info()
         again = TemperedStable(alpha=0.5, c=1.0, theta=2.0).shell_mass(shell)
-        after = measure._tempered_shell_mass.cache_info()
+        after = measure._density_rule.cache_info()
         assert again == first == pytest.approx(quad_mass_oracle(TEMPERED, shell), rel=1e-11)
         assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
@@ -217,6 +219,14 @@ class TestSampler:
         res = kstest(z, cdf)
         assert res.pvalue > 1e-3
 
+    def test_rejection_budget_raises(self):
+        # the envelope accepts about 2e-11 of its draws at theta = 1e11
+        m = TemperedStable(alpha=0.5, c=1.0, theta=1e11)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"Shell\(lo=0\.3, hi=6\.0\).*theta=1e\+11.*rate 0\)"):
+            m.sample_shell(Shell(0.3, 6.0), np.random.default_rng(5), size=100)
+        assert time.perf_counter() - start < 1.0
+
     def test_zero_mass_shell_errors(self):
         rng = np.random.default_rng(4)
         with pytest.raises(ValueError):
@@ -280,3 +290,65 @@ class TestNuNodes:
         z, w = TSTABLE.nu_nodes(shell, n_per_side=48)
         rule = float(np.sum(w * (np.cos(3 * z) * z + 0.1 * z * z)))
         assert rule == pytest.approx(TSTABLE.nu_integral(fn, shell), rel=1e-9)
+
+
+def quad_oracle(m, shell, phi):
+    """2 x the integral of phi(t) times the one-sided density over the shell's
+    |z| range by tight adaptive quadrature: split at 1, near 0 at 1e-3, and an
+    infinite tempered shell cut where e^(-80) is left."""
+    lo, hi = m._bounds(shell)
+    if hi == math.inf:
+        hi = lo + 80.0 / m.theta
+    cuts = sorted({lo, hi} | {c for c in (1e-3, 1.0) if lo < c < hi and (c == 1.0 or lo == 0.0)})
+    with warnings.catch_warnings():  # roundoff at this epsrel is expected
+        warnings.simplefilter("ignore", si.IntegrationWarning)
+        return 2 * sum(si.quad(lambda t: phi(t) * m._density_abs(t), a, b, epsabs=0.0,
+                               epsrel=2e-14, limit=400)[0] for a, b in zip(cuts, cuts[1:]))
+
+
+def cos_m1(u):
+    # cos(ut) - 1 without the cancellation at small ut
+    return lambda t: -2.0 * math.sin(0.5 * u * t) ** 2
+
+
+class TestShellRule:
+    """The shell mass, moments and psi of the density families, on the
+    composite Gauss-Legendre rule, against scipy's adaptive quad."""
+
+    @given(st.floats(0.1, 1.9), st.floats(0.2, 10.0), st.floats(0.01, 4.99),
+           st.floats(1e-3, 1.0), st.floats(0.0, 4.0), st.floats(-10.0, 10.0))
+    @settings(max_examples=60, deadline=None)
+    def test_finite_shells_match_quad(self, alpha, theta, lo, frac, p, u):
+        shell = Shell(lo, lo + frac * (5.0 - lo))
+        for m in (TemperedStable(alpha, 1.0, theta), TruncatedStable(alpha, 1.0, 5.0)):
+            assert m.shell_mass(shell) == pytest.approx(
+                quad_oracle(m, shell, lambda t: 1.0), rel=1e-13)
+            assert m.shell_moment(shell, p) == pytest.approx(
+                quad_oracle(m, shell, lambda t: t ** p), rel=1e-13)
+            assert m.psi_shell(shell, u).real == pytest.approx(
+                quad_oracle(m, shell, cos_m1(u)), rel=1e-13)
+
+    @pytest.mark.parametrize("m", [TruncatedStable(1.0, 1.0, 100.0),
+                                   TemperedStable(0.5, 1.0, 0.05)])
+    def test_psi_wide_shell_high_frequency(self, m):
+        # panels wider than pi / |u| in |z| would miss part of the oscillation
+        shell, us = Shell(0.5, 100.0), np.array([10.0, 50.0])
+        for u, val in zip(us, m.psi_shell(shell, us)):
+            assert val.real == pytest.approx(quad_oracle(m, shell, cos_m1(u)), rel=1e-11)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("theta", [0.2, 10.0])
+    @pytest.mark.parametrize("shell", [Shell(0.05, math.inf), FULL])
+    def test_infinite_and_full_shells_match_quad(self, alpha, theta, shell):
+        for m in (TemperedStable(alpha, 1.0, theta), TruncatedStable(alpha, 1.0, 2.0)):
+            if shell.lo > 0.0:
+                assert m.shell_mass(shell) == pytest.approx(
+                    quad_oracle(m, shell, lambda t: 1.0), rel=1e-11)
+            for p in (2.0, 4.0):
+                assert m.shell_moment(shell, p) == pytest.approx(
+                    quad_oracle(m, shell, lambda t: t ** p), rel=1e-11)
+            us = np.array([-10.0, -0.5, 1e-3, 2.0, 10.0])
+            got = m.psi_shell(shell, us)
+            assert got.shape == us.shape and np.all(got.imag == 0.0)
+            for u, val in zip(us, got):
+                assert val.real == pytest.approx(quad_oracle(m, shell, cos_m1(u)), rel=1e-11)

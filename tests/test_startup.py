@@ -1,6 +1,7 @@
-"""Start-up cost: importing the CLI, parsing the pathwise and ladder configs
-and running chaos load no scipy subpackage; each is imported where it is
-called (README, "Dependencies at start-up")."""
+"""Start-up cost: importing the CLI, parsing every bundled config but
+simulate's, and running chaos, isometry and charfn load no scipy
+subpackage; each is imported where it is called (README, "Dependencies at
+start-up")."""
 
 import json
 import os
@@ -15,12 +16,16 @@ import json, sys
 from levynoise import cli
 from levynoise.experiments import parse_config, run_experiment
 
-for name in ("ito-lemma", "ito1", "ito2", "chaos", "interlace"):
+for name in ("ito-lemma", "ito1", "ito2", "chaos", "interlace", "isometry", "kunita", "charfn",
+             "martingale"):
     parse_config(json.loads(cli.bundled_config_text(name)))
-raw = json.loads(cli.bundled_config_text("chaos"))
-raw["replicates"] = 40
-raw["params"]["product_check_paths"] = 5
-verdicts = len(run_experiment(parse_config(raw)).verdicts)
+verdicts = 0
+for name, replicates, params in (("chaos", 40, {"product_check_paths": 5}),
+                                 ("isometry", 200, {}), ("charfn", 200, {})):
+    raw = json.loads(cli.bundled_config_text(name))
+    raw["replicates"] = replicates
+    raw["params"].update(params)
+    verdicts += len(run_experiment(parse_config(raw)).verdicts)
 print(json.dumps({"verdicts": verdicts, "scipy": sorted(
     m for m in sys.modules if m == "scipy" or m.startswith("scipy."))}))
 """
