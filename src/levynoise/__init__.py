@@ -10,15 +10,14 @@ from .measure import (
     TemperedStable,
     TruncatedStable,
 )
-from .prm import PointBatch, PointConfiguration, Window, restrict, simulate, simulate_batch
+from .prm import PointBatch, Window, restrict, simulate, simulate_batch
 from .integrate import (
     CadlagPath,
     build_path,
     compensator,
     int_N,
     int_Nhat,
-    int_time,
     l_integral,
     z_of_set,
 )
-from .mc import McEstimate, map_replicates, run_replicates, verdict
+from .mc import McEstimate, map_replicates, replicate_values, run_replicates, verdict

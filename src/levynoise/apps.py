@@ -16,9 +16,9 @@ import numpy as np
 
 from . import integrate as it
 from .integrands import Integrand, SignPow, gl_rule, spectral_integration_matrix
-from .mc import estimate, map_replicates
+from .mc import estimate, replicate_values
 from .measure import LevyMeasure, Shell
-from .prm import PointBatch, PointConfiguration, Window
+from .prm import PointBatch, Window
 
 
 # ---------------------------------------------------------------------------
@@ -120,12 +120,12 @@ def lp_bracket(X: Integrand, window: Window, t: float, p: float,
     return space_time_norm_sq(X, window, t, n) ** (p / 2.0) + pp
 
 
-def noise_path(X: Integrand, config: PointConfiguration,
-               measure: LevyMeasure) -> it.CadlagPath:
-    """The integral process of X against the finite-variance noise."""
+def noise_path(X: Integrand, batch: PointBatch, measure: LevyMeasure) -> it.CadlagPath:
+    """The integral process of X against the finite-variance noise, one path
+    per replicate."""
     if not X.is_space_time_only():
         raise ValueError("the noise integrand must depend on (s, x) only")
-    return it.build_path(None, None, X.with_jump(SignPow(1.0)), config,
+    return it.build_path(None, None, X.with_jump(SignPow(1.0)), batch,
                          measure, split=math.inf)
 
 
@@ -143,13 +143,15 @@ def moment_bound_cell(X: Integrand, measure: LevyMeasure, p: float, t: float,
         raise ValueError(f"p-th jump moment diverges at p={p}")
     v_shell = measure.shell_moment(window.shell, 2.0)
 
-    def one(_k, config):
-        path = noise_path(X, config, measure)
-        return path.sup_abs(t) ** p, path.eval(t) ** 2
+    def stat(batch):
+        # powers of Python floats, path by path: numpy's vector power can
+        # differ from them in the last bit
+        path = noise_path(X, batch, measure)
+        return ([s ** p for s in path.sup_abs(t).tolist()],
+                [e ** 2 for e in path.eval(t).tolist()])
 
-    draws = map_replicates(one, window, measure, replicates, master_seed)
-    lhs = estimate([s for s, _ in draws], master_seed)
-    terminal = estimate([e for _, e in draws], master_seed)
+    sups, ends = replicate_values(stat, window, measure, replicates, master_seed)
+    lhs, terminal = estimate(sups, master_seed), estimate(ends, master_seed)
     bracket = lp_bracket(X, window, t, p)
     ratio = lhs.mean / bracket if bracket > 0 else math.nan
     return MomentBoundRow(p, lhs.mean, lhs.se, bracket, ratio,
@@ -160,28 +162,30 @@ def moment_bound_cell(X: Integrand, measure: LevyMeasure, p: float, t: float,
 # exponential martingale and its integral representation
 
 
-def exp_martingale(h: Integrand, config: PointConfiguration,
-                   measure: LevyMeasure, t: float,
-                   psi_integral: complex | None = None) -> complex:
-    """exp(i L_h(t) - Psi-integral), the mean-one complex martingale."""
+def exp_martingale(h: Integrand, batch: PointBatch, measure: LevyMeasure, t: float,
+                   psi_integral: complex | None = None) -> np.ndarray:
+    """exp(i L_h(t) - Psi-integral), the mean-one complex martingale, one
+    value per replicate."""
     if psi_integral is None:
-        psi_integral = psi_space_time_integral(h, config.window, measure, t)
-    L = it.l_integral(h, config, measure, t)
-    return complex(np.exp(1j * L - psi_integral))
+        psi_integral = psi_space_time_integral(h, batch.window, measure, t)
+    return np.exp(1j * it.l_integral(h, batch, measure, t) - psi_integral)
 
 
-def representation_residual(h: Integrand, config: PointConfiguration,
+def representation_residual(h: Integrand, config: PointBatch,
                             measure: LevyMeasure, T: float, *,
                             n_time: int = 8, n_space: int = 16,
                             n_jump: int = 48) -> float:
-    """|M(T) - (1 + compensated integral of (e^{ihz}-1) M(s-))|.
+    """|M(T) - (1 + compensated integral of (e^{ihz}-1) M(s-))| on a batch
+    of one.
 
     The pre-jump values of M between jumps follow the closed-form continuous
     evolution, so the only slack is tensor quadrature.
     """
+    if len(config) != 1:
+        raise ValueError(f"representation_residual takes one configuration, got {len(config)}")
     w = config.window
     path = noise_path(h, config, measure)
-    breaks = it.path_breaks(config, T, h.time_breakpoints())
+    breaks = it.batch_breaks(config, T, h.time_breakpoints())[0]
     s, ws = it.interval_rule(breaks, n_time)
     xpts, wx = it.box_rule(w.box, n_space)
     znod, zw = measure.nu_nodes(w.shell, n_jump)
@@ -191,8 +195,8 @@ def representation_residual(h: Integrand, config: PointConfiguration,
     psi_nodes = psi_shell_rule(measure, w.shell, hgrid, n_jump) @ wx
     psi_cum_nodes, psi_cum_breaks = cumulative_on_grid(breaks, n_time, psi_nodes)
 
-    m_nodes = np.exp(1j * path.eval(s) - psi_cum_nodes)
-    lhs = np.exp(1j * path.eval(T) - psi_cum_breaks[-1])
+    m_nodes = np.exp(1j * path.eval(s, 0) - psi_cum_nodes)
+    lhs = np.exp(1j * path.eval(T)[0] - psi_cum_breaks[-1])
 
     mask = config.t <= T
     jump_sum = 0.0 + 0.0j
@@ -200,7 +204,7 @@ def representation_residual(h: Integrand, config: PointConfiguration,
         tj, xj, zj = config.t[mask], config.x[mask], config.z[mask]
         idx = np.searchsorted(breaks, tj)
         psi_at_j = psi_cum_breaks[idx]
-        m_left = np.exp(1j * path.eval_left(tj) - psi_at_j)
+        m_left = np.exp(1j * path.eval(tj, 0, left=True) - psi_at_j)
         hj = np.asarray(h(tj, xj, zj), dtype=float)
         jump_sum = complex(np.sum((np.exp(1j * hj * zj) - 1.0) * m_left))
 
@@ -210,12 +214,13 @@ def representation_residual(h: Integrand, config: PointConfiguration,
     return abs(complex(lhs) - rhs)
 
 
-def modulus_gap(h: Integrand, config: PointConfiguration, measure: LevyMeasure,
+def modulus_gap(h: Integrand, config: PointBatch, measure: LevyMeasure,
                 t: float, psi_integral: complex | None = None) -> float:
-    """| |M(t)| - exp(-Re Psi-integral) |; zero for real h up to rounding."""
+    """| |M(t)| - exp(-Re Psi-integral) | on a batch of one; zero for real h
+    up to rounding."""
     if psi_integral is None:
         psi_integral = psi_space_time_integral(h, config.window, measure, t)
-    m = exp_martingale(h, config, measure, t, psi_integral)
+    m = complex(exp_martingale(h, config, measure, t, psi_integral)[0])
     return abs(abs(m) - math.exp(-psi_integral.real))
 
 
@@ -280,18 +285,6 @@ def check_disjoint(f: ChaosFunction, window: Window, measure: LevyMeasure,
                     "diagonal handling is out of scope")
 
 
-def _jumps_before(s, sseg, tj, jseg, start):
-    """searchsorted(tj, s, side="left") within each replicate: nodes s and
-    jump times tj of replicates sseg and jseg, the replicate's first jump at
-    start[jseg]."""
-    order = np.lexsort((np.arange(len(s) + len(tj)) >= len(s),
-                        np.concatenate([s, tj]), np.concatenate([sseg, jseg])))
-    node = order < len(s)
-    out = np.empty(len(s), dtype=np.intp)
-    out[order[node]] = np.cumsum(~node)[node]
-    return out - start[sseg]
-
-
 def _iterated(slots, batch: PointBatch, measure: LevyMeasure, T: float,
               n_time: int = 8) -> np.ndarray:
     """Iterated compensated integral over the ordered time simplex for one
@@ -308,9 +301,8 @@ def _iterated(slots, batch: PointBatch, measure: LevyMeasure, T: float,
     mask = batch.t <= T
     tj, xj, zj, jseg = batch.t[mask], batch.x[mask], batch.z[mask], batch.segment[mask]
     counts = np.bincount(jseg, minlength=n)
-    start = np.cumsum(counts) - counts
-    col = np.arange(len(tj)) - start[jseg]
-    node_jumps = _jumps_before(s, sseg, tj, jseg, start)
+    col = np.arange(len(tj)) - (np.cumsum(counts) - counts)[jseg]
+    node_jumps = it.jumps_before(s, sseg, tj, jseg)
     projs = [it.project_time(g, batch.window, measure) for g in slots]
 
     def running(g, weight=1.0):  # per replicate, 0 and the partial sums of weight * g
@@ -343,40 +335,35 @@ def _iterated(slots, batch: PointBatch, measure: LevyMeasure, T: float,
     return P_end
 
 
-def multiple_integral(f: ChaosFunction, config: PointConfiguration | PointBatch,
-                      measure: LevyMeasure, T: float | None = None,
-                      n_time: int = 8, validate: bool = True):
+def multiple_integral(f: ChaosFunction, batch: PointBatch, measure: LevyMeasure,
+                      T: float | None = None, n_time: int = 8,
+                      validate: bool = True) -> np.ndarray:
     """The order-n multiple integral of a disjoint-support chaos function,
-    computed as the permutation sum of iterated simplex integrals: a float
-    on a configuration, one value per replicate on a batch."""
+    computed as the permutation sum of iterated simplex integrals, one value
+    per replicate."""
     import itertools
 
-    batch = PointBatch.of(config) if isinstance(config, PointConfiguration) else config
     T = T if T is not None else batch.window.horizon
     if validate:
         check_disjoint(f, batch.window, measure, T)
     total = np.zeros(len(batch))
     for perm in itertools.permutations(f.factors):
         total = total + _iterated(perm, batch, measure, T, n_time)
-    return float(total[0]) if batch is not config else total
+    return total
 
 
-def second_chaos_expansion_residual(set_indicator: Integrand,
-                                    config: PointConfiguration | PointBatch,
+def second_chaos_expansion_residual(set_indicator: Integrand, batch: PointBatch,
                                     measure: LevyMeasure,
-                                    T: float | None = None):
+                                    T: float | None = None) -> np.ndarray:
     """Residual of the explicit two-term expansion of the squared centered
-    count of a space-time-jump box: a float on a configuration, one value
-    per replicate on a batch.
+    count of a space-time-jump box, one value per replicate.
 
     The expansion F = E F + I1 + I2 with slot functions equal to the box
     indicator holds path by path, so the residual is numerical dust.
     """
-    batch = PointBatch.of(config) if isinstance(config, PointConfiguration) else config
     T = T if T is not None else batch.window.horizon
     mu = it.compensator(set_indicator, batch.window, measure, T)
     nhat = it.int_Nhat(set_indicator, batch, measure, T)
     i2 = multiple_integral(ChaosFunction((set_indicator, set_indicator)),
                            batch, measure, T, validate=False)
-    resid = nhat * nhat - mu - nhat - i2
-    return float(resid[0]) if batch is not config else resid
+    return nhat * nhat - mu - nhat - i2

@@ -1,10 +1,11 @@
 """Named experiment suites binding simulation, analytics, and verdicts.
 
-Each experiment consumes a validated Config, runs its Monte Carlo, Ito and
-chaos-moment checks over the replicate batches of `mc.batches` and its other
-pathwise checks over the replicates of `mc.map_replicates`, and returns
-verdict rows plus plot-ready CSV tables.  The CLI is a thin shell around
-this module; the acceptance tests call the same entry points.
+Each experiment consumes a validated Config, runs its Monte Carlo, Ito,
+maximal-moment and chaos-moment checks over the replicate blocks of
+`mc.batches` and its other pathwise checks over the batches of one of
+`mc.map_replicates`, and returns verdict rows plus plot-ready CSV tables.
+The CLI is a thin shell around this module; the acceptance tests call the
+same entry points.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from . import integrate as it
 from . import interlace as il
 from . import ito
 from .integrands import Integrand, integrand_from_json
-from .mc import McEstimate, batches, estimate, map_replicates, run_replicates, verdict
+from .mc import (McEstimate, batches, estimate, map_replicates, replicate_values,
+                 run_replicates, verdict)
 from .measure import LevyMeasure, measure_from_json
 from .prm import Window, dump_csv, intensity, replicate_seed, simulate
 
@@ -31,6 +33,12 @@ from .prm import Window, dump_csv, intensity, replicate_seed, simulate
 class ConfigError(ValueError):
     """Configuration rejected before any computation; message carries the
     offending field path."""
+
+
+# Expected points of the largest single configuration a run may draw: the
+# window's under each measure, and the deepest window of each interlace
+# ladder.  About 0.4 GB of points; no bundled config comes near it.
+MAX_POINTS = 1 << 24
 
 
 @dataclass
@@ -45,13 +53,15 @@ class Config:
     integrands: dict[str, Integrand]
     params: dict  # the experiment's PARAMS, resolved by parse_config
     output_dir: str | None = None
+    # interlace's (param, ladder, problem) triples, built once by parse_config
+    ladders: list = field(default_factory=list, init=False)
 
     def measure(self) -> LevyMeasure:
         return next(iter(self.measures.values()))
 
 
 # `measure` is shorthand for a `measures` of one entry
-TOP_LEVEL_FIELDS = frozenset(f.name for f in fields(Config)) | {"measure"}
+TOP_LEVEL_FIELDS = frozenset(f.name for f in fields(Config) if f.init) | {"measure"}
 
 
 def parse_config(raw: dict) -> Config:
@@ -116,6 +126,12 @@ def parse_config(raw: dict) -> Config:
     )
     validate_config(cfg)
     cfg.params = _resolve_params(cfg)
+    if name == "interlace":
+        cfg.ladders = _ladders(cfg)
+    for key, ladder, problem in cfg.ladders:
+        if ladder.levels and not ladder.violation:  # else the run reports the ladder
+            _check_points(f"params.{key}", f"the deepest {ladder.kind} window",
+                          intensity(il.deep_window(ladder, problem), problem.measure))
     return cfg
 
 
@@ -275,15 +291,46 @@ def validate_config(cfg: Config) -> None:
         raise ConfigError(f"k_sigma: need a finite value > 0, got {cfg.k_sigma}")
     for key, m in cfg.measures.items():
         try:
-            mass = m.shell_mass(cfg.window.shell)
+            points = intensity(cfg.window, m)
         except Exception as exc:
             raise ConfigError(f"measures.{key}: shell mass: {exc}") from exc
-        if not (mass < math.inf):
-            raise ConfigError(f"measures.{key}: infinite intensity on the window shell")
+        _check_points("window", f"the window under measures.{key}", points)
         try:
             m.shell_moment(cfg.window.shell, 2.0)
         except Exception as exc:
             raise ConfigError(f"measures.{key}: second moment: {exc}") from exc
+
+
+def _ladders(cfg: Config) -> list:
+    """interlace's small-jump ladder and, with `spatial`, its spatial one, as
+    (the param of its depth, ladder, problem) triples."""
+    w, p = cfg.window, cfg.params
+    T = w.horizon
+    problem = il.LadderProblem(H=p["h_name"], measure=cfg.measure(), T=T, box=w.box,
+                               small_hi=p["small_hi"])
+    try:
+        out = [("n_max", il.eps_sequence(problem.H, w.box, T, problem.measure,
+                                         n_max=p["n_max"], small_hi=problem.small_hi), problem)]
+    except ValueError as exc:
+        raise ConfigError(f"params.h_name: small-jump ladder: {exc}") from None
+    if p["spatial"]:
+        problem = il.LadderProblem(H=p["spatial_h_name"], K=p["spatial_k_name"],
+                                   measure=p["spatial_measure"], T=T, shell=w.shell, dim=w.dim)
+        try:
+            out.append(("spatial_n_max", il.a_sequence(
+                problem.H, problem.K, T, problem.measure, n_max=p["spatial_n_max"],
+                kind="spatial-I", shell=w.shell, dim=w.dim), problem))
+        except ValueError as exc:
+            raise ConfigError(f"params.spatial_h_name: spatial ladder: {exc}") from None
+    return out
+
+
+def _check_points(key: str, what: str, points: float) -> None:
+    """Refuse a configuration that expects more than MAX_POINTS points,
+    naming the field that sets its size."""
+    if not points <= MAX_POINTS:
+        raise ConfigError(f"{key}: {what} expects {points:.3g} points, over the "
+                          f"budget of {MAX_POINTS} (experiments.MAX_POINTS)")
 
 
 # ---------------------------------------------------------------------------
@@ -512,13 +559,6 @@ ITO_CSV_HEADER = ("cell", "replicate", "t", "lhs", "term1", "term2", "term3",
 ITO_CSV_PATHS = 25  # paths per cell whose terms go to the residual table
 
 
-def _per_path(evaluate, window, measure, n: int, master_seed: int) -> list:
-    """Each array of evaluate(batch), one value per replicate of the batch,
-    concatenated over the blocks of `batches`: one value per path."""
-    blocks = [evaluate(b) for _, b in batches(window, measure, n, master_seed)]
-    return [np.concatenate(col) for col in zip(*blocks)]
-
-
 def _ito_matrix(cfg: Config, table: str, tag: int, x_key: str, slot: str, split: float,
                 rhs, **fixed) -> ExperimentResult:
     """Check one form of the Ito formula path by path on every (f, G, X)
@@ -544,11 +584,11 @@ def _ito_matrix(cfg: Config, table: str, tag: int, x_key: str, slot: str, split:
 
         def evaluate(batch, fn=fn, G=G, slots=slots):
             path = it.build_path(G, slots.get("K"), slots.get("H"), batch, m, split=split)
-            r = rhs(fn, G, config=batch, measure=m, t=T, path=path, **slots)
+            r = rhs(fn, G, batch=batch, measure=m, t=T, path=path, **slots)
             return (ito.ito_lhs(fn, path, T), r.g_term, r.big_jump_term,
                     r.compensated_term, r.nu_term)
 
-        lhs, *terms = _per_path(evaluate, w, m, paths, _seed_for(cfg, tag + idx))
+        lhs, *terms = replicate_values(evaluate, w, m, paths, _seed_for(cfg, tag + idx))
         r = ito.FourTermResult(*terms)
         res.verdicts.append(_tol_row(f"max_residual[{label}]",
                                      _worst(np.abs(lhs - r.total)), tol))
@@ -592,7 +632,8 @@ def run_ito1(cfg: Config) -> ExperimentResult:
             r2 = ito.ito_rhs_all_compensated(fn, g2, H, batch, m, T)
             return (np.abs(r1.total - r2.total),)
 
-        gaps, = _per_path(gap, w, m, cfg.params["agreement_paths"], _seed_for(cfg, 450 + i))
+        gaps, = replicate_values(gap, w, m, cfg.params["agreement_paths"],
+                                 _seed_for(cfg, 450 + i))
         res.verdicts.append(_tol_row(f"form_agreement[{fn.name}]", _worst(gaps),
                                      cfg.params["agreement_tol"]))
     return res
@@ -617,29 +658,18 @@ def _ladder_rows(prefix: str, report: il.DiagnosticReport, k_sigma: float):
 def run_interlace(cfg: Config) -> ExperimentResult:
     """Threshold ladders plus coupled sup-norm diagnostics against the
     geometric bounds."""
-    w, m = cfg.window, cfg.measure()
-    T = w.horizon
-    H, small_hi = cfg.params["h_name"], cfg.params["small_hi"]
     reps = cfg.params["diag_replicates"]
     res = ExperimentResult(cfg.experiment, cfg.seed, reps)
-
-    ladder = il.eps_sequence(H, w.box, T, m, n_max=cfg.params["n_max"], small_hi=small_hi)
+    (_, ladder, problem), *spatial = cfg.ladders
     if cfg.params["worked_example"]:
         worst = _worst([abs(lv.threshold - 8.0 ** -lv.n / 2.0) / (8.0 ** -lv.n / 2.0)
                         for lv in ladder.levels])
         res.verdicts.append(_tol_row("threshold_closed_form_rel_err", worst, 1e-8))
-    problem = il.LadderProblem(H=H, measure=m, T=T, box=w.box, small_hi=small_hi)
     rep = il.interlacing_diagnostic(ladder, problem, reps, _seed_for(cfg, 600))
     res.verdicts.extend(_ladder_rows("", rep, cfg.k_sigma))
     res.tables["eps_ladder.csv"] = rep.to_csv()
 
-    if cfg.params["spatial"]:
-        Hs, Ks = cfg.params["spatial_h_name"], cfg.params["spatial_k_name"]
-        sm = cfg.params["spatial_measure"]
-        sladder = il.a_sequence(Hs, Ks, T, sm, n_max=cfg.params["spatial_n_max"],
-                                kind="spatial-I", shell=w.shell, dim=w.dim)
-        sproblem = il.LadderProblem(H=Hs, K=Ks, measure=sm, T=T,
-                                    shell=w.shell, dim=w.dim)
+    for _, sladder, sproblem in spatial:
         srep = il.interlacing_diagnostic(sladder, sproblem, cfg.params["spatial_replicates"],
                                          _seed_for(cfg, 601))
         res.verdicts.extend(_ladder_rows("spatial_", srep, cfg.k_sigma))
@@ -746,7 +776,7 @@ def run_chaos(cfg: Config) -> ExperimentResult:
     # the mean of |I2 - product| over replicates, plus its spread, bounds the max
     def product_gap(_k, c):
         i2 = apps.multiple_integral(f2, c, m, T, validate=False)
-        return abs(i2 - it.int_Nhat(slot_a, c, m, T) * it.int_Nhat(slot_b, c, m, T))
+        return abs(i2 - it.int_Nhat(slot_a, c, m, T) * it.int_Nhat(slot_b, c, m, T))[0]
 
     gaps = map_replicates(product_gap, w, m,
                           min(n, cfg.params["product_check_paths"]), _seed_for(cfg, 901))

@@ -449,9 +449,6 @@ class Integrand:
         return Integrand(tuple(
             Term(t.time, t.space, product_node(t.jump, node)) for t in self.terms))
 
-    def is_time_only(self) -> bool:
-        return all(not t.space and isinstance(t.jump, Const) for t in self.terms)
-
     def is_space_time_only(self) -> bool:
         return all(isinstance(t.jump, Const) for t in self.terms)
 

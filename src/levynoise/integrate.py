@@ -3,7 +3,9 @@
 All stochastic analysis happens at a fixed truncation shell, where the model
 is an exact finite-activity semimartingale: jump integrals are finite sums,
 compensators factor into products of one-dimensional integrals, and every
-pathwise identity can be demanded to quadrature precision.
+pathwise identity can be demanded to quadrature precision.  Every operation
+takes a `PointBatch` and gives one value, or one path, per replicate; one
+configuration is the batch of one.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .integrands import (
     product_node,
 )
 from .measure import InfiniteMassError, InfiniteMomentError, LevyMeasure, Shell
-from .prm import PointBatch, PointConfiguration, Window
+from .prm import PointBatch, Window
 
 
 class InfiniteCompensatorError(ValueError):
@@ -179,28 +181,16 @@ def drift_function(pieces) -> Callable[[np.ndarray], np.ndarray]:
 # the four integral operations
 
 
-def int_time(G: Integrand, t: float, n: int = 64) -> float:
-    """Integral of a time-only integrand over [0, t]."""
-    total = 0.0
-    for scale, node in _time_pieces(G):
-        if scale != 0.0:
-            total += scale * node.integral(0.0, t, n)
-    return total
-
-
 def time_cumulative(G: Integrand, ts) -> np.ndarray:
     """Vectorized t -> integral over [0, t] for a time-only integrand."""
     return drift_function(_time_pieces(G))(ts)
 
 
-def int_N(K: Integrand, config: PointConfiguration | PointBatch, t: float):
-    """Finite jump sum of K over the points with t_i <= t; on a batch, the
-    array of per-replicate sums."""
-    batch = config if isinstance(config, PointBatch) else PointBatch.of(config)
+def int_N(K: Integrand, batch: PointBatch, t: float) -> np.ndarray:
+    """Per replicate, the finite jump sum of K over the points with t_i <= t."""
     mask = batch.t <= t
     values = K(batch.t[mask], batch.x[mask], batch.z[mask]) if mask.any() else 0.0
-    sums = _segment_sum(batch, mask, values)
-    return sums if batch is config else float(sums[0])
+    return _segment_sum(batch, mask, values)
 
 
 def _segment_sum(batch: PointBatch, mask, values) -> np.ndarray:
@@ -221,31 +211,27 @@ def compensator(H: Integrand, window: Window, measure: LevyMeasure, t: float) ->
     return total
 
 
-def int_Nhat(H: Integrand, config: PointConfiguration | PointBatch,
-             measure: LevyMeasure, t: float):
+def int_Nhat(H: Integrand, batch: PointBatch, measure: LevyMeasure, t: float) -> np.ndarray:
     """Compensated integral: jump sum minus compensator on the same window."""
-    return int_N(H, config, t) - compensator(H, config.window, measure, t)
+    return int_N(H, batch, t) - compensator(H, batch.window, measure, t)
 
 
-def l_integral(X: Integrand, config: PointConfiguration | PointBatch,
-               measure: LevyMeasure, t: float):
+def l_integral(X: Integrand, batch: PointBatch, measure: LevyMeasure, t: float) -> np.ndarray:
     """Integral of X(s, x) against the finite-variance noise: the compensated
     integral of X(s, x) z."""
     if not X.is_space_time_only():
         raise ValueError("the noise integrand must depend on (s, x) only")
-    return int_Nhat(X.with_jump(SignPow(1.0)), config, measure, t)
+    return int_Nhat(X.with_jump(SignPow(1.0)), batch, measure, t)
 
 
-def z_of_set(a: float, box, interval, config: PointConfiguration | PointBatch,
-             measure: LevyMeasure):
-    """The noise charge of a space-time set (interval x box); on a batch,
-    the array of per-replicate charges.
+def z_of_set(a: float, box, interval, batch: PointBatch, measure: LevyMeasure) -> np.ndarray:
+    """Per replicate, the noise charge of a space-time set (interval x box).
 
     Uses the standard form with drift term i*u*a in the exponent; big jumps
     enter raw, small jumps compensated.
     """
     t1, t2 = interval
-    w = config.window
+    w = batch.window
     if not (0.0 <= t1 < t2 <= w.horizon):
         raise ValueError(f"time interval {interval} outside the window")
     if len(box) != w.dim:
@@ -256,19 +242,17 @@ def z_of_set(a: float, box, interval, config: PointConfiguration | PointBatch,
     vol = t2 - t1
     for lo, hi in box:
         vol *= hi - lo
-    total = a * vol
-    batch = config if isinstance(config, PointBatch) else PointBatch.of(config)
     keep = (batch.t > t1) & (batch.t <= t2)
     for k, (lo, hi) in enumerate(box):
         keep &= (batch.x[:, k] >= lo) & (batch.x[:, k] <= hi)
     big = np.abs(batch.z) > 1.0
-    total = np.full(len(batch), total)
+    total = np.full(len(batch), a * vol)
     for part in (keep & big, keep & ~big):
         total += _segment_sum(batch, part, batch.z[part])
     small = w.shell.clip(0.0, 1.0)
     if small:
         total -= vol * measure.shell_moment(small, 1.0, signed=True)
-    return total if batch is config else float(total[0])
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -277,109 +261,127 @@ def z_of_set(a: float, box, interval, config: PointConfiguration | PointBatch,
 
 @dataclass(frozen=True)
 class CadlagPath:
-    """Drift evaluator plus a sorted jump list, with left-limit access."""
-
-    times: np.ndarray
-    jumps: np.ndarray
-    drift: Callable[[np.ndarray], np.ndarray]
-    window: Window
-
-    def __post_init__(self):
-        object.__setattr__(self, "_csum", np.concatenate([[0.0], np.cumsum(self.jumps)]))
-
-    def eval(self, t):
-        idx = np.searchsorted(self.times, np.asarray(t, dtype=float), side="right")
-        out = self._csum[idx] + self.drift(t)
-        return float(out) if np.ndim(t) == 0 else out
-
-    def eval_left(self, t):
-        idx = np.searchsorted(self.times, np.asarray(t, dtype=float), side="left")
-        out = self._csum[idx] + self.drift(t)
-        return float(out) if np.ndim(t) == 0 else out
-
-    def sup_abs(self, t: float, scan: int = 0) -> float:
-        """sup over [0, t] of |path|.
-
-        Candidates are 0, the terminal value, and left/right values at every
-        jump time; exact when the drift is monotone between jumps.  `scan`
-        adds a uniform grid plus a local refinement for wiggly drifts.
-        """
-        k = int(np.searchsorted(self.times, t, side="right"))
-        ts = self.times[:k]
-        if np.all(ts[1:] > ts[:-1]):  # untied: jump i takes _csum[i] to _csum[i+1]
-            d = self.drift(ts)
-            sides = (self._csum[1:k + 1] + d, self._csum[:k] + d)
-        else:
-            sides = (self.eval(ts), self.eval_left(ts))
-        best = max(0.0, abs(self.eval(t)), *(float(np.max(np.abs(v), initial=0.0)) for v in sides))
-        if scan > 1:
-            grid = np.linspace(0.0, t, scan)
-            vals = np.abs(self.eval(grid))
-            g = int(np.argmax(vals))
-            best = max(best, float(vals[g]))
-            lo = grid[max(g - 1, 0)]
-            hi = grid[min(g + 1, scan - 1)]
-            # keep the refinement bracket inside one inter-jump interval
-            inner = self.times[(self.times > lo) & (self.times < hi)]
-            if len(inner):
-                hi = float(inner[0])
-            if hi > lo:
-                from scipy import optimize
-
-                res = optimize.minimize_scalar(
-                    lambda s: -abs(self.eval(min(s, t))),
-                    bounds=(lo, hi), method="bounded",
-                    options={"xatol": 1e-12})
-                best = max(best, float(-res.fun))
-        return best
-
-
-@dataclass(frozen=True)
-class PathBatch:
     """Paths with one shared drift and their own jumps: row k of `times`
-    holds path k's jump times in order, padded with inf, and row k of
-    `csum` its running jump sums from 0, each as CadlagPath sums its own."""
+    holds path k's jump times in order, padded with inf, and row k of `csum`
+    its running jump sums from 0.  Every query gives one value per path."""
 
     times: np.ndarray  # (n, J)
     csum: np.ndarray   # (n, J + 1)
     drift: Callable[[np.ndarray], np.ndarray]
 
-    @staticmethod
-    def of(path: CadlagPath) -> "PathBatch":
-        return PathBatch(path.times[None], path._csum[None], path.drift)
-
     def eval(self, s, seg=None, left: bool = False) -> np.ndarray:
-        """Path seg[i] at time s[i], or its left limit there with `left`;
-        without seg, every path at the one time s."""
-        if seg is None:
-            seg, s = np.arange(len(self.times)), np.full(len(self.times), float(s))
-        idx = np.zeros(len(s), dtype=np.intp)
-        for col in self.times.T:  # counts the jumps at or before s, as searchsorted
-            idx += (col[seg] < s) if left else (col[seg] <= s)
+        """Path seg[i] at time s[i], or its left limit there with `left`; with
+        one row seg, that path at every time s; without seg, every path at
+        the one time s."""
+        n = len(self.times)
+        if seg is None:  # counts each row's jumps at or before s, as searchsorted
+            s = float(s)
+            idx = np.count_nonzero(self.times < s if left else self.times <= s, axis=1)
+            return self.csum[np.arange(n), idx] + self.drift(np.full(n, s))
+        if n == 1:
+            idx = np.searchsorted(self.times[0], s, side="left" if left else "right")
+        else:
+            real = self.times < np.inf
+            idx = jumps_before(s, seg, self.times[real], np.nonzero(real)[0], left)
         return self.csum[seg, idx] + self.drift(s)
 
+    def sup_abs(self, t: float, scan: int = 0) -> np.ndarray:
+        """Per path, the sup over [0, t] of |path|.
 
-def build_path(G: Integrand, K: Integrand, H: Integrand,
-               config: PointConfiguration | PointBatch, measure: LevyMeasure,
-               split: float = 1.0) -> CadlagPath | PathBatch:
-    """Realize the integral process: drift + big jumps via K + compensated
-    small jumps via H, the split at |z| = `split`; a CadlagPath, or on a
-    batch the PathBatch of its replicates.
+        Candidates are 0, the terminal value, and left/right values at every
+        jump time; exact when the drift is monotone between jumps.  `scan`
+        adds a uniform grid plus a local refinement, path by path, for
+        wiggly drifts.
+        """
+        n = len(self.times)
+        k = np.count_nonzero(self.times <= t, axis=1)  # a prefix of each row
+        J = int(k.max(initial=0))
+        ts, prefix = self.times[:, :J], np.arange(J) < k[:, None]
+        # one row, or rows cut alike, read as views
+        pick = (lambda a: a.reshape(-1)) if prefix.all() else (lambda a: a[prefix])
+        tj = pick(ts)
+        if np.any((ts[:, 1:] == ts[:, :-1]) & prefix[:, 1:]):  # tied: eval counts them
+            rows = np.nonzero(prefix)[0]
+            right, left = self.eval(tj, rows), self.eval(tj, rows, left=True)
+        else:  # untied: jump i takes csum[i] to csum[i + 1]
+            d = self.drift(tj)
+            right, left = pick(self.csum[:, 1:J + 1]) + d, pick(self.csum[:, :J]) + d
+        cand = np.maximum(np.abs(right, out=right), np.abs(left, out=left), out=right)
+        best, some = np.abs(self.eval(t)), k > 0
+        if some.any():  # each row's largest candidate
+            row_max = np.maximum.reduceat(cand, (np.cumsum(k) - k)[some])
+            best[some] = np.maximum(best[some], row_max)
+        if scan > 1:
+            grid = np.linspace(0.0, t, scan)
+            vals = np.abs(self.eval(np.tile(grid, n), np.repeat(np.arange(n), scan)))
+            vals = vals.reshape(n, scan)
+            for r, g in enumerate(np.argmax(vals, axis=1)):
+                best[r] = max(best[r], vals[r, g])
+                lo = grid[max(g - 1, 0)]
+                hi = grid[min(g + 1, scan - 1)]
+                # keep the refinement bracket inside one inter-jump interval
+                row = self.times[r]
+                inner = row[(row > lo) & (row < hi)]
+                if len(inner):
+                    hi = float(inner[0])
+                if hi > lo:
+                    from scipy import optimize
+
+                    one = np.array([r])
+                    res = optimize.minimize_scalar(
+                        lambda s: -abs(self.eval(np.array([min(s, t)]), one)[0]),
+                        bounds=(lo, hi), method="bounded",
+                        options={"xatol": 1e-12})
+                    best[r] = max(best[r], float(-res.fun))
+        return best
+
+
+def jumps_before(s, sseg, tj, jseg, left: bool = True) -> np.ndarray:
+    """Per node i, the jumps of replicate sseg[i] before time s[i], or at or
+    before it without `left`: np.searchsorted within each replicate, for
+    jump times tj of replicates jseg in (replicate, time) order."""
+    # complex numbers sort by real part, then imaginary part: as (replicate,
+    # time) pairs, exactly
+    key, query = np.empty(len(tj), dtype=complex), np.empty(len(s), dtype=complex)
+    key.real, key.imag = jseg, tj
+    query.real, query.imag = sseg, s
+    return (np.searchsorted(key, query, side="left" if left else "right")
+            - np.searchsorted(jseg, sseg))
+
+
+def _rows(times, jumps, counts, drift) -> CadlagPath:
+    """The paths whose row k holds the next counts[k] of the jump times and
+    sizes, each row in time order."""
+    n, J = len(counts), int(counts.max(initial=0))
+    if np.all(counts == J):  # no padding: the rows are views of the inputs
+        times, jumps = times.reshape(n, J), jumps.reshape(n, J)
+    else:
+        real = np.arange(J) < counts[:, None]
+        padded, sized = np.full((n, J), np.inf), np.zeros((n, J))
+        padded[real], sized[real] = times, jumps
+        times, jumps = padded, sized
+    csum = np.concatenate([np.zeros((n, 1)), np.cumsum(jumps, axis=1)], axis=1)
+    return CadlagPath(times, csum, drift)
+
+
+def build_path(G: Integrand, K: Integrand, H: Integrand, batch: PointBatch,
+               measure: LevyMeasure, split: float = 1.0) -> CadlagPath:
+    """Realize the integral process of every replicate: drift + big jumps via
+    K + compensated small jumps via H, the split at |z| = `split`.
 
     split=0 sends every jump through K (no compensation); split=inf sends
     every jump through H with the compensator over the whole shell.
     """
-    w = config.window
-    if len(config.t):
-        big = np.abs(config.z) > split
+    w = batch.window
+    if len(batch.t):
+        big = np.abs(batch.z) > split
         sizes = np.where(
             big,
-            np.asarray(K(config.t, config.x, config.z), dtype=float) if K is not None else 0.0,
-            np.asarray(H(config.t, config.x, config.z), dtype=float) if H is not None else 0.0,
+            np.asarray(K(batch.t, batch.x, batch.z), dtype=float) if K is not None else 0.0,
+            np.asarray(H(batch.t, batch.x, batch.z), dtype=float) if H is not None else 0.0,
         )
-        times = config.t
     else:
-        times, sizes = np.empty(0), np.empty(0)
+        sizes = np.empty(0)
 
     # continuous part: time integral of G minus the small-jump compensator
     pieces = _time_pieces(G) if G is not None else []
@@ -388,24 +390,17 @@ def build_path(G: Integrand, K: Integrand, H: Integrand,
         for term in H.terms:
             c = nu_factor(measure, term.jump, small) * space_factor(term, w.box)
             pieces.append((-c, term.time))
-    if not isinstance(config, PointBatch):
-        return jump_path(times, sizes, pieces, w)
-    n, col = len(config), np.arange(len(times)) - config.offsets[config.segment]
-    padded = np.full((n, int(config.counts.max(initial=0))), np.inf)
-    jumps = np.zeros(padded.shape)
-    padded[config.segment, col], jumps[config.segment, col] = times, sizes
-    csum = np.concatenate([np.zeros((n, 1)), np.cumsum(jumps, axis=1)], axis=1)
-    return PathBatch(padded, csum, drift_function(pieces))
+    return _rows(batch.t, sizes, batch.counts, drift_function(pieces))
 
 
-def jump_path(times, jumps, pieces, window: Window) -> CadlagPath:
-    """The path with the given jumps, in any time order, plus the drift of
-    the (coefficient, time node) pairs."""
+def jump_path(times, jumps, pieces) -> CadlagPath:
+    """The one path with the given jumps, in any time order, plus the drift
+    of the (coefficient, time node) pairs."""
     times, jumps = np.asarray(times, dtype=float), np.asarray(jumps, dtype=float)
     if np.any(times[1:] < times[:-1]):
         order = np.argsort(times, kind="stable")
         times, jumps = times[order], jumps[order]
-    return CadlagPath(times, jumps, drift_function(pieces), window)
+    return _rows(times, jumps, np.array([len(times)]), drift_function(pieces))
 
 
 @functools.lru_cache(maxsize=64)
@@ -476,9 +471,10 @@ def space_time_grid(X: Integrand, s, xpts) -> np.ndarray:
 
 
 def batch_breaks(batch: PointBatch, t: float, extra):
-    """The path_breaks of every replicate, one replicate after another: the
-    breaks, the replicate of each, and for each point at or before t, in
-    batch order, the index of the break at its time."""
+    """The sorted break points of every replicate (0, its jump times up to
+    t, the integrand time discontinuities `extra` and t), one replicate
+    after another: the breaks, the replicate of each, and for each point at
+    or before t, in batch order, the index of the break at its time."""
     fixed = [0.0, float(t)] + [float(v) for v in extra if 0.0 < v < t]
     mask = batch.t <= t
     pts = np.concatenate([np.tile(fixed, len(batch)), batch.t[mask]])
@@ -492,19 +488,10 @@ def batch_breaks(batch: PointBatch, t: float, extra):
 
 
 def batch_rule(batch: PointBatch, t: float, extra, n_per_interval: int):
-    """interval_rule over the path_breaks of every replicate at once: the
+    """interval_rule over the batch_breaks of every replicate at once: the
     nodes s, weights w and the replicate index of each node."""
     breaks, seg, _ = batch_breaks(batch, t, extra)
     # each replicate's breaks run from 0 up to t > 0, so interval_rule drops
     # each step from t back to 0
     s, w = interval_rule(breaks, n_per_interval)
     return s, w, np.repeat(seg[:-1][~(breaks[1:] <= breaks[:-1])], n_per_interval)
-
-
-def path_breaks(config: PointConfiguration, t: float, extra=()) -> np.ndarray:
-    """Sorted break points: 0, the jump times up to t, integrand time
-    discontinuities, and t itself."""
-    pts = [0.0, float(t)]
-    pts.extend(float(v) for v in config.t[config.t <= t])
-    pts.extend(float(v) for v in extra if 0.0 < v < t)
-    return np.unique(np.array(pts))

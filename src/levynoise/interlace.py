@@ -313,6 +313,16 @@ def _scan(H: Integrand) -> int:
     return 0 if all(isinstance(t.time, Const) for t in H.terms) else 1000
 
 
+def deep_window(ladder: Ladder, problem: LadderProblem) -> Window:
+    """The window of the ladder's deepest level: every level's process is
+    built from the points of one configuration on it."""
+    if ladder.kind == "small-jump":
+        return Window(problem.T, tuple(problem.box),
+                      Shell(ladder.thresholds[-1], problem.small_hi))
+    a = ladder.thresholds[-1]
+    return Window(problem.T, tuple((-a, a) for _ in range(problem.dim)), problem.shell)
+
+
 def interlacing_diagnostic(ladder: Ladder, problem: LadderProblem,
                            replicates: int, master_seed: int) -> DiagnosticReport:
     """Empirical sup-norm differences between consecutive ladder levels
@@ -322,18 +332,18 @@ def interlacing_diagnostic(ladder: Ladder, problem: LadderProblem,
     if len(ladder.levels) < 2:
         raise ValueError("need at least two ladder levels")
     replicate = _small_jump_replicate if ladder.kind == "small-jump" else _spatial_replicate
-    deep, one = replicate(ladder, problem)
-    rows = map_replicates(one, deep, problem.measure, replicates, master_seed)
+    one = replicate(ladder, problem)
+    rows = map_replicates(one, deep_window(ladder, problem), problem.measure,
+                          replicates, master_seed)
     return _assemble(ladder, np.array([s for s, _ in rows]),
                      np.array([e for _, e in rows]), replicates, master_seed)
 
 
 def _small_jump_replicate(ladder, problem):
-    """The deep window and the replicate's (sup2, exceed) rows, by ring."""
+    """The replicate's (sup2, exceed) rows, by ring."""
     H, m, T = problem.H, problem.measure, problem.T
     box = tuple(problem.box)
     eps = ladder.thresholds
-    deep = Window(T, box, Shell(eps[-1], problem.small_hi))
     scan = _scan(H)
 
     n_levels = len(eps) - 1
@@ -347,22 +357,20 @@ def _small_jump_replicate(ladder, problem):
                 continue  # stagnant level: identical processes, sup diff 0
             ring = restrict(config, Window(T, box, Shell(lo, hi)))
             path = it.build_path(None, None, H, ring, m, split=math.inf)
-            s = path.sup_abs(T, scan=scan)
+            s = path.sup_abs(T, scan=scan)[0]
             sup2[j] = s * s
             exceed[j] = s > 2.0 ** -(j + 1)
         return sup2, exceed
 
-    return deep, one
+    return one
 
 
 def _spatial_replicate(ladder, problem):
-    """The deep window and the replicate's (sup2, exceed) rows, by box ring."""
+    """The replicate's (sup2, exceed) rows, by box ring."""
     H, K, m, T = problem.H, problem.K, problem.measure, problem.T
     shell = problem.shell
     d = problem.dim
     a = ladder.thresholds
-    big_box = tuple((-a[-1], a[-1]) for _ in range(d))
-    deep = Window(T, big_box, shell)
     small = shell.clip(0.0, problem.small_hi) if ladder.kind == "spatial-I" else shell
     split = problem.small_hi if ladder.kind == "spatial-I" else math.inf
     scan = _scan(H)
@@ -381,7 +389,7 @@ def _spatial_replicate(ladder, problem):
     def one(_k, config):
         sup2 = np.zeros(n_levels)
         exceed = np.zeros(n_levels, dtype=bool)
-        inside = np.max(np.abs(config.x), axis=1) if len(config) else np.empty(0)
+        inside = np.max(np.abs(config.x), axis=1) if len(config.t) else np.empty(0)
         for j in range(n_levels):
             lo_a, hi_a = a[j], a[j + 1]
             if not lo_a < hi_a:
@@ -394,21 +402,21 @@ def _spatial_replicate(ladder, problem):
             h_jumps = np.asarray(H(pts_t[small_mask], pts_x[small_mask],
                                    pts_z[small_mask]), dtype=float) \
                 if small_mask.any() else np.empty(0)
-            h_path = it.jump_path(pts_t[small_mask], h_jumps, ring_drift[j], deep)
-            s_h = h_path.sup_abs(T, scan=scan)
+            h_path = it.jump_path(pts_t[small_mask], h_jumps, ring_drift[j])
+            s_h = h_path.sup_abs(T, scan=scan)[0]
             sup2[j] = s_h * s_h
             if ladder.kind == "spatial-I" and K is not None:
                 k_mask = ~small_mask
                 k_jumps = np.asarray(K(pts_t[k_mask], pts_x[k_mask], pts_z[k_mask]),
                                      dtype=float) if k_mask.any() else np.empty(0)
                 full = it.jump_path(np.concatenate([pts_t[small_mask], pts_t[k_mask]]),
-                                    np.concatenate([h_jumps, k_jumps]), ring_drift[j], deep)
-                exceed[j] = full.sup_abs(T, scan=scan) > 2.0 ** -(j + 1)
+                                    np.concatenate([h_jumps, k_jumps]), ring_drift[j])
+                exceed[j] = full.sup_abs(T, scan=scan)[0] > 2.0 ** -(j + 1)
             else:
                 exceed[j] = s_h > 2.0 ** -(j + 1)
         return sup2, exceed
 
-    return deep, one
+    return one
 
 
 def _assemble(ladder, sup2, exceed, replicates, master_seed):

@@ -22,7 +22,7 @@ from . import integrate as it
 from . import mc
 from .integrands import Integrand
 from .measure import LevyMeasure
-from .prm import PointBatch, PointConfiguration
+from .prm import PointBatch
 
 
 # ---------------------------------------------------------------------------
@@ -97,63 +97,50 @@ def smooth_fn_from_json(d: dict) -> SmoothFn:
     raise ValueError(f"unknown smooth function kind: {kind!r}")
 
 
-def derivative_gap(fn: SmoothFn, xs, h: float = 1e-6) -> float:
-    """Max deviation between df and the central difference of f (self-test)."""
-    xs = np.asarray(xs, dtype=float)
-    fd = (fn.f(xs + h) - fn.f(xs - h)) / (2 * h)
-    return float(np.max(np.abs(fn.df(xs) - fd)))
-
-
 # ---------------------------------------------------------------------------
 # left and right sides
 
 
-def ito_lhs(fn: SmoothFn, path, t: float):
-    """f(Y(t)) - f(Y(0)): a float on a CadlagPath, one per path on a PathBatch."""
-    lhs = fn.f(path.eval(t)) - fn.f(path.eval(0.0))
-    return float(lhs) if isinstance(path, it.CadlagPath) else lhs
+def ito_lhs(fn: SmoothFn, path: it.CadlagPath, t: float) -> np.ndarray:
+    """f(Y(t)) - f(Y(0)), one value per path."""
+    return fn.f(path.eval(t)) - fn.f(path.eval(0.0))
 
 
 @dataclass(frozen=True)
 class FourTermResult:
-    """The four pieces of the big/small-split formula and their sum."""
+    """The four pieces of the big/small-split formula and their sum, one
+    value per replicate."""
 
-    g_term: float
-    big_jump_term: float
-    compensated_term: float
-    nu_term: float
+    g_term: np.ndarray
+    big_jump_term: np.ndarray
+    compensated_term: np.ndarray
+    nu_term: np.ndarray
 
     @property
-    def total(self) -> float:
+    def total(self) -> np.ndarray:
         return self.g_term + self.big_jump_term + self.compensated_term + self.nu_term
 
 
 def ito_rhs_raw(fn: SmoothFn, G: Integrand | None, K: Integrand,
-                config: PointConfiguration | PointBatch, measure: LevyMeasure,
+                batch: PointBatch, measure: LevyMeasure,
                 t: float, n_time: int = 16, *, path=None) -> FourTermResult:
     """Right side of the no-small-jumps formula: drift term plus the raw
     jump sum of f-increments (needs only f'), i.e. the split form with every
     jump big; `path`: the built path (split=0), if any."""
-    return ito_rhs_big_small(fn, G, K, None, config, measure, t, split=0.0,
+    return ito_rhs_big_small(fn, G, K, None, batch, measure, t, split=0.0,
                              n_time=n_time, path=path)
 
 
 def ito_rhs_big_small(fn: SmoothFn, G: Integrand | None, K: Integrand | None,
-                      H: Integrand | None, config: PointConfiguration | PointBatch,
+                      H: Integrand | None, batch: PointBatch,
                       measure: LevyMeasure, t: float, *, split: float = 1.0,
                       n_time: int = 8, n_space: int = 8, n_jump: int = 32,
                       path=None) -> FourTermResult:
     """Right side of the four-term formula: raw big jumps, compensated small
-    jumps, and the second-order nu correction; `path`: the built path, if any.
-
-    On a PointBatch each term holds one value per replicate; a configuration
-    is a batch of one and gets floats."""
-    single = isinstance(config, PointConfiguration)
-    batch = PointBatch.of(config) if single else config
+    jumps, and the second-order nu correction, each term one value per
+    replicate; `path`: the built path, if any."""
     if path is None:
         path = it.build_path(G, K, H, batch, measure, split=split)
-    elif isinstance(path, it.CadlagPath):
-        path = it.PathBatch.of(path)
     w, n = batch.window, len(batch)
     small = w.shell.clip(0.0, split)
     extra = [v for X in (G, H) if X is not None for v in X.time_breakpoints()]
@@ -194,7 +181,7 @@ def ito_rhs_big_small(fn: SmoothFn, G: Integrand | None, K: Integrand | None,
 
     big = np.abs(zz) > split
     terms = (g_term, jump_sum(big, K), jump_sum(~big, H) - A, A - D)
-    return FourTermResult(*(float(v[0]) for v in terms) if single else terms)
+    return FourTermResult(*terms)
 
 
 @functools.lru_cache(maxsize=1)
@@ -224,14 +211,14 @@ def _nu_tensor(fn: SmoothFn, y, factors, xw, zw) -> np.ndarray:
 
 
 def ito_rhs_all_compensated(fn: SmoothFn, G: Integrand | None, H: Integrand,
-                            config: PointConfiguration | PointBatch, measure: LevyMeasure,
+                            batch: PointBatch, measure: LevyMeasure,
                             t: float, *, n_time: int = 8, n_space: int = 8,
                             n_jump: int = 32, path=None) -> FourTermResult:
     """Right side of the formula with every jump compensated (the whole
     working shell standing in for the punctured line): the split form with
     no big jumps, so its big-jump term is 0; `path`: the built path
     (split=inf), if any."""
-    return ito_rhs_big_small(fn, G, None, H, config, measure, t, split=math.inf,
+    return ito_rhs_big_small(fn, G, None, H, batch, measure, t, split=math.inf,
                              n_time=n_time, n_space=n_space, n_jump=n_jump,
                              path=path)
 

@@ -1,5 +1,5 @@
 """The replicate loop: independent realizations of the Poisson random
-measure with deterministic seeding, drawn one at a time or in batches,
+measure with deterministic seeding, drawn as batches of one or in blocks,
 their Monte Carlo fold, and z-score verdicts."""
 
 from __future__ import annotations
@@ -35,10 +35,10 @@ class McEstimate:
 
 
 def map_replicates(experiment, window, measure, n: int, master_seed: int) -> list:
-    """[experiment(k, config_k) for k in range(n)], where config_k is
-    simulate(window, measure, replicate_seed(master_seed, k)).
+    """[experiment(k, batch_k) for k in range(n)], where batch_k is the
+    batch of one simulate(window, measure, replicate_seed(master_seed, k)).
 
-    For per-path work; `batches` draws the same configurations in blocks.
+    For per-path work; `batches` draws the same replicates in blocks.
     Replicates run one after another in one thread, and no configuration
     outlives its replicate.
     """
@@ -53,14 +53,28 @@ def map_replicates(experiment, window, measure, n: int, master_seed: int) -> lis
 
 def batches(window, measure, n: int, master_seed: int):
     """The replicates of `map_replicates` as consecutive PointBatch blocks:
-    yields (k0, batch) with batch.config(j) the configuration of replicate
-    k0 + j.  A block holds as many replicates as fit BLOCK_POINTS expected
-    points, and at least one."""
+    yields (k0, batch) with replicate j of the batch the configuration of
+    replicate k0 + j.  A block holds as many replicates as fit BLOCK_POINTS
+    expected points, and at least one."""
     lam = intensity(window, measure)
     size = max(1, int(BLOCK_POINTS // lam) if lam > 0 else n)
     for k0 in range(0, n, size):
         seeds = [replicate_seed(master_seed, k) for k in range(k0, min(n, k0 + size))]
         yield k0, simulate_batch(window, measure, seeds)
+
+
+def replicate_values(statistic, window, measure, n: int, master_seed: int) -> list:
+    """Each array of the tuple statistic(batch) returns, one value per
+    replicate of the batch, concatenated over the blocks of `batches`: one
+    value per replicate, in replicate order."""
+    blocks = []
+    for k0, batch in batches(window, measure, n, master_seed):
+        try:
+            blocks.append(statistic(batch))
+        except Exception as exc:
+            raise RuntimeError(f"statistic failed on replicate {k0} to "
+                               f"{k0 + len(batch) - 1}: {exc}") from exc
+    return [np.concatenate(col) for col in zip(*blocks)]
 
 
 def run_replicates(statistic, window, measure, n: int, master_seed: int) -> McEstimate:
@@ -69,14 +83,9 @@ def run_replicates(statistic, window, measure, n: int, master_seed: int) -> McEs
     in replicate order.  The block budget does not change the result."""
     if n < 2:
         raise ValueError("need at least 2 replicates for a standard error")
-    rows = []
-    for k0, batch in batches(window, measure, n, master_seed):
-        try:
-            rows.append(np.asarray(statistic(batch)))
-        except Exception as exc:
-            raise RuntimeError(f"statistic failed on replicate {k0} to "
-                               f"{k0 + len(batch) - 1}: {exc}") from exc
-    return estimate(np.concatenate(rows), master_seed)
+    rows, = replicate_values(lambda batch: (np.asarray(statistic(batch)),),
+                             window, measure, n, master_seed)
+    return estimate(rows, master_seed)
 
 
 def estimate(values, master_seed: int) -> McEstimate:

@@ -4,12 +4,15 @@ Simulation follows the classical compound-Poisson representation: the point
 count is Poisson with intensity T |B| nu(shell), arrival times are sorted
 uniforms (on t alone; a tie, of probability zero, falls back to a lexsort on
 (t, x, z)), and the (x, z) marks are i.i.d. with the normalized product law.
-Restriction keeps the same underlying realization, which is what makes the
-interlacing ladders couplings rather than independent resimulations.
+Every realization is a `PointBatch`: `simulate` draws the batch of one seed,
+`simulate_batch` one replicate per seed.  Restriction keeps the same
+underlying realization, which is what makes the interlacing ladders
+couplings rather than independent resimulations.
 """
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import math
@@ -69,31 +72,6 @@ class Window:
                       Shell(float(lo), math.inf if hi in ("inf", None) else float(hi)))
 
 
-@dataclass(frozen=True)
-class PointConfiguration:
-    """One realization restricted to a window: sorted points (t_i, x_i, z_i)."""
-
-    t: np.ndarray   # (n,)
-    x: np.ndarray   # (n, d)
-    z: np.ndarray   # (n,)
-    window: Window
-    seed: int
-
-    def __post_init__(self):
-        for arr in (self.t, self.x, self.z):
-            arr.setflags(write=False)
-
-    def __len__(self):
-        return len(self.t)
-
-    def __eq__(self, other):
-        return (isinstance(other, PointConfiguration)
-                and self.window == other.window and self.seed == other.seed
-                and np.array_equal(self.t, other.t)
-                and np.array_equal(self.x, other.x)
-                and np.array_equal(self.z, other.z))
-
-
 def _sort_points(t, x, z):
     # sort on t; a tie (probability zero) falls back to lexsort on (t, x, z)
     order = np.argsort(t)
@@ -128,18 +106,12 @@ def _draw(window: Window, measure: LevyMeasure, lam: float, seed: int):
     return t, x, z
 
 
-def simulate(window: Window, measure: LevyMeasure, seed: int) -> PointConfiguration:
-    """Draw one configuration; deterministic given (window, measure, seed)."""
-    t, x, z = _draw(window, measure, intensity(window, measure), seed)
-    return PointConfiguration(*_sort_points(t, x, z), window, int(seed))
-
-
 @dataclass(frozen=True, eq=False)
 class PointBatch:
     """Replicates drawn one seed each, concatenated in replicate order.
 
     Replicate k holds rows offsets[k]:offsets[k + 1] of (t, x, z), sorted
-    as `simulate` sorts them; `segment` is the replicate index of each row.
+    as `_sort_points` sorts them.  One configuration is the batch of one.
     """
 
     t: np.ndarray        # (m,)
@@ -150,9 +122,7 @@ class PointBatch:
     seeds: tuple[int, ...]
 
     def __post_init__(self):
-        counts = np.diff(self.offsets)
-        object.__setattr__(self, "segment", np.repeat(np.arange(len(counts)), counts))
-        for arr in (self.t, self.x, self.z, self.offsets, self.segment):
+        for arr in (self.t, self.x, self.z, self.offsets):
             arr.setflags(write=False)
 
     def __len__(self):
@@ -162,22 +132,25 @@ class PointBatch:
     def counts(self) -> np.ndarray:
         return np.diff(self.offsets)
 
-    @staticmethod
-    def of(config: PointConfiguration) -> "PointBatch":
-        """The batch of one configuration."""
-        return PointBatch(config.t, config.x, config.z, np.array([0, len(config)]),
-                          config.window, (config.seed,))
+    @functools.cached_property
+    def segment(self) -> np.ndarray:
+        """The replicate index of each row; built on first use, since a
+        batch of one large configuration rarely needs it."""
+        seg = np.repeat(np.arange(len(self)), self.counts)
+        seg.setflags(write=False)
+        return seg
 
-    def config(self, k: int) -> PointConfiguration:
-        """Replicate k as read-only views; equals simulate(window, measure, seeds[k])."""
-        a, b = self.offsets[k], self.offsets[k + 1]
-        return PointConfiguration(self.t[a:b], self.x[a:b], self.z[a:b],
-                                  self.window, self.seeds[k])
+
+def simulate(window: Window, measure: LevyMeasure, seed: int) -> PointBatch:
+    """Draw the batch of one configuration; deterministic given (window,
+    measure, seed)."""
+    t, x, z = _sort_points(*_draw(window, measure, intensity(window, measure), seed))
+    return PointBatch(t, x, z, np.array([0, len(t)]), window, (int(seed),))
 
 
 def simulate_batch(window: Window, measure: LevyMeasure, seeds) -> PointBatch:
-    """One configuration per seed, each drawn exactly as `simulate` draws it,
-    with the shell mass computed once."""
+    """One replicate per seed, each the points `simulate` draws for it, with
+    the shell mass computed once."""
     lam = intensity(window, measure)
     seeds = tuple(int(s) for s in seeds)
     draws = [_draw(window, measure, lam, s) for s in seeds]
@@ -194,18 +167,21 @@ def simulate_batch(window: Window, measure: LevyMeasure, seeds) -> PointBatch:
     return PointBatch(t, x, z, offsets, window, seeds)
 
 
-def restrict(config: PointConfiguration, sub: Window) -> PointConfiguration:
-    """Keep exactly the points inside `sub`; a coupling, not a resimulation."""
-    if not config.window.contains(sub):
+def restrict(batch: PointBatch, sub: Window) -> PointBatch:
+    """Keep exactly the points inside `sub`, replicate by replicate; a
+    coupling, not a resimulation."""
+    if not batch.window.contains(sub):
         raise ValueError(f"{sub} is not contained in the source window")
-    # every point lies inside config.window: test only the bounds sub narrows
-    keep = sub.shell.contains(config.z)
-    if sub.horizon < config.window.horizon:
-        keep &= config.t <= sub.horizon
-    for k, (bounds, (lo, hi)) in enumerate(zip(config.window.box, sub.box)):
+    # every point lies inside batch.window: test only the bounds sub narrows
+    keep = sub.shell.contains(batch.z)
+    if sub.horizon < batch.window.horizon:
+        keep &= batch.t <= sub.horizon
+    for k, (bounds, (lo, hi)) in enumerate(zip(batch.window.box, sub.box)):
         if bounds != (lo, hi):
-            keep &= (config.x[:, k] >= lo) & (config.x[:, k] <= hi)
-    return PointConfiguration(config.t[keep], config.x[keep], config.z[keep], sub, config.seed)
+            keep &= (batch.x[:, k] >= lo) & (batch.x[:, k] <= hi)
+    kept = [np.count_nonzero(keep[a:b]) for a, b in zip(batch.offsets[:-1], batch.offsets[1:])]
+    return PointBatch(batch.t[keep], batch.x[keep], batch.z[keep],
+                      np.cumsum([0] + kept), sub, batch.seeds)
 
 
 def replicate_seed(master_seed: int, k: int) -> int:
@@ -219,21 +195,25 @@ def replicate_seed(master_seed: int, k: int) -> int:
 # CSV round trip (JSON header line, then t,x1..xd,z rows)
 
 
-def dump_csv(config: PointConfiguration) -> str:
-    d = config.window.dim
+def dump_csv(batch: PointBatch) -> str:
+    """The points of a batch of one as CSV text."""
+    if len(batch) != 1:
+        raise ValueError(f"dump_csv writes one configuration, got {len(batch)}")
+    d = batch.window.dim
     buf = io.StringIO()
-    header = {"window": config.window.to_json(), "seed": config.seed}
+    header = {"window": batch.window.to_json(), "seed": batch.seeds[0]}
     buf.write("# " + json.dumps(header, sort_keys=True) + "\n")
     buf.write("t," + ",".join(f"x{k + 1}" for k in range(d)) + ",z\n")
-    for i in range(len(config)):
-        row = [f"{config.t[i]:.17g}"]
-        row += [f"{config.x[i, k]:.17g}" for k in range(d)]
-        row.append(f"{config.z[i]:.17g}")
+    for i in range(len(batch.t)):
+        row = [f"{batch.t[i]:.17g}"]
+        row += [f"{batch.x[i, k]:.17g}" for k in range(d)]
+        row.append(f"{batch.z[i]:.17g}")
         buf.write(",".join(row) + "\n")
     return buf.getvalue()
 
 
-def parse_csv(text: str) -> PointConfiguration:
+def parse_csv(text: str) -> PointBatch:
+    """The batch of one that `dump_csv` wrote, checked."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("#"):
         raise ValueError("missing JSON header line")
@@ -250,4 +230,4 @@ def parse_csv(text: str) -> PointConfiguration:
     inside &= (t >= 0.0) & (t <= window.horizon)
     if not (inside.all() and np.all(t[1:] >= t[:-1])):
         raise ValueError("points must lie inside the header's window, in time order")
-    return PointConfiguration(t, x, z, window, int(header["seed"]))
+    return PointBatch(t, x, z, np.array([0, n]), window, (int(header["seed"]),))

@@ -1,0 +1,141 @@
+"""Per-configuration reference code for the tests: the one-path forms that
+the batched operations replaced, and small helpers on batches of one."""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
+
+from levynoise import apps, integrands as ig, integrate as it, prm
+from levynoise.mc import estimate, map_replicates
+
+
+def replicate(batch: prm.PointBatch, k: int) -> prm.PointBatch:
+    """Replicate k of a batch as the batch of one, its arrays read-only views."""
+    a, b = batch.offsets[k], batch.offsets[k + 1]
+    return prm.PointBatch(batch.t[a:b], batch.x[a:b], batch.z[a:b], np.array([0, b - a]),
+                          batch.window, (batch.seeds[k],))
+
+
+def same_points(a: prm.PointBatch, b: prm.PointBatch) -> bool:
+    """The same window, seeds, replicate sizes and points, bit for bit."""
+    return (a.window == b.window and a.seeds == b.seeds
+            and np.array_equal(a.offsets, b.offsets) and np.array_equal(a.t, b.t)
+            and np.array_equal(a.x, b.x) and np.array_equal(a.z, b.z))
+
+
+def is_time_only(X: ig.Integrand) -> bool:
+    """True if no term of X has a space factor or a non-constant jump factor."""
+    return all(not t.space and isinstance(t.jump, ig.Const) for t in X.terms)
+
+
+def path_breaks(config: prm.PointBatch, t: float, extra=()) -> np.ndarray:
+    """Sorted break points of one configuration: 0, the jump times up to t,
+    integrand time discontinuities, and t itself."""
+    pts = [0.0, float(t)]
+    pts.extend(float(v) for v in config.t[config.t <= t])
+    pts.extend(float(v) for v in extra if 0.0 < v < t)
+    return np.unique(np.array(pts))
+
+
+@dataclass(frozen=True)
+class OnePath:
+    """A drift evaluator plus one sorted jump list, with left-limit access:
+    the one-path CadlagPath that the row-wise one replaced.  `_csum` holds
+    the running jump sums from 0."""
+
+    times: np.ndarray
+    _csum: np.ndarray
+    drift: Callable[[np.ndarray], np.ndarray]
+
+    @staticmethod
+    def of(times, jumps, drift) -> "OnePath":
+        """The path of jumps in time order, summed as the one-path code did."""
+        return OnePath(times, np.concatenate([[0.0], np.cumsum(jumps)]), drift)
+
+    @staticmethod
+    def row(path, k: int) -> "OnePath":
+        """Row k of a CadlagPath, on its own running sums."""
+        n = int(np.count_nonzero(path.times[k] < np.inf))
+        return OnePath(path.times[k, :n], path.csum[k, :n + 1], path.drift)
+
+    def eval(self, t):
+        idx = np.searchsorted(self.times, np.asarray(t, dtype=float), side="right")
+        out = self._csum[idx] + self.drift(t)
+        return float(out) if np.ndim(t) == 0 else out
+
+    def eval_left(self, t):
+        idx = np.searchsorted(self.times, np.asarray(t, dtype=float), side="left")
+        out = self._csum[idx] + self.drift(t)
+        return float(out) if np.ndim(t) == 0 else out
+
+    def sup_abs(self, t: float, scan: int = 0) -> float:
+        k = int(np.searchsorted(self.times, t, side="right"))
+        ts = self.times[:k]
+        if np.all(ts[1:] > ts[:-1]):  # untied: jump i takes _csum[i] to _csum[i+1]
+            d = self.drift(ts)
+            sides = (self._csum[1:k + 1] + d, self._csum[:k] + d)
+        else:
+            sides = (self.eval(ts), self.eval_left(ts))
+        best = max(0.0, abs(self.eval(t)),
+                   *(float(np.max(np.abs(v), initial=0.0)) for v in sides))
+        if scan > 1:
+            grid = np.linspace(0.0, t, scan)
+            vals = np.abs(self.eval(grid))
+            g = int(np.argmax(vals))
+            best = max(best, float(vals[g]))
+            lo = grid[max(g - 1, 0)]
+            hi = grid[min(g + 1, scan - 1)]
+            inner = self.times[(self.times > lo) & (self.times < hi)]
+            if len(inner):
+                hi = float(inner[0])
+            if hi > lo:
+                from scipy import optimize
+
+                res = optimize.minimize_scalar(
+                    lambda s: -abs(self.eval(min(s, t))),
+                    bounds=(lo, hi), method="bounded", options={"xatol": 1e-12})
+                best = max(best, float(-res.fun))
+        return best
+
+
+def one_path(G, K, H, config: prm.PointBatch, measure, split: float = 1.0) -> OnePath:
+    """build_path on a configuration alone, as the one-path code built it."""
+    w = config.window
+    if len(config.t):
+        big = np.abs(config.z) > split
+        sizes = np.where(
+            big,
+            np.asarray(K(config.t, config.x, config.z), dtype=float) if K is not None else 0.0,
+            np.asarray(H(config.t, config.x, config.z), dtype=float) if H is not None else 0.0)
+    else:
+        sizes = np.empty(0)
+    pieces = it._time_pieces(G) if G is not None else []
+    small = w.shell.clip(0.0, split)
+    if H is not None and small is not None:
+        for term in H.terms:
+            c = it.nu_factor(measure, term.jump, small) * it.space_factor(term, w.box)
+            pieces.append((-c, term.time))
+    return OnePath.of(config.t, sizes, it.drift_function(pieces))
+
+
+def moment_bound_cell_per_path(X, measure, p, t, window, replicates, master_seed):
+    """apps.moment_bound_cell path by path, through map_replicates and the
+    one-path sup, as it ran before the row-wise paths."""
+    m_p = measure.shell_moment(window.shell, p)
+    v_shell = measure.shell_moment(window.shell, 2.0)
+
+    def one(_k, config):
+        path = one_path(None, None, X.with_jump(ig.SignPow(1.0)), config, measure, math.inf)
+        return path.sup_abs(t) ** p, path.eval(t) ** 2
+
+    draws = map_replicates(one, window, measure, replicates, master_seed)
+    lhs = estimate([s for s, _ in draws], master_seed)
+    terminal = estimate([e for _, e in draws], master_seed)
+    bracket = apps.lp_bracket(X, window, t, p)
+    ratio = lhs.mean / bracket if bracket > 0 else math.nan
+    return apps.MomentBoundRow(p, lhs.mean, lhs.se, bracket, ratio,
+                               max(v_shell ** (p / 2.0), m_p), terminal.mean, terminal.se)

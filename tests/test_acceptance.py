@@ -23,7 +23,7 @@ from levynoise.apps import psi_space_time_integral
 from levynoise.cli import bundled_config_text
 from levynoise.experiments import _seed_for, parse_config, run_experiment
 from levynoise.mc import McEstimate, estimate, map_replicates, verdict
-from levynoise.prm import PointBatch
+from oracles import one_path, path_breaks
 
 RUNTIMES = {}
 
@@ -252,7 +252,7 @@ def isometry_reference(cfg):
         comp = it.compensator(H, w, m, T)
 
         def one(_k, c, H=H, comp=comp):
-            raw = it.int_N(H, c, T)
+            raw = it.int_N(H, c, T)[0]
             nhat = raw - comp
             return np.array([nhat, nhat * nhat, raw])
 
@@ -270,7 +270,7 @@ def charfn_reference(cfg):
     a = cfg.params["a"]
 
     def one(_k, c):
-        return np.exp(1j * us * it.z_of_set(a, w.box, (0.0, w.horizon), c, m))
+        return np.exp(1j * us * it.z_of_set(a, w.box, (0.0, w.horizon), c, m)[0])
 
     seed = _seed_for(cfg, 200)
     est = estimate(map_replicates(one, w, m, cfg.replicates, seed), seed)
@@ -284,7 +284,7 @@ def martingale_reference(cfg):
     psi_int = psi_space_time_integral(h, w, m, T)
 
     def one(_k, c):
-        L = it.l_integral(h, c, m, T)
+        L = it.l_integral(h, c, m, T)[0]
         out = np.empty(1 + len(us), dtype=complex)
         out[0] = np.exp(1j * L - psi_int)
         out[1:] = np.exp(1j * np.asarray(us) * L)
@@ -302,7 +302,7 @@ def point_counts_reference(window, measure, n, master_seed, keep_x):
     half = window.horizon / 2.0
 
     def one(k, c):
-        return len(c), int(np.sum(c.t <= half)), c.x if k < keep_x else None
+        return len(c.t), int(np.sum(c.t <= half)), c.x if k < keep_x else None
 
     draws = map_replicates(one, window, measure, n, master_seed)
     return (np.array([d[0] for d in draws]), np.array([d[1] for d in draws]),
@@ -312,8 +312,7 @@ def point_counts_reference(window, measure, n, master_seed, keep_x):
 def per_config_run_replicates(statistic, window, measure, n, master_seed):
     """run_replicates with the statistic applied to each configuration alone."""
     def one(_k, c):
-        return statistic(PointBatch(c.t, c.x, c.z, np.array([0, len(c)]),
-                                    c.window, (c.seed,)))[0]
+        return statistic(c)[0]
 
     return estimate(map_replicates(one, window, measure, n, master_seed), master_seed)
 
@@ -375,13 +374,13 @@ class TestBatchMovesRoundingOnly:
 def ito_rhs_per_path(fn, G, K, H, c, measure, t, *, split=1.0, n_time=8,
                      n_space=8, n_jump=32):
     """The four-term right side on one configuration, path by path."""
-    path = it.build_path(G, K, H, c, measure, split=split)
+    path = one_path(G, K, H, c, measure, split=split)
     w = c.window
     small = w.shell.clip(0.0, split)
     extra = list(G.time_breakpoints()) if G is not None else []
     if H is not None:
         extra += H.time_breakpoints()
-    s, ws = it.interval_rule(it.path_breaks(c, t, extra), n_time)
+    s, ws = it.interval_rule(path_breaks(c, t, extra), n_time)
     y = path.eval(s)
     A = D = 0.0
     if H is not None and len(s) and small is not None:
@@ -412,7 +411,7 @@ def ito_rhs_per_path(fn, G, K, H, c, measure, t, *, split=1.0, n_time=8,
         if (~big).any() and H is not None:
             hv = np.asarray(H(tt[~big], xx[~big], zz[~big]), dtype=float)
             compensated_jumps = float(np.sum(fn.f(yl[~big] + hv) - fn.f(yl[~big])))
-    return (ito.ito_lhs(fn, path, t),
+    return (fn.f(path.eval(t)) - fn.f(path.eval(0.0)),
             ito.FourTermResult(g_term, big_jump_term, compensated_jumps - A, A - D))
 
 

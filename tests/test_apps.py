@@ -12,8 +12,9 @@ from levynoise import integrands as ig
 from levynoise import integrate as it
 from levynoise.cli import bundled_config_text
 from levynoise.experiments import parse_config, run_experiment
-from levynoise.measure import DiscreteAtoms, Shell, TruncatedStable
+from levynoise.measure import DiscreteAtoms, Shell, TemperedStable, TruncatedStable
 from levynoise.prm import PointBatch, Window, replicate_seed, simulate, simulate_batch
+from oracles import moment_bound_cell_per_path, path_breaks, replicate
 
 ATOMS = DiscreteAtoms(((0.6, 1.0), (-1.1, 0.7), (1.7, 0.4)))
 TSTABLE = TruncatedStable(alpha=1.0, c=1.0, r=1.5)
@@ -47,6 +48,14 @@ class TestMomentBound:
         target = v_shell * it.compensator(X_SMOOTH.squared(), WIN, m, 1.0) \
             / m.shell_mass(WIN.shell)
         assert abs(row.isometry_mean - target) <= 4 * row.isometry_se
+
+    @pytest.mark.parametrize("m", [ATOMS, TSTABLE, TemperedStable(alpha=0.5, c=0.8, theta=1.5)],
+                             ids=["atoms", "tstable", "tempered"])
+    def test_equals_per_path_oracle(self, m):
+        # the row-wise paths of each block give the floats of one path at a
+        # time, and the same folds
+        want = moment_bound_cell_per_path(X_SMOOTH, m, 3.0, 1.0, WIN, 30, 21)
+        assert apps.moment_bound_cell(X_SMOOTH, m, 3.0, 1.0, WIN, 30, 21) == want
 
     def test_sup_monotone_in_t(self):
         config = simulate(WIN, ATOMS, 5)
@@ -82,7 +91,7 @@ class TestExpMartingale:
         vals = np.empty(n, dtype=complex)
         for k in range(n):
             c = simulate(WIN, ATOMS, replicate_seed(800, k))
-            vals[k] = apps.exp_martingale(H_CONST, c, ATOMS, 1.0, psi_int)
+            vals[k] = apps.exp_martingale(H_CONST, c, ATOMS, 1.0, psi_int)[0]
         for comp in (vals.real - 1.0, vals.imag):
             se = comp.std(ddof=1) / math.sqrt(n)
             assert abs(comp.mean()) <= 4 * se
@@ -211,7 +220,7 @@ class TestMultipleIntegral:
     def test_empty_configuration_collapses(self):
         # a configuration on the working window that happens to hold no points
         empty = simulate(WIN, DiscreteAtoms(((3.0, 1e-12),)), 0)
-        assert len(empty) == 0
+        assert len(empty.t) == 0
         f1 = apps.ChaosFunction((SLOT_A,))
         got1 = apps.multiple_integral(f1, empty, ATOMS)
         mu_a = it.compensator(SLOT_A, WIN, ATOMS, 1.0)
@@ -252,9 +261,9 @@ class TestChaosMoments:
         i2 = np.empty(n)
         for k in range(n):
             c = simulate(win, m, replicate_seed(807, k))
-            i1[k] = it.int_Nhat(SLOT_C, c, m, 1.0)
+            i1[k] = it.int_Nhat(SLOT_C, c, m, 1.0)[0]
             i2[k] = (it.int_Nhat(SLOT_A, c, m, 1.0)
-                     * it.int_Nhat(SLOT_B, c, m, 1.0))
+                     * it.int_Nhat(SLOT_B, c, m, 1.0))[0]
         # E I1 = 0
         se = i1.std(ddof=1) / math.sqrt(n)
         assert abs(i1.mean()) <= 4 * se
@@ -286,7 +295,7 @@ def one_path_cumulative(breaks, n_per_interval, values):
 def per_path_iterated(slots, config, measure, T, n_time=8):
     """The iterated simplex integral of one configuration, path by path."""
     extra = [v for g in slots for v in g.time_breakpoints()]
-    breaks = it.path_breaks(config, T, extra)
+    breaks = path_breaks(config, T, extra)
     s, _ = it.interval_rule(breaks, n_time)
     mask = config.t <= T
     tj = config.t[mask]
@@ -321,7 +330,7 @@ def per_path_multiple_integral(f, config, measure, T):
 
 
 def per_path_expansion_residual(A, config, measure, T):
-    nhat = it.int_Nhat(A, config, measure, T)
+    nhat = it.int_Nhat(A, config, measure, T)[0]
     i2 = per_path_multiple_integral(apps.ChaosFunction((A, A)), config, measure, T)
     return nhat * nhat - it.compensator(A, config.window, measure, T) - nhat - i2
 
@@ -354,14 +363,13 @@ class TestBatchedChaos:
             got = apps.multiple_integral(f, batch, ATOMS, T, validate=False)
             assert got.shape == (len(batch),)
             for k in range(len(batch)):
-                c = batch.config(k)
-                alone = apps.multiple_integral(f, c, ATOMS, T, validate=False)
-                assert isinstance(alone, float)
+                c = replicate(batch, k)
+                alone, = apps.multiple_integral(f, c, ATOMS, T, validate=False)
                 assert got[k] == alone == per_path_multiple_integral(f, c, ATOMS, T)
         got = apps.second_chaos_expansion_residual(SLOT_A, batch, ATOMS, T)
         for k in range(len(batch)):
-            c = batch.config(k)
-            alone = apps.second_chaos_expansion_residual(SLOT_A, c, ATOMS, T)
+            c = replicate(batch, k)
+            alone, = apps.second_chaos_expansion_residual(SLOT_A, c, ATOMS, T)
             assert got[k] == alone == per_path_expansion_residual(SLOT_A, c, ATOMS, T)
 
     def test_simulated_blocks_match_per_path_code(self):
@@ -372,10 +380,10 @@ class TestBatchedChaos:
         batch = simulate_batch(win, m, [replicate_seed(808, k) for k in range(40)])
         for f in (f2, f3):
             got = apps.multiple_integral(f, batch, m)
-            want = [per_path_multiple_integral(f, batch.config(k), m, 1.0) for k in range(40)]
+            want = [per_path_multiple_integral(f, replicate(batch, k), m, 1.0) for k in range(40)]
             assert got.tolist() == want
         got = apps.second_chaos_expansion_residual(SLOT_A, batch, m)
-        assert got.tolist() == [per_path_expansion_residual(SLOT_A, batch.config(k), m, 1.0)
+        assert got.tolist() == [per_path_expansion_residual(SLOT_A, replicate(batch, k), m, 1.0)
                                 for k in range(40)]
 
 

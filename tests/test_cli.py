@@ -155,7 +155,8 @@ class TestParseConfig:
         ("kunita", "cell_replicates", 1), ("kunita", "ratio_guard_factor", "x"),
         ("isometry", "paths", 5), ("chaos", "product_check_path", 300),
         ("charfn", "box", [[-3.0, 3.0]]), ("charfn", "box", [[0.0, 0.6]]),
-        ("charfn", "interval", [0.5, 2.0]), ("charfn", "interval", [-0.5, 0.5])])
+        ("charfn", "interval", [0.5, 2.0]), ("charfn", "interval", [-0.5, 0.5]),
+        ("interlace", "n_max", 9)])
     def test_bad_value_param(self, tmp_path, capsys, name, key, value):
         # each of these passed validate and then raised, ran a verdict that
         # means nothing, or was ignored (a misspelled or undeclared key)
@@ -174,6 +175,19 @@ class TestParseConfig:
         raw["params"]["spatial"] = False
         raw["params"]["spatial_measure"] = "nope"
         parse_config(raw)
+
+    def test_point_budget(self, tmp_path, capsys):
+        # a window, or interlace's deepest window, expecting more than
+        # MAX_POINTS points exits 2 before any draw
+        raw = small_simulate_config()
+        raw["window"]["box"] = [[-1e8, 1e8]]
+        with pytest.raises(ConfigError, match=r"^window: the window under measures\."):
+            parse_config(raw)
+        assert main(["validate", write_config(tmp_path, raw)]) == 2
+        assert "expects 4.2e+08 points" in capsys.readouterr().err
+        raw = json.loads(bundled_config_text("interlace"))
+        raw["params"]["n_max"] = 7  # 8.4e6 expected points: under the budget
+        assert parse_config(raw).params["n_max"] == 7
 
     def test_bad_output_dir(self, tmp_path, monkeypatch, capsys):
         raw = small_simulate_config()

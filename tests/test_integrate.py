@@ -11,6 +11,8 @@ from levynoise import integrate as it
 from levynoise import prm
 from levynoise.measure import DiscreteAtoms, Shell, TemperedStable, TruncatedStable
 from levynoise.prm import Window, replicate_seed, simulate
+import oracles
+from oracles import OnePath, is_time_only, replicate
 
 ATOMS = DiscreteAtoms(((0.6, 1.0), (-1.1, 0.7), (1.7, 0.4)))
 TSTABLE = TruncatedStable(alpha=1.0, c=1.0, r=1.0)
@@ -39,19 +41,19 @@ def brute_compensator(H, window, measure, t):
 
 class TestIntTime:
     def test_trivial(self):
-        assert it.int_time(ig.term(time=ig.Const(0.0)), 2.0) == 0.0
-        assert it.int_time(ig.term(time=ig.Const(3.0)), 2.0) == pytest.approx(6.0)
-        assert it.int_time(ig.term(time=ig.Poly((0.0, 1.0))), 2.0) == pytest.approx(2.0)
+        assert it.time_cumulative(ig.term(time=ig.Const(0.0)), 2.0) == 0.0
+        assert it.time_cumulative(ig.term(time=ig.Const(3.0)), 2.0) == pytest.approx(6.0)
+        assert it.time_cumulative(ig.term(time=ig.Poly((0.0, 1.0))), 2.0) == pytest.approx(2.0)
 
     def test_exponential_vs_oracle(self):
-        got = it.int_time(ig.term(time=ig.Exp(-1.0)), 1.0)
+        got = it.time_cumulative(ig.term(time=ig.Exp(-1.0)), 1.0)
         oracle, _ = si.quad(lambda s: math.exp(-s), 0.0, 1.0, epsabs=1e-14)
         assert got == pytest.approx(oracle, abs=1e-12)
         assert got == pytest.approx(1.0 - math.exp(-1.0), abs=1e-13)
 
     def test_rejects_space_dependence(self):
         with pytest.raises(ValueError):
-            it.int_time(H_GEN, 1.0)
+            it.time_cumulative(H_GEN, 1.0)
 
 
 class TestCompensator:
@@ -121,7 +123,7 @@ class TestIntN:
 
     def test_counting(self):
         c = simulate(WIN, ATOMS, 21)
-        assert it.int_N(ig.ONE, c, 1.0) == len(c)
+        assert it.int_N(ig.ONE, c, 1.0) == len(c.t)
         tcut = 0.5
         assert it.int_N(ig.ONE, c, tcut) == int(np.sum(c.t <= tcut))
 
@@ -132,7 +134,7 @@ class TestIntN:
         vals = np.empty(n)
         for k in range(n):
             c = simulate(WIN, m, replicate_seed(100, k))
-            vals[k] = it.int_N(H, c, 1.0)
+            vals[k] = it.int_N(H, c, 1.0)[0]
         target = it.compensator(H, WIN, m, 1.0)
         se = vals.std(ddof=1) / math.sqrt(n)
         assert abs(vals.mean() - target) <= 4 * se
@@ -150,7 +152,7 @@ class TestIntNhat:
         vals = np.empty(n)
         for k in range(n):
             c = simulate(WIN, m, replicate_seed(200, k))
-            vals[k] = it.int_Nhat(H, c, m, 1.0)
+            vals[k] = it.int_Nhat(H, c, m, 1.0)[0]
         # zero mean
         se = vals.std(ddof=1) / math.sqrt(n)
         assert abs(vals.mean()) <= 4 * se
@@ -169,13 +171,15 @@ class TestBuildPath:
         partial = np.cumsum(c.z)
         for i, t in enumerate(c.t):
             assert path.eval(t) == pytest.approx(partial[i], rel=1e-14)
-            assert path.eval_left(t) == pytest.approx(partial[i] - c.z[i], rel=1e-13, abs=1e-13)
+            assert path.eval([t], 0, left=True) == pytest.approx(partial[i] - c.z[i],
+                                                                   rel=1e-13, abs=1e-13)
 
     def test_left_limits_chain(self):
         c = simulate(WIN, TSTABLE, 32)
         path = it.build_path(None, ig.term(jump=ig.SignPow(1.0)), None, c, TSTABLE, split=0.0)
-        for i in range(1, len(c)):
-            assert path.eval_left(c.t[i]) == pytest.approx(path.eval(c.t[i - 1]), rel=1e-13)
+        for i in range(1, len(c.t)):
+            assert path.eval([c.t[i]], 0, left=True) == pytest.approx(path.eval(c.t[i - 1]),
+                                                                        rel=1e-13)
 
     @pytest.mark.parametrize("m", [ATOMS, TSTABLE], ids=["atoms", "tstable"])
     def test_consistency_identity(self, m):
@@ -186,7 +190,7 @@ class TestBuildPath:
             c = simulate(WIN, m, replicate_seed(300, seed))
             path = it.build_path(G, K, H, c, m, split=1.0)
             lhs = path.eval(1.0)
-            rhs = (it.int_time(G, 1.0)
+            rhs = (it.time_cumulative(G, 1.0)
                    + it.int_N(K.with_jump(ig.AbsIndicator(1.0, math.inf)), c, 1.0)
                    + it.int_Nhat(H.with_jump(ig.AbsIndicator(0.0, 1.0)), c, m, 1.0))
             assert lhs == pytest.approx(rhs, abs=1e-12)
@@ -195,8 +199,8 @@ class TestBuildPath:
         c = simulate(WIN, ATOMS, 33)
         path = it.build_path(ig.term(time=ig.Const(0.5)), ig.term(jump=ig.SignPow(1.0)),
                              H_GEN, c, ATOMS, split=1.0)
-        assert float(np.sum(path.jumps)) == pytest.approx(
-            path.eval(1.0) - path.drift(np.asarray(1.0)), abs=1e-12)
+        assert path.csum[0, -1] == pytest.approx(
+            path.eval(1.0)[0] - path.drift(np.asarray(1.0)), abs=1e-12)
 
     def test_sup_abs_linear_drift_exact(self):
         c = simulate(WIN, ATOMS, 34)
@@ -204,7 +208,7 @@ class TestBuildPath:
                              None, c, ATOMS, split=0.0)
         # brute force on a very fine grid as oracle
         grid = np.linspace(0.0, 1.0, 200001)
-        oracle = np.max(np.abs(path.eval(grid)))
+        oracle = np.max(np.abs(path.eval(grid, 0)))
         assert path.sup_abs(1.0) >= oracle - 1e-9
         assert path.sup_abs(1.0) == pytest.approx(oracle, abs=1e-4)
 
@@ -226,12 +230,13 @@ class TestBuildPath:
         times, jumps = rng.uniform(size=30), rng.normal(size=30)
         pieces = [(-0.3, ig.Cos(1.0)), (0.8, ig.Const(1.0))]
         order = np.argsort(times)
-        shuffled = it.jump_path(times, jumps, pieces, WIN)
-        ordered = it.jump_path(times[order], jumps[order], pieces, WIN)
+        shuffled = it.jump_path(times, jumps, pieces)
+        ordered = it.jump_path(times[order], jumps[order], pieces)
+        assert shuffled.times.shape == (1, 30)
         assert np.array_equal(shuffled.times, ordered.times)
-        assert np.array_equal(shuffled.jumps, ordered.jumps)
+        assert np.array_equal(shuffled.csum, ordered.csum)
         grid = np.linspace(0.0, 1.0, 101)
-        assert np.array_equal(shuffled.eval(grid), ordered.eval(grid))
+        assert np.array_equal(shuffled.eval(grid, 0), ordered.eval(grid, 0))
         assert shuffled.sup_abs(1.0, scan=50) == ordered.sup_abs(1.0, scan=50)
         assert shuffled.eval(1.0) == pytest.approx(jumps.sum() + shuffled.drift(1.0))
 
@@ -245,18 +250,19 @@ class TestBuildPath:
         # scan can add nothing.
         times = np.array(times)
         jumps = np.random.default_rng(seed).normal(size=len(times))
-        path = it.jump_path(times, jumps, [(slope, ig.Const(1.0))], WIN)
+        path = it.jump_path(times, jumps, [(slope, ig.Const(1.0))])
         for u in [t, *times[:3]]:
-            ts = path.times[path.times <= u]
-            cand = [0.0, abs(path.eval(u))]
+            ts = path.times[0][path.times[0] <= u]
+            cand = [0.0, abs(path.eval(u)[0])]
             if len(ts):
-                cand += [np.max(np.abs(path.eval(ts))), np.max(np.abs(path.eval_left(ts)))]
+                cand += [np.max(np.abs(path.eval(ts, 0))),
+                         np.max(np.abs(path.eval(ts, 0, left=True)))]
             assert path.sup_abs(u, scan=scan) == max(cand)
 
     def test_sup_abs_scan_refines_nonmonotone_drift(self):
         # drift cos-shaped with no jumps: max at interior point
-        path = it.CadlagPath(np.empty(0), np.empty(0),
-                             lambda ts: np.sin(np.asarray(ts) * 3.0), WIN)
+        path = it.CadlagPath(np.empty((1, 0)), np.zeros((1, 1)),
+                             lambda ts: np.sin(np.asarray(ts) * 3.0))
         got = path.sup_abs(1.0, scan=64)
         assert got == pytest.approx(1.0, abs=1e-8)
 
@@ -266,12 +272,78 @@ class TestBuildPath:
         # bounded refinement finds it.  The oracle is a 2e6-point grid plus
         # both sides of every jump, off by at most 400 h^2 / 8 ~ 1e-11.
         times, jumps = np.array([0.2, 0.6]), np.array([0.3, -0.7])
-        path = it.CadlagPath(times, jumps, lambda ts: np.sin(20.0 * np.asarray(ts)), WIN)
+        path = it.jump_path(times, jumps, [])
+        path = it.CadlagPath(path.times, path.csum, lambda ts: np.sin(20.0 * np.asarray(ts)))
         grid = np.linspace(0.0, 1.0, 2_000_001)
-        oracle = max(np.max(np.abs(path.eval(grid))), np.max(np.abs(path.eval_left(times))))
+        oracle = max(np.max(np.abs(path.eval(grid, 0))),
+                     np.max(np.abs(path.eval(times, 0, left=True))))
         assert oracle == pytest.approx(1.4, abs=1e-10)
         assert path.sup_abs(1.0) < oracle - 0.1
         assert path.sup_abs(1.0, scan=200) == pytest.approx(oracle, abs=1e-9)
+
+
+TIMES = st.floats(0.0, 1.0) | st.sampled_from([0.25, 0.5])
+
+
+def rowwise(rows, jumps, drift):
+    """The CadlagPath of rows of jump times and sizes, each row summed as the
+    one-path code sums it, and the one-path oracle of each row."""
+    ones = [OnePath.of(np.array(r, dtype=float), j, drift) for r, j in zip(rows, jumps)]
+    J = max(len(r) for r in rows)
+    times, csum = np.full((len(rows), J), np.inf), np.zeros((len(rows), J + 1))
+    for k, one in enumerate(ones):
+        n = len(one.times)
+        times[k, :n], csum[k, :n + 1], csum[k, n + 1:] = one.times, one._csum, one._csum[-1]
+    return it.CadlagPath(times, csum, drift), ones
+
+
+class TestRowwisePaths:
+    """A CadlagPath of many rows answers, row for row and bit for bit, as the
+    one-path code answers on each row alone: rows of different lengths, an
+    empty row, tied times, t before, at and after the jumps."""
+
+    @given(st.lists(st.lists(TIMES, max_size=8), min_size=1, max_size=4),
+           st.integers(0, 2 ** 32 - 1), st.floats(0.0, 1.2) | st.sampled_from([0.25, 0.5]),
+           st.sampled_from([0, 50]), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_match_one_path_oracle(self, rows, seed, t, scan, wiggly):
+        rng = np.random.default_rng(seed)
+        rows = [sorted(r) for r in rows]
+        rows.insert(int(rng.integers(0, len(rows) + 1)), [])
+        jumps = [rng.normal(size=len(r)) for r in rows]
+        if wiggly:  # the scan's refinement has an interior maximum to find
+            drift = lambda ts: np.sin(9.0 * np.asarray(ts, dtype=float))  # noqa: E731
+        else:
+            drift = it.drift_function([(float(rng.normal()), ig.Const(1.0))])
+        path, ones = rowwise(rows, jumps, drift)
+        assert path.sup_abs(t, scan=scan).tolist() == [one.sup_abs(t, scan=scan) for one in ones]
+        assert path.eval(t).tolist() == [one.eval(t) for one in ones]
+        assert path.eval(t, left=True).tolist() == [one.eval_left(t) for one in ones]
+        # any (row, time) pairs in any order, the jump times among them
+        pool = np.concatenate([[0.0, t, 0.25, 0.5]] + [np.array(r, dtype=float) for r in rows])
+        s, seg = rng.choice(pool, size=30), rng.integers(0, len(rows), size=30)
+        assert path.eval(s, seg).tolist() == [ones[g].eval(v) for g, v in zip(seg, s)]
+        assert (path.eval(s, seg, left=True).tolist()
+                == [ones[g].eval_left(v) for g, v in zip(seg, s)])
+
+    @pytest.mark.parametrize("m", [ATOMS, TSTABLE], ids=["atoms", "tstable"])
+    def test_build_path_rows_are_one_paths(self, m):
+        # a padded batch, and a batch of one whose row is its own arrays
+        w = Window(0.4, WIN.box, WIN.shell)  # about 1.7 points: some replicates empty
+        batch = prm.simulate_batch(w, m, [replicate_seed(700, k) for k in range(40)])
+        assert len(set(batch.counts.tolist())) > 1 and 0 in batch.counts
+        K = ig.term(time=ig.Poly((1.0, 0.3)), jump=ig.SignPow(1.0))
+        G = ig.term(time=ig.Cos(1.0)) * 0.7
+        for c in [batch] + [replicate(batch, k) for k in range(3)]:
+            path = it.build_path(G, K, H_GEN, c, m, split=1.0)
+            for k in range(len(c)):
+                one, want = OnePath.row(path, k), oracles.one_path(
+                    G, K, H_GEN, replicate(c, k), m, split=1.0)
+                assert np.array_equal(one.times, want.times)
+                assert np.array_equal(one._csum, want._csum)
+        one = simulate(w, m, 701)
+        path = it.build_path(G, K, H_GEN, one, m)
+        assert np.shares_memory(path.times, one.t)
 
 
 class TestZofSet:
@@ -338,7 +410,7 @@ class TestLIntegral:
         vals = np.empty(n)
         for k in range(n):
             c = simulate(WIN, m, replicate_seed(500, k))
-            vals[k] = it.l_integral(X, c, m, 1.0)
+            vals[k] = it.l_integral(X, c, m, 1.0)[0]
         v_shell = m.shell_moment(WIN.shell, 2.0)
         target = v_shell * it.compensator(X.squared(), WIN, m, 1.0) / m.shell_mass(WIN.shell)
         # compensator of X^2 * 1 integrates the constant jump factor: divide
@@ -369,29 +441,29 @@ class TestBatch:
                              ids=["atoms", "tstable", "tempered"])
     def test_matches_per_config(self, m):
         batch = prm.simulate_batch(WIN3, m, [replicate_seed(600, k) for k in range(150)])
-        configs = [batch.config(k) for k in range(len(batch))]
+        configs = [replicate(batch, k) for k in range(len(batch))]
         counts = batch.counts
         assert counts.min() < 8 <= counts.max()
         X = ig.term(time=ig.Exp(-0.5), space=ig.Poly((1.0, 0.4)))
         box, interval = ((-0.2, 0.4), (0.1, 0.8)), (0.5, 2.5)
         for t in (2.0, WIN3.horizon):  # t = 2 leaves points past t
             self.assert_per_config(it.int_N(H_GEN, batch, t),
-                                   [it.int_N(H_GEN, c, t) for c in configs], counts)
+                                   [it.int_N(H_GEN, c, t)[0] for c in configs], counts)
             self.assert_per_config(it.int_Nhat(H_GEN, batch, m, t),
-                                   [it.int_Nhat(H_GEN, c, m, t) for c in configs], counts)
+                                   [it.int_Nhat(H_GEN, c, m, t)[0] for c in configs], counts)
             self.assert_per_config(it.l_integral(X, batch, m, t),
-                                   [it.l_integral(X, c, m, t) for c in configs], counts)
+                                   [it.l_integral(X, c, m, t)[0] for c in configs], counts)
         for b, iv in ((WIN3.box, (0.0, WIN3.horizon)), (box, interval)):
             self.assert_per_config(it.z_of_set(0.4, b, iv, batch, m),
-                                   [it.z_of_set(0.4, b, iv, c, m) for c in configs], counts)
+                                   [it.z_of_set(0.4, b, iv, c, m)[0] for c in configs], counts)
 
     def test_empty_replicates(self):
         w = Window(1.0, ((-0.5, 0.5),), Shell(3.0, 9.0))
         batch = prm.simulate_batch(w, ATOMS, range(4))
         assert np.array_equal(it.int_N(H_GEN, batch, 1.0), np.zeros(4))
         got = it.z_of_set(1.0, w.box, (0.0, 1.0), batch, ATOMS)
-        assert np.array_equal(got, [it.z_of_set(1.0, w.box, (0.0, 1.0), batch.config(k), ATOMS)
-                                    for k in range(4)])
+        assert np.array_equal(got, [it.z_of_set(1.0, w.box, (0.0, 1.0), replicate(batch, k),
+                                                ATOMS)[0] for k in range(4)])
 
 
 def int_N_loop(K, config, t):
@@ -432,7 +504,7 @@ def configurations(draw):
     rows = sorted(draw(st.lists(pts, min_size=n, max_size=n)), key=lambda r: r[0])
     t, x, z = (np.array(col, dtype=float) for col in zip(*rows)) if rows else \
         (np.empty(0), np.empty(0), np.empty(0))
-    return prm.PointConfiguration(t, x.reshape(n, 1), z, WIN, 0)
+    return prm.PointBatch(t, x.reshape(n, 1), z, np.array([0, n]), WIN, (0,))
 
 
 class TestBatchOfOne:
@@ -443,7 +515,8 @@ class TestBatchOfOne:
 
     @staticmethod
     def assert_close(got, want, points, values):
-        assert type(got) is float
+        assert got.shape == (1,)
+        got = float(got[0])
         if points < 8:
             assert got == want
         else:
@@ -476,7 +549,7 @@ class TestProjectTime:
 
     def test_collapses_to_time_only(self):
         proj = it.project_time(H_GEN, WIN, TSTABLE)
-        assert proj.is_time_only()
+        assert is_time_only(proj)
         # spot value: time slice s=0.3 of the brute nu/space integral
         s = 0.3
         def nu_slice(x):

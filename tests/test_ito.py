@@ -11,6 +11,7 @@ from levynoise import integrate as it
 from levynoise import ito, prm
 from levynoise.measure import DiscreteAtoms, Shell, TruncatedStable
 from levynoise.prm import Window, replicate_seed, simulate
+from oracles import path_breaks, replicate
 
 ATOMS = DiscreteAtoms(((0.6, 1.0), (-1.1, 0.7), (1.7, 0.4)))
 TSTABLE = TruncatedStable(alpha=1.0, c=1.0, r=1.5)
@@ -25,12 +26,19 @@ H_MIX = ig.term(time=ig.Cos(1.0), space=ig.Poly((1.0, 0.4)), jump=ig.SignPow(1.0
 FNS = [ito.poly_fn(0.0, 0.0, 1.0), ito.exp_fn(0.4), ito.cos_fn(1.0)]
 
 
+def derivative_gap(fn, xs, h=1e-6):
+    """Max deviation between df and the central difference of f."""
+    xs = np.asarray(xs, dtype=float)
+    fd = (fn.f(xs + h) - fn.f(xs - h)) / (2 * h)
+    return float(np.max(np.abs(fn.df(xs) - fd)))
+
+
 class TestSmoothFns:
     def test_registry_finite_difference_self_test(self):
         xs = np.linspace(-3.0, 3.0, 61)
         for fn in FNS + [ito.sin_fn(0.7), ito.abs_pow_fn(2.0), ito.abs_pow_fn(3.5),
                          ito.poly_fn(1.0, -2.0, 0.5, 0.25)]:
-            assert ito.derivative_gap(fn, xs) < 1e-6
+            assert derivative_gap(fn, xs) < 1e-6
 
     def test_abs_pow_second_derivative_continuity(self):
         fn = ito.abs_pow_fn(2.0)
@@ -51,8 +59,7 @@ class TestLhs:
 
     def test_square_of_two_jump_path(self):
         # jumps 1 then -2 before t: f(-1) - f(0) = 1 for f = x^2
-        path = it.CadlagPath(np.array([0.2, 0.7]), np.array([1.0, -2.0]),
-                             lambda ts: np.zeros(np.shape(ts)), WIN)
+        path = it.jump_path([0.2, 0.7], [1.0, -2.0], [])
         assert ito.ito_lhs(ito.poly_fn(0.0, 0.0, 1.0), path, 1.0) == pytest.approx(1.0)
 
 
@@ -124,13 +131,13 @@ class TestRawJumpFormula:
         # oracle: adaptive quadrature of f'(Y(s)) G(s) between jumps,
         # intervals shrunk a hair so no node lands on a jump time
         total = 0.0
-        breaks = it.path_breaks(c, 1.0)
+        breaks = path_breaks(c, 1.0)
         for a, b in zip(breaks[:-1], breaks[1:]):
-            val, _ = si.quad(lambda s: math.exp(path.eval(s)) * 0.5,
+            val, _ = si.quad(lambda s: math.exp(path.eval([s], 0)[0]) * 0.5,
                              a + 1e-12, b - 1e-12, epsabs=1e-13, limit=200)
             total += val
         mask = c.t <= 1.0
-        yl = path.eval_left(c.t[mask])
+        yl = path.eval(c.t[mask], 0, left=True)
         total += float(np.sum(np.exp(yl + c.z[mask]) - np.exp(yl)))
         assert rhs == pytest.approx(total, abs=1e-8)
         lhs = ito.ito_lhs(fn, path, 1.0)
@@ -186,11 +193,11 @@ class TestFourTermFormula:
         # the nu-side integrals read Y(s) at interior Gauss-Legendre nodes
         # between jump times, where the left limit is the value itself
         c = simulate(WIN, m, seed)
-        assume(len(c) > 0)
+        assume(len(c.t) > 0)
         path = it.build_path(G_EXP, K_MIX, H_MIX, c, m, split=1.0)
-        s, _ = it.interval_rule(it.path_breaks(c, 1.0, H_MIX.time_breakpoints()), n_time)
+        s, _ = it.interval_rule(path_breaks(c, 1.0, H_MIX.time_breakpoints()), n_time)
         assert len(s) >= n_time
-        np.testing.assert_array_equal(path.eval_left(s), path.eval(s))
+        np.testing.assert_array_equal(path.eval(s, 0, left=True), path.eval(s, 0))
 
 
 class TestAllCompensatedFormula:
@@ -263,11 +270,12 @@ class TestBatchEqualsBatchOfOne:
             lhs, got = ito.ito_lhs(fn, path, 1.0), dataclasses.astuple(rhs(batch, path))
             assert all(v.shape == (len(batch),) for v in (lhs, *got))
             for k in range(len(batch)):
-                c = batch.config(k)
+                c = replicate(batch, k)
                 one = it.build_path(G, K, H, c, m, split=split)
-                assert lhs[k] == ito.ito_lhs(fn, one, 1.0)
-                assert tuple(v[k] for v in got) == dataclasses.astuple(rhs(c, None))
-                assert tuple(v[k] for v in got) == dataclasses.astuple(rhs(c, one))
+                assert [lhs[k]] == ito.ito_lhs(fn, one, 1.0).tolist()
+                want = [v[0] for v in dataclasses.astuple(rhs(c, None))]
+                assert [v[k] for v in got] == want
+                assert [v[k] for v in got] == [v[0] for v in dataclasses.astuple(rhs(c, one))]
 
 
 def nu_tensor_reference(fn, y, factors, xw, zw):

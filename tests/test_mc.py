@@ -8,6 +8,7 @@ from levynoise import mc
 from levynoise.mc import McEstimate, estimate, map_replicates, run_replicates, verdict
 from levynoise.measure import DiscreteAtoms, Shell
 from levynoise.prm import Window, replicate_seed, simulate
+from oracles import replicate
 
 ATOMS = DiscreteAtoms(((0.6, 1.0), (-1.1, 0.7), (1.7, 0.4)))
 WIN = Window(1.0, ((-0.5, 0.5),), Shell(0.3, 2.0))
@@ -17,14 +18,14 @@ LAM = WIN.horizon * WIN.box_volume * ATOMS.shell_mass(WIN.shell)  # 2.1 points
 def replicates(exp, n, master_seed):
     """run_replicates of exp(k, config) on each configuration of a batch
     (k counts within the batch)."""
-    return run_replicates(lambda b: [exp(k, b.config(k)) for k in range(len(b))],
+    return run_replicates(lambda b: [exp(k, replicate(b, k)) for k in range(len(b))],
                           WIN, ATOMS, n, master_seed)
 
 
 class TestMapReplicates:
     def test_matches_simulate_oracle(self):
         def exp(k, c):
-            return k, c.seed, c.t.copy(), c.x.copy(), c.z.copy()
+            return k, c.seeds, c.t.copy(), c.x.copy(), c.z.copy()
 
         got = map_replicates(exp, WIN, ATOMS, 60, 31)
         assert len(got) == 60
@@ -87,9 +88,9 @@ class TestRunReplicates:
 
     def test_failure_reports_replicate(self):
         def exp(k, c):
-            if len(c) > 4:
+            if len(c.t) > 4:
                 raise ValueError("boom")
-            return float(len(c))
+            return float(len(c.t))
 
         with pytest.raises(RuntimeError, match=r"replicate \d+"):
             replicates(exp, 200, master_seed=12)
@@ -111,6 +112,18 @@ class TestRunReplicates:
         se = math.sqrt(ssq / (n - 1)) / math.sqrt(n)
         assert abs(mean - est.mean) <= 1e-14
         assert abs(se - est.se) <= 1e-14
+
+
+class TestReplicateValues:
+    @pytest.mark.parametrize("budget", [1, 7, mc.BLOCK_POINTS])
+    def test_one_value_per_replicate_in_order(self, budget, monkeypatch):
+        monkeypatch.setattr(mc, "BLOCK_POINTS", budget)
+        counts, sums = mc.replicate_values(
+            lambda b: (b.counts, np.bincount(b.segment, b.z, len(b))), WIN, ATOMS, 120, 6)
+        want = [simulate(WIN, ATOMS, replicate_seed(6, k)) for k in range(120)]
+        assert counts.tolist() == [len(c.t) for c in want]
+        assert sums.tolist() == [float(np.bincount(np.zeros(len(c.t), dtype=int), c.z, 1)[0])
+                                 for c in want]
 
 
 class TestEstimate:
@@ -163,7 +176,7 @@ class TestVerdict:
         fails = 0
         for trial in range(200):
             # the point count minus its exact mean
-            est = replicates(lambda k, c: len(c) - LAM, 250, master_seed=1000 + trial)
+            est = replicates(lambda k, c: len(c.t) - LAM, 250, master_seed=1000 + trial)
             if not verdict(est, 0.0).passed:
                 fails += 1
         assert fails <= 4  # 2% of 200

@@ -8,6 +8,7 @@ from scipy import stats
 
 from levynoise.measure import DiscreteAtoms, Shell, TemperedStable, TruncatedStable
 from levynoise import prm
+from oracles import replicate, same_points
 
 ATOMS = DiscreteAtoms(((1.0, 0.5), (-2.0, 0.25), (0.3, 1.25)))
 TSTABLE = TruncatedStable(alpha=1.0, c=1.0, r=1.0)
@@ -34,14 +35,15 @@ class TestSimulate:
     def test_replay_bit_for_bit(self):
         a = prm.simulate(WIN, ATOMS, seed=42)
         b = prm.simulate(WIN, ATOMS, seed=42)
-        assert a == b
+        assert len(a) == 1 and a.seeds == (42,)
+        assert same_points(a, b)
         c = prm.simulate(WIN, ATOMS, seed=43)
-        assert c != a
+        assert not same_points(c, a)
 
     def test_zero_mass_shell_empty(self):
         w = prm.Window(1.0, ((-0.5, 0.5),), Shell(3.0, 9.0))
         for seed in range(5):
-            assert len(prm.simulate(w, ATOMS, seed)) == 0
+            assert len(prm.simulate(w, ATOMS, seed).t) == 0
 
     def test_infinite_intensity_rejected(self):
         w = prm.Window(1.0, ((-0.5, 0.5),), Shell(0.0, 1.0))
@@ -59,7 +61,7 @@ class TestSimulate:
         # lam = T |B| nu(shell) = 2 for this window
         w = prm.Window(1.0, ((0.0, 1.0),), Shell(0.5, math.inf))
         m = DiscreteAtoms(((1.0, 1.0), (-2.0, 1.0)))
-        counts = np.array([len(prm.simulate(w, m, prm.replicate_seed(11, k)))
+        counts = np.array([len(prm.simulate(w, m, prm.replicate_seed(11, k)).t)
                            for k in range(10 ** 4)])
         se = counts.std(ddof=1) / math.sqrt(len(counts))
         assert abs(counts.mean() - 2.0) <= 4 * se
@@ -144,16 +146,16 @@ class TestSimulateBatch:
             want = [prm.simulate(w, m, s) for s in seeds]
         assert len(batch) == len(seeds)
         assert batch.seeds == tuple(seeds)
-        assert np.array_equal(batch.counts, [len(c) for c in want])
+        assert np.array_equal(batch.counts, [len(c.t) for c in want])
         assert np.array_equal(batch.segment, np.repeat(np.arange(len(seeds)), batch.counts))
         for k, c in enumerate(want):
-            assert batch.config(k) == c
+            assert same_points(replicate(batch, k), c)
 
     def test_configs_are_read_only_views(self):
         batch = prm.simulate_batch(WIN2, ATOMS, [prm.replicate_seed(8, k) for k in range(6)])
         assert len(batch.t) > 0
         for k in range(len(batch)):
-            c = batch.config(k)
+            c = replicate(batch, k)
             for arr, whole in ((c.t, batch.t), (c.x, batch.x), (c.z, batch.z)):
                 assert not arr.flags.writeable
                 assert arr.size == 0 or np.shares_memory(arr, whole)
@@ -172,7 +174,8 @@ def restrict_oracle(c, sub):
     keep = (c.t <= sub.horizon) & sub.shell.contains(c.z)
     for k, (lo, hi) in enumerate(sub.box):
         keep &= (c.x[:, k] >= lo) & (c.x[:, k] <= hi)
-    return prm.PointConfiguration(c.t[keep], c.x[keep], c.z[keep], sub, c.seed)
+    return prm.PointBatch(c.t[keep], c.x[keep], c.z[keep], np.array([0, np.count_nonzero(keep)]),
+                          sub, c.seeds)
 
 
 def narrowed(cut, which):
@@ -196,32 +199,52 @@ class TestRestrict:
     def test_matches_full_mask_oracle(self, seed, cut, which):
         c = prm.simulate(WIN2, TSTABLE, seed)
         sub = narrowed(cut, which)
-        assert prm.restrict(c, sub) == restrict_oracle(c, sub)
+        assert same_points(prm.restrict(c, sub), restrict_oracle(c, sub))
 
     def test_points_on_the_window_bounds_kept(self):
-        c = prm.PointConfiguration(np.array([0.0, 1.0]), np.array([[-0.5, 2.0], [0.5, 0.0]]),
-                                   np.array([1.0, -1.0]), WIN2, 0)
-        assert prm.restrict(c, WIN2) == c
+        c = prm.PointBatch(np.array([0.0, 1.0]), np.array([[-0.5, 2.0], [0.5, 0.0]]),
+                           np.array([1.0, -1.0]), np.array([0, 2]), WIN2, (0,))
+        assert same_points(prm.restrict(c, WIN2), c)
         sub = narrowed(0.5, "horizon")
-        assert prm.restrict(c, sub) == restrict_oracle(c, sub)
+        assert same_points(prm.restrict(c, sub), restrict_oracle(c, sub))
 
     def test_identity(self):
         c = prm.simulate(WIN, ATOMS, 9)
-        assert prm.restrict(c, WIN) == c
+        assert same_points(prm.restrict(c, WIN), c)
 
     def test_shell_restriction_membership(self):
         c = prm.simulate(WIN, ATOMS, 10)
         sub = prm.Window(1.0, ((-0.5, 0.5),), Shell(0.5, 2.0))
         r = prm.restrict(c, sub)
         assert np.all(np.abs(r.z) > 0.5)
-        assert len(r) == int(np.sum(np.abs(c.z) > 0.5))
+        assert len(r.t) == int(np.sum(np.abs(c.z) > 0.5))
 
     def test_box_partition_additivity(self):
         c = prm.simulate(WIN, ATOMS, 11)
         left = prm.restrict(c, prm.Window(1.0, ((-0.5, 0.0),), WIN.shell))
         right = prm.restrict(c, prm.Window(1.0, ((0.0, 0.5),), WIN.shell))
         # the shared face x = 0 has probability zero of holding a point
-        assert len(left) + len(right) == len(c) + int(np.sum(c.x[:, 0] == 0.0))
+        assert len(left.t) + len(right.t) == len(c.t) + int(np.sum(c.x[:, 0] == 0.0))
+
+    def test_batch_restricts_each_replicate(self):
+        batch = prm.simulate_batch(WIN2, TSTABLE, [prm.replicate_seed(13, k) for k in range(30)])
+        sub = narrowed(0.4, "box-hi")
+        got = prm.restrict(batch, sub)
+        assert got.seeds == batch.seeds and got.window == sub
+        for k in range(len(batch)):
+            assert same_points(replicate(got, k), restrict_oracle(replicate(batch, k), sub))
+
+    def test_batch_of_one_builds_no_segment(self):
+        # a deep configuration goes through restrict, build_path and sup_abs
+        # without a per-point replicate index
+        from levynoise import integrands as ig, integrate as it
+
+        c = prm.simulate(WIN2, TSTABLE, 14)
+        ring = prm.restrict(c, narrowed(0.3, "shell"))
+        path = it.build_path(None, None, ig.term(jump=ig.SignPow(1.0)), ring, TSTABLE,
+                             split=math.inf)
+        path.sup_abs(1.0)
+        assert "segment" not in vars(c) and "segment" not in vars(ring)
 
     def test_not_contained_raises(self):
         c = prm.simulate(WIN, ATOMS, 12)
@@ -236,7 +259,7 @@ class TestRestrict:
         small = prm.Window(0.5, ((-0.1, 0.3),), Shell(0.2, 1.5))
         once = prm.restrict(c, small)
         twice = prm.restrict(prm.restrict(c, mid), small)
-        assert once == twice
+        assert same_points(once, twice)
 
 
 class TestSeeds:
@@ -249,11 +272,11 @@ class TestSeeds:
 class TestCsv:
     def test_round_trip(self):
         c = prm.simulate(WIN, ATOMS, 77)
-        assert prm.parse_csv(prm.dump_csv(c)) == c
+        assert same_points(prm.parse_csv(prm.dump_csv(c)), c)
 
     def test_rejects_point_outside_window_or_out_of_order(self):
         c = prm.simulate(WIN, ATOMS, 78)
-        assert len(c) >= 2
+        assert len(c.t) >= 2
         head, columns, *rows = prm.dump_csv(c).splitlines()
         t, _, z = rows[-1].split(",")
         outside = rows[:-1] + [f"{t},0.75,{z}"]
@@ -261,6 +284,13 @@ class TestCsv:
         for bad in (outside, swapped):
             with pytest.raises(ValueError, match="window, in time order"):
                 prm.parse_csv("\n".join([head, columns] + bad))
+
+    def test_one_configuration_only(self):
+        batch = prm.simulate_batch(WIN, ATOMS, [1, 2])
+        with pytest.raises(ValueError, match="one configuration"):
+            prm.dump_csv(batch)
+        assert same_points(prm.parse_csv(prm.dump_csv(replicate(batch, 1))),
+                           replicate(batch, 1))
 
     def test_golden_format(self):
         w = prm.Window(1.0, ((0.0, 1.0),), Shell(0.5, math.inf))
@@ -270,4 +300,4 @@ class TestCsv:
         lines = text.splitlines()
         assert lines[0].startswith("# {")
         assert lines[1] == "t,x1,z"
-        assert len(lines) == 2 + len(c)
+        assert len(lines) == 2 + len(c.t)
