@@ -67,11 +67,13 @@ def cmd_run(args) -> int:
 
 def cmd_validate(args) -> int:
     try:
-        parse_config(load_config_file(args.config))
+        cfg = parse_config(load_config_file(args.config))
     except (OSError, json.JSONDecodeError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     print("config ok")
+    for key in sorted(cfg.params):
+        print(f"{key} = {cfg.params[key]!r}")
     return 0
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -32,9 +32,9 @@ from .prm import PointBatch
 @dataclass(frozen=True)
 class SmoothFn:
     name: str
-    f: Callable
-    df: Callable
-    d2f: Callable
+    f: Callable = field(repr=False)
+    df: Callable = field(repr=False)
+    d2f: Callable = field(repr=False)
 
 
 def poly_fn(*coeffs: float) -> SmoothFn:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .prm import intensity, replicate_seed, simulate, simulate_batch
+from .prm import intensity, replicate_seed, replicate_seeds, simulate, simulate_batch
 
 # Expected Poisson points per batch of `batches`; a block holds at least one
 # replicate, so the budget bounds memory, never the result.
@@ -55,12 +55,13 @@ def batches(window, measure, n: int, master_seed: int):
     """The replicates of `map_replicates` as consecutive PointBatch blocks:
     yields (k0, batch) with replicate j of the batch the configuration of
     replicate k0 + j.  A block holds as many replicates as fit BLOCK_POINTS
-    expected points, and at least one."""
+    expected points, and at least one.  A block's seeds are hashed in one
+    pass, bit-identical to `replicate_seed`."""
     lam = intensity(window, measure)
     size = max(1, int(BLOCK_POINTS // lam) if lam > 0 else n)
     for k0 in range(0, n, size):
-        seeds = [replicate_seed(master_seed, k) for k in range(k0, min(n, k0 + size))]
-        yield k0, simulate_batch(window, measure, seeds)
+        seeds = replicate_seeds(master_seed, range(k0, min(n, k0 + size)))
+        yield k0, simulate_batch(window, measure, seeds.tolist())
 
 
 def replicate_values(statistic, window, measure, n: int, master_seed: int) -> list:
@@ -90,7 +91,12 @@ def run_replicates(statistic, window, measure, n: int, master_seed: int) -> McEs
 
 def estimate(values, master_seed: int) -> McEstimate:
     """Mean and ddof-1 standard error of the replicate values along their
-    first axis: floats for 1-D values, arrays otherwise."""
+    first axis: floats for 1-D values, arrays otherwise.
+
+    numpy folds the columns of a 2-D array row after row, but a 1-D array
+    by pairwise summation, so a column's mean and standard error can differ
+    in the last bits between being folded alone and beside others: merging
+    or splitting the columns of a statistic moves bytes."""
     values = np.asarray(values)
     n = len(values)
     mean = values.mean(axis=0)

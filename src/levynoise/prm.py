@@ -8,6 +8,15 @@ Every realization is a `PointBatch`: `simulate` draws the batch of one seed,
 `simulate_batch` one replicate per seed.  Restriction keeps the same
 underlying realization, which is what makes the interlacing ladders
 couplings rather than independent resimulations.
+
+Seeds are numpy's: replicate k of master seed m has `replicate_seed(m, k)`,
+the first uint64 of `SeedSequence(m, spawn_key=(k,))`, and draws from
+`default_rng` of that seed.  A block of replicates gets both in one pass:
+`replicate_seeds` hashes all its seeds at once, and `simulate_batch` hashes
+them once more into the PCG64 state words `default_rng` would derive.  The
+hash (O'Neill's seed_seq_fe, as `numpy.random.SeedSequence` implements it)
+is uint32 arithmetic whose hash constants do not depend on the data, so the
+block pass is bit-identical to the scalar calls.
 """
 
 from __future__ import annotations
@@ -90,10 +99,9 @@ def intensity(window: Window, measure: LevyMeasure) -> float:
     return window.horizon * window.box_volume * mass
 
 
-def _draw(window: Window, measure: LevyMeasure, lam: float, seed: int):
-    """The unsorted points (t, x, z) of one seed: the one place a seed
-    becomes points."""
-    rng = np.random.default_rng(int(seed) % 2 ** 64)
+def _draw(window: Window, measure: LevyMeasure, lam: float, rng: np.random.Generator):
+    """The unsorted points (t, x, z) drawn from `rng`: the one place a
+    stream becomes points."""
     n = int(rng.poisson(lam)) if lam > 0 else 0
     d = window.dim
     if n == 0:
@@ -144,16 +152,17 @@ class PointBatch:
 def simulate(window: Window, measure: LevyMeasure, seed: int) -> PointBatch:
     """Draw the batch of one configuration; deterministic given (window,
     measure, seed)."""
-    t, x, z = _sort_points(*_draw(window, measure, intensity(window, measure), seed))
+    rng = np.random.default_rng(int(seed) % 2 ** 64)
+    t, x, z = _sort_points(*_draw(window, measure, intensity(window, measure), rng))
     return PointBatch(t, x, z, np.array([0, len(t)]), window, (int(seed),))
 
 
 def simulate_batch(window: Window, measure: LevyMeasure, seeds) -> PointBatch:
     """One replicate per seed, each the points `simulate` draws for it, with
-    the shell mass computed once."""
+    the shell mass and the generators' seeding hashed once per batch."""
     lam = intensity(window, measure)
     seeds = tuple(int(s) for s in seeds)
-    draws = [_draw(window, measure, lam, s) for s in seeds]
+    draws = [_draw(window, measure, lam, rng) for rng in _generators(seeds)]
     offsets = np.cumsum([0] + [len(d[0]) for d in draws])
     empty = (np.empty(0), np.empty((0, window.dim)), np.empty(0))
     t, x, z = (np.concatenate(parts) for parts in zip(empty, *draws))
@@ -189,6 +198,101 @@ def replicate_seed(master_seed: int, k: int) -> int:
     scheduling and of every other replicate."""
     ss = np.random.SeedSequence(int(master_seed) % 2 ** 64, spawn_key=(int(k),))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
+
+
+def replicate_seeds(master_seed: int, ks) -> np.ndarray:
+    """[replicate_seed(master_seed, k) for k in ks] as a uint64 array, hashed
+    in one pass; each k must lie in [0, 2**32)."""
+    ks = np.asarray(ks)
+    if ks.size and not (ks.min() >= 0 and ks.max() <= _MASK32):
+        raise ValueError("replicate indices must lie in [0, 2**32)")
+    # The master's words fill the pool (SeedSequence pads them to its size
+    # when a spawn key follows), so its pool is SeedSequence(master)'s; the
+    # spawn key k is the fifth entropy word, hashmix calls 16 to 19.
+    pool = np.random.SeedSequence(int(master_seed) % 2 ** 64).pool[:, None]
+    pool = _mix(pool, _hashmix(ks.astype(np.uint32), _HASH_A, 16, 4))
+    return _generate_state(pool, 1)[:, 0]
+
+
+# numpy.random.SeedSequence's hash (O'Neill's seed_seq_fe) on uint32 arrays,
+# which wrap as its C code does.  Hashmix call i xors a word with entry i of
+# a hash-constant chain and multiplies it by entry i + 1.
+_MASK32 = 0xFFFFFFFF
+_XSHIFT = 16
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+def _hash_chain(init: int, mult: int, n: int) -> np.ndarray:
+    chain = [init]
+    for _ in range(n):
+        chain.append(chain[-1] * mult & _MASK32)
+    return np.array(chain, dtype=np.uint32)[:, None]
+
+
+_HASH_A = _hash_chain(0x43B0D7E5, 0x931E8875, 20)  # mixing the entropy
+_HASH_B = _hash_chain(0x8B51F9DD, 0x58F38DED, 8)   # generating the state
+
+
+def _hashmix(words, chain: np.ndarray, i: int, count: int) -> np.ndarray:
+    """Hashmix calls i to i + count - 1, call i + r on row r of `words`
+    (broadcast): shape (count, n)."""
+    words = (words ^ chain[i:i + count]) * chain[i + 1:i + count + 1]
+    return words ^ (words >> _XSHIFT)
+
+
+def _mix(x, y):
+    value = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return value ^ (value >> _XSHIFT)
+
+
+def _mix_entropy(entropy: np.ndarray) -> np.ndarray:
+    """SeedSequence's pool, shape (4, n), of at most four entropy words per
+    column of `entropy`; fewer words hash as if padded with zeros."""
+    pool = np.zeros((4, entropy.shape[1]), dtype=np.uint32)
+    pool[:len(entropy)] = entropy
+    pool = _hashmix(pool, _HASH_A, 0, 4)
+    for src in range(4):
+        # numpy updates pool[dst] for each dst != src in turn; pool[src] stays
+        dst = [d for d in range(4) if d != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], _HASH_A, 4 + 3 * src, 3))
+    return pool
+
+
+def _generate_state(pool: np.ndarray, n_words: int) -> np.ndarray:
+    """SeedSequence.generate_state(n_words, np.uint64) of each column of the
+    pool: shape (n, n_words), C-contiguous, since PCG64 reads a row's words
+    straight from its memory."""
+    halves = _hashmix(pool[np.arange(2 * n_words) % 4], _HASH_B, 0, 2 * n_words)
+    halves = halves.astype(np.uint64)
+    return np.ascontiguousarray((halves[0::2] | (halves[1::2] << np.uint64(32))).T)
+
+
+def _generators(seeds):
+    """`default_rng(seed % 2**64)` of each seed, in order, one at a time.
+
+    PCG64 seeds itself from generate_state(4, np.uint64) of SeedSequence(seed),
+    hashed here for all the seeds in one pass.  A seed below 2**32 is one
+    entropy word, which hashes as the pair (seed, 0)."""
+    s = np.array([s % 2 ** 64 for s in seeds], dtype=np.uint64)
+    words = _generate_state(_mix_entropy(np.stack([s & _MASK32, s >> 32]).astype(np.uint32)), 4)
+    seed_words = _seed_words_type()
+    for row in words:
+        yield np.random.Generator(np.random.PCG64(seed_words(row)))
+
+
+@functools.cache
+def _seed_words_type() -> type:
+    """A seed sequence that hands PCG64 precomputed state words.  Defined on
+    first use, so importing prm does not import numpy.random."""
+
+    class SeedWords(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return SeedWords
 
 
 # ---------------------------------------------------------------------------

@@ -250,6 +250,18 @@ class TestCliCommands:
         assert main(["validate", bad]) == 2
         assert main(["validate", str(tmp_path / "missing.json")]) == 2
 
+    @pytest.mark.parametrize("name", EXPERIMENTS)
+    def test_validate_prints_resolved_params(self, tmp_path, capsys, name):
+        path = write_config(tmp_path, json.loads(bundled_config_text(name)))
+        assert main(["validate", path]) == 0
+        ok, *lines = capsys.readouterr().out.splitlines()
+        keys = [line.split(" = ", 1)[0] for line in lines]
+        assert ok == "config ok" and keys == sorted(parse_config(
+            json.loads(bundled_config_text(name))).params)
+        assert " at 0x" not in "\n".join(lines)  # no function addresses
+        if name == "interlace":  # one param given, one defaulted
+            assert "n_max = 6" in lines and "small_hi = 1.0" in lines
+
     def test_run_writes_artifacts_and_exits_zero(self, tmp_path, capsys):
         path = write_config(tmp_path, small_simulate_config())
         out_dir = tmp_path / "out"

@@ -126,8 +126,8 @@ def tied_draw(grid):
     and ties in x behind them."""
     draw = prm._draw
 
-    def draw_tied(window, measure, lam, seed):
-        t, x, z = draw(window, measure, lam, seed)
+    def draw_tied(window, measure, lam, rng):
+        t, x, z = draw(window, measure, lam, rng)
         return np.round(t * grid) / grid, np.round(x * grid) / grid, z
 
     return draw_tied
@@ -267,6 +267,45 @@ class TestSeeds:
         seeds = [prm.replicate_seed(123, k) for k in range(100)]
         assert len(set(seeds)) == 100
         assert seeds == [prm.replicate_seed(123, k) for k in range(100)]
+
+    def test_pinned_streams(self):
+        # a numpy upgrade or a change that moves the streams fails here
+        want = {0: 17310914835580284859, 1: 6653754648352695335,
+                10900: 17965983928862618922}
+        assert {k: prm.replicate_seed(20260808, k) for k in want} == want
+        assert prm.replicate_seeds(20260808, list(want)).tolist() == list(want.values())
+
+    @pytest.mark.parametrize("master", [0, 1, -1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1,
+                                        2 ** 70 + 5, 20260808])
+    def test_block_seeds_are_replicate_seed(self, master):
+        ks = list(range(2501)) + [2 ** 32 - 1]
+        got = prm.replicate_seeds(master, ks)
+        assert got.dtype == np.uint64
+        assert got.tolist() == [prm.replicate_seed(master, k) for k in ks]
+
+    def test_block_seeds_take_indices_below_2_32(self):
+        assert prm.replicate_seeds(5, []).shape == (0,)
+        assert prm.replicate_seeds(5, range(3, 7)).tolist() == [
+            prm.replicate_seed(5, k) for k in range(3, 7)]
+        for ks in ([-1], [2 ** 32], [0, 2 ** 70]):
+            with pytest.raises(ValueError, match="2\\*\\*32"):
+                prm.replicate_seeds(5, ks)
+
+    @given(st.lists(st.integers(-2 ** 65, 2 ** 66), max_size=12))
+    @settings(max_examples=60, deadline=None)
+    def test_block_generators_are_default_rng(self, seeds):
+        for s, got in zip(seeds, prm._generators(seeds), strict=True):
+            assert got.bit_generator.state == np.random.default_rng(s % 2 ** 64).bit_generator.state
+
+    def test_block_generators_draw_as_default_rng(self):
+        seeds = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 1, 2 ** 63, 2 ** 64 - 1]
+        seeds += prm.replicate_seeds(20260808, range(40)).tolist()
+        for s, got in zip(seeds, prm._generators(seeds), strict=True):
+            want = np.random.default_rng(s)
+            assert got.bit_generator.state == want.bit_generator.state
+            assert got.poisson(2.5) == want.poisson(2.5)
+            assert np.array_equal(got.uniform(-1.0, 2.0, size=7), want.uniform(-1.0, 2.0, size=7))
+            assert np.array_equal(got.integers(0, 2 ** 40, size=3), want.integers(0, 2 ** 40, size=3))
 
 
 class TestCsv:
