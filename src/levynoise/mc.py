@@ -56,7 +56,8 @@ def batches(window, measure, n: int, master_seed: int):
     yields (k0, batch) with replicate j of the batch the configuration of
     replicate k0 + j.  A block holds as many replicates as fit BLOCK_POINTS
     expected points, and at least one.  A block's seeds are hashed in one
-    pass, bit-identical to `replicate_seed`."""
+    pass, bit-identical to `replicate_seed`, and its points are drawn in one
+    `simulate_batch` pass, bit-identical to `simulate` of each seed."""
     lam = intensity(window, measure)
     size = max(1, int(BLOCK_POINTS // lam) if lam > 0 else n)
     for k0 in range(0, n, size):

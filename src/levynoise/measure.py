@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,10 +95,14 @@ class LevyMeasure:
         """integral over the shell of |z|^p (or sign(z)|z|^p when signed)."""
         raise NotImplementedError
 
-    def sample_shell(self, shell: Shell, rng: np.random.Generator, size=None):
-        """Draw from nu restricted to the shell, normalized.
+    def sample_shell(self, shell: Shell, rngs, counts) -> np.ndarray:
+        """Draw counts[k] marks from generator rngs[k], for each k, from nu
+        restricted to the shell, normalized: sum(counts) marks in replicate
+        order.
 
-        `size=None` returns a scalar, otherwise an array of that shape.
+        A generator makes the calls it would make alone, in the same order
+        (the per-shell constants are computed once for all of them), and
+        the marks come from one vectorised transform of all the uniforms.
         """
         raise NotImplementedError
 
@@ -135,41 +140,69 @@ class DiscreteAtoms(LevyMeasure):
             if not (0.0 < w < math.inf):
                 raise ValueError(f"atom weight must be finite positive, got {w}")
 
-    def _in_shell(self, shell):
-        return [(z, w) for z, w in self.atoms if shell.lo < abs(z) <= shell.hi]
-
     def shell_mass(self, shell):
-        return float(sum(w for _, w in self._in_shell(shell)))
+        return _atoms_in(self, shell).mass
 
     def shell_moment(self, shell, p, signed=False):
+        hit = _atoms_in(self, shell).pairs
         if signed:
-            return float(sum(w * math.copysign(abs(z) ** p, z) for z, w in self._in_shell(shell)))
-        return float(sum(w * abs(z) ** p for z, w in self._in_shell(shell)))
+            return float(sum(w * math.copysign(abs(z) ** p, z) for z, w in hit))
+        return float(sum(w * abs(z) ** p for z, w in hit))
 
-    def sample_shell(self, shell, rng, size=None):
-        hit = self._in_shell(shell)
-        if not hit:
+    def sample_shell(self, shell, rngs, counts):
+        hit = _atoms_in(self, shell)
+        if not hit.pairs:
             raise ValueError(f"shell {shell} carries no mass")
-        zs = np.array([z for z, _ in hit])
-        ws = np.array([w for _, w in hit])
-        idx = rng.choice(len(zs), size=size, p=ws / ws.sum())
-        return zs[idx]
+        # Generator.choice(len(z), size, p=w / w.sum()) is this search
+        return hit.z[hit.cdf.searchsorted(uniforms(rngs, counts, 1)[0], side="right")]
 
     def psi_shell(self, shell, u):
         u = np.asarray(u, dtype=float)
         out = np.zeros(u.shape, dtype=complex)
-        for z, w in self._in_shell(shell):
+        for z, w in _atoms_in(self, shell).pairs:
             out += w * (np.exp(1j * u * z) - 1.0 - 1j * u * z)
         return complex(out) if out.ndim == 0 else out
 
     def nu_integral(self, fn, shell):
-        return float(sum(w * fn(z) for z, w in self._in_shell(shell)))
+        return float(sum(w * fn(z) for z, w in _atoms_in(self, shell).pairs))
 
     def nu_nodes(self, shell, n_per_side=32):
-        hit = self._in_shell(shell)
-        z = np.array([a for a, _ in hit])
-        w = np.array([b for _, b in hit])
-        return z, w
+        hit = _atoms_in(self, shell)
+        return hit.z, hit.w
+
+
+class _ShellAtoms(NamedTuple):
+    """The atoms of a DiscreteAtoms measure inside one shell, in the order
+    of `atoms`; the arrays are read-only."""
+
+    pairs: tuple[tuple[float, float], ...]
+    z: np.ndarray
+    w: np.ndarray
+    cdf: np.ndarray   # normalized cumulative weights, as Generator.choice builds them
+    mass: float
+
+
+@functools.lru_cache(maxsize=128)
+def _atoms_in(measure: DiscreteAtoms, shell: Shell) -> _ShellAtoms:
+    """The shell's atoms, cached per (measure, shell)."""
+    pairs = tuple((z, w) for z, w in measure.atoms if shell.lo < abs(z) <= shell.hi)
+    z = np.array([a for a, _ in pairs], dtype=float)
+    w = np.array([b for _, b in pairs], dtype=float)
+    cdf = (w / w.sum()).cumsum()
+    if pairs:
+        cdf /= cdf[-1]
+    for arr in (z, w, cdf):
+        arr.flags.writeable = False
+    return _ShellAtoms(pairs, z, w, cdf, float(sum(b for _, b in pairs)))
+
+
+def uniforms(rngs, counts, rows: int) -> np.ndarray:
+    """One `rng.random((rows, n))` per generator and count, side by side in
+    replicate order: shape (rows, sum(counts))."""
+    parts = [rng.random((rows, n)) for rng, n in zip(rngs, counts, strict=True)]
+    if len(parts) == 1:
+        return parts[0]
+    return np.concatenate([np.empty((rows, 0)), *parts], axis=1)
 
 
 class _SymmetricDensity(LevyMeasure):
@@ -267,6 +300,16 @@ class _SymmetricDensity(LevyMeasure):
         wz = 0.5 * (y_hi - y_lo) * w * (self.c / alpha) * self._taper(z)
         return np.concatenate([-z, z]), np.concatenate([wz, wz])
 
+    def _power_law_abs(self, u, a, b):
+        """|z| at CDF values u of the pure power law |z|^(-alpha-1) on
+        (a, b], computed in place in u: Generator.uniform's arithmetic, then
+        the inverse CDF."""
+        ia = a ** -self.alpha
+        u *= ia - b ** -self.alpha  # inf ** -alpha is 0.0
+        np.subtract(ia, u, out=u)
+        u **= -1.0 / self.alpha
+        return u
+
     def _taper(self, z):
         """Residual density factor after pulling out c |z|^(-alpha-1)."""
         return np.exp(-self._rate * z)
@@ -299,15 +342,13 @@ class TruncatedStable(_SymmetricDensity):
             return 2.0 * self.c * math.log(b / a)
         return 2.0 * self.c * (b ** q - a ** q) / q
 
-    def sample_shell(self, shell, rng, size=None):
+    def sample_shell(self, shell, rngs, counts):
         a, b = self._bounds(shell)
         if b <= a or a == 0.0:
             raise ValueError(f"shell {shell} is not samplable for {self}")
-        alpha = self.alpha
-        u = rng.uniform(size=size)
-        mag = (a ** -alpha - u * (a ** -alpha - b ** -alpha)) ** (-1.0 / alpha)
-        sign = np.where(rng.uniform(size=size) < 0.5, -1.0, 1.0)
-        return sign * mag
+        mag, sign = uniforms(rngs, counts, 2)
+        # a fresh product, so the marks hold no view of the (2, n) uniforms
+        return np.where(sign < 0.5, -1.0, 1.0) * self._power_law_abs(mag, a, b)
 
 
 @dataclass(frozen=True)
@@ -341,37 +382,46 @@ class TemperedStable(_SymmetricDensity):
             total += float(z ** p @ w)
         return 2.0 * total
 
-    def sample_shell(self, shell, rng, size=None):
+    def sample_shell(self, shell, rngs, counts):
         a, b = self._bounds(shell)
         if b <= a or a == 0.0:
             raise ValueError(f"shell {shell} is not samplable for {self}")
-        scalar = size is None
-        n = 1 if scalar else int(np.prod(size))
-        out = np.empty(n)
-        filled = 0
-        alpha = self.alpha
         # rejection from the pure power-law envelope on the same range:
-        # accept |z| with probability exp(-theta (|z| - a)) <= 1
-        ia, ib = a ** -alpha, (b ** -alpha if b < math.inf else 0.0)
-        drawn = accepted = 0
+        # accept |z| with probability exp(-theta (|z| - a)) <= 1.  Each round
+        # draws (2, max(short, 16)) uniforms from every replicate still short,
+        # and takes its first accepted magnitudes in draw order.
+        counts = np.asarray(counts, dtype=np.int64)
+        starts = np.cumsum(counts) - counts
+        out = np.empty(counts.sum())
+        filled, drawn, accepted = (np.zeros(len(counts), dtype=np.int64) for _ in range(3))
+        short = np.flatnonzero(counts)
         for _ in range(SAMPLE_ROUNDS):
-            if filled == n:
+            if not len(short):
                 break
-            m = max(n - filled, 16)
-            u = rng.uniform(size=m)
-            mag = (ia - u * (ia - ib)) ** (-1.0 / alpha)
-            acc = rng.uniform(size=m) < np.exp(-self.theta * (mag - a))
-            good = mag[acc]
-            take = min(len(good), n - filled)
-            out[filled:filled + take] = good[:take]
-            filled += take
-            drawn, accepted = drawn + m, accepted + len(good)
-        if filled < n:
+            need = counts[short] - filled[short]
+            m = np.maximum(need, 16)
+            mag, v = uniforms([rngs[k] for k in short], m, 2)
+            mag = self._power_law_abs(mag, a, b)
+            acc = v < np.exp(-self.theta * (mag - a))
+            # each replicate's accepted draws, ranked from 1 in draw order
+            seg, ends = np.repeat(np.arange(len(short)), m), np.cumsum(m)
+            csum = np.concatenate(([0], np.cumsum(acc)))
+            before = csum[ends - m]
+            got = csum[ends] - before
+            rank = csum[1:] - before[seg]
+            keep = acc & (rank <= need[seg])
+            out[(starts[short] + filled[short] - 1)[seg[keep]] + rank[keep]] = mag[keep]
+            filled[short] += np.minimum(got, need)
+            drawn[short] += m
+            accepted[short] += got
+            short = short[filled[short] < counts[short]]
+        if len(short):
+            k = short[0]
             raise ValueError(
                 f"shell {shell} is not samplable for theta={self.theta:g}: {SAMPLE_ROUNDS} "
-                f"rounds accepted {accepted} of {drawn} draws (rate {accepted / drawn:.3g})")
-        out = np.where(rng.uniform(size=n) < 0.5, -1.0, 1.0) * out
-        return float(out[0]) if scalar else out.reshape(size)
+                f"rounds accepted {int(accepted[k])} of {int(drawn[k])} draws "
+                f"(rate {int(accepted[k]) / int(drawn[k]):.3g})")
+        return np.negative(out, out=out, where=uniforms(rngs, counts, 1)[0] < 0.5)
 
 
 @functools.lru_cache(maxsize=128)

@@ -4,9 +4,9 @@ Simulation follows the classical compound-Poisson representation: the point
 count is Poisson with intensity T |B| nu(shell), arrival times are sorted
 uniforms (on t alone; a tie, of probability zero, falls back to a lexsort on
 (t, x, z)), and the (x, z) marks are i.i.d. with the normalized product law.
-Every realization is a `PointBatch`: `simulate` draws the batch of one seed,
-`simulate_batch` one replicate per seed.  Restriction keeps the same
-underlying realization, which is what makes the interlacing ladders
+Every realization is a `PointBatch`: `simulate_batch` draws one replicate
+per seed, and `simulate` is the batch of one seed.  Restriction keeps the
+same underlying realization, which is what makes the interlacing ladders
 couplings rather than independent resimulations.
 
 Seeds are numpy's: replicate k of master seed m has `replicate_seed(m, k)`,
@@ -17,6 +17,13 @@ them once more into the PCG64 state words `default_rng` would derive.  The
 hash (O'Neill's seed_seq_fe, as `numpy.random.SeedSequence` implements it)
 is uint32 arithmetic whose hash constants do not depend on the data, so the
 block pass is bit-identical to the scalar calls.
+
+A block is drawn in two passes over its generators: each draws its count
+and the uniforms of its t and x (`_draw_block`), then those of its marks
+(`LevyMeasure.sample_shell`).  Each generator makes the calls
+`Generator.poisson`, `uniform` and `choice` would make for it alone, and
+the arithmetic those calls do on the uniforms is done once for the block,
+so every replicate has the bytes it has alone.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measure import LevyMeasure, Shell
+from .measure import LevyMeasure, Shell, uniforms
 
 
 @dataclass(frozen=True)
@@ -81,13 +88,21 @@ class Window:
                       Shell(float(lo), math.inf if hi in ("inf", None) else float(hi)))
 
 
-def _sort_points(t, x, z):
-    # sort on t; a tie (probability zero) falls back to lexsort on (t, x, z)
-    order = np.argsort(t)
+def _sort_points(offsets, t, x, z):
+    """(t, x, z) with each replicate's rows sorted on t; a replicate with a
+    tie in t (probability zero) sorts on (t, x, z) instead."""
+    if len(offsets) == 2:
+        order = np.argsort(t)  # a batch of one needs no replicate index
+    else:
+        order = np.lexsort((t, np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))))
     ts = t[order]
-    if np.any(ts[1:] == ts[:-1]):
-        order = np.lexsort((z, *x.T[::-1], t))
-        ts = t[order]
+    i = np.flatnonzero(ts[1:] == ts[:-1])  # rows i and i + 1 tie
+    if len(i):
+        rep, rep_next = (np.searchsorted(offsets, j, side="right") - 1 for j in (i, i + 1))
+        for k in sorted(set(rep[rep == rep_next].tolist())):  # np.unique imports numpy.ma
+            a, b = offsets[k], offsets[k + 1]
+            order[a:b] = a + np.lexsort((z[a:b], *x[a:b].T[::-1], t[a:b]))
+            ts[a:b] = t[order[a:b]]
     return ts, x[order], z[order]
 
 
@@ -99,19 +114,21 @@ def intensity(window: Window, measure: LevyMeasure) -> float:
     return window.horizon * window.box_volume * mass
 
 
-def _draw(window: Window, measure: LevyMeasure, lam: float, rng: np.random.Generator):
-    """The unsorted points (t, x, z) drawn from `rng`: the one place a
-    stream becomes points."""
-    n = int(rng.poisson(lam)) if lam > 0 else 0
-    d = window.dim
-    if n == 0:
-        return np.empty(0), np.empty((0, d)), np.empty(0)
-    t = rng.uniform(0.0, window.horizon, size=n)
-    x = np.empty((n, d))
-    for k, (lo, hi) in enumerate(window.box):
-        x[:, k] = rng.uniform(lo, hi, size=n)
-    z = np.asarray(measure.sample_shell(window.shell, rng, size=n), dtype=float)
-    return t, x, z
+def _draw_block(window: Window, measure: LevyMeasure, lam: float, rngs):
+    """The unsorted points of one replicate per generator, as (offsets, t,
+    x, z) in replicate order: the one place streams become points.
+
+    Each generator draws its Poisson count, then the (1 + d, n) uniforms of
+    t and x, then its marks in `sample_shell`: the calls of
+    `Generator.poisson`, `uniform` and `choice` one replicate at a time,
+    with their arithmetic done once over the block."""
+    counts = [int(rng.poisson(lam)) for rng in rngs] if lam > 0 else [0] * len(rngs)
+    u = uniforms(rngs, counts, 1 + window.dim)
+    for row, (lo, hi) in zip(u, ((0.0, window.horizon), *window.box)):
+        row *= hi - lo  # Generator.uniform(lo, hi) is lo + (hi - lo) u
+        row += lo
+    z = measure.sample_shell(window.shell, rngs, counts) if lam > 0 else np.empty(0)
+    return np.cumsum([0] + counts), u[0], u[1:].T, z
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,28 +169,17 @@ class PointBatch:
 def simulate(window: Window, measure: LevyMeasure, seed: int) -> PointBatch:
     """Draw the batch of one configuration; deterministic given (window,
     measure, seed)."""
-    rng = np.random.default_rng(int(seed) % 2 ** 64)
-    t, x, z = _sort_points(*_draw(window, measure, intensity(window, measure), rng))
-    return PointBatch(t, x, z, np.array([0, len(t)]), window, (int(seed),))
+    return simulate_batch(window, measure, (seed,))
 
 
 def simulate_batch(window: Window, measure: LevyMeasure, seeds) -> PointBatch:
-    """One replicate per seed, each the points `simulate` draws for it, with
-    the shell mass and the generators' seeding hashed once per batch."""
-    lam = intensity(window, measure)
+    """One replicate per seed, drawn from `default_rng(seed % 2**64)`; the
+    shell mass, the generators' seeding and the points' arithmetic are done
+    once per batch."""
     seeds = tuple(int(s) for s in seeds)
-    draws = [_draw(window, measure, lam, rng) for rng in _generators(seeds)]
-    offsets = np.cumsum([0] + [len(d[0]) for d in draws])
-    empty = (np.empty(0), np.empty((0, window.dim)), np.empty(0))
-    t, x, z = (np.concatenate(parts) for parts in zip(empty, *draws))
-    seg = np.repeat(np.arange(len(seeds)), np.diff(offsets))
-    order = np.lexsort((t, seg))
-    t, x, z = t[order], x[order], z[order]
-    # a replicate with tied times takes simulate's (t, x, z) order instead
-    for k in np.unique(seg[1:][(t[1:] == t[:-1]) & (seg[1:] == seg[:-1])]):
-        a, b = offsets[k], offsets[k + 1]
-        t[a:b], x[a:b], z[a:b] = _sort_points(*draws[k])
-    return PointBatch(t, x, z, offsets, window, seeds)
+    offsets, t, x, z = _draw_block(window, measure, intensity(window, measure),
+                                   _generators(seeds))
+    return PointBatch(*_sort_points(offsets, t, x, z), offsets, window, seeds)
 
 
 def restrict(batch: PointBatch, sub: Window) -> PointBatch:
@@ -267,17 +273,19 @@ def _generate_state(pool: np.ndarray, n_words: int) -> np.ndarray:
     return np.ascontiguousarray((halves[0::2] | (halves[1::2] << np.uint64(32))).T)
 
 
-def _generators(seeds):
-    """`default_rng(seed % 2**64)` of each seed, in order, one at a time.
+def _generators(seeds) -> list:
+    """`default_rng(seed % 2**64)` of each seed, in order.
 
     PCG64 seeds itself from generate_state(4, np.uint64) of SeedSequence(seed),
     hashed here for all the seeds in one pass.  A seed below 2**32 is one
-    entropy word, which hashes as the pair (seed, 0)."""
+    entropy word, which hashes as the pair (seed, 0).  One seed takes numpy's
+    own call, which costs less than the pass's fixed cost."""
+    if len(seeds) == 1:
+        return [np.random.default_rng(seeds[0] % 2 ** 64)]
     s = np.array([s % 2 ** 64 for s in seeds], dtype=np.uint64)
     words = _generate_state(_mix_entropy(np.stack([s & _MASK32, s >> 32]).astype(np.uint32)), 4)
     seed_words = _seed_words_type()
-    for row in words:
-        yield np.random.Generator(np.random.PCG64(seed_words(row)))
+    return [np.random.Generator(np.random.PCG64(seed_words(row))) for row in words]
 
 
 @functools.cache

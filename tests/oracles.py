@@ -11,6 +11,7 @@ import numpy as np
 
 from levynoise import apps, integrands as ig, integrate as it, prm
 from levynoise.mc import estimate, map_replicates
+from levynoise.measure import SAMPLE_ROUNDS, DiscreteAtoms, TemperedStable, TruncatedStable
 
 
 def replicate(batch: prm.PointBatch, k: int) -> prm.PointBatch:
@@ -139,3 +140,88 @@ def moment_bound_cell_per_path(X, measure, p, t, window, replicates, master_seed
     ratio = lhs.mean / bracket if bracket > 0 else math.nan
     return apps.MomentBoundRow(p, lhs.mean, lhs.se, bracket, ratio,
                                max(v_shell ** (p / 2.0), m_p), terminal.mean, terminal.se)
+
+
+# ---------------------------------------------------------------------------
+# The per-replicate draw that the block draw replaced: numpy's own calls,
+# one replicate at a time.
+
+
+def sample_one(measure, shell, rng, n: int, rounds: list | None = None) -> np.ndarray:
+    """n marks of one replicate, drawn as the per-replicate samplers drew
+    them; a TemperedStable draw appends its rejection round count to
+    `rounds`."""
+    if isinstance(measure, DiscreteAtoms):
+        hit = [(z, w) for z, w in measure.atoms if shell.lo < abs(z) <= shell.hi]
+        if not hit:
+            raise ValueError(f"shell {shell} carries no mass")
+        zs, ws = np.array([z for z, _ in hit]), np.array([w for _, w in hit])
+        return zs[rng.choice(len(zs), size=n, p=ws / ws.sum())]
+    a, b = measure._bounds(shell)
+    if b <= a or a == 0.0:
+        raise ValueError(f"shell {shell} is not samplable for {measure}")
+    alpha = measure.alpha
+    if isinstance(measure, TruncatedStable):
+        u = rng.uniform(size=n)
+        mag = (a ** -alpha - u * (a ** -alpha - b ** -alpha)) ** (-1.0 / alpha)
+        return np.where(rng.uniform(size=n) < 0.5, -1.0, 1.0) * mag
+    assert isinstance(measure, TemperedStable)
+    out = np.empty(n)
+    ia, ib = a ** -alpha, (b ** -alpha if b < math.inf else 0.0)
+    filled = drawn = accepted = used = 0
+    for _ in range(SAMPLE_ROUNDS):
+        if filled == n:
+            break
+        m = max(n - filled, 16)
+        u = rng.uniform(size=m)
+        mag = (ia - u * (ia - ib)) ** (-1.0 / alpha)
+        good = mag[rng.uniform(size=m) < np.exp(-measure.theta * (mag - a))]
+        take = min(len(good), n - filled)
+        out[filled:filled + take] = good[:take]
+        filled += take
+        drawn, accepted, used = drawn + m, accepted + len(good), used + 1
+    if filled < n:
+        raise ValueError(
+            f"shell {shell} is not samplable for theta={measure.theta:g}: {SAMPLE_ROUNDS} "
+            f"rounds accepted {accepted} of {drawn} draws (rate {accepted / drawn:.3g})")
+    if rounds is not None:
+        rounds.append(used)
+    return np.where(rng.uniform(size=n) < 0.5, -1.0, 1.0) * out
+
+
+def draw_one(window, measure, lam: float, rng, rounds: list | None = None):
+    """The unsorted points (t, x, z) of one replicate drawn from `rng`."""
+    n = int(rng.poisson(lam)) if lam > 0 else 0
+    d = window.dim
+    if n == 0:
+        return np.empty(0), np.empty((0, d)), np.empty(0)
+    t = rng.uniform(0.0, window.horizon, size=n)
+    x = np.empty((n, d))
+    for k, (lo, hi) in enumerate(window.box):
+        x[:, k] = rng.uniform(lo, hi, size=n)
+    return t, x, sample_one(measure, window.shell, rng, n, rounds)
+
+
+def sort_one(t, x, z):
+    """One replicate sorted on t; a tie falls back to lexsort on (t, x, z)."""
+    order = np.argsort(t)
+    if np.any(t[order][1:] == t[order][:-1]):
+        order = np.lexsort((z, *x.T[::-1], t))
+    return t[order], x[order], z[order]
+
+
+def simulate_per_replicate(window, measure, seeds, grid=None, rounds=None) -> prm.PointBatch:
+    """simulate_batch replicate by replicate, each from its own
+    `default_rng(seed % 2**64)`; `grid` rounds t and x to multiples of
+    1 / grid before sorting, which forces ties."""
+    lam = prm.intensity(window, measure)
+    parts = []
+    for s in seeds:
+        t, x, z = draw_one(window, measure, lam, np.random.default_rng(int(s) % 2 ** 64), rounds)
+        if grid:
+            t, x = np.round(t * grid) / grid, np.round(x * grid) / grid
+        parts.append(sort_one(t, x, z))
+    empty = (np.empty(0), np.empty((0, window.dim)), np.empty(0))
+    t, x, z = (np.concatenate(col) for col in zip(empty, *parts))
+    offsets = np.cumsum([0] + [len(p[0]) for p in parts])
+    return prm.PointBatch(t, x, z, offsets, window, tuple(int(s) for s in seeds))

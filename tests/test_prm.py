@@ -1,3 +1,4 @@
+import hashlib
 import math
 from unittest import mock
 
@@ -8,6 +9,7 @@ from scipy import stats
 
 from levynoise.measure import DiscreteAtoms, Shell, TemperedStable, TruncatedStable
 from levynoise import prm
+import oracles
 from oracles import replicate, same_points
 
 ATOMS = DiscreteAtoms(((1.0, 0.5), (-2.0, 0.25), (0.3, 1.25)))
@@ -100,48 +102,56 @@ class TestSimulate:
 
 
 class TestSortPoints:
-    @given(st.integers(0, 60), st.integers(1, 3), st.integers(0, 2 ** 32 - 1),
-           st.sampled_from([None, 2, 7]))
+    @given(st.lists(st.integers(0, 30), min_size=1, max_size=4), st.integers(1, 3),
+           st.integers(0, 2 ** 32 - 1), st.sampled_from([None, 2, 7]))
     @settings(max_examples=60, deadline=None)
-    def test_matches_lexsort_oracle(self, n, d, seed, grid):
+    def test_matches_lexsort_oracle(self, counts, d, seed, grid):
+        n = sum(counts)
         rng = np.random.default_rng(seed)
         t, x, z = rng.uniform(size=n), rng.uniform(size=(n, d)), rng.uniform(size=n)
         if grid is not None:
             # coarse values force ties in t, and ties in x behind them
             t, x = np.round(t * grid) / grid, np.round(x * grid) / grid
-        order = np.lexsort((z, *x.T[::-1], t))
-        ts, xs, zs = prm._sort_points(t, x, z)
-        assert np.array_equal(ts, t[order])
-        assert np.array_equal(xs, x[order])
-        assert np.array_equal(zs, z[order])
+        offsets = np.cumsum([0] + counts)
+        ts, xs, zs = prm._sort_points(offsets, t, x, z)
+        for a, b in zip(offsets[:-1], offsets[1:]):
+            order = a + np.lexsort((z[a:b], *x[a:b].T[::-1], t[a:b]))
+            assert np.array_equal(ts[a:b], t[order])
+            assert np.array_equal(xs[a:b], x[order])
+            assert np.array_equal(zs[a:b], z[order])
 
 
 WIN2 = prm.Window(1.0, ((-0.5, 0.5), (0.0, 2.0)), Shell(0.1, 1.0))
 MEASURES = {"atoms": ATOMS, "tstable": TSTABLE,
-            "tempered": TemperedStable(alpha=0.5, c=0.8, theta=1.5)}
+            "tempered": TemperedStable(alpha=0.5, c=0.8, theta=1.5),
+            # a first rejection round of 16 falls short for some replicates
+            "short": TemperedStable(alpha=0.5, c=6.0, theta=20.0)}
 
 
 def tied_draw(grid):
-    """prm._draw with t and x rounded to a coarse grid: forces tied times,
-    and ties in x behind them."""
-    draw = prm._draw
+    """prm._draw_block with t and x rounded to a coarse grid: forces tied
+    times, and ties in x behind them."""
+    draw = prm._draw_block
 
-    def draw_tied(window, measure, lam, rng):
-        t, x, z = draw(window, measure, lam, rng)
-        return np.round(t * grid) / grid, np.round(x * grid) / grid, z
+    def draw_tied(window, measure, lam, rngs):
+        offsets, t, x, z = draw(window, measure, lam, rngs)
+        return offsets, np.round(t * grid) / grid, np.round(x * grid) / grid, z
 
     return draw_tied
 
 
 class TestSimulateBatch:
-    @given(st.sampled_from(sorted(MEASURES)), st.lists(st.integers(0, 2 ** 64 - 1), max_size=25),
-           st.sampled_from([0.01, 0.2, 1.0]), st.sampled_from([None, 3]))
+    @given(st.sampled_from(sorted(MEASURES)), st.integers(1, 3),
+           st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(0.1, 2.0)), min_size=3, max_size=3),
+           st.lists(st.integers(0, 2 ** 64 - 1), max_size=25),
+           st.sampled_from([0.01, 0.37, 1.9]), st.sampled_from([None, 3]))
     @settings(max_examples=80, deadline=None)
-    def test_config_is_simulate(self, name, seeds, horizon, grid):
-        # horizon 0.01 leaves most replicates empty; the grid forces ties
-        w = prm.Window(horizon, WIN2.box, WIN2.shell)
+    def test_config_is_simulate(self, name, d, axes, seeds, horizon, grid):
+        # horizon 0.01 leaves most replicates empty; the grid forces ties.
+        # Both are bit for bit the per-replicate draw they replaced.
+        w = prm.Window(horizon, tuple((lo, lo + width) for lo, width in axes[:d]), WIN2.shell)
         m = MEASURES[name]
-        with mock.patch.object(prm, "_draw", tied_draw(grid) if grid else prm._draw):
+        with mock.patch.object(prm, "_draw_block", tied_draw(grid) if grid else prm._draw_block):
             batch = prm.simulate_batch(w, m, seeds)
             want = [prm.simulate(w, m, s) for s in seeds]
         assert len(batch) == len(seeds)
@@ -150,6 +160,9 @@ class TestSimulateBatch:
         assert np.array_equal(batch.segment, np.repeat(np.arange(len(seeds)), batch.counts))
         for k, c in enumerate(want):
             assert same_points(replicate(batch, k), c)
+        assert same_points(batch, oracles.simulate_per_replicate(w, m, seeds, grid))
+        for s, c in zip(seeds, want):
+            assert same_points(c, oracles.simulate_per_replicate(w, m, [s], grid))
 
     def test_configs_are_read_only_views(self):
         batch = prm.simulate_batch(WIN2, ATOMS, [prm.replicate_seed(8, k) for k in range(6)])
@@ -168,6 +181,45 @@ class TestSimulateBatch:
                                side_effect=TemperedStable.shell_mass) as spy:
             prm.simulate_batch(WIN2, m, range(50))
         assert spy.call_count == 1
+
+
+class TestBlockDraw:
+    """The block draw's rejection rounds and streams."""
+
+    def test_tempered_rounds_past_the_first(self):
+        seeds = prm.replicate_seeds(3, range(60)).tolist()
+        rounds = []
+        want = oracles.simulate_per_replicate(WIN2, MEASURES["short"], seeds, rounds=rounds)
+        assert 1 in rounds and max(rounds) >= 2
+        assert same_points(prm.simulate_batch(WIN2, MEASURES["short"], seeds), want)
+
+    def test_pinned_streams(self):
+        # the offsets, times and positions, and the atoms' marks, of 256
+        # replicates: arithmetic of + and x alone, so no libm enters.  A
+        # change that moves the streams fails here.
+        want = {
+            "atoms": {
+                "offsets": "57174ffe791b519fe6e3b350491a1828e7c6d13fe7dc34427305de4d7bf20436",
+                "t": "d0b39e244f24548ce06561fb39c876fc63d4f6542036da79829e57b00ce48ba7",
+                "x": "c15f3c4b359958f2b2b93c72abcb3a56be3c08bef822bb022f80226cd18c9d82",
+                "z": "c7161e2f9c53ccc92bc1447709d5ffba5e0b5da3c49cf1e24beb7eb4880a1c4d"},
+            "tstable": {
+                "offsets": "fc0ca20b7bede095b22f963e3707cbbfbf5611eade8805a522da9a90c242d15b",
+                "t": "d51b74dc45462d56f859812adaa7680a09d002f5641ef15d2d8def462b8ceabb",
+                "x": "012a16a4c9df1e9651ca0c04740bcbfa03bce37481b39a37955192d35ba2c4c1"},
+            "tempered": {
+                "offsets": "cb293a7b2ba25a9d2fe8ab05b8e9ae9cdb4fba4d3cafb12a90124422cec6d5aa",
+                "t": "374b34e88e907d255eaae90d6a09f691bfe643ddd2b36d70da17b088b645091f",
+                "x": "bad73c74260d06331c2ba3094ef10cf2c95d406a2d762bd144688a2f66afc953"},
+        }
+        seeds = prm.replicate_seeds(20260808, range(256)).tolist()
+        got = {}
+        for name, fields in want.items():
+            batch = prm.simulate_batch(WIN2, MEASURES[name], seeds)
+            got[name] = {f: hashlib.sha256(np.ascontiguousarray(
+                getattr(batch, f), dtype="<i8" if f == "offsets" else "<f8").tobytes()).hexdigest()
+                for f in fields}
+        assert got == want
 
 
 def restrict_oracle(c, sub):
