@@ -10,7 +10,7 @@ from .measure import (
     TemperedStable,
     TruncatedStable,
 )
-from .prm import PointBatch, Window, restrict, simulate, simulate_batch
+from .prm import PointBatch, Window, restrict, simulate
 from .integrate import (
     CadlagPath,
     build_path,
@@ -20,4 +20,4 @@ from .integrate import (
     l_integral,
     z_of_set,
 )
-from .mc import McEstimate, map_replicates, replicate_values, run_replicates, verdict
+from .mc import McEstimate, replicate_values, run_replicates, verdict

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import integrate as it
+from . import mc
 from .integrands import Integrand, SignPow, gl_rule, spectral_integration_matrix
 from .mc import estimate, replicate_values
 from .measure import LevyMeasure, Shell
@@ -171,57 +172,65 @@ def exp_martingale(h: Integrand, batch: PointBatch, measure: LevyMeasure, t: flo
     return np.exp(1j * it.l_integral(h, batch, measure, t) - psi_integral)
 
 
-def representation_residual(h: Integrand, config: PointBatch,
+def representation_residual(h: Integrand, batch: PointBatch,
                             measure: LevyMeasure, T: float, *,
                             n_time: int = 8, n_space: int = 16,
-                            n_jump: int = 48) -> float:
-    """|M(T) - (1 + compensated integral of (e^{ihz}-1) M(s-))| on a batch
-    of one.
+                            n_jump: int = 48) -> np.ndarray:
+    """|M(T) - (1 + compensated integral of (e^{ihz}-1) M(s-))|, one value
+    per replicate, each from the floats of its configuration alone.
 
     The pre-jump values of M between jumps follow the closed-form continuous
     evolution, so the only slack is tensor quadrature.
     """
-    if len(config) != 1:
-        raise ValueError(f"representation_residual takes one configuration, got {len(config)}")
-    w = config.window
-    path = noise_path(h, config, measure)
-    breaks = it.batch_breaks(config, T, h.time_breakpoints())[0]
-    s, ws = it.interval_rule(breaks, n_time)
-    xpts, wx = it.box_rule(w.box, n_space)
-    znod, zw = measure.nu_nodes(w.shell, n_jump)
-
-    hgrid = it.space_time_grid(h, s, xpts)
+    n, g = len(batch), _ReplicateGrid(batch, T, h.time_breakpoints(), n_time)
+    path = noise_path(h, batch, measure)
+    xpts, wx = it.box_rule(batch.window.box, n_space)
+    psi_nodes, phase_nodes = _shell_sums(it.space_time_grid(h, g.s, xpts), wx, measure,
+                                         batch.window.shell, n_jump)
     # cumulative Psi integral along the same grid
-    psi_nodes = psi_shell_rule(measure, w.shell, hgrid, n_jump) @ wx
-    psi_cum_nodes, psi_cum_breaks = cumulative_on_grid(breaks, n_time, psi_nodes)
-
-    m_nodes = np.exp(1j * path.eval(s, 0) - psi_cum_nodes)
-    lhs = np.exp(1j * path.eval(T)[0] - psi_cum_breaks[-1])
-
-    mask = config.t <= T
-    jump_sum = 0.0 + 0.0j
-    if mask.any():
-        tj, xj, zj = config.t[mask], config.x[mask], config.z[mask]
-        idx = np.searchsorted(breaks, tj)
-        psi_at_j = psi_cum_breaks[idx]
-        m_left = np.exp(1j * path.eval(tj, 0, left=True) - psi_at_j)
-        hj = np.asarray(h(tj, xj, zj), dtype=float)
-        jump_sum = complex(np.sum((np.exp(1j * hj * zj) - 1.0) * m_left))
-
-    phase = np.exp(1j * np.multiply.outer(hgrid, znod)) - 1.0  # (S, P, Z)
-    comp = complex(np.einsum("ijk,i,j,k,i->", phase, ws, wx, zw, m_nodes))
-    rhs = 1.0 + jump_sum - comp
-    return abs(complex(lhs) - rhs)
+    psi_cum_nodes, psi_cum_breaks = g.cumulative(psi_nodes)
+    m_nodes = np.exp(1j * path.eval(g.s, g.sseg) - psi_cum_nodes)
+    lhs = np.exp(1j * path.eval(T) - psi_cum_breaks[g.last])
+    m_left = np.exp(1j * path.eval(g.tj, g.jseg, left=True) - psi_cum_breaks[g.jump_break])
+    hj = np.asarray(h(g.tj, g.xj, g.zj), dtype=float)
+    jump_sum = _by_replicate(g.jseg, (np.exp(1j * hj * g.zj) - 1.0) * m_left, n)
+    comp = _by_replicate(g.sseg, phase_nodes * g.ws * m_nodes, n)
+    d = lhs - (1.0 + jump_sum - comp)
+    return np.hypot(d.real, d.imag)
 
 
-def modulus_gap(h: Integrand, config: PointBatch, measure: LevyMeasure,
-                t: float, psi_integral: complex | None = None) -> float:
-    """| |M(t)| - exp(-Re Psi-integral) | on a batch of one; zero for real h
-    up to rounding."""
+def _shell_sums(hgrid, wx, measure: LevyMeasure, shell: Shell, n_jump: int):
+    """Per time node i, the sums over box and nu-rule nodes j, k, with their
+    weights, of e^{i h_ij z_k} - 1 - i h_ij z_k (as psi_shell_rule) and of
+    e^{i h_ij z_k} - 1; in blocks of mc.TENSOR_BLOCK tensor elements."""
+    z, zw = measure.nu_nodes(shell, n_jump)
+    psi, phase = np.zeros((2, len(hgrid)), dtype=complex)
+    step = max(1, mc.TENSOR_BLOCK // max(1, len(wx) * len(z)))
+    for a in range(0, len(hgrid), step):
+        b = slice(a, a + step)
+        uz = np.multiply.outer(hgrid[b], z)
+        vals = np.exp(1j * uz) - 1.0
+        phase[b] = np.einsum("ijk,j,k->i", vals, wx, zw)
+        vals -= 1j * uz
+        psi[b] = np.einsum("ijk,j,k->i", vals, wx, zw)
+    return psi, phase
+
+
+def _by_replicate(seg, values, n: int) -> np.ndarray:
+    """Per replicate, the sum of its complex values, added in order."""
+    return np.bincount(seg, values.real, n) + 1j * np.bincount(seg, values.imag, n)
+
+
+def modulus_gap(h: Integrand, batch: PointBatch, measure: LevyMeasure,
+                t: float, psi_integral: complex | None = None) -> np.ndarray:
+    """| |M(t)| - exp(-Re Psi-integral) |, one value per replicate; zero for
+    real h up to rounding."""
     if psi_integral is None:
-        psi_integral = psi_space_time_integral(h, config.window, measure, t)
-    m = complex(exp_martingale(h, config, measure, t, psi_integral)[0])
-    return abs(abs(m) - math.exp(-psi_integral.real))
+        psi_integral = psi_space_time_integral(h, batch.window, measure, t)
+    m = exp_martingale(h, batch, measure, t, psi_integral)
+    # |m| by hypot, as Python's abs takes it: numpy's vectorised abs of a
+    # complex array can differ from it in the last bit
+    return np.abs(np.hypot(m.real, m.imag) - math.exp(-psi_integral.real))
 
 
 # ---------------------------------------------------------------------------
@@ -285,53 +294,67 @@ def check_disjoint(f: ChaosFunction, window: Window, measure: LevyMeasure,
                     "diagonal handling is out of scope")
 
 
+class _ReplicateGrid:
+    """The interval_rule grid over the breaks of every replicate of a batch
+    (0, its jumps up to T, the time discontinuities `extra` and T), one
+    replicate after another, and the jumps up to T in batch order."""
+
+    def __init__(self, batch: PointBatch, T: float, extra, n_time: int):
+        n, self.n_time = len(batch), n_time
+        self.breaks, self.bseg, self.jump_break = it.batch_breaks(batch, T, extra)
+        self.s, self.ws = it.interval_rule(self.breaks, n_time)
+        self.inner = ~(self.breaks[1:] <= self.breaks[:-1])  # the rest step back from T to 0
+        self.sseg = np.repeat(self.bseg[:-1][self.inner], n_time)
+        self.first = np.searchsorted(self.bseg, np.arange(n))  # each replicate's 0
+        self.last = np.searchsorted(self.bseg, np.arange(n), side="right") - 1  # and T
+        mask = batch.t <= T
+        self.tj, self.xj, self.zj = batch.t[mask], batch.x[mask], batch.z[mask]
+        self.jseg = batch.segment[mask]
+
+    def cumulative(self, values):
+        """The integral of the node values at every node and break, less its
+        value at the replicate's 0, so a cumulative_on_grid that ran on
+        across paths would serve as well."""
+        q = np.zeros((len(self.inner), self.n_time), dtype=values.dtype)
+        q[self.inner] = values.reshape(-1, self.n_time)
+        nodes, at_breaks = cumulative_on_grid(self.breaks, self.n_time, q.ravel())
+        zero = at_breaks[self.first]
+        return (nodes.reshape(-1, self.n_time)[self.inner].ravel() - zero[self.sseg],
+                at_breaks - zero[self.bseg])
+
+
 def _iterated(slots, batch: PointBatch, measure: LevyMeasure, T: float,
               n_time: int = 8) -> np.ndarray:
     """Iterated compensated integral over the ordered time simplex for one
     ordered tuple of slot functions, one value per replicate of the batch,
     each the floats of its configuration alone."""
-    n = len(batch)
-    breaks, bseg, jump_break = it.batch_breaks(
-        batch, T, [v for g in slots for v in g.time_breakpoints()])
-    s, _ = it.interval_rule(breaks, n_time)
-    inner = ~(breaks[1:] <= breaks[:-1])  # the rest step back from T to 0
-    sseg = np.repeat(bseg[:-1][inner], n_time)
-    first = np.searchsorted(bseg, np.arange(n))                   # each replicate's 0
-    last = np.searchsorted(bseg, np.arange(n), side="right") - 1  # and its T
-    mask = batch.t <= T
-    tj, xj, zj, jseg = batch.t[mask], batch.x[mask], batch.z[mask], batch.segment[mask]
-    counts = np.bincount(jseg, minlength=n)
-    col = np.arange(len(tj)) - (np.cumsum(counts) - counts)[jseg]
-    node_jumps = it.jumps_before(s, sseg, tj, jseg)
-    projs = [it.project_time(g, batch.window, measure) for g in slots]
+    n, g = len(batch), _ReplicateGrid(batch, T, [v for f in slots for v in f.time_breakpoints()],
+                                      n_time)
+    counts = np.bincount(g.jseg, minlength=n)
+    col = np.arange(len(g.tj)) - (np.cumsum(counts) - counts)[g.jseg]
+    node_jumps = it.jumps_before(g.s, g.sseg, g.tj, g.jseg)
+    projs = [it.project_time(f, batch.window, measure) for f in slots]
 
-    def running(g, weight=1.0):  # per replicate, 0 and the partial sums of weight * g
+    def running(f, weight=1.0):  # per replicate, 0 and the partial sums of weight * f
         rows = np.zeros((n, counts.max(initial=0)))
-        rows[jseg, col] = weight * np.asarray(g(tj, xj, zj), dtype=float)
+        rows[g.jseg, col] = weight * np.asarray(f(g.tj, g.xj, g.zj), dtype=float)
         return np.concatenate([np.zeros((n, 1)), np.cumsum(rows, axis=1)], axis=1)
 
     # level 1
     csum = running(slots[0])
-    C_breaks = it.time_cumulative(projs[0], breaks)
-    P_nodes = csum[sseg, node_jumps] - it.time_cumulative(projs[0], s)
+    C_breaks = it.time_cumulative(projs[0], g.breaks)
+    P_nodes = csum[g.sseg, node_jumps] - it.time_cumulative(projs[0], g.s)
     # value just before each jump: jumps strictly earlier, compensator up to it
-    P_left = csum[jseg, col] - C_breaks[jump_break]
-    P_end = csum[np.arange(n), counts] - C_breaks[last]
+    P_left = csum[g.jseg, col] - C_breaks[g.jump_break]
+    P_end = csum[np.arange(n), counts] - C_breaks[g.last]
 
     for k in range(1, len(slots)):
-        ck_nodes = np.asarray(projs[k](s, 0.0, 0.0), dtype=float) + np.zeros(len(s))
-        q = np.zeros((len(inner), n_time))
-        q[inner] = (P_nodes * ck_nodes).reshape(-1, n_time)
-        D_nodes, D_breaks = cumulative_on_grid(breaks, n_time, q.ravel())
-        # taken from each replicate's 0 (where cumulative_on_grid starts
-        # again), so a cumulative that runs on across paths serves as well
-        D0 = D_breaks[first]
-        D_nodes = D_nodes.reshape(-1, n_time)[inner].ravel() - D0[sseg]
-        D_breaks = D_breaks - D0[bseg]
+        ck_nodes = np.asarray(projs[k](g.s, 0.0, 0.0), dtype=float) + np.zeros(len(g.s))
+        D_nodes, D_breaks = g.cumulative(P_nodes * ck_nodes)
         inc = running(slots[k], P_left)
-        P_nodes = inc[sseg, node_jumps] - D_nodes
-        P_left = inc[jseg, col] - D_breaks[jump_break]
-        P_end = inc[np.arange(n), counts] - D_breaks[last]
+        P_nodes = inc[g.sseg, node_jumps] - D_nodes
+        P_left = inc[g.jseg, col] - D_breaks[g.jump_break]
+        P_end = inc[np.arange(n), counts] - D_breaks[g.last]
     return P_end
 
 

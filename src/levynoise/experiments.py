@@ -1,9 +1,8 @@
 """Named experiment suites binding simulation, analytics, and verdicts.
 
-Each experiment consumes a validated Config, runs its Monte Carlo, Ito,
-maximal-moment and chaos-moment checks over the replicate blocks of
-`mc.batches` and its other pathwise checks over the batches of one of
-`mc.map_replicates`, and returns verdict rows plus plot-ready CSV tables.
+Each experiment consumes a validated Config, runs every Monte Carlo and
+pathwise check over the replicate blocks of `mc.batches`, and returns
+verdict rows plus plot-ready CSV tables.
 The CLI is a thin shell around this module; the acceptance tests call the
 same entry points.
 """
@@ -24,8 +23,7 @@ from . import integrate as it
 from . import interlace as il
 from . import ito
 from .integrands import Integrand, integrand_from_json
-from .mc import (McEstimate, batches, estimate, map_replicates, replicate_values,
-                 run_replicates, verdict)
+from .mc import McEstimate, batches, estimate, replicate_values, run_replicates, verdict
 from .measure import LevyMeasure, measure_from_json
 from .prm import Window, dump_csv, intensity, replicate_seed, simulate
 
@@ -472,7 +470,7 @@ def run_simulate(cfg: Config) -> ExperimentResult:
         p = float(stats.chi2_contingency(table).pvalue)
         res.verdicts.append(VerdictRow("halves_independent_chi2", p, level,
                                        0.0, 0.0, p > level))
-    res.tables["points.csv"] = dump_csv(simulate(w, m, _seed_for(cfg, 1)))
+    res.tables["points.csv"] = dump_csv(simulate(w, m, [_seed_for(cfg, 1)]))
     return res
 
 
@@ -734,14 +732,13 @@ def run_martingale(cfg: Config) -> ExperimentResult:
     table = _charfn_rows(res, "charfn_noise", us, [complex(v) for v in est.mean[1:]],
                          [complex(np.exp(p)) for p in psi_scaled], n, cfg.k_sigma)
 
-    paths = map_replicates(
-        lambda _k, c: (apps.representation_residual(h, c, m, T),
-                       apps.modulus_gap(h, c, m, T, psi_int)),
+    resid, gaps = replicate_values(
+        lambda batch: (apps.representation_residual(h, batch, m, T),
+                       apps.modulus_gap(h, batch, m, T, psi_int)),
         w, m, cfg.params["representation_paths"], _seed_for(cfg, 801))
-    res.verdicts.append(_tol_row("representation_residual_max",
-                                 _worst([r for r, _ in paths]), cfg.params["representation_tol"]))
-    res.verdicts.append(_tol_row("modulus_identity_max_gap",
-                                 _worst([g for _, g in paths]), 1e-10))
+    res.verdicts.append(_tol_row("representation_residual_max", _worst(resid),
+                                 cfg.params["representation_tol"]))
+    res.verdicts.append(_tol_row("modulus_identity_max_gap", _worst(gaps), 1e-10))
     res.tables["martingale_charfn.csv"] = table
     return res
 
@@ -774,12 +771,12 @@ def run_chaos(cfg: Config) -> ExperimentResult:
         res.verdicts.append(_mc_row(name, McEstimate(mean, se, n, cfg.seed), target,
                                     cfg.k_sigma, atol))
     # the mean of |I2 - product| over replicates, plus its spread, bounds the max
-    def product_gap(_k, c):
-        i2 = apps.multiple_integral(f2, c, m, T, validate=False)
-        return abs(i2 - it.int_Nhat(slot_a, c, m, T) * it.int_Nhat(slot_b, c, m, T))[0]
+    def product_gap(batch):
+        i2 = apps.multiple_integral(f2, batch, m, T, validate=False)
+        return (abs(i2 - it.int_Nhat(slot_a, batch, m, T) * it.int_Nhat(slot_b, batch, m, T)),)
 
-    gaps = map_replicates(product_gap, w, m,
-                          min(n, cfg.params["product_check_paths"]), _seed_for(cfg, 901))
+    gaps, = replicate_values(product_gap, w, m, min(n, cfg.params["product_check_paths"]),
+                             _seed_for(cfg, 901))
     res.verdicts.append(_tol_row("product_identity_max_gap", _worst(gaps),
                                  cfg.params["product_tol"]))
     res.tables["chaos.csv"] = _csv(("statistic", "estimate", "se", "target"), rows)

@@ -393,16 +393,6 @@ def build_path(G: Integrand, K: Integrand, H: Integrand, batch: PointBatch,
     return _rows(batch.t, sizes, batch.counts, drift_function(pieces))
 
 
-def jump_path(times, jumps, pieces) -> CadlagPath:
-    """The one path with the given jumps, in any time order, plus the drift
-    of the (coefficient, time node) pairs."""
-    times, jumps = np.asarray(times, dtype=float), np.asarray(jumps, dtype=float)
-    if np.any(times[1:] < times[:-1]):
-        order = np.argsort(times, kind="stable")
-        times, jumps = times[order], jumps[order]
-    return _rows(times, jumps, np.array([len(times)]), drift_function(pieces))
-
-
 @functools.lru_cache(maxsize=64)
 def project_time(H: Integrand, window: Window, measure: LevyMeasure,
                  shell: Shell | None = None) -> Integrand:

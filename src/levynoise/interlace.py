@@ -18,9 +18,9 @@ import numpy as np
 
 from . import integrate as it
 from .integrands import Const, Integrand, Node
-from .mc import estimate, map_replicates
+from .mc import estimate, replicate_values
 from .measure import LevyMeasure, Shell
-from .prm import Window, restrict
+from .prm import Window, restrict, select
 
 GEOMETRIC_BASE = 8.0  # targets are BASE^-n, kept literal from the construction
 
@@ -331,92 +331,88 @@ def interlacing_diagnostic(ladder: Ladder, problem: LadderProblem,
         raise ValueError(f"cannot run diagnostics: {ladder.violation}")
     if len(ladder.levels) < 2:
         raise ValueError("need at least two ladder levels")
-    replicate = _small_jump_replicate if ladder.kind == "small-jump" else _spatial_replicate
-    one = replicate(ladder, problem)
-    rows = map_replicates(one, deep_window(ladder, problem), problem.measure,
-                          replicates, master_seed)
-    return _assemble(ladder, np.array([s for s, _ in rows]),
-                     np.array([e for _, e in rows]), replicates, master_seed)
+    sup2, exceed = replicate_values(_statistic(ladder, problem), deep_window(ladder, problem),
+                                    problem.measure, replicates, master_seed)
+    return _assemble(ladder, sup2, exceed, replicates, master_seed)
 
 
-def _small_jump_replicate(ladder, problem):
-    """The replicate's (sup2, exceed) rows, by ring."""
-    H, m, T = problem.H, problem.measure, problem.T
-    box = tuple(problem.box)
-    eps = ladder.thresholds
-    scan = _scan(H)
+def _statistic(ladder, problem):
+    """The statistic of a batch: its (sup2, exceed) rows, one column per
+    ring between consecutive levels, one row per replicate.  A stagnant
+    level's ring is empty (identical processes), so its sup difference is 0."""
+    sups = (_small_jump_sups if ladder.kind == "small-jump" else _box_ring_sups)(ladder, problem)
+    n_levels = len(ladder.levels) - 1
 
-    n_levels = len(eps) - 1
-
-    def one(_k, config):
-        sup2 = np.zeros(n_levels)
-        exceed = np.zeros(n_levels, dtype=bool)
-        for j in range(n_levels):
-            lo, hi = eps[j + 1], eps[j]
-            if not lo < hi:
-                continue  # stagnant level: identical processes, sup diff 0
-            ring = restrict(config, Window(T, box, Shell(lo, hi)))
-            path = it.build_path(None, None, H, ring, m, split=math.inf)
-            s = path.sup_abs(T, scan=scan)[0]
-            sup2[j] = s * s
-            exceed[j] = s > 2.0 ** -(j + 1)
+    def stat(batch):
+        sup2 = np.zeros((len(batch), n_levels))
+        exceed = np.zeros((len(batch), n_levels), dtype=bool)
+        for j, s2, s_exceed in sups(batch):
+            sup2[:, j] = s2 * s2
+            exceed[:, j] = s_exceed > 2.0 ** -(j + 1)
         return sup2, exceed
 
-    return one
+    return stat
 
 
-def _spatial_replicate(ladder, problem):
-    """The replicate's (sup2, exceed) rows, by box ring."""
+def _small_jump_sups(ladder, problem):
+    """batch -> (j, sup, sup) for each non-stagnant small-jump ring j: each
+    replicate's sup over [0, T] of its process on the ring."""
+    H, m, T, eps = problem.H, problem.measure, problem.T, ladder.thresholds
+    scan = _scan(H)
+
+    def sups(batch):
+        for j in range(len(eps) - 1):
+            if eps[j + 1] < eps[j]:
+                ring = restrict(batch, Window(T, tuple(problem.box), Shell(eps[j + 1], eps[j])))
+                s = it.build_path(None, None, H, ring, m, split=math.inf).sup_abs(T, scan=scan)
+                yield j, s, s
+
+    return sups
+
+
+def _box_ring_sups(ladder, problem):
+    """batch -> (j, sup H, sup H + K) for each non-stagnant box ring j: each
+    replicate's sup over [0, T] of the H-process on the ring, and of the
+    H- plus K-process (spatial-I with K; else the H-process again)."""
     H, K, m, T = problem.H, problem.K, problem.measure, problem.T
-    shell = problem.shell
-    d = problem.dim
     a = ladder.thresholds
-    small = shell.clip(0.0, problem.small_hi) if ladder.kind == "spatial-I" else shell
-    split = problem.small_hi if ladder.kind == "spatial-I" else math.inf
+    kind_i = ladder.kind == "spatial-I"
+    small = problem.shell.clip(0.0, problem.small_hi) if kind_i else problem.shell
+    split = problem.small_hi if kind_i else math.inf
     scan = _scan(H)
     h_nu = [it.nu_factor(m, term.jump, small) if small else 0.0 for term in H.terms]
-
-    n_levels = len(a) - 1
     # compensated H-part over each box ring K_hi \ K_lo
     ring_drift = []
     for lo_a, hi_a in zip(a[:-1], a[1:]):
-        outer = tuple((-hi_a, hi_a) for _ in range(d))
-        inner = tuple((-lo_a, lo_a) for _ in range(d))
-        ring_drift.append([(-nu * (it.space_factor(term, outer)
-                                   - it.space_factor(term, inner)), term.time)
-                           for term, nu in zip(H.terms, h_nu) if nu != 0.0])
+        outer, inner = (tuple((-v, v) for _ in range(problem.dim)) for v in (hi_a, lo_a))
+        ring_drift.append(it.drift_function(
+            [(-nu * (it.space_factor(term, outer) - it.space_factor(term, inner)), term.time)
+             for term, nu in zip(H.terms, h_nu) if nu != 0.0]))
 
-    def one(_k, config):
-        sup2 = np.zeros(n_levels)
-        exceed = np.zeros(n_levels, dtype=bool)
-        inside = np.max(np.abs(config.x), axis=1) if len(config.t) else np.empty(0)
-        for j in range(n_levels):
-            lo_a, hi_a = a[j], a[j + 1]
-            if not lo_a < hi_a:
+    def sizes(X, pts):
+        return np.asarray(X(pts.t, pts.x, pts.z), dtype=float) + np.zeros(len(pts.t))
+
+    def sups(batch):
+        inside = np.max(np.abs(batch.x), axis=1)
+        for j in range(len(a) - 1):
+            if not a[j] < a[j + 1]:
                 continue
-            mask = (inside > lo_a) & (inside <= hi_a)
-            pts_t = config.t[mask]
-            pts_x = config.x[mask]
-            pts_z = config.z[mask]
-            small_mask = np.abs(pts_z) <= split
-            h_jumps = np.asarray(H(pts_t[small_mask], pts_x[small_mask],
-                                   pts_z[small_mask]), dtype=float) \
-                if small_mask.any() else np.empty(0)
-            h_path = it.jump_path(pts_t[small_mask], h_jumps, ring_drift[j])
-            s_h = h_path.sup_abs(T, scan=scan)[0]
-            sup2[j] = s_h * s_h
-            if ladder.kind == "spatial-I" and K is not None:
-                k_mask = ~small_mask
-                k_jumps = np.asarray(K(pts_t[k_mask], pts_x[k_mask], pts_z[k_mask]),
-                                     dtype=float) if k_mask.any() else np.empty(0)
-                full = it.jump_path(np.concatenate([pts_t[small_mask], pts_t[k_mask]]),
-                                    np.concatenate([h_jumps, k_jumps]), ring_drift[j])
-                exceed[j] = full.sup_abs(T, scan=scan)[0] > 2.0 ** -(j + 1)
+            # the ring's points, and its small jumps, in each replicate's time order
+            ring = select(batch, (inside > a[j]) & (inside <= a[j + 1]), batch.window)
+            is_small = np.abs(ring.z) <= split
+            h_pts = select(ring, is_small, ring.window)
+            h_jumps = sizes(H, h_pts)
+            s_h = it._rows(h_pts.t, h_jumps, h_pts.counts, ring_drift[j]).sup_abs(T, scan=scan)
+            if kind_i and K is not None:
+                jumps = np.empty(len(ring.t))
+                jumps[is_small] = h_jumps
+                jumps[~is_small] = sizes(K, select(ring, ~is_small, ring.window))
+                yield j, s_h, it._rows(ring.t, jumps, ring.counts,
+                                       ring_drift[j]).sup_abs(T, scan=scan)
             else:
-                exceed[j] = s_h > 2.0 ** -(j + 1)
-        return sup2, exceed
+                yield j, s_h, s_h
 
-    return one
+    return sups
 
 
 def _assemble(ladder, sup2, exceed, replicates, master_seed):

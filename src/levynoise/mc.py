@@ -1,6 +1,6 @@
-"""The replicate loop: independent realizations of the Poisson random
-measure with deterministic seeding, drawn as batches of one or in blocks,
-their Monte Carlo fold, and z-score verdicts."""
+"""The replicate engine: independent realizations of the Poisson random
+measure with deterministic seeding, drawn in blocks, their Monte Carlo
+fold, and z-score verdicts."""
 
 from __future__ import annotations
 
@@ -9,13 +9,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .prm import intensity, replicate_seed, replicate_seeds, simulate, simulate_batch
+from .prm import intensity, replicate_seeds, simulate
 
 # Expected Poisson points per batch of `batches`; a block holds at least one
 # replicate, so the budget bounds memory, never the result.
 BLOCK_POINTS = 1 << 15
-# Elements per block of the Ito evaluators' nu tensor (time x box x jump
-# nodes); a block holds at least one time node, and never moves a result.
+# Elements per block of the (time x box x jump node) tensors of the Ito
+# evaluators and of the martingale representation; a block holds at least
+# one time node, and never moves a result.
 TENSOR_BLOCK = 1 << 14
 
 
@@ -34,41 +35,28 @@ class McEstimate:
     master_seed: int
 
 
-def map_replicates(experiment, window, measure, n: int, master_seed: int) -> list:
-    """[experiment(k, batch_k) for k in range(n)], where batch_k is the
-    batch of one simulate(window, measure, replicate_seed(master_seed, k)).
-
-    For per-path work; `batches` draws the same replicates in blocks.
-    Replicates run one after another in one thread, and no configuration
-    outlives its replicate.
-    """
-    out = []
-    for k in range(n):
-        try:
-            out.append(experiment(k, simulate(window, measure, replicate_seed(master_seed, k))))
-        except Exception as exc:
-            raise RuntimeError(f"experiment failed at replicate {k}: {exc}") from exc
-    return out
-
-
 def batches(window, measure, n: int, master_seed: int):
-    """The replicates of `map_replicates` as consecutive PointBatch blocks:
+    """The n replicates of master_seed as consecutive PointBatch blocks:
     yields (k0, batch) with replicate j of the batch the configuration of
-    replicate k0 + j.  A block holds as many replicates as fit BLOCK_POINTS
-    expected points, and at least one.  A block's seeds are hashed in one
-    pass, bit-identical to `replicate_seed`, and its points are drawn in one
-    `simulate_batch` pass, bit-identical to `simulate` of each seed."""
+    replicate k0 + j, that is of `simulate(window, measure,
+    [replicate_seed(master_seed, k0 + j)])`.  A block holds as many
+    replicates as fit BLOCK_POINTS expected points, and at least one.  A
+    block's seeds are hashed in one pass, bit-identical to `replicate_seed`,
+    and its points are drawn in one `simulate` call, bit-identical to a
+    draw of each seed alone."""
     lam = intensity(window, measure)
     size = max(1, int(BLOCK_POINTS // lam) if lam > 0 else n)
     for k0 in range(0, n, size):
         seeds = replicate_seeds(master_seed, range(k0, min(n, k0 + size)))
-        yield k0, simulate_batch(window, measure, seeds.tolist())
+        yield k0, simulate(window, measure, seeds.tolist())
 
 
 def replicate_values(statistic, window, measure, n: int, master_seed: int) -> list:
     """Each array of the tuple statistic(batch) returns, one value per
     replicate of the batch, concatenated over the blocks of `batches`: one
-    value per replicate, in replicate order."""
+    value per replicate, in replicate order.  Each block is freed before
+    the next is drawn, so a block of one large configuration never meets the
+    next."""
     blocks = []
     for k0, batch in batches(window, measure, n, master_seed):
         try:
@@ -76,6 +64,7 @@ def replicate_values(statistic, window, measure, n: int, master_seed: int) -> li
         except Exception as exc:
             raise RuntimeError(f"statistic failed on replicate {k0} to "
                                f"{k0 + len(batch) - 1}: {exc}") from exc
+        del batch
     return [np.concatenate(col) for col in zip(*blocks)]
 
 

@@ -4,15 +4,15 @@ Simulation follows the classical compound-Poisson representation: the point
 count is Poisson with intensity T |B| nu(shell), arrival times are sorted
 uniforms (on t alone; a tie, of probability zero, falls back to a lexsort on
 (t, x, z)), and the (x, z) marks are i.i.d. with the normalized product law.
-Every realization is a `PointBatch`: `simulate_batch` draws one replicate
-per seed, and `simulate` is the batch of one seed.  Restriction keeps the
+Every realization is a `PointBatch`: `simulate` draws one replicate per
+seed, and one configuration is the batch of one seed.  Restriction keeps the
 same underlying realization, which is what makes the interlacing ladders
 couplings rather than independent resimulations.
 
 Seeds are numpy's: replicate k of master seed m has `replicate_seed(m, k)`,
 the first uint64 of `SeedSequence(m, spawn_key=(k,))`, and draws from
 `default_rng` of that seed.  A block of replicates gets both in one pass:
-`replicate_seeds` hashes all its seeds at once, and `simulate_batch` hashes
+`replicate_seeds` hashes all its seeds at once, and `simulate` hashes
 them once more into the PCG64 state words `default_rng` would derive.  The
 hash (O'Neill's seed_seq_fe, as `numpy.random.SeedSequence` implements it)
 is uint32 arithmetic whose hash constants do not depend on the data, so the
@@ -166,16 +166,11 @@ class PointBatch:
         return seg
 
 
-def simulate(window: Window, measure: LevyMeasure, seed: int) -> PointBatch:
-    """Draw the batch of one configuration; deterministic given (window,
-    measure, seed)."""
-    return simulate_batch(window, measure, (seed,))
-
-
-def simulate_batch(window: Window, measure: LevyMeasure, seeds) -> PointBatch:
+def simulate(window: Window, measure: LevyMeasure, seeds) -> PointBatch:
     """One replicate per seed, drawn from `default_rng(seed % 2**64)`; the
     shell mass, the generators' seeding and the points' arithmetic are done
-    once per batch."""
+    once per batch, and each replicate is deterministic given (window,
+    measure, seed)."""
     seeds = tuple(int(s) for s in seeds)
     offsets, t, x, z = _draw_block(window, measure, intensity(window, measure),
                                    _generators(seeds))
@@ -194,9 +189,18 @@ def restrict(batch: PointBatch, sub: Window) -> PointBatch:
     for k, (bounds, (lo, hi)) in enumerate(zip(batch.window.box, sub.box)):
         if bounds != (lo, hi):
             keep &= (batch.x[:, k] >= lo) & (batch.x[:, k] <= hi)
-    kept = [np.count_nonzero(keep[a:b]) for a, b in zip(batch.offsets[:-1], batch.offsets[1:])]
+    return select(batch, keep, sub)
+
+
+def select(batch: PointBatch, keep, window: Window) -> PointBatch:
+    """The points where the mask `keep` holds, as a batch on `window` with
+    the same seeds; each replicate keeps its rows in time order."""
+    # kept rows per replicate in one pass: a False sentinel gives every start
+    # a row, and an empty replicate (summed as the row at its start) gets 0
+    kept = np.add.reduceat(np.append(keep, False), batch.offsets[:-1], dtype=np.intp)
+    kept[batch.offsets[1:] == batch.offsets[:-1]] = 0
     return PointBatch(batch.t[keep], batch.x[keep], batch.z[keep],
-                      np.cumsum([0] + kept), sub, batch.seeds)
+                      np.concatenate([[0], np.cumsum(kept)]), window, batch.seeds)
 
 
 def replicate_seed(master_seed: int, k: int) -> int:

@@ -1,5 +1,6 @@
 """Per-configuration reference code for the tests: the one-path forms that
-the batched operations replaced, and small helpers on batches of one."""
+the batched operations replaced, the per-replicate loop they ran in, and
+small helpers on batches of one."""
 
 from __future__ import annotations
 
@@ -9,9 +10,24 @@ from typing import Callable
 
 import numpy as np
 
-from levynoise import apps, integrands as ig, integrate as it, prm
-from levynoise.mc import estimate, map_replicates
-from levynoise.measure import SAMPLE_ROUNDS, DiscreteAtoms, TemperedStable, TruncatedStable
+from levynoise import apps, integrands as ig, integrate as it, interlace as il, prm
+from levynoise.mc import estimate
+from levynoise.measure import SAMPLE_ROUNDS, DiscreteAtoms, Shell, TemperedStable, TruncatedStable
+
+
+def map_replicates(experiment, window, measure, n: int, master_seed: int) -> list:
+    """[experiment(k, config_k) for k in range(n)], config_k the replicate k
+    of `mc.batches` drawn alone: the batch of one simulate(window, measure,
+    [replicate_seed(master_seed, k)])."""
+    return [experiment(k, prm.simulate(window, measure, [prm.replicate_seed(master_seed, k)]))
+            for k in range(n)]
+
+
+def per_config_replicate_values(statistic, window, measure, n: int, master_seed: int) -> list:
+    """mc.replicate_values with the statistic applied to each configuration
+    alone."""
+    rows = map_replicates(lambda _k, c: statistic(c), window, measure, n, master_seed)
+    return [np.concatenate(col) for col in zip(*rows)]
 
 
 def replicate(batch: prm.PointBatch, k: int) -> prm.PointBatch:
@@ -124,8 +140,8 @@ def one_path(G, K, H, config: prm.PointBatch, measure, split: float = 1.0) -> On
 
 
 def moment_bound_cell_per_path(X, measure, p, t, window, replicates, master_seed):
-    """apps.moment_bound_cell path by path, through map_replicates and the
-    one-path sup, as it ran before the row-wise paths."""
+    """apps.moment_bound_cell path by path, one configuration at a time and
+    through the one-path sup, as it ran before the row-wise paths."""
     m_p = measure.shell_moment(window.shell, p)
     v_shell = measure.shell_moment(window.shell, 2.0)
 
@@ -140,6 +156,97 @@ def moment_bound_cell_per_path(X, measure, p, t, window, replicates, master_seed
     ratio = lhs.mean / bracket if bracket > 0 else math.nan
     return apps.MomentBoundRow(p, lhs.mean, lhs.se, bracket, ratio,
                                max(v_shell ** (p / 2.0), m_p), terminal.mean, terminal.se)
+
+
+def jump_path(times, jumps, pieces) -> it.CadlagPath:
+    """The one path with the given jumps, in any time order, plus the drift
+    of the (coefficient, time node) pairs."""
+    times, jumps = np.asarray(times, dtype=float), np.asarray(jumps, dtype=float)
+    order = np.argsort(times, kind="stable")
+    return it._rows(times[order], jumps[order], np.array([len(times)]), it.drift_function(pieces))
+
+
+def representation_residual_one(h, config: prm.PointBatch, measure, T: float, *,
+                                n_time: int = 8, n_space: int = 16, n_jump: int = 48) -> float:
+    """apps.representation_residual on one configuration, with its tensors
+    whole and its sums in the one-configuration order."""
+    w = config.window
+    path = apps.noise_path(h, config, measure)
+    breaks = it.batch_breaks(config, T, h.time_breakpoints())[0]
+    s, ws = it.interval_rule(breaks, n_time)
+    xpts, wx = it.box_rule(w.box, n_space)
+    znod, zw = measure.nu_nodes(w.shell, n_jump)
+    hgrid = it.space_time_grid(h, s, xpts)
+    psi_nodes = apps.psi_shell_rule(measure, w.shell, hgrid, n_jump) @ wx
+    psi_cum_nodes, psi_cum_breaks = apps.cumulative_on_grid(breaks, n_time, psi_nodes)
+    m_nodes = np.exp(1j * path.eval(s, 0) - psi_cum_nodes)
+    lhs = np.exp(1j * path.eval(T)[0] - psi_cum_breaks[-1])
+    mask = config.t <= T
+    jump_sum = 0.0 + 0.0j
+    if mask.any():
+        tj, xj, zj = config.t[mask], config.x[mask], config.z[mask]
+        m_left = np.exp(1j * path.eval(tj, 0, left=True)
+                        - psi_cum_breaks[np.searchsorted(breaks, tj)])
+        hj = np.asarray(h(tj, xj, zj), dtype=float)
+        jump_sum = complex(np.sum((np.exp(1j * hj * zj) - 1.0) * m_left))
+    phase = np.exp(1j * np.multiply.outer(hgrid, znod)) - 1.0  # (S, P, Z)
+    comp = complex(np.einsum("ijk,i,j,k,i->", phase, ws, wx, zw, m_nodes))
+    return abs(complex(lhs) - (1.0 + jump_sum - comp))
+
+
+def interlacing_rows_per_config(ladder, problem, replicates: int, master_seed: int):
+    """The (sup2, exceed) rows of il.interlacing_diagnostic, one
+    configuration at a time: small-jump rings restricted and built as one
+    path each, box rings summed as one path of their jumps sorted in time."""
+    H, K, m, T = problem.H, problem.K, problem.measure, problem.T
+    th = ladder.thresholds
+    scan = il._scan(H)
+    if ladder.kind == "small-jump":
+        def one(_k, config):
+            sup2, exceed = np.zeros(len(th) - 1), np.zeros(len(th) - 1, dtype=bool)
+            for j in range(len(th) - 1):
+                if th[j + 1] < th[j]:
+                    ring = prm.restrict(config, prm.Window(T, tuple(problem.box),
+                                                           Shell(th[j + 1], th[j])))
+                    path = it.build_path(None, None, H, ring, m, split=math.inf)
+                    s = path.sup_abs(T, scan=scan)[0]
+                    sup2[j], exceed[j] = s * s, s > 2.0 ** -(j + 1)
+            return sup2, exceed
+    else:
+        shell, d = problem.shell, problem.dim
+        small = shell.clip(0.0, problem.small_hi) if ladder.kind == "spatial-I" else shell
+        split = problem.small_hi if ladder.kind == "spatial-I" else math.inf
+        h_nu = [it.nu_factor(m, term.jump, small) if small else 0.0 for term in H.terms]
+
+        def drift(lo_a, hi_a):
+            outer, inner = (tuple((-a, a) for _ in range(d)) for a in (hi_a, lo_a))
+            return [(-nu * (it.space_factor(term, outer) - it.space_factor(term, inner)),
+                     term.time) for term, nu in zip(H.terms, h_nu) if nu != 0.0]
+
+        def one(_k, config):
+            sup2, exceed = np.zeros(len(th) - 1), np.zeros(len(th) - 1, dtype=bool)
+            inside = np.max(np.abs(config.x), axis=1)
+            for j in range(len(th) - 1):
+                if not th[j] < th[j + 1]:
+                    continue
+                mask = (inside > th[j]) & (inside <= th[j + 1])
+                t, x, z = config.t[mask], config.x[mask], config.z[mask]
+                sm = np.abs(z) <= split
+                h_jumps = np.asarray(H(t[sm], x[sm], z[sm]), dtype=float) \
+                    if sm.any() else np.empty(0)
+                s = jump_path(t[sm], h_jumps, drift(th[j], th[j + 1])).sup_abs(T, scan=scan)[0]
+                sup2[j] = s * s
+                if ladder.kind == "spatial-I" and K is not None:
+                    k_jumps = np.asarray(K(t[~sm], x[~sm], z[~sm]), dtype=float) \
+                        if (~sm).any() else np.empty(0)
+                    s = jump_path(np.concatenate([t[sm], t[~sm]]),
+                                  np.concatenate([h_jumps, k_jumps]),
+                                  drift(th[j], th[j + 1])).sup_abs(T, scan=scan)[0]
+                exceed[j] = s > 2.0 ** -(j + 1)
+            return sup2, exceed
+
+    rows = map_replicates(one, il.deep_window(ladder, problem), m, replicates, master_seed)
+    return np.array([s for s, _ in rows]), np.array([e for _, e in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +318,7 @@ def sort_one(t, x, z):
 
 
 def simulate_per_replicate(window, measure, seeds, grid=None, rounds=None) -> prm.PointBatch:
-    """simulate_batch replicate by replicate, each from its own
+    """simulate replicate by replicate, each from its own
     `default_rng(seed % 2**64)`; `grid` rounds t and x to multiples of
     1 / grid before sorting, which forces ties."""
     lam = prm.intensity(window, measure)

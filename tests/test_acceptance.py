@@ -22,8 +22,8 @@ from levynoise import integrate as it
 from levynoise.apps import psi_space_time_integral
 from levynoise.cli import bundled_config_text
 from levynoise.experiments import _seed_for, parse_config, run_experiment
-from levynoise.mc import McEstimate, estimate, map_replicates, verdict
-from oracles import one_path, path_breaks
+from levynoise.mc import McEstimate, estimate, verdict
+from oracles import map_replicates, one_path, path_breaks, per_config_replicate_values
 
 RUNTIMES = {}
 
@@ -362,8 +362,10 @@ class TestBatchMovesRoundingOnly:
         assert summary() == batched
 
     def test_chaos_summary_bytes_unchanged(self, monkeypatch):
+        # the moments and the product identity's gaps
         batched = reduced_summary("chaos")
         monkeypatch.setattr(experiments, "run_replicates", per_config_run_replicates)
+        monkeypatch.setattr(experiments, "replicate_values", per_config_replicate_values)
         assert reduced_summary("chaos") == batched
 
 
@@ -505,12 +507,14 @@ class TestBatchedItoMovesRoundingOnly:
     def test_block_budgets_move_nothing(self, block_points, tensor_block, monkeypatch):
         # blocks of one path or of a few, and a nu tensor built one time node
         # at a time, give the bytes of the default budgets; chaos, whose
-        # multiple integrals also run once per block, with them
+        # multiple integrals also run once per block, martingale, whose
+        # representation tensors are built in the same blocks, and interlace
+        # with them
         if block_points is not None:
             monkeypatch.setattr(mc, "BLOCK_POINTS", block_points)
         if tensor_block is not None:
             monkeypatch.setattr(mc, "TENSOR_BLOCK", tensor_block)
-        for name in sorted(ITO_FORMS) + ["chaos"]:
+        for name in sorted(ITO_FORMS) + ["chaos", "interlace", "martingale"]:
             result = run_experiment(reduced_config(name))
             default = reduced_result(name)
             assert summary_text(result) == summary_text(default), name

@@ -7,14 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from levynoise import apps
+from levynoise import apps, mc
 from levynoise import integrands as ig
 from levynoise import integrate as it
 from levynoise.cli import bundled_config_text
 from levynoise.experiments import parse_config, run_experiment
 from levynoise.measure import DiscreteAtoms, Shell, TemperedStable, TruncatedStable
-from levynoise.prm import PointBatch, Window, replicate_seed, simulate, simulate_batch
-from oracles import moment_bound_cell_per_path, path_breaks, replicate
+from levynoise.prm import PointBatch, Window, replicate_seed, simulate
+from oracles import (moment_bound_cell_per_path, path_breaks, replicate,
+                     representation_residual_one)
 
 ATOMS = DiscreteAtoms(((0.6, 1.0), (-1.1, 0.7), (1.7, 0.4)))
 TSTABLE = TruncatedStable(alpha=1.0, c=1.0, r=1.5)
@@ -58,7 +59,7 @@ class TestMomentBound:
         assert apps.moment_bound_cell(X_SMOOTH, m, 3.0, 1.0, WIN, 30, 21) == want
 
     def test_sup_monotone_in_t(self):
-        config = simulate(WIN, ATOMS, 5)
+        config = simulate(WIN, ATOMS, [5])
         path = apps.noise_path(X_SMOOTH, config, ATOMS)
         sups = [path.sup_abs(t) for t in (0.25, 0.5, 0.75, 1.0)]
         assert all(a <= b + 1e-15 for a, b in zip(sups, sups[1:]))
@@ -75,7 +76,7 @@ class TestMomentBound:
 
 class TestExpMartingale:
     def test_h_zero_is_one(self):
-        c = simulate(WIN, ATOMS, 3)
+        c = simulate(WIN, ATOMS, [3])
         assert apps.exp_martingale(ig.ONE * 0.0, c, ATOMS, 1.0) == 1.0 + 0.0j
 
     def test_psi_rule_matches_measure_psi(self):
@@ -90,7 +91,7 @@ class TestExpMartingale:
         psi_int = apps.psi_space_time_integral(H_CONST, WIN, ATOMS, 1.0)
         vals = np.empty(n, dtype=complex)
         for k in range(n):
-            c = simulate(WIN, ATOMS, replicate_seed(800, k))
+            c = simulate(WIN, ATOMS, [replicate_seed(800, k)])
             vals[k] = apps.exp_martingale(H_CONST, c, ATOMS, 1.0, psi_int)[0]
         for comp in (vals.real - 1.0, vals.imag):
             se = comp.std(ddof=1) / math.sqrt(n)
@@ -99,13 +100,13 @@ class TestExpMartingale:
     def test_modulus_identity(self):
         psi_int = apps.psi_space_time_integral(X_SMOOTH, WIN, TSTABLE, 1.0)
         for seed in range(20):
-            c = simulate(WIN, TSTABLE, replicate_seed(801, seed))
+            c = simulate(WIN, TSTABLE, [replicate_seed(801, seed)])
             assert apps.modulus_gap(X_SMOOTH, c, TSTABLE, 1.0, psi_int) <= 1e-10
 
 
 class TestRepresentation:
     def test_h_zero_residual_zero(self):
-        c = simulate(WIN, ATOMS, 4)
+        c = simulate(WIN, ATOMS, [4])
         assert apps.representation_residual(ig.ONE * 0.0, c, ATOMS, 1.0) <= 1e-14
 
     def test_single_atom_constant_h_recursion_oracle(self):
@@ -118,7 +119,7 @@ class TestRepresentation:
         kappa = -1j * vol * cc * wgt * z0 - vol * psi_atom  # continuous log-slope
         jump_factor = cmath.exp(1j * cc * z0)
         for seed in range(10):
-            c = simulate(win, m, replicate_seed(802, seed))
+            c = simulate(win, m, [replicate_seed(802, seed)])
             # oracle: piecewise closed-form recursion between jumps
             mval, rhs, prev = 1.0 + 0.0j, 1.0 + 0.0j, 0.0
             for tj in c.t:
@@ -141,8 +142,30 @@ class TestRepresentation:
     @pytest.mark.parametrize("m", [ATOMS, TSTABLE], ids=["atoms", "tstable"])
     def test_random_paths_residual(self, m):
         for seed in range(30):
-            c = simulate(WIN, m, replicate_seed(803, seed))
+            c = simulate(WIN, m, [replicate_seed(803, seed)])
             assert apps.representation_residual(X_SMOOTH, c, m, 1.0) <= 1e-6
+
+    @pytest.mark.parametrize("win", [WIN, Window(0.7, ((-0.5, 0.5), (0.0, 1.5)), Shell(0.3, 2.0))],
+                             ids=["d1", "d2"])
+    @pytest.mark.parametrize("m", [ATOMS, TSTABLE, TemperedStable(alpha=0.5, c=0.8, theta=1.5)],
+                             ids=["atoms", "tstable", "tempered"])
+    def test_batch_matches_per_config_oracle(self, m, win, monkeypatch):
+        # each replicate of a block gets the floats it gets alone, with the
+        # tensors built one time node at a time as well; against the
+        # per-configuration form only the summation order differs
+        batch = simulate(win, m, [replicate_seed(809, k) for k in range(12)])
+        T = win.horizon
+        psi = apps.psi_space_time_integral(X_SMOOTH, win, m, T)
+        resid = apps.representation_residual(X_SMOOTH, batch, m, T)
+        gaps = apps.modulus_gap(X_SMOOTH, batch, m, T, psi)
+        for k in range(len(batch)):
+            c = replicate(batch, k)
+            assert resid[k] == apps.representation_residual(X_SMOOTH, c, m, T)[0]
+            assert abs(resid[k] - representation_residual_one(X_SMOOTH, c, m, T)) <= 1e-13
+            m_k = complex(apps.exp_martingale(X_SMOOTH, c, m, T, psi)[0])
+            assert gaps[k] == abs(abs(m_k) - math.exp(-psi.real))
+        monkeypatch.setattr(mc, "TENSOR_BLOCK", 1)
+        assert np.array_equal(apps.representation_residual(X_SMOOTH, batch, m, T), resid)
 
 
 
@@ -161,7 +184,7 @@ class TestConstantJumpFactor:
 
     def test_representation_residual(self):
         for seed in range(10):
-            c = simulate(WIN, ATOMS, replicate_seed(804, seed))
+            c = simulate(WIN, ATOMS, [replicate_seed(804, seed)])
             assert apps.representation_residual(self.X2, c, ATOMS, 1.0) <= 1e-6
 
     def test_p2_isometry_target(self):
@@ -192,7 +215,7 @@ class TestMultipleIntegral:
     def test_order_one_is_compensated_integral(self):
         f = apps.ChaosFunction((SLOT_A,))
         for seed in range(10):
-            c = simulate(WIN, ATOMS, seed)
+            c = simulate(WIN, ATOMS, [seed])
             got = apps.multiple_integral(f, c, ATOMS)
             want = it.int_Nhat(SLOT_A, c, ATOMS, 1.0)
             assert got == pytest.approx(want, abs=1e-11)
@@ -200,7 +223,7 @@ class TestMultipleIntegral:
     def test_disjoint_product_identity(self):
         f = apps.ChaosFunction((SLOT_A, SLOT_B))
         for seed in range(25):
-            c = simulate(WIN, ATOMS, replicate_seed(804, seed))
+            c = simulate(WIN, ATOMS, [replicate_seed(804, seed)])
             got = apps.multiple_integral(f, c, ATOMS)
             want = it.int_Nhat(SLOT_A, c, ATOMS, 1.0) * it.int_Nhat(SLOT_B, c, ATOMS, 1.0)
             assert got == pytest.approx(want, abs=1e-10)
@@ -210,7 +233,7 @@ class TestMultipleIntegral:
         m = DiscreteAtoms(((0.6, 1.0), (-1.1, 0.7), (2.5, 0.8)))
         f = apps.ChaosFunction((SLOT_A, SLOT_B, SLOT_C))
         for seed in range(10):
-            c = simulate(win, m, replicate_seed(805, seed))
+            c = simulate(win, m, [replicate_seed(805, seed)])
             got = apps.multiple_integral(f, c, m)
             want = (it.int_Nhat(SLOT_A, c, m, 1.0)
                     * it.int_Nhat(SLOT_B, c, m, 1.0)
@@ -219,7 +242,7 @@ class TestMultipleIntegral:
 
     def test_empty_configuration_collapses(self):
         # a configuration on the working window that happens to hold no points
-        empty = simulate(WIN, DiscreteAtoms(((3.0, 1e-12),)), 0)
+        empty = simulate(WIN, DiscreteAtoms(((3.0, 1e-12),)), [0])
         assert len(empty.t) == 0
         f1 = apps.ChaosFunction((SLOT_A,))
         got1 = apps.multiple_integral(f1, empty, ATOMS)
@@ -232,7 +255,7 @@ class TestMultipleIntegral:
 
     def test_overlap_rejected(self):
         f = apps.ChaosFunction((SLOT_A, SLOT_A))
-        c = simulate(WIN, ATOMS, 2)
+        c = simulate(WIN, ATOMS, [2])
         with pytest.raises(apps.OverlapError):
             apps.multiple_integral(f, c, ATOMS)
 
@@ -245,7 +268,7 @@ class TestMultipleIntegral:
 
     def test_second_chaos_expansion_exact(self):
         for seed in range(20):
-            c = simulate(WIN, ATOMS, replicate_seed(806, seed))
+            c = simulate(WIN, ATOMS, [replicate_seed(806, seed)])
             res = apps.second_chaos_expansion_residual(SLOT_A, c, ATOMS)
             assert abs(res) <= 1e-10
 
@@ -260,7 +283,7 @@ class TestChaosMoments:
         i1 = np.empty(n)
         i2 = np.empty(n)
         for k in range(n):
-            c = simulate(win, m, replicate_seed(807, k))
+            c = simulate(win, m, [replicate_seed(807, k)])
             i1[k] = it.int_Nhat(SLOT_C, c, m, 1.0)[0]
             i2[k] = (it.int_Nhat(SLOT_A, c, m, 1.0)
                      * it.int_Nhat(SLOT_B, c, m, 1.0))[0]
@@ -377,7 +400,7 @@ class TestBatchedChaos:
         win = Window(1.0, ((-0.5, 0.5),), Shell(0.3, 3.0))
         m = DiscreteAtoms(((0.6, 1.0), (-1.1, 0.7), (2.5, 0.8)))
         f2, f3 = apps.ChaosFunction((SLOT_A, SLOT_B)), apps.ChaosFunction((SLOT_A, SLOT_B, SLOT_C))
-        batch = simulate_batch(win, m, [replicate_seed(808, k) for k in range(40)])
+        batch = simulate(win, m, [replicate_seed(808, k) for k in range(40)])
         for f in (f2, f3):
             got = apps.multiple_integral(f, batch, m)
             want = [per_path_multiple_integral(f, replicate(batch, k), m, 1.0) for k in range(40)]

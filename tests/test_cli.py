@@ -357,7 +357,7 @@ class TestFailClosed:
 
     def test_nan_representation_residual_fails(self, monkeypatch):
         monkeypatch.setattr(apps, "representation_residual",
-                            lambda *args, **kwargs: math.nan)
+                            lambda h, batch, *args, **kwargs: np.full(len(batch), math.nan))
         cfg = self.small_config("martingale", 50, representation_paths=3)
         result = run_experiment(cfg)
         row = next(v for v in result.verdicts

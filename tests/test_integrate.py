@@ -118,11 +118,11 @@ class TestNuFactorAbsolute:
 
 class TestIntN:
     def test_empty_configuration(self):
-        c = simulate(Window(1.0, ((-0.5, 0.5),), Shell(3.0, 9.0)), ATOMS, 0)
+        c = simulate(Window(1.0, ((-0.5, 0.5),), Shell(3.0, 9.0)), ATOMS, [0])
         assert it.int_N(ig.ONE, c, 1.0) == 0.0
 
     def test_counting(self):
-        c = simulate(WIN, ATOMS, 21)
+        c = simulate(WIN, ATOMS, [21])
         assert it.int_N(ig.ONE, c, 1.0) == len(c.t)
         tcut = 0.5
         assert it.int_N(ig.ONE, c, tcut) == int(np.sum(c.t <= tcut))
@@ -133,7 +133,7 @@ class TestIntN:
         n = 10 ** 4
         vals = np.empty(n)
         for k in range(n):
-            c = simulate(WIN, m, replicate_seed(100, k))
+            c = simulate(WIN, m, [replicate_seed(100, k)])
             vals[k] = it.int_N(H, c, 1.0)[0]
         target = it.compensator(H, WIN, m, 1.0)
         se = vals.std(ddof=1) / math.sqrt(n)
@@ -142,7 +142,7 @@ class TestIntN:
 
 class TestIntNhat:
     def test_zero_integrand(self):
-        c = simulate(WIN, ATOMS, 3)
+        c = simulate(WIN, ATOMS, [3])
         assert it.int_Nhat(ig.ONE * 0.0, c, ATOMS, 1.0) == 0.0
 
     @pytest.mark.parametrize("m", [ATOMS, TSTABLE], ids=["atoms", "tstable"])
@@ -151,7 +151,7 @@ class TestIntNhat:
         n = 10 ** 4
         vals = np.empty(n)
         for k in range(n):
-            c = simulate(WIN, m, replicate_seed(200, k))
+            c = simulate(WIN, m, [replicate_seed(200, k)])
             vals[k] = it.int_Nhat(H, c, m, 1.0)[0]
         # zero mean
         se = vals.std(ddof=1) / math.sqrt(n)
@@ -165,7 +165,7 @@ class TestIntNhat:
 
 class TestBuildPath:
     def test_pure_step_function(self):
-        c = simulate(WIN, ATOMS, 31)
+        c = simulate(WIN, ATOMS, [31])
         K = ig.term(jump=ig.SignPow(1.0))
         path = it.build_path(None, K, None, c, ATOMS, split=0.0)
         partial = np.cumsum(c.z)
@@ -175,7 +175,7 @@ class TestBuildPath:
                                                                    rel=1e-13, abs=1e-13)
 
     def test_left_limits_chain(self):
-        c = simulate(WIN, TSTABLE, 32)
+        c = simulate(WIN, TSTABLE, [32])
         path = it.build_path(None, ig.term(jump=ig.SignPow(1.0)), None, c, TSTABLE, split=0.0)
         for i in range(1, len(c.t)):
             assert path.eval([c.t[i]], 0, left=True) == pytest.approx(path.eval(c.t[i - 1]),
@@ -187,7 +187,7 @@ class TestBuildPath:
         K = ig.term(time=ig.Poly((1.0, 0.3)), jump=ig.SignPow(1.0))
         H = H_GEN
         for seed in range(20):
-            c = simulate(WIN, m, replicate_seed(300, seed))
+            c = simulate(WIN, m, [replicate_seed(300, seed)])
             path = it.build_path(G, K, H, c, m, split=1.0)
             lhs = path.eval(1.0)
             rhs = (it.time_cumulative(G, 1.0)
@@ -196,14 +196,14 @@ class TestBuildPath:
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_jump_reconstruction(self):
-        c = simulate(WIN, ATOMS, 33)
+        c = simulate(WIN, ATOMS, [33])
         path = it.build_path(ig.term(time=ig.Const(0.5)), ig.term(jump=ig.SignPow(1.0)),
                              H_GEN, c, ATOMS, split=1.0)
         assert path.csum[0, -1] == pytest.approx(
             path.eval(1.0)[0] - path.drift(np.asarray(1.0)), abs=1e-12)
 
     def test_sup_abs_linear_drift_exact(self):
-        c = simulate(WIN, ATOMS, 34)
+        c = simulate(WIN, ATOMS, [34])
         path = it.build_path(ig.term(time=ig.Const(-0.4)), ig.term(jump=ig.SignPow(1.0)),
                              None, c, ATOMS, split=0.0)
         # brute force on a very fine grid as oracle
@@ -221,24 +221,30 @@ class TestBuildPath:
         G = ig.term(time=node) * 1.5
         assert np.array_equal(it.time_cumulative(ig.term(time=node), ts),
                               [node.integral(0.0, float(t)) for t in ts])
-        path = it.build_path(G, None, None, simulate(WIN, ATOMS, 35), ATOMS)
+        path = it.build_path(G, None, None, simulate(WIN, ATOMS, [35]), ATOMS)
         assert path.drift(0.55) == pytest.approx(G.terms[0].time.integral(0.0, 0.55),
                                                  rel=1e-14)
 
     def test_unsorted_jumps_equal_sorted(self):
+        # the rows of a masked batch, each in its replicate's time order (as
+        # the interlacing box rings build them), against the one path of
+        # each replicate's jumps handed over in shuffled order
         rng = np.random.default_rng(36)
-        times, jumps = rng.uniform(size=30), rng.normal(size=30)
+        batch = prm.simulate(WIN, ATOMS, [replicate_seed(36, k) for k in range(12)])
+        ring = prm.select(batch, rng.uniform(size=len(batch.t)) < 0.6, WIN)
+        jumps = rng.normal(size=len(ring.t))
         pieces = [(-0.3, ig.Cos(1.0)), (0.8, ig.Const(1.0))]
-        order = np.argsort(times)
-        shuffled = it.jump_path(times, jumps, pieces)
-        ordered = it.jump_path(times[order], jumps[order], pieces)
-        assert shuffled.times.shape == (1, 30)
-        assert np.array_equal(shuffled.times, ordered.times)
-        assert np.array_equal(shuffled.csum, ordered.csum)
+        rows = it._rows(ring.t, jumps, ring.counts, it.drift_function(pieces))
         grid = np.linspace(0.0, 1.0, 101)
-        assert np.array_equal(shuffled.eval(grid, 0), ordered.eval(grid, 0))
-        assert shuffled.sup_abs(1.0, scan=50) == ordered.sup_abs(1.0, scan=50)
-        assert shuffled.eval(1.0) == pytest.approx(jumps.sum() + shuffled.drift(1.0))
+        for k, (a, b) in enumerate(zip(ring.offsets[:-1], ring.offsets[1:])):
+            order = rng.permutation(b - a)
+            one = oracles.jump_path(ring.t[a:b][order], jumps[a:b][order], pieces)
+            assert np.array_equal(one.times[0], rows.times[k, :b - a])
+            assert np.array_equal(one.csum[0], rows.csum[k, :b - a + 1])
+            assert np.array_equal(one.eval(grid, np.zeros(101, dtype=int)),
+                                  rows.eval(grid, np.full(101, k)))
+            assert one.sup_abs(1.0, scan=50)[0] == rows.sup_abs(1.0, scan=50)[k]
+            assert one.eval(1.0) == pytest.approx(jumps[a:b].sum() + one.drift(1.0))
 
     @given(st.lists(st.floats(0.0, 1.0) | st.sampled_from([0.25, 0.5]), max_size=25),
            st.floats(-3.0, 3.0), st.integers(0, 2 ** 32 - 1), st.floats(0.0, 1.2),
@@ -250,7 +256,7 @@ class TestBuildPath:
         # scan can add nothing.
         times = np.array(times)
         jumps = np.random.default_rng(seed).normal(size=len(times))
-        path = it.jump_path(times, jumps, [(slope, ig.Const(1.0))])
+        path = oracles.jump_path(times, jumps, [(slope, ig.Const(1.0))])
         for u in [t, *times[:3]]:
             ts = path.times[0][path.times[0] <= u]
             cand = [0.0, abs(path.eval(u)[0])]
@@ -272,7 +278,7 @@ class TestBuildPath:
         # bounded refinement finds it.  The oracle is a 2e6-point grid plus
         # both sides of every jump, off by at most 400 h^2 / 8 ~ 1e-11.
         times, jumps = np.array([0.2, 0.6]), np.array([0.3, -0.7])
-        path = it.jump_path(times, jumps, [])
+        path = oracles.jump_path(times, jumps, [])
         path = it.CadlagPath(path.times, path.csum, lambda ts: np.sin(20.0 * np.asarray(ts)))
         grid = np.linspace(0.0, 1.0, 2_000_001)
         oracle = max(np.max(np.abs(path.eval(grid, 0))),
@@ -330,7 +336,7 @@ class TestRowwisePaths:
     def test_build_path_rows_are_one_paths(self, m):
         # a padded batch, and a batch of one whose row is its own arrays
         w = Window(0.4, WIN.box, WIN.shell)  # about 1.7 points: some replicates empty
-        batch = prm.simulate_batch(w, m, [replicate_seed(700, k) for k in range(40)])
+        batch = prm.simulate(w, m, [replicate_seed(700, k) for k in range(40)])
         assert len(set(batch.counts.tolist())) > 1 and 0 in batch.counts
         K = ig.term(time=ig.Poly((1.0, 0.3)), jump=ig.SignPow(1.0))
         G = ig.term(time=ig.Cos(1.0)) * 0.7
@@ -341,19 +347,19 @@ class TestRowwisePaths:
                     G, K, H_GEN, replicate(c, k), m, split=1.0)
                 assert np.array_equal(one.times, want.times)
                 assert np.array_equal(one._csum, want._csum)
-        one = simulate(w, m, 701)
+        one = simulate(w, m, [701])
         path = it.build_path(G, K, H_GEN, one, m)
         assert np.shares_memory(path.times, one.t)
 
 
 class TestZofSet:
     def test_empty_config_drift_only(self):
-        c = simulate(Window(1.0, ((0.0, 1.0),), Shell(3.0, 9.0)), ATOMS, 0)
+        c = simulate(Window(1.0, ((0.0, 1.0),), Shell(3.0, 9.0)), ATOMS, [0])
         got = it.z_of_set(1.0, ((0.0, 1.0),), (0.0, 1.0), c, ATOMS)
         assert got == pytest.approx(1.0)
 
     def test_additivity_exact(self):
-        c = simulate(WIN, ATOMS, 55)
+        c = simulate(WIN, ATOMS, [55])
         whole = it.z_of_set(0.7, ((-0.5, 0.5),), (0.0, 1.0), c, ATOMS)
         left = it.z_of_set(0.7, ((-0.5, 0.0),), (0.0, 1.0), c, ATOMS)
         right = it.z_of_set(0.7, ((0.0, 0.5),), (0.0, 1.0), c, ATOMS)
@@ -372,7 +378,7 @@ class TestZofSet:
         us = np.array([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0])
         acc = np.zeros(len(us), dtype=complex)
         for k in range(n):
-            c = simulate(WIN, m, replicate_seed(400, k))
+            c = simulate(WIN, m, [replicate_seed(400, k)])
             zval = it.z_of_set(a, box, interval, c, m)
             acc += np.exp(1j * us * zval)
         emp = acc / n
@@ -387,7 +393,7 @@ class TestZofSet:
 
 class TestLIntegral:
     def test_zero_and_definitional(self):
-        c = simulate(WIN, ATOMS, 66)
+        c = simulate(WIN, ATOMS, [66])
         assert it.l_integral(ig.ONE * 0.0, c, ATOMS, 1.0) == 0.0
         # X = 1 on the whole window equals the noise charge with a = 0
         got = it.l_integral(ig.ONE, c, ATOMS, 1.0)
@@ -399,7 +405,7 @@ class TestLIntegral:
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_rejects_jump_dependence(self):
-        c = simulate(WIN, ATOMS, 67)
+        c = simulate(WIN, ATOMS, [67])
         with pytest.raises(ValueError):
             it.l_integral(ig.term(jump=ig.SignPow(1.0)), c, ATOMS, 1.0)
 
@@ -409,7 +415,7 @@ class TestLIntegral:
         n = 10 ** 4
         vals = np.empty(n)
         for k in range(n):
-            c = simulate(WIN, m, replicate_seed(500, k))
+            c = simulate(WIN, m, [replicate_seed(500, k)])
             vals[k] = it.l_integral(X, c, m, 1.0)[0]
         v_shell = m.shell_moment(WIN.shell, 2.0)
         target = v_shell * it.compensator(X.squared(), WIN, m, 1.0) / m.shell_mass(WIN.shell)
@@ -440,7 +446,7 @@ class TestBatch:
     @pytest.mark.parametrize("m", [ATOMS, TSTABLE, TEMPERED],
                              ids=["atoms", "tstable", "tempered"])
     def test_matches_per_config(self, m):
-        batch = prm.simulate_batch(WIN3, m, [replicate_seed(600, k) for k in range(150)])
+        batch = prm.simulate(WIN3, m, [replicate_seed(600, k) for k in range(150)])
         configs = [replicate(batch, k) for k in range(len(batch))]
         counts = batch.counts
         assert counts.min() < 8 <= counts.max()
@@ -459,7 +465,7 @@ class TestBatch:
 
     def test_empty_replicates(self):
         w = Window(1.0, ((-0.5, 0.5),), Shell(3.0, 9.0))
-        batch = prm.simulate_batch(w, ATOMS, range(4))
+        batch = prm.simulate(w, ATOMS, range(4))
         assert np.array_equal(it.int_N(H_GEN, batch, 1.0), np.zeros(4))
         got = it.z_of_set(1.0, w.box, (0.0, 1.0), batch, ATOMS)
         assert np.array_equal(got, [it.z_of_set(1.0, w.box, (0.0, 1.0), replicate(batch, k),

@@ -7,8 +7,10 @@ from scipy import optimize as sopt
 from levynoise import integrands as ig
 from levynoise import integrate as it
 from levynoise import interlace as il
+from levynoise import mc
 from levynoise.measure import DiscreteAtoms, Shell, TruncatedStable
 from levynoise.prm import Window
+from oracles import interlacing_rows_per_config
 
 TSTABLE = TruncatedStable(alpha=1.0, c=1.0, r=1.0)
 TSTABLE2 = TruncatedStable(alpha=1.0, c=1.0, r=2.0)
@@ -167,3 +169,51 @@ class TestSpatialDiagnostic:
         for row in rep.rows:
             assert row.empirical_sup2 <= row.bound + 4 * row.sup2_se
             assert row.exceed_freq <= row.bound_freq + 4 * row.exceed_se
+
+
+def _spatial(kind, H, K):
+    """The ladder of a_sequence for spatial-II; for spatial-I, box rings
+    near the centre and a small H, so that the big jumps through K decide
+    some exceedances."""
+    shell = Shell(0.05, 2.0)
+    if kind == "spatial-II":
+        ladder = il.a_sequence(H, K, 1.0, TSTABLE2, n_max=3, kind=kind, shell=shell)
+    else:
+        ladder = il.Ladder(kind, tuple(il.LadderLevel(n, a, 0.0)
+                                       for n, a in enumerate((0.25, 0.5, 1.0, 2.0), 1)))
+    return ladder, il.LadderProblem(H=H, K=K, measure=TSTABLE2, T=1.0, shell=shell, dim=1)
+
+
+H_T = ig.term(time=ig.Cos(3.0), jump=ig.SignPow(1.0))
+HS = ig.term(space=ig.ExpAbs(-1.0), jump=ig.SignPow(1.0))
+HS_T = ig.term(time=ig.Cos(3.0), space=ig.ExpAbs(-1.0), jump=ig.SignPow(1.0))
+KS = ig.term(space=ig.ExpAbs(-1.0), jump=ig.AbsPow(2.0)) * 0.5
+DIAGNOSTICS = {
+    "small-jump": lambda: (il.eps_sequence(H_Z, BOX, 1.0, TSTABLE, n_max=3),
+                           il.LadderProblem(H=H_Z, measure=TSTABLE, T=1.0, box=BOX)),
+    "small-jump-scan": lambda: (il.eps_sequence(H_T, BOX, 1.0, TSTABLE, n_max=3),
+                                il.LadderProblem(H=H_T, measure=TSTABLE, T=1.0, box=BOX)),
+    "spatial-I": lambda: _spatial("spatial-I", HS * 0.1, KS),
+    "spatial-I-scan": lambda: _spatial("spatial-I", HS_T * 0.1, KS),
+    "spatial-II": lambda: _spatial("spatial-II", HS, None),
+}
+
+
+class TestBatchedDiagnostic:
+    @pytest.mark.parametrize("budget", [None, 1])
+    @pytest.mark.parametrize("case", sorted(DIAGNOSTICS))
+    def test_rows_equal_per_config_oracle(self, case, budget, monkeypatch):
+        # blocks of several replicates (default budget) and of one give the
+        # (sup2, exceed) rows of one configuration at a time, bit for bit
+        ladder, problem = DIAGNOSTICS[case]()
+        if budget is not None:
+            monkeypatch.setattr(mc, "BLOCK_POINTS", budget)
+        window = il.deep_window(ladder, problem)
+        stat = il._statistic(ladder, problem)
+        sizes = [len(b) for _, b in mc.batches(window, problem.measure, 9, 5)]
+        assert max(sizes) == (1 if budget else 9)
+        sup2, exceed = mc.replicate_values(stat, window, problem.measure, 9, 5)
+        want_sup2, want_exceed = interlacing_rows_per_config(ladder, problem, 9, 5)
+        assert sup2.shape == (9, len(ladder.levels) - 1) and exceed.dtype == bool
+        assert np.array_equal(sup2, want_sup2) and np.array_equal(exceed, want_exceed)
+        assert sup2.any() and exceed.any() and not exceed.all()

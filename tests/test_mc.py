@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from levynoise import mc
-from levynoise.mc import McEstimate, estimate, map_replicates, run_replicates, verdict
+from levynoise.mc import McEstimate, estimate, run_replicates, verdict
 from levynoise.measure import DiscreteAtoms, Shell
 from levynoise.prm import Window, replicate_seed, simulate
 from oracles import replicate
@@ -20,32 +20,6 @@ def replicates(exp, n, master_seed):
     (k counts within the batch)."""
     return run_replicates(lambda b: [exp(k, replicate(b, k)) for k in range(len(b))],
                           WIN, ATOMS, n, master_seed)
-
-
-class TestMapReplicates:
-    def test_matches_simulate_oracle(self):
-        def exp(k, c):
-            return k, c.seeds, c.t.copy(), c.x.copy(), c.z.copy()
-
-        got = map_replicates(exp, WIN, ATOMS, 60, 31)
-        assert len(got) == 60
-        for k, out in enumerate(got):
-            want = exp(k, simulate(WIN, ATOMS, replicate_seed(31, k)))
-            assert out[:2] == want[:2]
-            for a, b in zip(out[2:], want[2:]):
-                assert np.array_equal(a, b)
-
-    def test_no_configuration_outlives_its_replicate(self):
-        refs = []
-
-        def exp(k, c):
-            # the previous replicate's configuration is gone before this one
-            assert all(r() is None for r in refs)
-            refs.append(weakref.ref(c))
-            return len(c)
-
-        map_replicates(exp, WIN, ATOMS, 20, 5)
-        assert len(refs) == 20 and all(r() is None for r in refs)
 
 
 class TestRunReplicates:
@@ -103,7 +77,7 @@ class TestRunReplicates:
         # accumulating in any grouping agrees with the canonical fold
         exp = lambda k, c: float(np.sum(c.z) + 0.1 * np.sum(c.t))
         est = replicates(exp, 1000, master_seed=77)
-        vals = np.array([exp(k, simulate(WIN, ATOMS, replicate_seed(77, k)))
+        vals = np.array([exp(k, simulate(WIN, ATOMS, [replicate_seed(77, k)]))
                          for k in range(1000)])
         chunks = np.array_split(vals, 7)
         n = sum(len(c) for c in chunks)
@@ -120,16 +94,30 @@ class TestReplicateValues:
         monkeypatch.setattr(mc, "BLOCK_POINTS", budget)
         counts, sums = mc.replicate_values(
             lambda b: (b.counts, np.bincount(b.segment, b.z, len(b))), WIN, ATOMS, 120, 6)
-        want = [simulate(WIN, ATOMS, replicate_seed(6, k)) for k in range(120)]
+        want = [simulate(WIN, ATOMS, [replicate_seed(6, k)]) for k in range(120)]
         assert counts.tolist() == [len(c.t) for c in want]
         assert sums.tolist() == [float(np.bincount(np.zeros(len(c.t), dtype=int), c.z, 1)[0])
                                  for c in want]
+
+    def test_no_configuration_outlives_its_replicate(self, monkeypatch):
+        # blocks of one replicate: the previous block is gone before the
+        # next is drawn, and none outlives the loop
+        monkeypatch.setattr(mc, "BLOCK_POINTS", 1)
+        refs = []
+
+        def stat(b):
+            assert len(b) == 1 and all(r() is None for r in refs)
+            refs.append(weakref.ref(b))
+            return (b.counts,)
+
+        mc.replicate_values(stat, WIN, ATOMS, 20, 5)
+        assert len(refs) == 20 and all(r() is None for r in refs)
 
 
 class TestEstimate:
     def test_is_the_fold_of_run_replicates(self):
         exp = lambda k, c: float(np.sum(c.z) + 0.1 * np.sum(c.t))
-        vals = [exp(k, simulate(WIN, ATOMS, replicate_seed(31, k))) for k in range(300)]
+        vals = [exp(k, simulate(WIN, ATOMS, [replicate_seed(31, k)])) for k in range(300)]
         assert estimate(vals, 31) == replicates(exp, 300, master_seed=31)
 
     def test_one_dimensional_floats(self):

@@ -35,25 +35,25 @@ class TestWindow:
 
 class TestSimulate:
     def test_replay_bit_for_bit(self):
-        a = prm.simulate(WIN, ATOMS, seed=42)
-        b = prm.simulate(WIN, ATOMS, seed=42)
+        a = prm.simulate(WIN, ATOMS, seeds=[42])
+        b = prm.simulate(WIN, ATOMS, seeds=[42])
         assert len(a) == 1 and a.seeds == (42,)
         assert same_points(a, b)
-        c = prm.simulate(WIN, ATOMS, seed=43)
+        c = prm.simulate(WIN, ATOMS, seeds=[43])
         assert not same_points(c, a)
 
     def test_zero_mass_shell_empty(self):
         w = prm.Window(1.0, ((-0.5, 0.5),), Shell(3.0, 9.0))
         for seed in range(5):
-            assert len(prm.simulate(w, ATOMS, seed).t) == 0
+            assert len(prm.simulate(w, ATOMS, [seed]).t) == 0
 
     def test_infinite_intensity_rejected(self):
         w = prm.Window(1.0, ((-0.5, 0.5),), Shell(0.0, 1.0))
         with pytest.raises((ValueError, Exception)):
-            prm.simulate(w, TSTABLE, 0)
+            prm.simulate(w, TSTABLE, [0])
 
     def test_points_inside_window_sorted(self):
-        c = prm.simulate(prm.Window(2.0, ((-1.0, 2.0),), Shell(0.05, 1.0)), TSTABLE, 7)
+        c = prm.simulate(prm.Window(2.0, ((-1.0, 2.0),), Shell(0.05, 1.0)), TSTABLE, [7])
         assert np.all(np.diff(c.t) > 0)
         assert np.all((c.t >= 0) & (c.t <= 2.0))
         assert np.all((c.x[:, 0] >= -1.0) & (c.x[:, 0] <= 2.0))
@@ -63,7 +63,7 @@ class TestSimulate:
         # lam = T |B| nu(shell) = 2 for this window
         w = prm.Window(1.0, ((0.0, 1.0),), Shell(0.5, math.inf))
         m = DiscreteAtoms(((1.0, 1.0), (-2.0, 1.0)))
-        counts = np.array([len(prm.simulate(w, m, prm.replicate_seed(11, k)).t)
+        counts = np.array([len(prm.simulate(w, m, [prm.replicate_seed(11, k)]).t)
                            for k in range(10 ** 4)])
         se = counts.std(ddof=1) / math.sqrt(len(counts))
         assert abs(counts.mean() - 2.0) <= 4 * se
@@ -73,7 +73,7 @@ class TestSimulate:
         m = DiscreteAtoms(((1.0, 2.0), (-2.0, 2.0)))  # lam = 4
         first, second = [], []
         for k in range(4000):
-            c = prm.simulate(w, m, prm.replicate_seed(5, k))
+            c = prm.simulate(w, m, [prm.replicate_seed(5, k)])
             first.append(int(np.sum(c.t <= 0.5)))
             second.append(int(np.sum(c.t > 0.5)))
         first, second = np.array(first), np.array(second)
@@ -93,7 +93,7 @@ class TestSimulate:
         w = prm.Window(1.0, ((-1.0, 3.0), (0.0, 2.0)), Shell(0.1, 1.0))
         xs, ys = [], []
         for k in range(300):
-            c = prm.simulate(w, TSTABLE, prm.replicate_seed(3, k))
+            c = prm.simulate(w, TSTABLE, [prm.replicate_seed(3, k)])
             xs.append(c.x[:, 0])
             ys.append(c.x[:, 1])
         xs, ys = np.concatenate(xs), np.concatenate(ys)
@@ -152,8 +152,8 @@ class TestSimulateBatch:
         w = prm.Window(horizon, tuple((lo, lo + width) for lo, width in axes[:d]), WIN2.shell)
         m = MEASURES[name]
         with mock.patch.object(prm, "_draw_block", tied_draw(grid) if grid else prm._draw_block):
-            batch = prm.simulate_batch(w, m, seeds)
-            want = [prm.simulate(w, m, s) for s in seeds]
+            batch = prm.simulate(w, m, seeds)
+            want = [prm.simulate(w, m, [s]) for s in seeds]
         assert len(batch) == len(seeds)
         assert batch.seeds == tuple(seeds)
         assert np.array_equal(batch.counts, [len(c.t) for c in want])
@@ -165,7 +165,7 @@ class TestSimulateBatch:
             assert same_points(c, oracles.simulate_per_replicate(w, m, [s], grid))
 
     def test_configs_are_read_only_views(self):
-        batch = prm.simulate_batch(WIN2, ATOMS, [prm.replicate_seed(8, k) for k in range(6)])
+        batch = prm.simulate(WIN2, ATOMS, [prm.replicate_seed(8, k) for k in range(6)])
         assert len(batch.t) > 0
         for k in range(len(batch)):
             c = replicate(batch, k)
@@ -179,7 +179,7 @@ class TestSimulateBatch:
         m = MEASURES["tempered"]
         with mock.patch.object(TemperedStable, "shell_mass", autospec=True,
                                side_effect=TemperedStable.shell_mass) as spy:
-            prm.simulate_batch(WIN2, m, range(50))
+            prm.simulate(WIN2, m, range(50))
         assert spy.call_count == 1
 
 
@@ -191,7 +191,7 @@ class TestBlockDraw:
         rounds = []
         want = oracles.simulate_per_replicate(WIN2, MEASURES["short"], seeds, rounds=rounds)
         assert 1 in rounds and max(rounds) >= 2
-        assert same_points(prm.simulate_batch(WIN2, MEASURES["short"], seeds), want)
+        assert same_points(prm.simulate(WIN2, MEASURES["short"], seeds), want)
 
     def test_pinned_streams(self):
         # the offsets, times and positions, and the atoms' marks, of 256
@@ -215,7 +215,7 @@ class TestBlockDraw:
         seeds = prm.replicate_seeds(20260808, range(256)).tolist()
         got = {}
         for name, fields in want.items():
-            batch = prm.simulate_batch(WIN2, MEASURES[name], seeds)
+            batch = prm.simulate(WIN2, MEASURES[name], seeds)
             got[name] = {f: hashlib.sha256(np.ascontiguousarray(
                 getattr(batch, f), dtype="<i8" if f == "offsets" else "<f8").tobytes()).hexdigest()
                 for f in fields}
@@ -249,7 +249,7 @@ class TestRestrict:
            st.sampled_from(["none", "shell", "horizon", "box-lo", "box-hi"]))
     @settings(max_examples=60, deadline=None)
     def test_matches_full_mask_oracle(self, seed, cut, which):
-        c = prm.simulate(WIN2, TSTABLE, seed)
+        c = prm.simulate(WIN2, TSTABLE, [seed])
         sub = narrowed(cut, which)
         assert same_points(prm.restrict(c, sub), restrict_oracle(c, sub))
 
@@ -261,37 +261,53 @@ class TestRestrict:
         assert same_points(prm.restrict(c, sub), restrict_oracle(c, sub))
 
     def test_identity(self):
-        c = prm.simulate(WIN, ATOMS, 9)
+        c = prm.simulate(WIN, ATOMS, [9])
         assert same_points(prm.restrict(c, WIN), c)
 
     def test_shell_restriction_membership(self):
-        c = prm.simulate(WIN, ATOMS, 10)
+        c = prm.simulate(WIN, ATOMS, [10])
         sub = prm.Window(1.0, ((-0.5, 0.5),), Shell(0.5, 2.0))
         r = prm.restrict(c, sub)
         assert np.all(np.abs(r.z) > 0.5)
         assert len(r.t) == int(np.sum(np.abs(c.z) > 0.5))
 
     def test_box_partition_additivity(self):
-        c = prm.simulate(WIN, ATOMS, 11)
+        c = prm.simulate(WIN, ATOMS, [11])
         left = prm.restrict(c, prm.Window(1.0, ((-0.5, 0.0),), WIN.shell))
         right = prm.restrict(c, prm.Window(1.0, ((0.0, 0.5),), WIN.shell))
         # the shared face x = 0 has probability zero of holding a point
         assert len(left.t) + len(right.t) == len(c.t) + int(np.sum(c.x[:, 0] == 0.0))
 
     def test_batch_restricts_each_replicate(self):
-        batch = prm.simulate_batch(WIN2, TSTABLE, [prm.replicate_seed(13, k) for k in range(30)])
+        batch = prm.simulate(WIN2, TSTABLE, [prm.replicate_seed(13, k) for k in range(30)])
         sub = narrowed(0.4, "box-hi")
         got = prm.restrict(batch, sub)
         assert got.seeds == batch.seeds and got.window == sub
         for k in range(len(batch)):
             assert same_points(replicate(got, k), restrict_oracle(replicate(batch, k), sub))
 
+    @given(st.lists(st.integers(0, 3), min_size=1, max_size=8), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_select_counts_each_replicate(self, counts, seed):
+        # empty replicates first, between and last, and masks that keep none
+        rng = np.random.default_rng(seed)
+        m = sum(counts)
+        batch = prm.PointBatch(np.sort(rng.uniform(size=m)), rng.uniform(size=(m, 2)),
+                               rng.uniform(0.3, 2.0, size=m), np.cumsum([0] + counts), WIN2,
+                               tuple(range(len(counts))))
+        keep = rng.uniform(size=m) < rng.choice([0.0, 0.5, 1.0])
+        got = prm.select(batch, keep, WIN2)
+        kept = [int(np.count_nonzero(keep[a:b]))
+                for a, b in zip(batch.offsets[:-1], batch.offsets[1:])]
+        assert got.offsets.tolist() == np.cumsum([0] + kept).tolist()
+        assert np.array_equal(got.t, batch.t[keep]) and got.seeds == batch.seeds
+
     def test_batch_of_one_builds_no_segment(self):
         # a deep configuration goes through restrict, build_path and sup_abs
         # without a per-point replicate index
         from levynoise import integrands as ig, integrate as it
 
-        c = prm.simulate(WIN2, TSTABLE, 14)
+        c = prm.simulate(WIN2, TSTABLE, [14])
         ring = prm.restrict(c, narrowed(0.3, "shell"))
         path = it.build_path(None, None, ig.term(jump=ig.SignPow(1.0)), ring, TSTABLE,
                              split=math.inf)
@@ -299,14 +315,14 @@ class TestRestrict:
         assert "segment" not in vars(c) and "segment" not in vars(ring)
 
     def test_not_contained_raises(self):
-        c = prm.simulate(WIN, ATOMS, 12)
+        c = prm.simulate(WIN, ATOMS, [12])
         with pytest.raises(ValueError):
             prm.restrict(c, prm.Window(2.0, ((-0.5, 0.5),), WIN.shell))
 
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=20, deadline=None)
     def test_restrict_commutes_with_nesting(self, seed):
-        c = prm.simulate(WIN, ATOMS, seed)
+        c = prm.simulate(WIN, ATOMS, [seed])
         mid = prm.Window(0.8, ((-0.4, 0.5),), Shell(0.2, 2.0))
         small = prm.Window(0.5, ((-0.1, 0.3),), Shell(0.2, 1.5))
         once = prm.restrict(c, small)
@@ -362,11 +378,11 @@ class TestSeeds:
 
 class TestCsv:
     def test_round_trip(self):
-        c = prm.simulate(WIN, ATOMS, 77)
+        c = prm.simulate(WIN, ATOMS, [77])
         assert same_points(prm.parse_csv(prm.dump_csv(c)), c)
 
     def test_rejects_point_outside_window_or_out_of_order(self):
-        c = prm.simulate(WIN, ATOMS, 78)
+        c = prm.simulate(WIN, ATOMS, [78])
         assert len(c.t) >= 2
         head, columns, *rows = prm.dump_csv(c).splitlines()
         t, _, z = rows[-1].split(",")
@@ -377,7 +393,7 @@ class TestCsv:
                 prm.parse_csv("\n".join([head, columns] + bad))
 
     def test_one_configuration_only(self):
-        batch = prm.simulate_batch(WIN, ATOMS, [1, 2])
+        batch = prm.simulate(WIN, ATOMS, [1, 2])
         with pytest.raises(ValueError, match="one configuration"):
             prm.dump_csv(batch)
         assert same_points(prm.parse_csv(prm.dump_csv(replicate(batch, 1))),
@@ -386,7 +402,7 @@ class TestCsv:
     def test_golden_format(self):
         w = prm.Window(1.0, ((0.0, 1.0),), Shell(0.5, math.inf))
         m = DiscreteAtoms(((1.0, 1.0),))
-        c = prm.simulate(w, m, 1)
+        c = prm.simulate(w, m, [1])
         text = prm.dump_csv(c)
         lines = text.splitlines()
         assert lines[0].startswith("# {")
