@@ -15,51 +15,40 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import integrate as it
-from . import mc
 from .integrands import Integrand, SignPow, gl_rule, spectral_integration_matrix
 from .mc import estimate, replicate_values
-from .measure import LevyMeasure, Shell
+from .measure import LevyMeasure
 from .prm import PointBatch, Window
 
 
 # ---------------------------------------------------------------------------
-# quadrature helpers shared by the complex-valued machinery
+# space-time quadrature
 
 
-def psi_shell_rule(measure: LevyMeasure, shell: Shell, u, n_per_side: int = 48):
-    """Compensated exponent on a shell, evaluated through the fixed nu-rule
-    so tensor integrands and analytic targets share one discretization.
-
-    `u` may be any array; the result matches measure.psi_shell to the rule's
-    accuracy (exact for atom families).
-    """
-    z, w = measure.nu_nodes(shell, n_per_side)
-    u = np.asarray(u, dtype=float)
-    if len(z) == 0:
-        return np.zeros(u.shape, dtype=complex)
-    uz = np.multiply.outer(u, z)
-    vals = np.exp(1j * uz) - 1.0 - 1j * uz
-    return vals @ w
-
-
-def space_time_integral(X: Integrand, window: Window, t: float, phi,
-                        n_time: int, n_space: int):
-    """Integral over [0,t] x box of phi(X(s, x)); `phi` maps the array of
-    X values on the tensor rule to the integrand values."""
+def _space_time_fold(X: Integrand, window: Window, t: float, phi, n_time: int,
+                     n_space: int, z=np.ones(1), zw=np.ones(1)):
+    """Integral over [0,t] x box x the jump rule (z, zw) of phi(V), with V =
+    X(s, x) z on the tensor rule; the default rule is one unit node, which
+    integrates phi(X(s, x)) over [0,t] x box."""
+    if not X.is_space_time_only():
+        raise ValueError("integrand has a non-constant jump factor where a "
+                         "space-time integrand is required")
     breaks = np.unique(np.array([0.0, t] + [v for v in X.time_breakpoints()
                                             if 0.0 < v < t]))
     s, ws = it.interval_rule(breaks, n_time)
     xpts, wx = it.box_rule(window.box, n_space)
-    return np.einsum("ij,i,j->", phi(it.space_time_grid(X, s, xpts)), ws, wx)
+    factors = it.term_factors(X.with_jump(SignPow(1.0)), s, xpts, z)
+    return ws @ it.tensor_fold(lambda v, _b: phi(v), factors, wx, zw)
 
 
 def psi_space_time_integral(h: Integrand, window: Window, measure: LevyMeasure,
                             t: float, n_time: int = 24, n_space: int = 16,
                             n_jump: int = 48) -> complex:
-    """Integral over [0,t] x box of the compensated exponent of h(s, x)."""
-    return complex(space_time_integral(
-        h, window, t, lambda g: psi_shell_rule(measure, window.shell, g, n_jump),
-        n_time, n_space))
+    """Integral over [0,t] x box of the compensated exponent of h(s, x), its
+    nu integral on the fixed rule measure.nu_nodes."""
+    z, zw = measure.nu_nodes(window.shell, n_jump)
+    return complex(_space_time_fold(h, window, t, lambda v: np.exp(1j * v) - 1.0 - 1j * v,
+                                    n_time, n_space, z, zw))
 
 
 def cumulative_on_grid(breaks, n_per_interval, values):
@@ -111,13 +100,13 @@ class MomentBoundRow:
 
 def space_time_norm_sq(X: Integrand, window: Window, t: float, n: int = 32) -> float:
     """Integral of X^2 over [0,t] x box."""
-    return float(space_time_integral(X, window, t, lambda g: g * g, n, n))
+    return float(_space_time_fold(X, window, t, lambda v: v * v, n, n))
 
 
 def lp_bracket(X: Integrand, window: Window, t: float, p: float,
                n: int = 32) -> float:
     """(integral of X^2)^{p/2} + integral of |X|^p over [0,t] x box."""
-    pp = float(space_time_integral(X, window, t, lambda g: np.abs(g) ** p, n, n))
+    pp = float(_space_time_fold(X, window, t, lambda v: np.abs(v) ** p, n, n))
     return space_time_norm_sq(X, window, t, n) ** (p / 2.0) + pp
 
 
@@ -182,13 +171,15 @@ def representation_residual(h: Integrand, batch: PointBatch,
     The pre-jump values of M between jumps follow the closed-form continuous
     evolution, so the only slack is tensor quadrature.
     """
-    n, g = len(batch), _ReplicateGrid(batch, T, h.time_breakpoints(), n_time)
+    n, g = len(batch), it.ReplicateGrid(batch, T, h.time_breakpoints(), n_time)
     path = noise_path(h, batch, measure)
     xpts, wx = it.box_rule(batch.window.box, n_space)
-    psi_nodes, phase_nodes = _shell_sums(it.space_time_grid(h, g.s, xpts), wx, measure,
-                                         batch.window.shell, n_jump)
+    z, zw = measure.nu_nodes(batch.window.shell, n_jump)
+    factors = it.term_factors(h.with_jump(SignPow(1.0)), g.s, xpts, z)
+    # per time node, the nu-rule sums of e^{ihz} - 1 and e^{ihz} - 1 - ihz
+    phase_nodes, psi_nodes = it.tensor_fold(_phase_and_psi, factors, wx, zw)
     # cumulative Psi integral along the same grid
-    psi_cum_nodes, psi_cum_breaks = g.cumulative(psi_nodes)
+    psi_cum_nodes, psi_cum_breaks = _cumulative(g, psi_nodes)
     m_nodes = np.exp(1j * path.eval(g.s, g.sseg) - psi_cum_nodes)
     lhs = np.exp(1j * path.eval(T) - psi_cum_breaks[g.last])
     m_left = np.exp(1j * path.eval(g.tj, g.jseg, left=True) - psi_cum_breaks[g.jump_break])
@@ -199,21 +190,13 @@ def representation_residual(h: Integrand, batch: PointBatch,
     return np.hypot(d.real, d.imag)
 
 
-def _shell_sums(hgrid, wx, measure: LevyMeasure, shell: Shell, n_jump: int):
-    """Per time node i, the sums over box and nu-rule nodes j, k, with their
-    weights, of e^{i h_ij z_k} - 1 - i h_ij z_k (as psi_shell_rule) and of
-    e^{i h_ij z_k} - 1; in blocks of mc.TENSOR_BLOCK tensor elements."""
-    z, zw = measure.nu_nodes(shell, n_jump)
-    psi, phase = np.zeros((2, len(hgrid)), dtype=complex)
-    step = max(1, mc.TENSOR_BLOCK // max(1, len(wx) * len(z)))
-    for a in range(0, len(hgrid), step):
-        b = slice(a, a + step)
-        uz = np.multiply.outer(hgrid[b], z)
-        vals = np.exp(1j * uz) - 1.0
-        phase[b] = np.einsum("ijk,j,k->i", vals, wx, zw)
-        vals -= 1j * uz
-        psi[b] = np.einsum("ijk,j,k->i", vals, wx, zw)
-    return psi, phase
+def _phase_and_psi(v, _b):
+    """e^{iv} - 1 and e^{iv} - 1 - iv, stacked."""
+    out = np.empty((2,) + v.shape, dtype=complex)
+    np.exp(1j * v, out=out[0])
+    out[0] -= 1.0
+    np.subtract(out[0], 1j * v, out=out[1])
+    return out
 
 
 def _by_replicate(seg, values, n: int) -> np.ndarray:
@@ -294,33 +277,16 @@ def check_disjoint(f: ChaosFunction, window: Window, measure: LevyMeasure,
                     "diagonal handling is out of scope")
 
 
-class _ReplicateGrid:
-    """The interval_rule grid over the breaks of every replicate of a batch
-    (0, its jumps up to T, the time discontinuities `extra` and T), one
-    replicate after another, and the jumps up to T in batch order."""
-
-    def __init__(self, batch: PointBatch, T: float, extra, n_time: int):
-        n, self.n_time = len(batch), n_time
-        self.breaks, self.bseg, self.jump_break = it.batch_breaks(batch, T, extra)
-        self.s, self.ws = it.interval_rule(self.breaks, n_time)
-        self.inner = ~(self.breaks[1:] <= self.breaks[:-1])  # the rest step back from T to 0
-        self.sseg = np.repeat(self.bseg[:-1][self.inner], n_time)
-        self.first = np.searchsorted(self.bseg, np.arange(n))  # each replicate's 0
-        self.last = np.searchsorted(self.bseg, np.arange(n), side="right") - 1  # and T
-        mask = batch.t <= T
-        self.tj, self.xj, self.zj = batch.t[mask], batch.x[mask], batch.z[mask]
-        self.jseg = batch.segment[mask]
-
-    def cumulative(self, values):
-        """The integral of the node values at every node and break, less its
-        value at the replicate's 0, so a cumulative_on_grid that ran on
-        across paths would serve as well."""
-        q = np.zeros((len(self.inner), self.n_time), dtype=values.dtype)
-        q[self.inner] = values.reshape(-1, self.n_time)
-        nodes, at_breaks = cumulative_on_grid(self.breaks, self.n_time, q.ravel())
-        zero = at_breaks[self.first]
-        return (nodes.reshape(-1, self.n_time)[self.inner].ravel() - zero[self.sseg],
-                at_breaks - zero[self.bseg])
+def _cumulative(g: it.ReplicateGrid, values):
+    """The integral of the node values of a replicate grid at every node and
+    break, less its value at the replicate's 0, so a cumulative_on_grid that
+    ran on across paths would serve as well."""
+    q = np.zeros((len(g.inner), g.n_time), dtype=values.dtype)
+    q[g.inner] = values.reshape(-1, g.n_time)
+    nodes, at_breaks = cumulative_on_grid(g.breaks, g.n_time, q.ravel())
+    zero = at_breaks[g.first]
+    return (nodes.reshape(-1, g.n_time)[g.inner].ravel() - zero[g.sseg],
+            at_breaks - zero[g.bseg])
 
 
 def _iterated(slots, batch: PointBatch, measure: LevyMeasure, T: float,
@@ -328,8 +294,8 @@ def _iterated(slots, batch: PointBatch, measure: LevyMeasure, T: float,
     """Iterated compensated integral over the ordered time simplex for one
     ordered tuple of slot functions, one value per replicate of the batch,
     each the floats of its configuration alone."""
-    n, g = len(batch), _ReplicateGrid(batch, T, [v for f in slots for v in f.time_breakpoints()],
-                                      n_time)
+    n, g = len(batch), it.ReplicateGrid(batch, T, [v for f in slots for v in f.time_breakpoints()],
+                                        n_time)
     counts = np.bincount(g.jseg, minlength=n)
     col = np.arange(len(g.tj)) - (np.cumsum(counts) - counts)[g.jseg]
     node_jumps = it.jumps_before(g.s, g.sseg, g.tj, g.jseg)
@@ -350,7 +316,7 @@ def _iterated(slots, batch: PointBatch, measure: LevyMeasure, T: float,
 
     for k in range(1, len(slots)):
         ck_nodes = np.asarray(projs[k](g.s, 0.0, 0.0), dtype=float) + np.zeros(len(g.s))
-        D_nodes, D_breaks = g.cumulative(P_nodes * ck_nodes)
+        D_nodes, D_breaks = _cumulative(g, P_nodes * ck_nodes)
         inc = running(slots[k], P_left)
         P_nodes = inc[g.sseg, node_jumps] - D_nodes
         P_left = inc[g.jseg, col] - D_breaks[g.jump_break]

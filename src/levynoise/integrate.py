@@ -27,6 +27,7 @@ from .integrands import (
     Product,
     SignPow,
     Term,
+    ZERO,
     gl_rule,
     product_node,
 )
@@ -110,8 +111,7 @@ def _one_sided_mass(measure, shell, lo, hi):
     if isinstance(measure, DiscreteAtoms):
         return float(sum(w for z, w in measure.atoms
                          if lo < z <= hi and shell.lo < abs(z) <= shell.hi))
-    if not measure.symmetric:
-        return measure.nu_integral(lambda z: 1.0 if lo < z <= hi else 0.0, shell)
+    # both density families are symmetric
     total = 0.0
     pos = shell.clip(max(lo, 0.0), hi) if hi > 0 else None
     if pos:
@@ -317,13 +317,12 @@ class CadlagPath:
             vals = vals.reshape(n, scan)
             for r, g in enumerate(np.argmax(vals, axis=1)):
                 best[r] = max(best[r], vals[r, g])
-                lo = grid[max(g - 1, 0)]
-                hi = grid[min(g + 1, scan - 1)]
-                # keep the refinement bracket inside one inter-jump interval
+                # the grid neighbours, cut to the inter-jump interval that
+                # holds grid[g]
                 row = self.times[r]
-                inner = row[(row > lo) & (row < hi)]
-                if len(inner):
-                    hi = float(inner[0])
+                j = int(np.searchsorted(row, grid[g], side="right"))
+                lo = max(grid[max(g - 1, 0)], row[j - 1] if j else 0.0)
+                hi = min(grid[min(g + 1, scan - 1)], row[j] if j < len(row) else np.inf)
                 if hi > lo:
                     from scipy import optimize
 
@@ -449,15 +448,49 @@ def node_values(fn, pts) -> np.ndarray:
     return np.asarray(fn(pts), dtype=float) + np.zeros(len(pts))
 
 
-def space_time_grid(X: Integrand, s, xpts) -> np.ndarray:
-    """X on the grid of times s and space points xpts: the sum over its
-    terms of the outer product of the time and space factor values, each
-    scaled by its jump factor, which must be constant."""
-    grid = np.zeros((len(s), len(xpts)))
-    for term in X.terms:
-        grid += (np.multiply.outer(node_values(term.time, s), node_values(term.space_value, xpts))
-                 * _jump_const(term))
-    return grid
+def term_factors(X: Integrand, s, xpts, z) -> list:
+    """The (time, space, jump) factor values of each term of X at the time
+    nodes s, space points xpts and jump nodes z: the factors of tensor_fold;
+    an X without terms is the zero term."""
+    return [(node_values(term.time, s), node_values(term.space_value, xpts),
+             node_values(term.jump, z)) for term in X.terms or ZERO.terms]
+
+
+# Elements per block of the (time x box x jump node) tensors of tensor_fold;
+# a block holds at least one time node, and never moves a result.
+TENSOR_BLOCK = 1 << 14
+
+
+@functools.lru_cache(maxsize=1)
+def _tensor_scratch(size: int) -> np.ndarray:
+    """Two blocks of `size` floats kept for the process, each written before it
+    is read: freed after every call, they let malloc trim and refault the heap."""
+    return np.empty((2, size))
+
+
+def tensor_fold(phi, factors, xw, zw, start=None) -> np.ndarray:
+    """Per time node i, the sum over box and jump nodes j, k of phi(V, b)_ijk
+    xw_j zw_k, with V_ijk = start_i (0 without start) plus the sum over the
+    (time, space, jump) factors of their products tv_i sv_j jv_k.
+
+    V is built in blocks of TENSOR_BLOCK elements, in place in the scratch
+    blocks, and b is the slice of the time nodes a block holds.  phi gets V
+    to read, not to keep; a stack of tensors from it gives the stack of
+    sums.
+    """
+    n = len(start) if start is not None else len(factors[0][0])
+    shape = (len(xw), len(zw))
+    size = shape[0] * shape[1]
+    step, scratch = max(1, TENSOR_BLOCK // max(1, size)), _tensor_scratch(max(TENSOR_BLOCK, size))
+    out = []
+    for a in range(0, max(n, 1), step):  # one empty block when there are no time nodes
+        b = slice(a, min(n, a + step))
+        v, prod = (w[:(b.stop - a) * size].reshape(b.stop - a, *shape) for w in scratch)
+        v[...] = 0.0 if start is None else start[b, None, None]
+        for tv, sv, jv in factors:
+            np.add(v, np.multiply.outer(np.multiply.outer(tv[b], sv), jv, out=prod), out=v)
+        out.append(np.einsum("...ijk,j,k->...i", phi(v, b), xw, zw))
+    return np.concatenate(out, axis=-1)
 
 
 def batch_breaks(batch: PointBatch, t: float, extra):
@@ -477,11 +510,23 @@ def batch_breaks(batch: PointBatch, t: float, extra):
     return pts[new], seg[new], run[order >= len(batch) * len(fixed)]
 
 
-def batch_rule(batch: PointBatch, t: float, extra, n_per_interval: int):
-    """interval_rule over the batch_breaks of every replicate at once: the
-    nodes s, weights w and the replicate index of each node."""
-    breaks, seg, _ = batch_breaks(batch, t, extra)
-    # each replicate's breaks run from 0 up to t > 0, so interval_rule drops
-    # each step from t back to 0
-    s, w = interval_rule(breaks, n_per_interval)
-    return s, w, np.repeat(seg[:-1][~(breaks[1:] <= breaks[:-1])], n_per_interval)
+class ReplicateGrid:
+    """The interval_rule grid over the breaks of every replicate of a batch
+    (0, its jumps up to T, the time discontinuities `extra` and T), one
+    replicate after another: nodes s, weights ws and the replicate sseg of
+    each node; and the jumps up to T in batch order, with the replicate
+    jseg of each."""
+
+    def __init__(self, batch: PointBatch, T: float, extra, n_time: int):
+        n, self.n_time = len(batch), n_time
+        self.breaks, self.bseg, self.jump_break = batch_breaks(batch, T, extra)
+        # each replicate's breaks run from 0 up to T > 0, so interval_rule
+        # drops each step from T back to 0
+        self.s, self.ws = interval_rule(self.breaks, n_time)
+        self.inner = ~(self.breaks[1:] <= self.breaks[:-1])
+        self.sseg = np.repeat(self.bseg[:-1][self.inner], n_time)
+        self.first = np.searchsorted(self.bseg, np.arange(n))  # each replicate's 0
+        self.last = np.searchsorted(self.bseg, np.arange(n), side="right") - 1  # and T
+        mask = batch.t <= T
+        self.tj, self.xj, self.zj = batch.t[mask], batch.x[mask], batch.z[mask]
+        self.jseg = batch.segment[mask]

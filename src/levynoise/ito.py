@@ -4,14 +4,14 @@ formulas.
 At the working truncation the simulated process is a genuine finite-activity
 semimartingale, so each identity holds path by path and the only slack is
 quadrature.  Jump sums are exact; time integrals run interval-by-interval
-between jumps (the path is smooth there); the triple compensator integrals
-use one shared tensor rule so that algebraically cancelling pieces cancel to
-machine precision.
+between jumps (the path is smooth there), on the `integrate.ReplicateGrid`
+of every replicate of a batch at once; the triple compensator integrals use
+one shared time x box x jump rule, folded by `integrate.tensor_fold`, so
+that algebraically cancelling pieces cancel to machine precision.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -19,7 +19,6 @@ from typing import Callable
 import numpy as np
 
 from . import integrate as it
-from . import mc
 from .integrands import Integrand
 from .measure import LevyMeasure
 from .prm import PointBatch
@@ -144,11 +143,12 @@ def ito_rhs_big_small(fn: SmoothFn, G: Integrand | None, K: Integrand | None,
     w, n = batch.window, len(batch)
     small = w.shell.clip(0.0, split)
     extra = [v for X in (G, H) if X is not None for v in X.time_breakpoints()]
-    s, ws, seg = it.batch_rule(batch, t, extra, n_time)
-    y = path.eval(s, seg)
+    g = it.ReplicateGrid(batch, t, extra, n_time)
+    s, ws = g.s, g.ws
+    y = path.eval(s, g.sseg)
     dfy = fn.df(y)
 
-    def per_path(values, where=seg):
+    def per_path(values, where=g.sseg):
         return np.bincount(where, weights=values, minlength=n)
 
     # the nu-side integrals over [0,t] x box x small, on one tensor rule so
@@ -160,17 +160,22 @@ def ito_rhs_big_small(fn: SmoothFn, G: Integrand | None, K: Integrand | None,
         xpts, xw = it.box_rule(w.box, n_space if any(tm.space for tm in H.terms) else 1)
         znod, zw = measure.nu_nodes(small, n_jump)
         if len(znod):
-            factors = [(it.node_values(term.time, s), it.node_values(term.space_value, xpts),
-                        it.node_values(term.jump, znod)) for term in H.terms]
+            factors = it.term_factors(H, s, xpts, znod)
             for term, (tv, _, _) in zip(H.terms, factors):
                 D = D + (per_path(ws * dfy * tv) * it.space_factor(term, w.box)
                          * it.nu_factor(measure, term.jump, small))
-            A = per_path(ws * _nu_tensor(fn, y, factors, xw, zw))
+            fy = fn.f(y)
+
+            def increment(v, b):  # f(y + H) - f(y) on a block of time nodes
+                diff = fn.f(v)
+                diff -= fy[b, None, None]
+                return diff
+
+            A = per_path(ws * it.tensor_fold(increment, factors, xw, zw, start=y))
 
     g_term = np.zeros(n) if G is None else per_path(
         ws * dfy * it.node_values(lambda u: G(u, 0.0, 0.0), s))
-    mask = batch.t <= t
-    tt, xx, zz, sg = batch.t[mask], batch.x[mask], batch.z[mask], batch.segment[mask]
+    tt, xx, zz, sg = g.tj, g.xj, g.zj, g.jseg
     yl = path.eval(tt, sg, left=True)
 
     def jump_sum(part, X):  # per path, the sum of f(Y(t-) + X) - f(Y(t-))
@@ -182,32 +187,6 @@ def ito_rhs_big_small(fn: SmoothFn, G: Integrand | None, K: Integrand | None,
     big = np.abs(zz) > split
     terms = (g_term, jump_sum(big, K), jump_sum(~big, H) - A, A - D)
     return FourTermResult(*terms)
-
-
-@functools.lru_cache(maxsize=1)
-def _tensor_scratch(size: int) -> np.ndarray:
-    """Two blocks of `size` floats kept for the process, each written before it
-    is read: freed after every call, they let malloc trim and refault the heap."""
-    return np.empty((2, size))
-
-
-def _nu_tensor(fn: SmoothFn, y, factors, xw, zw) -> np.ndarray:
-    """Per time node i, the sum over box and jump nodes j, k of (f(y_i +
-    H_ijk) - f(y_i)) xw_j zw_k, with H_ijk the sum of the terms' (time,
-    space, jump) factor products; in blocks of mc.TENSOR_BLOCK elements,
-    summed in place in the scratch blocks."""
-    fy, out, n = fn.f(y), np.empty(len(y)), len(xw) * len(zw)
-    step, scratch = max(1, mc.TENSOR_BLOCK // n), _tensor_scratch(max(mc.TENSOR_BLOCK, n))
-    for a in range(0, len(y), step):
-        b = slice(a, a + step)
-        yh, prod = (v[:len(y[b]) * n].reshape(-1, len(xw), len(zw)) for v in scratch)
-        yh[...] = y[b, None, None]
-        for tv, sv, jv in factors:
-            np.add(yh, np.multiply.outer(np.multiply.outer(tv[b], sv), jv, out=prod), out=yh)
-        diff = fn.f(yh)
-        diff -= fy[b, None, None]
-        out[b] = np.einsum("ijk,j,k->i", diff, xw, zw)
-    return out
 
 
 def ito_rhs_all_compensated(fn: SmoothFn, G: Integrand | None, H: Integrand,

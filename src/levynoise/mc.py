@@ -14,10 +14,6 @@ from .prm import intensity, replicate_seeds, simulate
 # Expected Poisson points per batch of `batches`; a block holds at least one
 # replicate, so the budget bounds memory, never the result.
 BLOCK_POINTS = 1 << 15
-# Elements per block of the (time x box x jump node) tensors of the Ito
-# evaluators and of the martingale representation; a block holds at least
-# one time node, and never moves a result.
-TENSOR_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)

@@ -83,8 +83,6 @@ def _quad(fn, a, b):
 class LevyMeasure:
     """Base interface; concrete families implement the _* hooks."""
 
-    symmetric: bool = False
-
     # -- public operations ------------------------------------------------
 
     def shell_mass(self, shell: Shell) -> float:
@@ -212,7 +210,6 @@ class _SymmetricDensity(LevyMeasure):
     (0, support_hi]; subclasses set both and the closed forms they offer.
     """
 
-    symmetric = True
     _rate = 0.0
 
     def _density_abs(self, a):

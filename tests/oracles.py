@@ -104,11 +104,10 @@ class OnePath:
             vals = np.abs(self.eval(grid))
             g = int(np.argmax(vals))
             best = max(best, float(vals[g]))
-            lo = grid[max(g - 1, 0)]
-            hi = grid[min(g + 1, scan - 1)]
-            inner = self.times[(self.times > lo) & (self.times < hi)]
-            if len(inner):
-                hi = float(inner[0])
+            j = int(np.searchsorted(self.times, grid[g], side="right"))
+            lo = max(grid[max(g - 1, 0)], self.times[j - 1] if j else 0.0)
+            hi = min(grid[min(g + 1, scan - 1)],
+                     self.times[j] if j < len(self.times) else np.inf)
             if hi > lo:
                 from scipy import optimize
 
@@ -176,8 +175,8 @@ def representation_residual_one(h, config: prm.PointBatch, measure, T: float, *,
     s, ws = it.interval_rule(breaks, n_time)
     xpts, wx = it.box_rule(w.box, n_space)
     znod, zw = measure.nu_nodes(w.shell, n_jump)
-    hgrid = it.space_time_grid(h, s, xpts)
-    psi_nodes = apps.psi_shell_rule(measure, w.shell, hgrid, n_jump) @ wx
+    hgrid = space_time_grid(h, s, xpts)
+    psi_nodes = psi_shell_rule(measure, w.shell, hgrid, n_jump) @ wx
     psi_cum_nodes, psi_cum_breaks = apps.cumulative_on_grid(breaks, n_time, psi_nodes)
     m_nodes = np.exp(1j * path.eval(s, 0) - psi_cum_nodes)
     lhs = np.exp(1j * path.eval(T)[0] - psi_cum_breaks[-1])
@@ -192,6 +191,114 @@ def representation_residual_one(h, config: prm.PointBatch, measure, T: float, *,
     phase = np.exp(1j * np.multiply.outer(hgrid, znod)) - 1.0  # (S, P, Z)
     comp = complex(np.einsum("ijk,i,j,k,i->", phase, ws, wx, zw, m_nodes))
     return abs(complex(lhs) - (1.0 + jump_sum - comp))
+
+
+# ---------------------------------------------------------------------------
+# The space-time quadratures that integrate.tensor_fold replaced, each with
+# its tensor whole or in its own blocks.
+
+
+def space_time_grid(X: ig.Integrand, s, xpts) -> np.ndarray:
+    """X on the grid of times s and space points xpts: the sum over its
+    terms of the outer product of the time and space factor values, each
+    scaled by its jump factor, which must be constant."""
+    grid = np.zeros((len(s), len(xpts)))
+    for term in X.terms:
+        grid += (np.multiply.outer(it.node_values(term.time, s),
+                                   it.node_values(term.space_value, xpts))
+                 * it._jump_const(term))
+    return grid
+
+
+def psi_shell_rule(measure, shell, u, n_per_side: int = 48):
+    """The compensated exponent e^{iuz} - 1 - iuz of any array u, summed on
+    the nu-rule measure.nu_nodes(shell, n_per_side)."""
+    z, w = measure.nu_nodes(shell, n_per_side)
+    u = np.asarray(u, dtype=float)
+    if len(z) == 0:
+        return np.zeros(u.shape, dtype=complex)
+    uz = np.multiply.outer(u, z)
+    return (np.exp(1j * uz) - 1.0 - 1j * uz) @ w
+
+
+def space_time_integral(X: ig.Integrand, window, t: float, phi, n_time: int, n_space: int):
+    """Integral over [0,t] x box of phi(grid), the grid of X values on the
+    whole tensor rule."""
+    breaks = np.unique(np.array([0.0, t] + [v for v in X.time_breakpoints() if 0.0 < v < t]))
+    s, ws = it.interval_rule(breaks, n_time)
+    xpts, wx = it.box_rule(window.box, n_space)
+    return np.einsum("ij,i,j->", phi(space_time_grid(X, s, xpts)), ws, wx)
+
+
+def psi_space_time_integral(h, window, measure, t, n_time=24, n_space=16, n_jump=48) -> complex:
+    return complex(space_time_integral(
+        h, window, t, lambda g: psi_shell_rule(measure, window.shell, g, n_jump), n_time, n_space))
+
+
+def space_time_norm_sq(X, window, t, n=32) -> float:
+    return float(space_time_integral(X, window, t, lambda g: g * g, n, n))
+
+
+def lp_bracket(X, window, t, p, n=32) -> float:
+    pp = float(space_time_integral(X, window, t, lambda g: np.abs(g) ** p, n, n))
+    return space_time_norm_sq(X, window, t, n) ** (p / 2.0) + pp
+
+
+def nu_tensor(fn, y, factors, xw, zw, block: int):
+    """Per time node i, the sum over box and jump nodes j, k of (f(y_i +
+    H_ijk) - f(y_i)) xw_j zw_k, with H_ijk the sum of the terms' factor
+    products: ito's form before tensor_fold, a fresh tensor per factor and
+    per block of `block` elements."""
+    fy, out = fn.f(y), np.empty(len(y))
+    step = max(1, block // (len(xw) * len(zw)))
+    for a in range(0, len(y), step):
+        b = slice(a, a + step)
+        yh = y[b, None, None]
+        for tv, sv, jv in factors:
+            yh = yh + np.multiply.outer(np.multiply.outer(tv[b], sv), jv)
+        diff = fn.f(yh)
+        diff -= fy[b, None, None]
+        out[b] = np.einsum("ijk,j,k->i", diff, xw, zw)
+    return out
+
+
+def shell_sums(hgrid, wx, z, zw, block: int):
+    """Per time node i, the sums over box and nu-rule nodes j, k, with their
+    weights, of e^{i h_ij z_k} - 1 - i h_ij z_k and of e^{i h_ij z_k} - 1:
+    the representation's form before tensor_fold, in blocks of `block`
+    elements."""
+    psi, phase = np.zeros((2, len(hgrid)), dtype=complex)
+    step = max(1, block // max(1, len(wx) * len(z)))
+    for a in range(0, len(hgrid), step):
+        b = slice(a, a + step)
+        uz = np.multiply.outer(hgrid[b], z)
+        vals = np.exp(1j * uz) - 1.0
+        phase[b] = np.einsum("ijk,j,k->i", vals, wx, zw)
+        vals -= 1j * uz
+        psi[b] = np.einsum("ijk,j,k->i", vals, wx, zw)
+    return psi, phase
+
+
+def tensor_fold_whole(phi, factors, xw, zw, start=None) -> np.ndarray:
+    """integrate.tensor_fold with its tensor whole: phi on all time nodes at
+    once, b the slice of them all."""
+    n = len(start) if start is not None else len(factors[0][0])
+    v = np.zeros((n, len(xw), len(zw)))
+    if start is not None:
+        v += start[:, None, None]
+    for tv, sv, jv in factors:
+        v += np.multiply.outer(np.multiply.outer(tv, sv), jv)
+    vals = phi(v, slice(0, n))
+    out = [np.einsum("ijk,j,k->i", x, xw, zw) for x in (vals if vals.ndim > 3 else [vals])]
+    return np.array(out) if vals.ndim > 3 else out[0]
+
+
+def batch_rule(batch: prm.PointBatch, t: float, extra, n_per_interval: int):
+    """interval_rule over the batch_breaks of every replicate at once: the
+    nodes s, weights w and the replicate index of each node."""
+    breaks, seg, _ = it.batch_breaks(batch, t, extra)
+    s, w = it.interval_rule(breaks, n_per_interval)
+    return s, w, np.repeat(seg[:-1][~(breaks[1:] <= breaks[:-1])], n_per_interval)
 
 
 def interlacing_rows_per_config(ladder, problem, replicates: int, master_seed: int):

@@ -513,8 +513,10 @@ class TestBatchedItoMovesRoundingOnly:
         if block_points is not None:
             monkeypatch.setattr(mc, "BLOCK_POINTS", block_points)
         if tensor_block is not None:
-            monkeypatch.setattr(mc, "TENSOR_BLOCK", tensor_block)
-        for name in sorted(ITO_FORMS) + ["chaos", "interlace", "martingale"]:
+            monkeypatch.setattr(it, "TENSOR_BLOCK", tensor_block)
+        # kunita's norms are folded on the same tensor blocks
+        extra = ["kunita"] if tensor_block is not None else []
+        for name in sorted(ITO_FORMS) + ["chaos", "interlace", "martingale"] + extra:
             result = run_experiment(reduced_config(name))
             default = reduced_result(name)
             assert summary_text(result) == summary_text(default), name

@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from levynoise import apps, mc
+from levynoise import apps
 from levynoise import integrands as ig
 from levynoise import integrate as it
 from levynoise.cli import bundled_config_text
 from levynoise.experiments import parse_config, run_experiment
 from levynoise.measure import DiscreteAtoms, Shell, TemperedStable, TruncatedStable
 from levynoise.prm import PointBatch, Window, replicate_seed, simulate
+import oracles
 from oracles import (moment_bound_cell_per_path, path_breaks, replicate,
                      representation_residual_one)
 
@@ -82,7 +83,7 @@ class TestExpMartingale:
     def test_psi_rule_matches_measure_psi(self):
         for m in (ATOMS, TSTABLE):
             us = np.array([-1.5, -0.3, 0.0, 0.7, 2.0])
-            rule = apps.psi_shell_rule(m, WIN.shell, us, n_per_side=64)
+            rule = oracles.psi_shell_rule(m, WIN.shell, us, n_per_side=64)
             exact = np.array([m.psi_shell(WIN.shell, u) for u in us])
             np.testing.assert_allclose(rule, exact, atol=1e-9)
 
@@ -105,6 +106,19 @@ class TestExpMartingale:
 
 
 class TestRepresentation:
+    @pytest.mark.parametrize("m", [ATOMS, TSTABLE], ids=["atoms", "tstable"])
+    def test_node_sums_match_shell_sums_oracle(self, m):
+        # for a one-term h with jump factor 1, the one tensor_fold pass gives
+        # the bytes of the two sums the representation took before it
+        s, _ = it.interval_rule(np.linspace(0.0, 1.0, 6), 8)
+        xpts, wx = it.box_rule(WIN.box, 16)
+        z, zw = m.nu_nodes(WIN.shell, 48)
+        factors = it.term_factors(X_SMOOTH.with_jump(ig.SignPow(1.0)), s, xpts, z)
+        phase, psi = it.tensor_fold(apps._phase_and_psi, factors, wx, zw)
+        want_psi, want_phase = oracles.shell_sums(oracles.space_time_grid(X_SMOOTH, s, xpts),
+                                                  wx, z, zw, it.TENSOR_BLOCK)
+        assert phase.tobytes() == want_phase.tobytes() and psi.tobytes() == want_psi.tobytes()
+
     def test_h_zero_residual_zero(self):
         c = simulate(WIN, ATOMS, [4])
         assert apps.representation_residual(ig.ONE * 0.0, c, ATOMS, 1.0) <= 1e-14
@@ -164,7 +178,7 @@ class TestRepresentation:
             assert abs(resid[k] - representation_residual_one(X_SMOOTH, c, m, T)) <= 1e-13
             m_k = complex(apps.exp_martingale(X_SMOOTH, c, m, T, psi)[0])
             assert gaps[k] == abs(abs(m_k) - math.exp(-psi.real))
-        monkeypatch.setattr(mc, "TENSOR_BLOCK", 1)
+        monkeypatch.setattr(it, "TENSOR_BLOCK", 1)
         assert np.array_equal(apps.representation_residual(X_SMOOTH, batch, m, T), resid)
 
 
@@ -195,10 +209,50 @@ class TestConstantJumpFactor:
         assert abs(row.isometry_mean - target) <= 4 * row.isometry_se
 
     def test_jump_dependent_factor_rejected(self):
-        s, _ = it.interval_rule(np.array([0.0, 1.0]), 4)
-        xpts, _ = it.box_rule(WIN.box, 4)
-        with pytest.raises(ValueError, match="non-constant jump factor"):
-            it.space_time_grid(ig.term(jump=ig.SignPow(1.0)), s, xpts)
+        X = ig.term(jump=ig.SignPow(1.0))
+        for quantity in (lambda: apps.space_time_norm_sq(X, WIN, 1.0),
+                         lambda: apps.lp_bracket(X, WIN, 1.0, 3.0),
+                         lambda: apps.psi_space_time_integral(X, WIN, ATOMS, 1.0)):
+            with pytest.raises(ValueError, match="non-constant jump factor"):
+                quantity()
+
+
+class TestSpaceTimeFold:
+    """The space-time quantities folded by integrate.tensor_fold against the
+    whole-grid forms they replaced: only the summation order differs."""
+
+    CASES = [
+        (X_SMOOTH, WIN),
+        (ig.term(time=ig.Indicator(0.2, 0.7), space=ig.Poly((1.0, -0.3))) * 1.3
+         + ig.term(time=ig.Cos(2.0), jump=ig.Const(0.5)), WIN),
+        (ig.term(time=ig.Exp(-0.5), space=(ig.Poly((1.0, 0.4)), ig.Cos(1.0))),
+         Window(0.7, ((-0.5, 0.5), (0.0, 1.5)), Shell(0.3, 2.0))),
+    ]
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_matches_whole_grid_oracle(self, case):
+        X, win = self.CASES[case]
+        T = win.horizon
+        assert apps.space_time_norm_sq(X, win, T) == pytest.approx(
+            oracles.space_time_norm_sq(X, win, T), rel=1e-14)
+        assert apps.lp_bracket(X, win, T, 3.0) == pytest.approx(
+            oracles.lp_bracket(X, win, T, 3.0), rel=1e-14)
+        for m in (ATOMS, TSTABLE, TemperedStable(alpha=0.5, c=0.8, theta=1.5)):
+            got = apps.psi_space_time_integral(X, win, m, T)
+            want = oracles.psi_space_time_integral(X, win, m, T)
+            assert abs(got - want) <= 1e-14 * abs(want)
+
+    def test_empty_jump_rule(self):
+        # a shell that holds no atom: the compensated exponent integrates to 0
+        win = Window(1.0, ((-0.5, 0.5),), Shell(2.0, 3.0))
+        assert apps.psi_space_time_integral(X_SMOOTH, win, ATOMS, 1.0) == 0.0
+
+    def test_no_terms_is_zero(self):
+        X = ig.Integrand(())
+        assert apps.space_time_norm_sq(X, WIN, 1.0) == 0.0
+        assert apps.psi_space_time_integral(X, WIN, ATOMS, 1.0) == 0.0
+        c = simulate(WIN, ATOMS, [replicate_seed(805, 0)])
+        assert apps.representation_residual(X, c, ATOMS, 1.0)[0] <= 1e-14
 
 
 def box_slot(t0, t1, x0, x1, zlo, zhi):

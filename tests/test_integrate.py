@@ -287,6 +287,14 @@ class TestBuildPath:
         assert path.sup_abs(1.0) < oracle - 0.1
         assert path.sup_abs(1.0, scan=200) == pytest.approx(oracle, abs=1e-9)
 
+    def test_sup_abs_scan_brackets_the_interval_of_the_grid_max(self):
+        # the drift sin(pi s) / pi peaks at 0.5, just after a jump at 0.4999:
+        # the grid maximum lies after the jump, and so must the bracket
+        path = it._rows(np.array([0.4999]), np.array([0.01]), np.array([1]),
+                        it.drift_function([(1.0, ig.Cos(math.pi))]))
+        got = path.sup_abs(1.0, scan=1000)[0]
+        assert got == pytest.approx(1.0 / math.pi + 0.01, abs=1e-12)
+
 
 TIMES = st.floats(0.0, 1.0) | st.sampled_from([0.25, 0.5])
 
@@ -623,3 +631,53 @@ class TestQuadratureRules:
         with pytest.raises(ValueError):
             w[0] = 1.0
         assert float(np.sum(w)) == pytest.approx(WIN.box_volume, rel=1e-14)
+
+
+def _increment(fy):
+    """f(y + V) - f(y) for f = exp(0.4 .), as the Ito nu term folds it."""
+    def phi(v, b):
+        diff = np.exp(0.4 * v)
+        diff -= fy[b, None, None]
+        return diff
+    return phi
+
+
+def _phase_and_psi(v, _b):
+    return np.stack([np.exp(1j * v) - 1.0, np.exp(1j * v) - 1.0 - 1j * v])
+
+
+class TestTensorFold:
+    """tensor_fold's blocks, built in place in the reused scratch, give the
+    bytes of the whole tensor at once, whatever the block size."""
+
+    SHAPES = ((700, 8, 64, 2), (37, 1, 48, 1), (300, 3, 5, 3), (20, 4, 0, 2))
+
+    @pytest.mark.parametrize("block", [1, 7, None], ids=["1", "7", "default"])
+    def test_blocked_matches_whole_tensor(self, block, monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(it, "TENSOR_BLOCK", block)
+        rng = np.random.default_rng(12)
+        for n_s, n_x, n_z, n_terms in self.SHAPES:  # the last: an empty jump rule
+            y, xw, zw = rng.normal(size=n_s), rng.uniform(size=n_x), rng.uniform(size=n_z)
+            factors = [(rng.normal(size=n_s), rng.normal(size=n_x), rng.normal(size=n_z))
+                       for _ in range(n_terms)]
+            real = it.tensor_fold(_increment(np.exp(0.4 * y)), factors, xw, zw, start=y)
+            want = oracles.tensor_fold_whole(_increment(np.exp(0.4 * y)), factors, xw, zw, y)
+            assert real.shape == (n_s,) and real.tobytes() == want.tobytes()
+            stacked = it.tensor_fold(_phase_and_psi, factors, xw, zw)
+            want = oracles.tensor_fold_whole(_phase_and_psi, factors, xw, zw)
+            assert stacked.shape == (2, n_s) and stacked.dtype == complex
+            assert stacked.tobytes() == want.tobytes()
+            if n_z == 0:
+                assert not real.any() and not stacked.any()
+
+
+def test_replicate_grid_matches_batch_rule():
+    # the one replicate grid gives batch_rule's nodes, weights and replicates
+    batch = simulate(WIN, ATOMS, [replicate_seed(37, k) for k in range(9)])
+    g = it.ReplicateGrid(batch, 0.8, [0.25, 0.5], 6)
+    s, w, seg = oracles.batch_rule(batch, 0.8, [0.25, 0.5], 6)
+    for got, want in ((g.s, s), (g.ws, w), (g.sseg, seg)):
+        assert got.tobytes() == want.tobytes()
+    mask = batch.t <= 0.8
+    assert np.array_equal(g.tj, batch.t[mask]) and np.array_equal(g.jseg, batch.segment[mask])

@@ -11,7 +11,7 @@ from levynoise import integrate as it
 from levynoise import ito, prm
 from levynoise.measure import DiscreteAtoms, Shell, TruncatedStable
 from levynoise.prm import Window, replicate_seed, simulate
-from oracles import jump_path, path_breaks, replicate
+from oracles import jump_path, nu_tensor, path_breaks, replicate
 
 ATOMS = DiscreteAtoms(((0.6, 1.0), (-1.1, 0.7), (1.7, 0.4)))
 TSTABLE = TruncatedStable(alpha=1.0, c=1.0, r=1.5)
@@ -278,31 +278,22 @@ class TestBatchEqualsBatchOfOne:
                 assert [v[k] for v in got] == [v[0] for v in dataclasses.astuple(rhs(c, one))]
 
 
-def nu_tensor_reference(fn, y, factors, xw, zw):
-    """The per-block allocating form of ito._nu_tensor: a fresh yh per
-    factor and per block."""
-    from levynoise import mc
-
-    fy, out = fn.f(y), np.empty(len(y))
-    step = max(1, mc.TENSOR_BLOCK // (len(xw) * len(zw)))
-    for a in range(0, len(y), step):
-        b = slice(a, a + step)
-        yh = y[b, None, None]
-        for tv, sv, jv in factors:
-            yh = yh + np.multiply.outer(np.multiply.outer(tv[b], sv), jv)
-        diff = fn.f(yh)
-        diff -= fy[b, None, None]
-        out[b] = np.einsum("ijk,j,k->i", diff, xw, zw)
-    return out
-
-
 def test_nu_tensor_scratch_matches_reference():
-    # successive calls of other shapes reuse the process's scratch blocks
+    # the Ito nu term through tensor_fold gives the bytes of ito's own
+    # allocating form; successive calls of other shapes reuse the process's
+    # scratch blocks
     rng = np.random.default_rng(11)
     fn = ito.exp_fn(0.4)
     for n_y, n_x, n_z, n_terms in ((700, 8, 64, 2), (37, 1, 48, 1), (300, 3, 5, 3)):
         y, xw, zw = rng.normal(size=n_y), rng.uniform(size=n_x), rng.uniform(size=n_z)
         factors = [(rng.normal(size=n_y), rng.normal(size=n_x), rng.normal(size=n_z))
                    for _ in range(n_terms)]
-        np.testing.assert_array_equal(ito._nu_tensor(fn, y, factors, xw, zw),
-                                      nu_tensor_reference(fn, y, factors, xw, zw))
+        fy = fn.f(y)
+
+        def increment(v, b):
+            diff = fn.f(v)
+            diff -= fy[b, None, None]
+            return diff
+
+        np.testing.assert_array_equal(it.tensor_fold(increment, factors, xw, zw, start=y),
+                                      nu_tensor(fn, y, factors, xw, zw, it.TENSOR_BLOCK))
