@@ -277,6 +277,19 @@ def check_disjoint(f: ChaosFunction, window: Window, measure: LevyMeasure,
                     "diagonal handling is out of scope")
 
 
+def second_order_square_variance(f: ChaosFunction, window: Window, measure: LevyMeasure,
+                                 T: float) -> float:
+    """Var(I2^2) of an order-2 chaos function with disjoint slots A and B.
+
+    Then I2 = N~(A) N~(B) with independent factors, and a compensated
+    integral X of g has E X^2 = k2 and E X^4 = k4 + 3 k2^2, with k_p the
+    compensator of g^p: Var(I2^2) = prod (k4 + 3 k2^2) - prod k2^2."""
+    k2 = np.array([it.compensator(g.squared(), window, measure, T) for g in f.factors])
+    k4 = np.array([it.compensator(g.squared().squared(), window, measure, T)
+                   for g in f.factors])
+    return float(np.prod(k4 + 3.0 * k2 * k2) - np.prod(k2 * k2))
+
+
 def _cumulative(g: it.ReplicateGrid, values):
     """The integral of the node values of a replicate grid at every node and
     break, less its value at the replicate's 0, so a cumulative_on_grid that

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from levynoise import apps
 from levynoise import integrands as ig
 from levynoise import integrate as it
+from levynoise import mc
 from levynoise.cli import bundled_config_text
 from levynoise.experiments import parse_config, run_experiment
 from levynoise.measure import DiscreteAtoms, Shell, TemperedStable, TruncatedStable
@@ -347,12 +348,62 @@ class TestChaosMoments:
         # E I2^2 = 2 ||f2||^2
         target = 2.0 * apps.chaos_norm_sq(f2, win, m, 1.0)
         sq = i2 ** 2
-        se2 = sq.std(ddof=1) / math.sqrt(n)
+        se2 = math.sqrt(apps.second_order_square_variance(f2, win, m, 1.0) / n)
         assert abs(sq.mean() - target) <= 4 * se2
         # E I1 I2 = 0
         cross = i1 * i2
         se3 = cross.std(ddof=1) / math.sqrt(n)
         assert abs(cross.mean()) <= 4 * se3
+
+
+class TestChaosCalibration:
+    """chaos's second_order_isometry verdict, judged by the exact standard
+    error of I2^2 = (N~(A) N~(B))^2, keeps a small false-alarm rate over
+    many master seeds and still fails a target moved by 5 standard errors.
+    At 400 replicates the sample standard error fails about 7 % of the
+    seeds, since it collapses whenever a run misses the rare large I2^2."""
+
+    SEEDS, N, K_SIGMA = 500, 400, 4.0
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        cfg = parse_config(json.loads(bundled_config_text("chaos")))
+        w, m, T = cfg.window, cfg.measure(), cfg.window.horizon
+        a, b = cfg.params["slot_a"], cfg.params["slot_b"]
+        f2 = apps.ChaosFunction((a, b))
+
+        def stat(batch):
+            return ((it.int_Nhat(a, batch, m, T) * it.int_Nhat(b, batch, m, T)) ** 2,)
+
+        sq = np.array([mc.replicate_values(stat, w, m, self.N, seed)[0]
+                       for seed in range(self.SEEDS)])
+        exact_se = math.sqrt(apps.second_order_square_variance(f2, w, m, T) / self.N)
+        return sq, 2.0 * apps.chaos_norm_sq(f2, w, m, T), exact_se
+
+    def fail_fraction(self, sq, target, se):
+        return float(np.mean([not mc.verdict(mc.McEstimate(float(v.mean()), s, self.N, 0),
+                                             target, self.K_SIGMA).passed
+                              for v, s in zip(sq, np.broadcast_to(se, len(sq)))]))
+
+    def test_shipped_slots_variance(self):
+        cfg = parse_config(json.loads(bundled_config_text("chaos")))
+        f2 = apps.ChaosFunction((cfg.params["slot_a"], cfg.params["slot_b"]))
+        a, b = 0.25, 0.175  # the slots' compensators
+        want = (a + 3 * a * a) * (b + 3 * b * b) - a * a * b * b
+        assert apps.second_order_square_variance(f2, cfg.window, cfg.measure(),
+                                                 1.0) == pytest.approx(want, rel=1e-14)
+
+    def test_null_false_alarm_rate(self, runs):
+        sq, target, exact_se = runs
+        assert np.mean(sq) == pytest.approx(target, rel=0.05)
+        assert self.fail_fraction(sq, target, exact_se) <= 0.02
+        sample_se = sq.std(axis=1, ddof=1) / math.sqrt(self.N)
+        assert self.fail_fraction(sq, target, sample_se) > 0.02
+
+    @pytest.mark.parametrize("shift", [5.0, -5.0])
+    def test_planted_bias_fails(self, runs, shift):
+        sq, target, exact_se = runs
+        assert self.fail_fraction(sq, target + shift * exact_se, exact_se) >= 0.75
 
 
 # ---------------------------------------------------------------------------
