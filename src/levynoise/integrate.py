@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -157,15 +156,23 @@ def _time_pieces(G: Integrand) -> list:
     return [(_jump_const(term) * _space_const(term), term.time) for term in G.terms]
 
 
-def drift_function(pieces) -> Callable[[np.ndarray], np.ndarray]:
-    """t -> sum over the (coefficient, time node) pairs of the coefficient
-    times the integral of the node over [0, t]."""
-    pieces = tuple((c, node) for c, node in pieces if c != 0.0)
+# A drift's slope is sampled on SLOPE_GRID points of [0, t], plus its
+# nodes' breakpoints, and each sign change is bisected to SLOPE_TOL.
+SLOPE_GRID, SLOPE_TOL = 1025, 1e-12
 
-    def drift(ts):
+
+@dataclass(frozen=True)
+class Drift:
+    """t -> sum over the (coefficient, time node) pairs of the coefficient
+    times the integral of the node over [0, t]; its slope is the sum of the
+    coefficients times the nodes."""
+
+    pieces: tuple
+
+    def __call__(self, ts):
         ts = np.asarray(ts, dtype=float)
         out = np.zeros(ts.shape)
-        for coef, node in pieces:
+        for coef, node in self.pieces:
             F = node.antiderivative(ts)
             if F is None:
                 vals = np.array([node.integral(0.0, float(v)) for v in np.atleast_1d(ts)])
@@ -174,7 +181,37 @@ def drift_function(pieces) -> Callable[[np.ndarray], np.ndarray]:
                 out = out + coef * (F - node.antiderivative(np.zeros(())))
         return out
 
-    return drift
+    def slope(self, ts) -> np.ndarray:
+        ts = np.asarray(ts, dtype=float)
+        out = np.zeros(ts.shape)
+        for coef, node in self.pieces:
+            out = out + coef * node(ts)
+        return out
+
+    def turning_points(self, t: float) -> np.ndarray:
+        """The times in (0, t) where the slope changes sign, each within
+        SLOPE_TOL (relative beyond t = 1): on a grid that holds every indicator edge of the nodes,
+        the sign changes between neighbouring nonzero slopes, bisected.
+        Exact for slopes with at most one sign change between grid points."""
+        edges = [v for _, node in self.pieces
+                 for f in (node.factors if isinstance(node, Product) else (node,))
+                 if isinstance(f, (Indicator, AbsIndicator)) for v in (f.lo, f.hi) if 0.0 < v < t]
+        grid = np.unique(np.append(np.linspace(0.0, t, SLOPE_GRID), edges))
+        sign = np.sign(self.slope(grid))
+        nz = np.flatnonzero(sign)
+        change = np.flatnonzero(sign[nz[1:]] != sign[nz[:-1]])
+        lo, hi, side = grid[nz[change]], grid[nz[change + 1]], sign[nz[change]]
+        while len(lo) and np.max(hi - lo) > SLOPE_TOL * max(1.0, t):
+            mid = 0.5 * (lo + hi)
+            left = np.sign(self.slope(mid)) == side  # the change lies right of mid
+            lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
+        return 0.5 * (lo + hi)
+
+
+def drift_function(pieces) -> Drift:
+    """The drift of the (coefficient, time node) pairs; zero coefficients
+    are dropped."""
+    return Drift(tuple((c, node) for c, node in pieces if c != 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +304,7 @@ class CadlagPath:
 
     times: np.ndarray  # (n, J)
     csum: np.ndarray   # (n, J + 1)
-    drift: Callable[[np.ndarray], np.ndarray]
+    drift: Drift
 
     def eval(self, s, seg=None, left: bool = False) -> np.ndarray:
         """Path seg[i] at time s[i], or its left limit there with `left`; with
@@ -285,15 +322,13 @@ class CadlagPath:
             idx = jumps_before(s, seg, self.times[real], np.nonzero(real)[0], left)
         return self.csum[seg, idx] + self.drift(s)
 
-    def sup_abs(self, t: float, scan: int = 0) -> np.ndarray:
+    def sup_abs(self, t: float) -> np.ndarray:
         """Per path, the sup over [0, t] of |path|.
 
-        Candidates are 0, the terminal value, and left/right values at every
-        jump time; exact when the drift is monotone between jumps.  `scan`
-        adds a uniform grid plus a local refinement, path by path, for
-        wiggly drifts.
-        """
-        n = len(self.times)
+        Between jumps a path is a constant plus the shared drift, so |path|
+        peaks at 0, at t, on either side of a jump, or where the drift's
+        slope changes sign; those turning points are found once for all
+        paths."""
         k = np.count_nonzero(self.times <= t, axis=1)  # a prefix of each row
         J = int(k.max(initial=0))
         ts, prefix = self.times[:, :J], np.arange(J) < k[:, None]
@@ -311,27 +346,8 @@ class CadlagPath:
         if some.any():  # each row's largest candidate
             row_max = np.maximum.reduceat(cand, (np.cumsum(k) - k)[some])
             best[some] = np.maximum(best[some], row_max)
-        if scan > 1:
-            grid = np.linspace(0.0, t, scan)
-            vals = np.abs(self.eval(np.tile(grid, n), np.repeat(np.arange(n), scan)))
-            vals = vals.reshape(n, scan)
-            for r, g in enumerate(np.argmax(vals, axis=1)):
-                best[r] = max(best[r], vals[r, g])
-                # the grid neighbours, cut to the inter-jump interval that
-                # holds grid[g]
-                row = self.times[r]
-                j = int(np.searchsorted(row, grid[g], side="right"))
-                lo = max(grid[max(g - 1, 0)], row[j - 1] if j else 0.0)
-                hi = min(grid[min(g + 1, scan - 1)], row[j] if j < len(row) else np.inf)
-                if hi > lo:
-                    from scipy import optimize
-
-                    one = np.array([r])
-                    res = optimize.minimize_scalar(
-                        lambda s: -abs(self.eval(np.array([min(s, t)]), one)[0]),
-                        bounds=(lo, hi), method="bounded",
-                        options={"xatol": 1e-12})
-                    best[r] = max(best[r], float(-res.fun))
+        for s in self.drift.turning_points(t):
+            best = np.maximum(best, np.abs(self.eval(s)))
         return best
 
 

@@ -307,12 +307,6 @@ class DiagnosticReport:
         return buf.getvalue()
 
 
-def _scan(H: Integrand) -> int:
-    """The drift extremum grid of `CadlagPath.sup_abs`: none for constant
-    time factors, whose drift is linear between jumps, else 1000 points."""
-    return 0 if all(isinstance(t.time, Const) for t in H.terms) else 1000
-
-
 def deep_window(ladder: Ladder, problem: LadderProblem) -> Window:
     """The window of the ladder's deepest level: every level's process is
     built from the points of one configuration on it."""
@@ -358,13 +352,12 @@ def _small_jump_sups(ladder, problem):
     """batch -> (j, sup, sup) for each non-stagnant small-jump ring j: each
     replicate's sup over [0, T] of its process on the ring."""
     H, m, T, eps = problem.H, problem.measure, problem.T, ladder.thresholds
-    scan = _scan(H)
 
     def sups(batch):
         for j in range(len(eps) - 1):
             if eps[j + 1] < eps[j]:
                 ring = restrict(batch, Window(T, tuple(problem.box), Shell(eps[j + 1], eps[j])))
-                s = it.build_path(None, None, H, ring, m, split=math.inf).sup_abs(T, scan=scan)
+                s = it.build_path(None, None, H, ring, m, split=math.inf).sup_abs(T)
                 yield j, s, s
 
     return sups
@@ -379,7 +372,6 @@ def _box_ring_sups(ladder, problem):
     kind_i = ladder.kind == "spatial-I"
     small = problem.shell.clip(0.0, problem.small_hi) if kind_i else problem.shell
     split = problem.small_hi if kind_i else math.inf
-    scan = _scan(H)
     h_nu = [it.nu_factor(m, term.jump, small) if small else 0.0 for term in H.terms]
     # compensated H-part over each box ring K_hi \ K_lo
     ring_drift = []
@@ -402,13 +394,13 @@ def _box_ring_sups(ladder, problem):
             is_small = np.abs(ring.z) <= split
             h_pts = select(ring, is_small, ring.window)
             h_jumps = sizes(H, h_pts)
-            s_h = it._rows(h_pts.t, h_jumps, h_pts.counts, ring_drift[j]).sup_abs(T, scan=scan)
+            s_h = it._rows(h_pts.t, h_jumps, h_pts.counts, ring_drift[j]).sup_abs(T)
             if kind_i and K is not None:
                 jumps = np.empty(len(ring.t))
                 jumps[is_small] = h_jumps
                 jumps[~is_small] = sizes(K, select(ring, ~is_small, ring.window))
                 yield j, s_h, it._rows(ring.t, jumps, ring.counts,
-                                       ring_drift[j]).sup_abs(T, scan=scan)
+                                       ring_drift[j]).sup_abs(T)
             else:
                 yield j, s_h, s_h
 

@@ -307,7 +307,6 @@ def interlacing_rows_per_config(ladder, problem, replicates: int, master_seed: i
     path each, box rings summed as one path of their jumps sorted in time."""
     H, K, m, T = problem.H, problem.K, problem.measure, problem.T
     th = ladder.thresholds
-    scan = il._scan(H)
     if ladder.kind == "small-jump":
         def one(_k, config):
             sup2, exceed = np.zeros(len(th) - 1), np.zeros(len(th) - 1, dtype=bool)
@@ -316,7 +315,7 @@ def interlacing_rows_per_config(ladder, problem, replicates: int, master_seed: i
                     ring = prm.restrict(config, prm.Window(T, tuple(problem.box),
                                                            Shell(th[j + 1], th[j])))
                     path = it.build_path(None, None, H, ring, m, split=math.inf)
-                    s = path.sup_abs(T, scan=scan)[0]
+                    s = path.sup_abs(T)[0]
                     sup2[j], exceed[j] = s * s, s > 2.0 ** -(j + 1)
             return sup2, exceed
     else:
@@ -341,14 +340,14 @@ def interlacing_rows_per_config(ladder, problem, replicates: int, master_seed: i
                 sm = np.abs(z) <= split
                 h_jumps = np.asarray(H(t[sm], x[sm], z[sm]), dtype=float) \
                     if sm.any() else np.empty(0)
-                s = jump_path(t[sm], h_jumps, drift(th[j], th[j + 1])).sup_abs(T, scan=scan)[0]
+                s = jump_path(t[sm], h_jumps, drift(th[j], th[j + 1])).sup_abs(T)[0]
                 sup2[j] = s * s
                 if ladder.kind == "spatial-I" and K is not None:
                     k_jumps = np.asarray(K(t[~sm], x[~sm], z[~sm]), dtype=float) \
                         if (~sm).any() else np.empty(0)
                     s = jump_path(np.concatenate([t[sm], t[~sm]]),
                                   np.concatenate([h_jumps, k_jumps]),
-                                  drift(th[j], th[j + 1])).sup_abs(T, scan=scan)[0]
+                                  drift(th[j], th[j + 1])).sup_abs(T)[0]
                 exceed[j] = s > 2.0 ** -(j + 1)
             return sup2, exceed
 

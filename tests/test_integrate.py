@@ -243,17 +243,16 @@ class TestBuildPath:
             assert np.array_equal(one.csum[0], rows.csum[k, :b - a + 1])
             assert np.array_equal(one.eval(grid, np.zeros(101, dtype=int)),
                                   rows.eval(grid, np.full(101, k)))
-            assert one.sup_abs(1.0, scan=50)[0] == rows.sup_abs(1.0, scan=50)[k]
+            assert one.sup_abs(1.0)[0] == rows.sup_abs(1.0)[k]
             assert one.eval(1.0) == pytest.approx(jumps[a:b].sum() + one.drift(1.0))
 
     @given(st.lists(st.floats(0.0, 1.0) | st.sampled_from([0.25, 0.5]), max_size=25),
-           st.floats(-3.0, 3.0), st.integers(0, 2 ** 32 - 1), st.floats(0.0, 1.2),
-           st.sampled_from([0, 40]))
+           st.floats(-3.0, 3.0), st.integers(0, 2 ** 32 - 1), st.floats(0.0, 1.2))
     @settings(max_examples=80, deadline=None)
-    def test_sup_abs_matches_candidate_oracle(self, times, slope, seed, t, scan):
+    def test_sup_abs_matches_candidate_oracle(self, times, slope, seed, t):
         # t before, between, at and after the jump times; ties from the sampled
-        # times.  The drift is linear, so the sup lies on a candidate and the
-        # scan can add nothing.
+        # times.  The drift is linear, so it has no turning point and the
+        # sup lies on a candidate.
         times = np.array(times)
         jumps = np.random.default_rng(seed).normal(size=len(times))
         path = oracles.jump_path(times, jumps, [(slope, ig.Const(1.0))])
@@ -263,37 +262,36 @@ class TestBuildPath:
             if len(ts):
                 cand += [np.max(np.abs(path.eval(ts, 0))),
                          np.max(np.abs(path.eval(ts, 0, left=True)))]
-            assert path.sup_abs(u, scan=scan) == max(cand)
+            assert path.sup_abs(u) == max(cand)
 
     def test_sup_abs_scan_refines_nonmonotone_drift(self):
-        # drift cos-shaped with no jumps: max at interior point
-        path = it.CadlagPath(np.empty((1, 0)), np.zeros((1, 1)),
-                             lambda ts: np.sin(np.asarray(ts) * 3.0))
-        got = path.sup_abs(1.0, scan=64)
-        assert got == pytest.approx(1.0, abs=1e-8)
+        # the jump-free path c sin(freq s): |c| once freq t reaches pi / 2,
+        # else |c sin(freq t)|, the turning point or the terminal value
+        for c, freq, t in [(1.0, 3.0, 1.0), (-0.7, 3.0, 0.4), (2.5, 11.0, 1.0), (0.3, 1.0, 1.0)]:
+            path = it.CadlagPath(np.empty((1, 0)), np.zeros((1, 1)),
+                                 it.drift_function([(c * freq, ig.Cos(freq))]))
+            want = abs(c) if freq * t >= math.pi / 2 else abs(c * math.sin(freq * t))
+            assert path.sup_abs(t)[0] == pytest.approx(want, abs=1e-12)
 
     def test_sup_abs_scan_matches_dense_grid_with_jumps(self):
         # |sin(20 s) + jumps| peaks at 1.4 inside the last inter-jump
-        # interval, where no candidate of the exact part lies: only the scan's
-        # bounded refinement finds it.  The oracle is a 2e6-point grid plus
-        # both sides of every jump, off by at most 400 h^2 / 8 ~ 1e-11.
+        # interval, at a turning point of the drift.  The oracle is a
+        # 2e6-point grid plus both sides of every jump, off by at most
+        # 400 h^2 / 8 ~ 1e-11; the one-path oracle's scan finds no more.
         times, jumps = np.array([0.2, 0.6]), np.array([0.3, -0.7])
-        path = oracles.jump_path(times, jumps, [])
-        path = it.CadlagPath(path.times, path.csum, lambda ts: np.sin(20.0 * np.asarray(ts)))
+        path = oracles.jump_path(times, jumps, [(20.0, ig.Cos(20.0))])
         grid = np.linspace(0.0, 1.0, 2_000_001)
         oracle = max(np.max(np.abs(path.eval(grid, 0))),
                      np.max(np.abs(path.eval(times, 0, left=True))))
         assert oracle == pytest.approx(1.4, abs=1e-10)
-        assert path.sup_abs(1.0) < oracle - 0.1
-        assert path.sup_abs(1.0, scan=200) == pytest.approx(oracle, abs=1e-9)
+        assert path.sup_abs(1.0) == pytest.approx(oracle, abs=1e-9)
+        assert OnePath.row(path, 0).sup_abs(1.0, scan=200) <= path.sup_abs(1.0)[0] + 1e-12
 
     def test_sup_abs_scan_brackets_the_interval_of_the_grid_max(self):
-        # the drift sin(pi s) / pi peaks at 0.5, just after a jump at 0.4999:
-        # the grid maximum lies after the jump, and so must the bracket
+        # the drift sin(pi s) / pi peaks at 0.5, just after a jump at 0.4999
         path = it._rows(np.array([0.4999]), np.array([0.01]), np.array([1]),
                         it.drift_function([(1.0, ig.Cos(math.pi))]))
-        got = path.sup_abs(1.0, scan=1000)[0]
-        assert got == pytest.approx(1.0 / math.pi + 0.01, abs=1e-12)
+        assert path.sup_abs(1.0)[0] == pytest.approx(1.0 / math.pi + 0.01, abs=1e-12)
 
 
 TIMES = st.floats(0.0, 1.0) | st.sampled_from([0.25, 0.5])
@@ -318,19 +316,31 @@ class TestRowwisePaths:
 
     @given(st.lists(st.lists(TIMES, max_size=8), min_size=1, max_size=4),
            st.integers(0, 2 ** 32 - 1), st.floats(0.0, 1.2) | st.sampled_from([0.25, 0.5]),
-           st.sampled_from([0, 50]), st.booleans())
+           st.booleans())
     @settings(max_examples=60, deadline=None)
-    def test_match_one_path_oracle(self, rows, seed, t, scan, wiggly):
+    def test_match_one_path_oracle(self, rows, seed, t, wiggly):
         rng = np.random.default_rng(seed)
         rows = [sorted(r) for r in rows]
         rows.insert(int(rng.integers(0, len(rows) + 1)), [])
         jumps = [rng.normal(size=len(r)) for r in rows]
-        if wiggly:  # the scan's refinement has an interior maximum to find
-            drift = lambda ts: np.sin(9.0 * np.asarray(ts, dtype=float))  # noqa: E731
+        if wiggly:  # sin(9 s): interior maxima between the jumps
+            drift = it.drift_function([(9.0, ig.Cos(9.0))])
         else:
             drift = it.drift_function([(float(rng.normal()), ig.Const(1.0))])
         path, ones = rowwise(rows, jumps, drift)
-        assert path.sup_abs(t, scan=scan).tolist() == [one.sup_abs(t, scan=scan) for one in ones]
+        sups = path.sup_abs(t)
+        if wiggly:
+            # at least the one-path oracle's scanned sup, and within 1e-9 of
+            # a grid of step h (off by at most 81 h^2 / 8 ~ 6e-11)
+            grid = np.linspace(0.0, t, 400_001)
+            for sup, one in zip(sups, ones):
+                ts = one.times[one.times <= t]
+                dense = max(np.max(np.abs(one.eval(np.concatenate([grid, ts])))),
+                            np.max(np.abs(one.eval_left(ts)), initial=0.0))
+                assert one.sup_abs(t, scan=50) <= sup + 1e-12
+                assert dense - 1e-12 <= sup <= dense + 1e-9
+        else:
+            assert sups.tolist() == [one.sup_abs(t) for one in ones]
         assert path.eval(t).tolist() == [one.eval(t) for one in ones]
         assert path.eval(t, left=True).tolist() == [one.eval_left(t) for one in ones]
         # any (row, time) pairs in any order, the jump times among them
