@@ -470,7 +470,7 @@ def run_simulate(cfg: Config) -> ExperimentResult:
         p = float(stats.chi2_contingency(table).pvalue)
         res.verdicts.append(VerdictRow("halves_independent_chi2", p, level,
                                        0.0, 0.0, p > level))
-    res.tables["points.csv"] = dump_csv(simulate(w, m, [_seed_for(cfg, 1)]))
+    res.tables["points.csv"] = dump_csv(simulate(w, m, _seed_for(cfg, 1)))
     return res
 
 

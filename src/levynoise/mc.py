@@ -1,6 +1,5 @@
-"""The replicate engine: independent realizations of the Poisson random
-measure with deterministic seeding, drawn in blocks, their Monte Carlo
-fold, and z-score verdicts."""
+"""The replicate engine: the stream blocks of a master seed, their Monte
+Carlo fold, and z-score verdicts."""
 
 from __future__ import annotations
 
@@ -9,11 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .prm import intensity, replicate_seeds, simulate
-
-# Expected Poisson points per batch of `batches`; a block holds at least one
-# replicate, so the budget bounds memory, never the result.
-BLOCK_POINTS = 1 << 15
+from .prm import block_rows, intensity, simulate
 
 
 @dataclass(frozen=True)
@@ -32,19 +27,14 @@ class McEstimate:
 
 
 def batches(window, measure, n: int, master_seed: int):
-    """The n replicates of master_seed as consecutive PointBatch blocks:
-    yields (k0, batch) with replicate j of the batch the configuration of
-    replicate k0 + j, that is of `simulate(window, measure,
-    [replicate_seed(master_seed, k0 + j)])`.  A block holds as many
-    replicates as fit BLOCK_POINTS expected points, and at least one.  A
-    block's seeds are hashed in one pass, bit-identical to `replicate_seed`,
-    and its points are drawn in one `simulate` call, bit-identical to a
-    draw of each seed alone."""
-    lam = intensity(window, measure)
-    size = max(1, int(BLOCK_POINTS // lam) if lam > 0 else n)
+    """The n replicates of master_seed, one `prm` stream block at a time,
+    the last cut to n: yields (k0, batch) with replicate j of the batch the
+    replicate k0 + j.  `prm.BLOCK_POINTS` sets both the blocks and the
+    memory they take; replicate k drawn alone is row k mod S of
+    simulate(window, measure, master_seed, k // S, k mod S + 1)."""
+    size = block_rows(intensity(window, measure))
     for k0 in range(0, n, size):
-        seeds = replicate_seeds(master_seed, range(k0, min(n, k0 + size)))
-        yield k0, simulate(window, measure, seeds.tolist())
+        yield k0, simulate(window, measure, master_seed, k0 // size, min(size, n - k0))
 
 
 def replicate_values(statistic, window, measure, n: int, master_seed: int) -> list:
@@ -67,7 +57,7 @@ def replicate_values(statistic, window, measure, n: int, master_seed: int) -> li
 def run_replicates(statistic, window, measure, n: int, master_seed: int) -> McEstimate:
     """Mean and standard error of the rows `statistic(batch)` returns, one
     per replicate of the batch, over the n replicates of `batches`, folded
-    in replicate order.  The block budget does not change the result."""
+    in replicate order."""
     if n < 2:
         raise ValueError("need at least 2 replicates for a standard error")
     rows, = replicate_values(lambda batch: (np.asarray(statistic(batch)),),

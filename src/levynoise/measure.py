@@ -93,15 +93,10 @@ class LevyMeasure:
         """integral over the shell of |z|^p (or sign(z)|z|^p when signed)."""
         raise NotImplementedError
 
-    def sample_shell(self, shell: Shell, rngs, counts) -> np.ndarray:
-        """Draw counts[k] marks from generator rngs[k], for each k, from nu
-        restricted to the shell, normalized: sum(counts) marks in replicate
-        order.
-
-        A generator makes the calls it would make alone, in the same order
-        (the per-shell constants are computed once for all of them), and
-        the marks come from one vectorised transform of all the uniforms.
-        """
+    def sample_shell(self, shell: Shell, rng, n: int) -> np.ndarray:
+        """n marks from nu restricted to the shell, normalized, drawn from
+        the generator in order: the first k of n marks are the k marks a
+        draw of k gives."""
         raise NotImplementedError
 
     def psi_shell(self, shell: Shell, u) -> complex:
@@ -147,12 +142,11 @@ class DiscreteAtoms(LevyMeasure):
             return float(sum(w * math.copysign(abs(z) ** p, z) for z, w in hit))
         return float(sum(w * abs(z) ** p for z, w in hit))
 
-    def sample_shell(self, shell, rngs, counts):
+    def sample_shell(self, shell, rng, n):
         hit = _atoms_in(self, shell)
         if not hit.pairs:
             raise ValueError(f"shell {shell} carries no mass")
-        # Generator.choice(len(z), size, p=w / w.sum()) is this search
-        return hit.z[hit.cdf.searchsorted(uniforms(rngs, counts, 1)[0], side="right")]
+        return hit.z[hit.cdf.searchsorted(rng.random(n), side="right")]
 
     def psi_shell(self, shell, u):
         u = np.asarray(u, dtype=float)
@@ -176,7 +170,7 @@ class _ShellAtoms(NamedTuple):
     pairs: tuple[tuple[float, float], ...]
     z: np.ndarray
     w: np.ndarray
-    cdf: np.ndarray   # normalized cumulative weights, as Generator.choice builds them
+    cdf: np.ndarray   # normalized cumulative weights
     mass: float
 
 
@@ -192,15 +186,6 @@ def _atoms_in(measure: DiscreteAtoms, shell: Shell) -> _ShellAtoms:
     for arr in (z, w, cdf):
         arr.flags.writeable = False
     return _ShellAtoms(pairs, z, w, cdf, float(sum(b for _, b in pairs)))
-
-
-def uniforms(rngs, counts, rows: int) -> np.ndarray:
-    """One `rng.random((rows, n))` per generator and count, side by side in
-    replicate order: shape (rows, sum(counts))."""
-    parts = [rng.random((rows, n)) for rng, n in zip(rngs, counts, strict=True)]
-    if len(parts) == 1:
-        return parts[0]
-    return np.concatenate([np.empty((rows, 0)), *parts], axis=1)
 
 
 class _SymmetricDensity(LevyMeasure):
@@ -299,8 +284,7 @@ class _SymmetricDensity(LevyMeasure):
 
     def _power_law_abs(self, u, a, b):
         """|z| at CDF values u of the pure power law |z|^(-alpha-1) on
-        (a, b], computed in place in u: Generator.uniform's arithmetic, then
-        the inverse CDF."""
+        (a, b], computed in place in u by the inverse CDF."""
         ia = a ** -self.alpha
         u *= ia - b ** -self.alpha  # inf ** -alpha is 0.0
         np.subtract(ia, u, out=u)
@@ -339,13 +323,13 @@ class TruncatedStable(_SymmetricDensity):
             return 2.0 * self.c * math.log(b / a)
         return 2.0 * self.c * (b ** q - a ** q) / q
 
-    def sample_shell(self, shell, rngs, counts):
+    def sample_shell(self, shell, rng, n):
         a, b = self._bounds(shell)
         if b <= a or a == 0.0:
             raise ValueError(f"shell {shell} is not samplable for {self}")
-        mag, sign = uniforms(rngs, counts, 2)
-        # a fresh product, so the marks hold no view of the (2, n) uniforms
-        return np.where(sign < 0.5, -1.0, 1.0) * self._power_law_abs(mag, a, b)
+        u = rng.random((n, 2))  # (magnitude, sign) per mark
+        # a fresh product, so the marks hold no view of the uniforms
+        return np.where(u[:, 1] < 0.5, -1.0, 1.0) * self._power_law_abs(u[:, 0], a, b)
 
 
 @dataclass(frozen=True)
@@ -379,46 +363,31 @@ class TemperedStable(_SymmetricDensity):
             total += float(z ** p @ w)
         return 2.0 * total
 
-    def sample_shell(self, shell, rngs, counts):
+    def sample_shell(self, shell, rng, n):
         a, b = self._bounds(shell)
         if b <= a or a == 0.0:
             raise ValueError(f"shell {shell} is not samplable for {self}")
         # rejection from the pure power-law envelope on the same range:
         # accept |z| with probability exp(-theta (|z| - a)) <= 1.  Each round
-        # draws (2, max(short, 16)) uniforms from every replicate still short,
-        # and takes its first accepted magnitudes in draw order.
-        counts = np.asarray(counts, dtype=np.int64)
-        starts = np.cumsum(counts) - counts
-        out = np.empty(counts.sum())
-        filled, drawn, accepted = (np.zeros(len(counts), dtype=np.int64) for _ in range(3))
-        short = np.flatnonzero(counts)
+        # draws (magnitude, accept, sign) rows, at least 16, and keeps the
+        # first accepted rows in draw order, so the round sizes move no mark.
+        out = np.empty(n)
+        filled = drawn = accepted = 0
         for _ in range(SAMPLE_ROUNDS):
-            if not len(short):
+            if filled == n:
                 break
-            need = counts[short] - filled[short]
-            m = np.maximum(need, 16)
-            mag, v = uniforms([rngs[k] for k in short], m, 2)
-            mag = self._power_law_abs(mag, a, b)
-            acc = v < np.exp(-self.theta * (mag - a))
-            # each replicate's accepted draws, ranked from 1 in draw order
-            seg, ends = np.repeat(np.arange(len(short)), m), np.cumsum(m)
-            csum = np.concatenate(([0], np.cumsum(acc)))
-            before = csum[ends - m]
-            got = csum[ends] - before
-            rank = csum[1:] - before[seg]
-            keep = acc & (rank <= need[seg])
-            out[(starts[short] + filled[short] - 1)[seg[keep]] + rank[keep]] = mag[keep]
-            filled[short] += np.minimum(got, need)
-            drawn[short] += m
-            accepted[short] += got
-            short = short[filled[short] < counts[short]]
-        if len(short):
-            k = short[0]
+            m = max(n - filled, 16)
+            u = rng.random((m, 3))
+            mag = self._power_law_abs(u[:, 0], a, b)
+            good = np.flatnonzero(u[:, 1] < np.exp(-self.theta * (mag - a)))
+            take = good[:n - filled]
+            out[filled:filled + len(take)] = np.where(u[take, 2] < 0.5, -mag[take], mag[take])
+            filled, drawn, accepted = filled + len(take), drawn + m, accepted + len(good)
+        if filled < n:
             raise ValueError(
                 f"shell {shell} is not samplable for theta={self.theta:g}: {SAMPLE_ROUNDS} "
-                f"rounds accepted {int(accepted[k])} of {int(drawn[k])} draws "
-                f"(rate {int(accepted[k]) / int(drawn[k]):.3g})")
-        return np.negative(out, out=out, where=uniforms(rngs, counts, 1)[0] < 0.5)
+                f"rounds accepted {accepted} of {drawn} draws (rate {accepted / drawn:.3g})")
+        return out
 
 
 @functools.lru_cache(maxsize=128)

@@ -4,6 +4,7 @@ small helpers on batches of one."""
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -12,15 +13,19 @@ import numpy as np
 
 from levynoise import apps, integrands as ig, integrate as it, interlace as il, prm
 from levynoise.mc import estimate
-from levynoise.measure import SAMPLE_ROUNDS, DiscreteAtoms, Shell, TemperedStable, TruncatedStable
+from levynoise.measure import DiscreteAtoms, Shell, TemperedStable, TruncatedStable
 
 
 def map_replicates(experiment, window, measure, n: int, master_seed: int) -> list:
     """[experiment(k, config_k) for k in range(n)], config_k the replicate k
-    of `mc.batches` drawn alone: the batch of one simulate(window, measure,
-    [replicate_seed(master_seed, k)])."""
-    return [experiment(k, prm.simulate(window, measure, [prm.replicate_seed(master_seed, k)]))
-            for k in range(n)]
+    of `mc.batches` drawn alone by the row-by-row reference of its stream
+    block."""
+    size = block_size(prm.intensity(window, measure))
+    out = []
+    for b, k0 in enumerate(range(0, n, size)):
+        rows = stream_rows(window, measure, master_seed, b)
+        out += [experiment(k0 + j, next(rows)) for j in range(min(size, n - k0))]
+    return out
 
 
 def per_config_replicate_values(statistic, window, measure, n: int, master_seed: int) -> list:
@@ -33,12 +38,13 @@ def per_config_replicate_values(statistic, window, measure, n: int, master_seed:
 def replicate(batch: prm.PointBatch, k: int) -> prm.PointBatch:
     """Replicate k of a batch as the batch of one, its arrays read-only views."""
     a, b = batch.offsets[k], batch.offsets[k + 1]
+    seed, first = batch.seeds
     return prm.PointBatch(batch.t[a:b], batch.x[a:b], batch.z[a:b], np.array([0, b - a]),
-                          batch.window, (batch.seeds[k],))
+                          batch.window, (seed, first + k))
 
 
 def same_points(a: prm.PointBatch, b: prm.PointBatch) -> bool:
-    """The same window, seeds, replicate sizes and points, bit for bit."""
+    """The same window, provenance, replicate sizes and points, bit for bit."""
     return (a.window == b.window and a.seeds == b.seeds
             and np.array_equal(a.offsets, b.offsets) and np.array_equal(a.t, b.t)
             and np.array_equal(a.x, b.x) and np.array_equal(a.z, b.z))
@@ -356,85 +362,94 @@ def interlacing_rows_per_config(ladder, problem, replicates: int, master_seed: i
 
 
 # ---------------------------------------------------------------------------
-# The per-replicate draw that the block draw replaced: numpy's own calls,
-# one replicate at a time.
+# The stream contract row by row: the reference of prm's block draw, and
+# the CSV reader of prm.dump_csv.
 
 
-def sample_one(measure, shell, rng, n: int, rounds: list | None = None) -> np.ndarray:
-    """n marks of one replicate, drawn as the per-replicate samplers drew
-    them; a TemperedStable draw appends its rejection round count to
-    `rounds`."""
+def block_size(lam: float) -> int:
+    """The replicates of a stream block: max(1, 2^floor(log2(BLOCK_POINTS /
+    lam))), and BLOCK_POINTS at lam = 0."""
+    return max(1, 2 ** math.floor(math.log2(prm.BLOCK_POINTS / lam))) if lam else prm.BLOCK_POINTS
+
+
+def stream_rows(window, measure, seed: int, block: int):
+    """The replicates of stream block `block` of master seed `seed`, as
+    batches of one, one at a time from the four generators of the block's
+    fields; the marks of the tempered family one (magnitude, accept, sign)
+    row at a time."""
+    lam = prm.intensity(window, measure)
+    size = block_size(lam)
+    counts, times, locations, marks = (
+        np.random.Generator(np.random.Philox(key=int(seed) % 2 ** 64, counter=[0, 0, block, f]))
+        for f in range(4))
+    lo, hi = np.array(window.box).T
+    total = 0.0  # the running sum of the block's exponentials
+    for k in range(block * size, (block + 1) * size):
+        n = int(counts.poisson(lam)) if lam else 0
+        if lam:
+            cum = np.cumsum(np.concatenate([[total], times.standard_exponential(n + 1)]))[1:]
+            t = (cum[:n] - total) / (cum[n] - total) * window.horizon
+            total = cum[n]
+            x = locations.random((n, window.dim)) * (hi - lo) + lo
+            z = mark_row(measure, window.shell, marks, n)
+        else:
+            t, x, z = np.empty(0), np.empty((0, window.dim)), np.empty(0)
+        yield prm.PointBatch(t, x, z, np.array([0, n]), window, (int(seed) % 2 ** 64, k))
+
+
+def stream_block(window, measure, seed: int, block: int, rows: int) -> prm.PointBatch:
+    """simulate(window, measure, seed, block, rows), row by row."""
+    parts = [c for c, _ in zip(stream_rows(window, measure, seed, block), range(rows))]
+    empty = (np.empty(0), np.empty((0, window.dim)), np.empty(0))
+    t, x, z = (np.concatenate(col) for col in zip(empty, *((c.t, c.x, c.z) for c in parts)))
+    offsets = np.cumsum([0] + [len(c.t) for c in parts])
+    first = block * block_size(prm.intensity(window, measure))
+    return prm.PointBatch(t, x, z, offsets, window, (int(seed) % 2 ** 64, first))
+
+
+def mark_row(measure, shell, rng, n: int) -> np.ndarray:
+    """n marks of one replicate, the next from the marks generator."""
     if isinstance(measure, DiscreteAtoms):
         hit = [(z, w) for z, w in measure.atoms if shell.lo < abs(z) <= shell.hi]
-        if not hit:
-            raise ValueError(f"shell {shell} carries no mass")
         zs, ws = np.array([z for z, _ in hit]), np.array([w for _, w in hit])
-        return zs[rng.choice(len(zs), size=n, p=ws / ws.sum())]
+        cdf = (ws / ws.sum()).cumsum()
+        return zs[np.searchsorted(cdf / cdf[-1], rng.random(n), side="right")]
     a, b = measure._bounds(shell)
-    if b <= a or a == 0.0:
-        raise ValueError(f"shell {shell} is not samplable for {measure}")
-    alpha = measure.alpha
+    ia, ib = a ** -measure.alpha, (b ** -measure.alpha if b < math.inf else 0.0)
+
+    def magnitude(u):
+        return (ia - u * (ia - ib)) ** (-1.0 / measure.alpha)
+
     if isinstance(measure, TruncatedStable):
-        u = rng.uniform(size=n)
-        mag = (a ** -alpha - u * (a ** -alpha - b ** -alpha)) ** (-1.0 / alpha)
-        return np.where(rng.uniform(size=n) < 0.5, -1.0, 1.0) * mag
+        u = rng.random((n, 2))
+        return np.where(u[:, 1] < 0.5, -1.0, 1.0) * magnitude(u[:, 0])
     assert isinstance(measure, TemperedStable)
-    out = np.empty(n)
-    ia, ib = a ** -alpha, (b ** -alpha if b < math.inf else 0.0)
-    filled = drawn = accepted = used = 0
-    for _ in range(SAMPLE_ROUNDS):
-        if filled == n:
-            break
-        m = max(n - filled, 16)
-        u = rng.uniform(size=m)
-        mag = (ia - u * (ia - ib)) ** (-1.0 / alpha)
-        good = mag[rng.uniform(size=m) < np.exp(-measure.theta * (mag - a))]
-        take = min(len(good), n - filled)
-        out[filled:filled + take] = good[:take]
-        filled += take
-        drawn, accepted, used = drawn + m, accepted + len(good), used + 1
-    if filled < n:
-        raise ValueError(
-            f"shell {shell} is not samplable for theta={measure.theta:g}: {SAMPLE_ROUNDS} "
-            f"rounds accepted {accepted} of {drawn} draws (rate {accepted / drawn:.3g})")
-    if rounds is not None:
-        rounds.append(used)
-    return np.where(rng.uniform(size=n) < 0.5, -1.0, 1.0) * out
+    out = []
+    while len(out) < n:
+        u = rng.random((1, 3))
+        mag = magnitude(u[:, 0])
+        if (u[:, 1] < np.exp(-measure.theta * (mag - a)))[0]:
+            out.append(-mag[0] if u[0, 2] < 0.5 else mag[0])
+    return np.array(out, dtype=float)
 
 
-def draw_one(window, measure, lam: float, rng, rounds: list | None = None):
-    """The unsorted points (t, x, z) of one replicate drawn from `rng`."""
-    n = int(rng.poisson(lam)) if lam > 0 else 0
+def parse_csv(text: str) -> prm.PointBatch:
+    """The batch of one that `prm.dump_csv` wrote, checked."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines or not lines[0].startswith("#"):
+        raise ValueError("missing JSON header line")
+    header = json.loads(lines[0][1:].strip())
+    window = prm.Window.from_json(header["window"])
     d = window.dim
-    if n == 0:
-        return np.empty(0), np.empty((0, d)), np.empty(0)
-    t = rng.uniform(0.0, window.horizon, size=n)
-    x = np.empty((n, d))
-    for k, (lo, hi) in enumerate(window.box):
-        x[:, k] = rng.uniform(lo, hi, size=n)
-    return t, x, sample_one(measure, window.shell, rng, n, rounds)
-
-
-def sort_one(t, x, z):
-    """One replicate sorted on t; a tie falls back to lexsort on (t, x, z)."""
-    order = np.argsort(t)
-    if np.any(t[order][1:] == t[order][:-1]):
-        order = np.lexsort((z, *x.T[::-1], t))
-    return t[order], x[order], z[order]
-
-
-def simulate_per_replicate(window, measure, seeds, grid=None, rounds=None) -> prm.PointBatch:
-    """simulate replicate by replicate, each from its own
-    `default_rng(seed % 2**64)`; `grid` rounds t and x to multiples of
-    1 / grid before sorting, which forces ties."""
-    lam = prm.intensity(window, measure)
-    parts = []
-    for s in seeds:
-        t, x, z = draw_one(window, measure, lam, np.random.default_rng(int(s) % 2 ** 64), rounds)
-        if grid:
-            t, x = np.round(t * grid) / grid, np.round(x * grid) / grid
-        parts.append(sort_one(t, x, z))
-    empty = (np.empty(0), np.empty((0, window.dim)), np.empty(0))
-    t, x, z = (np.concatenate(col) for col in zip(empty, *parts))
-    offsets = np.cumsum([0] + [len(p[0]) for p in parts])
-    return prm.PointBatch(t, x, z, offsets, window, tuple(int(s) for s in seeds))
+    rows = [ln.split(",") for ln in lines[2:]]
+    n = len(rows)
+    t = np.array([float(r[0]) for r in rows])
+    x = np.array([[float(r[1 + k]) for k in range(d)] for r in rows]).reshape(n, d)
+    z = np.array([float(r[1 + d]) for r in rows])
+    lo, hi = np.array(window.box).T
+    inside = np.all((x >= lo) & (x <= hi), axis=1) & window.shell.contains(z)
+    inside &= (t >= 0.0) & (t <= window.horizon)
+    if not (inside.all() and np.all(t[1:] >= t[:-1])):
+        raise ValueError("points must lie inside the header's window, in time order")
+    return prm.PointBatch(t, x, z, np.array([0, n]), window,
+                          (int(header["seed"]), int(header["replicate"])))

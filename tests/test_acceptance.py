@@ -17,13 +17,14 @@ import time
 import numpy as np
 import pytest
 
-from levynoise import experiments, ito, mc
+from levynoise import experiments, ito, mc, prm
 from levynoise import integrate as it
 from levynoise.apps import psi_space_time_integral
 from levynoise.cli import bundled_config_text
 from levynoise.experiments import _seed_for, parse_config, run_experiment
 from levynoise.mc import McEstimate, estimate, verdict
-from oracles import map_replicates, one_path, path_breaks, per_config_replicate_values
+from oracles import (map_replicates, one_path, path_breaks, per_config_replicate_values,
+                     stream_rows)
 
 RUNTIMES = {}
 
@@ -346,10 +347,10 @@ class TestBatchMovesRoundingOnly:
     @pytest.mark.parametrize("budget,spatial_sample", [(None, None), (40, 137)],
                              ids=["reduced", "blocks"])
     def test_simulate_summary_bytes_unchanged(self, budget, spatial_sample, monkeypatch):
-        # "blocks" keeps the locations of 137 replicates, across blocks of
-        # 40 expected points
+        # "blocks" keeps the locations of 137 replicates, across stream
+        # blocks of 40 expected points, against their replay under that budget
         if budget is not None:
-            monkeypatch.setattr(mc, "BLOCK_POINTS", budget)
+            monkeypatch.setattr(prm, "BLOCK_POINTS", budget)
         cfg = reduced_config("simulate")
         if spatial_sample is not None:
             cfg.params["spatial_sample"] = spatial_sample
@@ -505,19 +506,36 @@ class TestBatchedItoMovesRoundingOnly:
 
     @pytest.mark.parametrize("block_points,tensor_block", [(1, None), (7, None), (None, 1)])
     def test_block_budgets_move_nothing(self, block_points, tensor_block, monkeypatch):
-        # blocks of one path or of a few, and a nu tensor built one time node
-        # at a time, give the bytes of the default budgets; chaos, whose
-        # multiple integrals also run once per block, martingale, whose
-        # representation tensors are built in the same blocks, and interlace
-        # with them
-        if block_points is not None:
-            monkeypatch.setattr(mc, "BLOCK_POINTS", block_points)
+        # stream blocks of one path or of a few give the bytes of the same
+        # run with every replicate replayed alone, under the same budget; a
+        # nu tensor built one time node at a time gives the bytes of the
+        # default budgets.  chaos, whose multiple integrals also run once per
+        # block, martingale, whose representation tensors are built in the
+        # same blocks, and interlace with them
+        names = sorted(ITO_FORMS) + ["chaos", "interlace", "martingale"]
         if tensor_block is not None:
             monkeypatch.setattr(it, "TENSOR_BLOCK", tensor_block)
-        # kunita's norms are folded on the same tensor blocks
-        extra = ["kunita"] if tensor_block is not None else []
-        for name in sorted(ITO_FORMS) + ["chaos", "interlace", "martingale"] + extra:
-            result = run_experiment(reduced_config(name))
-            default = reduced_result(name)
-            assert summary_text(result) == summary_text(default), name
-            assert result.tables == default.tables, name
+            # kunita's norms are folded on the same tensor blocks
+            for name in names + ["kunita"]:
+                result = run_experiment(reduced_config(name))
+                default = reduced_result(name)
+                assert summary_text(result) == summary_text(default), name
+                assert result.tables == default.tables, name
+            return
+        monkeypatch.setattr(prm, "BLOCK_POINTS", block_points)
+        results = {name: run_experiment(reduced_config(name)) for name in names}
+        monkeypatch.setattr(mc, "batches", replayed_batches)
+        for name in names:
+            replayed = run_experiment(reduced_config(name))
+            assert summary_text(results[name]) == summary_text(replayed), name
+            assert results[name].tables == replayed.tables, name
+
+
+def replayed_batches(window, measure, n, master_seed):
+    """mc.batches with each replicate drawn alone, by the row-by-row
+    reference of its stream block."""
+    size = prm.block_rows(prm.intensity(window, measure))
+    for k0 in range(0, n, size):
+        rows = stream_rows(window, measure, master_seed, k0 // size)
+        for j in range(min(size, n - k0)):
+            yield k0 + j, next(rows)

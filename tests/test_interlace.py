@@ -7,7 +7,7 @@ from scipy import optimize as sopt
 from levynoise import integrands as ig
 from levynoise import integrate as it
 from levynoise import interlace as il
-from levynoise import mc
+from levynoise import mc, prm
 from levynoise.measure import DiscreteAtoms, Shell, TruncatedStable
 from levynoise.prm import Window
 from oracles import interlacing_rows_per_config
@@ -204,14 +204,15 @@ class TestBatchedDiagnostic:
     @pytest.mark.parametrize("case", sorted(DIAGNOSTICS))
     def test_rows_equal_per_config_oracle(self, case, budget, monkeypatch):
         # blocks of several replicates (default budget) and of one give the
-        # (sup2, exceed) rows of one configuration at a time, bit for bit
+        # (sup2, exceed) rows of one configuration at a time, bit for bit,
+        # replayed under the same budget
         ladder, problem = DIAGNOSTICS[case]()
         if budget is not None:
-            monkeypatch.setattr(mc, "BLOCK_POINTS", budget)
+            monkeypatch.setattr(prm, "BLOCK_POINTS", budget)
         window = il.deep_window(ladder, problem)
         stat = il._statistic(ladder, problem)
         sizes = [len(b) for _, b in mc.batches(window, problem.measure, 9, 5)]
-        assert max(sizes) == (1 if budget else 9)
+        assert (max(sizes) == 1) == (budget == 1)
         sup2, exceed = mc.replicate_values(stat, window, problem.measure, 9, 5)
         want_sup2, want_exceed = interlacing_rows_per_config(ladder, problem, 9, 5)
         assert sup2.shape == (9, len(ladder.levels) - 1) and exceed.dtype == bool

@@ -49,11 +49,11 @@ class TestSmoothFns:
 
 class TestLhs:
     def test_identity_and_empty(self):
-        c = simulate(WIN, ATOMS, [1])
+        c = simulate(WIN, ATOMS, 1)
         path = it.build_path(None, K_Z, None, c, ATOMS, split=0.0)
         assert ito.ito_lhs(ito.IDENTITY, path, 1.0) == pytest.approx(
             path.eval(1.0) - path.eval(0.0), abs=1e-14)
-        empty = simulate(Window(1.0, ((-0.5, 0.5),), Shell(3.0, 5.0)), ATOMS, [1])
+        empty = simulate(Window(1.0, ((-0.5, 0.5),), Shell(3.0, 5.0)), ATOMS, 1)
         epath = it.build_path(None, K_Z, None, empty, ATOMS, split=0.0)
         assert ito.ito_lhs(ito.exp_fn(1.0), epath, 1.0) == 0.0
 
@@ -65,7 +65,7 @@ class TestLhs:
 
 class TestPrebuiltPath:
     def test_prebuilt_path_gives_same_right_side(self):
-        c = simulate(WIN, TSTABLE, [7])
+        c = simulate(WIN, TSTABLE, 7)
         fn = ito.exp_fn(0.4)
         raw = it.build_path(G_EXP, K_MIX, None, c, TSTABLE, split=0.0)
         assert (ito.ito_rhs_raw(fn, G_EXP, K_MIX, c, TSTABLE, 1.0, path=raw)
@@ -86,7 +86,7 @@ class TestOneSplitForm:
     @pytest.mark.parametrize("m", [ATOMS, TSTABLE], ids=["atoms", "tstable"])
     def test_raw_is_split_zero(self, fn, m):
         for seed in range(5):
-            c = simulate(WIN, m, [replicate_seed(904, seed)])
+            c = simulate(WIN, m, replicate_seed(904, seed))
             raw = ito.ito_rhs_raw(fn, G_EXP, K_MIX, c, m, 1.0)
             split = ito.ito_rhs_big_small(fn, G_EXP, K_MIX, None, c, m, 1.0,
                                           split=0.0, n_time=16)
@@ -97,7 +97,7 @@ class TestOneSplitForm:
     @pytest.mark.parametrize("m", [ATOMS, TSTABLE], ids=["atoms", "tstable"])
     def test_all_compensated_is_split_inf(self, fn, m):
         for seed in range(5):
-            c = simulate(WIN, m, [replicate_seed(905, seed)])
+            c = simulate(WIN, m, replicate_seed(905, seed))
             comp = ito.ito_rhs_all_compensated(fn, G_EXP, H_MIX, c, m, 1.0)
             split = ito.ito_rhs_big_small(fn, G_EXP, None, H_MIX, c, m, 1.0,
                                           split=math.inf)
@@ -108,7 +108,7 @@ class TestOneSplitForm:
 class TestRawJumpFormula:
     def test_identity_telescopes(self):
         for seed in range(10):
-            c = simulate(WIN, ATOMS, [seed])
+            c = simulate(WIN, ATOMS, seed)
             path = it.build_path(G_CONST, K_MIX, None, c, ATOMS, split=0.0)
             lhs = ito.ito_lhs(ito.IDENTITY, path, 1.0)
             rhs = ito.ito_rhs_raw(ito.IDENTITY, G_CONST, K_MIX, c, ATOMS, 1.0).total
@@ -117,7 +117,7 @@ class TestRawJumpFormula:
     def test_square_pure_jump_exact(self):
         fn = ito.poly_fn(0.0, 0.0, 1.0)
         for seed in range(10):
-            c = simulate(WIN, TSTABLE, [seed])
+            c = simulate(WIN, TSTABLE, seed)
             path = it.build_path(None, K_Z, None, c, TSTABLE, split=0.0)
             lhs = ito.ito_lhs(fn, path, 1.0)
             rhs = ito.ito_rhs_raw(fn, None, K_Z, c, TSTABLE, 1.0).total
@@ -125,7 +125,7 @@ class TestRawJumpFormula:
 
     def test_exp_with_drift_vs_adaptive_oracle(self):
         fn = ito.exp_fn(1.0)
-        c = simulate(WIN, ATOMS, [42])
+        c = simulate(WIN, ATOMS, 42)
         path = it.build_path(G_CONST, K_Z, None, c, ATOMS, split=0.0)
         rhs = ito.ito_rhs_raw(fn, G_CONST, K_Z, c, ATOMS, 1.0).total
         # oracle: adaptive quadrature of f'(Y(s)) G(s) between jumps,
@@ -147,7 +147,7 @@ class TestRawJumpFormula:
     @pytest.mark.parametrize("m", [ATOMS, TSTABLE], ids=["atoms", "tstable"])
     def test_pathwise_identity_matrix(self, fn, m):
         for seed in range(25):
-            c = simulate(WIN, m, [replicate_seed(900, seed)])
+            c = simulate(WIN, m, replicate_seed(900, seed))
             path = it.build_path(G_EXP, K_MIX, None, c, m, split=0.0)
             lhs = ito.ito_lhs(fn, path, 1.0)
             rhs = ito.ito_rhs_raw(fn, G_EXP, K_MIX, c, m, 1.0).total
@@ -157,7 +157,7 @@ class TestRawJumpFormula:
 class TestFourTermFormula:
     def test_identity_linear_case(self):
         for seed in range(10):
-            c = simulate(WIN, ATOMS, [seed])
+            c = simulate(WIN, ATOMS, seed)
             path = it.build_path(G_CONST, K_Z, H_MIX, c, ATOMS, split=1.0)
             res = ito.ito_rhs_big_small(ito.IDENTITY, G_CONST, K_Z, H_MIX, c, ATOMS, 1.0)
             assert abs(res.nu_term) < 1e-10
@@ -170,7 +170,7 @@ class TestFourTermFormula:
         m = DiscreteAtoms(((1.5, 2.0), (-1.4, 1.0)))
         fn = ito.exp_fn(0.3)
         for seed in range(10):
-            c = simulate(win, m, [seed])
+            c = simulate(win, m, seed)
             res = ito.ito_rhs_big_small(fn, G_CONST, K_Z, None, c, m, 1.0)
             assert res.compensated_term == 0.0 and res.nu_term == 0.0
             raw = ito.ito_rhs_raw(fn, G_CONST, K_Z, c, m, 1.0).total
@@ -180,7 +180,7 @@ class TestFourTermFormula:
     @pytest.mark.parametrize("m", [ATOMS, TSTABLE], ids=["atoms", "tstable"])
     def test_pathwise_identity(self, fn, m):
         for seed in range(20):
-            c = simulate(WIN, m, [replicate_seed(901, seed)])
+            c = simulate(WIN, m, replicate_seed(901, seed))
             path = it.build_path(G_EXP, K_MIX, H_MIX, c, m, split=1.0)
             lhs = ito.ito_lhs(fn, path, 1.0)
             res = ito.ito_rhs_big_small(fn, G_EXP, K_MIX, H_MIX, c, m, 1.0)
@@ -192,7 +192,7 @@ class TestFourTermFormula:
     def test_quadrature_nodes_see_no_jump(self, seed, m, n_time):
         # the nu-side integrals read Y(s) at interior Gauss-Legendre nodes
         # between jump times, where the left limit is the value itself
-        c = simulate(WIN, m, [seed])
+        c = simulate(WIN, m, seed)
         assume(len(c.t) > 0)
         path = it.build_path(G_EXP, K_MIX, H_MIX, c, m, split=1.0)
         s, _ = it.interval_rule(path_breaks(c, 1.0, H_MIX.time_breakpoints()), n_time)
@@ -203,7 +203,7 @@ class TestFourTermFormula:
 class TestAllCompensatedFormula:
     def test_identity(self):
         for seed in range(10):
-            c = simulate(WIN, ATOMS, [seed])
+            c = simulate(WIN, ATOMS, seed)
             path = it.build_path(G_CONST, None, H_MIX, c, ATOMS, split=math.inf)
             res = ito.ito_rhs_all_compensated(ito.IDENTITY, G_CONST, H_MIX, c, ATOMS, 1.0)
             assert res.total == pytest.approx(ito.ito_lhs(ito.IDENTITY, path, 1.0),
@@ -214,7 +214,7 @@ class TestAllCompensatedFormula:
         # same underlying process written both ways (K = H on the big set)
         fn = ito.poly_fn(0.0, 0.0, 1.0)
         for seed in range(15):
-            c = simulate(WIN, m, [replicate_seed(902, seed)])
+            c = simulate(WIN, m, replicate_seed(902, seed))
             res1 = ito.ito_rhs_big_small(fn, G_CONST, H_MIX, H_MIX, c, m, 1.0)
             g2 = ito.equivalent_time_drift(G_CONST, H_MIX, WIN, m, split=1.0)
             res2 = ito.ito_rhs_all_compensated(fn, g2, H_MIX, c, m, 1.0)
@@ -223,7 +223,7 @@ class TestAllCompensatedFormula:
     def test_abs_pow_residuals(self):
         fn = ito.abs_pow_fn(2.0)
         for seed in range(30):
-            c = simulate(WIN, TSTABLE, [replicate_seed(903, seed)])
+            c = simulate(WIN, TSTABLE, replicate_seed(903, seed))
             path = it.build_path(G_EXP, None, H_MIX, c, TSTABLE, split=math.inf)
             lhs = ito.ito_lhs(fn, path, 1.0)
             res = ito.ito_rhs_all_compensated(fn, G_EXP, H_MIX, c, TSTABLE, 1.0)
@@ -245,8 +245,7 @@ def point_batch(replicates):
                   key=lambda r: (r[0], r[1][0]))
     t, x, z = (np.array([p[i] for _, p in rows], dtype=float) for i in range(3))
     offsets = np.cumsum([0] + [len(pts) for pts in replicates])
-    return prm.PointBatch(t, x.reshape(-1, 1), z, offsets, WIN,
-                          tuple(range(len(replicates))))
+    return prm.PointBatch(t, x.reshape(-1, 1), z, offsets, WIN, (0, 0))
 
 
 class TestBatchEqualsBatchOfOne:

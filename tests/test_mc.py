@@ -4,11 +4,11 @@ import weakref
 import numpy as np
 import pytest
 
-from levynoise import mc
+from levynoise import mc, prm
 from levynoise.mc import McEstimate, estimate, run_replicates, verdict
 from levynoise.measure import DiscreteAtoms, Shell
-from levynoise.prm import Window, replicate_seed, simulate
-from oracles import replicate
+from levynoise.prm import Window, simulate
+from oracles import map_replicates, replicate
 
 ATOMS = DiscreteAtoms(((0.6, 1.0), (-1.1, 0.7), (1.7, 0.4)))
 WIN = Window(1.0, ((-0.5, 0.5),), Shell(0.3, 2.0))
@@ -29,18 +29,18 @@ class TestRunReplicates:
         assert est.se == 0.0
         assert est.n == 50
 
-    @pytest.mark.parametrize("budget,size", [(1, 1), (7, 3)])
-    def test_block_budget_irrelevant(self, budget, size, monkeypatch):
-        # budgets of one point and of seven points (3 replicates of 2.1
-        # expected points) against the default, which holds all 400 at once
+    @pytest.mark.parametrize("budget,size", [(1, 1), (7, 2), (None, 400)])
+    def test_run_equals_replay_under_budget(self, budget, size, monkeypatch):
+        # budgets of one point, of seven points (blocks of 2 replicates of
+        # 2.1 expected points) and the default, which holds all 400 in one
+        # block: the run is its replicates replayed one at a time
         exp = lambda k, c: float(np.sum(c.z) + 0.1 * np.sum(c.t))
-        assert [len(b) for _, b in mc.batches(WIN, ATOMS, 400, 9)] == [400]
-        a = replicates(exp, 400, master_seed=9)
-        monkeypatch.setattr(mc, "BLOCK_POINTS", budget)
+        if budget is not None:
+            monkeypatch.setattr(prm, "BLOCK_POINTS", budget)
         sizes = [len(b) for _, b in mc.batches(WIN, ATOMS, 400, 9)]
-        assert sum(sizes) == 400 and set(sizes[:-1]) == {size}
-        b = replicates(exp, 400, master_seed=9)
-        assert a == b
+        assert sum(sizes) == 400 and set(sizes) == {size}
+        want = estimate(map_replicates(exp, WIN, ATOMS, 400, 9), 9)
+        assert replicates(exp, 400, master_seed=9) == want
 
     def test_se_scales_like_sqrt_n(self):
         exp = lambda k, c: float(np.sum(c.z))
@@ -77,8 +77,7 @@ class TestRunReplicates:
         # accumulating in any grouping agrees with the canonical fold
         exp = lambda k, c: float(np.sum(c.z) + 0.1 * np.sum(c.t))
         est = replicates(exp, 1000, master_seed=77)
-        vals = np.array([exp(k, simulate(WIN, ATOMS, [replicate_seed(77, k)]))
-                         for k in range(1000)])
+        vals = np.array(map_replicates(exp, WIN, ATOMS, 1000, 77))
         chunks = np.array_split(vals, 7)
         n = sum(len(c) for c in chunks)
         mean = sum(c.sum() for c in chunks) / n
@@ -89,12 +88,16 @@ class TestRunReplicates:
 
 
 class TestReplicateValues:
-    @pytest.mark.parametrize("budget", [1, 7, mc.BLOCK_POINTS])
+    @pytest.mark.parametrize("budget", [1, 7, prm.BLOCK_POINTS])
     def test_one_value_per_replicate_in_order(self, budget, monkeypatch):
-        monkeypatch.setattr(mc, "BLOCK_POINTS", budget)
+        # row k is replicate k replayed alone: row k mod S of the first
+        # k mod S + 1 rows of stream block k // S
+        monkeypatch.setattr(prm, "BLOCK_POINTS", budget)
         counts, sums = mc.replicate_values(
             lambda b: (b.counts, np.bincount(b.segment, b.z, len(b))), WIN, ATOMS, 120, 6)
-        want = [simulate(WIN, ATOMS, [replicate_seed(6, k)]) for k in range(120)]
+        S = prm.block_rows(LAM)
+        want = [replicate(simulate(WIN, ATOMS, 6, k // S, k % S + 1), k % S) for k in range(120)]
+        assert [c.seeds for c in want] == [(6, k) for k in range(120)]
         assert counts.tolist() == [len(c.t) for c in want]
         assert sums.tolist() == [float(np.bincount(np.zeros(len(c.t), dtype=int), c.z, 1)[0])
                                  for c in want]
@@ -102,7 +105,7 @@ class TestReplicateValues:
     def test_no_configuration_outlives_its_replicate(self, monkeypatch):
         # blocks of one replicate: the previous block is gone before the
         # next is drawn, and none outlives the loop
-        monkeypatch.setattr(mc, "BLOCK_POINTS", 1)
+        monkeypatch.setattr(prm, "BLOCK_POINTS", 1)
         refs = []
 
         def stat(b):
@@ -117,7 +120,7 @@ class TestReplicateValues:
 class TestEstimate:
     def test_is_the_fold_of_run_replicates(self):
         exp = lambda k, c: float(np.sum(c.z) + 0.1 * np.sum(c.t))
-        vals = [exp(k, simulate(WIN, ATOMS, [replicate_seed(31, k)])) for k in range(300)]
+        vals = map_replicates(exp, WIN, ATOMS, 300, 31)
         assert estimate(vals, 31) == replicates(exp, 300, master_seed=31)
 
     def test_one_dimensional_floats(self):

@@ -17,7 +17,6 @@ from levynoise.measure import (
     TemperedStable,
     TruncatedStable,
 )
-import oracles
 
 ATOMS = DiscreteAtoms(((1.0, 0.5), (-2.0, 0.25)))
 TSTABLE = TruncatedStable(alpha=1.0, c=1.0, r=1.0)
@@ -172,14 +171,14 @@ class TestShellMoment:
 class TestSampler:
     def test_single_atom_shell(self):
         rng = np.random.default_rng(0)
-        z = ATOMS.sample_shell(Shell(1.5, 3.0), [rng], [50])
+        z = ATOMS.sample_shell(Shell(1.5, 3.0), rng, 50)
         assert np.all(z == -2.0)
 
     def test_truncated_stable_mean_abs(self):
         rng = np.random.default_rng(1)
         shell = Shell(0.5, 1.0)
         n = 10 ** 5
-        z = TSTABLE.sample_shell(shell, [rng], [n])
+        z = TSTABLE.sample_shell(shell, rng, n)
         target = TSTABLE.shell_moment(shell, 1.0) / TSTABLE.shell_mass(shell)
         se = np.abs(z).std(ddof=1) / math.sqrt(n)
         assert abs(np.abs(z).mean() - target) <= 4 * se
@@ -188,7 +187,7 @@ class TestSampler:
         rng = np.random.default_rng(2)
         n = 10 ** 5
         for m, shell in ((TSTABLE, Shell(0.3, 1.0)), (TEMPERED, Shell(0.2, math.inf))):
-            z = m.sample_shell(shell, [rng], [n])
+            z = m.sample_shell(shell, rng, n)
             se = z.std(ddof=1) / math.sqrt(n)
             assert abs(z.mean()) <= 4 * se
 
@@ -202,7 +201,7 @@ class TestSampler:
         # where upper(a) = nu({z in shell : |z| > a}).
         from scipy.stats import kstest
         rng = np.random.default_rng(3)
-        z = m.sample_shell(shell, [rng], [10 ** 4])
+        z = m.sample_shell(shell, rng, 10 ** 4)
         mass = m.shell_mass(shell)
 
         def upper(a):
@@ -221,25 +220,21 @@ class TestSampler:
         assert res.pvalue > 1e-3
 
     def test_rejection_budget_raises(self):
-        # the envelope accepts about 2e-11 of its draws at theta = 1e11; the
-        # first replicate short of its count names its own draws, as the
-        # per-replicate sampler did
-        m, shell, counts = TemperedStable(alpha=0.5, c=1.0, theta=1e11), Shell(0.3, 6.0), [0, 100, 3]
+        # the envelope accepts about 2e-11 of its draws at theta = 1e11:
+        # SAMPLE_ROUNDS rounds of 100 draws, then the error names them
+        m, shell = TemperedStable(alpha=0.5, c=1.0, theta=1e11), Shell(0.3, 6.0)
         start = time.perf_counter()
         with pytest.raises(ValueError, match=r"Shell\(lo=0\.3, hi=6\.0\).*theta=1e\+11.*rate 0\)") as block:
-            m.sample_shell(shell, [np.random.default_rng(s) for s in range(3)], counts)
+            m.sample_shell(shell, np.random.default_rng(1), 100)
         assert time.perf_counter() - start < 1.0
         assert "accepted 0 of 100000 draws" in str(block.value)
-        with pytest.raises(ValueError) as one:
-            oracles.sample_one(m, shell, np.random.default_rng(1), 100)
-        assert str(block.value) == str(one.value)
 
     def test_zero_mass_shell_errors(self):
         rng = np.random.default_rng(4)
         with pytest.raises(ValueError):
-            ATOMS.sample_shell(Shell(5.0, 9.0), [rng], [1])
+            ATOMS.sample_shell(Shell(5.0, 9.0), rng, 1)
         with pytest.raises(ValueError):
-            TSTABLE.sample_shell(Shell(2.0, 3.0), [rng], [1])
+            TSTABLE.sample_shell(Shell(2.0, 3.0), rng, 1)
 
 
 class TestPsi:
