@@ -285,8 +285,7 @@ def second_order_square_variance(f: ChaosFunction, window: Window, measure: Levy
     integral X of g has E X^2 = k2 and E X^4 = k4 + 3 k2^2, with k_p the
     compensator of g^p: Var(I2^2) = prod (k4 + 3 k2^2) - prod k2^2."""
     k2 = np.array([it.compensator(g.squared(), window, measure, T) for g in f.factors])
-    k4 = np.array([it.compensator(g.squared().squared(), window, measure, T)
-                   for g in f.factors])
+    k4 = np.array([it.compensator(g.squared().squared(), window, measure, T) for g in f.factors])
     return float(np.prod(k4 + 3.0 * k2 * k2) - np.prod(k2 * k2))
 
 

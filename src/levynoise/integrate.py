@@ -190,9 +190,10 @@ class Drift:
 
     def turning_points(self, t: float) -> np.ndarray:
         """The times in (0, t) where the slope changes sign, each within
-        SLOPE_TOL (relative beyond t = 1): on a grid that holds every indicator edge of the nodes,
-        the sign changes between neighbouring nonzero slopes, bisected.
-        Exact for slopes with at most one sign change between grid points."""
+        SLOPE_TOL (relative beyond t = 1): the sign changes between
+        neighbouring nonzero slopes on a grid that holds every indicator edge
+        of the nodes, bisected.  Exact for slopes with at most one sign
+        change between grid points."""
         edges = [v for _, node in self.pieces
                  for f in (node.factors if isinstance(node, Product) else (node,))
                  if isinstance(f, (Indicator, AbsIndicator)) for v in (f.lo, f.hi) if 0.0 < v < t]

@@ -117,24 +117,23 @@ def _draw_block(window: Window, measure: LevyMeasure, lam: float, key: int, bloc
     counts, times, locations, marks = (
         np.random.Generator(np.random.Philox(key=key, counter=[0, 0, block, f]))
         for f in range(4))
-    offsets = np.concatenate([[0], np.cumsum(counts.poisson(lam, rows))])
+    sizes = counts.poisson(lam, rows)
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
     n = int(offsets[-1])
     # replicate i's n_i + 1 exponentials end at last[i]: its partial sums
     # less those of the replicates before it, over their total
     cum = times.standard_exponential(n + rows)
     np.cumsum(cum, out=cum)
     last = offsets[1:] + np.arange(rows)
-    if rows == 1:  # a batch of one: its times are a view of the sums
+    if rows == 1:  # a view of the sums: no copy of one deep configuration
         t = cum[:n]
         t /= cum[n]
     else:
         total = cum[last]
         base = np.concatenate([[0.0], total])[:-1]
-        keep = np.ones(n + rows, dtype=bool)
-        keep[last] = False
-        t = cum[keep]
-        t -= np.repeat(base, np.diff(offsets))
-        t /= np.repeat(total - base, np.diff(offsets))
+        t = np.delete(cum, last)
+        t -= np.repeat(base, sizes)
+        t /= np.repeat(total - base, sizes)
     t *= window.horizon
     lo, hi = np.array(window.box).T
     x = locations.random((n, d))
@@ -211,7 +210,7 @@ def restrict(batch: PointBatch, sub: Window) -> PointBatch:
 
 def select(batch: PointBatch, keep, window: Window) -> PointBatch:
     """The points where the mask `keep` holds, as a batch on `window` with
-    the same seeds; each replicate keeps its rows in time order."""
+    the same provenance; each replicate keeps its rows in time order."""
     # kept rows per replicate in one pass: a False sentinel gives every start
     # a row, and an empty replicate (summed as the row at its start) gets 0
     kept = np.add.reduceat(np.append(keep, False), batch.offsets[:-1], dtype=np.intp)

@@ -16,16 +16,20 @@ from levynoise.mc import estimate
 from levynoise.measure import DiscreteAtoms, Shell, TemperedStable, TruncatedStable
 
 
+def replayed_batches(window, measure, n: int, master_seed: int):
+    """mc.batches with each replicate drawn alone, by the row-by-row
+    reference of its stream block: yields (k, config_k)."""
+    size = block_size(prm.intensity(window, measure))
+    for k0 in range(0, n, size):
+        rows = stream_rows(window, measure, master_seed, k0 // size)
+        for j in range(min(size, n - k0)):
+            yield k0 + j, next(rows)
+
+
 def map_replicates(experiment, window, measure, n: int, master_seed: int) -> list:
     """[experiment(k, config_k) for k in range(n)], config_k the replicate k
-    of `mc.batches` drawn alone by the row-by-row reference of its stream
-    block."""
-    size = block_size(prm.intensity(window, measure))
-    out = []
-    for b, k0 in enumerate(range(0, n, size)):
-        rows = stream_rows(window, measure, master_seed, b)
-        out += [experiment(k0 + j, next(rows)) for j in range(min(size, n - k0))]
-    return out
+    of `mc.batches` drawn alone."""
+    return [experiment(k, c) for k, c in replayed_batches(window, measure, n, master_seed)]
 
 
 def per_config_replicate_values(statistic, window, measure, n: int, master_seed: int) -> list:

@@ -24,7 +24,7 @@ from levynoise.cli import bundled_config_text
 from levynoise.experiments import _seed_for, parse_config, run_experiment
 from levynoise.mc import McEstimate, estimate, verdict
 from oracles import (map_replicates, one_path, path_breaks, per_config_replicate_values,
-                     stream_rows)
+                     replayed_batches)
 
 RUNTIMES = {}
 
@@ -529,13 +529,3 @@ class TestBatchedItoMovesRoundingOnly:
             replayed = run_experiment(reduced_config(name))
             assert summary_text(results[name]) == summary_text(replayed), name
             assert results[name].tables == replayed.tables, name
-
-
-def replayed_batches(window, measure, n, master_seed):
-    """mc.batches with each replicate drawn alone, by the row-by-row
-    reference of its stream block."""
-    size = prm.block_rows(prm.intensity(window, measure))
-    for k0 in range(0, n, size):
-        rows = stream_rows(window, measure, master_seed, k0 // size)
-        for j in range(min(size, n - k0)):
-            yield k0 + j, next(rows)

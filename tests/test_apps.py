@@ -360,7 +360,7 @@ class TestChaosCalibration:
     """chaos's second_order_isometry verdict, judged by the exact standard
     error of I2^2 = (N~(A) N~(B))^2, keeps a small false-alarm rate over
     many master seeds and still fails a target moved by 5 standard errors.
-    At 400 replicates the sample standard error fails about 7 % of the
+    At 400 replicates the sample standard error fails about 6 % of the
     seeds, since it collapses whenever a run misses the rare large I2^2."""
 
     SEEDS, N, K_SIGMA = 500, 400, 4.0
