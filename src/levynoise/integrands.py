@@ -454,13 +454,14 @@ class Integrand:
 
     def time_breakpoints(self) -> list[float]:
         """Discontinuity points contributed by indicator time factors."""
-        pts = []
-        for t in self.terms:
-            nodes = t.time.factors if isinstance(t.time, Product) else (t.time,)
-            for nd in nodes:
-                if isinstance(nd, Indicator):
-                    pts.extend([nd.lo, nd.hi])
-        return pts
+        return [v for t in self.terms for v in indicator_edges(t.time)]
+
+
+def indicator_edges(node: Node) -> list[float]:
+    """The edges lo, hi of each indicator factor of a node: its only
+    discontinuities."""
+    return [v for f in (node.factors if isinstance(node, Product) else (node,))
+            if isinstance(f, (Indicator, AbsIndicator)) for v in (f.lo, f.hi)]
 
 
 ZERO = Integrand((Term(Const(0.0)),))

@@ -28,6 +28,7 @@ from .integrands import (
     Term,
     ZERO,
     gl_rule,
+    indicator_edges,
     product_node,
 )
 from .measure import InfiniteMassError, InfiniteMomentError, LevyMeasure, Shell
@@ -194,9 +195,7 @@ class Drift:
         neighbouring nonzero slopes on a grid that holds every indicator edge
         of the nodes, bisected.  Exact for slopes with at most one sign
         change between grid points."""
-        edges = [v for _, node in self.pieces
-                 for f in (node.factors if isinstance(node, Product) else (node,))
-                 if isinstance(f, (Indicator, AbsIndicator)) for v in (f.lo, f.hi) if 0.0 < v < t]
+        edges = [v for _, node in self.pieces for v in indicator_edges(node) if 0.0 < v < t]
         grid = np.unique(np.append(np.linspace(0.0, t, SLOPE_GRID), edges))
         sign = np.sign(self.slope(grid))
         nz = np.flatnonzero(sign)

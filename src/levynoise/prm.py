@@ -20,7 +20,9 @@ rows are drawn, and a partial block costs only its rows.  A replicate's
 times are its n + 1 exponentials, cumulated (over the block, in place) and
 divided by their total, times T: uniform order statistics as normalized
 exponential partial sums (Devroye, *Non-Uniform Random Variate Generation*,
-1986, ch. V 2), so they come out in order and nothing is sorted.
+1986, ch. V 2), so they come out in order and nothing is sorted.  A
+time carries the rounding of the block's running sum, about S (lam + 1):
+up to 1.5e-11 T in a block at lam = 2.1 (S = 8192), 1e-8 T at lam = 0.01.
 """
 
 from __future__ import annotations

@@ -126,6 +126,15 @@ class TestIntegrand:
         assert not is_time_only(h_example())
         assert h_example().with_jump(ig.Const(1.0)).is_space_time_only() is False
 
+    def test_time_breakpoints_are_indicator_edges(self):
+        # the edges of every indicator time factor, alone or in a product;
+        # space and jump indicators add none
+        H = (ig.term(time=ig.Indicator(0.1, 0.4), space=ig.Indicator(-1.0, 0.5))
+             + ig.term(time=ig.product_node(ig.Cos(2.0), ig.AbsIndicator(0.2, 0.7)),
+                       jump=ig.AbsIndicator(0.3, 1.0)))
+        assert sorted(H.time_breakpoints()) == [0.1, 0.2, 0.4, 0.7]
+        assert h_example().time_breakpoints() == []
+
     def test_integrand_json_round_trip(self):
         H = h_example() + ig.term(time=ig.Cos(2.0), jump=ig.AbsIndicator(0.0, 1.0))
         back = ig.integrand_from_json({"terms": [
