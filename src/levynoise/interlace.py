@@ -3,9 +3,12 @@
 The ladders are defined by monotone root-finding on residual integrals: the
 small-jump ladder shrinks the shell floor until the residual second moment
 falls below a geometric target, the spatial ladders grow the box until the
-outside contribution does.  Diagnostics couple every level to one underlying
-realization (restriction, never resimulation) and compare empirical sup-norm
-differences against the explicit Doob/Chebyshev bounds.
+outside contribution does.  Consecutive levels differ by the process of
+one ring, and the diagnostics draw each ring on its own: the points of a
+Poisson random measure on disjoint sets are independent Poisson random
+measures (Kingman, *Poisson Processes*, 1993, 2.2), so every ring keeps
+its law.  The empirical sup-norm differences are compared against the
+explicit Doob/Chebyshev bounds.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from . import integrate as it
 from .integrands import Const, Integrand, Node
 from .mc import estimate, replicate_values
 from .measure import LevyMeasure, Shell
-from .prm import Window, restrict, select
+from .prm import Window, replicate_seed, select
 
 GEOMETRIC_BASE = 8.0  # targets are BASE^-n, kept literal from the construction
 
@@ -307,104 +310,68 @@ class DiagnosticReport:
         return buf.getvalue()
 
 
-def deep_window(ladder: Ladder, problem: LadderProblem) -> Window:
-    """The window of the ladder's deepest level: every level's process is
-    built from the points of one configuration on it."""
+def rings(ladder: Ladder, problem: LadderProblem):
+    """(j, window, statistic) for each non-stagnant ring j between levels j
+    and j + 1, in order.  The ring's points are a Poisson random measure of
+    their own on `window`, and statistic(batch) gives, per replicate, the
+    sup over [0, T] of the ring's process and the sup its exceedance is
+    judged by: of the H- plus K-process for spatial-I with K, else the
+    same.  A box ring is the outer box less the inner one; its drift is
+    the outer box's compensator less the inner box's (G)."""
+    H, K, m, T = problem.H, problem.K, problem.measure, problem.T
+    th = ladder.thresholds
     if ladder.kind == "small-jump":
-        return Window(problem.T, tuple(problem.box),
-                      Shell(ladder.thresholds[-1], problem.small_hi))
-    a = ladder.thresholds[-1]
-    return Window(problem.T, tuple((-a, a) for _ in range(problem.dim)), problem.shell)
+        def small_jump(batch):
+            s = it.build_path(None, None, H, batch, m, split=math.inf).sup_abs(T)
+            return s, s
+
+        for j in range(len(th) - 1):
+            if th[j + 1] < th[j]:
+                yield j, Window(T, tuple(problem.box), Shell(th[j + 1], th[j])), small_jump
+        return
+    kind_i = ladder.kind == "spatial-I"
+    small = problem.shell.clip(0.0, problem.small_hi) if kind_i else problem.shell
+    split = problem.small_hi if kind_i else math.inf
+
+    def box(a):
+        return tuple((-a, a) for _ in range(problem.dim))
+
+    def box_ring(G, inner):
+        def stat(batch):
+            ring = select(batch, np.max(np.abs(batch.x), axis=1) > inner, batch.window)
+            s = it.build_path(G, None, H, ring, m, split).sup_abs(T)
+            if kind_i and K is not None:
+                return s, it.build_path(G, K, H, ring, m, split).sup_abs(T)
+            return s, s
+
+        return stat
+
+    for j in range(len(th) - 1):
+        if th[j] < th[j + 1]:
+            G = (it.project_time(H, Window(T, box(th[j]), problem.shell), m, small)
+                 if th[j] > 0.0 and small is not None else None)
+            yield j, Window(T, box(th[j + 1]), problem.shell), box_ring(G, th[j])
 
 
 def interlacing_diagnostic(ladder: Ladder, problem: LadderProblem,
                            replicates: int, master_seed: int) -> DiagnosticReport:
     """Empirical sup-norm differences between consecutive ladder levels
-    against the Doob and Chebyshev bounds, on coupled realizations."""
+    against the Doob and Chebyshev bounds: one (sup2, exceed) column per
+    ring, ring j drawn alone from master seed replicate_seed(master_seed,
+    j).  A stagnant level's ring is empty (identical processes), so its
+    column is 0."""
     if ladder.violation:
         raise ValueError(f"cannot run diagnostics: {ladder.violation}")
     if len(ladder.levels) < 2:
         raise ValueError("need at least two ladder levels")
-    sup2, exceed = replicate_values(_statistic(ladder, problem), deep_window(ladder, problem),
-                                    problem.measure, replicates, master_seed)
+    sup2 = np.zeros((replicates, len(ladder.levels) - 1))
+    exceed = np.zeros(sup2.shape, dtype=bool)
+    for j, window, statistic in rings(ladder, problem):
+        s, s_exceed = replicate_values(statistic, window, problem.measure, replicates,
+                                       replicate_seed(master_seed, j))
+        sup2[:, j] = s * s
+        exceed[:, j] = s_exceed > 2.0 ** -(j + 1)
     return _assemble(ladder, sup2, exceed, replicates, master_seed)
-
-
-def _statistic(ladder, problem):
-    """The statistic of a batch: its (sup2, exceed) rows, one column per
-    ring between consecutive levels, one row per replicate.  A stagnant
-    level's ring is empty (identical processes), so its sup difference is 0."""
-    sups = (_small_jump_sups if ladder.kind == "small-jump" else _box_ring_sups)(ladder, problem)
-    n_levels = len(ladder.levels) - 1
-
-    def stat(batch):
-        sup2 = np.zeros((len(batch), n_levels))
-        exceed = np.zeros((len(batch), n_levels), dtype=bool)
-        for j, s2, s_exceed in sups(batch):
-            sup2[:, j] = s2 * s2
-            exceed[:, j] = s_exceed > 2.0 ** -(j + 1)
-        return sup2, exceed
-
-    return stat
-
-
-def _small_jump_sups(ladder, problem):
-    """batch -> (j, sup, sup) for each non-stagnant small-jump ring j: each
-    replicate's sup over [0, T] of its process on the ring."""
-    H, m, T, eps = problem.H, problem.measure, problem.T, ladder.thresholds
-
-    def sups(batch):
-        for j in range(len(eps) - 1):
-            if eps[j + 1] < eps[j]:
-                ring = restrict(batch, Window(T, tuple(problem.box), Shell(eps[j + 1], eps[j])))
-                s = it.build_path(None, None, H, ring, m, split=math.inf).sup_abs(T)
-                yield j, s, s
-
-    return sups
-
-
-def _box_ring_sups(ladder, problem):
-    """batch -> (j, sup H, sup H + K) for each non-stagnant box ring j: each
-    replicate's sup over [0, T] of the H-process on the ring, and of the
-    H- plus K-process (spatial-I with K; else the H-process again)."""
-    H, K, m, T = problem.H, problem.K, problem.measure, problem.T
-    a = ladder.thresholds
-    kind_i = ladder.kind == "spatial-I"
-    small = problem.shell.clip(0.0, problem.small_hi) if kind_i else problem.shell
-    split = problem.small_hi if kind_i else math.inf
-    h_nu = [it.nu_factor(m, term.jump, small) if small else 0.0 for term in H.terms]
-    # compensated H-part over each box ring K_hi \ K_lo
-    ring_drift = []
-    for lo_a, hi_a in zip(a[:-1], a[1:]):
-        outer, inner = (tuple((-v, v) for _ in range(problem.dim)) for v in (hi_a, lo_a))
-        ring_drift.append(it.drift_function(
-            [(-nu * (it.space_factor(term, outer) - it.space_factor(term, inner)), term.time)
-             for term, nu in zip(H.terms, h_nu) if nu != 0.0]))
-
-    def sizes(X, pts):
-        return np.asarray(X(pts.t, pts.x, pts.z), dtype=float) + np.zeros(len(pts.t))
-
-    def sups(batch):
-        inside = np.max(np.abs(batch.x), axis=1)
-        for j in range(len(a) - 1):
-            if not a[j] < a[j + 1]:
-                continue
-            # the ring's points, and its small jumps, in each replicate's time order
-            ring = select(batch, (inside > a[j]) & (inside <= a[j + 1]), batch.window)
-            is_small = np.abs(ring.z) <= split
-            h_pts = select(ring, is_small, ring.window)
-            h_jumps = sizes(H, h_pts)
-            s_h = it._rows(h_pts.t, h_jumps, h_pts.counts, ring_drift[j]).sup_abs(T)
-            if kind_i and K is not None:
-                jumps = np.empty(len(ring.t))
-                jumps[is_small] = h_jumps
-                jumps[~is_small] = sizes(K, select(ring, ~is_small, ring.window))
-                yield j, s_h, it._rows(ring.t, jumps, ring.counts,
-                                       ring_drift[j]).sup_abs(T)
-            else:
-                yield j, s_h, s_h
-
-    return sups
 
 
 def _assemble(ladder, sup2, exceed, replicates, master_seed):

@@ -5,8 +5,10 @@ count is Poisson with intensity T |B| nu(shell), the arrival times are the
 uniform order statistics, and the (x, z) marks are i.i.d. with the
 normalized product law.  Every realization is a `PointBatch` of replicates;
 one configuration is the batch of one.  Restriction keeps the same
-underlying realization, which is what makes the interlacing ladders
-couplings rather than independent resimulations.
+underlying realization.  The points of a Poisson random measure in disjoint
+sets are independent Poisson random measures (Kingman, *Poisson
+Processes*, 1993, 2.2), so a restriction has the law of a draw on the
+subwindow alone; the interlacing rings are drawn that way, each on its own.
 
 Streams are counter-based (Salmon et al., "Parallel random numbers: as easy
 as 1, 2, 3", SC 2011).  The replicates of master seed s come in stream

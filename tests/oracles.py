@@ -11,7 +11,7 @@ from typing import Callable
 
 import numpy as np
 
-from levynoise import apps, integrands as ig, integrate as it, interlace as il, prm
+from levynoise import apps, integrands as ig, integrate as it, prm
 from levynoise.mc import estimate
 from levynoise.measure import DiscreteAtoms, Shell, TemperedStable, TruncatedStable
 
@@ -312,57 +312,60 @@ def batch_rule(batch: prm.PointBatch, t: float, extra, n_per_interval: int):
 
 
 def interlacing_rows_per_config(ladder, problem, replicates: int, master_seed: int):
-    """The (sup2, exceed) rows of il.interlacing_diagnostic, one
-    configuration at a time: small-jump rings restricted and built as one
-    path each, box rings summed as one path of their jumps sorted in time."""
+    """The (sup2, exceed) rows of il.interlacing_diagnostic, one ring at a
+    time and one configuration at a time: ring j drawn alone on its own
+    window from master seed replicate_seed(master_seed, j), small-jump rings
+    built as one path each, box rings summed as one path of their jumps
+    sorted in time, with the compensator of the outer box less the inner."""
     H, K, m, T = problem.H, problem.K, problem.measure, problem.T
     th = ladder.thresholds
-    if ladder.kind == "small-jump":
-        def one(_k, config):
-            sup2, exceed = np.zeros(len(th) - 1), np.zeros(len(th) - 1, dtype=bool)
-            for j in range(len(th) - 1):
-                if th[j + 1] < th[j]:
-                    ring = prm.restrict(config, prm.Window(T, tuple(problem.box),
-                                                           Shell(th[j + 1], th[j])))
-                    path = it.build_path(None, None, H, ring, m, split=math.inf)
-                    s = path.sup_abs(T)[0]
-                    sup2[j], exceed[j] = s * s, s > 2.0 ** -(j + 1)
-            return sup2, exceed
-    else:
-        shell, d = problem.shell, problem.dim
-        small = shell.clip(0.0, problem.small_hi) if ladder.kind == "spatial-I" else shell
-        split = problem.small_hi if ladder.kind == "spatial-I" else math.inf
-        h_nu = [it.nu_factor(m, term.jump, small) if small else 0.0 for term in H.terms]
+    sup2 = np.zeros((replicates, len(th) - 1))
+    exceed = np.zeros((replicates, len(th) - 1), dtype=bool)
+    shell, d = problem.shell, problem.dim
+    kind_i = ladder.kind == "spatial-I"
+    small = shell.clip(0.0, problem.small_hi) if kind_i else shell
+    split = problem.small_hi if kind_i else math.inf
 
-        def drift(lo_a, hi_a):
-            outer, inner = (tuple((-a, a) for _ in range(d)) for a in (hi_a, lo_a))
-            return [(-nu * (it.space_factor(term, outer) - it.space_factor(term, inner)),
-                     term.time) for term, nu in zip(H.terms, h_nu) if nu != 0.0]
+    def small_jump(j):
+        def one(_k, config):
+            s = it.build_path(None, None, H, config, m, split=math.inf).sup_abs(T)[0]
+            return s, s
+
+        return prm.Window(T, tuple(problem.box), Shell(th[j + 1], th[j])), one
+
+    def box_ring(j):
+        outer, inner = (tuple((-a, a) for _ in range(d)) for a in (th[j + 1], th[j]))
+        drift = [(-it.nu_factor(m, term.jump, small)
+                  * (it.space_factor(term, outer) - it.space_factor(term, inner)), term.time)
+                 for term in H.terms] if small is not None else []
 
         def one(_k, config):
-            sup2, exceed = np.zeros(len(th) - 1), np.zeros(len(th) - 1, dtype=bool)
-            inside = np.max(np.abs(config.x), axis=1)
-            for j in range(len(th) - 1):
-                if not th[j] < th[j + 1]:
-                    continue
-                mask = (inside > th[j]) & (inside <= th[j + 1])
-                t, x, z = config.t[mask], config.x[mask], config.z[mask]
-                sm = np.abs(z) <= split
-                h_jumps = np.asarray(H(t[sm], x[sm], z[sm]), dtype=float) \
-                    if sm.any() else np.empty(0)
-                s = jump_path(t[sm], h_jumps, drift(th[j], th[j + 1])).sup_abs(T)[0]
-                sup2[j] = s * s
-                if ladder.kind == "spatial-I" and K is not None:
-                    k_jumps = np.asarray(K(t[~sm], x[~sm], z[~sm]), dtype=float) \
-                        if (~sm).any() else np.empty(0)
-                    s = jump_path(np.concatenate([t[sm], t[~sm]]),
-                                  np.concatenate([h_jumps, k_jumps]),
-                                  drift(th[j], th[j + 1])).sup_abs(T)[0]
-                exceed[j] = s > 2.0 ** -(j + 1)
-            return sup2, exceed
+            mask = np.max(np.abs(config.x), axis=1) > th[j]
+            t, x, z = config.t[mask], config.x[mask], config.z[mask]
+            sm = np.abs(z) <= split
+            h_jumps = np.asarray(H(t[sm], x[sm], z[sm]), dtype=float) \
+                if sm.any() else np.empty(0)
+            s = jump_path(t[sm], h_jumps, drift).sup_abs(T)[0]
+            if not (kind_i and K is not None):
+                return s, s
+            k_jumps = np.asarray(K(t[~sm], x[~sm], z[~sm]), dtype=float) \
+                if (~sm).any() else np.empty(0)
+            return s, jump_path(np.concatenate([t[sm], t[~sm]]),
+                                np.concatenate([h_jumps, k_jumps]), drift).sup_abs(T)[0]
 
-    rows = map_replicates(one, il.deep_window(ladder, problem), m, replicates, master_seed)
-    return np.array([s for s, _ in rows]), np.array([e for _, e in rows])
+        return prm.Window(T, outer, shell), one
+
+    for j in range(len(th) - 1):
+        if ladder.kind == "small-jump" and th[j + 1] < th[j]:
+            window, one = small_jump(j)
+        elif ladder.kind != "small-jump" and th[j] < th[j + 1]:
+            window, one = box_ring(j)
+        else:
+            continue
+        rows = map_replicates(one, window, m, replicates, prm.replicate_seed(master_seed, j))
+        sup2[:, j] = [s * s for s, _ in rows]
+        exceed[:, j] = [s > 2.0 ** -(j + 1) for _, s in rows]
+    return sup2, exceed
 
 
 # ---------------------------------------------------------------------------

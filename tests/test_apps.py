@@ -406,6 +406,60 @@ class TestChaosCalibration:
         assert self.fail_fraction(sq, target + shift * exact_se, exact_se) >= 0.75
 
 
+class TestKunitaCalibration:
+    """kunita's p2_isometry verdict, judged by the exact standard error of
+    X(T)^2, keeps a small false-alarm rate over many master seeds in every
+    cell of the bundled sweep and still fails a target moved by 5 standard
+    errors.  At 40 replicates the sample standard error fails more seeds in
+    every cell (3 to 22 of 500), since it shrinks with the mean when a run
+    misses the large values of X(T)^2."""
+
+    SEEDS, N, K_SIGMA = 500, 40, 4.0
+    CELLS = [(mk, xn) for mk in ("atoms", "tempered", "tstable") for xn in ("X1", "X2", "X3")]
+
+    @pytest.fixture(scope="class")
+    def cfg(self):
+        return parse_config(json.loads(bundled_config_text("kunita")))
+
+    def runs(self, cfg, mk, xn):
+        w, m, T = cfg.window, cfg.measures[mk], cfg.window.horizon
+        X = dict(cfg.params["x_names"])[xn]
+
+        def stat(batch):
+            return (apps.noise_path(X, batch, m).eval(T) ** 2,)
+
+        sq = np.array([mc.replicate_values(stat, w, m, self.N, seed)[0]
+                       for seed in range(self.SEEDS)])
+        target = m.shell_moment(w.shell, 2.0) * apps.space_time_norm_sq(X, w, T)
+        return sq, target, math.sqrt(apps.noise_square_variance(X, w, m, T) / self.N)
+
+    def fails(self, sq, target, se):
+        return sum(not mc.verdict(mc.McEstimate(float(v.mean()), s, self.N, 0),
+                                  target, self.K_SIGMA).passed
+                   for v, s in zip(sq, np.broadcast_to(se, len(sq))))
+
+    def test_constant_integrand_variance(self, cfg):
+        # X2 = 0.8 on the atoms: k_p = 0.8^p sum_i w_i z_i^p on a unit box and horizon
+        atoms = [(0.6, 1.0), (-1.1, 0.7), (1.7, 0.4)]
+        k2, k4 = (0.8 ** p * sum(wt * z ** p for z, wt in atoms) for p in (2, 4))
+        X2 = dict(cfg.params["x_names"])["X2"]
+        assert apps.noise_square_variance(X2, cfg.window, cfg.measures["atoms"],
+                                          1.0) == pytest.approx(k4 + 2 * k2 * k2, rel=1e-14)
+
+    @pytest.mark.parametrize("mk, xn", CELLS)
+    def test_null_false_alarm_rate(self, cfg, mk, xn):
+        sq, target, exact_se = self.runs(cfg, mk, xn)
+        exact = self.fails(sq, target, exact_se)
+        assert exact <= 0.01 * self.SEEDS
+        assert self.fails(sq, target, sq.std(axis=1, ddof=1) / math.sqrt(self.N)) > exact
+
+    @pytest.mark.parametrize("mk, xn", [("atoms", "X3"), ("tstable", "X3")])
+    @pytest.mark.parametrize("shift", [5.0, -5.0])
+    def test_planted_bias_fails(self, cfg, mk, xn, shift):
+        sq, target, exact_se = self.runs(cfg, mk, xn)
+        assert self.fails(sq, target + shift * exact_se, exact_se) >= 0.75 * self.SEEDS
+
+
 # ---------------------------------------------------------------------------
 # the per-path multiple integral that the batched one replaced
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from levynoise import apps, ito
+from levynoise import apps, experiments, ito
 from levynoise.cli import bundled_config_text, main
 from levynoise.experiments import (
     PARAMS,
@@ -177,7 +177,7 @@ class TestParseConfig:
         parse_config(raw)
 
     def test_point_budget(self, tmp_path, capsys):
-        # a window, or interlace's deepest window, expecting more than
+        # a window, or interlace's largest ring, expecting more than
         # MAX_POINTS points exits 2 before any draw
         raw = small_simulate_config()
         raw["window"]["box"] = [[-1e8, 1e8]]
@@ -186,8 +186,28 @@ class TestParseConfig:
         assert main(["validate", write_config(tmp_path, raw)]) == 2
         assert "expects 4.2e+08 points" in capsys.readouterr().err
         raw = json.loads(bundled_config_text("interlace"))
-        raw["params"]["n_max"] = 7  # 8.4e6 expected points: under the budget
+        raw["params"]["n_max"] = 7  # largest ring 7.3e6 expected points: under the budget
         assert parse_config(raw).params["n_max"] == 7
+        for n, points in ((8, r"5\.87e\+07"), (9, r"4\.7e\+08")):
+            raw["params"]["n_max"] = n
+            with pytest.raises(ConfigError, match=r"^params\.n_max: the largest small-jump "
+                               rf"ring expects {points} points"):
+                parse_config(raw)
+
+    def test_point_budget_bounds_one_ring(self, monkeypatch):
+        # only one ring is in memory at a time: a budget between the largest
+        # ring's expected points (9.2e5) and the shipped ladder's whole
+        # depth (1.05e6) accepts the ladder, one below the ring refuses it
+        raw = json.loads(bundled_config_text("interlace"))
+        monkeypatch.setattr(experiments, "MAX_POINTS", 10 ** 6)
+        parse_config(raw)
+        monkeypatch.setattr(experiments, "MAX_POINTS", 9 * 10 ** 5)
+        with pytest.raises(ConfigError, match=r"^params\.n_max: the largest small-jump ring"):
+            parse_config(raw)
+        # a one-level ladder has no ring, and meets its error in the run
+        raw["params"].update(n_max=1, spatial=False)
+        with pytest.raises(ValueError, match="need at least two ladder levels"):
+            run_experiment(parse_config(raw))
 
     def test_bad_output_dir(self, tmp_path, monkeypatch, capsys):
         raw = small_simulate_config()

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from levynoise import integrands as ig
 from levynoise import integrate as it
 from levynoise import interlace as il
 from levynoise import mc, prm
+from levynoise.experiments import _ladder_rows
 from levynoise.measure import DiscreteAtoms, Shell, TruncatedStable
 from levynoise.prm import Window
 from oracles import interlacing_rows_per_config
@@ -197,6 +199,14 @@ DIAGNOSTICS = {
     "spatial-I-scan": lambda: _spatial("spatial-I", HS_T * 0.1, KS),
     "spatial-II": lambda: _spatial("spatial-II", HS, None),
 }
+# Every H above has an odd jump factor on a symmetric measure, so its
+# compensator, and every box ring's drift, is 0; a z^2 jump factor gives
+# the box rings a drift.
+HS_SQ = ig.term(space=ig.ExpAbs(-1.0), jump=ig.AbsPow(2.0))
+DRIFT_DIAGNOSTICS = {
+    "spatial-I-drift": lambda: _spatial("spatial-I", HS_SQ * 0.1, KS),
+    "spatial-II-drift": lambda: _spatial("spatial-II", HS_SQ, None),
+}
 
 
 class TestBatchedDiagnostic:
@@ -204,17 +214,73 @@ class TestBatchedDiagnostic:
     @pytest.mark.parametrize("case", sorted(DIAGNOSTICS))
     def test_rows_equal_per_config_oracle(self, case, budget, monkeypatch):
         # blocks of several replicates (default budget) and of one give the
-        # (sup2, exceed) rows of one configuration at a time, bit for bit,
-        # replayed under the same budget
+        # (sup2, exceed) rows of one ring and one configuration at a time,
+        # each ring on its own seed, bit for bit, replayed under the same
+        # budget
         ladder, problem = DIAGNOSTICS[case]()
         if budget is not None:
             monkeypatch.setattr(prm, "BLOCK_POINTS", budget)
-        window = il.deep_window(ladder, problem)
-        stat = il._statistic(ladder, problem)
-        sizes = [len(b) for _, b in mc.batches(window, problem.measure, 9, 5)]
+        sizes = [len(b) for _, w, _ in il.rings(ladder, problem)
+                 for _, b in mc.batches(w, problem.measure, 9, 5)]
         assert (max(sizes) == 1) == (budget == 1)
-        sup2, exceed = mc.replicate_values(stat, window, problem.measure, 9, 5)
         want_sup2, want_exceed = interlacing_rows_per_config(ladder, problem, 9, 5)
-        assert sup2.shape == (9, len(ladder.levels) - 1) and exceed.dtype == bool
-        assert np.array_equal(sup2, want_sup2) and np.array_equal(exceed, want_exceed)
-        assert sup2.any() and exceed.any() and not exceed.all()
+        assert want_sup2.shape == (9, len(ladder.levels) - 1) and want_exceed.dtype == bool
+        assert want_sup2.any() and want_exceed.any() and not want_exceed.all()
+        for j, window, stat in il.rings(ladder, problem):
+            s, s_exceed = mc.replicate_values(stat, window, problem.measure, 9,
+                                              prm.replicate_seed(5, j))
+            assert np.array_equal(s * s, want_sup2[:, j])
+            assert np.array_equal(s_exceed > 2.0 ** -(j + 1), want_exceed[:, j])
+        rep = il.interlacing_diagnostic(ladder, problem, 9, 5)
+        assert rep == il._assemble(ladder, want_sup2, want_exceed, 9, 5)
+
+    @pytest.mark.parametrize("case", sorted(DRIFT_DIAGNOSTICS))
+    def test_box_ring_drift_equals_hand_built(self, case):
+        # build_path subtracts the outer box's compensator and G adds the
+        # inner one back, where the oracle subtracts their difference in one
+        # coefficient: the paths agree to rounding, not bit for bit
+        ladder, problem = DRIFT_DIAGNOSTICS[case]()
+        want_sup2, want_exceed = interlacing_rows_per_config(ladder, problem, 9, 5)
+        assert want_sup2.any() and want_exceed.any() and not want_exceed.all()
+        for j, window, stat in il.rings(ladder, problem):
+            assert it.compensator(problem.H, window, problem.measure, problem.T) != 0.0
+            s, s_exceed = mc.replicate_values(stat, window, problem.measure, 9,
+                                              prm.replicate_seed(5, j))
+            np.testing.assert_allclose(s * s, want_sup2[:, j], rtol=1e-12, atol=0.0)
+            assert np.array_equal(s_exceed > 2.0 ** -(j + 1), want_exceed[:, j])
+
+
+class TestNullSweep:
+    """The ladders of DIAGNOSTICS and DRIFT_DIAGNOSTICS over many master
+    seeds.  The Doob and
+    Chebyshev bounds hold with room, so a 4-sigma bound verdict fails at
+    most once per case.  The pooled mean of each ring's sup^2 lies between
+    the ring's E M(T)^2 = I(level j) - I(level j + 1), which E sup^2 is at
+    least, and Doob's 4 I(level j)."""
+
+    SEEDS, N, K_SIGMA = 200, 16, 4.0
+
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def sweep(case):
+        ladder, problem = {**DIAGNOSTICS, **DRIFT_DIAGNOSTICS}[case]()
+        return ladder, [il.interlacing_diagnostic(ladder, problem, TestNullSweep.N, seed)
+                        for seed in range(TestNullSweep.SEEDS)]
+
+    @pytest.mark.parametrize("case", sorted({**DIAGNOSTICS, **DRIFT_DIAGNOSTICS}))
+    def test_bound_verdicts_rarely_fail(self, case):
+        _, reps = self.sweep(case)
+        rows = [v for rep in reps for v in _ladder_rows("", rep, self.K_SIGMA)]
+        assert len(rows) >= 800
+        assert sum(not v.passed for v in rows) <= 1
+
+    # the spatial-I cases run hand-set ladders, with no residual I
+    @pytest.mark.parametrize("case", ["small-jump", "small-jump-scan", "spatial-II",
+                                      "spatial-II-drift"])
+    def test_pooled_sup2_between_ring_moment_and_doob(self, case):
+        ladder, reps = self.sweep(case)
+        i = [lv.i_value for lv in ladder.levels]
+        for j in range(len(i) - 1):
+            mean = np.mean([rep.rows[j].empirical_sup2 for rep in reps])
+            se = math.sqrt(np.sum([rep.rows[j].sup2_se ** 2 for rep in reps])) / self.SEEDS
+            assert i[j] - i[j + 1] - self.K_SIGMA * se <= mean <= 4 * i[j] + self.K_SIGMA * se
