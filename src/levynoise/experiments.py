@@ -656,8 +656,8 @@ def _ladder_rows(prefix: str, report: il.DiagnosticReport, k_sigma: float):
 
 
 def run_interlace(cfg: Config) -> ExperimentResult:
-    """Threshold ladders plus coupled sup-norm diagnostics against the
-    geometric bounds."""
+    """Threshold ladders plus sup-norm diagnostics of independently drawn
+    rings against the geometric bounds."""
     reps = cfg.params["diag_replicates"]
     res = ExperimentResult(cfg.experiment, cfg.seed, reps)
     (_, ladder, problem), *spatial = cfg.ladders

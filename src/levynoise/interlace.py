@@ -263,7 +263,7 @@ def a_sequence(H: Integrand, K: Integrand | None, T: float,
 
 
 # ---------------------------------------------------------------------------
-# coupled diagnostics
+# ring diagnostics
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import cmath
+import functools
 import itertools
 import json
 import math
@@ -421,17 +422,22 @@ class TestKunitaCalibration:
     def cfg(self):
         return parse_config(json.loads(bundled_config_text("kunita")))
 
-    def runs(self, cfg, mk, xn):
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def runs(mk, xn):
+        # one sweep per cell, shared by the null and the planted-bias cases
+        cfg = parse_config(json.loads(bundled_config_text("kunita")))
         w, m, T = cfg.window, cfg.measures[mk], cfg.window.horizon
         X = dict(cfg.params["x_names"])[xn]
+        n = TestKunitaCalibration.N
 
         def stat(batch):
             return (apps.noise_path(X, batch, m).eval(T) ** 2,)
 
-        sq = np.array([mc.replicate_values(stat, w, m, self.N, seed)[0]
-                       for seed in range(self.SEEDS)])
+        sq = np.array([mc.replicate_values(stat, w, m, n, seed)[0]
+                       for seed in range(TestKunitaCalibration.SEEDS)])
         target = m.shell_moment(w.shell, 2.0) * apps.space_time_norm_sq(X, w, T)
-        return sq, target, math.sqrt(apps.noise_square_variance(X, w, m, T) / self.N)
+        return sq, target, math.sqrt(apps.noise_square_variance(X, w, m, T) / n)
 
     def fails(self, sq, target, se):
         return sum(not mc.verdict(mc.McEstimate(float(v.mean()), s, self.N, 0),
@@ -447,16 +453,16 @@ class TestKunitaCalibration:
                                           1.0) == pytest.approx(k4 + 2 * k2 * k2, rel=1e-14)
 
     @pytest.mark.parametrize("mk, xn", CELLS)
-    def test_null_false_alarm_rate(self, cfg, mk, xn):
-        sq, target, exact_se = self.runs(cfg, mk, xn)
+    def test_null_false_alarm_rate(self, mk, xn):
+        sq, target, exact_se = self.runs(mk, xn)
         exact = self.fails(sq, target, exact_se)
         assert exact <= 0.01 * self.SEEDS
         assert self.fails(sq, target, sq.std(axis=1, ddof=1) / math.sqrt(self.N)) > exact
 
     @pytest.mark.parametrize("mk, xn", [("atoms", "X3"), ("tstable", "X3")])
     @pytest.mark.parametrize("shift", [5.0, -5.0])
-    def test_planted_bias_fails(self, cfg, mk, xn, shift):
-        sq, target, exact_se = self.runs(cfg, mk, xn)
+    def test_planted_bias_fails(self, mk, xn, shift):
+        sq, target, exact_se = self.runs(mk, xn)
         assert self.fails(sq, target + shift * exact_se, exact_se) >= 0.75 * self.SEEDS
 
 

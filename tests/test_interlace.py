@@ -209,15 +209,21 @@ DRIFT_DIAGNOSTICS = {
 }
 
 
+ALL_DIAGNOSTICS = {**DIAGNOSTICS, **DRIFT_DIAGNOSTICS}
+
+
 class TestBatchedDiagnostic:
     @pytest.mark.parametrize("budget", [None, 1])
-    @pytest.mark.parametrize("case", sorted(DIAGNOSTICS))
+    @pytest.mark.parametrize("case", sorted(ALL_DIAGNOSTICS))
     def test_rows_equal_per_config_oracle(self, case, budget, monkeypatch):
         # blocks of several replicates (default budget) and of one give the
         # (sup2, exceed) rows of one ring and one configuration at a time,
-        # each ring on its own seed, bit for bit, replayed under the same
-        # budget
-        ladder, problem = DIAGNOSTICS[case]()
+        # each ring on its own seed, replayed under the same budget: bit for
+        # bit without a drift; with one, build_path subtracts the outer box's
+        # compensator and G adds the inner one back, where the oracle
+        # subtracts their difference in one coefficient, so to rounding
+        ladder, problem = ALL_DIAGNOSTICS[case]()
+        rtol = 1e-12 if case in DRIFT_DIAGNOSTICS else 0.0
         if budget is not None:
             monkeypatch.setattr(prm, "BLOCK_POINTS", budget)
         sizes = [len(b) for _, w, _ in il.rings(ladder, problem)
@@ -226,28 +232,17 @@ class TestBatchedDiagnostic:
         want_sup2, want_exceed = interlacing_rows_per_config(ladder, problem, 9, 5)
         assert want_sup2.shape == (9, len(ladder.levels) - 1) and want_exceed.dtype == bool
         assert want_sup2.any() and want_exceed.any() and not want_exceed.all()
+        sup2, exceed = np.zeros_like(want_sup2), np.zeros_like(want_exceed)
         for j, window, stat in il.rings(ladder, problem):
+            if rtol:
+                assert it.compensator(problem.H, window, problem.measure, problem.T) != 0.0
             s, s_exceed = mc.replicate_values(stat, window, problem.measure, 9,
                                               prm.replicate_seed(5, j))
-            assert np.array_equal(s * s, want_sup2[:, j])
-            assert np.array_equal(s_exceed > 2.0 ** -(j + 1), want_exceed[:, j])
+            sup2[:, j], exceed[:, j] = s * s, s_exceed > 2.0 ** -(j + 1)
+        np.testing.assert_allclose(sup2, want_sup2, rtol=rtol, atol=0.0)
+        assert np.array_equal(exceed, want_exceed)
         rep = il.interlacing_diagnostic(ladder, problem, 9, 5)
-        assert rep == il._assemble(ladder, want_sup2, want_exceed, 9, 5)
-
-    @pytest.mark.parametrize("case", sorted(DRIFT_DIAGNOSTICS))
-    def test_box_ring_drift_equals_hand_built(self, case):
-        # build_path subtracts the outer box's compensator and G adds the
-        # inner one back, where the oracle subtracts their difference in one
-        # coefficient: the paths agree to rounding, not bit for bit
-        ladder, problem = DRIFT_DIAGNOSTICS[case]()
-        want_sup2, want_exceed = interlacing_rows_per_config(ladder, problem, 9, 5)
-        assert want_sup2.any() and want_exceed.any() and not want_exceed.all()
-        for j, window, stat in il.rings(ladder, problem):
-            assert it.compensator(problem.H, window, problem.measure, problem.T) != 0.0
-            s, s_exceed = mc.replicate_values(stat, window, problem.measure, 9,
-                                              prm.replicate_seed(5, j))
-            np.testing.assert_allclose(s * s, want_sup2[:, j], rtol=1e-12, atol=0.0)
-            assert np.array_equal(s_exceed > 2.0 ** -(j + 1), want_exceed[:, j])
+        assert rep == il._assemble(ladder, sup2, exceed, 9, 5)
 
 
 class TestNullSweep:
@@ -263,11 +258,11 @@ class TestNullSweep:
     @staticmethod
     @functools.lru_cache(maxsize=None)
     def sweep(case):
-        ladder, problem = {**DIAGNOSTICS, **DRIFT_DIAGNOSTICS}[case]()
+        ladder, problem = ALL_DIAGNOSTICS[case]()
         return ladder, [il.interlacing_diagnostic(ladder, problem, TestNullSweep.N, seed)
                         for seed in range(TestNullSweep.SEEDS)]
 
-    @pytest.mark.parametrize("case", sorted({**DIAGNOSTICS, **DRIFT_DIAGNOSTICS}))
+    @pytest.mark.parametrize("case", sorted(ALL_DIAGNOSTICS))
     def test_bound_verdicts_rarely_fail(self, case):
         _, reps = self.sweep(case)
         rows = [v for rep in reps for v in _ladder_rows("", rep, self.K_SIGMA)]
