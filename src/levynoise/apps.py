@@ -289,14 +289,13 @@ def second_order_square_variance(f: ChaosFunction, window: Window, measure: Levy
     return float(np.prod(k4 + 3.0 * k2 * k2) - np.prod(k2 * k2))
 
 
-def noise_square_variance(X: Integrand, window: Window, measure: LevyMeasure,
+def noise_square_variance(g: Integrand, window: Window, measure: LevyMeasure,
                           T: float) -> float:
-    """Var(X(T)^2) of the noise integral X(T) of a space-time integrand X.
+    """Var(N~(g)^2) of the compensated integral N~(g) over the window up to T.
 
-    X(T) is the compensated integral of g = X z, so E X(T)^2 = k2 and
-    E X(T)^4 = k4 + 3 k2^2, with k_p the compensator of g^p: Var(X(T)^2) =
-    k4 + 2 k2^2."""
-    g2 = X.with_jump(SignPow(1.0)).squared()
+    E N~(g)^2 = k2 and E N~(g)^4 = k4 + 3 k2^2, with k_p the compensator of
+    g^p: Var(N~(g)^2) = k4 + 2 k2^2.  A noise integral X(T) is N~(X z)."""
+    g2 = g.squared()
     k2 = it.compensator(g2, window, measure, T)
     return it.compensator(g2.squared(), window, measure, T) + 2.0 * k2 * k2
 

@@ -22,7 +22,7 @@ from . import apps
 from . import integrate as it
 from . import interlace as il
 from . import ito
-from .integrands import Integrand, integrand_from_json
+from .integrands import Integrand, SignPow, integrand_from_json
 from .mc import McEstimate, batches, estimate, replicate_values, run_replicates, verdict
 from .measure import LevyMeasure, measure_from_json
 from .prm import Window, dump_csv, intensity, replicate_seed, simulate
@@ -128,10 +128,9 @@ def parse_config(raw: dict) -> Config:
     if name == "interlace":
         cfg.ladders = _ladders(cfg)
     for key, ladder, problem in cfg.ladders:
-        if not ladder.violation:  # else the run reports the ladder
-            _check_points(f"params.{key}", f"the largest {ladder.kind} ring",
-                          max((intensity(w, problem.measure)
-                               for _, w, _ in il.rings(ladder, problem)), default=0.0))
+        _check_points(f"params.{key}", f"the largest {ladder.kind} ring",
+                      max((intensity(w, problem.measure)
+                           for _, w, _ in il.rings(ladder, problem)), default=0.0))
     return cfg
 
 
@@ -159,7 +158,7 @@ def _kind(what: str, ok, convert=lambda val: val):
 
 
 _PATHS = _kind("an integer >= 1", lambda v: type(v) is int and v >= 1)
-_REPLICATES = _kind("an integer >= 2", lambda v: type(v) is int and v >= 2)  # an se needs 2
+_REPLICATES = _kind("an integer >= 2", lambda v: type(v) is int and v >= 2)  # an se, a ring need 2
 _REAL = _kind("a finite number", _finite, float)
 _POSITIVE = _kind("a finite number > 0", lambda v: _finite(v) and v > 0.0, float)
 _LEVEL = _kind("a number in (0, 1)", lambda v: _finite(v) and 0.0 < v < 1.0, float)
@@ -245,12 +244,12 @@ PARAMS = {
                                                  {"kind": "exp", "scale": 0.4}]),
              "residual_tol": (_POSITIVE, 1e-6), "h_names": (_integrands, ["H1", "H2", "H3"])},
     # the spatial_* params are resolved only when `spatial` is true
-    "interlace": {"n_max": (_PATHS, 6), "diag_replicates": (_REPLICATES, 64),
+    "interlace": {"n_max": (_REPLICATES, 6), "diag_replicates": (_REPLICATES, 64),
                   "h_name": (_integrand, "H"), "small_hi": (_POSITIVE, 1.0),
                   "worked_example": (_FLAG, False), "spatial": (_FLAG, True),
                   "spatial_h_name": (_integrand, "HS"), "spatial_k_name": (_integrand, "KS"),
                   "spatial_measure": (_measure, lambda cfg: next(iter(cfg.measures))),
-                  "spatial_n_max": (_PATHS, 4), "spatial_replicates": (_REPLICATES, 48)},
+                  "spatial_n_max": (_REPLICATES, 4), "spatial_replicates": (_REPLICATES, 48)},
     "kunita": {"ps": (_PS, [2.0, 3.0, 4.0]), "ratio_guard_factor": (_POSITIVE, 10.0),
                "cell_replicates": (_REPLICATES, lambda cfg: cfg.replicates),
                "x_names": (_integrands, ["X1", "X2", "X3"])},
@@ -303,7 +302,8 @@ def validate_config(cfg: Config) -> None:
 
 def _ladders(cfg: Config) -> list:
     """interlace's small-jump ladder and, with `spatial`, its spatial one, as
-    (the param of its depth, ladder, problem) triples."""
+    (the param of its depth, ladder, problem) triples.  A ladder with no ring
+    to diagnose is a ConfigError naming its integrand's param."""
     w, p = cfg.window, cfg.params
     T = w.horizon
     problem = il.LadderProblem(H=p["h_name"], measure=cfg.measure(), T=T, box=w.box,
@@ -322,6 +322,10 @@ def _ladders(cfg: Config) -> list:
                 kind="spatial-I", shell=w.shell, dim=w.dim), problem))
         except ValueError as exc:
             raise ConfigError(f"params.spatial_h_name: spatial ladder: {exc}") from None
+    for (_, ladder, _), h_key in zip(out, ("h_name", "spatial_h_name")):
+        if ladder.violation or len(ladder.levels) < 2:
+            why = ladder.violation or f"one level, truncated at {ladder.truncation_point:.6g}"
+            raise ConfigError(f"params.{h_key}: {ladder.kind} ladder: {why}; no ring to diagnose")
     return out
 
 
@@ -493,15 +497,16 @@ def run_isometry(cfg: Config) -> ExperimentResult:
             return np.stack([nhat, nhat * nhat, raw], axis=1)
 
         est = run_replicates(stat, w, m, cfg.replicates, _seed_for(cfg, 100 + i))
+        # exact se of N~(H)^2: the sample one shrinks with the mean when a run misses large values
+        se2 = math.sqrt(apps.noise_square_variance(H, w, m, T) / cfg.replicates)
         label = f"{mk}/{hk}"
         parts = [
-            (f"centered_mean[{label}]", 0, 0.0),
-            (f"second_moment[{label}]", 1, comp2),
-            (f"raw_mean[{label}]", 2, comp),
+            (f"centered_mean[{label}]", 0, 0.0, est.se[0]),
+            (f"second_moment[{label}]", 1, comp2, se2),
+            (f"raw_mean[{label}]", 2, comp, est.se[2]),
         ]
-        for name, idx, target in parts:
-            sub = McEstimate(float(est.mean[idx]), float(est.se[idx]),
-                             est.n, est.master_seed)
+        for name, idx, target, se in parts:
+            sub = McEstimate(float(est.mean[idx]), float(se), est.n, est.master_seed)
             res.verdicts.append(_mc_row(name, sub, target, cfg.k_sigma))
             rows.append((mk, hk, name.split("[")[0],
                          float(sub.mean), float(sub.se), float(target),
@@ -655,6 +660,12 @@ def _ladder_rows(prefix: str, report: il.DiagnosticReport, k_sigma: float):
                          row.bound_freq, row.exceed_se, k_sigma)
 
 
+def _ladder_table(report: il.DiagnosticReport) -> str:
+    return _csv(("level", "threshold", "I", "empirical_sup2", "bound", "exceed_freq",
+                 "bound_freq"), [(r.level, r.threshold, r.i_value, r.empirical_sup2, r.bound,
+                                  r.exceed_freq, r.bound_freq) for r in report.rows])
+
+
 def run_interlace(cfg: Config) -> ExperimentResult:
     """Threshold ladders plus sup-norm diagnostics of independently drawn
     rings against the geometric bounds."""
@@ -667,13 +678,13 @@ def run_interlace(cfg: Config) -> ExperimentResult:
         res.verdicts.append(_tol_row("threshold_closed_form_rel_err", worst, 1e-8))
     rep = il.interlacing_diagnostic(ladder, problem, reps, _seed_for(cfg, 600))
     res.verdicts.extend(_ladder_rows("", rep, cfg.k_sigma))
-    res.tables["eps_ladder.csv"] = rep.to_csv()
+    res.tables["eps_ladder.csv"] = _ladder_table(rep)
 
     for _, sladder, sproblem in spatial:
         srep = il.interlacing_diagnostic(sladder, sproblem, cfg.params["spatial_replicates"],
                                          _seed_for(cfg, 601))
         res.verdicts.extend(_ladder_rows("spatial_", srep, cfg.k_sigma))
-        res.tables["spatial_ladder.csv"] = srep.to_csv()
+        res.tables["spatial_ladder.csv"] = _ladder_table(srep)
     return res
 
 
@@ -701,7 +712,8 @@ def run_kunita(cfg: Config) -> ExperimentResult:
                     target = v_shell * apps.space_time_norm_sq(X, w, T)
                     # X(T)^2 is judged by its exact standard error: the sample one
                     # shrinks with the mean when a run misses its large values
-                    exact_se = math.sqrt(apps.noise_square_variance(X, w, m, T) / reps)
+                    exact_se = math.sqrt(apps.noise_square_variance(
+                        X.with_jump(SignPow(1.0)), w, m, T) / reps)
                     est = McEstimate(cell.isometry_mean, exact_se, reps, cfg.seed)
                     res.verdicts.append(_mc_row(
                         f"p2_isometry[{mk}/{xn}]", est, target, cfg.k_sigma))

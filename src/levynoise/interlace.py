@@ -13,7 +13,6 @@ explicit Doob/Chebyshev bounds.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -62,6 +61,29 @@ def _bisect(ok, good, bad, rel_tol):
     return good
 
 
+def _ladder(kind, I, edge, good, floor, at_floor, n_max, rel_tol) -> Ladder:
+    """The level loop both ladders share.  Level n's threshold is `edge` while
+    I(edge) <= 8^-n, else the point nearest the edge where I <= 8^-n, bisected
+    from good(8^-n), a point where it holds (None: there is none).  The first
+    threshold that `at_floor` accepts ends the ladder at the support floor."""
+    top = I(edge)
+    levels = []
+    for n in range(1, n_max + 1):
+        target = GEOMETRIC_BASE ** -n
+        x = edge
+        if top > target:
+            start = good(target)
+            if start is None:
+                return Ladder(kind, tuple(levels),
+                              violation="assumption violated: residual does not vanish")
+            x = _bisect(lambda u: I(u) <= target, start, edge, rel_tol)
+        if at_floor(x):
+            levels.append(LadderLevel(n, floor, 0.0))
+            return Ladder(kind, tuple(levels), True, floor)
+        levels.append(LadderLevel(n, x, top if x == edge else I(x)))
+    return Ladder(kind, tuple(levels))
+
+
 def eps_sequence(H: Integrand, box, T: float, measure: LevyMeasure,
                  n_max: int = 6, small_hi: float = 1.0,
                  rel_tol: float = 1e-10) -> Ladder:
@@ -69,7 +91,7 @@ def eps_sequence(H: Integrand, box, T: float, measure: LevyMeasure,
     residual second moment I(eps) stays below 8^-n.
 
     The ladder truncates with a finite-activity flag as soon as I vanishes at
-    a positive floor (the integrand is inactive below it).
+    a floor above 1e-12 small_hi (the integrand is inactive below it).
     """
     Hsq = H.squared()
 
@@ -79,31 +101,18 @@ def eps_sequence(H: Integrand, box, T: float, measure: LevyMeasure,
         w = Window(T, tuple(box), Shell(0.0, eps))
         return it.compensator(Hsq, w, measure, T)
 
-    top = I(small_hi)
-    if top == 0.0:
-        # integrand inactive on the whole small-jump set
-        return Ladder("small-jump", (LadderLevel(1, small_hi, 0.0),),
-                      truncated=True, truncation_point=small_hi)
-    # activity floor: the largest eps with I(eps) = 0 (0 when I > 0 throughout)
-    floor = _bisect(lambda e: I(e) == 0.0, 0.0, small_hi, rel_tol)
+    # activity floor: the largest eps with I(eps) = 0, sought only where it
+    # could truncate the ladder
+    if I(small_hi) == 0.0:
+        floor = small_hi  # integrand inactive on the whole small-jump set
+    elif I(1e-12 * small_hi) == 0.0:
+        floor = _bisect(lambda e: I(e) == 0.0, 0.0, small_hi, rel_tol)
+    else:
+        floor = 0.0
     floor_tol = max(1e-8 * small_hi, 1e-6 * floor)
-
-    levels = []
-    truncated = False
-    point = None
-    for n in range(1, n_max + 1):
-        target = GEOMETRIC_BASE ** -n
-        if top <= target:
-            eps = small_hi
-        else:
-            eps = _bisect(lambda e: I(e) <= target, 0.0, small_hi, rel_tol)
-        if floor > 1e-12 * small_hi and eps <= floor + floor_tol:
-            levels.append(LadderLevel(n, floor, 0.0))
-            truncated = True
-            point = floor
-            break
-        levels.append(LadderLevel(n, eps, I(eps)))
-    return Ladder("small-jump", tuple(levels), truncated, point)
+    return _ladder("small-jump", I, small_hi, lambda target: 0.0, floor,
+                   lambda e: floor > 1e-12 * small_hi and e <= floor + floor_tol,
+                   n_max, rel_tol)
 
 
 def _abs_node_integral(node: Node, a: float, b: float) -> float:
@@ -146,32 +155,6 @@ def _full_line_integral(node: Node, use_abs: bool):
     return val
 
 
-def _space_tail(term, a: float, dim: int, use_abs: bool):
-    """Integral of the term's space factors over the complement of [-a, a]^d.
-
-    Product structure gives full-line product minus box product.  Returns
-    None when a full-line factor diverges (decay assumption violated).
-    """
-    full, inside = 1.0, 1.0
-    for k in range(dim):
-        node = term.space[k] if k < len(term.space) else Const(1.0)
-        if isinstance(node, Const):
-            if node.value == 0.0:
-                return 0.0
-            return None  # constant factor never decays
-        line = _full_line_integral(node, use_abs)
-        if line is None:
-            return None
-        box = _abs_node_integral(node, -a, a) if use_abs else node.integral(-a, a)
-        full *= line
-        inside *= box
-    return full - inside
-
-
-def _abs_time_integral(term, T: float) -> float:
-    return _abs_node_integral(term.time, 0.0, T)
-
-
 def a_sequence(H: Integrand, K: Integrand | None, T: float,
                measure: LevyMeasure, n_max: int = 6, *,
                kind: str = "spatial-I", shell: Shell, dim: int = 1,
@@ -183,7 +166,9 @@ def a_sequence(H: Integrand, K: Integrand | None, T: float,
     big-jump first absolute moment of K; kind "spatial-II" uses the second
     moment of H over the whole working shell.  For sums, the absolute big-
     jump part integrates term-by-term, an upper bound on |K| that keeps the
-    ladder conservative.
+    ladder conservative.  Each term's space factors integrate over the
+    complement of [-a, a]^dim to the product of their whole-line integrals,
+    computed once, less the product of their box integrals.
     """
     if kind not in ("spatial-I", "spatial-II"):
         raise ValueError(f"unknown spatial ladder kind {kind!r}")
@@ -191,37 +176,40 @@ def a_sequence(H: Integrand, K: Integrand | None, T: float,
     small = shell.clip(0.0, small_hi) if kind == "spatial-I" else shell
     big = shell.clip(small_hi, math.inf) if kind == "spatial-I" else None
 
-    h_parts = []
-    for term in Hsq.terms:
-        nu = it.nu_factor(measure, term.jump, small) if small else 0.0
-        h_parts.append((term, term.time.integral(0.0, T) * nu))
-    k_parts = []
+    parts = [(term, term.time.integral(0.0, T)
+              * (it.nu_factor(measure, term.jump, small) if small else 0.0), False)
+             for term in Hsq.terms]
     if kind == "spatial-I" and K is not None and big is not None:
-        for term in K.terms:
-            nu = it.nu_factor(measure, term.jump, big, absolute=True)
-            k_parts.append((term, _abs_time_integral(term, T) * nu))
+        parts += [(term, _abs_node_integral(term.time, 0.0, T)
+                   * it.nu_factor(measure, term.jump, big, absolute=True), True)
+                  for term in K.terms]
+    # (coefficient, space nodes, product of their whole-line integrals, use_abs)
+    tails = []
+    for term, coef, use_abs in parts:
+        if coef == 0.0:
+            continue
+        nodes, full = [], 1.0
+        for k in range(dim):
+            node = term.space[k] if k < len(term.space) else Const(1.0)
+            if isinstance(node, Const) and node.value == 0.0:
+                break  # the term vanishes
+            line = None if isinstance(node, Const) else _full_line_integral(node, use_abs)
+            if line is None:
+                return Ladder(kind, (), violation="assumption violated: "
+                              "space factor does not decay")
+            nodes.append(node)
+            full *= line
+        else:
+            tails.append((coef, nodes, full, use_abs))
 
     def I(a):
         total = 0.0
-        for term, coef in h_parts:
-            if coef == 0.0:
-                continue
-            tail = _space_tail(term, a, dim, use_abs=False)
-            if tail is None:
-                return None
-            total += coef * tail
-        for term, coef in k_parts:
-            if coef == 0.0:
-                continue
-            tail = _space_tail(term, a, dim, use_abs=True)
-            if tail is None:
-                return None
-            total += coef * tail
+        for coef, nodes, full, use_abs in tails:
+            inside = 1.0
+            for node in nodes:
+                inside *= _abs_node_integral(node, -a, a) if use_abs else node.integral(-a, a)
+            total += coef * (full - inside)
         return total
-
-    probe = I(1.0)
-    if probe is None:
-        return Ladder(kind, (), violation="assumption violated: space factor does not decay")
 
     # support bound: the smallest a with I(a) = 0, if any within reach
     floor = None
@@ -233,33 +221,16 @@ def a_sequence(H: Integrand, K: Integrand | None, T: float,
         hi_probe *= 2.0
     floor_tol = 1e-6 * floor if floor else 0.0
 
-    levels = []
-    truncated = False
-    point = None
-    for n in range(1, n_max + 1):
-        target = GEOMETRIC_BASE ** -n
-        start = I(0.0)
-        if start is None:
-            return Ladder(kind, tuple(levels),
-                          violation="assumption violated: space factor does not decay")
-        if start <= target:
-            a_n, val = 0.0, start
-        else:
-            hi = 1.0
-            while I(hi) > target:
-                hi *= 2.0
-                if hi > 2.0 ** 60:
-                    return Ladder(kind, tuple(levels),
-                                  violation="assumption violated: residual does not vanish")
-            a_n = _bisect(lambda a: I(a) <= target, hi, 0.0, rel_tol)
-            val = I(a_n)
-        if floor is not None and a_n >= floor - floor_tol:
-            levels.append(LadderLevel(n, floor, 0.0))
-            truncated = True
-            point = floor
-            break
-        levels.append(LadderLevel(n, a_n, val))
-    return Ladder(kind, tuple(levels), truncated, point)
+    def good(target):
+        hi = 1.0
+        while I(hi) > target:
+            hi *= 2.0
+            if hi > 2.0 ** 60:
+                return None
+        return hi
+
+    return _ladder(kind, I, 0.0, good, floor,
+                   lambda a: floor is not None and a >= floor - floor_tol, n_max, rel_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -299,15 +270,6 @@ class DiagnosticReport:
     rows: list[DiagnosticRow]
     replicates: int
     master_seed: int
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("level,threshold,I,empirical_sup2,bound,exceed_freq,bound_freq\n")
-        for r in self.rows:
-            buf.write(f"{r.level},{r.threshold:.17g},{r.i_value:.17g},"
-                      f"{r.empirical_sup2:.17g},{r.bound:.17g},"
-                      f"{r.exceed_freq:.17g},{r.bound_freq:.17g}\n")
-        return buf.getvalue()
 
 
 def rings(ladder: Ladder, problem: LadderProblem):

@@ -10,8 +10,8 @@ The density families' shell integrals are closed forms or sums over one
 composite Gauss-Legendre rule in log|z|, cached per (measure, shell); the
 integrand is analytic on a finite shell, so the rule converges exponentially
 (Trefethen, SIAM Review 50, 2008).  Below a small z0 a shell reaching 0 adds
-a power series.  Only `nu_integral`, whose integrand may be an indicator,
-uses the adaptive `quad`.
+a power series.  Here only `nu_integral` (its integrand may be an indicator)
+calls the adaptive `quad`, as the fallbacks in `integrands` and `interlace` do.
 """
 
 from __future__ import annotations

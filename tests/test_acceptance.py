@@ -19,7 +19,7 @@ import pytest
 
 from levynoise import experiments, ito, mc, prm
 from levynoise import integrate as it
-from levynoise.apps import psi_space_time_integral
+from levynoise.apps import noise_square_variance, psi_space_time_integral
 from levynoise.cli import bundled_config_text
 from levynoise.experiments import _seed_for, parse_config, run_experiment
 from levynoise.mc import McEstimate, estimate, verdict
@@ -244,7 +244,8 @@ class TestCsvTables:
 
 
 def isometry_reference(cfg):
-    """{verdict name: McEstimate} over every (measure, integrand) cell."""
+    """{verdict name: McEstimate} over every (measure, integrand) cell;
+    second_moment carries the exact standard error of N~(H)^2."""
     w, T = cfg.window, cfg.window.horizon
     out = {}
     cells = [(mk, hk) for mk in cfg.measures for hk in cfg.integrands]
@@ -259,9 +260,10 @@ def isometry_reference(cfg):
 
         seed = _seed_for(cfg, 100 + i)
         est = estimate(map_replicates(one, w, m, cfg.replicates, seed), seed)
+        se2 = math.sqrt(noise_square_variance(H, w, m, T) / cfg.replicates)
         for idx, stat in enumerate(("centered_mean", "second_moment", "raw_mean")):
-            out[f"{stat}[{mk}/{hk}]"] = McEstimate(float(est.mean[idx]), float(est.se[idx]),
-                                                  est.n, seed)
+            se = se2 if stat == "second_moment" else float(est.se[idx])
+            out[f"{stat}[{mk}/{hk}]"] = McEstimate(float(est.mean[idx]), se, est.n, seed)
     return out
 
 

@@ -1,4 +1,5 @@
 import cmath
+import collections
 import functools
 import itertools
 import json
@@ -437,7 +438,8 @@ class TestKunitaCalibration:
         sq = np.array([mc.replicate_values(stat, w, m, n, seed)[0]
                        for seed in range(TestKunitaCalibration.SEEDS)])
         target = m.shell_moment(w.shell, 2.0) * apps.space_time_norm_sq(X, w, T)
-        return sq, target, math.sqrt(apps.noise_square_variance(X, w, m, T) / n)
+        g = X.with_jump(ig.SignPow(1.0))
+        return sq, target, math.sqrt(apps.noise_square_variance(g, w, m, T) / n)
 
     def fails(self, sq, target, se):
         return sum(not mc.verdict(mc.McEstimate(float(v.mean()), s, self.N, 0),
@@ -449,7 +451,8 @@ class TestKunitaCalibration:
         atoms = [(0.6, 1.0), (-1.1, 0.7), (1.7, 0.4)]
         k2, k4 = (0.8 ** p * sum(wt * z ** p for z, wt in atoms) for p in (2, 4))
         X2 = dict(cfg.params["x_names"])["X2"]
-        assert apps.noise_square_variance(X2, cfg.window, cfg.measures["atoms"],
+        assert apps.noise_square_variance(X2.with_jump(ig.SignPow(1.0)), cfg.window,
+                                          cfg.measures["atoms"],
                                           1.0) == pytest.approx(k4 + 2 * k2 * k2, rel=1e-14)
 
     @pytest.mark.parametrize("mk, xn", CELLS)
@@ -464,6 +467,53 @@ class TestKunitaCalibration:
     def test_planted_bias_fails(self, mk, xn, shift):
         sq, target, exact_se = self.runs(mk, xn)
         assert self.fails(sq, target + shift * exact_se, exact_se) >= 0.75 * self.SEEDS
+
+
+class TestVerdictCalibration:
+    """isometry's, charfn's and martingale's verdicts, run through
+    run_experiment over many master seeds at cut-down replicate counts:
+    each verdict kind fails at most once.  isometry's second_moment, judged
+    by the exact standard error of N~(H)^2, still fails a target moved by 5
+    standard errors.  With the sample standard error, second_moment failed
+    2 of the 1,800 verdicts of this isometry sweep (|z| up to 5.8)."""
+
+    SWEEPS = {"isometry": (600, 300), "charfn": (1200, 200), "martingale": (1200, 200)}
+    K_SIGMA = 4.0
+
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def sweep(name):
+        reps, seeds = TestVerdictCalibration.SWEEPS[name]
+        raw = json.loads(bundled_config_text(name))
+        raw["replicates"] = reps
+        if name == "martingale":
+            raw["params"]["representation_paths"] = 1  # a pathwise, not a Monte Carlo, verdict
+        rows = []
+        for seed in range(1000, 1000 + seeds):
+            raw["seed"] = seed
+            rows += run_experiment(parse_config(raw)).verdicts
+        return rows
+
+    @pytest.mark.parametrize("name", sorted(SWEEPS))
+    def test_null_false_alarm_rate(self, name):
+        kinds = collections.Counter(v.name.split("[")[0] for v in self.sweep(name))
+        fails = collections.Counter(v.name.split("[")[0] for v in self.sweep(name)
+                                    if not v.passed)
+        assert min(kinds.values()) >= self.SWEEPS[name][1]
+        assert max(fails.values(), default=0) <= 1, fails
+
+    @pytest.mark.parametrize("shift", [5.0, -5.0])
+    def test_planted_bias_fails(self, shift):
+        n = self.SWEEPS["isometry"][0]
+        cells = collections.defaultdict(list)
+        for v in self.sweep("isometry"):
+            if v.name.startswith("second_moment["):
+                moved = v.target + shift * v.se
+                cells[v.name].append(not mc.verdict(mc.McEstimate(v.estimate, v.se, n, 0),
+                                                    moved, self.K_SIGMA).passed)
+        assert len(cells) == 6
+        for name, failed in cells.items():
+            assert np.mean(failed) >= 0.75, name
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,12 @@ def assert_bad_param(tmp_path, capsys, name, key, value):
     exit 2 from validate and run, no traceback and no output written."""
     raw = json.loads(bundled_config_text(name))
     raw["params"][key] = value
+    assert_refused(tmp_path, capsys, raw, key)
+
+
+def assert_refused(tmp_path, capsys, raw, key):
+    """The config is a ConfigError naming params.<key>: exit 2 from validate
+    and run, no traceback and no output written."""
     with pytest.raises(ConfigError, match=rf"^params\.{key}: "):
         parse_config(raw)
     path = write_config(tmp_path, raw)
@@ -162,6 +168,26 @@ class TestParseConfig:
         # means nothing, or was ignored (a misspelled or undeclared key)
         assert_bad_param(tmp_path, capsys, name, key, value)
 
+    # the param each change to the bundled interlace config is refused by
+    UNDIAGNOSABLE = {
+        "n_max": lambda raw: raw["params"].update(n_max=1),
+        "spatial_n_max": lambda raw: raw["params"].update(spatial_n_max=1),
+        "spatial_h_name": lambda raw: raw["integrands"]["HS"]["terms"][0].update(
+            space=[{"kind": "poly", "coeffs": [1.0, 0.5]}]),
+        "h_name": lambda raw: raw["integrands"]["H"]["terms"][0].update(jump={
+            "kind": "product", "factors": [{"kind": "sign_pow", "power": 1.0},
+                                           {"kind": "abs_indicator", "lo": 1.5, "hi": 2.0}]}),
+    }
+
+    @pytest.mark.parametrize("key", sorted(UNDIAGNOSABLE))
+    def test_undiagnosable_ladder(self, tmp_path, capsys, key):
+        # one ladder level (n_max 1, or an H inactive on the small jumps) or
+        # a space factor that does not decay leaves no ring to diagnose;
+        # each passed validate, then raised in the run
+        raw = json.loads(bundled_config_text("interlace"))
+        self.UNDIAGNOSABLE[key](raw)
+        assert_refused(tmp_path, capsys, raw, key)
+
     def test_defaulted_names_resolved(self):
         raw = json.loads(bundled_config_text("chaos"))
         del raw["integrands"]["C"]
@@ -204,10 +230,10 @@ class TestParseConfig:
         monkeypatch.setattr(experiments, "MAX_POINTS", 9 * 10 ** 5)
         with pytest.raises(ConfigError, match=r"^params\.n_max: the largest small-jump ring"):
             parse_config(raw)
-        # a one-level ladder has no ring, and meets its error in the run
+        # a one-level ladder has no ring to diagnose
         raw["params"].update(n_max=1, spatial=False)
-        with pytest.raises(ValueError, match="need at least two ladder levels"):
-            run_experiment(parse_config(raw))
+        with pytest.raises(ConfigError, match=r"^params\.n_max: must be an integer >= 2"):
+            parse_config(raw)
 
     def test_bad_output_dir(self, tmp_path, monkeypatch, capsys):
         raw = small_simulate_config()

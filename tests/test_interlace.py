@@ -9,7 +9,7 @@ from levynoise import integrands as ig
 from levynoise import integrate as it
 from levynoise import interlace as il
 from levynoise import mc, prm
-from levynoise.experiments import _ladder_rows
+from levynoise.experiments import _ladder_rows, _ladder_table
 from levynoise.measure import DiscreteAtoms, Shell, TruncatedStable
 from levynoise.prm import Window
 from oracles import interlacing_rows_per_config
@@ -122,6 +122,39 @@ class TestASequence:
         assert not ladder.levels
 
 
+def _counted(monkeypatch, module, name):
+    """The arguments of every call of module.name from now on."""
+    calls, fn = [], getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+class TestResidualEvaluations:
+    """The bundled ladders (interlace.json) evaluate their residuals about as
+    often as their bisections need: the small-jump ladder seeks an activity
+    floor only where one could truncate it, and the spatial ladder takes
+    each whole-line space integral once per problem."""
+
+    def test_small_jump_compensator_calls(self, monkeypatch):
+        calls = _counted(monkeypatch, il.it, "compensator")
+        ladder = il.eps_sequence(H_Z, BOX, 1.0, TSTABLE, n_max=6)
+        assert len(ladder.levels) == 6 and not ladder.truncated
+        assert 0 < len(calls) <= 400
+
+    def test_spatial_full_line_integral_once_per_term_axis(self, monkeypatch):
+        calls = _counted(monkeypatch, il, "_full_line_integral")
+        ladder = il.a_sequence(HS, KS, 1.0, TSTABLE2, n_max=4, kind="spatial-I",
+                               shell=Shell(0.05, 2.0))
+        assert len(ladder.levels) == 4 and ladder.violation is None
+        # one term of H^2 and one of K, each with one space axis
+        assert [use_abs for _, use_abs in calls] == [False, True]
+
+
 class TestSmallJumpDiagnostic:
     def test_bounds_hold_on_worked_example(self):
         ladder = il.eps_sequence(H_Z, BOX, 1.0, TSTABLE, n_max=4)
@@ -153,7 +186,7 @@ class TestSmallJumpDiagnostic:
         ladder = il.eps_sequence(H_Z, BOX, 1.0, TSTABLE, n_max=3)
         problem = il.LadderProblem(H=H_Z, measure=TSTABLE, T=1.0, box=BOX)
         rep = il.interlacing_diagnostic(ladder, problem, replicates=20, master_seed=1)
-        lines = rep.to_csv().splitlines()
+        lines = _ladder_table(rep).splitlines()
         assert lines[0] == "level,threshold,I,empirical_sup2,bound,exceed_freq,bound_freq"
         assert len(lines) == 1 + len(rep.rows)
 
