@@ -313,7 +313,7 @@ class TruncatedStable(_SymmetricDensity):
     support_hi = property(lambda self: self.r)
 
     def _mass(self, a, b):
-        return 2.0 * self.c * (a ** (-self.alpha) - b ** (-self.alpha)) / self.alpha
+        return self._moment(a, b, 0.0)
 
     def _moment(self, a, b, p):
         q = p - self.alpha
@@ -321,7 +321,8 @@ class TruncatedStable(_SymmetricDensity):
             return 2.0 * self.c * b ** q / q
         if q == 0.0:
             return 2.0 * self.c * math.log(b / a)
-        return 2.0 * self.c * (b ** q - a ** q) / q
+        # (b^q - a^q) / q through expm1: no cancellation as q nears 0
+        return 2.0 * self.c * a ** q * math.expm1(q * math.log(b / a)) / q
 
     def sample_shell(self, shell, rng, n):
         a, b = self._bounds(shell)

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import integrate as si
 
 from levynoise.measure import (
@@ -320,6 +320,8 @@ class TestShellRule:
     @given(st.floats(0.1, 1.9), st.floats(0.2, 10.0), st.floats(0.01, 4.99),
            st.floats(1e-3, 1.0), st.floats(0.0, 4.0), st.floats(-10.0, 10.0))
     @settings(max_examples=60, deadline=None)
+    # p = 1 next to alpha: (b^q - a^q) / q with q = p - alpha near 0
+    @example(alpha=0.99999, theta=1.0, lo=1.0, frac=1.0, p=1.0, u=0.0)
     def test_finite_shells_match_quad(self, alpha, theta, lo, frac, p, u):
         shell = Shell(lo, lo + frac * (5.0 - lo))
         for m in (TemperedStable(alpha, 1.0, theta), TruncatedStable(alpha, 1.0, 5.0)):
