@@ -27,9 +27,10 @@ from .integrands import (
     SignPow,
     Term,
     ZERO,
+    breakpoints,
     gl_rule,
-    indicator_edges,
     product_node,
+    sign_changes,
 )
 from .measure import InfiniteMassError, InfiniteMomentError, LevyMeasure, Shell
 from .prm import PointBatch, Window
@@ -49,8 +50,8 @@ def nu_factor(measure: LevyMeasure, node: Node, shell: Shell,
     shell.
 
     Closed forms for constants, (signed) powers, polynomials, and indicator
-    clips; generic adaptive quadrature otherwise.  With `absolute` the
-    closed forms are kept for the sign-definite nodes only.
+    clips; the measure's shell rule otherwise.  With `absolute` the closed
+    forms are kept for the sign-definite nodes only.
     """
     try:
         return _nu_factor(measure, node, shell, absolute)
@@ -94,14 +95,20 @@ def _nu_factor(measure, node, shell, absolute):
                 core.append(f)
         if sub is None or scale == 0.0:
             return 0.0
-        if not core:
-            return scale * measure.shell_mass(sub)
-        if len(core) == 1:
-            return scale * _nu_factor(measure, core[0], sub, absolute)
         node, shell = product_node(*core), sub
+        if not isinstance(node, Product):
+            return scale * _nu_factor(measure, node, shell, absolute)
+    # the shell rule on the pieces of the |z| range where the node, or |node|, is smooth
+    a, b = measure.z_range(shell)
+    if b <= a:
+        return 0.0
+    cuts = {abs(v) for v in breakpoints(node)}
     if absolute:
-        return scale * measure.nu_integral(lambda z: abs(float(node(z))), shell)
-    return scale * measure.nu_integral(lambda z: float(node(z)), shell)
+        cuts.update(v for side in (-1.0, 1.0)
+                    for v in sign_changes(lambda u: node(side * u), a, b, cuts))
+    edges = [a, *sorted(v for v in cuts if a < v < b), b]
+    fn = (lambda z: np.abs(node(z))) if absolute else node
+    return scale * sum(measure.nu_integral(fn, Shell(lo, hi)) for lo, hi in zip(edges, edges[1:]))
 
 
 def _one_sided_mass(measure, shell, lo, hi):
@@ -157,11 +164,6 @@ def _time_pieces(G: Integrand) -> list:
     return [(_jump_const(term) * _space_const(term), term.time) for term in G.terms]
 
 
-# A drift's slope is sampled on SLOPE_GRID points of [0, t], plus its
-# nodes' breakpoints, and each sign change is bisected to SLOPE_TOL.
-SLOPE_GRID, SLOPE_TOL = 1025, 1e-12
-
-
 @dataclass(frozen=True)
 class Drift:
     """t -> sum over the (coefficient, time node) pairs of the coefficient
@@ -190,22 +192,10 @@ class Drift:
         return out
 
     def turning_points(self, t: float) -> np.ndarray:
-        """The times in (0, t) where the slope changes sign, each within
-        SLOPE_TOL (relative beyond t = 1): the sign changes between
-        neighbouring nonzero slopes on a grid that holds every indicator edge
-        of the nodes, bisected.  Exact for slopes with at most one sign
-        change between grid points."""
-        edges = [v for _, node in self.pieces for v in indicator_edges(node) if 0.0 < v < t]
-        grid = np.unique(np.append(np.linspace(0.0, t, SLOPE_GRID), edges))
-        sign = np.sign(self.slope(grid))
-        nz = np.flatnonzero(sign)
-        change = np.flatnonzero(sign[nz[1:]] != sign[nz[:-1]])
-        lo, hi, side = grid[nz[change]], grid[nz[change + 1]], sign[nz[change]]
-        while len(lo) and np.max(hi - lo) > SLOPE_TOL * max(1.0, t):
-            mid = 0.5 * (lo + hi)
-            left = np.sign(self.slope(mid)) == side  # the change lies right of mid
-            lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
-        return 0.5 * (lo + hi)
+        """The times in (0, t) where the slope changes sign (`sign_changes`
+        on a grid that holds the nodes' breakpoints)."""
+        return sign_changes(self.slope, 0.0, t,
+                            [v for _, node in self.pieces for v in breakpoints(node)])
 
 
 def drift_function(pieces) -> Drift:

@@ -115,19 +115,6 @@ def eps_sequence(H: Integrand, box, T: float, measure: LevyMeasure,
                    n_max, rel_tol)
 
 
-def _abs_node_integral(node: Node, a: float, b: float) -> float:
-    """Integral of |node| over (a, b); exact when the node cannot change
-    sign, adaptive quadrature otherwise."""
-    if isinstance(node, Const):
-        return abs(node.value) * max(b - a, 0.0)
-    if node.kind in ("exp", "exp_abs", "abs_pow", "indicator", "abs_indicator"):
-        return node.integral(a, b)
-    from scipy.integrate import quad
-
-    val, _ = quad(lambda u: abs(float(node(u))), a, b, limit=300)
-    return val
-
-
 def _full_line_integral(node: Node, use_abs: bool):
     """Integral over the whole line, or None when it diverges.
 
@@ -180,7 +167,7 @@ def a_sequence(H: Integrand, K: Integrand | None, T: float,
               * (it.nu_factor(measure, term.jump, small) if small else 0.0), False)
              for term in Hsq.terms]
     if kind == "spatial-I" and K is not None and big is not None:
-        parts += [(term, _abs_node_integral(term.time, 0.0, T)
+        parts += [(term, term.time.abs_integral(0.0, T)
                    * it.nu_factor(measure, term.jump, big, absolute=True), True)
                   for term in K.terms]
     # (coefficient, space nodes, product of their whole-line integrals, use_abs)
@@ -207,7 +194,7 @@ def a_sequence(H: Integrand, K: Integrand | None, T: float,
         for coef, nodes, full, use_abs in tails:
             inside = 1.0
             for node in nodes:
-                inside *= _abs_node_integral(node, -a, a) if use_abs else node.integral(-a, a)
+                inside *= node.abs_integral(-a, a) if use_abs else node.integral(-a, a)
             total += coef * (full - inside)
         return total
 

@@ -10,8 +10,8 @@ The density families' shell integrals are closed forms or sums over one
 composite Gauss-Legendre rule in log|z|, cached per (measure, shell); the
 integrand is analytic on a finite shell, so the rule converges exponentially
 (Trefethen, SIAM Review 50, 2008).  Below a small z0 a shell reaching 0 adds
-a power series.  Here only `nu_integral` (its integrand may be an indicator)
-calls the adaptive `quad`, as the fallbacks in `integrands` and `interlace` do.
+a power series.  `nu_integral` runs any function of z on the same rule, so
+its caller cuts the shell where the function is not smooth.
 """
 
 from __future__ import annotations
@@ -24,10 +24,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .integrands import gl_rule
-
-# Tolerances of the adaptive quadrature.
-QUAD_ABS_TOL = 1e-13
-QUAD_REL_TOL = 1e-11
 
 # The shell rule: RULE_NODES-point panels at most RULE_LOG_WIDTH wide in
 # log|z|; below z0, with z0 (rate + |u|) <= 1, SERIES_TERMS terms of 1/k!.
@@ -70,16 +66,6 @@ class Shell:
 FULL = Shell(0.0, math.inf)
 
 
-def _quad(fn, a, b):
-    """Adaptive quadrature split at 1 so the 0+ singularity and the tail
-    never share a panel."""
-    from scipy.integrate import quad
-
-    cuts = [a, 1.0, b] if a < 1.0 < b else [a, b]
-    return sum(quad(fn, lo, hi, epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL, limit=200)[0]
-               for lo, hi in zip(cuts, cuts[1:]))
-
-
 class LevyMeasure:
     """Base interface; concrete families implement the _* hooks."""
 
@@ -104,11 +90,13 @@ class LevyMeasure:
         raise NotImplementedError
 
     def nu_integral(self, fn, shell: Shell) -> float:
-        """Generic integral of a scalar function against nu over the shell.
+        """Integral of fn, a function of a z array, against nu over the shell:
+        exact for atoms, else the shell rule (for fn smooth on each side)."""
+        raise NotImplementedError
 
-        Used as the quadrature fallback and by test oracles; exact finite
-        sum for atoms.
-        """
+    def z_range(self, shell: Shell) -> tuple[float, float]:
+        """The |z| range (a, b] of the shell that carries the measure, b
+        finite: beyond b the mass left is below double precision."""
         raise NotImplementedError
 
     def nu_nodes(self, shell: Shell, n_per_side: int = 32):
@@ -156,7 +144,11 @@ class DiscreteAtoms(LevyMeasure):
         return complex(out) if out.ndim == 0 else out
 
     def nu_integral(self, fn, shell):
-        return float(sum(w * fn(z) for z, w in _atoms_in(self, shell).pairs))
+        hit = _atoms_in(self, shell)
+        return float(fn(hit.z) @ hit.w)
+
+    def z_range(self, shell):
+        return shell.lo, float(np.max(np.abs(_atoms_in(self, shell).z), initial=shell.lo))
 
     def nu_nodes(self, shell, n_per_side=32):
         hit = _atoms_in(self, shell)
@@ -228,9 +220,12 @@ class _SymmetricDensity(LevyMeasure):
             return 0.0
         if a == 0.0:
             raise InfiniteMassError("generic nu-integral needs a shell bounded away from 0")
-        hi = b if b < math.inf else self._tail_cut(a)
-        pos = _quad(lambda t: fn(t) * self._density_abs(t), a, hi)
-        return pos + _quad(lambda t: fn(-t) * self._density_abs(t), a, hi)
+        z, w = self._rule(a, b)
+        return float((fn(z) + fn(-z)) @ w)
+
+    def z_range(self, shell):
+        a, b = self._bounds(shell)
+        return a, b if b < math.inf else self._tail_cut(a)
 
     def _tail_cut(self, a):
         # beyond this point the remaining mass is below double precision
@@ -266,13 +261,11 @@ class _SymmetricDensity(LevyMeasure):
         return complex(out) if out.ndim == 0 else out.astype(complex)
 
     def nu_nodes(self, shell, n_per_side=32):
-        a, b = self._bounds(shell)
+        a, b = self.z_range(shell)
         if b <= a:
             return np.empty(0), np.empty(0)
         if a == 0.0:
             raise InfiniteMassError("quadrature rule needs a shell bounded away from 0")
-        if b == math.inf:
-            b = self._tail_cut(a)
         alpha = self.alpha
         # substitute y = z^(-alpha); the pure power-law factor becomes flat
         y_lo, y_hi = b ** (-alpha), a ** (-alpha)

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy import integrate as si
 
 from levynoise import apps, integrands as ig, integrate as it, prm
 from levynoise.mc import estimate
@@ -201,6 +202,23 @@ def representation_residual_one(h, config: prm.PointBatch, measure, T: float, *,
     phase = np.exp(1j * np.multiply.outer(hgrid, znod)) - 1.0  # (S, P, Z)
     comp = complex(np.einsum("ijk,i,j,k,i->", phase, ws, wx, zw, m_nodes))
     return abs(complex(lhs) - (1.0 + jump_sum - comp))
+
+
+def nu_quad(measure, fn, shell, points=()) -> float:
+    """The integral of a scalar fn against nu over the shell, the generic
+    nu-integral before the shell rule: the sum over the atoms in the shell,
+    or for a density family adaptive quadrature of fn(t) + fn(-t) times the
+    one-sided density over the |z| range, split at 1 and at the |z| `points`
+    where fn is not smooth, an infinite tempered shell cut where e^(-80) is
+    left."""
+    if isinstance(measure, DiscreteAtoms):
+        return float(sum(w * fn(z) for z, w in measure.atoms if shell.lo < abs(z) <= shell.hi))
+    lo, hi = measure._bounds(shell)
+    if hi == math.inf:
+        hi = lo + 80.0 / measure.theta
+    cuts = sorted({lo, hi} | {c for c in (1.0, *points) if lo < c < hi})
+    return sum(si.quad(lambda t: (fn(t) + fn(-t)) * measure._density_abs(t), a, b,
+                       epsabs=1e-13, epsrel=1e-11, limit=200)[0] for a, b in zip(cuts, cuts[1:]))
 
 
 # ---------------------------------------------------------------------------

@@ -296,6 +296,14 @@ class TestCliCommands:
         assert main(["validate", bad]) == 2
         assert main(["validate", str(tmp_path / "missing.json")]) == 2
 
+    def test_validate_product_space_factor(self, tmp_path):
+        # the bundled interlace with HS's space factor e^-|x| cos x: its
+        # spatial ladder once stalled on a single-panel box integral
+        raw = json.loads(bundled_config_text("interlace"))
+        raw["integrands"]["HS"]["terms"][0]["space"] = [{"kind": "product", "factors": [
+            {"kind": "exp_abs", "rate": -1.0}, {"kind": "cos", "freq": 1.0}]}]
+        assert main(["validate", write_config(tmp_path, raw)]) == 0
+
     @pytest.mark.parametrize("name", EXPERIMENTS)
     def test_validate_prints_resolved_params(self, tmp_path, capsys, name):
         path = write_config(tmp_path, json.loads(bundled_config_text(name)))

@@ -9,8 +9,9 @@ from levynoise import integrands as ig
 from oracles import is_time_only
 
 
-def oracle(fn, a, b):
-    val, _ = si.quad(fn, a, b, epsabs=1e-13, limit=300)
+def oracle(fn, a, b, points=()):
+    inside = sorted({v for v in points if a < v < b})
+    val, _ = si.quad(fn, a, b, epsabs=1e-13, limit=300, points=inside or None)
     return val
 
 
@@ -25,6 +26,9 @@ NODES = [
     ig.AbsIndicator(0.2, 1.1),
     ig.AbsPow(1.5),
     ig.SignPow(2.0),
+    # no antiderivative: Gauss-Legendre panels split at the kink and the edges
+    ig.product_node(ig.ExpAbs(-2.0), ig.Cos(1.0)),
+    ig.product_node(ig.AbsIndicator(0.2, 0.7), ig.Cos(1.0)),
 ]
 
 
@@ -32,8 +36,37 @@ class TestNodes:
     @pytest.mark.parametrize("node", NODES, ids=lambda n: n.kind)
     @pytest.mark.parametrize("a,b", [(-1.5, 2.0), (0.3, 1.7), (-2.0, -0.1)])
     def test_integral_matches_quadrature(self, node, a, b):
-        assert node.integral(a, b) == pytest.approx(oracle(lambda u: float(node(u)), a, b),
-                                                    rel=1e-9, abs=1e-11)
+        want = oracle(lambda u: float(node(u)), a, b, ig.breakpoints(node))
+        assert node.integral(a, b) == pytest.approx(want, rel=1e-9, abs=1e-11)
+
+    @pytest.mark.parametrize("node,a,b,tol", [
+        (ig.product_node(ig.ExpAbs(-2.0), ig.Cos(1.0), ig.Cos(1.0)), -0.5, 0.5, 1e-12),
+        (ig.product_node(ig.ExpAbs(-2.0), ig.Cos(1.0), ig.Cos(1.0)), -20.0, 20.0, 1e-12),
+        (ig.product_node(ig.AbsIndicator(0.2, 0.7), ig.Cos(1.0)), -1.0, 1.0, 1e-12),
+        # algebraic convergence at the endpoint singularity of |u|^0.5 at 0
+        (ig.product_node(ig.AbsPow(0.5), ig.Cos(1.0)), -1.0, 1.0, 1e-6),
+    ])
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")  # roundoff
+    def test_panels_split_at_breakpoints(self, node, a, b, tol):
+        # a single panel over (a, b) was off by 1.7e-4, 0.22, 1.9e-2 and 1.2e-3
+        want, _ = si.quad(lambda u: float(node(u)), a, b, epsabs=1e-14, epsrel=1e-14,
+                          limit=400, points=sorted(v for v in ig.breakpoints(node) if a < v < b))
+        assert abs(node.integral(a, b) - want) <= tol
+
+    def test_abs_integral_splits_at_sign_changes(self):
+        node = ig.product_node(ig.ExpAbs(-0.5), ig.Cos(2.0))
+        kinks = [k * math.pi / 4.0 for k in (-3, -1, 1, 3)]
+        want = oracle(lambda u: abs(float(node(u))), -3.0, 3.0, kinks + [0.0])
+        assert node.abs_integral(-3.0, 3.0) == pytest.approx(want, rel=1e-12)
+        assert ig.AbsPow(1.5).abs_integral(-1.0, 2.0) == ig.AbsPow(1.5).integral(-1.0, 2.0)
+
+    def test_sign_changes(self):
+        got = ig.sign_changes(np.cos, -5.0, 5.0)
+        np.testing.assert_allclose(got, [-1.5 * math.pi, -0.5 * math.pi, 0.5 * math.pi,
+                                         1.5 * math.pi], atol=1e-11)
+        # a jump through 0 counts; zeros that keep the sign do not
+        assert ig.sign_changes(np.sign, -1.0, 1.0) == pytest.approx([0.0], abs=1e-12)
+        assert len(ig.sign_changes(lambda u: u * u, -1.0, 1.0)) == 0
 
     @pytest.mark.parametrize("node", NODES, ids=lambda n: n.kind)
     def test_antiderivative_consistent(self, node):
@@ -70,7 +103,8 @@ class TestNodes:
                                             {"kind": "cos", "freq": 1.0},
                                             {"kind": "exp", "rate": -0.5}]},
         ]
-        nodes = NODES + [ig.product_node(ig.Const(2.0), ig.Cos(1.0), ig.Exp(-0.5))]
+        nodes = [n for n in NODES if not isinstance(n, ig.Product)] + [
+            ig.product_node(ig.Const(2.0), ig.Cos(1.0), ig.Exp(-0.5))]
         assert {d["kind"] for d in texts} == {n.kind for n in nodes} == {*ig._NODE_KINDS, "product"}
         u = np.linspace(-2, 2, 41)
         for d, node in zip(texts, nodes):
@@ -125,6 +159,12 @@ class TestIntegrand:
         assert is_time_only(ig.term(time=ig.Exp(-1.0)))
         assert not is_time_only(h_example())
         assert h_example().with_jump(ig.Const(1.0)).is_space_time_only() is False
+
+    def test_breakpoints(self):
+        node = ig.product_node(ig.AbsIndicator(0.2, 0.7), ig.Indicator(-1.0, 0.5), ig.ExpAbs(-1.0))
+        assert sorted(ig.breakpoints(node)) == [-1.0, -0.7, -0.2, 0.0, 0.2, 0.5, 0.7]
+        assert ig.breakpoints(ig.SignPow(1.0)) == ig.breakpoints(ig.AbsPow(2.0)) == [0.0]
+        assert ig.breakpoints(ig.product_node(ig.Cos(1.0), ig.Poly((1.0, 2.0)))) == []
 
     def test_time_breakpoints_are_indicator_edges(self):
         # the edges of every indicator time factor, alone or in a product;

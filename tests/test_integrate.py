@@ -27,7 +27,7 @@ def brute_compensator(H, window, measure, t):
     """Independent tensor-product oracle: adaptive quadrature in s and x,
     generic nu-integration in z (no factorization shortcuts)."""
     def nu_slice(s, x):
-        return measure.nu_integral(lambda z: float(H(s, x, z)), window.shell)
+        return oracles.nu_quad(measure, lambda z: float(H(s, x, z)), window.shell)
 
     (xlo, xhi), = window.box
 
@@ -76,6 +76,14 @@ class TestCompensator:
         got = it.compensator(H_GEN, WIN, m, 1.0)
         assert got == pytest.approx(brute_compensator(H_GEN, WIN, m, 1.0), rel=1e-10)
 
+    def test_product_space_factor(self):
+        # e^-2|x| cos x squared has no antiderivative: a single panel over the
+        # box, across the kink at 0, was off by 4.8e-4
+        Hsq = ig.term(space=ig.product_node(ig.ExpAbs(-2.0), ig.Cos(1.0)),
+                      jump=ig.SignPow(1.0)).squared()
+        got = it.compensator(Hsq, WIN, TSTABLE, 1.0)
+        assert got == pytest.approx(brute_compensator(Hsq, WIN, TSTABLE, 1.0), rel=1e-10)
+
     def test_cos_jump_routes_through_quadrature(self):
         H = ig.term(jump=ig.Cos(3.0))
         got = it.compensator(H, WIN, TSTABLE, 1.0)
@@ -96,24 +104,35 @@ class TestCompensator:
 
 
 class TestNuFactorAbsolute:
+    # (node, the |z| where it or its absolute value is not smooth)
     NODES = {
-        "sign_pow": ig.SignPow(1.0),
-        "sign_pow_3": ig.SignPow(3.0),
-        "abs_pow": ig.AbsPow(1.5),
-        "neg_const": ig.Const(-0.7),
-        "product_abs_indicator": ig.Product((ig.Const(-2.0), ig.SignPow(1.0),
-                                             ig.AbsIndicator(0.5, 1.5))),
+        "sign_pow": (ig.SignPow(1.0), ()),
+        "sign_pow_3": (ig.SignPow(3.0), ()),
+        "abs_pow": (ig.AbsPow(1.5), ()),
+        "neg_const": (ig.Const(-0.7), ()),
+        "product_abs_indicator": (ig.Product((ig.Const(-2.0), ig.SignPow(1.0),
+                                              ig.AbsIndicator(0.5, 1.5))), (0.5, 1.5)),
+        # sign-changing nodes: the closed forms do not apply
+        "cos_3z": (ig.Cos(3.0), math.pi / 6.0 + np.arange(100) * math.pi / 3.0),
+        "half_minus_z": (ig.Poly((0.5, -1.0)), (0.5,)),
+        "damped_cos": (ig.product_node(ig.Exp(-0.5), ig.Cos(2.0)),
+                       math.pi / 4.0 + np.arange(70) * math.pi / 2.0),
+        "indicator_cos": (ig.product_node(ig.Indicator(-0.8, 1.2), ig.Cos(2.0)),
+                          (math.pi / 4.0, 0.8, 1.2)),
     }
 
     @pytest.mark.parametrize("m", [ATOMS, TSTABLE, TEMPERED],
                              ids=["atoms", "tstable", "tempered"])
     @pytest.mark.parametrize("name", sorted(NODES))
     def test_matches_abs_oracle(self, m, name):
-        node = self.NODES[name]
-        got = it.nu_factor(m, node, WIN.shell, absolute=True)
-        oracle = m.nu_integral(lambda z: abs(float(node(z))), WIN.shell)
-        assert got == pytest.approx(oracle, rel=1e-9, abs=1e-13)
-        assert got >= abs(it.nu_factor(m, node, WIN.shell)) - 1e-12
+        node, kinks = self.NODES[name]
+        for shell in (WIN.shell, Shell(0.05, 2.0), Shell(0.1, math.inf)):
+            got = it.nu_factor(m, node, shell, absolute=True)
+            oracle = oracles.nu_quad(m, lambda z: abs(float(node(z))), shell, kinks)
+            assert got == pytest.approx(oracle, rel=1e-9, abs=1e-13)
+            assert got >= abs(it.nu_factor(m, node, shell)) - 1e-12
+            signed = oracles.nu_quad(m, lambda z: float(node(z)), shell, kinks)
+            assert it.nu_factor(m, node, shell) == pytest.approx(signed, rel=1e-9, abs=1e-13)
 
 
 class TestIntN:
@@ -577,7 +596,7 @@ class TestProjectTime:
         # spot value: time slice s=0.3 of the brute nu/space integral
         s = 0.3
         def nu_slice(x):
-            return TSTABLE.nu_integral(lambda z: float(H_GEN(s, x, z)), WIN.shell)
+            return oracles.nu_quad(TSTABLE, lambda z: float(H_GEN(s, x, z)), WIN.shell)
         want, _ = si.quad(nu_slice, -0.5, 0.5, epsabs=1e-12)
         got = proj(s, 0.0, 0.0)
         assert got == pytest.approx(want, rel=1e-9, abs=1e-12)

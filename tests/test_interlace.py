@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import optimize as sopt
+from scipy import integrate as si, optimize as sopt
 
 from levynoise import integrands as ig
 from levynoise import integrate as it
@@ -89,6 +89,26 @@ class TestASequence:
         for lv in ladder.levels:
             root = sopt.brentq(lambda a: I(a) - 8.0 ** -lv.n, 0.0, 80.0, xtol=1e-13)
             assert lv.threshold == pytest.approx(root, rel=1e-8)
+
+    def test_product_space_factor_tail(self):
+        # H's space factor e^-|x| cos x: its square has no antiderivative, so
+        # the box integrals run on panels split at the kink at 0
+        H = ig.term(space=ig.product_node(ig.ExpAbs(-1.0), ig.Cos(1.0)), jump=ig.SignPow(1.0))
+        _, K = self.h_and_k()
+        ladder = il.a_sequence(H, K, 1.0, TSTABLE2, n_max=4, kind="spatial-I",
+                               shell=Shell(0.05, 2.0))
+        m2_small = TSTABLE2.shell_moment(Shell(0.05, 1.0), 2.0)
+        m2_big = TSTABLE2.shell_moment(Shell(1.0, 2.0), 2.0)
+
+        def I(a):
+            tail, _ = si.quad(lambda x: math.exp(-2 * x) * math.cos(x) ** 2, a, math.inf,
+                              epsabs=1e-15, epsrel=1e-13, limit=400)
+            return m2_small * 2 * tail + 0.5 * m2_big * 2 * math.exp(-a)
+
+        assert ladder.violation is None and len(ladder.levels) == 4
+        for lv in ladder.levels:
+            assert lv.i_value <= 8.0 ** -lv.n
+            assert abs(lv.i_value - I(lv.threshold)) <= 1e-9
 
     def test_nondecreasing(self):
         H, K = self.h_and_k()

@@ -17,6 +17,7 @@ from levynoise.measure import (
     TemperedStable,
     TruncatedStable,
 )
+from oracles import nu_quad
 
 ATOMS = DiscreteAtoms(((1.0, 0.5), (-2.0, 0.25)))
 TSTABLE = TruncatedStable(alpha=1.0, c=1.0, r=1.0)
@@ -288,10 +289,13 @@ class TestNuNodes:
 
     def test_rule_matches_generic_integral(self):
         shell = Shell(0.2, 1.0)
-        fn = lambda z: math.cos(3 * z) * z + 0.1 * z * z
+        oracle = nu_quad(TSTABLE, lambda z: math.cos(3 * z) * z + 0.1 * z * z, shell)
         z, w = TSTABLE.nu_nodes(shell, n_per_side=48)
         rule = float(np.sum(w * (np.cos(3 * z) * z + 0.1 * z * z)))
-        assert rule == pytest.approx(TSTABLE.nu_integral(fn, shell), rel=1e-9)
+        assert rule == pytest.approx(oracle, rel=1e-9)
+        # nu_integral takes a function of a z array
+        got = TSTABLE.nu_integral(lambda z: np.cos(3 * z) * z + 0.1 * z * z, shell)
+        assert got == pytest.approx(oracle, rel=1e-12)
 
 
 def quad_oracle(m, shell, phi):
