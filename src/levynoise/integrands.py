@@ -100,7 +100,11 @@ class Node:
         return scale * sum(h * float(np.sum(w * node(h * t + m))) for h, m in half)
 
     def abs_integral(self, a, b):
-        """The integral of |node| over (a, b), summed between sign changes."""
+        """The integral of |node| over (a, b): |integral| for a node that
+        keeps one sign on the line (`one_signed`), else summed between sign
+        changes."""
+        if one_signed(self):
+            return abs(self.integral(a, b))
         cuts = [a, *sign_changes(self, a, b, breakpoints(self)), b]
         return sum(abs(self.integral(lo, hi)) for lo, hi in zip(cuts, cuts[1:]))
 
@@ -468,6 +472,14 @@ def breakpoints(node: Node) -> list[float]:
         elif isinstance(f, (ExpAbs, AbsPow, SignPow)):
             out.append(0.0)
     return out
+
+
+def one_signed(node: Node) -> bool:
+    """Whether the node keeps one sign on the whole line: a product of
+    constants, exponentials, exp_abs, abs_pow and indicator factors, which
+    `sign_changes` would search in vain."""
+    return all(isinstance(f, (Const, Exp, ExpAbs, AbsPow, Indicator, AbsIndicator))
+               for f in (node.factors if isinstance(node, Product) else (node,)))
 
 
 ZERO = Integrand((Term(Const(0.0)),))

@@ -32,7 +32,8 @@ from .integrands import (
     product_node,
     sign_changes,
 )
-from .measure import InfiniteMassError, InfiniteMomentError, LevyMeasure, Shell
+from .measure import (DiscreteAtoms, InfiniteMassError, InfiniteMomentError, LevyMeasure,
+                      Shell)
 from .prm import PointBatch, Window
 
 
@@ -98,6 +99,9 @@ def _nu_factor(measure, node, shell, absolute):
         node, shell = product_node(*core), sub
         if not isinstance(node, Product):
             return scale * _nu_factor(measure, node, shell, absolute)
+    fn = (lambda z: np.abs(node(z))) if absolute else node
+    if isinstance(measure, DiscreteAtoms):  # the atom sum is exact without cuts
+        return scale * measure.nu_integral(fn, shell)
     # the shell rule on the pieces of the |z| range where the node, or |node|, is smooth
     a, b = measure.z_range(shell)
     if b <= a:
@@ -107,14 +111,11 @@ def _nu_factor(measure, node, shell, absolute):
         cuts.update(v for side in (-1.0, 1.0)
                     for v in sign_changes(lambda u: node(side * u), a, b, cuts))
     edges = [a, *sorted(v for v in cuts if a < v < b), b]
-    fn = (lambda z: np.abs(node(z))) if absolute else node
     return scale * sum(measure.nu_integral(fn, Shell(lo, hi)) for lo, hi in zip(edges, edges[1:]))
 
 
 def _one_sided_mass(measure, shell, lo, hi):
     """nu(shell intersect (lo, hi]) for a plain interval, either sign."""
-    from .measure import DiscreteAtoms
-
     if isinstance(measure, DiscreteAtoms):
         return float(sum(w for z, w in measure.atoms
                          if lo < z <= hi and shell.lo < abs(z) <= shell.hi))

@@ -13,6 +13,7 @@ explicit Doob/Chebyshev bounds.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -95,6 +96,7 @@ def eps_sequence(H: Integrand, box, T: float, measure: LevyMeasure,
     """
     Hsq = H.squared()
 
+    @functools.cache  # every level's bisection starts from (0, small_hi)
     def I(eps):
         if eps <= 0.0:
             return 0.0

@@ -6,8 +6,16 @@ semimartingale, so each identity holds path by path and the only slack is
 quadrature.  Jump sums are exact; time integrals run interval-by-interval
 between jumps (the path is smooth there), on the `integrate.ReplicateGrid`
 of every replicate of a batch at once; the triple compensator integrals use
-one shared time x box x jump rule, folded by `integrate.tensor_fold`, so
-that algebraically cancelling pieces cancel to machine precision.
+one shared time x box x jump rule, so that algebraically cancelling pieces
+cancel to machine precision.  The nu correction A, the rule's sum of
+f(Y(s) + H) - f(Y(s)), is f's Taylor series over separable moments where H
+has one term tau(s) sigma(x) j(z) and f has a series (polynomials, exp, cos
+and sin with |scale| rho <= 1, rho = |tau| max|sigma| max|j| the bound on
+|H| at a time node): O(P) per time node, P the degree or the order that
+leaves 2^-60.  Elsewhere `integrate.tensor_fold` folds the time x box x
+jump tensor.  Either way the right side holds A twice, in (jump sum - A)
+and (A - D), so A cancels from the total up to rounding, whichever way it
+was summed.
 """
 
 from __future__ import annotations
@@ -30,10 +38,49 @@ from .prm import PointBatch
 
 @dataclass(frozen=True)
 class SmoothFn:
+    """f with its first two derivatives and, where f has a usable Taylor
+    series, `taylor(y, rho)` -> (rows, ok): row p - 1 holds f^(p)(y)/p! at
+    each node y_i, up to the order P_i that makes the series exact to
+    2^-60 for increments |h| <= rho_i and 0 beyond it; ok marks the nodes
+    where that series is used (always for polynomials, |scale| rho_i <= 1
+    for exp, cos and sin).  None: no series (abs_pow of other powers)."""
+
     name: str
     f: Callable = field(repr=False)
     df: Callable = field(repr=False)
     d2f: Callable = field(repr=False)
+    taylor: Callable | None = field(default=None, repr=False)
+
+
+# Remainder bound of the series of exp, cos and sin: the order P at a node is
+# the smallest with x^(P+1)/(P+1)! <= SERIES_TOL, x = |scale| rho <= 1, so
+# P < SERIES_TERMS, since 1/20! < 2^-60.
+SERIES_TOL, SERIES_TERMS = 2.0 ** -60, 20
+
+
+def _poly_taylor(c):
+    """The series of the polynomial with coefficients c: exact, every node."""
+    pv, der = np.polynomial.polynomial.polyval, np.polynomial.polynomial.polyder
+    rows = [der(c, p) / math.factorial(p) for p in range(1, len(c))]
+    return lambda y, rho: (np.array([pv(y, r) for r in rows]).reshape(len(rows), len(y)),
+                           np.ones(len(y), dtype=bool))
+
+
+def _entire_taylor(scale, derivs):
+    """The series of f(y) = g(scale y), whose derivatives g^(q) run through
+    derivs[q mod len(derivs)]."""
+    def taylor(y, rho):
+        x = abs(scale) * rho
+        ok = x <= 1.0
+        k = np.arange(1, SERIES_TERMS + 1)  # x^k/k! falls with k for x <= 1
+        order = np.count_nonzero(np.cumprod(np.where(ok, x, 0.0)[:, None] / k, axis=1)
+                                 > SERIES_TOL, axis=1)
+        p = k[:order.max(initial=0)]
+        g = [d(scale * y) for d in derivs]
+        rows = (np.array([g[q % len(g)] for q in p]).reshape(len(p), len(y))
+                * (scale ** p / np.cumprod(p.astype(float)))[:, None])
+        return np.where(p[:, None] <= order, rows, 0.0), ok
+    return taylor
 
 
 def poly_fn(*coeffs: float) -> SmoothFn:
@@ -44,38 +91,46 @@ def poly_fn(*coeffs: float) -> SmoothFn:
     return SmoothFn(f"poly{tuple(coeffs)}",
                     lambda x: pv(np.asarray(x, dtype=float), c),
                     lambda x: pv(np.asarray(x, dtype=float), dc if len(dc) else [0.0]),
-                    lambda x: pv(np.asarray(x, dtype=float), d2c))
+                    lambda x: pv(np.asarray(x, dtype=float), d2c), _poly_taylor(c))
 
 
 def exp_fn(scale: float = 1.0) -> SmoothFn:
     return SmoothFn(f"exp({scale})",
                     lambda x: np.exp(scale * np.asarray(x, dtype=float)),
                     lambda x: scale * np.exp(scale * np.asarray(x, dtype=float)),
-                    lambda x: scale * scale * np.exp(scale * np.asarray(x, dtype=float)))
+                    lambda x: scale * scale * np.exp(scale * np.asarray(x, dtype=float)),
+                    _entire_taylor(scale, (np.exp,)))
 
 
 def cos_fn(scale: float = 1.0) -> SmoothFn:
     return SmoothFn(f"cos({scale})",
                     lambda x: np.cos(scale * np.asarray(x, dtype=float)),
                     lambda x: -scale * np.sin(scale * np.asarray(x, dtype=float)),
-                    lambda x: -scale * scale * np.cos(scale * np.asarray(x, dtype=float)))
+                    lambda x: -scale * scale * np.cos(scale * np.asarray(x, dtype=float)),
+                    _entire_taylor(scale, (np.cos, lambda u: -np.sin(u),
+                                           lambda u: -np.cos(u), np.sin)))
 
 
 def sin_fn(scale: float = 1.0) -> SmoothFn:
     return SmoothFn(f"sin({scale})",
                     lambda x: np.sin(scale * np.asarray(x, dtype=float)),
                     lambda x: scale * np.cos(scale * np.asarray(x, dtype=float)),
-                    lambda x: -scale * scale * np.sin(scale * np.asarray(x, dtype=float)))
+                    lambda x: -scale * scale * np.sin(scale * np.asarray(x, dtype=float)),
+                    _entire_taylor(scale, (np.sin, np.cos, lambda u: -np.sin(u),
+                                           lambda u: -np.cos(u))))
 
 
 def abs_pow_fn(p: float) -> SmoothFn:
-    """|x|^p; twice continuously differentiable only for p >= 2."""
+    """|x|^p; twice continuously differentiable only for p >= 2.  An even
+    integer p up to SERIES_TERMS is the polynomial x^p, with its series."""
     if p < 2.0:
         raise ValueError(f"abs_pow needs p >= 2 for a continuous second derivative, got {p}")
+    even = p <= SERIES_TERMS and p % 2.0 == 0.0
     return SmoothFn(f"abs_pow({p})",
                     lambda x: np.abs(np.asarray(x, dtype=float)) ** p,
                     lambda x: p * np.sign(x) * np.abs(np.asarray(x, dtype=float)) ** (p - 1.0),
-                    lambda x: p * (p - 1.0) * np.abs(np.asarray(x, dtype=float)) ** (p - 2.0))
+                    lambda x: p * (p - 1.0) * np.abs(np.asarray(x, dtype=float)) ** (p - 2.0),
+                    _poly_taylor(np.eye(int(p) + 1)[-1]) if even else None)  # x^p
 
 
 IDENTITY = poly_fn(0.0, 1.0)
@@ -151,8 +206,8 @@ def ito_rhs_big_small(fn: SmoothFn, G: Integrand | None, K: Integrand | None,
     def per_path(values, where=g.sseg):
         return np.bincount(where, weights=values, minlength=n)
 
-    # the nu-side integrals over [0,t] x box x small, on one tensor rule so
-    # that their difference is consistent:
+    # the nu-side integrals over [0,t] x box x small, on one rule so that
+    # their difference is consistent:
     #   A = integral of f(Y(s) + H) - f(Y(s)),  D = integral of H f'(Y(s))
     A = D = np.zeros(n)
     if H is not None and small is not None:
@@ -164,14 +219,7 @@ def ito_rhs_big_small(fn: SmoothFn, G: Integrand | None, K: Integrand | None,
             for term, (tv, _, _) in zip(H.terms, factors):
                 D = D + (per_path(ws * dfy * tv) * it.space_factor(term, w.box)
                          * it.nu_factor(measure, term.jump, small))
-            fy = fn.f(y)
-
-            def increment(v, b):  # f(y + H) - f(y) on a block of time nodes
-                diff = fn.f(v)
-                diff -= fy[b, None, None]
-                return diff
-
-            A = per_path(ws * it.tensor_fold(increment, factors, xw, zw, start=y))
+            A = per_path(ws * nu_increments(fn, y, factors, xw, zw))
 
     g_term = np.zeros(n) if G is None else per_path(
         ws * dfy * it.node_values(lambda u: G(u, 0.0, 0.0), s))
@@ -187,6 +235,42 @@ def ito_rhs_big_small(fn: SmoothFn, G: Integrand | None, K: Integrand | None,
     big = np.abs(zz) > split
     terms = (g_term, jump_sum(big, K), jump_sum(~big, H) - A, A - D)
     return FourTermResult(*terms)
+
+
+def nu_increments(fn: SmoothFn, y, factors, xw, zw) -> np.ndarray:
+    """Per time node i, the sum over box and jump nodes j, k of
+    xw_j zw_k [f(y_i + V_ijk) - f(y_i)], V_ijk the sum over the (time,
+    space, jump) factors of tv_i sv_j jv_k.
+
+    For one term and a node where f's series is usable, the sum is
+    sum_p f^(p)(y_i)/p! tv_i^p mu_p over the separable moments
+    mu_p = (sum_j xw_j sv_j^p)(sum_k zw_k jv_k^p), O(P) per node; every
+    other node goes through `integrate.tensor_fold`.  The choice is made
+    node by node, so a replicate's values do not depend on its batch.
+    """
+    out, fold = np.empty(len(y)), np.ones(len(y), dtype=bool)
+    if len(factors) == 1 and fn.taylor is not None:
+        tv, sv, jv = factors[0]
+        rows, ok = fn.taylor(y, np.abs(tv) * np.max(np.abs(sv)) * np.max(np.abs(jv)))
+        p = np.arange(1, len(rows) + 1)
+        mu = (xw @ sv[:, None] ** p) * (zw @ jv[:, None] ** p)
+        acc = np.zeros(len(y))
+        for q in range(len(rows) - 1, -1, -1):  # Horner in tv
+            acc += rows[q] * mu[q]
+            acc *= tv
+        out[ok], fold = acc[ok], ~ok
+    if fold.any():
+        yf = y[fold]
+        fy = fn.f(yf)
+
+        def increment(v, b):  # f(y + V) - f(y) on a block of time nodes
+            diff = fn.f(v)
+            diff -= fy[b, None, None]
+            return diff
+
+        out[fold] = it.tensor_fold(increment, [(t[fold], x, z) for t, x, z in factors],
+                                   xw, zw, start=yf)
+    return out
 
 
 def ito_rhs_all_compensated(fn: SmoothFn, G: Integrand | None, H: Integrand,

@@ -134,6 +134,22 @@ class TestNuFactorAbsolute:
             signed = oracles.nu_quad(m, lambda z: float(node(z)), shell, kinks)
             assert it.nu_factor(m, node, shell) == pytest.approx(signed, rel=1e-9, abs=1e-13)
 
+    @pytest.mark.parametrize("name", sorted(NODES))
+    def test_atoms_need_no_cuts(self, monkeypatch, name):
+        # over atoms the sum of fn(z) w is exact: no sign-change search
+        calls = []
+        monkeypatch.setattr(it, "sign_changes",
+                            lambda *a, **k: calls.append(a) or ig.sign_changes(*a, **k))
+        node, _ = self.NODES[name]
+        for shell in (WIN.shell, Shell(0.05, 2.0), Shell(0.1, math.inf)):
+            hit = [(z, w) for z, w in ATOMS.atoms if shell.lo < abs(z) <= shell.hi]
+            for absolute in (False, True):
+                want = sum(w * (abs(float(node(z))) if absolute else float(node(z)))
+                           for z, w in hit)
+                got = it.nu_factor(ATOMS, node, shell, absolute=absolute)
+                assert got == pytest.approx(want, rel=1e-15, abs=1e-15)
+        assert calls == []
+
 
 class TestIntN:
     def test_empty_configuration(self):

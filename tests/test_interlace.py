@@ -157,22 +157,26 @@ def _counted(monkeypatch, module, name):
 class TestResidualEvaluations:
     """The bundled ladders (interlace.json) evaluate their residuals about as
     often as their bisections need: the small-jump ladder seeks an activity
-    floor only where one could truncate it, and the spatial ladder takes
-    each whole-line space integral once per problem."""
+    floor only where one could truncate it and evaluates I once per eps, and
+    the spatial ladder takes each whole-line space integral once per
+    problem and searches no sign change of its one-signed |K| factor."""
 
     def test_small_jump_compensator_calls(self, monkeypatch):
         calls = _counted(monkeypatch, il.it, "compensator")
         ladder = il.eps_sequence(H_Z, BOX, 1.0, TSTABLE, n_max=6)
         assert len(ladder.levels) == 6 and not ladder.truncated
-        assert 0 < len(calls) <= 400
+        assert 0 < len(calls) <= 225
+        assert len({args[1].shell for args in calls}) == len(calls)
 
     def test_spatial_full_line_integral_once_per_term_axis(self, monkeypatch):
         calls = _counted(monkeypatch, il, "_full_line_integral")
+        searches = _counted(monkeypatch, ig, "sign_changes")
         ladder = il.a_sequence(HS, KS, 1.0, TSTABLE2, n_max=4, kind="spatial-I",
                                shell=Shell(0.05, 2.0))
         assert len(ladder.levels) == 4 and ladder.violation is None
         # one term of H^2 and one of K, each with one space axis
         assert [use_abs for _, use_abs in calls] == [False, True]
+        assert searches == []
 
 
 class TestSmallJumpDiagnostic:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -296,3 +297,97 @@ def test_nu_tensor_scratch_matches_reference():
 
         np.testing.assert_array_equal(it.tensor_fold(increment, factors, xw, zw, start=y),
                                       nu_tensor(fn, y, factors, xw, zw, it.TENSOR_BLOCK))
+
+
+def _reference(fn, y, factors, xw, zw):
+    """Per time node, the sum over box and jump nodes of the weights times
+    |f(V)| + |f(y)| + |V f'(V)| + |y f'(y)|, V = y + H: the scale the nu
+    increments are judged at.  The derivative terms carry the rounding of
+    the arguments: the fold's cos(scale V) misses the bound without them by
+    up to 3e-13 where cos is small, against 50-digit sums."""
+    y = y[:, None, None]
+    v = y + sum(np.multiply.outer(np.multiply.outer(tv, sv), jv) for tv, sv, jv in factors)
+    size = np.abs(fn.f(v)) + np.abs(fn.f(y)) + np.abs(v * fn.df(v)) + np.abs(y * fn.df(y))
+    return np.einsum("ijk,j,k->i", size, xw, zw)
+
+
+def _fold_calls(call):
+    """The result of call() and the number of tensor_fold calls it made."""
+    with mock.patch.object(it, "tensor_fold", wraps=it.tensor_fold) as fold:
+        out = call()
+    return out, fold.call_count
+
+
+# (kind, scale) -> the SmoothFn; poly kinds ignore the scale
+SERIES_KINDS = {
+    "poly2": lambda a: ito.poly_fn(0.0, 0.0, 1.0),
+    "poly3": lambda a: ito.poly_fn(1.0, -2.0, 0.5, 0.25),
+    "abs_pow4": lambda a: ito.abs_pow_fn(4.0),
+    "exp": ito.exp_fn,
+    "cos": ito.cos_fn,
+    "sin": ito.sin_fn,
+}
+
+
+class TestNuSeries:
+    """ito.nu_increments sums f's Taylor series over the separable moments
+    for a one-term H, node by node where the series is usable, and folds
+    the tensor everywhere else."""
+
+    @given(st.sampled_from(sorted(SERIES_KINDS)), st.floats(0.05, 3.0) | st.floats(-3.0, -0.05),
+           st.integers(0, 60), st.integers(1, 8), st.integers(1, 64),
+           st.floats(0.0, 0.999), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_series_matches_fold(self, kind, scale, n, n_x, n_z, x, seed):
+        # x = |scale| rho <= 1 for exp, cos and sin; any rho (up to 50) for
+        # the polynomials, whose series is exact
+        rng = np.random.default_rng(seed)
+        fn = SERIES_KINDS[kind](scale)
+        y = rng.normal(scale=2.0, size=n)
+        tv, sv, jv = rng.normal(size=n), rng.normal(size=n_x), rng.normal(size=n_z)
+        rho = np.max(np.abs(tv), initial=0.0) * np.max(np.abs(sv)) * np.max(np.abs(jv))
+        radius = 50.0 * x if kind.startswith(("poly", "abs_pow")) else x / abs(scale)
+        tv *= radius / rho if rho > 0.0 else 0.0
+        factors = [(tv, sv, jv)]
+        xw, zw = rng.uniform(size=n_x), rng.uniform(size=n_z)
+        got, folds = _fold_calls(lambda: ito.nu_increments(fn, y, factors, xw, zw))
+        assert folds == 0
+        want = nu_tensor(fn, y, factors, xw, zw, it.TENSOR_BLOCK)
+        assert np.all(np.abs(got - want) <= 1e-13 * _reference(fn, y, factors, xw, zw))
+
+    @pytest.mark.parametrize("fn, n_terms, scale", [
+        (ito.exp_fn(0.4), 2, 1.0),      # a two-term H
+        (ito.abs_pow_fn(3.0), 1, 1.0),  # no series
+        (ito.cos_fn(1.0), 1, 4.0),      # x > 1 at every node
+    ], ids=["two_terms", "abs_pow3", "x_above_1"])
+    def test_fold_keeps_its_bytes(self, fn, n_terms, scale):
+        rng = np.random.default_rng(12)
+        y, xw, zw = rng.normal(size=300), rng.uniform(size=8), rng.uniform(size=64)
+        factors = [(scale * (1.0 + rng.uniform(size=300)), 1.0 + rng.uniform(size=8),
+                    1.0 + rng.uniform(size=64)) for _ in range(n_terms)]
+        got, folds = _fold_calls(lambda: ito.nu_increments(fn, y, factors, xw, zw))
+        assert folds == 1
+        np.testing.assert_array_equal(got, nu_tensor(fn, y, factors, xw, zw, it.TENSOR_BLOCK))
+
+    def test_nodes_choose_alone(self):
+        # nodes with x > 1 keep the fold's bytes beside nodes on the series
+        fn, rng = ito.exp_fn(1.0), np.random.default_rng(13)
+        y, xw, zw = rng.normal(size=200), rng.uniform(size=8), rng.uniform(size=64)
+        factors = [(np.linspace(-2.0, 2.0, 200), rng.uniform(size=8), rng.uniform(0.5, 1.0, 64))]
+        rho = np.abs(factors[0][0]) * np.max(factors[0][1]) * np.max(factors[0][2])
+        got = ito.nu_increments(fn, y, factors, xw, zw)
+        want = nu_tensor(fn, y, factors, xw, zw, it.TENSOR_BLOCK)
+        series = rho <= 1.0
+        assert 0 < series.sum() < len(y)
+        np.testing.assert_array_equal(got[~series], want[~series])
+        ref = _reference(fn, y, factors, xw, zw)
+        assert np.all(np.abs(got - want)[series] <= 1e-13 * ref[series])
+
+    @pytest.mark.parametrize("fn", FNS + [ito.abs_pow_fn(2.0), ito.sin_fn(0.7)],
+                             ids=lambda f: f.name)
+    def test_split_form_folds_nothing(self, fn):
+        # the ito1 and ito2 shapes: a one-term H with x <= 1 on the small shell
+        c = simulate(WIN, TSTABLE, replicate_seed(906, 0), 0, 8)
+        _, folds = _fold_calls(lambda: ito.ito_rhs_big_small(fn, G_EXP, K_MIX, H_MIX, c,
+                                                             TSTABLE, 1.0))
+        assert folds == 0
