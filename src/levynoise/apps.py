@@ -42,13 +42,13 @@ def _space_time_fold(X: Integrand, window: Window, t: float, phi, n_time: int,
 
 
 def psi_space_time_integral(h: Integrand, window: Window, measure: LevyMeasure,
-                            t: float, n_time: int = 24, n_space: int = 16,
-                            n_jump: int = 48) -> complex:
-    """Integral over [0,t] x box of the compensated exponent of h(s, x), its
-    nu integral on the fixed rule measure.nu_nodes."""
-    z, zw = measure.nu_nodes(window.shell, n_jump)
+                            t: float) -> complex:
+    """Integral over [0,t] x box of the compensated exponent of h(s, x), on
+    24 time nodes per interval, 16 box nodes, and the 48-node rule
+    measure.nu_nodes for its nu integral."""
+    z, zw = measure.nu_nodes(window.shell, 48)
     return complex(_space_time_fold(h, window, t, lambda v: np.exp(1j * v) - 1.0 - 1j * v,
-                                    n_time, n_space, z, zw))
+                                    24, 16, z, zw))
 
 
 def cumulative_on_grid(breaks, n_per_interval, values):
@@ -98,16 +98,17 @@ class MomentBoundRow:
     isometry_se: float
 
 
-def space_time_norm_sq(X: Integrand, window: Window, t: float, n: int = 32) -> float:
-    """Integral of X^2 over [0,t] x box."""
-    return float(_space_time_fold(X, window, t, lambda v: v * v, n, n))
+def space_time_norm_sq(X: Integrand, window: Window, t: float) -> float:
+    """Integral of X^2 over [0,t] x box, on 32 nodes per time interval and
+    per box axis."""
+    return float(_space_time_fold(X, window, t, lambda v: v * v, 32, 32))
 
 
-def lp_bracket(X: Integrand, window: Window, t: float, p: float,
-               n: int = 32) -> float:
-    """(integral of X^2)^{p/2} + integral of |X|^p over [0,t] x box."""
-    pp = float(_space_time_fold(X, window, t, lambda v: np.abs(v) ** p, n, n))
-    return space_time_norm_sq(X, window, t, n) ** (p / 2.0) + pp
+def lp_bracket(X: Integrand, window: Window, t: float, p: float) -> float:
+    """(integral of X^2)^{p/2} + integral of |X|^p over [0,t] x box, both
+    on the rule of space_time_norm_sq."""
+    pp = float(_space_time_fold(X, window, t, lambda v: np.abs(v) ** p, 32, 32))
+    return space_time_norm_sq(X, window, t) ** (p / 2.0) + pp
 
 
 def noise_path(X: Integrand, batch: PointBatch, measure: LevyMeasure) -> it.CadlagPath:
@@ -162,19 +163,18 @@ def exp_martingale(h: Integrand, batch: PointBatch, measure: LevyMeasure, t: flo
 
 
 def representation_residual(h: Integrand, batch: PointBatch,
-                            measure: LevyMeasure, T: float, *,
-                            n_time: int = 8, n_space: int = 16,
-                            n_jump: int = 48) -> np.ndarray:
+                            measure: LevyMeasure, T: float) -> np.ndarray:
     """|M(T) - (1 + compensated integral of (e^{ihz}-1) M(s-))|, one value
     per replicate, each from the floats of its configuration alone.
 
     The pre-jump values of M between jumps follow the closed-form continuous
-    evolution, so the only slack is tensor quadrature.
+    evolution, so the only slack is tensor quadrature: 8 time nodes per
+    interval, 16 box nodes and the 48-node rule measure.nu_nodes.
     """
-    n, g = len(batch), it.ReplicateGrid(batch, T, h.time_breakpoints(), n_time)
+    n, g = len(batch), it.ReplicateGrid(batch, T, h.time_breakpoints(), 8)
     path = noise_path(h, batch, measure)
-    xpts, wx = it.box_rule(batch.window.box, n_space)
-    z, zw = measure.nu_nodes(batch.window.shell, n_jump)
+    xpts, wx = it.box_rule(batch.window.box, 16)
+    z, zw = measure.nu_nodes(batch.window.shell, 48)
     factors = it.term_factors(h.with_jump(SignPow(1.0)), g.s, xpts, z)
     # per time node, the nu-rule sums of e^{ihz} - 1 and e^{ihz} - 1 - ihz
     phase_nodes, psi_nodes = it.tensor_fold(_phase_and_psi, factors, wx, zw)
@@ -205,11 +205,9 @@ def _by_replicate(seg, values, n: int) -> np.ndarray:
 
 
 def modulus_gap(h: Integrand, batch: PointBatch, measure: LevyMeasure,
-                t: float, psi_integral: complex | None = None) -> np.ndarray:
+                t: float, psi_integral: complex) -> np.ndarray:
     """| |M(t)| - exp(-Re Psi-integral) |, one value per replicate; zero for
     real h up to rounding."""
-    if psi_integral is None:
-        psi_integral = psi_space_time_integral(h, batch.window, measure, t)
     m = exp_martingale(h, batch, measure, t, psi_integral)
     # |m| by hypot, as Python's abs takes it: numpy's vectorised abs of a
     # complex array can differ from it in the last bit
@@ -266,12 +264,14 @@ def chaos_norm_sq(f: ChaosFunction, window: Window, measure: LevyMeasure,
 
 
 def check_disjoint(f: ChaosFunction, window: Window, measure: LevyMeasure,
-                   T: float, tol: float = 1e-12) -> None:
+                   T: float) -> None:
+    """Raise OverlapError when two slot functions share support: the
+    compensator of their squared product exceeds 1e-12."""
     for i in range(f.order):
         for j in range(i + 1, f.order):
             mass = it.compensator((f.factors[i] * f.factors[j]).squared(),
                                   window, measure, T)
-            if abs(mass) > tol:
+            if abs(mass) > 1e-12:
                 raise OverlapError(
                     f"slot functions {i} and {j} overlap (mass {mass:.3e}); "
                     "diagonal handling is out of scope")
@@ -312,13 +312,12 @@ def _cumulative(g: it.ReplicateGrid, values):
             at_breaks - zero[g.bseg])
 
 
-def _iterated(slots, batch: PointBatch, measure: LevyMeasure, T: float,
-              n_time: int = 8) -> np.ndarray:
+def _iterated(slots, batch: PointBatch, measure: LevyMeasure, T: float) -> np.ndarray:
     """Iterated compensated integral over the ordered time simplex for one
     ordered tuple of slot functions, one value per replicate of the batch,
-    each the floats of its configuration alone."""
+    each the floats of its configuration alone; 8 time nodes per interval."""
     n, g = len(batch), it.ReplicateGrid(batch, T, [v for f in slots for v in f.time_breakpoints()],
-                                        n_time)
+                                        8)
     counts = np.bincount(g.jseg, minlength=n)
     col = np.arange(len(g.tj)) - (np.cumsum(counts) - counts)[g.jseg]
     node_jumps = it.jumps_before(g.s, g.sseg, g.tj, g.jseg)
@@ -348,19 +347,18 @@ def _iterated(slots, batch: PointBatch, measure: LevyMeasure, T: float,
 
 
 def multiple_integral(f: ChaosFunction, batch: PointBatch, measure: LevyMeasure,
-                      T: float | None = None, n_time: int = 8,
-                      validate: bool = True) -> np.ndarray:
+                      T: float | None = None) -> np.ndarray:
     """The order-n multiple integral of a disjoint-support chaos function,
     computed as the permutation sum of iterated simplex integrals, one value
-    per replicate."""
+    per replicate.  The slots are not checked: `check_disjoint` does that
+    for slots read from a config; on overlapping slots the sum leaves out
+    the diagonal."""
     import itertools
 
     T = T if T is not None else batch.window.horizon
-    if validate:
-        check_disjoint(f, batch.window, measure, T)
     total = np.zeros(len(batch))
     for perm in itertools.permutations(f.factors):
-        total = total + _iterated(perm, batch, measure, T, n_time)
+        total = total + _iterated(perm, batch, measure, T)
     return total
 
 
@@ -376,6 +374,5 @@ def second_chaos_expansion_residual(set_indicator: Integrand, batch: PointBatch,
     T = T if T is not None else batch.window.horizon
     mu = it.compensator(set_indicator, batch.window, measure, T)
     nhat = it.int_Nhat(set_indicator, batch, measure, T)
-    i2 = multiple_integral(ChaosFunction((set_indicator, set_indicator)),
-                           batch, measure, T, validate=False)
+    i2 = multiple_integral(ChaosFunction((set_indicator, set_indicator)), batch, measure, T)
     return nhat * nhat - mu - nhat - i2

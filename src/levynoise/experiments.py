@@ -595,10 +595,11 @@ def _ito_matrix(cfg: Config, table: str, tag: int, x_key: str, slot: str, split:
 
         lhs, *terms = replicate_values(evaluate, w, m, paths, _seed_for(cfg, tag + idx))
         r = ito.FourTermResult(*terms)
+        total = r.total
         res.verdicts.append(_tol_row(f"max_residual[{label}]",
-                                     _worst(np.abs(lhs - r.total)), tol))
+                                     _worst(np.abs(lhs - total)), tol))
         rows.extend((label, k, T, lhs[k], r.g_term[k], r.big_jump_term[k],
-                     r.compensated_term[k], r.nu_term[k], r.total[k], lhs[k] - r.total[k])
+                     r.compensated_term[k], r.nu_term[k], total[k], lhs[k] - total[k])
                     for k in range(min(paths, ITO_CSV_PATHS)))
         cells.append(r)
     res.tables[table] = _csv(ITO_CSV_HEADER, rows)
@@ -772,7 +773,7 @@ def run_chaos(cfg: Config) -> ExperimentResult:
 
     def stat(batch):
         i1 = it.int_Nhat(slot_c, batch, m, T)
-        i2 = apps.multiple_integral(f2, batch, m, T, validate=False)
+        i2 = apps.multiple_integral(f2, batch, m, T)
         expansion = apps.second_chaos_expansion_residual(slot_a, batch, m, T)
         return np.stack([i1, i2 * i2, i1 * i2, expansion * expansion], axis=1)
 
@@ -791,7 +792,7 @@ def run_chaos(cfg: Config) -> ExperimentResult:
                                     cfg.k_sigma, atol))
     # the mean of |I2 - product| over replicates, plus its spread, bounds the max
     def product_gap(batch):
-        i2 = apps.multiple_integral(f2, batch, m, T, validate=False)
+        i2 = apps.multiple_integral(f2, batch, m, T)
         return (abs(i2 - it.int_Nhat(slot_a, batch, m, T) * it.int_Nhat(slot_b, batch, m, T)),)
 
     gaps, = replicate_values(product_gap, w, m, min(n, cfg.params["product_check_paths"]),

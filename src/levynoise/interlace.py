@@ -48,12 +48,12 @@ class Ladder:
         return [lv.threshold for lv in self.levels]
 
 
-def _bisect(ok, good, bad, rel_tol):
+def _bisect(ok, good, bad):
     """Bisect between `good`, where `ok` holds, and `bad`, where it fails,
     for a predicate that changes once on the nonnegative segment between
-    them; returns the last good point once the bracket is within rel_tol of
-    its larger end."""
-    while abs(bad - good) > rel_tol * max(good, bad, 1e-300):
+    them; returns the last good point once the bracket is within 1e-10 of
+    its larger end, relatively."""
+    while abs(bad - good) > 1e-10 * max(good, bad, 1e-300):
         mid = 0.5 * (good + bad)
         if ok(mid):
             good = mid
@@ -62,7 +62,7 @@ def _bisect(ok, good, bad, rel_tol):
     return good
 
 
-def _ladder(kind, I, edge, good, floor, at_floor, n_max, rel_tol) -> Ladder:
+def _ladder(kind, I, edge, good, floor, at_floor, n_max) -> Ladder:
     """The level loop both ladders share.  Level n's threshold is `edge` while
     I(edge) <= 8^-n, else the point nearest the edge where I <= 8^-n, bisected
     from good(8^-n), a point where it holds (None: there is none).  The first
@@ -77,7 +77,7 @@ def _ladder(kind, I, edge, good, floor, at_floor, n_max, rel_tol) -> Ladder:
             if start is None:
                 return Ladder(kind, tuple(levels),
                               violation="assumption violated: residual does not vanish")
-            x = _bisect(lambda u: I(u) <= target, start, edge, rel_tol)
+            x = _bisect(lambda u: I(u) <= target, start, edge)
         if at_floor(x):
             levels.append(LadderLevel(n, floor, 0.0))
             return Ladder(kind, tuple(levels), True, floor)
@@ -86,8 +86,7 @@ def _ladder(kind, I, edge, good, floor, at_floor, n_max, rel_tol) -> Ladder:
 
 
 def eps_sequence(H: Integrand, box, T: float, measure: LevyMeasure,
-                 n_max: int = 6, small_hi: float = 1.0,
-                 rel_tol: float = 1e-10) -> Ladder:
+                 n_max: int = 6, small_hi: float = 1.0) -> Ladder:
     """Small-jump thresholds: the n-th level is the largest shell floor whose
     residual second moment I(eps) stays below 8^-n.
 
@@ -108,13 +107,13 @@ def eps_sequence(H: Integrand, box, T: float, measure: LevyMeasure,
     if I(small_hi) == 0.0:
         floor = small_hi  # integrand inactive on the whole small-jump set
     elif I(1e-12 * small_hi) == 0.0:
-        floor = _bisect(lambda e: I(e) == 0.0, 0.0, small_hi, rel_tol)
+        floor = _bisect(lambda e: I(e) == 0.0, 0.0, small_hi)
     else:
         floor = 0.0
     floor_tol = max(1e-8 * small_hi, 1e-6 * floor)
     return _ladder("small-jump", I, small_hi, lambda target: 0.0, floor,
                    lambda e: floor > 1e-12 * small_hi and e <= floor + floor_tol,
-                   n_max, rel_tol)
+                   n_max)
 
 
 def _full_line_integral(node: Node, use_abs: bool):
@@ -147,7 +146,7 @@ def _full_line_integral(node: Node, use_abs: bool):
 def a_sequence(H: Integrand, K: Integrand | None, T: float,
                measure: LevyMeasure, n_max: int = 6, *,
                kind: str = "spatial-I", shell: Shell, dim: int = 1,
-               small_hi: float = 1.0, rel_tol: float = 1e-10) -> Ladder:
+               small_hi: float = 1.0) -> Ladder:
     """Spatial thresholds: the n-th level is the smallest box half-width
     whose outside residual I(a) stays below 8^-n.
 
@@ -205,7 +204,7 @@ def a_sequence(H: Integrand, K: Integrand | None, T: float,
     hi_probe = 1.0
     while hi_probe <= 2.0 ** 24:
         if I(hi_probe) == 0.0:
-            floor = _bisect(lambda a: I(a) == 0.0, hi_probe, 0.0, rel_tol)
+            floor = _bisect(lambda a: I(a) == 0.0, hi_probe, 0.0)
             break
         hi_probe *= 2.0
     floor_tol = 1e-6 * floor if floor else 0.0
@@ -219,7 +218,7 @@ def a_sequence(H: Integrand, K: Integrand | None, T: float,
         return hi
 
     return _ladder(kind, I, 0.0, good, floor,
-                   lambda a: floor is not None and a >= floor - floor_tol, n_max, rel_tol)
+                   lambda a: floor is not None and a >= floor - floor_tol, n_max)
 
 
 # ---------------------------------------------------------------------------

@@ -66,9 +66,12 @@ def _poly_taylor(c):
                            np.ones(len(y), dtype=bool))
 
 
-def _entire_taylor(scale, derivs):
-    """The series of f(y) = g(scale y), whose derivatives g^(q) run through
-    derivs[q mod len(derivs)]."""
+def _entire_fn(kind: str, scale: float, derivs) -> SmoothFn:
+    """f(y) = g(scale y), whose derivatives g^(q) run through
+    derivs[q mod len(derivs)], with its series."""
+    def g(q, x):
+        return derivs[q % len(derivs)](scale * np.asarray(x, dtype=float))
+
     def taylor(y, rho):
         x = abs(scale) * rho
         ok = x <= 1.0
@@ -76,11 +79,12 @@ def _entire_taylor(scale, derivs):
         order = np.count_nonzero(np.cumprod(np.where(ok, x, 0.0)[:, None] / k, axis=1)
                                  > SERIES_TOL, axis=1)
         p = k[:order.max(initial=0)]
-        g = [d(scale * y) for d in derivs]
-        rows = (np.array([g[q % len(g)] for q in p]).reshape(len(p), len(y))
+        gy = [g(q, y) for q in range(len(derivs))]
+        rows = (np.array([gy[q % len(gy)] for q in p]).reshape(len(p), len(y))
                 * (scale ** p / np.cumprod(p.astype(float)))[:, None])
         return np.where(p[:, None] <= order, rows, 0.0), ok
-    return taylor
+    return SmoothFn(f"{kind}({scale})", lambda x: g(0, x), lambda x: scale * g(1, x),
+                    lambda x: scale * scale * g(2, x), taylor)
 
 
 def poly_fn(*coeffs: float) -> SmoothFn:
@@ -95,29 +99,15 @@ def poly_fn(*coeffs: float) -> SmoothFn:
 
 
 def exp_fn(scale: float = 1.0) -> SmoothFn:
-    return SmoothFn(f"exp({scale})",
-                    lambda x: np.exp(scale * np.asarray(x, dtype=float)),
-                    lambda x: scale * np.exp(scale * np.asarray(x, dtype=float)),
-                    lambda x: scale * scale * np.exp(scale * np.asarray(x, dtype=float)),
-                    _entire_taylor(scale, (np.exp,)))
+    return _entire_fn("exp", scale, (np.exp,))
 
 
 def cos_fn(scale: float = 1.0) -> SmoothFn:
-    return SmoothFn(f"cos({scale})",
-                    lambda x: np.cos(scale * np.asarray(x, dtype=float)),
-                    lambda x: -scale * np.sin(scale * np.asarray(x, dtype=float)),
-                    lambda x: -scale * scale * np.cos(scale * np.asarray(x, dtype=float)),
-                    _entire_taylor(scale, (np.cos, lambda u: -np.sin(u),
-                                           lambda u: -np.cos(u), np.sin)))
+    return _entire_fn("cos", scale, (np.cos, lambda u: -np.sin(u), lambda u: -np.cos(u), np.sin))
 
 
 def sin_fn(scale: float = 1.0) -> SmoothFn:
-    return SmoothFn(f"sin({scale})",
-                    lambda x: np.sin(scale * np.asarray(x, dtype=float)),
-                    lambda x: scale * np.cos(scale * np.asarray(x, dtype=float)),
-                    lambda x: -scale * scale * np.sin(scale * np.asarray(x, dtype=float)),
-                    _entire_taylor(scale, (np.sin, np.cos, lambda u: -np.sin(u),
-                                           lambda u: -np.cos(u))))
+    return _entire_fn("sin", scale, (np.sin, np.cos, lambda u: -np.sin(u), lambda u: -np.cos(u)))
 
 
 def abs_pow_fn(p: float) -> SmoothFn:
@@ -177,22 +167,23 @@ class FourTermResult:
 
 def ito_rhs_raw(fn: SmoothFn, G: Integrand | None, K: Integrand,
                 batch: PointBatch, measure: LevyMeasure,
-                t: float, n_time: int = 16, *, path=None) -> FourTermResult:
+                t: float, *, path=None) -> FourTermResult:
     """Right side of the no-small-jumps formula: drift term plus the raw
     jump sum of f-increments (needs only f'), i.e. the split form with every
-    jump big; `path`: the built path (split=0), if any."""
+    jump big, on 16 time nodes per interval; `path`: the built path
+    (split=0), if any."""
     return ito_rhs_big_small(fn, G, K, None, batch, measure, t, split=0.0,
-                             n_time=n_time, path=path)
+                             n_time=16, path=path)
 
 
 def ito_rhs_big_small(fn: SmoothFn, G: Integrand | None, K: Integrand | None,
                       H: Integrand | None, batch: PointBatch,
                       measure: LevyMeasure, t: float, *, split: float = 1.0,
-                      n_time: int = 8, n_space: int = 8, n_jump: int = 32,
-                      path=None) -> FourTermResult:
+                      n_time: int = 8, path=None) -> FourTermResult:
     """Right side of the four-term formula: raw big jumps, compensated small
     jumps, and the second-order nu correction, each term one value per
-    replicate; `path`: the built path, if any."""
+    replicate; n_time Gauss-Legendre nodes per time interval, and 8 box by
+    32 jump nodes for the nu correction; `path`: the built path, if any."""
     if path is None:
         path = it.build_path(G, K, H, batch, measure, split=split)
     w, n = batch.window, len(batch)
@@ -212,8 +203,8 @@ def ito_rhs_big_small(fn: SmoothFn, G: Integrand | None, K: Integrand | None,
     A = D = np.zeros(n)
     if H is not None and small is not None:
         # one box node integrates an H constant in x exactly
-        xpts, xw = it.box_rule(w.box, n_space if any(tm.space for tm in H.terms) else 1)
-        znod, zw = measure.nu_nodes(small, n_jump)
+        xpts, xw = it.box_rule(w.box, 8 if any(tm.space for tm in H.terms) else 1)
+        znod, zw = measure.nu_nodes(small, 32)
         if len(znod):
             factors = it.term_factors(H, s, xpts, znod)
             for term, (tv, _, _) in zip(H.terms, factors):
@@ -275,14 +266,12 @@ def nu_increments(fn: SmoothFn, y, factors, xw, zw) -> np.ndarray:
 
 def ito_rhs_all_compensated(fn: SmoothFn, G: Integrand | None, H: Integrand,
                             batch: PointBatch, measure: LevyMeasure,
-                            t: float, *, n_time: int = 8, n_space: int = 8,
-                            n_jump: int = 32, path=None) -> FourTermResult:
+                            t: float, *, path=None) -> FourTermResult:
     """Right side of the formula with every jump compensated (the whole
     working shell standing in for the punctured line): the split form with
     no big jumps, so its big-jump term is 0; `path`: the built path
     (split=inf), if any."""
     return ito_rhs_big_small(fn, G, None, H, batch, measure, t, split=math.inf,
-                             n_time=n_time, n_space=n_space, n_jump=n_jump,
                              path=path)
 
 

@@ -97,33 +97,21 @@ class Verdict:
     k_sigma: float
 
 
-def _component_z(delta: float, se: float) -> float:
-    if se > 0:
-        return abs(delta) / se
-    return 0.0 if delta == 0.0 else math.inf
-
-
 def verdict(est: McEstimate, target, k_sigma: float = 4.0, atol: float = 0.0) -> Verdict:
-    """Pass iff |mean - target| <= k_sigma * se, componentwise for complex
-    or vector estimates.
+    """Pass iff |mean - target| <= k_sigma * se, componentwise for vector
+    estimates and for the (re, im) pairs of complex ones; a NaN or inf in
+    the mean, target or se never passes.
 
     `atol` adds an absolute floor for identities that hold exactly up to
     floating-point dust, where the sample spread itself is numerical noise.
     """
-    mean = np.asarray(est.mean)
-    tgt = np.asarray(target)
-    se = np.asarray(est.se)
+    mean, tgt, se = (np.asarray(v) for v in (est.mean, target, est.se))
     if np.iscomplexobj(mean) or np.iscomplexobj(tgt):
-        dre = np.abs(mean.real - tgt.real)
-        dim = np.abs(mean.imag - np.asarray(tgt, dtype=complex).imag)
-        zs = np.maximum(
-            np.vectorize(_component_z)(dre, np.asarray(se).real),
-            np.vectorize(_component_z)(dim, np.asarray(se).imag))
-        ok = ((dre <= k_sigma * np.asarray(se).real + atol)
-              & (dim <= k_sigma * np.asarray(se).imag + atol))
-    else:
-        d = np.abs(mean - tgt)
-        zs = np.vectorize(_component_z)(d, se)
-        ok = d <= k_sigma * se + atol
+        mean, tgt, se = (np.stack([c.real, c.imag], axis=-1)
+                         for c in (np.asarray(v, dtype=complex) for v in (mean, tgt, se)))
+    d = np.abs(mean - tgt)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        zs = np.where(se > 0, d / se, np.where(d == 0.0, 0.0, math.inf))
+    ok = np.isfinite(d) & np.isfinite(se) & (d <= k_sigma * se + atol)
     return Verdict(bool(np.all(ok)), float(np.max(zs)), est.mean, target,
                    est.se, k_sigma)

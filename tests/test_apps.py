@@ -311,10 +311,9 @@ class TestMultipleIntegral:
         assert got2 == pytest.approx(mu_a * mu_b, rel=1e-10)
 
     def test_overlap_rejected(self):
-        f = apps.ChaosFunction((SLOT_A, SLOT_A))
-        c = simulate(WIN, ATOMS, 2)
+        apps.check_disjoint(apps.ChaosFunction((SLOT_A, SLOT_B, SLOT_C)), WIN, ATOMS, 1.0)
         with pytest.raises(apps.OverlapError):
-            apps.multiple_integral(f, c, ATOMS)
+            apps.check_disjoint(apps.ChaosFunction((SLOT_A, SLOT_A)), WIN, ATOMS, 1.0)
 
     def test_norm_closed_form(self):
         f = apps.ChaosFunction((SLOT_A, SLOT_B))
@@ -598,11 +597,11 @@ class TestBatchedChaos:
         fs = [apps.ChaosFunction((SLOT_A,)), apps.ChaosFunction((SMOOTH_B,)),
               apps.ChaosFunction((SLOT_A, SLOT_B)), apps.ChaosFunction((SMOOTH_A, SMOOTH_B))]
         for f in fs:
-            got = apps.multiple_integral(f, batch, ATOMS, T, validate=False)
+            got = apps.multiple_integral(f, batch, ATOMS, T)
             assert got.shape == (len(batch),)
             for k in range(len(batch)):
                 c = replicate(batch, k)
-                alone, = apps.multiple_integral(f, c, ATOMS, T, validate=False)
+                alone, = apps.multiple_integral(f, c, ATOMS, T)
                 assert got[k] == alone == per_path_multiple_integral(f, c, ATOMS, T)
         got = apps.second_chaos_expansion_residual(SLOT_A, batch, ATOMS, T)
         for k in range(len(batch)):

@@ -24,13 +24,13 @@ class TestBisect:
     @pytest.mark.parametrize("root", [1e-7, 0.3, 0.7309, 0.999])
     def test_increasing_predicate(self, root):
         # ok below the root: the good side is [0, root], approached from below
-        got = il._bisect(lambda u: u <= root, 0.0, 1.0, 1e-10)
+        got = il._bisect(lambda u: u <= root, 0.0, 1.0)
         assert got <= root and root - got <= 1e-10
 
     @pytest.mark.parametrize("root", [1e-7, 0.3, 0.7309, 0.999])
     def test_decreasing_predicate(self, root):
         # ok above the root: the good side is [root, 1], approached from above
-        got = il._bisect(lambda u: u >= root, 1.0, 0.0, 1e-10)
+        got = il._bisect(lambda u: u >= root, 1.0, 0.0)
         assert got >= root and got - root <= 1e-10 * got
 
 

@@ -162,6 +162,20 @@ class TestVerdict:
         assert verdict(est, np.array([0.1, 1.1])).passed
         assert not verdict(est, np.array([0.0, 2.0])).passed
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["mean", "se", "target"])
+    @pytest.mark.parametrize("kind", ["real", "vector", "complex-re", "complex-im"])
+    def test_nonfinite_never_passes(self, kind, field, bad):
+        shape = {"real": lambda v, w: w, "vector": lambda v, w: np.array([v, w]),
+                 "complex-re": lambda v, w: complex(w, v),
+                 "complex-im": lambda v, w: complex(v, w)}[kind]
+        vals = {"mean": 1.0, "se": 0.5, "target": 1.0}
+        args = {k: shape(v, v) for k, v in vals.items()}
+        assert verdict(McEstimate(args["mean"], args["se"], 10, 0), args["target"]).passed
+        args[field] = shape(vals[field], bad)
+        v = verdict(McEstimate(args["mean"], args["se"], 10, 0), args["target"], atol=1.0)
+        assert not v.passed
+
     def test_calibration_under_true_null(self):
         # a 4-sigma rule should essentially never fail a centered experiment
         fails = 0
