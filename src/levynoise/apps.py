@@ -154,11 +154,9 @@ def moment_bound_cell(X: Integrand, measure: LevyMeasure, p: float, t: float,
 
 
 def exp_martingale(h: Integrand, batch: PointBatch, measure: LevyMeasure, t: float,
-                   psi_integral: complex | None = None) -> np.ndarray:
-    """exp(i L_h(t) - Psi-integral), the mean-one complex martingale, one
-    value per replicate."""
-    if psi_integral is None:
-        psi_integral = psi_space_time_integral(h, batch.window, measure, t)
+                   psi_integral: complex) -> np.ndarray:
+    """exp(i L_h(t) - psi_integral), psi_integral from psi_space_time_integral:
+    the mean-one complex martingale, one value per replicate."""
     return np.exp(1j * it.l_integral(h, batch, measure, t) - psi_integral)
 
 
@@ -237,11 +235,6 @@ class ChaosFunction:
         return len(self.factors)
 
 
-def inner_product(f: Integrand, g: Integrand, window: Window,
-                  measure: LevyMeasure, T: float) -> float:
-    return it.compensator(f * g, window, measure, T)
-
-
 def chaos_norm_sq(f: ChaosFunction, window: Window, measure: LevyMeasure,
                   T: float) -> float:
     """Squared norm of the symmetrized tensor product in the n-fold product
@@ -252,8 +245,8 @@ def chaos_norm_sq(f: ChaosFunction, window: Window, measure: LevyMeasure,
     gram = np.empty((n, n))
     for i in range(n):
         for j in range(i, n):
-            gram[i, j] = gram[j, i] = inner_product(f.factors[i], f.factors[j],
-                                                    window, measure, T)
+            gram[i, j] = gram[j, i] = it.compensator(f.factors[i] * f.factors[j],
+                                                     window, measure, T)
     total = 0.0
     for perm in itertools.permutations(range(n)):
         prod = 1.0

@@ -400,7 +400,8 @@ def _tol_row(name, value, tol) -> VerdictRow:
 
 def _bound_row(name, estimate, bound, se, k_sigma) -> VerdictRow:
     z = (estimate - bound) / se if se > 0 else 0.0
-    return VerdictRow(name, estimate, bound, se, z, estimate <= bound + k_sigma * se)
+    ok = math.isfinite(estimate) and math.isfinite(se) and estimate <= bound + k_sigma * se
+    return VerdictRow(name, estimate, bound, se, z, ok)
 
 
 def _worst(values) -> float:

@@ -252,6 +252,8 @@ class SignPow(Node):
 
     def __call__(self, u):
         u = np.asarray(u, dtype=float)
+        if self.power == 1.0:  # sign(u)|u| is u, and 0.0 at -0.0, as u + 0.0 is
+            return u + 0.0
         return np.sign(u) * np.abs(u) ** self.power
 
     def antiderivative(self, u):

@@ -291,11 +291,17 @@ def z_of_set(a: float, box, interval, batch: PointBatch, measure: LevyMeasure) -
 class CadlagPath:
     """Paths with one shared drift and their own jumps: row k of `times`
     holds path k's jump times in order, padded with inf, and row k of `csum`
-    its running jump sums from 0.  Every query gives one value per path."""
+    its running jump sums from 0, no jump time past `horizon`.  `times` may
+    be a function that gives it on first read.  Every query gives one value
+    per path."""
 
-    times: np.ndarray  # (n, J)
+    _times: object     # (n, J)
     csum: np.ndarray   # (n, J + 1)
     drift: Drift
+    horizon: float = np.inf
+
+    times = functools.cached_property(
+        lambda self: self._times() if callable(self._times) else self._times)
 
     def eval(self, s, seg=None, left: bool = False) -> np.ndarray:
         """Path seg[i] at time s[i], or its left limit there with `left`; with
@@ -319,7 +325,11 @@ class CadlagPath:
         Between jumps a path is a constant plus the shared drift, so |path|
         peaks at 0, at t, on either side of a jump, or where the drift's
         slope changes sign; those turning points are found once for all
-        paths."""
+        paths.  With no drift and t at or past `horizon` it is the row's
+        largest |running sum|, read without the times; that counts a sum
+        between tied jumps, which the path skips, so it may be larger."""
+        if not self.drift.pieces and t >= self.horizon:
+            return np.abs(self.csum).max(axis=1)
         k = np.count_nonzero(self.times <= t, axis=1)  # a prefix of each row
         J = int(k.max(initial=0))
         ts, prefix = self.times[:, :J], np.arange(J) < k[:, None]
@@ -355,19 +365,32 @@ def jumps_before(s, sseg, tj, jseg, left: bool = True) -> np.ndarray:
             - np.searchsorted(jseg, sseg))
 
 
-def _rows(times, jumps, counts, drift) -> CadlagPath:
+def _rows(times, jumps, counts, drift, horizon: float = np.inf) -> CadlagPath:
     """The paths whose row k holds the next counts[k] of the jump times and
-    sizes, each row in time order."""
+    sizes, each row in time order; `times` may be a function that gives
+    them, called on the paths' first read of their times."""
     n, J = len(counts), int(counts.max(initial=0))
-    if np.all(counts == J):  # no padding: the rows are views of the inputs
-        times, jumps = times.reshape(n, J), jumps.reshape(n, J)
-    else:
-        real = np.arange(J) < counts[:, None]
-        padded, sized = np.full((n, J), np.inf), np.zeros((n, J))
-        padded[real], sized[real] = times, jumps
-        times, jumps = padded, sized
-    csum = np.concatenate([np.zeros((n, 1)), np.cumsum(jumps, axis=1)], axis=1)
-    return CadlagPath(times, csum, drift)
+    real = None if np.all(counts == J) else np.arange(J) < counts[:, None]
+
+    def pad(values, fill):  # with no row short, the rows are views of the values
+        if real is None:
+            return values.reshape(n, J)
+        out = np.full((n, J), fill)
+        out[real] = values
+        return out
+
+    csum = np.concatenate([np.zeros((n, 1)), np.cumsum(pad(jumps, 0.0), axis=1)], axis=1)
+    return CadlagPath(lambda: pad(times() if callable(times) else times, np.inf), csum,
+                      drift, horizon)
+
+
+def _at_points(f: Integrand | None, batch: PointBatch) -> np.ndarray:
+    """f at the batch's points (zeros without f), from z alone when no term reads t or x."""
+    if f is None or not f.terms:
+        return np.zeros(int(batch.offsets[-1]))
+    if all(isinstance(term.time, Const) and not term.space for term in f.terms):
+        return np.asarray(f(0.0, 0.0, batch.z), dtype=float)
+    return np.asarray(f(batch.t, batch.x, batch.z), dtype=float)
 
 
 def build_path(G: Integrand, K: Integrand, H: Integrand, batch: PointBatch,
@@ -379,15 +402,10 @@ def build_path(G: Integrand, K: Integrand, H: Integrand, batch: PointBatch,
     every jump through H with the compensator over the whole shell.
     """
     w = batch.window
-    if len(batch.t):
-        big = np.abs(batch.z) > split
-        sizes = np.where(
-            big,
-            np.asarray(K(batch.t, batch.x, batch.z), dtype=float) if K is not None else 0.0,
-            np.asarray(H(batch.t, batch.x, batch.z), dtype=float) if H is not None else 0.0,
-        )
+    if split == np.inf:  # no |z| exceeds it: K is never read
+        sizes = _at_points(H, batch)
     else:
-        sizes = np.empty(0)
+        sizes = np.where(np.abs(batch.z) > split, _at_points(K, batch), _at_points(H, batch))
 
     # continuous part: time integral of G minus the small-jump compensator
     pieces = _time_pieces(G) if G is not None else []
@@ -396,7 +414,7 @@ def build_path(G: Integrand, K: Integrand, H: Integrand, batch: PointBatch,
         for term in H.terms:
             c = nu_factor(measure, term.jump, small) * space_factor(term, w.box)
             pieces.append((-c, term.time))
-    return _rows(batch.t, sizes, batch.counts, drift_function(pieces))
+    return _rows(lambda: batch.t, sizes, batch.counts, drift_function(pieces), w.horizon)
 
 
 @functools.lru_cache(maxsize=64)

@@ -322,8 +322,10 @@ class TruncatedStable(_SymmetricDensity):
         if b <= a or a == 0.0:
             raise ValueError(f"shell {shell} is not samplable for {self}")
         u = rng.random((n, 2))  # (magnitude, sign) per mark
-        # a fresh product, so the marks hold no view of the uniforms
-        return np.where(u[:, 1] < 0.5, -1.0, 1.0) * self._power_law_abs(u[:, 0], a, b)
+        # a copy, so the marks hold no view of the uniforms; negated in place
+        # where the sign uniform is below 0.5, as the sign of u - 0.5 says
+        mag = self._power_law_abs(u[:, 0].copy(), a, b)
+        return np.copysign(mag, np.subtract(u[:, 1], 0.5, out=u[:, 1]), out=mag)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,9 @@ blocks of S = `block_rows(lam)` replicates, lam the intensity: replicate k
 is row k mod S of block k // S.  Field f of block b (0 counts, 1 times, 2
 locations, 3 marks) draws from `Generator(Philox(key=s % 2**64,
 counter=[0, 0, b, f]))`; b sits in counter word 2 because word 0 counts the
-draws, and streams that start a few counts apart overlap.  Each field draws
+draws, and streams that start a few counts apart overlap.  The counts are
+drawn with the batch, and each other field on its first read: as each field
+has its own stream, no read order moves a byte.  Each field draws
 row after row, so the first r rows of a block are the same whether r or S
 rows are drawn, and a partial block costs only its rows.  A replicate's
 times are its n + 1 exponentials, cumulated (over the block, in place) and
@@ -114,36 +116,44 @@ def _draw_block(window: Window, measure: LevyMeasure, lam: float, key: int, bloc
                 rows: int):
     """Rows 0 to rows - 1 of a stream block as (offsets, t, x, z), in
     replicate order and each replicate's times in order: the one place
-    streams become points."""
+    streams become points; t, x and z come as functions that draw them."""
     d = window.dim
     if lam == 0:
         return np.zeros(rows + 1, dtype=np.int64), np.empty(0), np.empty((0, d)), np.empty(0)
-    counts, times, locations, marks = (
-        np.random.Generator(np.random.Philox(key=key, counter=[0, 0, block, f]))
-        for f in range(4))
-    sizes = counts.poisson(lam, rows)
+    stream = lambda f: np.random.Generator(np.random.Philox(key=key, counter=[0, 0, block, f]))
+    sizes = stream(0).poisson(lam, rows)
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     n = int(offsets[-1])
-    # replicate i's n_i + 1 exponentials end at last[i]: its partial sums
-    # less those of the replicates before it, over their total
-    cum = times.standard_exponential(n + rows)
-    np.cumsum(cum, out=cum)
-    last = offsets[1:] + np.arange(rows)
-    if rows == 1:  # a view of the sums: no copy of one deep configuration
-        t = cum[:n]
-        t /= cum[n]
-    else:
-        total = cum[last]
-        base = np.concatenate([[0.0], total])[:-1]
-        t = np.delete(cum, last)
-        t -= np.repeat(base, sizes)
-        t /= np.repeat(total - base, sizes)
-    t *= window.horizon
-    lo, hi = np.array(window.box).T
-    x = locations.random((n, d))
-    x *= hi - lo
-    x += lo
-    return offsets, t, x, measure.sample_shell(window.shell, marks, n)
+
+    def times():
+        # replicate i's n_i + 1 exponentials end at last[i]: its partial sums
+        # less those of the replicates before it, over their total
+        cum = stream(1).standard_exponential(n + rows)
+        np.cumsum(cum, out=cum)
+        last = offsets[1:] + np.arange(rows)
+        if rows == 1:  # a view of the sums: no copy of one deep configuration
+            t = cum[:n]
+            t /= cum[n]
+        else:
+            total = cum[last]
+            base = np.concatenate([[0.0], total])[:-1]
+            t = np.delete(cum, last)
+            t -= np.repeat(base, sizes)
+            t /= np.repeat(total - base, sizes)
+        return np.multiply(t, window.horizon, out=t)
+
+    def locations():
+        lo, hi = np.array(window.box).T
+        x = stream(2).random((n, d))
+        return np.add(np.multiply(x, hi - lo, out=x), lo, out=x)
+
+    return offsets, times, locations, lambda: measure.sample_shell(window.shell, stream(3), n)
+
+
+def _drawn(field) -> np.ndarray:  # a batch field, drawn now if a function; read-only
+    arr = field() if callable(field) else field
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,20 +162,24 @@ class PointBatch:
     order.
 
     Replicate k holds rows offsets[k]:offsets[k + 1] of (t, x, z), in time
-    order.  `seeds` is the provenance: the master seed and the index of the
-    batch's first replicate.  One configuration is the batch of one.
+    order; each of t, x and z may be given as a function that draws it on
+    first read.  `seeds` is the provenance: the master seed and the index of
+    the batch's first replicate.  One configuration is the batch of one.
     """
 
-    t: np.ndarray        # (m,)
-    x: np.ndarray        # (m, d)
-    z: np.ndarray        # (m,)
+    _t: object           # (m,)
+    _x: object           # (m, d)
+    _z: object           # (m,)
     offsets: np.ndarray  # (n + 1,)
     window: Window
     seeds: tuple[int, int]
 
     def __post_init__(self):
-        for arr in (self.t, self.x, self.z, self.offsets):
-            arr.setflags(write=False)
+        self.offsets.setflags(write=False)
+
+    t = functools.cached_property(lambda self: _drawn(self._t))
+    x = functools.cached_property(lambda self: _drawn(self._x))
+    z = functools.cached_property(lambda self: _drawn(self._z))
 
     def __len__(self):
         return len(self.offsets) - 1

@@ -346,7 +346,7 @@ def interlacing_rows_per_config(ladder, problem, replicates: int, master_seed: i
 
     def small_jump(j):
         def one(_k, config):
-            s = it.build_path(None, None, H, config, m, split=math.inf).sup_abs(T)[0]
+            s = one_path(None, None, H, config, m, split=math.inf).sup_abs(T)
             return s, s
 
         return prm.Window(T, tuple(problem.box), Shell(th[j + 1], th[j])), one

@@ -81,7 +81,8 @@ class TestMomentBound:
 class TestExpMartingale:
     def test_h_zero_is_one(self):
         c = simulate(WIN, ATOMS, 3)
-        assert apps.exp_martingale(ig.ONE * 0.0, c, ATOMS, 1.0) == 1.0 + 0.0j
+        psi = apps.psi_space_time_integral(ig.ONE * 0.0, WIN, ATOMS, 1.0)
+        assert apps.exp_martingale(ig.ONE * 0.0, c, ATOMS, 1.0, psi) == 1.0 + 0.0j
 
     def test_psi_rule_matches_measure_psi(self):
         for m in (ATOMS, TSTABLE):
@@ -151,7 +152,8 @@ class TestRepresentation:
             rhs -= vol * (jump_factor - 1) * wgt * mval \
                 * (cmath.exp(kappa * seg) - 1) / kappa
             mval *= cmath.exp(kappa * seg)
-            got = apps.exp_martingale(h, c, m, 1.0)
+            got = apps.exp_martingale(h, c, m, 1.0,
+                                      apps.psi_space_time_integral(h, c.window, m, 1.0))
             assert got == pytest.approx(mval, abs=1e-10)
             assert abs(got - rhs) <= 1e-10
             assert apps.representation_residual(h, c, m, 1.0) <= 1e-10

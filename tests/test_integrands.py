@@ -33,6 +33,16 @@ NODES = [
 
 
 class TestNodes:
+    def test_sign_pow_one_is_the_formula(self):
+        # SignPow(1.0) skips sign(u) |u|^1 but gives its floats: on 10^6
+        # values of every scale, and at 0.0, -0.0 (both 0.0) and +-inf
+        rng = np.random.default_rng(6)
+        u = rng.standard_normal(10 ** 6) * 10.0 ** rng.integers(-300, 300, 10 ** 6)
+        u[:4] = [0.0, -0.0, math.inf, -math.inf]
+        want = np.sign(u) * np.abs(u) ** 1.0
+        assert ig.SignPow(1.0)(u).tobytes() == want.tobytes()
+        assert ig.SignPow(1.0)(-0.0).tobytes() == np.float64(0.0).tobytes()
+
     @pytest.mark.parametrize("node", NODES, ids=lambda n: n.kind)
     @pytest.mark.parametrize("a,b", [(-1.5, 2.0), (0.3, 1.7), (-2.0, -0.1)])
     def test_integral_matches_quadrature(self, node, a, b):

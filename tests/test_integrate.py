@@ -405,6 +405,42 @@ class TestRowwisePaths:
         assert np.shares_memory(path.times, one.t)
 
 
+class TestZeroDriftSup:
+    """With no drift and t at or past the horizon, sup_abs is the row's
+    largest |running sum| and reads no times; the general branch, taken
+    under the default horizon inf, skips the sums inside a run of tied
+    times, which the path never takes."""
+
+    @given(st.lists(st.lists(TIMES, max_size=8), min_size=1, max_size=4),
+           st.integers(0, 2 ** 32 - 1), st.floats(1.0, 1.2))
+    @settings(max_examples=80, deadline=None)
+    def test_equals_general_branch(self, rows, seed, t):
+        # rows of different lengths (padded), an empty row, tied times
+        rng = np.random.default_rng(seed)
+        rows = [sorted(r) for r in rows]
+        rows.insert(int(rng.integers(0, len(rows) + 1)), [])
+        times = np.concatenate([np.array(r, dtype=float) for r in rows])
+        jumps, counts = rng.normal(size=len(times)), np.array([len(r) for r in rows])
+        no_drift = it.drift_function([])
+        fast = it._rows(times, jumps, counts, no_drift, horizon=1.0)
+        got = fast.sup_abs(t)
+        assert "times" not in vars(fast)
+        assert got.tobytes() == np.abs(fast.csum).max(axis=1).tobytes()
+        want = it._rows(times, jumps, counts, no_drift).sup_abs(t)
+        for k, r in enumerate(rows):
+            sums = np.abs(fast.csum[k, :len(r) + 1])
+            inside = np.zeros(len(r) + 1, dtype=bool)
+            inside[1:len(r)] = np.diff(r) == 0.0
+            assert want[k] == sums[~inside].max()
+            assert got[k] == want[k] if want[k] == sums.max() else got[k] > want[k]
+
+    def test_opposite_tied_jumps(self):
+        # two jumps at one time that cancel: the path stays at 0
+        path = it._rows(np.array([0.5, 0.5]), np.array([2.0, -2.0]), np.array([2]),
+                        it.drift_function([]), horizon=1.0)
+        assert path.sup_abs(1.0)[0] == 2.0 and path.sup_abs(0.99)[0] == 0.0
+
+
 class TestZofSet:
     def test_empty_config_drift_only(self):
         c = simulate(Window(1.0, ((0.0, 1.0),), Shell(3.0, 9.0)), ATOMS, 0)

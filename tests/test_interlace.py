@@ -1,5 +1,8 @@
 import functools
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,10 +12,11 @@ from levynoise import integrands as ig
 from levynoise import integrate as it
 from levynoise import interlace as il
 from levynoise import mc, prm
-from levynoise.experiments import _ladder_rows, _ladder_table
+from levynoise.cli import bundled_config_text, write_artifacts
+from levynoise.experiments import _ladder_rows, _ladder_table, parse_config, run_experiment
 from levynoise.measure import DiscreteAtoms, Shell, TruncatedStable
 from levynoise.prm import Window
-from oracles import interlacing_rows_per_config
+from oracles import interlacing_rows_per_config, one_path
 
 TSTABLE = TruncatedStable(alpha=1.0, c=1.0, r=1.0)
 TSTABLE2 = TruncatedStable(alpha=1.0, c=1.0, r=2.0)
@@ -213,6 +217,37 @@ class TestSmallJumpDiagnostic:
         lines = _ladder_table(rep).splitlines()
         assert lines[0] == "level,threshold,I,empirical_sup2,bound,exceed_freq,bound_freq"
         assert len(lines) == 1 + len(rep.rows)
+
+
+class TestDeepestRing:
+    def test_reads_only_the_marks(self):
+        # the worked example's deepest ring, (1.9e-6, 1.5e-5], about 917,504
+        # points: H = z on a symmetric measure has no drift, and every jump
+        # lies before T, so its statistic draws neither times nor locations
+        ladder = il.eps_sequence(H_Z, BOX, 1.0, TSTABLE, n_max=6)
+        problem = il.LadderProblem(H=H_Z, measure=TSTABLE, T=1.0, box=BOX)
+        j, window, stat = list(il.rings(ladder, problem))[-1]
+        assert j == 4 and window.shell == Shell(8.0 ** -6 / 2.0, 8.0 ** -5 / 2.0)
+        batch = prm.simulate(window, TSTABLE, 17)
+        s, s_exceed = stat(batch)
+        assert {"t", "x"}.isdisjoint(vars(batch)) and "z" in vars(batch)
+        assert len(batch.z) > 900_000 and s_exceed is s
+        assert s[0] == one_path(None, None, H_Z, batch, TSTABLE, math.inf).sup_abs(1.0)
+
+
+class TestPinnedOutputs:
+    def test_small_run_bytes(self, tmp_path):
+        # the bundled interlace at diag_replicates 2 and spatial_replicates 3,
+        # every output file against its digest in interlace_digests.json.
+        # The marks pass through a power, so a numpy or libm build that
+        # rounds it otherwise fails here too.
+        raw = json.loads(bundled_config_text("interlace"))
+        raw["params"].update(diag_replicates=2, spatial_replicates=3)
+        out = write_artifacts(run_experiment(parse_config(raw)), str(tmp_path))
+        pinned = json.loads((Path(__file__).parent / "interlace_digests.json").read_text())
+        got = {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in pinned["small"]}
+        assert got == pinned["small"]
+        assert sorted(p.name for p in out.iterdir()) == sorted(pinned["small"])
 
 
 class TestSpatialDiagnostic:

@@ -1,10 +1,12 @@
+import dataclasses
 import math
 import weakref
 
 import numpy as np
 import pytest
 
-from levynoise import mc, prm
+from levynoise import interlace as il, mc, prm
+from levynoise.experiments import _ladder_rows
 from levynoise.mc import McEstimate, estimate, run_replicates, verdict
 from levynoise.measure import DiscreteAtoms, Shell
 from levynoise.prm import Window, simulate
@@ -175,6 +177,21 @@ class TestVerdict:
         args[field] = shape(vals[field], bad)
         v = verdict(McEstimate(args["mean"], args["se"], 10, 0), args["target"], atol=1.0)
         assert not v.passed
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["empirical_sup2", "sup2_se", "exceed_freq", "exceed_se"])
+    def test_nonfinite_bound_rows_never_pass(self, field, bad):
+        # interlace's sup2_bound and exceed_bound verdicts: clean, both
+        # pass; a non-finite estimate or se fails its row
+        clean = il.DiagnosticRow(level=2, threshold=0.01, i_value=0.02, empirical_sup2=0.05,
+                                 sup2_se=0.01, bound=0.1, exceed_freq=0.2, exceed_se=0.05,
+                                 bound_freq=0.25)
+        rows = lambda row: list(_ladder_rows("", il.DiagnosticReport("small-jump", [row], 10, 0),
+                                             4.0))
+        assert [v.passed for v in rows(clean)] == [True, True]
+        of_sup2 = field in ("empirical_sup2", "sup2_se")
+        got = rows(dataclasses.replace(clean, **{field: bad}))
+        assert [v.passed for v in got] == [not of_sup2, of_sup2]
 
     def test_calibration_under_true_null(self):
         # a 4-sigma rule should essentially never fail a centered experiment

@@ -230,6 +230,17 @@ class TestSampler:
         assert time.perf_counter() - start < 1.0
         assert "accepted 0 of 100000 draws" in str(block.value)
 
+    def test_truncated_stable_sign_is_the_product(self):
+        # the in-place sign gives the floats of sign * magnitude, the
+        # product it replaced, on 10^6 marks, and the marks own their memory
+        shell, n = Shell(1.9e-6, 1.5e-5), 10 ** 6
+        z = TSTABLE.sample_shell(shell, np.random.default_rng(5), n)
+        u = np.random.default_rng(5).random((n, 2))
+        mag = TSTABLE._power_law_abs(u[:, 0], *TSTABLE._bounds(shell))
+        want = np.where(u[:, 1] < 0.5, -1.0, 1.0) * mag
+        assert z.tobytes() == want.tobytes() and z.base is None
+        assert 0 < np.count_nonzero(z < 0) < n
+
     def test_zero_mass_shell_errors(self):
         rng = np.random.default_rng(4)
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 from unittest import mock
@@ -261,6 +262,28 @@ class TestBlockDraw:
                 getattr(batch, f), dtype="<i8" if f == "offsets" else "<f8").tobytes()
                 for batch in blocks)).hexdigest() for f in fields}
         assert got == want
+
+
+class TestLazyFields:
+    """simulate draws the counts at once and t, x and z each on its first
+    read, each from its own stream, so no read order moves a byte."""
+
+    @pytest.mark.parametrize("order", ["".join(p) for p in itertools.permutations("txz")])
+    @pytest.mark.parametrize("rows", [1, 40])
+    @pytest.mark.parametrize("name", ["atoms", "tstable", "tempered", "empty"])
+    def test_any_read_order(self, name, rows, order):
+        # "empty" is a shell without mass: lam = 0, the fields given as arrays
+        w = prm.Window(1.0, WIN2.box, Shell(3.0, 9.0)) if name == "empty" else WIN2
+        m = ATOMS if name == "empty" else MEASURES[name]
+        full = prm.simulate(w, m, 31, 2, rows)
+        want = {f: getattr(full, f).tobytes() for f in "txz"}
+        batch = prm.simulate(w, m, 31, 2, rows)
+        for k, f in enumerate(order):
+            assert not set(order[k:]) & set(vars(batch))  # not drawn yet
+            assert getattr(batch, f).tobytes() == want[f]
+            assert not getattr(batch, f).flags.writeable
+        assert same_points(batch, oracles.stream_block(w, m, 31, 2, rows))
+        assert (len(batch.t) == 0) == (name == "empty")
 
 
 def restrict_oracle(c, sub):
