@@ -317,9 +317,8 @@ def _iterated(slots, batch: PointBatch, measure: LevyMeasure, T: float) -> np.nd
     projs = [it.project_time(f, batch.window, measure) for f in slots]
 
     def running(f, weight=1.0):  # per replicate, 0 and the partial sums of weight * f
-        rows = np.zeros((n, counts.max(initial=0)))
-        rows[g.jseg, col] = weight * np.asarray(f(g.tj, g.xj, g.zj), dtype=float)
-        return np.concatenate([np.zeros((n, 1)), np.cumsum(rows, axis=1)], axis=1)
+        values = weight * np.asarray(f(g.tj, g.xj, g.zj), dtype=float)  # 0-d without terms
+        return it._rows(g.tj, np.broadcast_to(values, g.tj.shape), counts, None).csum
 
     # level 1
     csum = running(slots[0])

@@ -111,20 +111,15 @@ def parse_config(raw: dict) -> Config:
         except Exception as exc:
             raise ConfigError(f"integrands.{key}: {exc}") from exc
 
-    cfg = Config(
-        experiment=name,
-        seed=typed("seed", 0, int, "an integer"),
-        replicates=typed("replicates", 10000, int, "an integer"),
-        workers=typed("workers", 1, int, "an integer"),
-        k_sigma=float(typed("k_sigma", 4.0, (int, float), "a number")),
-        window=window,
-        measures=measures,
-        integrands=integrands,
-        params=dict(typed("params", {}, dict, "an object")),
-        output_dir=typed("output_dir", None, (str, type(None)), "a string"),
-    )
+    cfg = Config(experiment=name, window=window, measures=measures, integrands=integrands,
+                 params=dict(typed("params", {}, dict, "an object")),
+                 **_resolve(FIELDS, raw, None))
     validate_config(cfg)
-    cfg.params = _resolve_params(cfg)
+    table = PARAMS[name]
+    unknown = sorted(set(cfg.params) - set(table))
+    if unknown:
+        raise ConfigError(f"params.{unknown[0]}: unknown param; choose from {sorted(table)}")
+    cfg.params = _resolve(table, cfg.params, cfg, "params.")
     if name == "interlace":
         cfg.ladders = _ladders(cfg)
     for key, ladder, problem in cfg.ladders:
@@ -157,7 +152,7 @@ def _kind(what: str, ok, convert=lambda val: val):
     return kind
 
 
-_PATHS = _kind("an integer >= 1", lambda v: type(v) is int and v >= 1)
+_COUNT = _kind("an integer >= 1", lambda v: type(v) is int and v >= 1)
 _REPLICATES = _kind("an integer >= 2", lambda v: type(v) is int and v >= 2)  # an se, a ring need 2
 _REAL = _kind("a finite number", _finite, float)
 _POSITIVE = _kind("a finite number > 0", lambda v: _finite(v) and v > 0.0, float)
@@ -221,7 +216,12 @@ def _smooth_fns(val, cfg) -> list[ito.SmoothFn]:
 
 ITO_FNS = [{"kind": "poly", "coeffs": [0.0, 0.0, 1.0]}, {"kind": "exp", "scale": 0.4},
            {"kind": "cos", "scale": 1.0}]
-_ITO = {"functions": (_smooth_fns, ITO_FNS), "paths": (_PATHS, 1000),
+# The top-level fields that are plain values, {key: (kind, default)}
+FIELDS = {"seed": (_kind("an integer", lambda v: type(v) is int), 0),
+          "replicates": (_REPLICATES, 10000), "workers": (_COUNT, 1), "k_sigma": (_POSITIVE, 4.0),
+          "output_dir": (_kind("a string", lambda v: v is None or isinstance(v, str)), None)}
+
+_ITO = {"functions": (_smooth_fns, ITO_FNS), "paths": (_COUNT, 1000),
         "g_names": (_integrands, ["G0", "G1", "G2"])}
 _K_NAMES = (_integrands, ["K1", "K2", "K3"])
 
@@ -229,7 +229,7 @@ _K_NAMES = (_integrands, ["K1", "K2", "K3"])
 # default is a function of the config.  `parse_config` resolves each one,
 # given or defaulted, into `Config.params`.
 PARAMS = {
-    "simulate": {"spatial_sample": (_PATHS, 300), "test_level": (_LEVEL, 1e-3)},
+    "simulate": {"spatial_sample": (_COUNT, 300), "test_level": (_LEVEL, 1e-3)},
     "isometry": {"cells": (_cells, lambda cfg: [{"measure": mk, "integrand": hk}
                                                 for mk in cfg.measures for hk in cfg.integrands])},
     "charfn": {"a": (_REAL, 0.4), "u_values": (_REALS, [-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]),
@@ -238,7 +238,7 @@ PARAMS = {
     "ito-lemma": {**_ITO, "residual_tol": (_POSITIVE, 1e-8), "k_names": _K_NAMES},
     "ito1": {**_ITO, "residual_tol": (_POSITIVE, 1e-6), "k_names": _K_NAMES,
              "h_name": (_integrand, "H"), "agreement_tol": (_POSITIVE, 1e-10),
-             "agreement_paths": (_PATHS, 100)},
+             "agreement_paths": (_COUNT, 100)},
     "ito2": {**_ITO, "functions": (_smooth_fns, [{"kind": "poly", "coeffs": [0.0, 0.0, 1.0]},
                                                  {"kind": "abs_pow", "power": 2.0},
                                                  {"kind": "exp", "scale": 0.4}]),
@@ -254,40 +254,29 @@ PARAMS = {
                "cell_replicates": (_REPLICATES, lambda cfg: cfg.replicates),
                "x_names": (_integrands, ["X1", "X2", "X3"])},
     "martingale": {"h_name": (_integrand, "h"), "u_values": (_REALS, [-1.0, -0.5, 0.5, 1.0, 2.0]),
-                   "representation_paths": (_PATHS, 100), "representation_tol": (_POSITIVE, 1e-6)},
+                   "representation_paths": (_COUNT, 100), "representation_tol": (_POSITIVE, 1e-6)},
     "chaos": {"slot_a": (_integrand, "A"), "slot_b": (_integrand, "B"),
               "slot_c": (_integrand, "C"), "product_tol": (_POSITIVE, 1e-9),
-              "product_check_paths": (_PATHS, 300)},
+              "product_check_paths": (_COUNT, 300)},
 }
 
 
-def _resolve_params(cfg: Config) -> dict:
-    """The experiment's PARAMS, each given or defaulted, checked and
-    converted; an undeclared key is a ConfigError naming it."""
-    table = PARAMS[cfg.experiment]
-    unknown = sorted(set(cfg.params) - set(table))
-    if unknown:
-        raise ConfigError(f"params.{unknown[0]}: unknown param; choose from {sorted(table)}")
+def _resolve(table: dict, given: dict, cfg: Config | None, prefix: str = "") -> dict:
+    """Each entry of a FIELDS or PARAMS table, given or defaulted, checked and
+    converted; a bad value is a ConfigError naming <prefix><key>."""
     out = {}
     for key, (kind, default) in table.items():
-        if cfg.experiment == "interlace" and key.startswith("spatial_") and not out["spatial"]:
+        if key.startswith("spatial_") and out.get("spatial") is False:
             continue  # interlace without its spatial ladder
-        val = cfg.params[key] if key in cfg.params else (
-            default(cfg) if callable(default) else default)
+        val = given[key] if key in given else (default(cfg) if callable(default) else default)
         try:
             out[key] = kind(val, cfg)
         except ValueError as exc:
-            raise ConfigError(f"params.{key}: {exc}") from None
+            raise ConfigError(f"{prefix}{key}: {exc}") from None
     return out
 
 
 def validate_config(cfg: Config) -> None:
-    if cfg.replicates < 2:
-        raise ConfigError("replicates: need at least 2")
-    if cfg.workers < 1:
-        raise ConfigError("workers: need at least 1")
-    if not 0.0 < cfg.k_sigma < math.inf:
-        raise ConfigError(f"k_sigma: need a finite value > 0, got {cfg.k_sigma}")
     for key, m in cfg.measures.items():
         try:
             points = intensity(cfg.window, m)

@@ -307,16 +307,11 @@ class CadlagPath:
         """Path seg[i] at time s[i], or its left limit there with `left`; with
         one row seg, that path at every time s; without seg, every path at
         the one time s."""
-        n = len(self.times)
-        if seg is None:  # counts each row's jumps at or before s, as searchsorted
-            s = float(s)
-            idx = np.count_nonzero(self.times < s if left else self.times <= s, axis=1)
-            return self.csum[np.arange(n), idx] + self.drift(np.full(n, s))
-        if n == 1:
-            idx = np.searchsorted(self.times[0], s, side="left" if left else "right")
-        else:
-            real = self.times < np.inf
-            idx = jumps_before(s, seg, self.times[real], np.nonzero(real)[0], left)
+        if seg is None:
+            n = len(self.csum)
+            s, seg = np.full(n, float(s)), np.arange(n)
+        real = self.times < np.inf
+        idx = jumps_before(s, seg, self.times[real], np.nonzero(real)[0], left)
         return self.csum[seg, idx] + self.drift(s)
 
     def sup_abs(self, t: float) -> np.ndarray:

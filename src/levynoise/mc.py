@@ -91,10 +91,6 @@ def estimate(values, master_seed: int) -> McEstimate:
 class Verdict:
     passed: bool
     z: float
-    estimate: object
-    target: object
-    se: object
-    k_sigma: float
 
 
 def verdict(est: McEstimate, target, k_sigma: float = 4.0, atol: float = 0.0) -> Verdict:
@@ -113,5 +109,4 @@ def verdict(est: McEstimate, target, k_sigma: float = 4.0, atol: float = 0.0) ->
     with np.errstate(divide="ignore", invalid="ignore"):
         zs = np.where(se > 0, d / se, np.where(d == 0.0, 0.0, math.inf))
     ok = np.isfinite(d) & np.isfinite(se) & (d <= k_sigma * se + atol)
-    return Verdict(bool(np.all(ok)), float(np.max(zs)), est.mean, target,
-                   est.se, k_sigma)
+    return Verdict(bool(np.all(ok)), float(np.max(zs)))

@@ -97,7 +97,8 @@ class TestParseConfig:
         ("k_sigma", -1), ("k_sigma", 0), ("k_sigma", math.inf), ("k_sigma", math.nan),
         ("k_sigma", "4"), ("k_sigma", False), ("experiment", ["simulate"]),
         ("measures", "x"), ("integrands", [1]), ("params", [1]), ("params", "x"),
-        ("replicate", 100), ("measurs", {}), ("description", "x")])
+        ("replicate", 100), ("measurs", {}), ("description", "x"), ("replicates", 1),
+        ("workers", 0)])
     def test_bad_top_level_field(self, tmp_path, key, value):
         raw = small_simulate_config()
         raw[key] = value
@@ -303,6 +304,17 @@ class TestCliCommands:
         raw["integrands"]["HS"]["terms"][0]["space"] = [{"kind": "product", "factors": [
             {"kind": "exp_abs", "rate": -1.0}, {"kind": "cos", "freq": 1.0}]}]
         assert main(["validate", write_config(tmp_path, raw)]) == 0
+
+    def test_skewed_space_factor_validates_and_runs(self, tmp_path):
+        # HS's space factor e^-|x| e^(x/2) decays on both sides, and its
+        # whole-line integral is 8/3; quadrature once read it as divergent
+        raw = json.loads(bundled_config_text("interlace"))
+        raw["integrands"]["HS"]["terms"][0]["space"] = [{"kind": "product", "factors": [
+            {"kind": "exp_abs", "rate": -1.0}, {"kind": "exp", "rate": 0.5}]}]
+        raw["params"].update(diag_replicates=2, spatial_replicates=3)
+        path = write_config(tmp_path, raw)
+        assert main(["validate", path]) == 0
+        assert main(["run", path, "--output-dir", str(tmp_path / "out")]) == 0
 
     @pytest.mark.parametrize("name", EXPERIMENTS)
     def test_validate_prints_resolved_params(self, tmp_path, capsys, name):

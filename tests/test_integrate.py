@@ -346,8 +346,9 @@ def rowwise(rows, jumps, drift):
 
 class TestRowwisePaths:
     """A CadlagPath of many rows answers, row for row and bit for bit, as the
-    one-path code answers on each row alone: rows of different lengths, an
-    empty row, tied times, t before, at and after the jumps."""
+    one-path code answers on each row alone, and so does a CadlagPath of
+    that row alone: rows of different lengths, an empty row, tied times, t
+    before, at and after the jumps."""
 
     @given(st.lists(st.lists(TIMES, max_size=8), min_size=1, max_size=4),
            st.integers(0, 2 ** 32 - 1), st.floats(0.0, 1.2) | st.sampled_from([0.25, 0.5]),
@@ -384,6 +385,18 @@ class TestRowwisePaths:
         assert path.eval(s, seg).tolist() == [ones[g].eval(v) for g, v in zip(seg, s)]
         assert (path.eval(s, seg, left=True).tolist()
                 == [ones[g].eval_left(v) for g, v in zip(seg, s)])
+        # every path at one time, and each row as a path of one row, at the
+        # pool's times and before and after every jump
+        at = np.concatenate([[-0.5, 1.5], pool])
+        for r, j, one in zip(rows, jumps, ones):
+            alone, _ = rowwise([r], [j], drift)
+            for left, want in ((False, one.eval), (True, one.eval_left)):
+                assert alone.eval(at, np.zeros(len(at), dtype=int), left).tolist() == \
+                    want(at).tolist()
+                assert [alone.eval(v, left=left)[0] for v in at] == want(at).tolist()
+        for v in at:
+            assert path.eval(v).tolist() == [one.eval(v) for one in ones]
+            assert path.eval(v, left=True).tolist() == [one.eval_left(v) for one in ones]
 
     @pytest.mark.parametrize("m", [ATOMS, TSTABLE], ids=["atoms", "tstable"])
     def test_build_path_rows_are_one_paths(self, m):

@@ -146,6 +146,72 @@ class TestASequence:
         assert not ladder.levels
 
 
+def _split_quad(f, cuts):
+    """The integral of f over the line by scipy quad between the cuts, at
+    f's kinks and zeros, and beyond them out to +-200, where every case
+    below has decayed past e^-100."""
+    edges = [-200.0, *sorted(cuts), 200.0]
+    return math.fsum(si.quad(f, lo, hi, epsabs=0.0, epsrel=2e-14, limit=200)[0]
+                     for lo, hi in zip(edges, edges[1:]))
+
+
+def _zeros_of_cos(freq, reach=200.0):
+    """The zeros of cos(freq x) in [-reach, reach]."""
+    k = np.arange(math.ceil(freq * reach / math.pi) + 1)
+    z = (math.pi / 2.0 + k * math.pi) / freq
+    z = z[z <= reach]
+    return [*z, *-z]
+
+
+class TestFullLineIntegral:
+    """The whole-line space integrals of the spatial ladders run on node
+    panels: the antiderivative where finite, else summed between cuts at
+    steps of the decay length or the indicators' reach, graded toward 0."""
+
+    CASES = {  # (factors, the cuts of their product's split-quad reference)
+        "exp_abs_cos1": ((ig.ExpAbs(-1.0), ig.Cos(1.0)), [0.0, *_zeros_of_cos(1.0)]),
+        "exp_abs_cos5": ((ig.ExpAbs(-1.0), ig.Cos(5.0)), [0.0, *_zeros_of_cos(5.0)]),
+        "abs_indicator_cos3": ((ig.AbsIndicator(0.2, 0.7), ig.Cos(3.0)),
+                               [-0.7, -math.pi / 6, -0.2, 0.2, math.pi / 6, 0.7]),
+        "skewed": ((ig.ExpAbs(-1.0), ig.Exp(0.5)), [0.0]),
+        "quartic": ((ig.ExpAbs(-0.5), ig.Poly((0.0, 0.0, 0.0, 0.0, 1.0))), [0.0]),
+        "sqrt": ((ig.ExpAbs(-1.0), ig.AbsPow(0.5)), [0.0]),
+    }
+
+    def test_exp_abs_exact(self):
+        for use_abs in (False, True):
+            assert il._full_line_integral(ig.ExpAbs(-1.0), use_abs) == 2.0
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_matches_split_quad(self, name):
+        factors, cuts = self.CASES[name]
+        node = ig.product_node(*factors)
+        for use_abs in (False, True):
+            f = (lambda x: abs(float(node(x)))) if use_abs else (lambda x: float(node(x)))
+            got = il._full_line_integral(node, use_abs)
+            assert type(got) is float
+            assert got == pytest.approx(_split_quad(f, cuts), rel=1e-12)
+
+    def test_closed_forms(self):
+        def full(*factors):
+            return il._full_line_integral(ig.product_node(*factors), False)
+
+        assert full(ig.AbsIndicator(0.2, 0.7), ig.Cos(3.0)) == pytest.approx(
+            2.0 / 3.0 * (math.sin(2.1) - math.sin(0.6)), rel=1e-12)
+        assert full(ig.ExpAbs(-1.0), ig.Exp(0.5)) == pytest.approx(8.0 / 3.0, rel=1e-12)
+        assert full(ig.ExpAbs(-0.5), ig.Poly((0.0, 0.0, 0.0, 0.0, 1.0))) == pytest.approx(
+            1536.0, rel=1e-12)
+        assert full(ig.ExpAbs(-1.0), ig.AbsPow(0.5)) == pytest.approx(math.sqrt(math.pi),
+                                                                      rel=1e-12)
+
+    @pytest.mark.parametrize("node", [ig.product_node(ig.ExpAbs(-1.0), ig.Exp(2.0)),
+                                      ig.Cos(1.0), ig.AbsPow(2.0)],
+                             ids=["exp_abs_exp2", "cos", "abs_pow2"])
+    def test_diverges(self, node):
+        for use_abs in (False, True):
+            assert il._full_line_integral(node, use_abs) is None
+
+
 def _counted(monkeypatch, module, name):
     """The arguments of every call of module.name from now on."""
     calls, fn = [], getattr(module, name)
