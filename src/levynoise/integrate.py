@@ -324,7 +324,7 @@ class CadlagPath:
         largest |running sum|, read without the times; that counts a sum
         between tied jumps, which the path skips, so it may be larger."""
         if not self.drift.pieces and t >= self.horizon:
-            return np.abs(self.csum).max(axis=1)
+            return np.maximum(-self.csum.min(axis=1), self.csum.max(axis=1))  # 0s give +0.0
         k = np.count_nonzero(self.times <= t, axis=1)  # a prefix of each row
         J = int(k.max(initial=0))
         ts, prefix = self.times[:, :J], np.arange(J) < k[:, None]
@@ -367,15 +367,21 @@ def _rows(times, jumps, counts, drift, horizon: float = np.inf) -> CadlagPath:
     n, J = len(counts), int(counts.max(initial=0))
     real = None if np.all(counts == J) else np.arange(J) < counts[:, None]
 
-    def pad(values, fill):  # with no row short, the rows are views of the values
+    def pad(values):  # with no row short, the rows are views of the values
         if real is None:
             return values.reshape(n, J)
-        out = np.full((n, J), fill)
+        out = np.full((n, J), np.inf)
         out[real] = values
         return out
 
-    csum = np.concatenate([np.zeros((n, 1)), np.cumsum(pad(jumps, 0.0), axis=1)], axis=1)
-    return CadlagPath(lambda: pad(times() if callable(times) else times, np.inf), csum,
+    csum = np.zeros((n, J + 1))  # column 0 stays 0; the rest sums the jumps in place
+    body = csum[:, 1:]
+    if real is None:
+        body[:] = np.reshape(jumps, (n, J))
+    else:
+        body[real] = jumps
+    np.cumsum(body, axis=1, out=body)
+    return CadlagPath(lambda: pad(times() if callable(times) else times), csum,
                       drift, horizon)
 
 

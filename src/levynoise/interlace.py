@@ -117,6 +117,13 @@ def eps_sequence(H: Integrand, box, T: float, measure: LevyMeasure,
                    n_max)
 
 
+def _reach(node: Node) -> float | None:
+    """The a of the narrowest [-a, a] that holds its indicator factors, if any."""
+    factors = node.factors if isinstance(node, Product) else (node,)
+    return min((max(-f.lo, f.hi) for f in factors
+                if isinstance(f, (Indicator, AbsIndicator))), default=None)
+
+
 def _full_line_integral(node: Node, use_abs: bool):
     """The integral of the node, or of |node| with `use_abs`, over the whole
     line; None when no indicator bounds it and its exp and exp_abs rates do
@@ -130,13 +137,13 @@ def _full_line_integral(node: Node, use_abs: bool):
     if F is not None and np.all(np.isfinite(F)) and (not use_abs or one_signed(node)):
         return abs(float(F[1] - F[0])) if use_abs else float(F[1] - F[0])
     factors = node.factors if isinstance(node, Product) else (node,)
-    reach = [max(-f.lo, f.hi) for f in factors if isinstance(f, (Indicator, AbsIndicator))]
+    reach = _reach(node)
     # the exponent's slope on the side where it falls more slowly
     rate = (sum(f.rate for f in factors if isinstance(f, ExpAbs))
             + abs(sum(f.rate for f in factors if isinstance(f, Exp))))
-    if not reach and rate >= 0.0:
+    if reach is None and rate >= 0.0:
         return None
-    cuts = (min(reach) if reach else -1.0 / rate) * np.append(
+    cuts = (reach if reach is not None else -1.0 / rate) * np.append(
         [0.0, *2.0 ** np.arange(-20, 0)], np.arange(1, 65))
     part = node.abs_integral if use_abs else node.integral
     return float(sum(part(lo, hi) + part(-hi, -lo) for lo, hi in zip(cuts, cuts[1:])))
@@ -199,14 +206,14 @@ def a_sequence(H: Integrand, K: Integrand | None, T: float,
             total += coef * (full - inside)
         return total
 
-    # support bound: the smallest a with I(a) = 0, if any within reach
+    # support bound: the smallest a with I(a) = 0, sought below the indicators'
+    # reach when every node has one (far out, a decaying factor's I rounds to 0)
+    reaches = [_reach(node) for _, nodes, _, _ in tails for node in nodes]
     floor = None
-    hi_probe = 1.0
-    while hi_probe <= 2.0 ** 24:
-        if I(hi_probe) == 0.0:
-            floor = _bisect(lambda a: I(a) == 0.0, hi_probe, 0.0)
-            break
-        hi_probe *= 2.0
+    if None not in reaches:
+        reach = max(reaches, default=0.0)
+        if I(reach) == 0.0:
+            floor = _bisect(lambda a: I(a) == 0.0, reach, 0.0)
     floor_tol = 1e-6 * floor if floor else 0.0
 
     def good(target):

@@ -30,6 +30,7 @@ from .integrands import gl_rule
 RULE_NODES, RULE_LOG_WIDTH, SERIES_TERMS = 32, 0.5, 30
 _INV_FACTORIAL = 1.0 / np.cumprod(np.r_[1.0, np.arange(1, SERIES_TERMS)])
 SAMPLE_ROUNDS = 1000  # rounds of TemperedStable's rejection sampler
+MARK_CHUNK = 1 << 15  # marks TruncatedStable draws per pass, to stay in cache
 
 
 class InfiniteMassError(ValueError):
@@ -321,11 +322,16 @@ class TruncatedStable(_SymmetricDensity):
         a, b = self._bounds(shell)
         if b <= a or a == 0.0:
             raise ValueError(f"shell {shell} is not samplable for {self}")
-        u = rng.random((n, 2))  # (magnitude, sign) per mark
-        # a copy, so the marks hold no view of the uniforms; negated in place
-        # where the sign uniform is below 0.5, as the sign of u - 0.5 says
-        mag = self._power_law_abs(u[:, 0].copy(), a, b)
-        return np.copysign(mag, np.subtract(u[:, 1], 0.5, out=u[:, 1]), out=mag)
+        # (magnitude, sign) uniforms a chunk at a time: the chunks continue one
+        # stream, so no mark moves.  The sign is that of u - 0.5
+        out, buf = np.empty(n), np.empty((min(n, MARK_CHUNK), 2))
+        for i in range(0, n, MARK_CHUNK):
+            mag, u = out[i:i + MARK_CHUNK], buf[:n - i]
+            rng.random(out=u)
+            mag[:] = u[:, 0]
+            self._power_law_abs(mag, a, b)
+            np.copysign(mag, np.subtract(u[:, 1], 0.5, out=u[:, 1]), out=mag)
+        return out
 
 
 @dataclass(frozen=True)

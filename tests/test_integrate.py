@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import integrate as si
 
 from levynoise import integrands as ig
@@ -452,6 +452,31 @@ class TestZeroDriftSup:
         path = it._rows(np.array([0.5, 0.5]), np.array([2.0, -2.0]), np.array([2]),
                         it.drift_function([]), horizon=1.0)
         assert path.sup_abs(1.0)[0] == 2.0 and path.sup_abs(0.99)[0] == 0.0
+
+
+class TestRowsInPlace:
+    """_rows builds the running sums in place, bit for bit the sums of the
+    padded jump matrix, and a NaN jump still reaches sup_abs."""
+
+    @given(st.lists(st.lists(st.floats(-1e3, 1e3) | st.sampled_from([np.nan, -0.0]),
+                             max_size=6), min_size=1, max_size=5))
+    @example([[1.0, 2.0]])  # one row
+    @example([[], [], []])  # only empty rows
+    @example([[1.0, -0.0], [np.nan, 3.0], [0.5, 0.25]])  # equal counts, a NaN
+    @settings(max_examples=80, deadline=None)
+    def test_equals_padded_cumsum(self, rows):
+        counts = np.array([len(r) for r in rows])
+        jumps = np.array([z for r in rows for z in r], dtype=float)
+        n, J = len(rows), int(counts.max())
+        padded = np.zeros((n, J))
+        padded[np.arange(J) < counts[:, None]] = jumps
+        want = np.concatenate([np.zeros((n, 1)), np.cumsum(padded, axis=1)], axis=1)
+        times = np.concatenate([np.linspace(0.1, 0.9, len(r)) for r in rows])
+        fast = it._rows(times, jumps, counts, it.drift_function([]), horizon=1.0)
+        assert fast.csum.shape == want.shape and fast.csum.tobytes() == want.tobytes()
+        nan = np.isnan(want).any(axis=1)
+        for path in (fast, it._rows(times, jumps, counts, it.drift_function([]))):
+            assert np.array_equal(np.isnan(path.sup_abs(1.0)), nan)
 
 
 class TestZofSet:

@@ -138,6 +138,28 @@ class TestASequence:
         assert ladder.truncated
         assert ladder.truncation_point == pytest.approx(2.0, rel=1e-6)
 
+    @pytest.mark.parametrize("kind", ["spatial-I", "spatial-II"])
+    def test_indicator_floor_at_reach(self, kind):
+        # every space factor is an indicator: the ladder ends at the widest
+        # reach, 2, where I first vanishes
+        H = ig.term(space=(ig.Indicator(-0.3, 0.7), ig.AbsIndicator(0.0, 2.0)),
+                    jump=ig.SignPow(1.0))
+        K = ig.term(space=(ig.Indicator(-0.3, 0.7), ig.Indicator(-0.5, 1.0)),
+                    jump=ig.AbsPow(2.0)) * 0.5
+        ladder = il.a_sequence(H, K if kind == "spatial-I" else None, 1.0, TSTABLE2,
+                               n_max=10, kind=kind, shell=Shell(0.05, 2.0), dim=2)
+        assert ladder.truncated and ladder.truncation_point == 2.0
+        assert len(ladder.levels) == 6 and ladder.thresholds[-2] < 2.0
+
+    def test_decaying_factor_has_no_floor(self):
+        # e^-|x| bounds no support: far out its box integral rounds to its
+        # whole-line one and I reads 0 from about a = 37.4, which ends no ladder
+        H, K = self.h_and_k()
+        ladder = il.a_sequence(H, K, 1.0, TSTABLE2, n_max=20, kind="spatial-I",
+                               shell=Shell(0.05, 2.0))
+        assert not ladder.truncated and ladder.truncation_point is None
+        assert len(ladder.levels) == 20 and ladder.violation is None
+
     def test_non_decaying_flagged(self):
         H = ig.term(space=ig.Poly((1.0, 0.5)), jump=ig.SignPow(1.0))
         ladder = il.a_sequence(H, None, 1.0, TSTABLE2, n_max=4, kind="spatial-II",

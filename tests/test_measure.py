@@ -1,6 +1,7 @@
 import cmath
 import math
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,8 +9,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import integrate as si
 
+from levynoise import measure
 from levynoise.measure import (
     FULL,
+    MARK_CHUNK,
     DiscreteAtoms,
     InfiniteMassError,
     InfiniteMomentError,
@@ -240,6 +243,35 @@ class TestSampler:
         want = np.where(u[:, 1] < 0.5, -1.0, 1.0) * mag
         assert z.tobytes() == want.tobytes() and z.base is None
         assert 0 < np.count_nonzero(z < 0) < n
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("chunk", [7, MARK_CHUNK])
+    def test_chunked_marks_are_one_draw(self, monkeypatch, chunk, alpha):
+        # the marks drawn a chunk at a time are bit for bit those of one draw
+        # of every (magnitude, sign) pair, and the stream ends where it did
+        monkeypatch.setattr(measure, "MARK_CHUNK", chunk)
+        m, shell = TruncatedStable(alpha=alpha, c=1.0, r=1.0), Shell(1e-3, 0.9)
+        for n in (0, 1, chunk - 1, chunk, chunk + 1, 3 * chunk + 5):
+            rng, one_rng = np.random.default_rng(n), np.random.default_rng(n)
+            z = m.sample_shell(shell, rng, n)
+            u = one_rng.random((n, 2))
+            mag = m._power_law_abs(u[:, 0].copy(), *m._bounds(shell))
+            want = np.copysign(mag, u[:, 1] - 0.5)
+            assert z.shape == (n,)
+            assert np.array_equal(z.view(np.uint64), want.view(np.uint64))
+            assert rng.random() == one_rng.random()
+
+    def test_deepest_ring_marks_memory(self):
+        # the worked ladder's deepest ring draws 917,504 marks: 8 bytes each
+        # and one chunk's buffer, no whole-ring temporaries
+        n = 917_504
+        tracemalloc.start()
+        try:
+            TSTABLE.sample_shell(Shell(1.9e-6, 1.5e-5), np.random.default_rng(6), n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 8 * n
 
     def test_zero_mass_shell_errors(self):
         rng = np.random.default_rng(4)
