@@ -178,9 +178,10 @@ def representation_residual(h: Integrand, batch: PointBatch,
     phase_nodes, psi_nodes = it.tensor_fold(_phase_and_psi, factors, wx, zw)
     # cumulative Psi integral along the same grid
     psi_cum_nodes, psi_cum_breaks = _cumulative(g, psi_nodes)
-    m_nodes = np.exp(1j * path.eval(g.s, g.sseg) - psi_cum_nodes)
+    m_nodes = np.exp(1j * (path.csum[g.sseg, g.node_jumps] + path.drift(g.s)) - psi_cum_nodes)
     lhs = np.exp(1j * path.eval(T) - psi_cum_breaks[g.last])
-    m_left = np.exp(1j * path.eval(g.tj, g.jseg, left=True) - psi_cum_breaks[g.jump_break])
+    m_left = np.exp(1j * (path.csum[g.jseg, g.jump_left] + path.drift(g.tj))
+                    - psi_cum_breaks[g.jump_break])
     hj = np.asarray(h(g.tj, g.xj, g.zj), dtype=float)
     jump_sum = _by_replicate(g.jseg, (np.exp(1j * hj * g.zj) - 1.0) * m_left, n)
     comp = _by_replicate(g.sseg, phase_nodes * g.ws * m_nodes, n)
@@ -313,7 +314,6 @@ def _iterated(slots, batch: PointBatch, measure: LevyMeasure, T: float) -> np.nd
                                         8)
     counts = np.bincount(g.jseg, minlength=n)
     col = np.arange(len(g.tj)) - (np.cumsum(counts) - counts)[g.jseg]
-    node_jumps = it.jumps_before(g.s, g.sseg, g.tj, g.jseg)
     projs = [it.project_time(f, batch.window, measure) for f in slots]
 
     def running(f, weight=1.0):  # per replicate, 0 and the partial sums of weight * f
@@ -323,7 +323,7 @@ def _iterated(slots, batch: PointBatch, measure: LevyMeasure, T: float) -> np.nd
     # level 1
     csum = running(slots[0])
     C_breaks = it.time_cumulative(projs[0], g.breaks)
-    P_nodes = csum[g.sseg, node_jumps] - it.time_cumulative(projs[0], g.s)
+    P_nodes = csum[g.sseg, g.node_jumps] - it.time_cumulative(projs[0], g.s)
     # value just before each jump: jumps strictly earlier, compensator up to it
     P_left = csum[g.jseg, col] - C_breaks[g.jump_break]
     P_end = csum[np.arange(n), counts] - C_breaks[g.last]
@@ -332,7 +332,7 @@ def _iterated(slots, batch: PointBatch, measure: LevyMeasure, T: float) -> np.nd
         ck_nodes = np.asarray(projs[k](g.s, 0.0, 0.0), dtype=float) + np.zeros(len(g.s))
         D_nodes, D_breaks = _cumulative(g, P_nodes * ck_nodes)
         inc = running(slots[k], P_left)
-        P_nodes = inc[g.sseg, node_jumps] - D_nodes
+        P_nodes = inc[g.sseg, g.node_jumps] - D_nodes
         P_left = inc[g.jseg, col] - D_breaks[g.jump_break]
         P_end = inc[np.arange(n), counts] - D_breaks[g.last]
     return P_end

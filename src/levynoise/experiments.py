@@ -23,7 +23,8 @@ from . import integrate as it
 from . import interlace as il
 from . import ito
 from .integrands import Integrand, SignPow, integrand_from_json
-from .mc import McEstimate, batches, estimate, replicate_values, run_replicates, verdict
+from .mc import (McEstimate, batches, estimate, group_values, replicate_values, run_replicates,
+                 verdict)
 from .measure import LevyMeasure, measure_from_json
 from .prm import Window, dump_csv, intensity, replicate_seed, simulate
 
@@ -560,30 +561,35 @@ def _ito_matrix(cfg: Config, table: str, tag: int, x_key: str, slot: str, split:
     cell, f outermost, X innermost.
 
     X fills the `slot` ("K" or "H") of the process, next to the `fixed`
-    integrands.  The paths of each block of `batches` are built at once at
-    `split`, and `rhs` is the form's right side, called once per block on
-    them with the cell's K and H as keywords.  Each cell gets a verdict on
-    its largest |lhs - rhs| and puts its first paths in the residual table.
-    Returns the result and every cell's FourTermResult, one value per path.
+    integrands.  The f's of one (G, X) are one group: `group_values`
+    stacks each block of their cells' own paths, built at once at `split`,
+    and `rhs`, the form's right side, is called on them with the f's and
+    the cell's K and H as keywords.  Each cell gets a verdict on its largest
+    |lhs - rhs| and puts its first paths in the residual table.  Returns the
+    result and every cell's FourTermResult, one value per path.
     """
     w, m = cfg.window, cfg.measure()
     T = w.horizon
     paths, tol = cfg.params["paths"], cfg.params["residual_tol"]
+    fns, Gs, Xs = cfg.params["functions"], cfg.params["g_names"], cfg.params[x_key]
     res = ExperimentResult(cfg.experiment, cfg.seed, paths)
-    rows = []
-    cells = []
-    for idx, (fn, (gname, G), (xname, X)) in enumerate(itertools.product(
-            cfg.params["functions"], cfg.params["g_names"], cfg.params[x_key])):
-        label = f"{fn.name}|{gname}|{xname}"
+    values = {}
+    for (gi, (_, G)), (xi, (_, X)) in itertools.product(enumerate(Gs), enumerate(Xs)):
         slots = {**fixed, slot: X}
 
-        def evaluate(batch, fn=fn, G=G, slots=slots):
+        def evaluate(batch, G=G, slots=slots):
             path = it.build_path(G, slots.get("K"), slots.get("H"), batch, m, split=split)
-            r = rhs(fn, G, batch=batch, measure=m, t=T, path=path, **slots)
-            return (ito.ito_lhs(fn, path, T), r.g_term, r.big_jump_term,
+            r = rhs(fns, G, batch=batch, measure=m, t=T, path=path, **slots)
+            return (ito.ito_lhs(fns, path, T), r.g_term, r.big_jump_term,
                     r.compensated_term, r.nu_term)
 
-        lhs, *terms = replicate_values(evaluate, w, m, paths, _seed_for(cfg, tag + idx))
+        idxs = [(fi * len(Gs) + gi) * len(Xs) + xi for fi in range(len(fns))]
+        values.update(zip(idxs, group_values(evaluate, w, m, paths,
+                                             [_seed_for(cfg, tag + idx) for idx in idxs])))
+    rows, cells = [], []
+    for idx, (fn, (gname, _), (xname, _)) in enumerate(itertools.product(fns, Gs, Xs)):
+        label = f"{fn.name}|{gname}|{xname}"
+        lhs, *terms = values[idx]
         r = ito.FourTermResult(*terms)
         total = r.total
         res.verdicts.append(_tol_row(f"max_residual[{label}]",
@@ -617,19 +623,18 @@ def run_ito1(cfg: Config) -> ExperimentResult:
     mart = cells[0].compensated_term
     res.verdicts.append(_mc_row("compensated_term_mean", estimate(mart, cfg.seed), 0.0,
                                 cfg.k_sigma))
-    # shared-case agreement: K = H on the big-jump side
-    Gs = cfg.params["g_names"]
-    for i, fn in enumerate(cfg.params["functions"]):
-        G = Gs[min(1, len(Gs) - 1)][1]
-        g2 = ito.equivalent_time_drift(G, H, w, m, split=split)
+    # shared-case agreement: K = H on the big-jump side, every f one group
+    Gs, fns = cfg.params["g_names"], cfg.params["functions"]
+    G = Gs[min(1, len(Gs) - 1)][1]
+    g2 = ito.equivalent_time_drift(G, H, w, m, split=split)
 
-        def gap(batch, fn=fn, G=G, g2=g2):
-            r1 = ito.ito_rhs_big_small(fn, G, H, H, batch, m, T, split=split)
-            r2 = ito.ito_rhs_all_compensated(fn, g2, H, batch, m, T)
-            return (np.abs(r1.total - r2.total),)
+    def gap(batch):
+        r1 = ito.ito_rhs_big_small(fns, G, H, H, batch, m, T, split=split)
+        r2 = ito.ito_rhs_all_compensated(fns, g2, H, batch, m, T)
+        return (np.abs(r1.total - r2.total),)
 
-        gaps, = replicate_values(gap, w, m, cfg.params["agreement_paths"],
-                                 _seed_for(cfg, 450 + i))
+    seeds = [_seed_for(cfg, 450 + i) for i in range(len(fns))]
+    for fn, (gaps,) in zip(fns, group_values(gap, w, m, cfg.params["agreement_paths"], seeds)):
         res.verdicts.append(_tol_row(f"form_agreement[{fn.name}]", _worst(gaps),
                                      cfg.params["agreement_tol"]))
     return res

@@ -307,11 +307,18 @@ class CadlagPath:
         """Path seg[i] at time s[i], or its left limit there with `left`; with
         one row seg, that path at every time s; without seg, every path at
         the one time s."""
-        if seg is None:
-            n = len(self.csum)
-            s, seg = np.full(n, float(s)), np.arange(n)
-        real = self.times < np.inf
-        idx = jumps_before(s, seg, self.times[real], np.nonzero(real)[0], left)
+        if seg is None:  # each row's count of jumps at or before s, or before it
+            s = np.full(len(self.csum), float(s))
+            at = self.times < s[:, None] if left else self.times <= s[:, None]
+            return self.csum[np.arange(len(s)), np.count_nonzero(at, axis=1)] + self.drift(s)
+        # np.searchsorted within each row: complex numbers sort by real part,
+        # then imaginary part, so as (row, time) pairs, exactly
+        rows, cols = np.nonzero(self.times < np.inf)
+        key, query = np.empty(len(rows), dtype=complex), np.empty(len(s), dtype=complex)
+        key.real, key.imag = rows, self.times[rows, cols]
+        query.real, query.imag = seg, s
+        idx = (np.searchsorted(key, query, side="left" if left else "right")
+               - np.searchsorted(rows, seg))
         return self.csum[seg, idx] + self.drift(s)
 
     def sup_abs(self, t: float) -> np.ndarray:
@@ -345,19 +352,6 @@ class CadlagPath:
         for s in self.drift.turning_points(t):
             best = np.maximum(best, np.abs(self.eval(s)))
         return best
-
-
-def jumps_before(s, sseg, tj, jseg, left: bool = True) -> np.ndarray:
-    """Per node i, the jumps of replicate sseg[i] before time s[i], or at or
-    before it without `left`: np.searchsorted within each replicate, for
-    jump times tj of replicates jseg in (replicate, time) order."""
-    # complex numbers sort by real part, then imaginary part: as (replicate,
-    # time) pairs, exactly
-    key, query = np.empty(len(tj), dtype=complex), np.empty(len(s), dtype=complex)
-    key.real, key.imag = jseg, tj
-    query.real, query.imag = sseg, s
-    return (np.searchsorted(key, query, side="left" if left else "right")
-            - np.searchsorted(jseg, sseg))
 
 
 def _rows(times, jumps, counts, drift, horizon: float = np.inf) -> CadlagPath:
@@ -540,8 +534,11 @@ class ReplicateGrid:
     """The interval_rule grid over the breaks of every replicate of a batch
     (0, its jumps up to T, the time discontinuities `extra` and T), one
     replicate after another: nodes s, weights ws and the replicate sseg of
-    each node; and the jumps up to T in batch order, with the replicate
-    jseg of each."""
+    each node; the jumps up to T in batch order, with the replicate jseg of
+    each; and the running-sum column that a path built on the batch reads at
+    each: break_jumps (jumps at or before each break), node_jumps (at or
+    before the left break of each node's interval) and jump_left (before
+    each jump, tied jumps left out, as a left limit leaves them)."""
 
     def __init__(self, batch: PointBatch, T: float, extra, n_time: int):
         n, self.n_time = len(batch), n_time
@@ -556,3 +553,8 @@ class ReplicateGrid:
         mask = batch.t <= T
         self.tj, self.xj, self.zj = batch.t[mask], batch.x[mask], batch.z[mask]
         self.jseg = batch.segment[mask]
+        at = np.bincount(self.jump_break, minlength=len(self.breaks))  # jumps at each break
+        upto = np.cumsum(at)
+        self.break_jumps = upto - (upto - at)[self.first][self.bseg]
+        self.node_jumps = np.repeat(self.break_jumps[:-1][self.inner], n_time)
+        self.jump_left = (self.break_jumps - at)[self.jump_break]

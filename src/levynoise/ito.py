@@ -5,17 +5,18 @@ At the working truncation the simulated process is a genuine finite-activity
 semimartingale, so each identity holds path by path and the only slack is
 quadrature.  Jump sums are exact; time integrals run interval-by-interval
 between jumps (the path is smooth there), on the `integrate.ReplicateGrid`
-of every replicate of a batch at once; the triple compensator integrals use
-one shared time x box x jump rule, so that algebraically cancelling pieces
-cancel to machine precision.  The nu correction A, the rule's sum of
-f(Y(s) + H) - f(Y(s)), is f's Taylor series over separable moments where H
-has one term tau(s) sigma(x) j(z) and f has a series (polynomials, exp, cos
-and sin with |scale| rho <= 1, rho = |tau| max|sigma| max|j| the bound on
-|H| at a time node): O(P) per time node, P the degree or the order that
-leaves 2^-60.  Elsewhere `integrate.tensor_fold` folds the time x box x
-jump tensor.  Either way the right side holds A twice, in (jump sum - A)
-and (A - D), so A cancels from the total up to rounding, whichever way it
-was summed.
+of every replicate of a batch at once, read by its running-sum columns; the
+triple compensator integrals use one shared time x box x jump rule, so that
+algebraically cancelling pieces cancel to machine precision.  The nu
+correction A, the rule's sum of f(Y(s) + H) - f(Y(s)), is f's Taylor series
+over separable moments where H has one term tau(s) sigma(x) j(z) and f has
+a series (polynomials, exp, cos and sin with |scale| rho <= 1,
+rho = |tau| max|sigma| max|j| the bound on |H| at a time node): O(P) per
+time node, P the degree or the order that leaves 2^-60.  Elsewhere
+`integrate.tensor_fold` folds the time x box x jump tensor.  Either way the
+right side holds A twice, in (jump sum - A) and (A - D), so A cancels from
+the total up to rounding, whichever way it was summed.  A group of f's, one
+per equal run of replicates, shares all but the f-dependent pieces.
 """
 
 from __future__ import annotations
@@ -145,9 +146,22 @@ def smooth_fn_from_json(d: dict) -> SmoothFn:
 # left and right sides
 
 
-def ito_lhs(fn: SmoothFn, path: it.CadlagPath, t: float) -> np.ndarray:
-    """f(Y(t)) - f(Y(0)), one value per path."""
-    return fn.f(path.eval(t)) - fn.f(path.eval(0.0))
+def _per_fn(fn, seg, n: int, value) -> np.ndarray:
+    """value(f, rows) for each f of the group fn, concatenated: rows are the
+    items whose replicate in the sorted seg lies in f's run, the runs of the
+    n replicates equal and in f order.  A lone SmoothFn is a group of one."""
+    fns = (fn,) if isinstance(fn, SmoothFn) else tuple(fn)
+    if n % len(fns):
+        raise ValueError(f"{n} replicates do not split into {len(fns)} equal runs")
+    cuts = np.searchsorted(seg, np.arange(len(fns) + 1) * (n // len(fns)))
+    return np.concatenate([value(f, slice(a, b)) for f, a, b in zip(fns, cuts[:-1], cuts[1:])])
+
+
+def ito_lhs(fn, path: it.CadlagPath, t: float) -> np.ndarray:
+    """f(Y(t)) - f(Y(0)), one value per path; fn a SmoothFn or a group (`_per_fn`)."""
+    end, start = path.eval(t), path.eval(0.0)
+    return _per_fn(fn, np.arange(len(end)), len(end),
+                   lambda f, r: f.f(end[r]) - f.f(start[r]))
 
 
 @dataclass(frozen=True)
@@ -165,9 +179,8 @@ class FourTermResult:
         return self.g_term + self.big_jump_term + self.compensated_term + self.nu_term
 
 
-def ito_rhs_raw(fn: SmoothFn, G: Integrand | None, K: Integrand,
-                batch: PointBatch, measure: LevyMeasure,
-                t: float, *, path=None) -> FourTermResult:
+def ito_rhs_raw(fn, G: Integrand | None, K: Integrand, batch: PointBatch,
+                measure: LevyMeasure, t: float, *, path=None) -> FourTermResult:
     """Right side of the no-small-jumps formula: drift term plus the raw
     jump sum of f-increments (needs only f'), i.e. the split form with every
     jump big, on 16 time nodes per interval; `path`: the built path
@@ -176,14 +189,14 @@ def ito_rhs_raw(fn: SmoothFn, G: Integrand | None, K: Integrand,
                              n_time=16, path=path)
 
 
-def ito_rhs_big_small(fn: SmoothFn, G: Integrand | None, K: Integrand | None,
-                      H: Integrand | None, batch: PointBatch,
-                      measure: LevyMeasure, t: float, *, split: float = 1.0,
-                      n_time: int = 8, path=None) -> FourTermResult:
+def ito_rhs_big_small(fn, G: Integrand | None, K: Integrand | None, H: Integrand | None,
+                      batch: PointBatch, measure: LevyMeasure, t: float, *,
+                      split: float = 1.0, n_time: int = 8, path=None) -> FourTermResult:
     """Right side of the four-term formula: raw big jumps, compensated small
     jumps, and the second-order nu correction, each term one value per
     replicate; n_time Gauss-Legendre nodes per time interval, and 8 box by
-    32 jump nodes for the nu correction; `path`: the built path, if any."""
+    32 jump nodes for the nu correction; `path`: the built path, if any.
+    fn is a SmoothFn or a group (`_per_fn`), which shares all else."""
     if path is None:
         path = it.build_path(G, K, H, batch, measure, split=split)
     w, n = batch.window, len(batch)
@@ -191,8 +204,8 @@ def ito_rhs_big_small(fn: SmoothFn, G: Integrand | None, K: Integrand | None,
     extra = [v for X in (G, H) if X is not None for v in X.time_breakpoints()]
     g = it.ReplicateGrid(batch, t, extra, n_time)
     s, ws = g.s, g.ws
-    y = path.eval(s, g.sseg)
-    dfy = fn.df(y)
+    y = path.csum[g.sseg, g.node_jumps] + path.drift(s)
+    dfy = _per_fn(fn, g.sseg, n, lambda f, r: f.df(y[r]))
 
     def per_path(values, where=g.sseg):
         return np.bincount(where, weights=values, minlength=n)
@@ -210,18 +223,20 @@ def ito_rhs_big_small(fn: SmoothFn, G: Integrand | None, K: Integrand | None,
             for term, (tv, _, _) in zip(H.terms, factors):
                 D = D + (per_path(ws * dfy * tv) * it.space_factor(term, w.box)
                          * it.nu_factor(measure, term.jump, small))
-            A = per_path(ws * nu_increments(fn, y, factors, xw, zw))
+            A = per_path(ws * _per_fn(fn, g.sseg, n, lambda f, r: nu_increments(
+                f, y[r], [(tv[r], sv, jv) for tv, sv, jv in factors], xw, zw)))
 
     g_term = np.zeros(n) if G is None else per_path(
         ws * dfy * it.node_values(lambda u: G(u, 0.0, 0.0), s))
     tt, xx, zz, sg = g.tj, g.xj, g.zj, g.jseg
-    yl = path.eval(tt, sg, left=True)
+    yl = path.csum[sg, g.jump_left] + path.drift(tt)
 
     def jump_sum(part, X):  # per path, the sum of f(Y(t-) + X) - f(Y(t-))
         if X is None:
             return np.zeros(n)
-        xv = np.asarray(X(tt[part], xx[part], zz[part]), dtype=float)
-        return per_path(fn.f(yl[part] + xv) - fn.f(yl[part]), sg[part])
+        y0, seg = yl[part], sg[part]
+        y1 = y0 + np.asarray(X(tt[part], xx[part], zz[part]), dtype=float)
+        return per_path(_per_fn(fn, seg, n, lambda f, r: f.f(y1[r]) - f.f(y0[r])), seg)
 
     big = np.abs(zz) > split
     terms = (g_term, jump_sum(big, K), jump_sum(~big, H) - A, A - D)
@@ -264,9 +279,8 @@ def nu_increments(fn: SmoothFn, y, factors, xw, zw) -> np.ndarray:
     return out
 
 
-def ito_rhs_all_compensated(fn: SmoothFn, G: Integrand | None, H: Integrand,
-                            batch: PointBatch, measure: LevyMeasure,
-                            t: float, *, path=None) -> FourTermResult:
+def ito_rhs_all_compensated(fn, G: Integrand | None, H: Integrand, batch: PointBatch,
+                            measure: LevyMeasure, t: float, *, path=None) -> FourTermResult:
     """Right side of the formula with every jump compensated (the whole
     working shell standing in for the punctured line): the split form with
     no big jumps, so its big-jump term is 0; `path`: the built path

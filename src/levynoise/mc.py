@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .prm import block_rows, intensity, simulate
+from .prm import block_rows, intensity, simulate, stack
 
 
 @dataclass(frozen=True)
@@ -40,18 +40,27 @@ def batches(window, measure, n: int, master_seed: int):
 def replicate_values(statistic, window, measure, n: int, master_seed: int) -> list:
     """Each array of the tuple statistic(batch) returns, one value per
     replicate of the batch, concatenated over the blocks of `batches`: one
-    value per replicate, in replicate order.  Each block is freed before
-    the next is drawn, so a block of one large configuration never meets the
-    next."""
-    blocks = []
-    for k0, batch in batches(window, measure, n, master_seed):
+    value per replicate, in replicate order."""
+    return group_values(statistic, window, measure, n, (master_seed,))[0]
+
+
+def group_values(statistic, window, measure, n: int, master_seeds) -> list:
+    """replicate_values of each master seed, all at once: statistic gets
+    the seeds' stream blocks as one `prm.stack`, in seed order, and each
+    array it returns is cut back into their equal runs.  Each block is freed
+    before the next is drawn, so a block of one large configuration never
+    meets the next."""
+    k, blocks = len(master_seeds), []
+    for group in zip(*(batches(window, measure, n, seed) for seed in master_seeds)):
+        (k0, first), batch = group[0], stack([b for _, b in group])
         try:
-            blocks.append(statistic(batch))
+            blocks.append([np.asarray(a) for a in statistic(batch)])
         except Exception as exc:
             raise RuntimeError(f"statistic failed on replicate {k0} to "
-                               f"{k0 + len(batch) - 1}: {exc}") from exc
-        del batch
-    return [np.concatenate(col) for col in zip(*blocks)]
+                               f"{k0 + len(first) - 1}: {exc}") from exc
+        del group, first, batch
+    return [[np.concatenate([a[i * len(a) // k:(i + 1) * len(a) // k] for a in col])
+             for col in zip(*blocks)] for i in range(k)]
 
 
 def run_replicates(statistic, window, measure, n: int, master_seed: int) -> McEstimate:

@@ -237,6 +237,16 @@ def select(batch: PointBatch, keep, window: Window) -> PointBatch:
                       np.concatenate([[0], np.cumsum(kept)]), window, batch.seeds)
 
 
+def stack(batches) -> PointBatch:
+    """The replicates of the batches one after another, as one batch with the
+    first's window and provenance; a stack of one batch is that batch."""
+    if len(batches) == 1:
+        return batches[0]
+    offsets = np.concatenate([[0], np.cumsum(np.concatenate([b.counts for b in batches]))])
+    return PointBatch(*(np.concatenate([getattr(b, f) for b in batches]) for f in "txz"),
+                      offsets, batches[0].window, batches[0].seeds)
+
+
 def replicate_seed(master_seed: int, k: int) -> int:
     """The first uint64 of SeedSequence(master_seed, spawn_key=(k,)): a
     master seed derived from another, one per statistic of a run."""

@@ -536,3 +536,118 @@ class TestBatchedItoMovesRoundingOnly:
             replayed = run_experiment(reduced_config(name))
             assert summary_text(results[name]) == summary_text(replayed), name
             assert results[name].tables == replayed.tables, name
+
+
+def cell_rhs(fn, G, K, H, batch, measure, t, *, split, n_time):
+    """The left side and the four-term right side of one f on its own batch,
+    as the Ito matrices ran before the f's of a (G, X) pair shared their
+    paths: every path value read through CadlagPath.eval's search."""
+    path = it.build_path(G, K, H, batch, measure, split=split)
+    w, n = batch.window, len(batch)
+    small = w.shell.clip(0.0, split)
+    extra = [v for X in (G, H) if X is not None for v in X.time_breakpoints()]
+    g = it.ReplicateGrid(batch, t, extra, n_time)
+    s, ws = g.s, g.ws
+    y = path.eval(s, g.sseg)
+    dfy = fn.df(y)
+
+    def per_path(values, where=g.sseg):
+        return np.bincount(where, weights=values, minlength=n)
+
+    A = D = np.zeros(n)
+    if H is not None and small is not None:
+        xpts, xw = it.box_rule(w.box, 8 if any(tm.space for tm in H.terms) else 1)
+        znod, zw = measure.nu_nodes(small, 32)
+        if len(znod):
+            factors = it.term_factors(H, s, xpts, znod)
+            for term, (tv, _, _) in zip(H.terms, factors):
+                D = D + (per_path(ws * dfy * tv) * it.space_factor(term, w.box)
+                         * it.nu_factor(measure, term.jump, small))
+            A = per_path(ws * ito.nu_increments(fn, y, factors, xw, zw))
+    g_term = np.zeros(n) if G is None else per_path(
+        ws * dfy * it.node_values(lambda u: G(u, 0.0, 0.0), s))
+    yl = path.eval(g.tj, g.jseg, left=True)
+
+    def jump_sum(part, X):
+        if X is None:
+            return np.zeros(n)
+        xv = np.asarray(X(g.tj[part], g.xj[part], g.zj[part]), dtype=float)
+        return per_path(fn.f(yl[part] + xv) - fn.f(yl[part]), g.jseg[part])
+
+    big = np.abs(g.zj) > split
+    rows = np.arange(n)
+    lhs = fn.f(path.eval(np.full(n, t), rows)) - fn.f(path.eval(np.zeros(n), rows))
+    return lhs, ito.FourTermResult(g_term, jump_sum(big, K), jump_sum(~big, H) - A, A - D)
+
+
+def per_cell_values(statistic, cfg, n, tag):
+    """statistic's arrays per cell, each cell on its own paths."""
+    w, m = cfg.window, cfg.measure()
+    return mc.replicate_values(statistic, w, m, n, _seed_for(cfg, tag))
+
+
+class TestGroupsEqualCells:
+    """The f's of each (G, X) pair evaluated as one group give, cell by cell
+    and bit for bit, the floats of each cell evaluated alone on its own
+    batch by the code before groups and grid indexes: with a fold-path f,
+    cos(3.0), whose |scale| rho exceeds 1, and in stream blocks of the
+    default size and of two paths."""
+
+    @pytest.mark.parametrize("block_points", [None, 16], ids=["one-block", "blocks"])
+    @pytest.mark.parametrize("name", sorted(ITO_FORMS))
+    def test_bytes(self, name, block_points, monkeypatch):
+        if block_points is not None:
+            monkeypatch.setattr(prm, "BLOCK_POINTS", block_points)
+        cfg = reduced_config(name)
+        paths = 11
+        cfg.params.update(paths=paths, agreement_paths=paths)
+        cfg.params["functions"] = cfg.params["functions"] + [ito.cos_fn(3.0)]
+        tag, key, slot, split, n_time, fixed = ITO_FORMS[name]
+        m, T = cfg.measure(), cfg.window.horizon
+        worst, kept, folds = [], {}, []
+        real_worst, real_matrix, real_fold = (experiments._worst, experiments._ito_matrix,
+                                              it.tensor_fold)
+
+        def matrix(*args, **kw):
+            res, kept["cells"] = real_matrix(*args, **kw)
+            return res, kept["cells"]
+
+        monkeypatch.setattr(experiments, "_worst", lambda v: worst.append(v) or real_worst(v))
+        monkeypatch.setattr(experiments, "_ito_matrix", matrix)
+        monkeypatch.setattr(it, "tensor_fold",
+                            lambda *a, **k: folds.append(1) or real_fold(*a, **k))
+        res = run_experiment(cfg)
+        assert bool(folds) == (name != "ito-lemma")
+        lhs_rows = {}
+        for row in csv.DictReader(io.StringIO(next(iter(res.tables.values())))):
+            lhs_rows.setdefault(row["cell"], []).append(float(row["lhs"]))
+        cells = itertools.product(cfg.params["functions"], cfg.params["g_names"],
+                                  cfg.params[key])
+        for idx, (fn, (gname, G), (xname, X)) in enumerate(cells):
+            s = {k: cfg.params["h_name"] for k in fixed}
+            s[slot] = X
+
+            def one(batch, fn=fn, G=G, s=s):
+                lhs, r = cell_rhs(fn, G, s.get("K"), s.get("H"), batch, m, T,
+                                  split=split, n_time=n_time)
+                return (lhs, r.g_term, r.big_jump_term, r.compensated_term, r.nu_term)
+
+            lhs, *terms = per_cell_values(one, cfg, paths, tag + idx)
+            want, got = ito.FourTermResult(*terms), kept["cells"][idx]
+            for field in ("g_term", "big_jump_term", "compensated_term", "nu_term"):
+                assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), idx
+            assert worst[idx].tobytes() == np.abs(lhs - want.total).tobytes(), idx
+            assert np.array(lhs_rows[f"{fn.name}|{gname}|{xname}"]).tobytes() == lhs.tobytes()
+        if name == "ito1":
+            H, G = cfg.params["h_name"], cfg.params["g_names"][1][1]
+            g2 = ito.equivalent_time_drift(G, H, cfg.window, m, split=1.0)
+            for i, fn in enumerate(cfg.params["functions"]):
+                def gap(batch, fn=fn):
+                    r1 = cell_rhs(fn, G, H, H, batch, m, T, split=1.0, n_time=8)[1]
+                    r2 = cell_rhs(fn, g2, None, H, batch, m, T, split=math.inf, n_time=8)[1]
+                    return (np.abs(r1.total - r2.total),)
+
+                want, = per_cell_values(gap, cfg, paths, 450 + i)
+                assert worst[len(kept["cells"]) + i].tobytes() == want.tobytes(), fn.name
+        assert len(worst) == len(kept["cells"]) + (len(cfg.params["functions"])
+                                                   if name == "ito1" else 0)

@@ -800,3 +800,48 @@ def test_replicate_grid_matches_batch_rule():
         assert got.tobytes() == want.tobytes()
     mask = batch.t <= 0.8
     assert np.array_equal(g.tj, batch.t[mask]) and np.array_equal(g.jseg, batch.segment[mask])
+
+
+# replicates of up to 6 points, times on a grid of eighths: tied times and
+# jumps at 0, at 1 and on the extra breaks; empty replicates among them
+GRID_TIMES = st.lists(st.integers(0, 8).map(lambda k: k / 8.0), max_size=6).map(sorted)
+
+
+def jumps_before(s, sseg, t, seg, left=True):
+    """Per query i, the jumps of replicate sseg[i] before s[i], or at or
+    before it without `left`: np.searchsorted on that replicate's times."""
+    side = "left" if left else "right"
+    return [int(np.searchsorted(t[seg == g], v, side=side)) for v, g in zip(s, sseg)]
+
+
+class TestGridIndexes:
+    """The running-sum columns a ReplicateGrid carries equal a search over
+    every jump of each replicate, and reading a path through them gives
+    CadlagPath.eval's floats."""
+
+    @given(st.lists(GRID_TIMES, min_size=1, max_size=6),
+           st.sampled_from([1.0, 0.75, 0.5, 0.3, 0.0625]),
+           st.lists(st.sampled_from([0.25, 0.5, 0.6, 0.75]), max_size=3),
+           st.integers(1, 4))
+    @example([[0.5, 0.5, 0.5], [], [0.0, 0.5, 1.0, 1.0]], 0.5, [0.5], 3)  # extra on a tie, at T
+    @settings(max_examples=150, deadline=None)
+    def test_match_jumps_before(self, replicates, T, extra, n_time):
+        t = np.array([v for rep in replicates for v in rep], dtype=float)
+        offsets = np.cumsum([0] + [len(rep) for rep in replicates])
+        z = np.linspace(-1.5, 1.7, len(t))
+        batch = prm.PointBatch(t, np.zeros((len(t), 1)), z, offsets, WIN, (0, 0))
+        g = it.ReplicateGrid(batch, T, extra, n_time)
+        seg = batch.segment
+        assert g.break_jumps.tolist() == jumps_before(g.breaks, g.bseg, t, seg, left=False)
+        # nodes lie inside their intervals: no jump at a node
+        for left in (False, True):
+            assert g.node_jumps.tolist() == jumps_before(g.s, g.sseg, t, seg, left)
+        assert g.jump_left.tolist() == jumps_before(g.tj, g.jseg, t, seg)
+        assert g.break_jumps[g.last].tolist() == np.bincount(g.jseg, minlength=len(batch)).tolist()
+        path = it.build_path(None, ig.term(jump=ig.SignPow(1.0)), None, batch, ATOMS, split=0.0)
+        path = it.CadlagPath(path.times, path.csum, it.drift_function([(0.7, ig.Cos(3.0))]))
+        for place, col, at, left in ((g.sseg, g.node_jumps, g.s, False),
+                                     (g.jseg, g.jump_left, g.tj, True),
+                                     (g.bseg, g.break_jumps, g.breaks, False)):
+            got = path.csum[place, col] + path.drift(at)
+            assert got.tobytes() == path.eval(at, place, left=left).tobytes()

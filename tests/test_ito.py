@@ -1,5 +1,8 @@
 import dataclasses
+import hashlib
+import json
 import math
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -10,6 +13,8 @@ from scipy import integrate as si
 from levynoise import integrands as ig
 from levynoise import integrate as it
 from levynoise import ito, prm
+from levynoise.cli import bundled_config_text, write_artifacts
+from levynoise.experiments import parse_config, run_experiment
 from levynoise.measure import DiscreteAtoms, Shell, TruncatedStable
 from levynoise.prm import Window, replicate_seed, simulate
 from oracles import jump_path, nu_tensor, path_breaks, replicate
@@ -391,3 +396,39 @@ class TestNuSeries:
         _, folds = _fold_calls(lambda: ito.ito_rhs_big_small(fn, G_EXP, K_MIX, H_MIX, c,
                                                              TSTABLE, 1.0))
         assert folds == 0
+
+
+class TestGroups:
+    def test_runs_must_be_equal(self):
+        batch = simulate(WIN, ATOMS, 3, rows=3)
+        path = it.build_path(None, K_Z, None, batch, ATOMS, split=0.0)
+        with pytest.raises(ValueError, match="equal runs"):
+            ito.ito_rhs_raw(FNS[:2], None, K_Z, batch, ATOMS, 1.0)
+        with pytest.raises(ValueError, match="equal runs"):
+            ito.ito_lhs(FNS[:2], path, 1.0)
+
+    def test_group_reads_each_run_with_its_f(self):
+        # rows in f order, each run the bytes of its f alone on those rows
+        batch = simulate(WIN, TSTABLE, 5, rows=6)
+        path = it.build_path(G_EXP, K_MIX, H_MIX, batch, TSTABLE, split=1.0)
+        grouped = ito.ito_rhs_big_small(FNS, G_EXP, K_MIX, H_MIX, batch, TSTABLE, 1.0, path=path)
+        lhs = ito.ito_lhs(FNS, path, 1.0)
+        for i, fn in enumerate(FNS):
+            alone = ito.ito_rhs_big_small(fn, G_EXP, K_MIX, H_MIX, batch, TSTABLE, 1.0, path=path)
+            rows = slice(2 * i, 2 * i + 2)
+            assert lhs[rows].tobytes() == ito.ito_lhs(fn, path, 1.0)[rows].tobytes()
+            for got, want in zip(dataclasses.astuple(grouped), dataclasses.astuple(alone)):
+                assert got[rows].tobytes() == want[rows].tobytes()
+
+
+class TestPinnedOutputs:
+    @pytest.mark.parametrize("name", ["ito-lemma", "ito1", "ito2"])
+    def test_small_run_bytes(self, name, tmp_path):
+        # the sizes of CI's *-small runs (paths 2, and agreement_paths 2 for
+        # ito1), every output file against its digest in ito_digests.json
+        raw = json.loads(bundled_config_text(name))
+        raw["params"].update(paths=2, **({"agreement_paths": 2} if name == "ito1" else {}))
+        out = write_artifacts(run_experiment(parse_config(raw)), str(tmp_path))
+        pinned = json.loads((Path(__file__).parent / "ito_digests.json").read_text())[name]
+        assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in out.iterdir()} == pinned
