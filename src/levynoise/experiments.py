@@ -21,10 +21,9 @@ import numpy as np
 from . import apps
 from . import integrate as it
 from . import interlace as il
-from . import ito
+from . import ito, mc
 from .integrands import Integrand, SignPow, integrand_from_json
-from .mc import (McEstimate, batches, estimate, group_values, replicate_values, run_replicates,
-                 verdict)
+from .mc import batches, estimate, group_values, replicate_values, run_replicates, verdict
 from .measure import LevyMeasure, measure_from_json
 from .prm import Window, dump_csv, intensity, replicate_seed, simulate
 
@@ -47,7 +46,6 @@ class Config:
     seed: int
     replicates: int
     workers: int  # validated only: replicates run in one thread
-    k_sigma: float
     window: Window
     measures: dict[str, LevyMeasure]
     integrands: dict[str, Integrand]
@@ -157,7 +155,6 @@ _COUNT = _kind("an integer >= 1", lambda v: type(v) is int and v >= 1)
 _REPLICATES = _kind("an integer >= 2", lambda v: type(v) is int and v >= 2)  # an se, a ring need 2
 _REAL = _kind("a finite number", _finite, float)
 _POSITIVE = _kind("a finite number > 0", lambda v: _finite(v) and v > 0.0, float)
-_LEVEL = _kind("a number in (0, 1)", lambda v: _finite(v) and 0.0 < v < 1.0, float)
 _FLAG = _kind("true or false", lambda v: isinstance(v, bool))
 _REALS = _kind("a non-empty list of finite numbers", lambda v: _list(v, _finite),
                lambda v: list(map(float, v)))
@@ -219,7 +216,7 @@ ITO_FNS = [{"kind": "poly", "coeffs": [0.0, 0.0, 1.0]}, {"kind": "exp", "scale":
            {"kind": "cos", "scale": 1.0}]
 # The top-level fields that are plain values, {key: (kind, default)}
 FIELDS = {"seed": (_kind("an integer", lambda v: type(v) is int), 0),
-          "replicates": (_REPLICATES, 10000), "workers": (_COUNT, 1), "k_sigma": (_POSITIVE, 4.0),
+          "replicates": (_REPLICATES, 10000), "workers": (_COUNT, 1),
           "output_dir": (_kind("a string", lambda v: v is None or isinstance(v, str)), None)}
 
 _ITO = {"functions": (_smooth_fns, ITO_FNS), "paths": (_COUNT, 1000),
@@ -230,20 +227,19 @@ _K_NAMES = (_integrands, ["K1", "K2", "K3"])
 # default is a function of the config.  `parse_config` resolves each one,
 # given or defaulted, into `Config.params`.
 PARAMS = {
-    "simulate": {"spatial_sample": (_COUNT, 300), "test_level": (_LEVEL, 1e-3)},
+    "simulate": {"spatial_sample": (_COUNT, 300)},
     "isometry": {"cells": (_cells, lambda cfg: [{"measure": mk, "integrand": hk}
                                                 for mk in cfg.measures for hk in cfg.integrands])},
     "charfn": {"a": (_REAL, 0.4), "u_values": (_REALS, [-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]),
                "box": (_box, lambda cfg: cfg.window.box),
                "interval": (_interval, lambda cfg: (0.0, cfg.window.horizon))},
-    "ito-lemma": {**_ITO, "residual_tol": (_POSITIVE, 1e-8), "k_names": _K_NAMES},
-    "ito1": {**_ITO, "residual_tol": (_POSITIVE, 1e-6), "k_names": _K_NAMES,
-             "h_name": (_integrand, "H"), "agreement_tol": (_POSITIVE, 1e-10),
+    "ito-lemma": {**_ITO, "k_names": _K_NAMES},
+    "ito1": {**_ITO, "k_names": _K_NAMES, "h_name": (_integrand, "H"),
              "agreement_paths": (_COUNT, 100)},
     "ito2": {**_ITO, "functions": (_smooth_fns, [{"kind": "poly", "coeffs": [0.0, 0.0, 1.0]},
                                                  {"kind": "abs_pow", "power": 2.0},
                                                  {"kind": "exp", "scale": 0.4}]),
-             "residual_tol": (_POSITIVE, 1e-6), "h_names": (_integrands, ["H1", "H2", "H3"])},
+             "h_names": (_integrands, ["H1", "H2", "H3"])},
     # the spatial_* params are resolved only when `spatial` is true
     "interlace": {"n_max": (_REPLICATES, 6), "diag_replicates": (_REPLICATES, 64),
                   "h_name": (_integrand, "H"), "small_hi": (_POSITIVE, 1.0),
@@ -251,14 +247,13 @@ PARAMS = {
                   "spatial_h_name": (_integrand, "HS"), "spatial_k_name": (_integrand, "KS"),
                   "spatial_measure": (_measure, lambda cfg: next(iter(cfg.measures))),
                   "spatial_n_max": (_REPLICATES, 4), "spatial_replicates": (_REPLICATES, 48)},
-    "kunita": {"ps": (_PS, [2.0, 3.0, 4.0]), "ratio_guard_factor": (_POSITIVE, 10.0),
+    "kunita": {"ps": (_PS, [2.0, 3.0, 4.0]),
                "cell_replicates": (_REPLICATES, lambda cfg: cfg.replicates),
                "x_names": (_integrands, ["X1", "X2", "X3"])},
     "martingale": {"h_name": (_integrand, "h"), "u_values": (_REALS, [-1.0, -0.5, 0.5, 1.0, 2.0]),
-                   "representation_paths": (_COUNT, 100), "representation_tol": (_POSITIVE, 1e-6)},
+                   "representation_paths": (_COUNT, 100)},
     "chaos": {"slot_a": (_integrand, "A"), "slot_b": (_integrand, "B"),
-              "slot_c": (_integrand, "C"), "product_tol": (_POSITIVE, 1e-9),
-              "product_check_paths": (_COUNT, 300)},
+              "slot_c": (_integrand, "C"), "product_check_paths": (_COUNT, 300)},
 }
 
 
@@ -378,9 +373,9 @@ def _num(x):
     return float(x)
 
 
-def _mc_row(name, est: McEstimate, target, k_sigma, atol=0.0) -> VerdictRow:
-    v = verdict(est, target, k_sigma, atol)
-    return VerdictRow(name, est.mean, target, est.se, v.z, v.passed)
+def _mc_row(name, mean, se, target, atol=0.0) -> VerdictRow:
+    v = verdict(mean, se, target, atol)
+    return VerdictRow(name, mean, target, se, v.z, v.passed)
 
 
 def _tol_row(name, value, tol) -> VerdictRow:
@@ -388,9 +383,9 @@ def _tol_row(name, value, tol) -> VerdictRow:
     return VerdictRow(name, value, tol, 0.0, z, value <= tol)
 
 
-def _bound_row(name, estimate, bound, se, k_sigma) -> VerdictRow:
+def _bound_row(name, estimate, bound, se) -> VerdictRow:
     z = (estimate - bound) / se if se > 0 else 0.0
-    ok = math.isfinite(estimate) and math.isfinite(se) and estimate <= bound + k_sigma * se
+    ok = math.isfinite(estimate) and math.isfinite(se) and estimate <= bound + mc.K_SIGMA * se
     return VerdictRow(name, estimate, bound, se, z, ok)
 
 
@@ -449,9 +444,9 @@ def run_simulate(cfg: Config) -> ExperimentResult:
     counts, first = counts.astype(float), first.astype(float)
     second = counts - first
     res = ExperimentResult(cfg.experiment, cfg.seed, n)
-    res.verdicts.append(_mc_row("count_mean", estimate(counts, cfg.seed),
-                                intensity(w, m), cfg.k_sigma))
-    level = cfg.params["test_level"]
+    count = estimate(counts, cfg.seed)
+    res.verdicts.append(_mc_row("count_mean", count.mean, count.se, intensity(w, m)))
+    level = 1e-3  # of both p-value tests
     for ax in range(w.dim):
         lo, hi = w.box[ax]
         p = float(stats.kstest(xs[:, ax], "uniform", args=(lo, hi - lo)).pvalue)
@@ -497,10 +492,9 @@ def run_isometry(cfg: Config) -> ExperimentResult:
             (f"raw_mean[{label}]", 2, comp, est.se[2]),
         ]
         for name, idx, target, se in parts:
-            sub = McEstimate(float(est.mean[idx]), float(se), est.n, est.master_seed)
-            res.verdicts.append(_mc_row(name, sub, target, cfg.k_sigma))
-            rows.append((mk, hk, name.split("[")[0],
-                         float(sub.mean), float(sub.se), float(target),
+            mean, se = float(est.mean[idx]), float(se)
+            res.verdicts.append(_mc_row(name, mean, se, target))
+            rows.append((mk, hk, name.split("[")[0], mean, se, float(target),
                          res.verdicts[-1].z))
     res.tables["isometry.csv"] = _csv(
         ("measure", "integrand", "statistic", "estimate", "se", "target", "z"), rows)
@@ -530,16 +524,15 @@ def run_charfn(cfg: Config) -> ExperimentResult:
     res = ExperimentResult(cfg.experiment, cfg.seed, n)
     res.tables["charfn.csv"] = _charfn_rows(
         res, "charfn", us, [complex(v) for v in est.mean],
-        [complex(v) for v in targets], n, cfg.k_sigma)
+        [complex(v) for v in targets], n)
     return res
 
 
-def _charfn_rows(res: ExperimentResult, name: str, us, emps, targets, n: int,
-                 k_sigma: float) -> str:
+def _charfn_rows(res: ExperimentResult, name: str, us, emps, targets, n: int) -> str:
     """One verdict per frequency u: the empirical characteristic function
-    within k_sigma / sqrt(n) of the exact one (1 / sqrt(n) bounds the
+    within K_SIGMA / sqrt(n) of the exact one (1 / sqrt(n) bounds the
     standard error of each component); returns the CSV table."""
-    tol = k_sigma / math.sqrt(n)
+    tol = mc.K_SIGMA / math.sqrt(n)
     rows = []
     for u, emp, target in zip(us, emps, targets):
         err = abs(emp - target)
@@ -556,7 +549,7 @@ ITO_CSV_PATHS = 25  # paths per cell whose terms go to the residual table
 
 
 def _ito_matrix(cfg: Config, table: str, tag: int, x_key: str, slot: str, split: float,
-                rhs, **fixed) -> ExperimentResult:
+                tol: float, rhs, **fixed) -> tuple[ExperimentResult, list]:
     """Check one form of the Ito formula path by path on every (f, G, X)
     cell, f outermost, X innermost.
 
@@ -565,12 +558,13 @@ def _ito_matrix(cfg: Config, table: str, tag: int, x_key: str, slot: str, split:
     stacks each block of their cells' own paths, built at once at `split`,
     and `rhs`, the form's right side, is called on them with the f's and
     the cell's K and H as keywords.  Each cell gets a verdict on its largest
-    |lhs - rhs| and puts its first paths in the residual table.  Returns the
-    result and every cell's FourTermResult, one value per path.
+    |lhs - rhs| against `tol` and puts its first paths in the residual
+    table.  Returns the result and every cell's FourTermResult, one value
+    per path.
     """
     w, m = cfg.window, cfg.measure()
     T = w.horizon
-    paths, tol = cfg.params["paths"], cfg.params["residual_tol"]
+    paths = cfg.params["paths"]
     fns, Gs, Xs = cfg.params["functions"], cfg.params["g_names"], cfg.params[x_key]
     res = ExperimentResult(cfg.experiment, cfg.seed, paths)
     values = {}
@@ -605,7 +599,7 @@ def _ito_matrix(cfg: Config, table: str, tag: int, x_key: str, slot: str, split:
 def run_ito_lemma(cfg: Config) -> ExperimentResult:
     """Pathwise identity for the formula without compensation over the cell
     matrix; reports the max residual per cell."""
-    return _ito_matrix(cfg, "ito_lemma_residuals.csv", 300, "k_names", "K", 0.0,
+    return _ito_matrix(cfg, "ito_lemma_residuals.csv", 300, "k_names", "K", 0.0, 1e-8,
                        ito.ito_rhs_raw)[0]
 
 
@@ -617,12 +611,11 @@ def run_ito1(cfg: Config) -> ExperimentResult:
     T = w.horizon
     H = cfg.params["h_name"]
     split = 1.0
-    res, cells = _ito_matrix(cfg, "ito1_residuals.csv", 400, "k_names", "K", split,
+    res, cells = _ito_matrix(cfg, "ito1_residuals.csv", 400, "k_names", "K", split, 1e-6,
                              functools.partial(ito.ito_rhs_big_small, split=split), H=H)
     # the compensated term of the first cell is a martingale at T
-    mart = cells[0].compensated_term
-    res.verdicts.append(_mc_row("compensated_term_mean", estimate(mart, cfg.seed), 0.0,
-                                cfg.k_sigma))
+    mart = estimate(cells[0].compensated_term, cfg.seed)
+    res.verdicts.append(_mc_row("compensated_term_mean", mart.mean, mart.se, 0.0))
     # shared-case agreement: K = H on the big-jump side, every f one group
     Gs, fns = cfg.params["g_names"], cfg.params["functions"]
     G = Gs[min(1, len(Gs) - 1)][1]
@@ -635,31 +628,30 @@ def run_ito1(cfg: Config) -> ExperimentResult:
 
     seeds = [_seed_for(cfg, 450 + i) for i in range(len(fns))]
     for fn, (gaps,) in zip(fns, group_values(gap, w, m, cfg.params["agreement_paths"], seeds)):
-        res.verdicts.append(_tol_row(f"form_agreement[{fn.name}]", _worst(gaps),
-                                     cfg.params["agreement_tol"]))
+        res.verdicts.append(_tol_row(f"form_agreement[{fn.name}]", _worst(gaps), 1e-10))
     return res
 
 
 def run_ito2(cfg: Config) -> ExperimentResult:
     """Pathwise identity for the all-compensated formula over its matrix."""
-    return _ito_matrix(cfg, "ito2_residuals.csv", 500, "h_names", "H", math.inf,
+    return _ito_matrix(cfg, "ito2_residuals.csv", 500, "h_names", "H", math.inf, 1e-6,
                        ito.ito_rhs_all_compensated)[0]
 
 
-def _ladder_rows(prefix: str, report: il.DiagnosticReport, k_sigma: float):
+def _ladder_rows(prefix: str, rows: list[il.DiagnosticRow]):
     """The two verdicts per ladder level: mean squared sup-norm difference
     and exceedance frequency, each against its bound."""
-    for row in report.rows:
+    for row in rows:
         yield _bound_row(f"{prefix}sup2_bound[n={row.level}]", row.empirical_sup2,
-                         row.bound, row.sup2_se, k_sigma)
+                         row.bound, row.sup2_se)
         yield _bound_row(f"{prefix}exceed_bound[n={row.level}]", row.exceed_freq,
-                         row.bound_freq, row.exceed_se, k_sigma)
+                         row.bound_freq, row.exceed_se)
 
 
-def _ladder_table(report: il.DiagnosticReport) -> str:
+def _ladder_table(rows: list[il.DiagnosticRow]) -> str:
     return _csv(("level", "threshold", "I", "empirical_sup2", "bound", "exceed_freq",
                  "bound_freq"), [(r.level, r.threshold, r.i_value, r.empirical_sup2, r.bound,
-                                  r.exceed_freq, r.bound_freq) for r in report.rows])
+                                  r.exceed_freq, r.bound_freq) for r in rows])
 
 
 def run_interlace(cfg: Config) -> ExperimentResult:
@@ -673,13 +665,13 @@ def run_interlace(cfg: Config) -> ExperimentResult:
                         for lv in ladder.levels])
         res.verdicts.append(_tol_row("threshold_closed_form_rel_err", worst, 1e-8))
     rep = il.interlacing_diagnostic(ladder, problem, reps, _seed_for(cfg, 600))
-    res.verdicts.extend(_ladder_rows("", rep, cfg.k_sigma))
+    res.verdicts.extend(_ladder_rows("", rep))
     res.tables["eps_ladder.csv"] = _ladder_table(rep)
 
     for _, sladder, sproblem in spatial:
         srep = il.interlacing_diagnostic(sladder, sproblem, cfg.params["spatial_replicates"],
                                          _seed_for(cfg, 601))
-        res.verdicts.extend(_ladder_rows("spatial_", srep, cfg.k_sigma))
+        res.verdicts.extend(_ladder_rows("spatial_", srep))
         res.tables["spatial_ladder.csv"] = _ladder_table(srep)
     return res
 
@@ -689,7 +681,8 @@ def run_kunita(cfg: Config) -> ExperimentResult:
     frozen regression guard on the observed ratios."""
     w = cfg.window
     T = w.horizon
-    reps, guard = cfg.params["cell_replicates"], cfg.params["ratio_guard_factor"]
+    reps = cfg.params["cell_replicates"]
+    guard = 10.0  # a frozen regression factor, not a test at a stated level
     res = ExperimentResult(cfg.experiment, cfg.seed, reps)
     rows = []
     guard_ratios = []
@@ -710,9 +703,8 @@ def run_kunita(cfg: Config) -> ExperimentResult:
                     # shrinks with the mean when a run misses its large values
                     exact_se = math.sqrt(apps.noise_square_variance(
                         X.with_jump(SignPow(1.0)), w, m, T) / reps)
-                    est = McEstimate(cell.isometry_mean, exact_se, reps, cfg.seed)
-                    res.verdicts.append(_mc_row(
-                        f"p2_isometry[{mk}/{xn}]", est, target, cfg.k_sigma))
+                    res.verdicts.append(_mc_row(f"p2_isometry[{mk}/{xn}]",
+                                                cell.isometry_mean, exact_se, target))
                 idx += 1
     res.verdicts.append(_tol_row(f"ratio_guard(max ratio / ({guard:g} max(v^p/2, m_p)))",
                                  _worst(guard_ratios), 1.0))
@@ -739,17 +731,16 @@ def run_martingale(cfg: Config) -> ExperimentResult:
 
     est = run_replicates(stat, w, m, n, _seed_for(cfg, 800))
     res = ExperimentResult(cfg.experiment, cfg.seed, n)
-    m_est = McEstimate(complex(est.mean[0]), complex(est.se[0]), n, cfg.seed)
-    res.verdicts.append(_mc_row("martingale_mean", m_est, 1.0 + 0.0j, cfg.k_sigma))
+    res.verdicts.append(_mc_row("martingale_mean", complex(est.mean[0]), complex(est.se[0]),
+                                1.0 + 0.0j))
     table = _charfn_rows(res, "charfn_noise", us, [complex(v) for v in est.mean[1:]],
-                         [complex(np.exp(p)) for p in psi_scaled], n, cfg.k_sigma)
+                         [complex(np.exp(p)) for p in psi_scaled], n)
 
     resid, gaps = replicate_values(
         lambda batch: (apps.representation_residual(h, batch, m, T),
                        apps.modulus_gap(h, batch, m, T, psi_int)),
         w, m, cfg.params["representation_paths"], _seed_for(cfg, 801))
-    res.verdicts.append(_tol_row("representation_residual_max", _worst(resid),
-                                 cfg.params["representation_tol"]))
+    res.verdicts.append(_tol_row("representation_residual_max", _worst(resid), 1e-6))
     res.verdicts.append(_tol_row("modulus_identity_max_gap", _worst(gaps), 1e-10))
     res.tables["martingale_charfn.csv"] = table
     return res
@@ -783,8 +774,7 @@ def run_chaos(cfg: Config) -> ExperimentResult:
     rows = [(name, float(est.mean[i]), exact_se if i == 1 else float(est.se[i]),
              float(est.se[i]), target) for i, (name, target, _) in enumerate(stats)]
     for (name, mean, se, _, target), (_, _, atol) in zip(rows, stats):
-        res.verdicts.append(_mc_row(name, McEstimate(mean, se, n, cfg.seed), target,
-                                    cfg.k_sigma, atol))
+        res.verdicts.append(_mc_row(name, mean, se, target, atol))
     # the mean of |I2 - product| over replicates, plus its spread, bounds the max
     def product_gap(batch):
         i2 = apps.multiple_integral(f2, batch, m, T)
@@ -792,8 +782,7 @@ def run_chaos(cfg: Config) -> ExperimentResult:
 
     gaps, = replicate_values(product_gap, w, m, min(n, cfg.params["product_check_paths"]),
                              _seed_for(cfg, 901))
-    res.verdicts.append(_tol_row("product_identity_max_gap", _worst(gaps),
-                                 cfg.params["product_tol"]))
+    res.verdicts.append(_tol_row("product_identity_max_gap", _worst(gaps), 1e-9))
     res.tables["chaos.csv"] = _csv(("statistic", "estimate", "se", "sample_se", "target"), rows)
     return res
 

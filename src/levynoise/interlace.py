@@ -40,9 +40,12 @@ class LadderLevel:
 class Ladder:
     kind: str  # "small-jump" | "spatial-I" | "spatial-II"
     levels: tuple[LadderLevel, ...]
-    truncated: bool = False
-    truncation_point: float | None = None
+    truncation_point: float | None = None  # the support floor that ended it
     violation: str | None = None
+
+    @property
+    def truncated(self) -> bool:
+        return self.truncation_point is not None
 
     @property
     def thresholds(self):
@@ -81,7 +84,7 @@ def _ladder(kind, I, edge, good, floor, at_floor, n_max) -> Ladder:
             x = _bisect(lambda u: I(u) <= target, start, edge)
         if at_floor(x):
             levels.append(LadderLevel(n, floor, 0.0))
-            return Ladder(kind, tuple(levels), True, floor)
+            return Ladder(kind, tuple(levels), floor)
         levels.append(LadderLevel(n, x, top if x == edge else I(x)))
     return Ladder(kind, tuple(levels))
 
@@ -259,14 +262,6 @@ class DiagnosticRow:
     bound_freq: float
 
 
-@dataclass
-class DiagnosticReport:
-    kind: str
-    rows: list[DiagnosticRow]
-    replicates: int
-    master_seed: int
-
-
 def rings(ladder: Ladder, problem: LadderProblem):
     """(j, window, statistic) for each non-stagnant ring j between levels j
     and j + 1, in order.  The ring's points are a Poisson random measure of
@@ -311,12 +306,12 @@ def rings(ladder: Ladder, problem: LadderProblem):
 
 
 def interlacing_diagnostic(ladder: Ladder, problem: LadderProblem,
-                           replicates: int, master_seed: int) -> DiagnosticReport:
+                           replicates: int, master_seed: int) -> list[DiagnosticRow]:
     """Empirical sup-norm differences between consecutive ladder levels
-    against the Doob and Chebyshev bounds: one (sup2, exceed) column per
-    ring, ring j drawn alone from master seed replicate_seed(master_seed,
-    j).  A stagnant level's ring is empty (identical processes), so its
-    column is 0."""
+    against the Doob and Chebyshev bounds, one row per level but the last:
+    one (sup2, exceed) column per ring, ring j drawn alone from master seed
+    replicate_seed(master_seed, j).  A stagnant level's ring is empty
+    (identical processes), so its column is 0."""
     if ladder.violation:
         raise ValueError(f"cannot run diagnostics: {ladder.violation}")
     if len(ladder.levels) < 2:
@@ -328,15 +323,15 @@ def interlacing_diagnostic(ladder: Ladder, problem: LadderProblem,
                                        replicate_seed(master_seed, j))
         sup2[:, j] = s * s
         exceed[:, j] = s_exceed > 2.0 ** -(j + 1)
-    return _assemble(ladder, sup2, exceed, replicates, master_seed)
+    return _assemble(ladder, sup2, exceed, master_seed)
 
 
-def _assemble(ladder, sup2, exceed, replicates, master_seed):
+def _assemble(ladder, sup2, exceed, master_seed):
     if ladder.kind == "spatial-I":
         exceed_bound = lambda n: 2.0 ** (-n + 4) + 2.0 ** (-2 * n + 1)
     else:
         exceed_bound = lambda n: 2.0 ** (-n + 2)
-    rows = []
+    replicates, rows = len(sup2), []
     for j in range(sup2.shape[1]):
         n = ladder.levels[j].n
         sup2_j = estimate(sup2[:, j], master_seed)
@@ -348,4 +343,4 @@ def _assemble(ladder, sup2, exceed, replicates, master_seed):
         rows.append(DiagnosticRow(n, ladder.levels[j].threshold,
                                   ladder.levels[j].i_value, mean, se, bound,
                                   freq, fse, min(bfreq, 1.0)))
-    return DiagnosticReport(ladder.kind, rows, replicates, master_seed)
+    return rows

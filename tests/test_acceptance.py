@@ -22,7 +22,7 @@ from levynoise import integrate as it
 from levynoise.apps import noise_square_variance, psi_space_time_integral
 from levynoise.cli import bundled_config_text
 from levynoise.experiments import _seed_for, parse_config, run_experiment
-from levynoise.mc import McEstimate, estimate, verdict
+from levynoise.mc import estimate, verdict
 from oracles import (map_replicates, one_path, path_breaks, per_config_replicate_values,
                      replayed_batches)
 
@@ -244,7 +244,7 @@ class TestCsvTables:
 
 
 def isometry_reference(cfg):
-    """{verdict name: McEstimate} over every (measure, integrand) cell;
+    """{verdict name: (mean, se)} over every (measure, integrand) cell;
     second_moment carries the exact standard error of N~(H)^2."""
     w, T = cfg.window, cfg.window.horizon
     out = {}
@@ -263,7 +263,7 @@ def isometry_reference(cfg):
         se2 = math.sqrt(noise_square_variance(H, w, m, T) / cfg.replicates)
         for idx, stat in enumerate(("centered_mean", "second_moment", "raw_mean")):
             se = se2 if stat == "second_moment" else float(est.se[idx])
-            out[f"{stat}[{mk}/{hk}]"] = McEstimate(float(est.mean[idx]), se, est.n, seed)
+            out[f"{stat}[{mk}/{hk}]"] = (float(est.mean[idx]), se)
     return out
 
 
@@ -296,8 +296,7 @@ def martingale_reference(cfg):
     seed = _seed_for(cfg, 800)
     est = estimate(map_replicates(one, w, m, cfg.replicates, seed), seed)
     out = {f"charfn_noise[u={u:g}]": complex(v) for u, v in zip(us, est.mean[1:])}
-    out["martingale_mean"] = McEstimate(complex(est.mean[0]), complex(est.se[0]),
-                                        cfg.replicates, cfg.seed)
+    out["martingale_mean"] = (complex(est.mean[0]), complex(est.se[0]))
     return out
 
 
@@ -336,11 +335,11 @@ class TestBatchMovesRoundingOnly:
         assert refs.keys() <= rows.keys()
         for vname, ref in refs.items():
             row = rows[vname]
-            if isinstance(ref, McEstimate):
-                passed = verdict(ref, row.target, cfg.k_sigma).passed
-                pairs = ((row.estimate, ref.mean), (row.se, ref.se))
-            else:  # a charfn row: the empirical value within k / sqrt(n)
-                passed = abs(ref - row.target) <= cfg.k_sigma / math.sqrt(cfg.replicates)
+            if isinstance(ref, tuple):  # (mean, se)
+                passed = verdict(*ref, row.target).passed
+                pairs = ((row.estimate, ref[0]), (row.se, ref[1]))
+            else:  # a charfn row: the empirical value within K_SIGMA / sqrt(n)
+                passed = abs(ref - row.target) <= mc.K_SIGMA / math.sqrt(cfg.replicates)
                 pairs = ((row.estimate, ref),)
             assert row.passed == passed, vname
             for got, want in pairs:
@@ -473,7 +472,7 @@ class TestBatchedItoMovesRoundingOnly:
         w, m, T = cfg.window, cfg.measure(), cfg.window.horizon
         cells, gaps = ito_reference(name, cfg)
         rows = {v.name: v for v in reduced_result(name).verdicts}
-        tol = cfg.params["residual_tol"]
+        tol = {"ito-lemma": 1e-8, "ito1": 1e-6, "ito2": 1e-6}[name]
         fns = {fn.name: fn for fn in cfg.params["functions"]}
         for idx, (label, ref) in enumerate(cells.items()):
             resid = max(abs(lhs - r.total) for lhs, r in ref)
@@ -499,11 +498,11 @@ class TestBatchedItoMovesRoundingOnly:
         if name == "ito1":
             mart = estimate([r.compensated_term for _, r in next(iter(cells.values()))], cfg.seed)
             row = rows["compensated_term_mean"]
-            assert row.passed == verdict(mart, 0.0, cfg.k_sigma).passed
+            assert row.passed == verdict(mart.mean, mart.se, 0.0).passed
             assert close(row.estimate, mart.mean) and close(row.se, mart.se)
             for fname, ref in gaps.items():
                 row = rows[f"form_agreement[{fname}]"]
-                assert row.passed == (max(ref) <= cfg.params["agreement_tol"])
+                assert row.passed == (max(ref) <= 1e-10)
                 assert close(row.estimate, max(ref)), fname
 
     @pytest.mark.parametrize("block_points,tensor_block",

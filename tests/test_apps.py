@@ -366,7 +366,7 @@ class TestChaosCalibration:
     At 400 replicates the sample standard error fails about 6 % of the
     seeds, since it collapses whenever a run misses the rare large I2^2."""
 
-    SEEDS, N, K_SIGMA = 500, 400, 4.0
+    SEEDS, N = 500, 400
 
     @pytest.fixture(scope="class")
     def runs(self):
@@ -384,8 +384,7 @@ class TestChaosCalibration:
         return sq, 2.0 * apps.chaos_norm_sq(f2, w, m, T), exact_se
 
     def fail_fraction(self, sq, target, se):
-        return float(np.mean([not mc.verdict(mc.McEstimate(float(v.mean()), s, self.N, 0),
-                                             target, self.K_SIGMA).passed
+        return float(np.mean([not mc.verdict(float(v.mean()), s, target).passed
                               for v, s in zip(sq, np.broadcast_to(se, len(sq)))]))
 
     def test_shipped_slots_variance(self):
@@ -417,7 +416,7 @@ class TestKunitaCalibration:
     every cell (3 to 22 of 500), since it shrinks with the mean when a run
     misses the large values of X(T)^2."""
 
-    SEEDS, N, K_SIGMA = 500, 40, 4.0
+    SEEDS, N = 500, 40
     CELLS = [(mk, xn) for mk in ("atoms", "tempered", "tstable") for xn in ("X1", "X2", "X3")]
 
     @pytest.fixture(scope="class")
@@ -443,8 +442,7 @@ class TestKunitaCalibration:
         return sq, target, math.sqrt(apps.noise_square_variance(g, w, m, T) / n)
 
     def fails(self, sq, target, se):
-        return sum(not mc.verdict(mc.McEstimate(float(v.mean()), s, self.N, 0),
-                                  target, self.K_SIGMA).passed
+        return sum(not mc.verdict(float(v.mean()), s, target).passed
                    for v, s in zip(sq, np.broadcast_to(se, len(sq))))
 
     def test_constant_integrand_variance(self, cfg):
@@ -479,7 +477,6 @@ class TestVerdictCalibration:
     2 of the 1,800 verdicts of this isometry sweep (|z| up to 5.8)."""
 
     SWEEPS = {"isometry": (600, 300), "charfn": (1200, 200), "martingale": (1200, 200)}
-    K_SIGMA = 4.0
 
     @staticmethod
     @functools.lru_cache(maxsize=None)
@@ -505,13 +502,11 @@ class TestVerdictCalibration:
 
     @pytest.mark.parametrize("shift", [5.0, -5.0])
     def test_planted_bias_fails(self, shift):
-        n = self.SWEEPS["isometry"][0]
         cells = collections.defaultdict(list)
         for v in self.sweep("isometry"):
             if v.name.startswith("second_moment["):
                 moved = v.target + shift * v.se
-                cells[v.name].append(not mc.verdict(mc.McEstimate(v.estimate, v.se, n, 0),
-                                                    moved, self.K_SIGMA).passed)
+                cells[v.name].append(not mc.verdict(v.estimate, v.se, moved).passed)
         assert len(cells) == 6
         for name, failed in cells.items():
             assert np.mean(failed) >= 0.75, name

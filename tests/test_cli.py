@@ -1,12 +1,14 @@
 import csv
+import hashlib
 import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from levynoise import apps, experiments, ito
+from levynoise import apps, experiments, ito, mc
 from levynoise.cli import bundled_config_text, main
 from levynoise.experiments import (
     PARAMS,
@@ -98,8 +100,9 @@ class TestParseConfig:
         ("k_sigma", "4"), ("k_sigma", False), ("experiment", ["simulate"]),
         ("measures", "x"), ("integrands", [1]), ("params", [1]), ("params", "x"),
         ("replicate", 100), ("measurs", {}), ("description", "x"), ("replicates", 1),
-        ("workers", 0)])
+        ("workers", 0), ("k_sigma", 4.0)])
     def test_bad_top_level_field(self, tmp_path, key, value):
+        # k_sigma is no field: the Monte Carlo bound is mc.K_SIGMA
         raw = small_simulate_config()
         raw[key] = value
         with pytest.raises(ConfigError, match=f"^{key}: "):
@@ -138,8 +141,8 @@ class TestParseConfig:
         ("isometry", "cells", [{"measure": "atoms"}]), ("isometry", "cells", 5),
         ("isometry", "cells", [["atoms", "Hz"]])])
     def test_bad_name_or_tolerance_param(self, tmp_path, capsys, name, key, value):
-        # an undefined integrand or measure, or a tolerance that is not a
-        # finite number > 0, would raise or fail a verdict mid-run
+        # an undefined integrand or measure would raise mid-run; a tolerance
+        # is no param, since each verdict's bound is fixed where it is judged
         assert_bad_param(tmp_path, capsys, name, key, value)
 
     @pytest.mark.parametrize("name, key, value", [
@@ -163,7 +166,12 @@ class TestParseConfig:
         ("isometry", "paths", 5), ("chaos", "product_check_path", 300),
         ("charfn", "box", [[-3.0, 3.0]]), ("charfn", "box", [[0.0, 0.6]]),
         ("charfn", "interval", [0.5, 2.0]), ("charfn", "interval", [-0.5, 0.5]),
-        ("interlace", "n_max", 9)])
+        ("interlace", "n_max", 9),
+        # the bounds that were params, each at its old default and now fixed in code
+        ("simulate", "test_level", 1e-3), ("ito-lemma", "residual_tol", 1e-8),
+        ("ito1", "residual_tol", 1e-6), ("ito2", "residual_tol", 1e-6),
+        ("ito1", "agreement_tol", 1e-10), ("kunita", "ratio_guard_factor", 10.0),
+        ("martingale", "representation_tol", 1e-6), ("chaos", "product_tol", 1e-9)])
     def test_bad_value_param(self, tmp_path, capsys, name, key, value):
         # each of these passed validate and then raised, ran a verdict that
         # means nothing, or was ignored (a misspelled or undeclared key)
@@ -267,19 +275,15 @@ class TestParseConfig:
         assert "--workers" in capsys.readouterr().err
         assert not out_dir.exists()
 
-    def test_integral_k_sigma_accepted(self):
-        raw = small_simulate_config()
-        raw["k_sigma"] = 3
-        assert parse_config(raw).k_sigma == 3.0
 
 
 class TestKunitaGuard:
     def test_label_shows_factor(self):
         raw = json.loads(bundled_config_text("kunita"))
-        raw["params"].update(cell_replicates=2, ratio_guard_factor=5.0)
+        raw["params"].update(cell_replicates=2)
         guard, = [v.name for v in run_experiment(parse_config(raw)).verdicts
                   if v.name.startswith("ratio_guard(")]
-        assert "(5 max(" in guard
+        assert "(10 max(" in guard
 
 
 class TestCliCommands:
@@ -433,13 +437,12 @@ class TestFailClosed:
 
 
 class TestCharfnTolerance:
-    """The characteristic-function verdicts use k_sigma / sqrt(n)."""
+    """The characteristic-function verdicts use mc.K_SIGMA / sqrt(n)."""
 
     @staticmethod
-    def verdicts(name, k_sigma, **params):
+    def verdicts(name, **params):
         raw = json.loads(bundled_config_text(name))
         raw["replicates"] = 200
-        raw["k_sigma"] = k_sigma
         raw["params"].update(params)
         return run_experiment(parse_config(raw)).verdicts
 
@@ -447,8 +450,9 @@ class TestCharfnTolerance:
         ("charfn", "charfn[", {}),
         ("martingale", "charfn_noise[", {"representation_paths": 2}),
     ])
-    def test_tiny_k_sigma_fails_every_frequency(self, name, prefix, params):
-        rows = [v for v in self.verdicts(name, 1e-6, **params)
+    def test_tiny_k_sigma_fails_every_frequency(self, name, prefix, params, monkeypatch):
+        monkeypatch.setattr(mc, "K_SIGMA", 1e-6)
+        rows = [v for v in self.verdicts(name, **params)
                 if v.name.startswith(prefix)]
         assert rows and not any(v.passed for v in rows)
 
@@ -458,6 +462,38 @@ class TestCharfnTolerance:
         result = run_experiment(parse_config(raw))
         for line in result.tables["charfn.csv"].splitlines()[1:]:
             assert float(line.split(",")[-1]) == 4.0 / math.sqrt(200)
+
+
+class TestOneKSigma:
+    """Every Monte Carlo verdict reads mc.K_SIGMA when it is judged: with a
+    NaN bound each of them fails, and each verdict on a fixed tolerance or
+    test level keeps its outcome."""
+
+    # (experiment, top-level overrides, params overrides), each at a small size
+    RUNS = [("simulate", {"replicates": 20}, {}), ("isometry", {"replicates": 20}, {}),
+            ("charfn", {"replicates": 20}, {}),
+            ("martingale", {"replicates": 20}, {"representation_paths": 1}),
+            ("chaos", {"replicates": 20}, {"product_check_paths": 1}),
+            ("kunita", {}, {"cell_replicates": 2}),
+            ("ito1", {}, {"paths": 2, "agreement_paths": 1}),
+            ("interlace", {}, {"diag_replicates": 2, "spatial_replicates": 2})]
+    FIXED = ("max_residual[", "form_agreement[", "ratio_guard(", "representation_residual_max",
+             "modulus_identity_max_gap", "product_identity_max_gap", "spatial_uniform_ks_axis",
+             "halves_independent_chi2", "threshold_closed_form_rel_err")
+
+    @pytest.mark.parametrize("name, top, params", RUNS, ids=[r[0] for r in RUNS])
+    def test_nan_k_sigma_fails_every_monte_carlo_verdict(self, name, top, params, monkeypatch):
+        raw = json.loads(bundled_config_text(name))
+        raw.update(top)
+        raw["params"].update(params)
+        want = run_experiment(parse_config(raw)).verdicts
+        monkeypatch.setattr(mc, "K_SIGMA", math.nan)
+        got = run_experiment(parse_config(raw)).verdicts
+        assert [v.name for v in got] == [v.name for v in want]
+        judged = [(v, w) for v, w in zip(got, want) if not v.name.startswith(self.FIXED)]
+        assert judged and not any(v.passed for v, _ in judged)
+        assert all(v.passed == w.passed for v, w in zip(got, want)
+                   if v.name.startswith(self.FIXED))
 
 
 class TestCsvTables:
@@ -474,3 +510,24 @@ class TestCsvTables:
         assert any("," in cell for cell in cells)
         assert list(csv.reader(io.StringIO(tables["label.csv"]))) == \
             [["cell", "value"], [label, "0.5"]]
+
+
+class TestPinnedOutputs:
+    # (top-level overrides, params overrides): the sizes of CI's small runs
+    SMALL = {"simulate": ({"replicates": 200}, {}), "isometry": ({"replicates": 200}, {}),
+             "charfn": ({"replicates": 200}, {}), "martingale": ({"replicates": 200}, {}),
+             "chaos": ({"replicates": 40}, {"product_check_paths": 5}),
+             "kunita": ({}, {"cell_replicates": 20})}
+
+    @pytest.mark.parametrize("name", sorted(SMALL))
+    def test_small_run_bytes(self, name, tmp_path):
+        # every file `levynoise run` writes, against its digest in run_digests.json
+        top, params = self.SMALL[name]
+        raw = json.loads(bundled_config_text(name))
+        raw.update(top)
+        raw["params"].update(params)
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path, raw), "--output-dir", str(out)]) == 0
+        pinned = json.loads((Path(__file__).parent / "run_digests.json").read_text())[name]
+        assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in out.iterdir()} == pinned

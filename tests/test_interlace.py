@@ -276,8 +276,8 @@ class TestSmallJumpDiagnostic:
         ladder = il.eps_sequence(H_Z, BOX, 1.0, TSTABLE, n_max=4)
         problem = il.LadderProblem(H=H_Z, measure=TSTABLE, T=1.0, box=BOX)
         rep = il.interlacing_diagnostic(ladder, problem, replicates=100, master_seed=7)
-        assert len(rep.rows) == 3
-        for row in rep.rows:
+        assert len(rep) == 3
+        for row in rep:
             assert row.empirical_sup2 <= row.bound + 4 * row.sup2_se
             assert row.exceed_freq <= row.bound_freq + 4 * row.exceed_se
             # Doob: E sup^2 <= 4 I(eps_n) within noise
@@ -294,7 +294,7 @@ class TestSmallJumpDiagnostic:
             il.LadderLevel(n, th, 0.0) for n, th in enumerate((0.45, 0.3, 0.2, 0.1), 1)))
         problem = il.LadderProblem(H=H_Z, measure=m, T=1.0, box=BOX)
         rep = il.interlacing_diagnostic(manual, problem, replicates=50, master_seed=3)
-        for row in rep.rows:
+        for row in rep:
             assert row.empirical_sup2 == 0.0
             assert row.exceed_freq == 0.0
 
@@ -304,7 +304,7 @@ class TestSmallJumpDiagnostic:
         rep = il.interlacing_diagnostic(ladder, problem, replicates=20, master_seed=1)
         lines = _ladder_table(rep).splitlines()
         assert lines[0] == "level,threshold,I,empirical_sup2,bound,exceed_freq,bound_freq"
-        assert len(lines) == 1 + len(rep.rows)
+        assert len(lines) == 1 + len(rep)
 
 
 class TestDeepestRing:
@@ -348,7 +348,7 @@ class TestSpatialDiagnostic:
         problem = il.LadderProblem(H=H, K=K, measure=TSTABLE2, T=1.0,
                                    shell=shell, dim=1)
         rep = il.interlacing_diagnostic(ladder, problem, replicates=60, master_seed=11)
-        for row in rep.rows:
+        for row in rep:
             assert row.empirical_sup2 <= row.bound + 4 * row.sup2_se
             assert row.exceed_freq <= row.bound_freq + 4 * row.exceed_se
 
@@ -422,7 +422,7 @@ class TestBatchedDiagnostic:
         np.testing.assert_allclose(sup2, want_sup2, rtol=rtol, atol=0.0)
         assert np.array_equal(exceed, want_exceed)
         rep = il.interlacing_diagnostic(ladder, problem, 9, 5)
-        assert rep == il._assemble(ladder, sup2, exceed, 9, 5)
+        assert rep == il._assemble(ladder, sup2, exceed, 5)
 
 
 class TestNullSweep:
@@ -445,7 +445,7 @@ class TestNullSweep:
     @pytest.mark.parametrize("case", sorted(ALL_DIAGNOSTICS))
     def test_bound_verdicts_rarely_fail(self, case):
         _, reps = self.sweep(case)
-        rows = [v for rep in reps for v in _ladder_rows("", rep, self.K_SIGMA)]
+        rows = [v for rep in reps for v in _ladder_rows("", rep)]
         assert len(rows) >= 800
         assert sum(not v.passed for v in rows) <= 1
 
@@ -456,6 +456,6 @@ class TestNullSweep:
         ladder, reps = self.sweep(case)
         i = [lv.i_value for lv in ladder.levels]
         for j in range(len(i) - 1):
-            mean = np.mean([rep.rows[j].empirical_sup2 for rep in reps])
-            se = math.sqrt(np.sum([rep.rows[j].sup2_se ** 2 for rep in reps])) / self.SEEDS
+            mean = np.mean([rep[j].empirical_sup2 for rep in reps])
+            se = math.sqrt(np.sum([rep[j].sup2_se ** 2 for rep in reps])) / self.SEEDS
             assert i[j] - i[j + 1] - self.K_SIGMA * se <= mean <= 4 * i[j] + self.K_SIGMA * se

@@ -7,7 +7,7 @@ import pytest
 
 from levynoise import interlace as il, mc, prm
 from levynoise.experiments import _ladder_rows
-from levynoise.mc import McEstimate, estimate, run_replicates, verdict
+from levynoise.mc import estimate, run_replicates, verdict
 from levynoise.measure import DiscreteAtoms, Shell
 from levynoise.prm import Window, simulate
 from oracles import map_replicates, replicate
@@ -136,33 +136,33 @@ class TestEstimate:
 
 class TestVerdict:
     def test_exact_match(self):
-        v = verdict(McEstimate(1.0, 0.5, 10, 0), 1.0)
+        v = verdict(1.0, 0.5, 1.0)
         assert v.passed and v.z == 0.0
 
     def test_clear_failure(self):
-        v = verdict(McEstimate(1.0, 0.1, 10, 0), 0.0)
+        v = verdict(1.0, 0.1, 0.0)
         assert not v.passed
         assert v.z == pytest.approx(10.0)
 
     def test_zero_se_requires_equality(self):
-        assert verdict(McEstimate(2.0, 0.0, 10, 0), 2.0).passed
-        v = verdict(McEstimate(2.0, 0.0, 10, 0), 2.1)
+        assert verdict(2.0, 0.0, 2.0).passed
+        v = verdict(2.0, 0.0, 2.1)
         assert not v.passed and math.isinf(v.z)
 
     def test_absolute_floor(self):
-        v = verdict(McEstimate(1e-30, 1e-32, 10, 0), 0.0, atol=1e-20)
+        v = verdict(1e-30, 1e-32, 0.0, atol=1e-20)
         assert v.passed
 
     def test_complex_componentwise(self):
-        est = McEstimate(1.0 + 0.5j, 0.1 + 0.01j, 10, 0)
-        assert verdict(est, 1.0 + 0.5j).passed
-        assert not verdict(est, 1.0 + 0.6j).passed  # imag off by 10 sigma
-        assert verdict(est, 1.2 + 0.5j).passed      # real off by 2 sigma only
+        est = (1.0 + 0.5j, 0.1 + 0.01j)
+        assert verdict(*est, 1.0 + 0.5j).passed
+        assert not verdict(*est, 1.0 + 0.6j).passed  # imag off by 10 sigma
+        assert verdict(*est, 1.2 + 0.5j).passed      # real off by 2 sigma only
 
     def test_vector_verdict(self):
-        est = McEstimate(np.array([0.0, 1.0]), np.array([0.1, 0.1]), 10, 0)
-        assert verdict(est, np.array([0.1, 1.1])).passed
-        assert not verdict(est, np.array([0.0, 2.0])).passed
+        est = (np.array([0.0, 1.0]), np.array([0.1, 0.1]))
+        assert verdict(*est, np.array([0.1, 1.1])).passed
+        assert not verdict(*est, np.array([0.0, 2.0])).passed
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", ["mean", "se", "target"])
@@ -173,9 +173,9 @@ class TestVerdict:
                  "complex-im": lambda v, w: complex(v, w)}[kind]
         vals = {"mean": 1.0, "se": 0.5, "target": 1.0}
         args = {k: shape(v, v) for k, v in vals.items()}
-        assert verdict(McEstimate(args["mean"], args["se"], 10, 0), args["target"]).passed
+        assert verdict(args["mean"], args["se"], args["target"]).passed
         args[field] = shape(vals[field], bad)
-        v = verdict(McEstimate(args["mean"], args["se"], 10, 0), args["target"], atol=1.0)
+        v = verdict(args["mean"], args["se"], args["target"], atol=1.0)
         assert not v.passed
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -186,8 +186,7 @@ class TestVerdict:
         clean = il.DiagnosticRow(level=2, threshold=0.01, i_value=0.02, empirical_sup2=0.05,
                                  sup2_se=0.01, bound=0.1, exceed_freq=0.2, exceed_se=0.05,
                                  bound_freq=0.25)
-        rows = lambda row: list(_ladder_rows("", il.DiagnosticReport("small-jump", [row], 10, 0),
-                                             4.0))
+        rows = lambda row: list(_ladder_rows("", [row]))
         assert [v.passed for v in rows(clean)] == [True, True]
         of_sup2 = field in ("empirical_sup2", "sup2_se")
         got = rows(dataclasses.replace(clean, **{field: bad}))
@@ -199,6 +198,6 @@ class TestVerdict:
         for trial in range(200):
             # the point count minus its exact mean
             est = replicates(lambda k, c: len(c.t) - LAM, 250, master_seed=1000 + trial)
-            if not verdict(est, 0.0).passed:
+            if not verdict(est.mean, est.se, 0.0).passed:
                 fails += 1
         assert fails <= 4  # 2% of 200
